@@ -5,9 +5,8 @@ kernels, cokernels, translates and almost split sequences stay computable.
 
 from .linalg import GF, QQ, Field, Mat
 from .quiver import (Arrow, End, FiniteQuiver, OppositeQuiver, PRESETS, Path,
-                     QuiverBase, SubquiverClass, VertexSet, Window,
-                     classify_subquiver, closure, kronecker_quiver,
-                     linear_quiver, vkey, window)
+                     QuiverBase, SubquiverClass, VertexSet, classify_subquiver,
+                     closure, kronecker_quiver, linear_quiver, vkey)
 from .rep import (BudgetError, DEFAULT_BUDGET, EvalRangeError, PathMatrix,
                   PFIDecomposition, Rep, RepClassCertificate, RungFamily,
                   classify_membership, coker_proj, dim_vector, direct_sum,
@@ -45,4 +44,4 @@ def glue(sub, quot, cocycle=(), families=()):
 
 
 __all__ = [n for n in dir() if not n.startswith("_")]
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -19,10 +19,10 @@ from .linalg import Mat, inverse, kernel_basis
 from .morphism import SES, Morphism, verify_exact
 from .presentations import (min_inj_copresentation, min_proj_presentation,
                             nakayama)
-from .quiver import FiniteQuiver, QuiverBase, vkey
-from .rep import (DEFAULT_BUDGET, CokerProjRep, KerInjRep, Rep,
-                  classify_membership, dim_vector, direct_sum, injective_at,
-                  is_doubly_infinite, projective_at, support_exact, zero_rep)
+from .quiver import FiniteQuiver, Path, QuiverBase, vkey
+from .rep import (DEFAULT_BUDGET, Rep, classify_membership, coker_proj,
+                  dim_vector, injective_at, is_doubly_infinite, ker_inj,
+                  path_matrix, projective_at, support_exact)
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +36,7 @@ def tau(x: Rep, budget: Optional[int] = None) -> Rep:
     pres = min_proj_presentation(x, budget, cert=cert)
     if not pres.pm.domain:
         raise ValueError("tau undefined for projective objects")
-    return KerInjRep(nakayama(pres.pm))
+    return ker_inj(nakayama(pres.pm))
 
 
 def tau_inv(w: Rep, budget: Optional[int] = None) -> Rep:
@@ -46,7 +46,7 @@ def tau_inv(w: Rep, budget: Optional[int] = None) -> Rep:
     cop = min_inj_copresentation(w, budget, cert=cert)
     if not cop.pm.codomain:
         raise ValueError("tau_inv undefined for injective objects")
-    return CokerProjRep(nakayama(cop.pm))
+    return coker_proj(nakayama(cop.pm))
 
 
 def is_pseudo_projective(x: Rep, budget: Optional[int] = None) -> bool:
@@ -92,10 +92,6 @@ def almost_split_sequence(x: Rep, budget: Optional[int] = None) -> SES:
     return ext_class_to_ses(ecb, coeffs)
 
 
-def _pa_index(q: QuiverBase, a, v) -> dict:
-    return {p.key(): i for i, p in enumerate(q.paths_between(a, v))}
-
-
 def minimal_right_almost_split_into(p: Rep,
                                     budget: Optional[int] = None) -> Morphism:
     """The radical inclusion into an indecomposable projective."""
@@ -106,25 +102,11 @@ def minimal_right_almost_split_into(p: Rep,
     if len(pres.pm.codomain) != 1:
         raise ValueError("input is not an indecomposable projective")
     a = pres.pm.codomain[0]
-    pa = projective_at(q, a, F)
     arrows = sorted(q.out_arrows(a))
-    rad = direct_sum(*[projective_at(q, al.dst, F) for al in arrows]) \
-        if arrows else zero_rep(q, F)
-
-    def rule(v):
-        from .rep import proj_sum_basis
-        bl = proj_sum_basis(q, tuple(al.dst for al in arrows), v)
-        idx = _pa_index(q, a, v)
-        rows = len(idx)
-        ent = [[F.zero] * len(bl) for _ in range(rows)]
-        for c, (i, r) in enumerate(bl):
-            from .quiver import Path
-            full = Path(a, r.dst, (arrows[i],) + r.arrows)
-            ent[idx[full.key()]][c] = F.one
-        return Mat(F, rows, len(bl), tuple(tuple(rw) for rw in ent))
-
-    incl = Morphism(rad, pa, rule=rule, label="rad")
-    pair = _iso_indec(pa, p, budget)
+    rad = path_matrix(q, F, "proj", [al.dst for al in arrows], [a],
+                      [[[(1, Path(a, al.dst, (al,)))] for al in arrows]])
+    incl = Morphism(rad.src, rad.dst, rule=rad.component, label="rad")
+    pair = _iso_indec(rad.dst, p, budget)
     if pair is None:
         raise ValueError("input is not isomorphic to the expected projective")
     u, _ = pair
@@ -141,25 +123,11 @@ def minimal_left_almost_split_from(i: Rep,
     if len(cop.pm.domain) != 1:
         raise ValueError("input is not an indecomposable injective")
     a = cop.pm.domain[0]
-    ia = injective_at(q, a, F)
     arrows = sorted(q.in_arrows(a))
-    quot = direct_sum(*[injective_at(q, al.src, F) for al in arrows]) \
-        if arrows else zero_rep(q, F)
-
-    def rule(v):
-        from .rep import inj_sum_basis
-        from .quiver import Path
-        bl = inj_sum_basis(q, tuple(al.src for al in arrows), v)
-        ia_paths = {p.key(): c for c, p in enumerate(q.paths_between(v, a))}
-        cols = len(ia_paths)
-        ent = [[F.zero] * cols for _ in range(len(bl))]
-        for r, (i_, p) in enumerate(bl):
-            full = Path(v, a, p.arrows + (arrows[i_],))
-            ent[r][ia_paths[full.key()]] = F.one
-        return Mat(F, len(bl), cols, tuple(tuple(rw) for rw in ent))
-
-    proj = Morphism(ia, quot, rule=rule, label="cosoc")
-    pair = _iso_indec(i, ia, budget)
+    cosoc = path_matrix(q, F, "inj", [a], [al.src for al in arrows],
+                        [[[(1, Path(al.src, a, (al,)))]] for al in arrows])
+    proj = Morphism(cosoc.src, cosoc.dst, rule=cosoc.component, label="cosoc")
+    pair = _iso_indec(i, cosoc.src, budget)
     if pair is None:
         raise ValueError("input is not isomorphic to the expected injective")
     u, _ = pair

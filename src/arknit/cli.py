@@ -16,7 +16,6 @@ from .ext import ext_space
 from .hom import decompose_report, hom_space
 from .io import (SCHEMA, ParseError, component_dot, component_json, emit_rep,
                  parse_field, parse_quiver, parse_rep, snapshot_rep)
-from .linalg import QQ
 from .morphism import verify_exact
 from .quiver import vkey
 from .rep import (BudgetError, classify_membership, injective_at,
@@ -130,11 +129,15 @@ def _morphism_json(q, f, verts):
 
 
 def run(args) -> dict | str:
-    q = parse_quiver(_load_spec(args.quiver, "quiver"))
-    field = parse_field(args.field)
     budget = args.budget
     if budget is None and os.environ.get("ARKNIT_BUDGET"):
         budget = int(os.environ["ARKNIT_BUDGET"])
+    depth = getattr(args, "depth", None)
+    for name, value in (("budget", budget), ("depth", depth)):
+        if value is not None and value < 0:
+            raise ParseError(f"/{name}", f"must be >= 0, got {value}")
+    q = parse_quiver(_load_spec(args.quiver, "quiver"))
+    field = parse_field(args.field)
 
     def rep_of(text, what):
         return parse_rep(q, _load_spec(text, what), field)

@@ -18,7 +18,8 @@ from typing import Optional
 from .linalg import Mat, coker_projection, rank
 from .morphism import SES, glue_ses
 from .quiver import vkey
-from .rep import (BudgetError, GlueRep, Rep, RungFamily, classify_membership,
+from .presentations import min_proj_presentation, relation_matrix
+from .rep import (BudgetError, Rep, RungFamily, classify_membership,
                   support_exact)
 
 
@@ -308,24 +309,8 @@ def ext_dim_via_presentation(x: Rep, y: Rep,
                              budget: Optional[int] = None) -> int:
     """Independent route: Ext(X, Y) as the cokernel of the map between
     evaluation sums induced by a minimal projective presentation of X."""
-    from .presentations import min_proj_presentation
     pres = min_proj_presentation(x, budget)
-    F = x.field
-    ys, xs = pres.pm.codomain, pres.pm.domain
-    rows = sum(y.dim(v) for v in xs)
-    cols = sum(y.dim(v) for v in ys)
+    rows = sum(y.dim(v) for v in pres.pm.domain)
     if rows == 0:
         return 0
-    blocks = []
-    for i, xv in enumerate(xs):
-        brow = []
-        for j, yv in enumerate(ys):
-            acc = Mat.zeros(F, y.dim(xv), y.dim(yv))
-            for (c, p) in pres.pm.entries[j][i]:
-                acc = acc.add(y.mat_path(p).scale(c))
-            brow.append(acc)
-        blocks.append(brow)
-    from .linalg import block_matrix
-    D = block_matrix(F, blocks, [y.dim(v) for v in xs],
-                     [y.dim(v) for v in ys])
-    return rows - rank(D)
+    return rows - rank(relation_matrix(pres.pm, y))

@@ -22,7 +22,8 @@ import sympy
 from .linalg import (Mat, block_matrix, inverse, kernel_basis, min_poly,
                      rank, solve, solve_matrix)
 from .morphism import Morphism, identity_morphism, zero_morphism
-from .presentations import min_inj_copresentation, min_proj_presentation
+from .presentations import (min_inj_copresentation, min_proj_presentation,
+                            relation_matrix)
 from .quiver import vkey
 from .rep import (DEFAULT_BUDGET, BudgetError, ImageRep, Rep,
                   classify_membership, dim_vector, inj_sum_basis,
@@ -154,19 +155,7 @@ def _presentation_route(m: Rep, n: Rep, budget, certm):
     pres = min_proj_presentation(m, budget, cert=certm)
     q, F = m.quiver, m.field
     ys, xs = pres.pm.codomain, pres.pm.domain
-    rd = [n.dim(x) for x in xs]
-    cd = [n.dim(y) for y in ys]
-    blocks = [[None] * len(ys) for _ in xs]
-    for j in range(len(ys)):
-        for i in range(len(xs)):
-            combo = pres.pm.entries[j][i]
-            if combo:
-                acc = Mat.zeros(F, n.dim(xs[i]), n.dim(ys[j]))
-                for (c, p) in combo:
-                    acc = acc.add(n.mat_path(p).scale(c))
-                blocks[i][j] = acc
-    D = block_matrix(F, blocks, rd, cd)
-    K = kernel_basis(D)
+    K = kernel_basis(relation_matrix(pres.pm, n))
     cover = pres.cover
     basis = []
     for kcol in range(K.cols):

@@ -11,7 +11,7 @@ from fractions import Fraction
 from .linalg import GF, QQ, Mat
 from .quiver import (FiniteQuiver, Path, PRESETS, QuiverBase, VertexSet,
                      kronecker_quiver, linear_quiver, vkey)
-from .rep import (GlueRep, PathMatrix, Rep, RungFamily, classify_membership,
+from .rep import (PathMatrix, Rep, RungFamily, classify_membership,
                   coker_proj, direct_sum, dualize, explicit_fd, glue_rep,
                   injective_at, ker_inj, path_matrix, projective_at,
                   restrict, simple_at, support_exact, thin_rep, zero_rep)

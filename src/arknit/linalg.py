@@ -364,27 +364,3 @@ def min_poly(m: Mat) -> tuple:
             return tuple(F.mul(inv, c) for c in vec)
         power = power.mul(m)
     raise RuntimeError("min_poly did not terminate")
-
-
-def eval_poly(coeffs: Sequence, m: Mat) -> Mat:
-    F = m.field
-    out = Mat.zeros(F, m.rows, m.cols)
-    power = Mat.identity(F, m.rows)
-    for c in coeffs:
-        if not F.is_zero(F.of(c)):
-            out = out.add(power.scale(c))
-        power = power.mul(m)
-    return out
-
-
-def fitting_split(m: Mat):
-    """Kernel-stable and image-stable subspaces of a square matrix.
-
-    Returns (K, I): columns of K span ker(m^n), columns of I span im(m^n).
-    """
-    if m.rows != m.cols:
-        raise ValueError("fitting_split needs a square matrix")
-    p = Mat.identity(m.field, m.rows)
-    for _ in range(m.rows):
-        p = p.mul(m)
-    return kernel_basis(p), column_space_basis(p)

@@ -9,13 +9,13 @@ every vertex.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
-from .linalg import Mat, inverse, is_invertible, kernel_basis, rank, solve_matrix
+from .linalg import Mat, inverse, is_invertible, rank, solve_matrix
 from .quiver import Arrow, VertexSet, vkey
-from .rep import (CokerOfRep, EvalRangeError, GlueRep, KernelOfRep, Rep,
-                  RestrictRep, _loc_depth, _ray_transition, restrict,
+from .rep import (CokerOfRep, EvalRangeError, GlueRep, ImageRep, KernelOfRep,
+                  Rep, _loc_depth, _ray_transition, restrict,
                   standard_ext_region)
 
 
@@ -99,6 +99,12 @@ class Morphism:
         q = self.src.quiver
         return max([0] + [_loc_depth(q, v) for v in self.window])
 
+    def describe(self) -> str:
+        return f"{self.src.describe()} -> {self.dst.describe()}"
+
+    def spec_dict(self) -> dict:
+        raise NotImplementedError("a morphism has no JSON form")
+
     # -- algebra --
     def add(self, other: "Morphism") -> "Morphism":
         return Morphism(self.src, self.dst, self.window,
@@ -115,8 +121,6 @@ class Morphism:
 
     def then(self, other: "Morphism") -> "Morphism":
         """self followed by other (other ∘ self)."""
-        if other.src is not self.dst and other.src != self.dst:
-            pass  # structural identity not required; dims are checked per vertex
         return Morphism(self.src, other.dst, self.window or other.window,
                         rule=lambda v: other.component(v).mul(self.component(v)))
 
@@ -175,26 +179,9 @@ def cokernel(f: Morphism):
 
 def image(f: Morphism):
     """(Im, inclusion Im -> dst) using canonical column space bases."""
-    from .rep import ImageRep
-    I = ImageRep(f.dst, _SquareThrough(f))
+    I = ImageRep(f.dst, f)
     incl = Morphism(I, f.dst, rule=lambda v: I.cb(v), label="im-incl")
     return I, incl
-
-
-class _SquareThrough:
-    """Adapter presenting f: M->N as a self-map-like carrier of components
-    for ImageRep (which only reads .component and .depth_bound)."""
-
-    def __init__(self, f: Morphism):
-        self.f = f
-        self.src = f.src
-        self.dst = f.dst
-
-    def component(self, v):
-        return self.f.component(v)
-
-    def depth_bound(self):
-        return self.f.depth_bound()
 
 
 # ---------------------------------------------------------------------------

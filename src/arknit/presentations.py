@@ -11,13 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .linalg import Mat, coker_projection, rank
+from .linalg import Mat, block_matrix, coker_projection, rank
 from .morphism import Morphism
 from .quiver import Arrow, Path, QuiverBase, vkey
-from .rep import (BudgetError, DirectSumRep, InjRep, PathMatrix, ProjRep, Rep,
-                  ZeroRep, classify_membership, direct_sum, dualize,
-                  incoming_stack, path_matrix, proj_sum_basis, support_exact,
-                  zero_rep)
+from .rep import (BudgetError, KernelOfRep, PathMatrix, Rep,
+                  classify_membership, dualize, incoming_stack, inj_sum_basis,
+                  path_matrix, proj_sum_basis, sum_of, support_exact)
 
 
 @dataclass
@@ -38,18 +37,6 @@ class Presentation:
     gens: tuple
     minimal: bool
     certificate: dict
-
-
-def _sum_of_proj(q, field, verts) -> Rep:
-    if not verts:
-        return zero_rep(q, field)
-    return direct_sum(*[ProjRep(q, field, v) for v in verts])
-
-
-def _sum_of_inj(q, field, verts) -> Rep:
-    if not verts:
-        return zero_rep(q, field)
-    return direct_sum(*[InjRep(q, field, v) for v in verts])
 
 
 def top_generators(m: Rep, region, deep_bands):
@@ -82,7 +69,7 @@ def _cover_from_gens(m: Rep, gens):
     m evaluated along the path applied to the generator vector."""
     q, F = m.quiver, m.field
     verts = tuple(v for (v, _) in gens)
-    p0 = _sum_of_proj(q, F, verts)
+    p0 = sum_of(q, F, "proj", verts)
 
     def rule(w):
         basis = proj_sum_basis(q, verts, w)
@@ -126,7 +113,6 @@ def min_proj_presentation(x: Rep, budget: Optional[int] = None,
         if rank(cover.component(v)) != x.dim(v):
             raise ValueError("top generators do not generate; object not fp")
 
-    from .rep import KernelOfRep
     k = KernelOfRep(cover)
     kcert = classify_membership(k, budget)
     kregion, kdeep = _probe_and_deep(k, kcert)
@@ -178,12 +164,11 @@ def min_inj_copresentation(w: Rep, budget: Optional[int] = None,
             for (c, p) in dpres.pm.entries[j][i]:
                 entries[i][j].append((c, _reverse_path(q, p)))
     pm = path_matrix(q, F, "inj", i0_verts, i1_verts, entries)
-    i0 = _sum_of_inj(q, F, i0_verts)
+    i0 = pm.src
     # socle functionals: the dual-side top generators read as row vectors
     gens = tuple((v, col) for (v, col) in dpres.gens)
 
     def rule(v):
-        from .rep import inj_sum_basis
         bl = inj_sum_basis(q, i0_verts, v)
         rows = []
         for (i, p) in bl:
@@ -199,3 +184,20 @@ def min_inj_copresentation(w: Rep, budget: Optional[int] = None,
 def nakayama(pm: PathMatrix) -> PathMatrix:
     """Swap the interpretation side; vertex lists and entries are unchanged."""
     return pm.flip_side()
+
+
+def relation_matrix(pm: PathMatrix, n: Rep) -> Mat:
+    """The map (⊕ n(codomain)) -> (⊕ n(domain)) that a projective-side path
+    matrix induces on Hom(-, n): block (i, j) is entry [j][i] evaluated in n."""
+    F = n.field
+    blocks = [[None] * len(pm.codomain) for _ in pm.domain]
+    for j, y in enumerate(pm.codomain):
+        for i, x in enumerate(pm.domain):
+            combo = pm.entries[j][i]
+            if combo:
+                acc = Mat.zeros(F, n.dim(x), n.dim(y))
+                for (c, p) in combo:
+                    acc = acc.add(n.mat_path(p).scale(c))
+                blocks[i][j] = acc
+    return block_matrix(F, blocks, [n.dim(x) for x in pm.domain],
+                        [n.dim(y) for y in pm.codomain])

@@ -12,9 +12,8 @@ by vkey so results are deterministic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 
 def vkey(v):
@@ -145,19 +144,11 @@ class QuiverBase:
         out.sort()
         return out
 
-    def path_count_bound(self) -> Optional[int]:
-        """Global bound on |paths(x, y)| over all pairs, None if unbounded."""
-        raise NotImplementedError
-
     def has_left_infinite_path(self) -> bool:
         return any(r.kind == "I" for e in self.ends() for r in e.rays)
 
     def has_right_infinite_path(self) -> bool:
         return any(r.kind == "P" for e in self.ends() for r in e.rays)
-
-    def ray_query(self):
-        return (self.has_left_infinite_path(), self.has_right_infinite_path(),
-                self.path_count_bound())
 
     # ---- formatting ----
     def vertex_str(self, v) -> str:
@@ -211,10 +202,6 @@ class End:
         return self.quiver._crossing_arrow(self.eid, cid, t)
 
 
-def _arrows_sorted(arrows):
-    return sorted(arrows)
-
-
 # ---------------------------------------------------------------------------
 # finite quivers
 
@@ -229,31 +216,36 @@ class FiniteQuiver(QuiverBase):
 
     def __post_init__(self):
         seen = set()
+        succ = {v: [] for v in self.vertices}
         for a in self.arrows:
             if a.label in seen:
                 raise ValueError(f"duplicate arrow label {a.label}")
             seen.add(a.label)
-            if a.src not in self.vertices or a.dst not in self.vertices:
+            if a.src not in succ or a.dst not in succ:
                 raise ValueError(f"arrow {a.label} endpoint outside vertex set")
-        # interval-finiteness requires acyclicity
+            succ[a.src].append(a.dst)
+        # interval-finiteness requires acyclicity: iterative depth-first
+        # search, color 1 while a vertex is on the stack, 2 once finished
         color = {}
-
-        def visit(v):
-            color[v] = 1
-            for a in self.arrows:
-                if a.src != v:
-                    continue
-                c = color.get(a.dst)
-                if c == 1:
-                    raise ValueError("quiver has an oriented cycle; "
-                                     "only interval-finite quivers are supported")
-                if c is None:
-                    visit(a.dst)
-            color[v] = 2
-
-        for v in self.vertices:
-            if v not in color:
-                visit(v)
+        for root in self.vertices:
+            if root in color:
+                continue
+            color[root] = 1
+            stack = [(root, iter(succ[root]))]
+            while stack:
+                v, nxt = stack[-1]
+                for w in nxt:
+                    c = color.get(w)
+                    if c == 1:
+                        raise ValueError("quiver has an oriented cycle; only "
+                                         "interval-finite quivers are supported")
+                    if c is None:
+                        color[w] = 1
+                        stack.append((w, iter(succ[w])))
+                        break
+                else:
+                    color[v] = 2
+                    stack.pop()
 
     @staticmethod
     def build(vertices, arrows) -> "FiniteQuiver":
@@ -296,17 +288,6 @@ class FiniteQuiver(QuiverBase):
 
     def _pathlen_cap(self, x, y):
         return len(self.vertices) + 1
-
-    def path_count_bound(self):
-        best = 0
-        for x in self.vertices:
-            for y in self.vertices:
-                try:
-                    n = len(self.paths_between(x, y))
-                except ValueError:
-                    return None
-                best = max(best, n)
-        return best
 
     def succ_closure(self, vs):
         seen = set()
@@ -390,9 +371,6 @@ class LineQuiver(_IntPreset):
     def _pathlen_cap(self, x, y):
         return abs(x - y) + 4
 
-    def path_count_bound(self):
-        return 1
-
     def ends(self):
         return (End(self, "neg", [Ray("v", "P")]),
                 End(self, "pos", [Ray("v", "I")]))
@@ -444,9 +422,6 @@ class RayOutQuiver(_IntPreset):
     def _pathlen_cap(self, x, y):
         return abs(x - y) + 4
 
-    def path_count_bound(self):
-        return 1
-
     def ends(self):
         return (End(self, "inf", [Ray("v", "P")]),)
 
@@ -492,9 +467,6 @@ class RayInQuiver(_IntPreset):
 
     def _pathlen_cap(self, x, y):
         return abs(x - y) + 4
-
-    def path_count_bound(self):
-        return 1
 
     def ends(self):
         return (End(self, "inf", [Ray("v", "I")]),)
@@ -549,9 +521,6 @@ class ZigzagQuiver(_IntPreset):
 
     def _pathlen_cap(self, x, y):
         return 3
-
-    def path_count_bound(self):
-        return 1
 
     def ends(self):
         return (End(self, "inf", [Ray("even", "bad"), Ray("odd", "bad")]),)
@@ -629,9 +598,6 @@ class LadderQuiver(QuiverBase):
 
     def _pathlen_cap(self, x, y):
         return x[1] + y[1] + 6
-
-    def path_count_bound(self):
-        return None  # |paths(a_m, b_k)| = min(m, k) + 1, unbounded
 
     def ends(self):
         return (End(self, "inf", [Ray("a", "I"), Ray("b", "P")],
@@ -714,9 +680,6 @@ class OppositeQuiver(QuiverBase):
 
     def _pathlen_cap(self, x, y):
         return self.base._pathlen_cap(y, x)
-
-    def path_count_bound(self):
-        return self.base.path_count_bound()
 
     def ends(self):
         flip = {"P": "I", "I": "P", "bad": "bad"}
@@ -893,27 +856,6 @@ class VertexSet:
         parts += [q._tail_str(eid, rid, t0) for (eid, rid, t0) in self.tails]
         return "{" + ", ".join(parts) + "}"
 
-    def is_closed(self, direction: str) -> bool:
-        """direction 'successor' or 'predecessor'."""
-        q = self.quiver
-        probe = set(self.explicit)
-        top = self.probe_depth() + 3
-        for (eid, rid, t0) in self.tails:
-            end = q.end(eid)
-            probe.update(end.vertex(rid, t) for t in range(t0, top + 1))
-        for v in probe:
-            if not self.contains(v):
-                continue
-            nbrs = (q.out_arrows(v) if direction == "successor" else q.in_arrows(v))
-            for a in nbrs:
-                w = a.dst if direction == "successor" else a.src
-                if not self.contains(w):
-                    loc = q.locate(v)
-                    if loc is not None and loc[2] >= top:
-                        continue  # beyond probe; handled by periodic check below
-                    return False
-        return True
-
 
 @dataclass(frozen=True)
 class SubquiverClass:
@@ -995,65 +937,3 @@ def classify_subquiver(vset: VertexSet) -> SubquiverClass:
     sources, topf, w1 = _boundary_analysis(vset, "top")
     sinks, socf, w2 = _boundary_analysis(vset, "socle")
     return SubquiverClass(vset.is_finite, topf, socf, tuple(sources), tuple(sinks), w1 + w2)
-
-
-# ---------------------------------------------------------------------------
-# windows
-
-
-@dataclass(frozen=True)
-class Window:
-    quiver: QuiverBase
-    vertices: tuple
-
-    def contains(self, v):
-        return v in self.vertices
-
-    def arrows_within(self):
-        vs = set(self.vertices)
-        out = []
-        for v in self.vertices:
-            for a in self.quiver.out_arrows(v):
-                if a.dst in vs:
-                    out.append(a)
-        return sorted(out)
-
-    def diameter(self) -> int:
-        return max(1, len(self.vertices))
-
-
-def window(quiver: QuiverBase, seeds: Sequence, radius: int) -> Window:
-    """Convex window: undirected ball of the given radius, closed under paths."""
-    seeds = list(seeds)
-    for s in seeds:
-        if not quiver.contains(s):
-            raise ValueError(f"seed {s!r} outside quiver")
-    seen = set(seeds)
-    frontier = list(seeds)
-    for _ in range(radius):
-        nxt = []
-        for v in frontier:
-            for a in quiver.out_arrows(v):
-                if a.dst not in seen:
-                    seen.add(a.dst)
-                    nxt.append(a.dst)
-            for a in quiver.in_arrows(v):
-                if a.src not in seen:
-                    seen.add(a.src)
-                    nxt.append(a.src)
-        frontier = nxt
-    # convexity: include every vertex on a path between window members
-    changed = True
-    while changed:
-        changed = False
-        verts = sorted(seen, key=vkey)
-        for x in verts:
-            for y in verts:
-                if x == y or not quiver.reaches(x, y):
-                    continue
-                for p in quiver.paths_between(x, y):
-                    for a in p.arrows:
-                        if a.dst not in seen:
-                            seen.add(a.dst)
-                            changed = True
-    return Window(quiver, tuple(sorted(seen, key=vkey)))

@@ -14,17 +14,15 @@ certificate, not a sample.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Optional, Sequence
 
 from .linalg import (Field, Mat, QQ, block_matrix, coker_projection,
-                     column_space_basis, is_invertible, kernel_basis, rank,
+                     column_space_basis, is_invertible, kernel_basis,
                      solve_matrix)
-from .quiver import (Arrow, Path, QuiverBase, VertexSet, Window,
-                     classify_subquiver, trivial_path, vkey, window)
+from .quiver import (Arrow, Path, QuiverBase, VertexSet, classify_subquiver,
+                     vkey)
 
 DEFAULT_BUDGET = 40
 
@@ -52,7 +50,9 @@ class PathMatrix:
 
     entries[j][i] is a combination of paths codomain[j] ~> domain[i]; this is
     the canonical identification of Hom(P_x, P_y) and Hom(I_x, I_y) with the
-    span of the paths y ~> x.
+    span of the paths y ~> x.  A path matrix is a morphism src -> dst for
+    KernelOfRep and CokerOfRep: .src/.dst are the two sums and
+    .component(v) the map between their evaluations at v.
     """
 
     quiver: QuiverBase
@@ -91,6 +91,45 @@ class PathMatrix:
             d = max(d, _loc_depth(q, v))
         return d
 
+    @cached_property
+    def src(self) -> "Rep":
+        return sum_of(self.quiver, self.field, self.side, self.domain)
+
+    @cached_property
+    def dst(self) -> "Rep":
+        return sum_of(self.quiver, self.field, self.side, self.codomain)
+
+    def component(self, v) -> Mat:
+        """The map (⊕ over domain)(v) -> (⊕ over codomain)(v)."""
+        q, F, proj = self.quiver, self.field, self.side == "proj"
+        sum_basis = proj_sum_basis if proj else inj_sum_basis
+        dom_b = sum_basis(q, self.domain, v)
+        cod_b = sum_basis(q, self.codomain, v)
+        index = {(j, p.key()): r for r, (j, p) in enumerate(cod_b)}
+        rows = [[F.zero] * len(dom_b) for _ in cod_b]
+        for c, (i, p) in enumerate(dom_b):
+            for j in range(len(self.codomain)):
+                for (coeff, e) in self.entries[j][i]:
+                    if proj:
+                        tgt = e.then(p)  # codomain[j] ~> domain[i] ~> v
+                    else:
+                        # strip the suffix e: p = r . e with r: v ~> codomain[j]
+                        k = len(p.arrows) - len(e.arrows)
+                        if k < 0 or p.arrows[k:] != e.arrows:
+                            continue
+                        tgt = Path(v, self.codomain[j], p.arrows[:k])
+                    r = index[(j, tgt.key())]
+                    rows[r][c] = F.add(rows[r][c], F.of(coeff))
+        return Mat(F, len(cod_b), len(dom_b), tuple(tuple(r) for r in rows))
+
+    def describe(self) -> str:
+        q, s = self.quiver, "P" if self.side == "proj" else "I"
+        return (f"{s}[{','.join(q.vertex_str(x) for x in self.domain)}] -> "
+                f"{s}[{','.join(q.vertex_str(x) for x in self.codomain)}]")
+
+    def spec_dict(self) -> dict:
+        return _pm_dict(self)
+
 
 def path_matrix(quiver, field, side, domain, codomain, entries) -> PathMatrix:
     norm = tuple(tuple(tuple((c, p) for (c, p) in combo) for combo in row)
@@ -116,63 +155,12 @@ def inj_sum_basis(q: QuiverBase, verts: Sequence, v) -> list:
     return out
 
 
-def pm_eval(pm: PathMatrix, v) -> Mat:
-    """The map (⊕ over domain)(v) -> (⊕ over codomain)(v)."""
-    q, F = pm.quiver, pm.field
-    if pm.side == "proj":
-        dom_b = proj_sum_basis(q, pm.domain, v)
-        cod_b = proj_sum_basis(q, pm.codomain, v)
-        index = {(j, p.key()): r for r, (j, p) in enumerate(cod_b)}
-        cols = []
-        for (i, p) in dom_b:
-            col = [F.zero] * len(cod_b)
-            for j in range(len(pm.codomain)):
-                for (c, qpath) in pm.entries[j][i]:
-                    tgt = qpath.then(p)  # codomain[j] ~> domain[i] ~> v
-                    col[index[(j, tgt.key())]] = F.add(
-                        col[index[(j, tgt.key())]], F.of(c))
-            cols.append(col)
-        rows = tuple(tuple(col[r] for col in cols) for r in range(len(cod_b)))
-        return Mat(F, len(cod_b), len(dom_b), rows)
-    dom_b = inj_sum_basis(q, pm.domain, v)
-    cod_b = inj_sum_basis(q, pm.codomain, v)
-    index = {(j, p.key()): r for r, (j, p) in enumerate(cod_b)}
-    cols = []
-    for (i, p) in dom_b:
-        col = [F.zero] * len(cod_b)
-        for j in range(len(pm.codomain)):
-            for (c, qpath) in pm.entries[j][i]:
-                # strip the suffix qpath: p = r . qpath with r: v ~> codomain[j]
-                k = len(qpath.arrows)
-                if k <= len(p.arrows) and (k == 0 or p.arrows[-k:] == qpath.arrows):
-                    rpath = Path(v, pm.codomain[j],
-                                 p.arrows[:len(p.arrows) - k] if k else p.arrows)
-                    col[index[(j, rpath.key())]] = F.add(
-                        col[index[(j, rpath.key())]], F.of(c))
-        cols.append(col)
-    rows = tuple(tuple(col[r] for col in cols) for r in range(len(cod_b)))
-    return Mat(F, len(cod_b), len(dom_b), rows)
-
-
-def _sum_action_proj(q, F, verts, arrow, basis_u, basis_w) -> Mat:
-    """Arrow action on (⊕ P_verts): append the arrow to each path."""
-    index = {(j, p.key()): r for r, (j, p) in enumerate(basis_w)}
-    rows = [[F.zero] * len(basis_u) for _ in range(len(basis_w))]
-    for c, (i, p) in enumerate(basis_u):
-        tgt = Path(p.src, arrow.dst, p.arrows + (arrow,))
-        rows[index[(i, tgt.key())]][c] = F.one
-    return Mat(F, len(basis_w), len(basis_u), tuple(tuple(r) for r in rows))
-
-
-def _sum_action_inj(q, F, verts, arrow, basis_u, basis_w) -> Mat:
-    """Arrow action on (⊕ I_verts): strip the arrow from the front."""
-    index = {(j, p.key()): r for r, (j, p) in enumerate(basis_w)}
-    rows = [[F.zero] * len(basis_u) for _ in range(len(basis_w))]
-    for c, (i, p) in enumerate(basis_u):
-        if p.arrows and p.arrows[0] == arrow:
-            tgt = Path(arrow.dst, p.dst, p.arrows[1:])
-            rows[index[(i, tgt.key())]][c] = F.one
-    return Mat(F, len(basis_w), len(basis_u), tuple(tuple(r) for r in rows))
+def sum_of(quiver, field, side: str, verts) -> "Rep":
+    """⊕ P_v ('proj') or ⊕ I_v ('inj') over verts, in order; 0 when empty.
+    Its basis at each vertex is proj_sum_basis / inj_sum_basis."""
+    kind = ProjRep if side == "proj" else InjRep
+    return direct_sum(*[kind(quiver, field, v) for v in verts]) if verts \
+        else ZeroRep(quiver, field)
 
 
 # ---------------------------------------------------------------------------
@@ -522,99 +510,6 @@ class RestrictRep(Rep):
                              "region": _region_dict(self.region)}}
 
 
-class CokerProjRep(Rep):
-    """Cokernel of a path matrix between sums of projectives."""
-
-    def __init__(self, pm: PathMatrix):
-        if pm.side != "proj":
-            raise ValueError("CokerProj needs a projective-side path matrix")
-        super().__init__(pm.quiver, pm.field)
-        self.pm = pm
-        self._data: dict = {}
-
-    def _at(self, v):
-        if v not in self._data:
-            cod_b = proj_sum_basis(self.quiver, self.pm.codomain, v)
-            m = pm_eval(self.pm, v)
-            P, free = coker_projection(m)
-            self._data[v] = (cod_b, P, free)
-        return self._data[v]
-
-    def _dim_at(self, v):
-        return len(self._at(v)[2])
-
-    def _mat_at(self, a):
-        F = self.field
-        bu, Pu, fu = self._at(a.src)
-        bw, Pw, fw = self._at(a.dst)
-        act = _sum_action_proj(self.quiver, F, self.pm.codomain, a, bu, bw)
-        lift_cols = tuple(tuple(F.one if r == fr else F.zero
-                                for fr in fu) for r in range(len(bu)))
-        lift = Mat(F, len(bu), len(fu), lift_cols)
-        return Pw.mul(act).mul(lift)
-
-    def support(self):
-        return reduce(lambda s, c: s.union(self.quiver.succ_closure([c])),
-                      self.pm.codomain, VertexSet.make(self.quiver, ()))
-
-    def _extra_depth(self):
-        return self.pm.depth_bound()
-
-    def describe(self):
-        q = self.quiver
-        return ("coker(P[" + ",".join(q.vertex_str(x) for x in self.pm.domain)
-                + "] -> P[" + ",".join(q.vertex_str(x) for x in self.pm.codomain) + "])")
-
-    def spec_dict(self):
-        return {"coker_proj": _pm_dict(self.pm)}
-
-
-class KerInjRep(Rep):
-    """Kernel of a path matrix between sums of injectives."""
-
-    def __init__(self, pm: PathMatrix):
-        if pm.side != "inj":
-            raise ValueError("KerInj needs an injective-side path matrix")
-        super().__init__(pm.quiver, pm.field)
-        self.pm = pm
-        self._data: dict = {}
-
-    def _at(self, v):
-        if v not in self._data:
-            dom_b = inj_sum_basis(self.quiver, self.pm.domain, v)
-            kb = kernel_basis(pm_eval(self.pm, v))
-            self._data[v] = (dom_b, kb)
-        return self._data[v]
-
-    def _dim_at(self, v):
-        return self._at(v)[1].cols
-
-    def _mat_at(self, a):
-        F = self.field
-        bu, ku = self._at(a.src)
-        bw, kw = self._at(a.dst)
-        act = _sum_action_inj(self.quiver, F, self.pm.domain, a, bu, bw)
-        sol = solve_matrix(kw, act.mul(ku))
-        if sol is None:
-            raise AssertionError("kernel is not arrow-stable; path matrix invalid")
-        return sol
-
-    def support(self):
-        return reduce(lambda s, c: s.union(self.quiver.pred_closure([c])),
-                      self.pm.domain, VertexSet.make(self.quiver, ()))
-
-    def _extra_depth(self):
-        return self.pm.depth_bound()
-
-    def describe(self):
-        q = self.quiver
-        return ("ker(I[" + ",".join(q.vertex_str(x) for x in self.pm.domain)
-                + "] -> I[" + ",".join(q.vertex_str(x) for x in self.pm.codomain) + "])")
-
-    def spec_dict(self):
-        return {"ker_inj": _pm_dict(self.pm)}
-
-
 @dataclass(frozen=True)
 class RungFamily:
     """Symbolic cocycle on a crossing-arrow family: coeff on every arrow
@@ -695,7 +590,9 @@ class GlueRep(Rep):
 
 
 class KernelOfRep(Rep):
-    """Kernel of a morphism (duck-typed: .src, .dst, .component(v))."""
+    """Kernel of a map f: a Morphism or a PathMatrix, read through .src,
+    .dst, .component(v), .depth_bound(), and .describe()/.spec_dict() for
+    naming."""
 
     def __init__(self, f):
         super().__init__(f.src.quiver, f.src.field)
@@ -724,11 +621,14 @@ class KernelOfRep(Rep):
                    self.f.depth_bound())
 
     def describe(self):
-        return f"ker(-> {self.f.dst.describe()})"
+        return f"ker({self.f.describe()})"
+
+    def spec_dict(self):
+        return {"ker_inj": self.f.spec_dict()}
 
 
 class CokerOfRep(Rep):
-    """Cokernel of a morphism (duck-typed like KernelOfRep)."""
+    """Cokernel of a map f (duck-typed like KernelOfRep)."""
 
     def __init__(self, f):
         super().__init__(f.dst.quiver, f.dst.field)
@@ -760,7 +660,10 @@ class CokerOfRep(Rep):
                    self.f.depth_bound())
 
     def describe(self):
-        return f"coker({self.f.src.describe()} ->)"
+        return f"coker({self.f.describe()})"
+
+    def spec_dict(self):
+        return {"coker_proj": self.f.spec_dict()}
 
 
 class ImageRep(Rep):
@@ -855,11 +758,15 @@ def glue_rep(sub: Rep, quot: Rep, cocycle=(), families=()) -> Rep:
 
 
 def coker_proj(pm: PathMatrix) -> Rep:
-    return CokerProjRep(pm)
+    if pm.side != "proj":
+        raise ValueError("coker_proj needs a projective-side path matrix")
+    return CokerOfRep(pm)
 
 
 def ker_inj(pm: PathMatrix) -> Rep:
-    return KerInjRep(pm)
+    if pm.side != "inj":
+        raise ValueError("ker_inj needs an injective-side path matrix")
+    return KernelOfRep(pm)
 
 
 # ---------------------------------------------------------------------------
@@ -891,21 +798,6 @@ def incoming_stack(m: Rep, v):
     for a in arrows:
         mat = mat.hstack(m.mat(a))
     return mat, arrows
-
-
-def outgoing_stack(m: Rep, v):
-    """(vstack of M(α) over outgoing α, ordered arrow list); cols = dim(v)."""
-    arrows = sorted(m.quiver.out_arrows(v))
-    F = m.field
-    mat = Mat.zeros(F, 0, m.dim(v))
-    for a in arrows:
-        mat = mat.vstack(m.mat(a))
-    return mat, arrows
-
-
-def probe_vertices(m: Rep, depth: int) -> list:
-    """Support-hint members down to the given tail depth, sorted."""
-    return m.support().members(depth)
 
 
 # ---------------------------------------------------------------------------
@@ -1100,8 +992,12 @@ def _shrunk_tail_start(m: Rep, prof: RayProfile, floor: int) -> int:
     return t
 
 
-def _nonzero_ray_profiles(profiles, kind):
-    return [r for p in profiles for r in p.rays if r.kind == kind and r.dim > 0]
+def _stable_tail_starts(m: Rep, profiles, supp: VertexSet, kinds=("P", "I")):
+    """(ray profile, start) for each nonzero ray of the given kinds: the
+    stable tail walked down to the floor that the exact support gives it."""
+    floors = {(eid, rid): t0 for (eid, rid, t0) in supp.tails}
+    return [(r, _shrunk_tail_start(m, r, floors.get((r.eid, r.rid), 0)))
+            for p in profiles for r in p.rays if r.dim > 0 and r.kind in kinds]
 
 
 def _tails_set(q, starts) -> VertexSet:
@@ -1140,19 +1036,8 @@ def pfi_decompose(m: Rep, budget: Optional[int] = None) -> PFIDecomposition:
     supp = support_exact(m, cert.profiles)
     pstarts = {}
     istarts = {}
-    for p in cert.profiles:
-        for r in p.rays:
-            if r.dim == 0:
-                continue
-            floor = 0
-            for (eid, rid, t0) in supp.tails:
-                if (eid, rid) == (r.eid, r.rid):
-                    floor = t0
-            t = _shrunk_tail_start(m, r, floor)
-            if r.kind == "P":
-                pstarts[(r.eid, r.rid)] = t
-            else:
-                istarts[(r.eid, r.rid)] = t
+    for r, t in _stable_tail_starts(m, cert.profiles, supp):
+        (pstarts if r.kind == "P" else istarts)[(r.eid, r.rid)] = t
 
     def build():
         sp = _tails_set(q, [(e, rr, t) for (e, rr), t in sorted(pstarts.items())])
@@ -1194,17 +1079,8 @@ def standard_ext_region(m: Rep, budget: Optional[int] = None):
         raise ValueError(f"standard_ext needs an rrep object, got {cert.verdict}")
     q = m.quiver
     supp = support_exact(m, cert.profiles)
-    istarts = []
-    for p in cert.profiles:
-        for r in p.rays:
-            if r.dim == 0 or r.kind != "I":
-                continue
-            floor = 0
-            for (eid, rid, t0) in supp.tails:
-                if (eid, rid) == (r.eid, r.rid):
-                    floor = t0
-            istarts.append((r.eid, r.rid, _shrunk_tail_start(m, r, floor)))
-    sigmaI = _tails_set(q, istarts)
+    sigmaI = _tails_set(q, [(r.eid, r.rid, t) for r, t in _stable_tail_starts(
+        m, cert.profiles, supp, kinds=("I",))])
     omega = supp.difference(sigmaI)
     return omega, restrict(m, omega), restrict(m, sigmaI)
 
@@ -1216,16 +1092,8 @@ def tail_split(m: Rep, budget: Optional[int] = None):
         raise ValueError(f"tail_split needs an fp object, got {cert.verdict}")
     q = m.quiver
     supp = support_exact(m, cert.profiles)
-    starts = []
-    for p in cert.profiles:
-        for r in p.rays:
-            if r.dim == 0:
-                continue
-            floor = 0
-            for (eid, rid, t0) in supp.tails:
-                if (eid, rid) == (r.eid, r.rid):
-                    floor = t0
-            starts.append([r.eid, r.rid, _shrunk_tail_start(m, r, floor)])
+    starts = [[r.eid, r.rid, t]
+              for r, t in _stable_tail_starts(m, cert.profiles, supp)]
     omega = _tails_set(q, [tuple(s) for s in starts])
     head_region = supp.difference(omega)
     if not head_region.explicit and starts:

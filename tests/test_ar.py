@@ -13,10 +13,12 @@ from arknit import (
     injective_at,
     is_pseudo_projective,
     iso_test,
+    ker_inj,
     knit,
     minimal_left_almost_split_from,
     minimal_right_almost_split_into,
     min_proj_presentation,
+    nakayama,
     projective_at,
     simple_at,
     tau,
@@ -94,6 +96,14 @@ def test_tau_of_presented_cokernel(a3):
     x = coker_proj(pres.pm)
     t = tau(x)
     assert iso_test(t, projective_at(a3, 2)) is not None
+
+
+def test_path_matrix_side_is_checked(a3):
+    pm = min_proj_presentation(injective_at(a3, 2)).pm
+    with pytest.raises(ValueError, match="projective-side"):
+        coker_proj(nakayama(pm))
+    with pytest.raises(ValueError, match="injective-side"):
+        ker_inj(pm)
 
 
 def test_tau_roundtrip_on_zigzag_window(zig):

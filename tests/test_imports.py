@@ -1,0 +1,41 @@
+"""Every name a library module imports is used in that module.
+
+No linter ships with the project, so this parses each module with ``ast``:
+an imported name that no other part of the module reads is dead weight.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+import arknit
+
+MODULES = sorted(p for p in Path(arknit.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name == "*" or alias.name == "annotations":
+                    continue
+                name = alias.asname or alias.name.partition(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= {n.value.id for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_detects_an_unused_import():
+    src = "from x import a, b\nimport c\nprint(a)\n"
+    assert unused_imports(src) == [(1, "b"), (2, "c")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

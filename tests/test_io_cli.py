@@ -15,6 +15,8 @@ from arknit import (
     parse_rep,
     emit_quiver,
     emit_rep,
+    simple_at,
+    tau,
 )
 from arknit.io import ParseError, parse_field
 
@@ -114,6 +116,15 @@ def test_pm_rep_roundtrip(a3):
     m = parse_rep(a3, spec, QQ)
     assert dim_vector(m, (1, 2, 3)) == (1, 1, 0)
     assert emit_rep(parse_rep(a3, emit_rep(m)["rep"]["spec"], QQ)) == emit_rep(m)
+
+
+def test_tau_spec_roundtrip(a3):
+    t = tau(simple_at(a3, 2))
+    spec = json.loads(json.dumps(t.spec_dict()))
+    assert list(spec) == ["ker_inj"]
+    back = parse_rep(a3, spec, QQ)
+    assert dim_vector(back, (1, 2, 3)) == dim_vector(t, (1, 2, 3)) == (0, 0, 1)
+    assert back.spec_dict() == t.spec_dict()
 
 
 def test_parse_errors_carry_pointers(a3):
@@ -283,6 +294,29 @@ def test_cli_exit_2_on_budget(monkeypatch):
                             "--src", '{"proj":"1"}', "--dst", '{"proj":"1"}'])
     assert code == 2
     assert "budget" in err
+
+
+def test_cli_large_linear_quiver():
+    code, out, _ = run_cli(["quiver", "--quiver",
+                            '{"preset":"linear","n":3000}'])
+    assert code == 0
+    assert len(json.loads(out)["quiver"]["vertices"]) == 3000
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["knit", "--seed", '{"proj":"1"}', "--depth", "-2"], None),
+    (["member", "--rep", '{"proj":"1"}', "--budget", "-1"], None),
+    (["member", "--rep", '{"proj":"1"}'], {"ARKNIT_BUDGET": "-1"}),
+])
+def test_cli_rejects_negative_depth_and_budget(monkeypatch, argv, env):
+    def boom(*a, **k):
+        raise RuntimeError("computation started")
+
+    monkeypatch.setattr(cli, "parse_quiver", boom)
+    code, out, err = run_cli(argv[:1] + ["--quiver", A3] + argv[1:], env=env)
+    assert code == 1
+    assert out == ""
+    assert "must be >= 0" in err
 
 
 def test_cli_usage_error_on_unknown_verb():

@@ -1,8 +1,7 @@
 import pytest
 
 import arknit as ak
-from arknit.quiver import (FiniteQuiver, VertexSet, classify_subquiver, vkey,
-                           window)
+from arknit.quiver import FiniteQuiver, VertexSet, classify_subquiver
 
 
 def test_linear_quiver_paths(a3):
@@ -110,11 +109,6 @@ def test_opposite_quiver(a3):
     assert len(op.paths_between(3, 1)) == 1
     assert len(op.paths_between(1, 3)) == 0
     assert op.opposite().spec_dict() == a3.spec_dict()
-
-
-def test_window_saturation(a3):
-    w = window(a3, [2], 5)
-    assert sorted(w.vertices, key=vkey) == [1, 2, 3]
 
 
 def test_classify_subquiver(line, ray_out):
