@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import sympy
-
 from .linalg import (Mat, block_matrix, inverse, kernel_basis, min_poly,
                      rank, solve, solve_matrix)
 from .morphism import Morphism, identity_morphism, zero_morphism
@@ -307,14 +305,17 @@ def _flatten(comps, verts):
     return out
 
 
+def _column_matrix(F, comps, verts):
+    """Matrix whose columns are the flattened component dicts."""
+    cols = [_flatten(c, verts) for c in comps]
+    return Mat(F, len(cols[0]), len(cols), tuple(zip(*cols)))
+
+
 def _coords_solver(morphs, verts):
     """Matrix whose columns are flattened morphisms; must be injective."""
-    F = morphs[0].src.field
-    cols = [_flatten({v: f.component(v) for v in verts}, verts)
-            for f in morphs]
-    n = len(cols[0]) if cols else 0
-    return Mat(F, n, len(cols), tuple(tuple(c[r] for c in cols)
-                                      for r in range(n)))
+    return _column_matrix(morphs[0].src.field,
+                          [{v: f.component(v) for v in verts} for f in morphs],
+                          verts)
 
 
 def end_algebra(m: Rep, budget: Optional[int] = None,
@@ -338,22 +339,20 @@ def end_algebra(m: Rep, budget: Optional[int] = None,
             key=vkey)
         B = _coords_solver(hb.basis, verts)
 
-    def coords_of(comps):
-        vec = solve(B, _flatten(comps, verts))
-        if vec is None:
-            raise AssertionError("endomorphism outside the computed basis")
-        return tuple(vec)
-
-    ident = coords_of({v: Mat.identity(F, m.dim(v)) for v in verts})
-    table = []
+    # coordinates of the identity and of every basis[i] o basis[j], from one
+    # elimination of [B | identity, products]
+    comps = [[f.component(v) for v in verts] for f in hb.basis]
+    rhs = [{v: Mat.identity(F, m.dim(v)) for v in verts}]
     for i in range(n):
-        rowt = []
         for j in range(n):
-            comps = {v: hb.basis[i].component(v).mul(hb.basis[j].component(v))
-                     for v in verts}
-            rowt.append(coords_of(comps))
-        table.append(tuple(rowt))
-    table = tuple(table)
+            rhs.append({v: a.mul(b) for v, a, b in
+                        zip(verts, comps[i], comps[j])})
+    X = solve_matrix(B, _column_matrix(F, rhs, verts))
+    if X is None:
+        raise AssertionError("endomorphism outside the computed basis")
+    coords = X.transpose().entries
+    ident = coords[0]
+    table = tuple(coords[1 + i * n:1 + (i + 1) * n] for i in range(n))
 
     traces = [sum((table[k][j][j] for j in range(n)), F.zero) for k in range(n)]
     T = Mat(F, n, n, tuple(
@@ -458,11 +457,12 @@ def _find_idempotent(E: EndAlgebra):
     """A nontrivial idempotent (coords) via minimal polynomial splitting,
     searched over a deterministic candidate list; None if not found."""
     F = E.obj.field
-    x = sympy.Symbol("x")
-    dom = {"modulus": F.char} if F.char != 0 else {"domain": sympy.QQ}
     for cand in _candidate_elements(E):
         if _is_multiple_of(F, cand, E.identity):
             continue
+        import sympy  # loaded only when a minimal polynomial is factored
+        x = sympy.Symbol("x")
+        dom = {"modulus": F.char} if F.char != 0 else {"domain": sympy.QQ}
         mp = min_poly(_left_mult_matrix(E, cand))
         coeffs_high = [sympy.Rational(c) if F.char == 0 else int(c)
                        for c in reversed(mp)]

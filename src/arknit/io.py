@@ -58,23 +58,36 @@ def parse_quiver(obj, pointer: str = "") -> QuiverBase:
     if "vertices" in obj:
         verts = _need(obj, "vertices", pointer, list)
         arrows = obj.get("arrows", [])
-        vs = [int(v) if isinstance(v, str) and v.lstrip("-").isdigit()
-              else v for v in verts]
+        if not isinstance(arrows, list):
+            raise ParseError(f"{pointer}/arrows", "expected list")
+        vs = [_vertex_id(v, f"{pointer}/vertices/{i}")
+              for i, v in enumerate(verts)]
         specs = []
         for i, a in enumerate(arrows):
             if not isinstance(a, list) or len(a) not in (2, 3):
                 raise ParseError(f"{pointer}/arrows/{i}",
                                  "arrow must be [src, dst] or [src, dst, label]")
-            def conv(x):
-                return int(x) if isinstance(x, str) and \
-                    x.lstrip("-").isdigit() else x
-            specs.append(tuple([conv(a[0]), conv(a[1])] + list(a[2:])))
+            specs.append(tuple(
+                [_vertex_id(a[k], f"{pointer}/arrows/{i}/{k}") for k in (0, 1)]
+                + list(a[2:])))
         try:
             return FiniteQuiver.build(vs, specs)
         except ValueError as e:
             raise ParseError(f"{pointer}/arrows", str(e))
     raise ParseError(pointer or "/",
                      "expected 'preset', 'vertices' or 'opposite'")
+
+
+def _vertex_id(x, pointer: str):
+    """A vertex of a finite quiver spec: an int (digit strings included) or
+    a string."""
+    if isinstance(x, str) and x.lstrip("-").isdigit():
+        return int(x)
+    try:
+        vkey(x)
+    except TypeError as e:
+        raise ParseError(pointer, str(e))
+    return x
 
 
 def emit_quiver(q: QuiverBase) -> dict:

@@ -6,8 +6,10 @@ come from reduced echelon forms, never from randomized pivoting.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 
@@ -143,22 +145,23 @@ class Mat:
         return Mat(F, self.rows, self.cols, tuple(tuple(F.mul(c, x) for x in r) for r in self.entries))
 
     def mul(self, other: "Mat") -> "Mat":
-        F = self.field
+        """Product on plain ints: over GF(p) each entry is one sum of raw
+        products reduced mod p once; over Q each row of self and each column
+        of other is scaled to integers first, so an entry is one integer dot
+        product over the product of the two denominators."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch in mul: {self.rows}x{self.cols} * {other.rows}x{other.cols}")
+        p = self.field.char
         ot = other.transpose().entries
-        z = F.zero
-        out = []
-        for r in self.entries:
-            row = []
-            for c in ot:
-                acc = z
-                for a, b in zip(r, c):
-                    if a != 0 and b != 0:
-                        acc = F.add(acc, F.mul(a, b))
-                row.append(acc)
-            out.append(tuple(row))
-        return Mat(F, self.rows, other.cols, tuple(out))
+        if p:
+            out = tuple(tuple(sum(map(operator.mul, r, c)) % p for c in ot)
+                        for r in self.entries)
+        else:
+            cols = [_int_row(c) for c in ot]
+            out = tuple(tuple(_frac(sum(map(operator.mul, r, c)), dr * dc)
+                              for c, dc in cols)
+                        for r, dr in map(_int_row, self.entries))
+        return Mat(self.field, self.rows, other.cols, out)
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix times column vector (vector given as a flat sequence)."""
@@ -193,6 +196,23 @@ def _dot(F: Field, a, b):
     return acc
 
 
+_ZERO = Fraction(0)
+
+
+def _int_row(row):
+    """(ints, d) with row == ints / d: a row of rationals over one denominator."""
+    d = lcm(*[x.denominator for x in row])
+    if d == 1:
+        return [x.numerator for x in row], 1
+    return [x.numerator * (d // x.denominator) for x in row], d
+
+
+def _frac(n: int, d: int) -> Fraction:
+    if not n:
+        return _ZERO
+    return Fraction(n) if d == 1 else Fraction(n, d)
+
+
 def block_matrix(field: Field, blocks: Sequence[Sequence[Optional[Mat]]],
                  row_dims: Sequence[int], col_dims: Sequence[int]) -> Mat:
     """Assemble a block matrix; None blocks mean zero."""
@@ -213,32 +233,60 @@ def block_matrix(field: Field, blocks: Sequence[Sequence[Optional[Mat]]],
 
 
 def rref(m: Mat):
-    """Reduced row echelon form.  Returns (R, pivot_cols)."""
-    F = m.field
-    rows = [list(r) for r in m.entries]
+    """Reduced row echelon form.  Returns (R, pivot_cols).
+
+    Elimination runs on plain int rows.  Over GF(p) each step is reduced mod
+    p.  Over Q each row is scaled to integers, rows are combined by integer
+    cross-multiplication and each combined row is divided by the gcd of its
+    entries; a pivot row is divided by its pivot only when R is built.
+    """
+    p = m.field.char
+    if p:
+        rows = [list(r) for r in m.entries]
+    else:
+        rows = [_int_row(r)[0] for r in m.entries]
+    nrows = m.rows
     pivots = []
     r = 0
     for c in range(m.cols):
-        pr = None
-        for i in range(r, m.rows):
-            if not F.is_zero(rows[i][c]):
-                pr = i
-                break
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
-        for i in range(m.rows):
-            if i != r and not F.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        piv = rows[r]
+        a = piv[c]
+        if p and a != 1:
+            inv = pow(a, p - 2, p)
+            piv = rows[r] = [x * inv % p for x in piv]
+        for i in range(nrows):
+            row = rows[i]
+            f = row[c]
+            if not f or i == r:
+                continue
+            if p:
+                rows[i] = [(x - f * y) % p for x, y in zip(row, piv)]
+            else:
+                g = gcd(a, f)
+                ag, fg = a // g, f // g
+                row = [ag * x - fg * y for x, y in zip(row, piv)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-        if r == m.rows:
+        if r == nrows:
             break
-    R = Mat(F, m.rows, m.cols, tuple(tuple(row) for row in rows))
-    return R, tuple(pivots)
+    if p:
+        out = tuple(tuple(row) for row in rows)
+    else:
+        out = []
+        for i, row in enumerate(rows):
+            if i >= r:
+                out.append((_ZERO,) * m.cols)
+                continue
+            d = row[pivots[i]]
+            out.append(tuple(_frac(x, d) for x in row))
+        out = tuple(out)
+    return Mat(m.field, m.rows, m.cols, out), tuple(pivots)
 
 
 def rank(m: Mat) -> int:
@@ -297,39 +345,33 @@ def coker_projection(m: Mat):
 def solve(m: Mat, b: Sequence) -> Optional[tuple]:
     """One exact solution of m x = b with free variables set to zero, or None."""
     F = m.field
-    aug = m.hstack(Mat(F, m.rows, 1, tuple((F.of(x),) for x in b)))
-    R, pivots = rref(aug)
-    if m.cols in pivots:
-        return None
-    x = [F.zero] * m.cols
-    for i, pc in enumerate(pivots):
-        x[pc] = R.entries[i][m.cols]
-    return tuple(x)
+    x = solve_matrix(m, Mat(F, m.rows, 1, tuple((F.of(v),) for v in b)))
+    return None if x is None else x.col(0)
 
 
 def solve_matrix(m: Mat, b: Mat) -> Optional[Mat]:
-    """Solve m X = b column by column; None if any column is inconsistent."""
-    F = m.field
-    aug = m.hstack(b)
-    R, pivots = rref(aug)
-    if any(p >= m.cols for p in pivots):
+    """One exact solution X of m X = b, free variables set to zero; None if
+    any column of b is outside the column space of m."""
+    R, pivots = rref(m.hstack(b))
+    if pivots and pivots[-1] >= m.cols:
         return None
-    cols = []
-    for j in range(b.cols):
-        x = [F.zero] * m.cols
-        for i, pc in enumerate(pivots):
-            x[pc] = R.entries[i][m.cols + j]
-        cols.append(x)
-    return Mat(F, m.cols, b.cols, tuple(tuple(c[i] for c in cols) for i in range(m.cols)))
+    F = m.field
+    x = [(F.zero,) * b.cols] * m.cols
+    for i, pc in enumerate(pivots):
+        x[pc] = R.entries[i][m.cols:]
+    return Mat(F, m.cols, b.cols, tuple(x))
 
 
 def inverse(m: Mat) -> Optional[Mat]:
-    if m.rows != m.cols:
+    """Inverse of a square matrix from one elimination of [m | I]; None if m
+    is singular (fewer than m.cols pivots fall inside m)."""
+    n = m.rows
+    if n != m.cols:
         return None
-    x = solve_matrix(m, Mat.identity(m.field, m.rows))
-    if x is None:
+    R, pivots = rref(m.hstack(Mat.identity(m.field, n)))
+    if pivots[:n] != tuple(range(n)):
         return None
-    return x if rank(m) == m.rows else None
+    return Mat(m.field, n, n, tuple(row[n:] for row in R.entries))
 
 
 def is_invertible(m: Mat) -> bool:

@@ -121,6 +121,21 @@ class QuiverBase:
     def _pathlen_cap(self, x, y) -> int:
         return 10 * 16
 
+    def _between(self, x, y) -> set:
+        """Vertices on some path x ~> y, empty if there is none: a walk back
+        from y that never leaves the successors of x, so it stays finite on
+        the infinite presets."""
+        if not self.reaches(x, y):
+            return set()
+        between = {y}
+        stack = [y]
+        while stack:
+            for a in self.in_arrows(stack.pop()):
+                if a.src not in between and self.reaches(x, a.src):
+                    between.add(a.src)
+                    stack.append(a.src)
+        return between
+
     def paths_between(self, x, y, cap: Optional[int] = None):
         """All paths x ~> y, canonically ordered (trivial path first)."""
         if not (self.contains(x) and self.contains(y)):
@@ -128,7 +143,8 @@ class QuiverBase:
         if cap is None:
             cap = self._pathlen_cap(x, y)
         out = []
-        if not self.reaches(x, y):
+        between = self._between(x, y)
+        if x not in between:
             return out
         stack = [(x, ())]
         while stack:
@@ -138,7 +154,7 @@ class QuiverBase:
                                  "interval-finiteness violated or cap too small")
             if v == y:
                 out.append(Path(x, y, arrows))
-            nxt = [a for a in self.out_arrows(v) if self.reaches(a.dst, y)]
+            nxt = [a for a in self.out_arrows(v) if a.dst in between]
             for a in sorted(nxt, reverse=True):
                 stack.append((a.dst, arrows + (a,)))
         out.sort()
@@ -216,14 +232,19 @@ class FiniteQuiver(QuiverBase):
 
     def __post_init__(self):
         seen = set()
-        succ = {v: [] for v in self.vertices}
+        outs = {v: [] for v in self.vertices}
+        ins = {v: [] for v in self.vertices}
         for a in self.arrows:
             if a.label in seen:
                 raise ValueError(f"duplicate arrow label {a.label}")
             seen.add(a.label)
-            if a.src not in succ or a.dst not in succ:
+            if a.src not in outs or a.dst not in outs:
                 raise ValueError(f"arrow {a.label} endpoint outside vertex set")
-            succ[a.src].append(a.dst)
+            outs[a.src].append(a)
+            ins[a.dst].append(a)
+        # arrows by source and by target, in the order of self.arrows
+        object.__setattr__(self, "_outs", outs)
+        object.__setattr__(self, "_ins", ins)
         # interval-finiteness requires acyclicity: iterative depth-first
         # search, color 1 while a vertex is on the stack, 2 once finished
         color = {}
@@ -231,17 +252,18 @@ class FiniteQuiver(QuiverBase):
             if root in color:
                 continue
             color[root] = 1
-            stack = [(root, iter(succ[root]))]
+            stack = [(root, iter(outs[root]))]
             while stack:
                 v, nxt = stack[-1]
-                for w in nxt:
+                for a in nxt:
+                    w = a.dst
                     c = color.get(w)
                     if c == 1:
                         raise ValueError("quiver has an oriented cycle; only "
                                          "interval-finite quivers are supported")
                     if c is None:
                         color[w] = 1
-                        stack.append((w, iter(succ[w])))
+                        stack.append((w, iter(outs[w])))
                         break
                 else:
                     color[v] = 2
@@ -268,48 +290,39 @@ class FiniteQuiver(QuiverBase):
         return v in self.vertices
 
     def out_arrows(self, v):
-        return [a for a in self.arrows if a.src == v]
+        return list(self._outs.get(v, ()))
 
     def in_arrows(self, v):
-        return [a for a in self.arrows if a.dst == v]
+        return list(self._ins.get(v, ()))
+
+    def _walk(self, starts, forward: bool) -> set:
+        """starts and every vertex reached from them along (forward) or
+        against (not forward) the arrows."""
+        index = self._outs if forward else self._ins
+        seen = set(starts)
+        stack = list(seen)
+        while stack:
+            for a in index.get(stack.pop(), ()):
+                w = a.dst if forward else a.src
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return seen
 
     def reaches(self, x, y):
-        seen = {x}
-        stack = [x]
-        while stack:
-            v = stack.pop()
-            if v == y:
-                return True
-            for a in self.out_arrows(v):
-                if a.dst not in seen:
-                    seen.add(a.dst)
-                    stack.append(a.dst)
-        return False
+        return y in self._walk((x,), True)
+
+    def _between(self, x, y):
+        return self._walk((x,), True) & self._walk((y,), False)
 
     def _pathlen_cap(self, x, y):
         return len(self.vertices) + 1
 
     def succ_closure(self, vs):
-        seen = set()
-        stack = [v for v in vs]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(a.dst for a in self.out_arrows(v))
-        return VertexSet.make(self, seen)
+        return VertexSet.make(self, self._walk(vs, True))
 
     def pred_closure(self, vs):
-        seen = set()
-        stack = [v for v in vs]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(a.src for a in self.in_arrows(v))
-        return VertexSet.make(self, seen)
+        return VertexSet.make(self, self._walk(vs, False))
 
     def parse_vertex(self, s):
         for v in self.vertices:
@@ -674,6 +687,9 @@ class OppositeQuiver(QuiverBase):
 
     def reaches(self, x, y):
         return self.base.reaches(y, x)
+
+    def _between(self, x, y):
+        return self.base._between(y, x)
 
     def opposite(self):
         return self.base

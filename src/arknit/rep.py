@@ -193,8 +193,10 @@ class Rep:
         return self._mats[a]
 
     def mat_path(self, p: Path) -> Mat:
-        m = Mat.identity(self.field, self.dim(p.src))
-        for a in p.arrows:
+        if not p.arrows:
+            return Mat.identity(self.field, self.dim(p.src))
+        m = self.mat(p.arrows[0])
+        for a in p.arrows[1:]:
             m = self.mat(a).mul(m)
         return m
 

@@ -5,12 +5,14 @@ import random
 import pytest
 
 from arknit import (
+    GF,
     QQ,
     decompose,
     decompose_report,
     dim_vector,
     direct_sum,
     end_algebra,
+    explicit_fd,
     hom_space,
     identity_morphism,
     injective_at,
@@ -112,6 +114,37 @@ def test_end_of_p1_plus_its_top(a3):
     assert E.dimension == 3
     assert len(E.radical) == 1
     assert not E.is_local
+
+
+def _kronecker_modules(kron, F):
+    """Kronecker modules with End of dimension >= 2: alpha = I, beta a
+    nilpotent Jordan block (End = k[x]/x^2), and S(2) + S(2) (End = M_2(k))."""
+    jordan = explicit_fd(kron, {1: 2, 2: 2}, {
+        "alpha": Mat.identity(F, 2),
+        "beta": Mat.from_rows(F, [[0, 1], [0, 0]])}, field=F)
+    s2 = explicit_fd(kron, {1: 0, 2: 1}, field=F)
+    return jordan, direct_sum(s2, s2)
+
+
+@pytest.mark.parametrize("F", [QQ, GF(7)], ids=repr)
+def test_end_algebra_table_reproduces_products(kron, F):
+    for m, dim in zip(_kronecker_modules(kron, F), (2, 4)):
+        E = end_algebra(m)
+        assert E.dimension == dim
+
+        def combo(coords, v):
+            acc = Mat.zeros(F, m.dim(v), m.dim(v))
+            for c, f in zip(coords, E.basis):
+                acc = acc.add(f.component(v).scale(c))
+            return acc
+
+        for v in (1, 2):
+            assert combo(E.identity, v).entries == \
+                Mat.identity(F, m.dim(v)).entries
+            for i, fi in enumerate(E.basis):
+                for j, fj in enumerate(E.basis):
+                    prod = fi.component(v).mul(fj.component(v))
+                    assert combo(E.table[i][j], v).entries == prod.entries
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and the
+one runtime dependency is imported only where it is needed.
 
 No linter ships with the project, so this parses each module with ``ast``:
 an imported name that no other part of the module reads is dead weight.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +43,18 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_sympy_is_not_loaded_by_import_or_a_plain_verb():
+    code = ("import sys, arknit, arknit.cli\n"
+            "code = arknit.cli.main(['quiver', '--quiver', "
+            "'{\"preset\":\"line\"}'])\n"
+            "assert code == 0, code\n"
+            "assert 'sympy' not in sys.modules\n")
+    src = str(Path(arknit.__file__).parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

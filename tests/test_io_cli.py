@@ -303,6 +303,28 @@ def test_cli_large_linear_quiver():
     assert len(json.loads(out)["quiver"]["vertices"]) == 3000
 
 
+def test_cli_member_on_large_linear_quiver():
+    code, out, _ = run_cli(["member", "--quiver",
+                            '{"preset":"linear","n":400}',
+                            "--rep", '{"proj":"1"}'])
+    assert code == 0
+    assert json.loads(out)["verdict"] == "fd"
+
+
+@pytest.mark.parametrize("spec, pointer", [
+    ('{"vertices":[[1]]}', "/vertices/0"),
+    ('{"vertices":[1, 2.5]}', "/vertices/1"),
+    ('{"vertices":[1, true]}', "/vertices/1"),
+    ('{"vertices":[1, 2],"arrows":[[1, [2]]]}', "/arrows/0/1"),
+    ('{"vertices":[1],"arrows":5}', "/arrows"),
+])
+def test_cli_rejects_non_scalar_vertex_ids(spec, pointer):
+    code, out, err = run_cli(["quiver", "--quiver", spec])
+    assert code == 1
+    assert out == ""
+    assert f"{pointer}:" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, env", [
     (["knit", "--seed", '{"proj":"1"}', "--depth", "-2"], None),
     (["member", "--rep", '{"proj":"1"}', "--budget", "-1"], None),

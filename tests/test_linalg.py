@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arknit.linalg import (GF, QQ, Mat, coker_projection, inverse,
-                           is_invertible, kernel_basis, min_poly, rank, solve,
-                           solve_matrix)
+                           is_invertible, kernel_basis, min_poly, rank, rref,
+                           solve, solve_matrix)
 
 from oracles import rref_rank
 
@@ -110,3 +112,163 @@ def test_field_conversions():
     assert F.of(Fraction(1, 2)) == 4
     with pytest.raises(ZeroDivisionError):
         F.of(Fraction(1, 7))
+
+
+# ---------------------------------------------------------------------------
+# properties of the elimination kernel, checked with naive arithmetic that
+# does not go through arknit.linalg
+
+FIELDS = (QQ, GF(2), GF(7), GF(101))
+PROPERTY = settings(max_examples=120, deadline=None, derandomize=True,
+                    database=None)
+
+
+def _entries(F):
+    if F.char:
+        return st.one_of(st.just(0), st.integers(0, F.char - 1))
+    big = st.integers(2 ** 64, 2 ** 70)
+    return st.one_of(st.just(0),
+                     st.fractions(-9, 9, max_denominator=6),
+                     big, big.map(lambda x: Fraction(-x, 7)))
+
+
+@st.composite
+def matrices(draw, field=None, rows=None, cols=None):
+    F = draw(st.sampled_from(FIELDS)) if field is None else field
+    r = draw(st.integers(0, 5)) if rows is None else rows
+    c = draw(st.integers(0, 5)) if cols is None else cols
+    if draw(st.integers(0, 9)) == 0:
+        return Mat.zeros(F, r, c)
+    row = st.lists(_entries(F), min_size=c, max_size=c)
+    data = draw(st.lists(row, min_size=r, max_size=r))
+    return Mat(F, r, c, tuple(tuple(F.of(x) for x in rw) for rw in data))
+
+
+def _reduce(F, x):
+    return x % F.char if F.char else x
+
+
+def naive_mul(a: Mat, b: Mat):
+    F = a.field
+    return [[_reduce(F, sum((x * b.entries[k][j]
+                             for k, x in enumerate(row)), 0))
+             for j in range(b.cols)] for row in a.entries]
+
+
+def naive_rank(m: Mat) -> int:
+    if not m.field.char:
+        return rref_rank([list(r) for r in m.entries])
+    p = m.field.char
+    rows = [list(r) for r in m.entries]
+    rank = 0
+    for c in range(m.cols):
+        piv = next((i for i in range(rank, m.rows) if rows[i][c] % p), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        for i in range(m.rows):
+            if i != rank and rows[i][c] % p:
+                f = rows[i][c] * inv
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _entry_ok(F, x):
+    if F.char:
+        return type(x) is int and 0 <= x < F.char
+    return type(x) is Fraction
+
+
+@PROPERTY
+@given(matrices())
+def test_rref_is_reduced_echelon(m):
+    F = m.field
+    R, pivots = rref(m)
+    assert (R.rows, R.cols) == (m.rows, m.cols)
+    assert all(_entry_ok(F, x) for row in R.entries for x in row)
+    assert list(pivots) == sorted(set(pivots))
+    for i, c in enumerate(pivots):
+        assert all(x == 0 for x in R.entries[i][:c])
+        assert R.col(c) == tuple(1 if k == i else 0 for k in range(m.rows))
+    for i in range(len(pivots), m.rows):
+        assert all(x == 0 for x in R.entries[i])
+
+
+@PROPERTY
+@given(st.data())
+def test_mul_matches_naive_product(data):
+    a = data.draw(matrices())
+    b = data.draw(matrices(a.field, rows=a.cols))
+    c = a.mul(b)
+    assert (c.rows, c.cols) == (a.rows, b.cols)
+    assert all(_entry_ok(a.field, x) for row in c.entries for x in row)
+    assert [list(r) for r in c.entries] == naive_mul(a, b)
+
+
+@PROPERTY
+@given(matrices())
+def test_rref_rows_span_the_matrix(m):
+    F = m.field
+    R, pivots = rref(m)
+    assert len(pivots) == naive_rank(m) == rank(m)
+    for row in m.entries:
+        combo = [_reduce(F, sum((row[c] * R.entries[i][j]
+                                 for i, c in enumerate(pivots)), 0))
+                 for j in range(m.cols)]
+        assert combo == list(row)
+
+
+@PROPERTY
+@given(matrices())
+def test_kernel_basis_is_a_basis_of_the_kernel(m):
+    K = kernel_basis(m)
+    assert K.rows == m.cols
+    assert K.cols == m.cols - naive_rank(m)
+    assert all(x == 0 for row in naive_mul(m, K) for x in row)
+    assert naive_rank(K) == K.cols
+
+
+@PROPERTY
+@given(st.data())
+def test_solve_matrix_recovers_a_consistent_system(data):
+    m = data.draw(matrices())
+    x = data.draw(matrices(m.field, rows=m.cols))
+    b = Mat(m.field, m.rows, x.cols,
+            tuple(tuple(r) for r in naive_mul(m, x)))
+    y = solve_matrix(m, b)
+    assert y is not None and (y.rows, y.cols) == (m.cols, x.cols)
+    assert naive_mul(m, y) == [list(r) for r in b.entries]
+    if x.cols == 1:
+        assert solve(m, b.col(0)) == y.col(0)
+
+
+@PROPERTY
+@given(st.data())
+def test_inverse_exactly_when_full_rank(data):
+    n = data.draw(st.integers(0, 5))
+    m = data.draw(matrices(rows=n, cols=n))
+    inv = inverse(m)
+    if naive_rank(m) < n:
+        assert inv is None
+        assert not is_invertible(m)
+    else:
+        assert inv is not None and is_invertible(m)
+        ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        assert naive_mul(inv, m) == ident
+        assert naive_mul(m, inv) == ident
+
+
+@pytest.mark.parametrize("F", FIELDS)
+def test_empty_and_zero_matrices(F):
+    for rows, cols in ((0, 0), (3, 0), (0, 3), (2, 3)):
+        z = Mat.zeros(F, rows, cols)
+        R, pivots = rref(z)
+        assert pivots == () and R.entries == z.entries
+        assert kernel_basis(z).cols == cols
+        assert solve_matrix(z, Mat.zeros(F, rows, 2)).entries == \
+            Mat.zeros(F, cols, 2).entries
+        assert z.mul(Mat.zeros(F, cols, 4)).entries == \
+            Mat.zeros(F, rows, 4).entries
+    assert inverse(Mat.zeros(F, 0, 0)).entries == ()

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import arknit as ak
@@ -13,6 +15,30 @@ def test_linear_quiver_paths(a3):
 def test_kronecker_paths(kron):
     assert len(kron.paths_between(1, 2)) == 2
     assert len(kron.paths_between(2, 1)) == 0
+
+
+def test_finite_paths_match_a_path_count():
+    # random acyclic quivers with multiple arrows: number of paths x ~> y by
+    # dynamic programming over the vertex order, for the quiver and its dual
+    rng = random.Random(3)
+    for _ in range(20):
+        n = rng.randrange(2, 7)
+        arrows = [(i, j) for _ in range(rng.randrange(0, 12))
+                  for i, j in [sorted(rng.sample(range(n), 2))]]
+        q = FiniteQuiver.build(range(n), arrows)
+        for x in range(n):
+            count = [0] * n
+            count[x] = 1
+            for v in range(x, n):
+                for (i, j) in arrows:
+                    if i == v:
+                        count[j] += count[v]
+            for y in range(n):
+                paths = q.paths_between(x, y)
+                assert len(paths) == count[y]
+                assert all(p.src == x and p.dst == y for p in paths)
+                assert q.reaches(x, y) == (count[y] > 0)
+                assert len(q.opposite().paths_between(y, x)) == count[y]
 
 
 def test_finite_quiver_rejects_cycles():
