@@ -9,6 +9,7 @@ decided by fingerprints plus certified isomorphism tests.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -22,7 +23,7 @@ from .presentations import (min_inj_copresentation, min_proj_presentation,
 from .quiver import FiniteQuiver, Path, QuiverBase, vkey
 from .rep import (DEFAULT_BUDGET, Rep, classify_membership, coker_proj,
                   dim_vector, injective_at, is_doubly_infinite, ker_inj,
-                  path_matrix, projective_at, support_exact)
+                  path_matrix, projective_at)
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +34,7 @@ def tau(x: Rep, budget: Optional[int] = None) -> Rep:
     cert = classify_membership(x, budget)
     if cert.verdict not in ("fp", "fd"):
         raise ValueError(f"tau undefined: input is {cert.verdict}, not fp")
-    pres = min_proj_presentation(x, budget, cert=cert)
+    pres = min_proj_presentation(x, budget)
     if not pres.pm.domain:
         raise ValueError("tau undefined for projective objects")
     return ker_inj(nakayama(pres.pm))
@@ -43,7 +44,7 @@ def tau_inv(w: Rep, budget: Optional[int] = None) -> Rep:
     cert = classify_membership(w, budget)
     if cert.verdict not in ("fc", "fd"):
         raise ValueError(f"tau_inv undefined: input is {cert.verdict}, not fc")
-    cop = min_inj_copresentation(w, budget, cert=cert)
+    cop = min_inj_copresentation(w, budget)
     if not cop.pm.codomain:
         raise ValueError("tau_inv undefined for injective objects")
     return coker_proj(nakayama(cop.pm))
@@ -169,7 +170,7 @@ def _radical_morphisms(src: Rep, dst: Rep, budget):
 def verify_almost_split(ses: SES, battery, budget: Optional[int] = None) -> ASReport:
     sub, mid, quot = ses.sub, ses.middle, ses.quot
     certs = [classify_membership(r, budget) for r in (sub, mid, quot)]
-    window, _ = joint_window([sub, mid, quot], certs)
+    window, _ = joint_window(certs)
     checks = verify_exact(ses, window)
     exact = checks["exact"]
 
@@ -183,9 +184,8 @@ def verify_almost_split(ses: SES, battery, budget: Optional[int] = None) -> ASRe
 
     lift_failures, factor_failures = [], []
     for m in battery:
-        certm = classify_membership(m, budget)
-        w2 = sorted(set(window)
-                    | set(joint_window([m], [certm])[0]), key=vkey)
+        w2 = sorted(set(window) | set(joint_window(
+            [classify_membership(m, budget)])[0]), key=vkey)
         for g in _radical_morphisms(m, quot, budget):
             extra = [(v, ses.proj.component(v), None, g.component(v))
                      for v in w2]
@@ -264,41 +264,40 @@ def knit(seed: Rep, depth: int, budget: Optional[int] = None) -> ARComponent:
     cert0 = classify_membership(seed, budget)
     if not cert0.is_in_rrep():
         raise ValueError(f"seed is {cert0.verdict}; knitting needs rrep payloads")
-    base_window = support_exact(seed, cert0.profiles).members(
+    base_window = cert0.support.members(
         max([p.cutoff for p in cert0.profiles], default=0) + 2)
     fwindow = tuple(sorted(_expand_window(q, base_window, depth + 2),
                            key=vkey))
 
     comp = ARComponent(q, [], {}, {}, 0, depth)
-    certs = {}
+    by_fingerprint: dict = {}  # fingerprint -> node keys, in insertion order
 
-    def find_node(rep: Rep, cert) -> Optional[int]:
-        fp = _fingerprint(rep, fwindow, cert)
-        for n in comp.nodes:
-            if n.fingerprint == fp and _iso_indec(n.rep, rep, budget):
-                return n.key
+    def fingerprint(rep: Rep) -> tuple:
+        return _fingerprint(rep, fwindow, classify_membership(rep, budget))
+
+    def find_node(rep: Rep, fp) -> Optional[int]:
+        for key in by_fingerprint.get(fp, ()):
+            if _iso_indec(comp.nodes[key].rep, rep, budget):
+                return key
         return None
 
-    def add_node(rep: Rep, hops: int, cert=None) -> int:
-        cert = classify_membership(rep, budget) if cert is None else cert
-        key = find_node(rep, cert)
+    def add_node(rep: Rep, hops: int) -> int:
+        fp = fingerprint(rep)
+        key = find_node(rep, fp)
         if key is not None:
             comp.nodes[key].hops = min(comp.nodes[key].hops, hops)
             return key
-        node = ARNode(len(comp.nodes), rep, _fingerprint(rep, fwindow, cert),
-                      hops=hops)
+        node = ARNode(len(comp.nodes), rep, fp, hops=hops)
         comp.nodes.append(node)
-        certs[node.key] = cert
+        by_fingerprint.setdefault(fp, []).append(node.key)
         return node.key
 
     def add_translate(rep: Rep, hops: int) -> Optional[int]:
         """Translates sit two hops out; past the depth they are only linked
         when their iso class is already present, never created."""
-        cert = classify_membership(rep, budget)
-        key = find_node(rep, cert)
-        if key is None and hops > depth:
+        if find_node(rep, fingerprint(rep)) is None and hops > depth:
             return None
-        return add_node(rep, hops, cert)
+        return add_node(rep, hops)
 
     def add_arrow(src: int, dst: int, mult: int):
         old = comp.arrows.get((src, dst))
@@ -308,12 +307,12 @@ def knit(seed: Rep, depth: int, budget: Optional[int] = None) -> ARComponent:
             raise AssertionError(
                 f"valuation mismatch on arrow {src}->{dst}: {old} vs {mult}")
 
-    seed_key = add_node(seed, 0, cert0)
+    seed_key = add_node(seed, 0)
     comp.seed_key = seed_key
-    queue = [seed_key]
+    queue = deque([seed_key])
     seen = set()
     while queue:
-        key = queue.pop(0)
+        key = queue.popleft()
         if key in seen:
             continue
         seen.add(key)
@@ -326,7 +325,7 @@ def knit(seed: Rep, depth: int, budget: Optional[int] = None) -> ARComponent:
             node.status = "frontier"
             continue
         x = node.rep
-        cert = certs[key]
+        cert = classify_membership(x, budget)
         notes = list(node.notes)
 
         if is_doubly_infinite(x, budget):
@@ -335,7 +334,7 @@ def knit(seed: Rep, depth: int, budget: Optional[int] = None) -> ARComponent:
             node.notes = tuple(notes)
             continue
 
-        probe = joint_window([x], [cert])[0]
+        probe = joint_window([cert])[0]
         pa = _match_standard(x, probe, budget, "proj")
         ia = _match_standard(x, probe, budget, "inj")
         node.is_projective = pa is not None

@@ -1,6 +1,7 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 domain or parse errors, 2 budget exhaustion.
+Exit codes: 0 success, 1 domain or parse errors, 2 budget exhaustion,
+3 internal errors (a broken invariant of the engine).
 Output is deterministic: identical invocations produce identical bytes.
 """
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .io import (SCHEMA, ParseError, component_dot, component_json, emit_rep,
 from .morphism import verify_exact
 from .quiver import vkey
 from .rep import (BudgetError, classify_membership, injective_at,
-                  projective_at, simple_at, support_exact)
+                  projective_at, simple_at)
 
 
 def _load_spec(text: str, what: str):
@@ -98,10 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _window(q, m, cert, radius):
-    supp = support_exact(m, cert.profiles)
+def _window(cert, radius):
     depth = max([p.cutoff for p in cert.profiles], default=0) + radius
-    return sorted(supp.members(depth), key=vkey)
+    return sorted(cert.support.members(depth), key=vkey)
 
 
 def _dims(q, m, verts):
@@ -151,7 +151,7 @@ def run(args) -> dict | str:
     if args.verb == "rep":
         m = rep_of(args.rep, "rep")
         cert = classify_membership(m, budget)
-        win = _window(q, m, cert, args.radius)
+        win = _window(cert, args.radius)
         return {"schema": SCHEMA, "rep": snapshot_rep(m, budget),
                 "verdict": cert.verdict, "dims": _dims(q, m, win)}
 
@@ -186,7 +186,7 @@ def run(args) -> dict | str:
         m = rep_of(args.rep, "rep")
         out = tau_inv(m, budget) if args.inverse else tau(m, budget)
         cert = classify_membership(out, budget)
-        win = _window(q, out, cert, args.radius)
+        win = _window(cert, args.radius)
         return {"schema": SCHEMA, "rep": snapshot_rep(out, budget),
                 "verdict": cert.verdict, "dims": _dims(q, out, win)}
 
@@ -194,7 +194,7 @@ def run(args) -> dict | str:
         x = rep_of(args.rep, "rep")
         ses = almost_split_sequence(x, budget)
         cert = classify_membership(ses.middle, budget)
-        win = _window(q, ses.middle, cert, args.radius)
+        win = _window(cert, args.radius)
         payload = {
             "schema": SCHEMA,
             "sub": snapshot_rep(ses.sub, budget),
@@ -261,9 +261,12 @@ def main(argv=None) -> int:
     except BudgetError as e:
         print(f"arknit: budget exhausted: {e}", file=sys.stderr)
         return 2
-    except (ParseError, ValueError, KeyError, AssertionError) as e:
+    except (ParseError, ValueError, KeyError) as e:
         print(f"arknit: error: {e}", file=sys.stderr)
         return 1
+    except AssertionError as e:
+        print(f"arknit: internal error: {e}", file=sys.stderr)
+        return 3
     if isinstance(payload, str):
         text = payload
     else:

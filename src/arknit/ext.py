@@ -19,8 +19,7 @@ from .linalg import Mat, coker_projection, rank
 from .morphism import SES, glue_ses
 from .quiver import vkey
 from .presentations import min_proj_presentation, relation_matrix
-from .rep import (BudgetError, Rep, RungFamily, classify_membership,
-                  support_exact)
+from .rep import BudgetError, Rep, RungFamily, classify_membership
 
 
 def _stable_depth(certs) -> int:
@@ -33,8 +32,8 @@ def _interaction(x: Rep, y: Rep, certx, certy):
     that the arrow set continues periodically past the window."""
     q = x.quiver
     depth = _stable_depth([certx, certy])
-    rx = support_exact(x, certx.profiles).members(depth)
-    ry = support_exact(y, certy.profiles).members(depth)
+    rx = certx.support.members(depth)
+    ry = certy.support.members(depth)
     vs = sorted({v for v in set(rx) | set(ry)
                  if x.dim(v) > 0 and y.dim(v) > 0}, key=vkey)
     arrows = []
@@ -82,14 +81,10 @@ class ExtClassBasis:
         return self._proj.apply(vec)
 
 
-def ext_space(x: Rep, y: Rep, budget: Optional[int] = None,
-              certs=None) -> ExtClassBasis:
+def ext_space(x: Rep, y: Rep, budget: Optional[int] = None) -> ExtClassBasis:
     """Basis of Ext(X, Y): classes of sequences 0 -> Y -> E -> X -> 0."""
-    if certs is None:
-        certx = classify_membership(x, budget)
-        certy = classify_membership(y, budget)
-    else:
-        certx, certy = certs
+    certx = classify_membership(x, budget)
+    certy = classify_membership(y, budget)
     for c, which in ((certx, "quotient"), (certy, "sub")):
         if not c.is_in_rrep():
             raise ValueError(f"ext_space needs finite-data objects; "
@@ -255,8 +250,8 @@ def is_finite_extension(ses: SES, budget: Optional[int] = None):
             raise BudgetError("membership did not certify within budget")
     depth = _stable_depth(certs)
     region = set()
-    for r, c in zip((L, M, N), certs):
-        region.update(support_exact(r, c.profiles).members(depth))
+    for c in certs:
+        region.update(c.support.members(depth))
 
     eset, e_w = [], []
     for v in sorted(region, key=vkey):

@@ -25,21 +25,22 @@ from .presentations import (min_inj_copresentation, min_proj_presentation,
 from .quiver import vkey
 from .rep import (DEFAULT_BUDGET, BudgetError, ImageRep, Rep,
                   classify_membership, dim_vector, inj_sum_basis,
-                  proj_sum_basis, support_exact)
+                  proj_sum_basis)
 
 
 # ---------------------------------------------------------------------------
 # windowed naturality solve
 
 
-def joint_window(reps, certs, pad: int = 2):
-    """Union of exact supports down to (max cutoff + pad), sorted."""
+def joint_window(certs, pad: int = 2):
+    """Union of the certified exact supports down to (max cutoff + pad),
+    sorted."""
     verts = set()
     depth = 0
     for cert in certs:
         depth = max([p.cutoff for p in cert.profiles] + [depth])
-    for m, cert in zip(reps, certs):
-        verts.update(support_exact(m, cert.profiles).members(depth + pad))
+    for cert in certs:
+        verts.update(cert.support.members(depth + pad))
     return tuple(sorted(verts, key=vkey)), depth + pad
 
 
@@ -149,8 +150,8 @@ class HomBasis:
     certificate: dict
 
 
-def _presentation_route(m: Rep, n: Rep, budget, certm):
-    pres = min_proj_presentation(m, budget, cert=certm)
+def _presentation_route(m: Rep, n: Rep, budget):
+    pres = min_proj_presentation(m, budget)
     q, F = m.quiver, m.field
     ys, xs = pres.pm.codomain, pres.pm.domain
     K = kernel_basis(relation_matrix(pres.pm, n))
@@ -181,8 +182,8 @@ def _presentation_route(m: Rep, n: Rep, budget, certm):
     return basis, cert
 
 
-def _copresentation_route(m: Rep, n: Rep, budget, certn):
-    cop = min_inj_copresentation(n, budget, cert=certn)
+def _copresentation_route(m: Rep, n: Rep, budget):
+    cop = min_inj_copresentation(n, budget)
     q, F = m.quiver, m.field
     as_, bs = cop.pm.domain, cop.pm.codomain
     rd = [m.dim(b) for b in bs]
@@ -224,10 +225,10 @@ def _copresentation_route(m: Rep, n: Rep, budget, certn):
 def _window_route(m: Rep, n: Rep, budget, certs):
     budget = DEFAULT_BUDGET if budget is None else budget
     pad = 2
-    verts, depth = joint_window([m, n], certs, pad)
+    verts, depth = joint_window(certs, pad)
     _, hom = solve_natural(m, n, verts)
     while True:
-        verts2, _ = joint_window([m, n], certs, pad + 1)
+        verts2, _ = joint_window(certs, pad + 1)
         _, hom2 = solve_natural(m, n, verts2)
         if len(hom2) == len(hom):
             break
@@ -241,14 +242,11 @@ def _window_route(m: Rep, n: Rep, budget, certs):
 
 
 def hom_space(m: Rep, n: Rep, route: Optional[str] = None,
-              budget: Optional[int] = None, certs=None) -> HomBasis:
+              budget: Optional[int] = None) -> HomBasis:
     if m.field.char != n.field.char:
         raise ValueError("field mismatch")
-    if certs is None:
-        certm = classify_membership(m, budget)
-        certn = classify_membership(n, budget)
-    else:
-        certm, certn = certs
+    certm = classify_membership(m, budget)
+    certn = classify_membership(n, budget)
     for c, which in ((certm, "domain"), (certn, "codomain")):
         if not c.is_in_rrep():
             raise ValueError(
@@ -260,15 +258,15 @@ def hom_space(m: Rep, n: Rep, route: Optional[str] = None,
             route = "copresentation"
         else:
             route = "window"
-    window, _ = joint_window([m, n], [certm, certn])
+    window, _ = joint_window([certm, certn])
     if route == "presentation":
         if certm.verdict not in ("fd", "fp"):
             raise ValueError("presentation route needs an fp domain")
-        basis, cert = _presentation_route(m, n, budget, certm)
+        basis, cert = _presentation_route(m, n, budget)
     elif route == "copresentation":
         if certn.verdict not in ("fd", "fc"):
             raise ValueError("copresentation route needs an fc codomain")
-        basis, cert = _copresentation_route(m, n, budget, certn)
+        basis, cert = _copresentation_route(m, n, budget)
     elif route == "window":
         basis, window, cert = _window_route(m, n, budget, [certm, certn])
     else:
@@ -318,11 +316,9 @@ def _coords_solver(morphs, verts):
                           verts)
 
 
-def end_algebra(m: Rep, budget: Optional[int] = None,
-                hb: Optional[HomBasis] = None) -> EndAlgebra:
+def end_algebra(m: Rep, budget: Optional[int] = None) -> EndAlgebra:
     F = m.field
-    if hb is None:
-        hb = hom_space(m, m, budget=budget)
+    hb = hom_space(m, m, budget=budget)
     n = hb.dimension
     if n == 0:
         return EndAlgebra(m, 0, (), (), (), (), False, hb.window,
@@ -335,7 +331,7 @@ def end_algebra(m: Rep, budget: Optional[int] = None,
         if grow > (DEFAULT_BUDGET if budget is None else budget):
             raise BudgetError("basis coordinates did not separate")
         verts = sorted(set(verts) | set(
-            joint_window([m], [classify_membership(m, budget)], 2 + grow)[0]),
+            joint_window([classify_membership(m, budget)], 2 + grow)[0]),
             key=vkey)
         B = _coords_solver(hb.basis, verts)
 
@@ -499,9 +495,8 @@ def _find_idempotent(E: EndAlgebra):
 
 
 def _probe_verts(m: Rep, n: Rep, budget):
-    cm = classify_membership(m, budget)
-    cn = classify_membership(n, budget)
-    return joint_window([m, n], [cm, cn])[0], (cm, cn)
+    return joint_window([classify_membership(m, budget),
+                         classify_membership(n, budget)])[0]
 
 
 def _pointwise_inverse(h: Morphism) -> Morphism:
@@ -526,7 +521,7 @@ def _iso_indec(m: Rep, n: Rep, budget=None, probe=None):
     """Isomorphism test that is complete when both objects are
     indecomposable: some basis element must then be invertible."""
     if probe is None:
-        probe, _ = _probe_verts(m, n, budget)
+        probe = _probe_verts(m, n, budget)
     if dim_vector(m, probe) != dim_vector(n, probe):
         return None
     fwd = hom_space(m, n, budget=budget)
@@ -615,7 +610,7 @@ def decompose_report(m: Rep, budget: Optional[int] = None) -> DecomposeReport:
     cert = classify_membership(m, budget)
     if not cert.is_in_rrep():
         raise ValueError(f"decompose needs a finite-data object, got {cert.verdict}")
-    probe = joint_window([m], [cert])[0]
+    probe = joint_window([cert])[0]
     leaves: list = []
     _decompose_rec(m, identity_morphism(m), identity_morphism(m), budget,
                    leaves)
@@ -646,7 +641,7 @@ def decompose(m: Rep, budget: Optional[int] = None) -> list:
 
 def iso_test(m: Rep, n: Rep, budget: Optional[int] = None):
     """(f, f_inverse) if the objects are isomorphic, else None."""
-    probe, certs = _probe_verts(m, n, budget)
+    probe = _probe_verts(m, n, budget)
     if dim_vector(m, probe) != dim_vector(n, probe):
         return None
     direct = _iso_indec(m, n, budget, probe=probe)
@@ -683,7 +678,7 @@ def is_radical(f: Morphism, budget: Optional[int] = None) -> bool:
     """No component of f between matched indecomposable summands is an
     isomorphism."""
     m, n = f.src, f.dst
-    probe, _ = _probe_verts(m, n, budget)
+    probe = _probe_verts(m, n, budget)
     rm = decompose_report(m, budget)
     rn = decompose_report(n, budget)
     for sm in rm.summands:

@@ -14,7 +14,7 @@ from .quiver import (FiniteQuiver, Path, PRESETS, QuiverBase, VertexSet,
 from .rep import (PathMatrix, Rep, RungFamily, classify_membership,
                   coker_proj, direct_sum, dualize, explicit_fd, glue_rep,
                   injective_at, ker_inj, path_matrix, projective_at,
-                  restrict, simple_at, support_exact, thin_rep, zero_rep)
+                  restrict, simple_at, thin_rep, zero_rep)
 
 SCHEMA = "arknit/1"
 
@@ -287,7 +287,7 @@ def snapshot_rep(m: Rep, budget=None) -> dict:
         pass
     cert = classify_membership(m, budget)
     depth = max([p.cutoff for p in cert.profiles], default=0) + 1
-    supp = support_exact(m, cert.profiles)
+    supp = cert.support
     verts = supp.members(depth)
     q = m.quiver
     dims = {q.vertex_str(v): m.dim(v) for v in verts}

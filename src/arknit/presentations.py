@@ -14,12 +14,12 @@ from typing import Optional
 from .linalg import Mat, block_matrix, coker_projection, rank
 from .morphism import Morphism
 from .quiver import Arrow, Path, QuiverBase, vkey
-from .rep import (BudgetError, KernelOfRep, PathMatrix, Rep,
+from .rep import (DEFAULT_BUDGET, BudgetError, KernelOfRep, PathMatrix, Rep,
                   classify_membership, dualize, incoming_stack, inj_sum_basis,
-                  path_matrix, proj_sum_basis, sum_of, support_exact)
+                  path_matrix, proj_sum_basis, sum_of)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Presentation:
     """side 'proj': 0 -> (sum over pm.domain) -> (sum over pm.codomain) -> obj -> 0.
     side 'inj':  0 -> obj -> (sum over pm.domain) -> (sum over pm.codomain).
@@ -83,9 +83,8 @@ def _cover_from_gens(m: Rep, gens):
 
 
 def _probe_and_deep(m: Rep, cert, pad=1):
-    supp = support_exact(m, cert.profiles)
     depth = max([p.cutoff for p in cert.profiles], default=0)
-    region = supp.members(depth + pad)
+    region = cert.support.members(depth + pad)
     deep = []
     for p in cert.profiles:
         for r in p.rays:
@@ -96,11 +95,15 @@ def _probe_and_deep(m: Rep, cert, pad=1):
     return region, deep
 
 
-def min_proj_presentation(x: Rep, budget: Optional[int] = None,
-                          cert=None) -> Presentation:
+def min_proj_presentation(x: Rep, budget: Optional[int] = None) -> Presentation:
+    budget = DEFAULT_BUDGET if budget is None else budget
+    return x.cached(("proj_presentation", budget),
+                    lambda: _min_proj_presentation(x, budget))
+
+
+def _min_proj_presentation(x: Rep, budget: int) -> Presentation:
     q, F = x.quiver, x.field
-    if cert is None:
-        cert = classify_membership(x, budget)
+    cert = classify_membership(x, budget)
     if cert.verdict not in ("fp", "fd"):
         raise ValueError(
             f"minimal projective presentation needs an fp object, got {cert.verdict}")
@@ -145,11 +148,15 @@ def _reverse_path(q: QuiverBase, p: Path) -> Path:
     return Path(p.dst, p.src, arrows)
 
 
-def min_inj_copresentation(w: Rep, budget: Optional[int] = None,
-                           cert=None) -> Presentation:
+def min_inj_copresentation(w: Rep, budget: Optional[int] = None) -> Presentation:
+    budget = DEFAULT_BUDGET if budget is None else budget
+    return w.cached(("inj_copresentation", budget),
+                    lambda: _min_inj_copresentation(w, budget))
+
+
+def _min_inj_copresentation(w: Rep, budget: int) -> Presentation:
     q, F = w.quiver, w.field
-    if cert is None:
-        cert = classify_membership(w, budget)
+    cert = classify_membership(w, budget)
     if cert.verdict not in ("fc", "fd"):
         raise ValueError(
             f"minimal injective copresentation needs an fc object, got {cert.verdict}")

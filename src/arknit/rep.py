@@ -11,6 +11,9 @@ finitely copresented, finite-extension) is decided by stabilizing the
 evaluation data along each ray: once the per-band snapshot repeats beyond the
 node's structural depth, the data is shift-equivariant and the verdict is a
 certificate, not a sample.
+
+A Rep is immutable once built, and its derived invariants (structural depth,
+membership certificates, minimal presentations) are cached on the instance.
 """
 from __future__ import annotations
 
@@ -175,6 +178,14 @@ class Rep:
         self.field = field
         self._dims: dict = {}
         self._mats: dict = {}
+        self._memo: dict = {}
+
+    def cached(self, key, compute):
+        """The derived invariant named key, computed by compute() on first
+        use and kept for the lifetime of this object."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     # -- evaluation --
     def dim(self, v) -> int:
@@ -218,6 +229,9 @@ class Rep:
         return 0
 
     def structural_depth(self) -> int:
+        return self.cached("structural_depth", self._structural_depth)
+
+    def _structural_depth(self) -> int:
         d = self._extra_depth()
         s = self.support()
         for v in s.explicit:
@@ -890,12 +904,13 @@ def end_profile(m: Rep, end, budget: Optional[int] = None) -> EndProfile:
                       (cutoff, cutoff + 1, cutoff + 2))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RepClassCertificate:
     verdict: str
     witnesses: tuple
     profiles: tuple
     evidence: dict
+    support: VertexSet  # exact support, as support_exact(m, profiles)
 
     def is_in_rrep(self) -> bool:
         return self.verdict in ("fd", "fp", "fc", "rrep")
@@ -916,11 +931,17 @@ def support_exact(m: Rep, profiles) -> VertexSet:
 
 
 def classify_membership(m: Rep, budget: Optional[int] = None) -> RepClassCertificate:
+    budget = DEFAULT_BUDGET if budget is None else budget
+    return m.cached(("membership", budget), lambda: _classify(m, budget))
+
+
+def _classify(m: Rep, budget: int) -> RepClassCertificate:
     q = m.quiver
     try:
         profiles = tuple(end_profile(m, e, budget) for e in q.ends())
     except BudgetError as e:
-        return RepClassCertificate("unknown(budget)", (str(e),), (), {})
+        return RepClassCertificate("unknown(budget)", (str(e),), (), {},
+                                   support_exact(m, ()))
 
     supp = support_exact(m, profiles)
     witnesses = []
@@ -937,14 +958,14 @@ def classify_membership(m: Rep, budget: Optional[int] = None) -> RepClassCertifi
                 f"support runs along ray {r.eid}/{r.rid} with no projective or "
                 f"injective direction (stable dim {r.dim} from depth {r.cutoff})")
         return RepClassCertificate("notInRrep", tuple(witnesses), profiles,
-                                   {"support": supp.describe()})
+                                   {"support": supp.describe()}, supp)
     if other:
         for r in other:
             witnesses.append(
                 f"stable transition along ray {r.eid}/{r.rid} is not invertible; "
                 f"the tail splits into infinitely many summands")
         return RepClassCertificate("notInRrep", tuple(witnesses), profiles,
-                                   {"support": supp.describe()})
+                                   {"support": supp.describe()}, supp)
     if cross:
         for c in cross:
             a = q._crossing_arrow(c.eid, c.cid, c.cutoff)
@@ -953,7 +974,7 @@ def classify_membership(m: Rep, budget: Optional[int] = None) -> RepClassCertifi
                 f"nonzero gluing arrows {base} for all n >= {c.cutoff} "
                 f"(family {c.eid}/{c.cid}, checked at depths {c.cutoff},{c.cutoff+1})")
         return RepClassCertificate("notInRrep", tuple(witnesses), profiles,
-                                   {"support": supp.describe()})
+                                   {"support": supp.describe()}, supp)
 
     kinds = {r.kind for p in profiles for r in p.rays if r.dim > 0}
     if not kinds:
@@ -968,7 +989,7 @@ def classify_membership(m: Rep, budget: Optional[int] = None) -> RepClassCertifi
           "checkedDepths": [list(p.checked_depths) for p in profiles],
           "rays": [[r.eid, r.rid, r.kind, r.dim, r.status] for p in profiles
                    for r in p.rays]}
-    return RepClassCertificate(verdict, (), profiles, ev)
+    return RepClassCertificate(verdict, (), profiles, ev, supp)
 
 
 # ---------------------------------------------------------------------------
@@ -994,12 +1015,13 @@ def _shrunk_tail_start(m: Rep, prof: RayProfile, floor: int) -> int:
     return t
 
 
-def _stable_tail_starts(m: Rep, profiles, supp: VertexSet, kinds=("P", "I")):
+def _stable_tail_starts(m: Rep, cert: RepClassCertificate, kinds=("P", "I")):
     """(ray profile, start) for each nonzero ray of the given kinds: the
     stable tail walked down to the floor that the exact support gives it."""
-    floors = {(eid, rid): t0 for (eid, rid, t0) in supp.tails}
+    floors = {(eid, rid): t0 for (eid, rid, t0) in cert.support.tails}
     return [(r, _shrunk_tail_start(m, r, floors.get((r.eid, r.rid), 0)))
-            for p in profiles for r in p.rays if r.dim > 0 and r.kind in kinds]
+            for p in cert.profiles for r in p.rays
+            if r.dim > 0 and r.kind in kinds]
 
 
 def _tails_set(q, starts) -> VertexSet:
@@ -1035,10 +1057,10 @@ def pfi_decompose(m: Rep, budget: Optional[int] = None) -> PFIDecomposition:
     if not cert.is_in_rrep():
         raise ValueError(f"pfi_decompose needs an rrep object, got {cert.verdict}")
     q = m.quiver
-    supp = support_exact(m, cert.profiles)
+    supp = cert.support
     pstarts = {}
     istarts = {}
-    for r, t in _stable_tail_starts(m, cert.profiles, supp):
+    for r, t in _stable_tail_starts(m, cert):
         (pstarts if r.kind == "P" else istarts)[(r.eid, r.rid)] = t
 
     def build():
@@ -1079,11 +1101,9 @@ def standard_ext_region(m: Rep, budget: Optional[int] = None):
     cert = classify_membership(m, budget)
     if not cert.is_in_rrep():
         raise ValueError(f"standard_ext needs an rrep object, got {cert.verdict}")
-    q = m.quiver
-    supp = support_exact(m, cert.profiles)
-    sigmaI = _tails_set(q, [(r.eid, r.rid, t) for r, t in _stable_tail_starts(
-        m, cert.profiles, supp, kinds=("I",))])
-    omega = supp.difference(sigmaI)
+    sigmaI = _tails_set(m.quiver, [(r.eid, r.rid, t) for r, t in
+                                   _stable_tail_starts(m, cert, kinds=("I",))])
+    omega = cert.support.difference(sigmaI)
     return omega, restrict(m, omega), restrict(m, sigmaI)
 
 
@@ -1093,9 +1113,8 @@ def tail_split(m: Rep, budget: Optional[int] = None):
     if cert.verdict not in ("fp", "fd"):
         raise ValueError(f"tail_split needs an fp object, got {cert.verdict}")
     q = m.quiver
-    supp = support_exact(m, cert.profiles)
-    starts = [[r.eid, r.rid, t]
-              for r, t in _stable_tail_starts(m, cert.profiles, supp)]
+    supp = cert.support
+    starts = [[r.eid, r.rid, t] for r, t in _stable_tail_starts(m, cert)]
     omega = _tails_set(q, [tuple(s) for s in starts])
     head_region = supp.difference(omega)
     if not head_region.explicit and starts:

@@ -296,6 +296,18 @@ def test_cli_exit_2_on_budget(monkeypatch):
     assert "budget" in err
 
 
+def test_cli_exit_3_on_internal_error(monkeypatch):
+    def broken(args):
+        raise AssertionError("morphism does not commute with arrows")
+
+    monkeypatch.setattr(cli, "run", broken)
+    code, out, err = run_cli(["quiver", "--quiver", LINE])
+    assert code == 3
+    assert out == ""
+    assert err == ("arknit: internal error: "
+                   "morphism does not commute with arrows\n")
+
+
 def test_cli_large_linear_quiver():
     code, out, _ = run_cli(["quiver", "--quiver",
                             '{"preset":"linear","n":3000}'])

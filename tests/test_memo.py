@@ -1,0 +1,245 @@
+"""Derived invariants are computed once per object and cached on it.
+
+A Rep is immutable once built, so its membership certificate, structural
+depth and minimal (co)presentations are kept in a per-instance memo.  These
+tests count the work with monkeypatched bodies, not with timers, and scan
+the library for caches that would outlive an object.
+"""
+import ast
+import io
+import contextlib
+import json
+from pathlib import Path
+
+import pytest
+
+import arknit as ak
+import arknit.cli as cli
+import arknit.presentations as presentations
+import arknit.rep as rep
+from arknit.quiver import VertexSet
+
+
+def test_classify_membership_is_memoized_per_budget(a3):
+    m = ak.projective_at(a3, 3)
+    cert = ak.classify_membership(m)
+    assert ak.classify_membership(m) is cert
+    assert ak.classify_membership(m, 40) is cert  # None means the default 40
+    other = ak.classify_membership(m, 5)
+    assert other is not cert
+    assert ak.classify_membership(m, 5) is other
+    assert other.verdict == cert.verdict == "fd"
+
+
+def test_presentations_are_memoized_per_object(a3):
+    s = ak.simple_at(a3, 2)
+    pres = ak.min_proj_presentation(s)
+    assert ak.min_proj_presentation(s, 40) is pres
+    cop = ak.min_inj_copresentation(s)
+    assert ak.min_inj_copresentation(s) is cop
+    assert cop is not pres
+
+
+def test_structural_depth_is_memoized(line, monkeypatch):
+    m = ak.injective_at(line, 0)
+    depth = m.structural_depth()
+
+    def again(self):
+        raise AssertionError("structural depth computed twice")
+
+    monkeypatch.setattr(type(m), "_structural_depth", again)
+    assert m.structural_depth() == depth
+
+
+def test_separately_built_objects_share_no_memo():
+    m1 = ak.projective_at(ak.linear_quiver(3), 3)
+    m2 = ak.projective_at(ak.linear_quiver(3), 3)
+    c1, c2 = ak.classify_membership(m1), ak.classify_membership(m2)
+    p1, p2 = ak.min_proj_presentation(m1), ak.min_proj_presentation(m2)
+    assert c1 is not c2 and p1 is not p2
+    assert c1.verdict == c2.verdict and p1.pm.domain == p2.pm.domain
+    assert m1._memo is not m2._memo
+    assert not any(v is w for v in m1._memo.values()
+                   for w in m2._memo.values())
+
+
+@pytest.mark.parametrize("quiver, seed, depth, nodes", [
+    (lambda: ak.linear_quiver(3), lambda q: ak.projective_at(q, 3), 6, 6),
+    (ak.PRESETS["line"], lambda q: ak.simple_at(q, 0), 3, 14),
+], ids=["A3_P3", "line_S0"])
+def test_knit_computes_each_profile_and_presentation_once(
+        quiver, seed, depth, nodes, monkeypatch):
+    runs: dict = {}
+    alive = []  # keeps counted objects alive, so no id is reused
+
+    def counting(fn, key_of):
+        def wrapper(*args):
+            alive.append(args[0])
+            key = key_of(*args)
+            runs[key] = runs.get(key, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(rep, "end_profile", counting(
+        rep.end_profile, lambda m, end, budget=None: (id(m), end.eid, budget)))
+    monkeypatch.setattr(presentations, "_min_proj_presentation", counting(
+        presentations._min_proj_presentation,
+        lambda x, budget: (id(x), "proj", budget)))
+    monkeypatch.setattr(presentations, "_min_inj_copresentation", counting(
+        presentations._min_inj_copresentation,
+        lambda w, budget: (id(w), "inj", budget)))
+
+    q = quiver()
+    comp = ak.knit(seed(q), depth)
+    assert len(comp.nodes) == nodes
+    kinds = {key[1] for key in runs}
+    assert {"proj", "inj"} <= kinds  # both presentation bodies ran
+    # A3 has no ends; on the line both ends are profiled
+    assert {e.eid for e in q.ends()} <= kinds
+    assert {k: n for k, n in runs.items() if n > 1} == {}
+
+
+def test_budget_failure_certificate_carries_a_support(line, monkeypatch):
+    def boom(*a, **k):
+        raise ak.BudgetError("band data did not stabilize")
+
+    monkeypatch.setattr(rep, "end_profile", boom)
+    m = ak.injective_at(line, 0)
+    cert = ak.classify_membership(m)
+    assert cert.verdict == "unknown(budget)"
+    assert isinstance(cert.support, VertexSet)
+    assert cert.support == rep.support_exact(m, ())
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["rep", "--quiver", '{"preset":"line"}',
+                         "--rep", '{"inj":"0"}'])
+    assert code == 0, err.getvalue()
+    assert json.loads(out.getvalue()) == {
+        "schema": "arknit/1", "rep": {"spec": {"inj": "0"}},
+        "verdict": "unknown(budget)", "dims": {"0": 1, "1": 1}}
+
+
+def test_shared_results_are_frozen(a3):
+    cert = ak.classify_membership(ak.simple_at(a3, 2))
+    pres = ak.min_proj_presentation(ak.simple_at(a3, 2))
+    for obj, field in ((cert, "verdict"), (pres, "pm")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+
+
+# ---------------------------------------------------------------------------
+# no cache outlives its object
+
+MODULES = sorted(p for p in Path(ak.__file__).parent.glob("*.py"))
+CACHE_DECORATORS = {"cache", "lru_cache"}
+MUTATORS = {"update", "setdefault", "append", "add", "extend", "insert"}
+CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict",
+                   "Counter", "deque"}
+
+
+def _is_container(value) -> bool:
+    if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp,
+                          ast.ListComp, ast.SetComp)):
+        return True
+    if isinstance(value, ast.Call):
+        f = value.func
+        name = f.id if isinstance(f, ast.Name) else \
+            f.attr if isinstance(f, ast.Attribute) else None
+        return name in CONTAINER_CALLS
+    return False
+
+
+def _module_containers(tree) -> set:
+    names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets = [stmt.target]
+        else:
+            continue
+        if _is_container(stmt.value):
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def _local_names(fn) -> set:
+    """Arguments and names assigned in fn, minus its global declarations."""
+    args = fn.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+    declared = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Global):
+            declared.update(node.names)
+    return names - declared
+
+
+def global_cache_writes(source: str) -> list:
+    """(line, what) for each functools cache and each write from a function
+    body into a module-level dict, list or set."""
+    tree = ast.parse(source)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found |= {(node.lineno, f"functools.{a.name}")
+                      for a in node.names if a.name in CACHE_DECORATORS}
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "functools"
+              and node.attr in CACHE_DECORATORS):
+            found.add((node.lineno, f"functools.{node.attr}"))
+    containers = _module_containers(tree)
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.Lambda)):
+            continue
+        shared = containers - _local_names(fn)
+        for node in ast.walk(fn):
+            targets = []
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            for t in targets:
+                if (isinstance(t, ast.Subscript)
+                        and isinstance(t.value, ast.Name)
+                        and t.value.id in shared):
+                    found.add((node.lineno, f"{t.value.id}[...] ="))
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in shared
+                    and node.func.attr in MUTATORS):
+                found.add((node.lineno,
+                           f"{node.func.value.id}.{node.func.attr}()"))
+    return sorted(found)
+
+
+def test_detects_global_caches():
+    src = ("import functools\n"
+           "from functools import lru_cache\n"
+           "CACHE = {}\n"
+           "SEEN: set = set()\n"
+           "OK = {}\n"
+           "def f(k):\n"
+           "    CACHE[k] = 1\n"
+           "    SEEN.add(k)\n"
+           "def g(OK):\n"
+           "    OK[1] = 2\n"
+           "    local = {}\n"
+           "    local[1] = OK.get(1)\n"
+           "@functools.cache\n"
+           "def h():\n"
+           "    return OK\n")
+    assert global_cache_writes(src) == [
+        (2, "functools.lru_cache"), (7, "CACHE[...] ="), (8, "SEEN.add()"),
+        (13, "functools.cache")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_global_cache(path):
+    assert global_cache_writes(path.read_text()) == []
