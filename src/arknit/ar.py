@@ -5,7 +5,9 @@ reinterpreted relation matrix on the injective side; tau_inv is the dual.
 Almost split sequences are built from the socle class of Ext(X, tau X) under
 the endomorphism action and checked by an explicit battery.  Knitting walks
 the component graph breadth first in both directions, with payload identity
-decided by fingerprints plus certified isomorphism tests.
+decided by fingerprints plus certified isomorphism tests.  Each mesh is
+computed once, from whichever of its ends comes up first, and replayed from
+the other side.
 """
 from __future__ import annotations
 
@@ -281,23 +283,18 @@ def knit(seed: Rep, depth: int, budget: Optional[int] = None) -> ARComponent:
                 return key
         return None
 
-    def add_node(rep: Rep, hops: int) -> int:
+    def add_node(rep: Rep, hops: int, create: bool = True) -> Optional[int]:
         fp = fingerprint(rep)
         key = find_node(rep, fp)
         if key is not None:
             comp.nodes[key].hops = min(comp.nodes[key].hops, hops)
             return key
+        if not create:
+            return None
         node = ARNode(len(comp.nodes), rep, fp, hops=hops)
         comp.nodes.append(node)
         by_fingerprint.setdefault(fp, []).append(node.key)
         return node.key
-
-    def add_translate(rep: Rep, hops: int) -> Optional[int]:
-        """Translates sit two hops out; past the depth they are only linked
-        when their iso class is already present, never created."""
-        if find_node(rep, fingerprint(rep)) is None and hops > depth:
-            return None
-        return add_node(rep, hops)
 
     def add_arrow(src: int, dst: int, mult: int):
         old = comp.arrows.get((src, dst))
@@ -306,6 +303,45 @@ def knit(seed: Rep, depth: int, budget: Optional[int] = None) -> ARComponent:
         elif old != mult:
             raise AssertionError(
                 f"valuation mismatch on arrow {src}->{dst}: {old} vs {mult}")
+
+    meshes: dict = {}  # end key -> (tau key, [(summand key, multiplicity)])
+    end_of: dict = {}  # tau key -> end key
+
+    def knit_mesh(key: int, forward: bool):
+        """The mesh tau Z -> (+) E -> Z through a node, as its end Z
+        (backward) or as its translate tau Z (forward).  The first side to
+        come up computes the almost split sequence, adds the arrows and
+        records the mesh when both ends are nodes; the other side replays
+        the record, which only lowers hop counts and queues the same nodes."""
+        hops = comp.nodes[key].hops
+        end = end_of.get(key) if forward else key
+        if end in meshes:
+            tkey, summands = meshes[end]
+            far = end if forward else tkey
+        else:
+            x = comp.nodes[key].rep
+            y = tau_inv(x, budget) if forward else x
+            ses = almost_split_sequence(y, budget)
+            # the other end sits two hops out; past the depth it is only
+            # linked when its iso class is already present, never created
+            far = add_node(y if forward else ses.sub, hops + 2,
+                           create=hops + 2 <= depth)
+            end, tkey = (far, key) if forward else (key, far)
+            summands = [(add_node(summand, hops + 1), mult)
+                        for summand, mult in decompose(ses.middle, budget)]
+            for skey, mult in summands:
+                if end is not None:
+                    add_arrow(skey, end, mult)
+                if tkey is not None:
+                    add_arrow(tkey, skey, mult)
+            if far is not None:
+                comp.tau_links[end] = tkey
+                meshes[end] = (tkey, summands)
+                end_of[tkey] = end
+        near = [(far, hops + 2)] if far is not None else []
+        for k, h in near + [(skey, hops + 1) for skey, _ in summands]:
+            comp.nodes[k].hops = min(comp.nodes[k].hops, h)
+            queue.append(k)
 
     seed_key = add_node(seed, 0)
     comp.seed_key = seed_key
@@ -348,17 +384,7 @@ def knit(seed: Rep, depth: int, budget: Optional[int] = None) -> ARComponent:
                 add_arrow(skey, key, mult)
                 queue.append(skey)
         elif cert.verdict in ("fp", "fd"):
-            ses = almost_split_sequence(x, budget)
-            tkey = add_translate(ses.sub, node.hops + 2)
-            if tkey is not None:
-                comp.tau_links[key] = tkey
-                queue.append(tkey)
-            for (summand, mult) in decompose(ses.middle, budget):
-                skey = add_node(summand, node.hops + 1)
-                add_arrow(skey, key, mult)
-                if tkey is not None:
-                    add_arrow(tkey, skey, mult)
-                queue.append(skey)
+            knit_mesh(key, forward=False)
         else:
             notes.append("no backward expansion: payload not fp")
 
@@ -370,18 +396,7 @@ def knit(seed: Rep, depth: int, budget: Optional[int] = None) -> ARComponent:
                 add_arrow(key, skey, mult)
                 queue.append(skey)
         elif cert.verdict in ("fc", "fd"):
-            y = tau_inv(x, budget)
-            ses = almost_split_sequence(y, budget)
-            ykey = add_translate(y, node.hops + 2)
-            if ykey is not None:
-                comp.tau_links[ykey] = key
-                queue.append(ykey)
-            for (summand, mult) in decompose(ses.middle, budget):
-                skey = add_node(summand, node.hops + 1)
-                add_arrow(key, skey, mult)
-                if ykey is not None:
-                    add_arrow(skey, ykey, mult)
-                queue.append(skey)
+            knit_mesh(key, forward=True)
         else:
             notes.append("no forward expansion: payload not fc")
 

@@ -22,6 +22,9 @@ from .quiver import vkey
 from .rep import (BudgetError, classify_membership, injective_at,
                   projective_at, simple_at)
 
+MAX_BUDGET = 400  # stabilization budget; the knit node budget is 4x this
+MAX_DEPTH = 32    # knit/classify hop depth
+
 
 def _load_spec(text: str, what: str):
     """A spec argument is either inline JSON or a path to a JSON file."""
@@ -130,12 +133,20 @@ def _morphism_json(q, f, verts):
 
 def run(args) -> dict | str:
     budget = args.budget
-    if budget is None and os.environ.get("ARKNIT_BUDGET"):
-        budget = int(os.environ["ARKNIT_BUDGET"])
+    env_budget = os.environ.get("ARKNIT_BUDGET")
+    if budget is None and env_budget:
+        try:
+            budget = int(env_budget)
+        except ValueError:
+            raise ParseError("/budget", "ARKNIT_BUDGET must be an integer, "
+                                        f"got {env_budget!r}") from None
     depth = getattr(args, "depth", None)
-    for name, value in (("budget", budget), ("depth", depth)):
+    for name, value, cap in (("budget", budget, MAX_BUDGET),
+                             ("depth", depth, MAX_DEPTH)):
         if value is not None and value < 0:
             raise ParseError(f"/{name}", f"must be >= 0, got {value}")
+        if value is not None and value > cap:
+            raise ParseError(f"/{name}", f"must be <= {cap}, got {value}")
     q = parse_quiver(_load_spec(args.quiver, "quiver"))
     field = parse_field(args.field)
 

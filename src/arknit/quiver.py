@@ -66,10 +66,6 @@ class Path:
         return self.key() < other.key()
 
 
-def trivial_path(v) -> Path:
-    return Path(v, v, ())
-
-
 class QuiverBase:
     """Shared behaviour; concrete quivers implement the local arrow structure."""
 

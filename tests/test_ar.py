@@ -2,11 +2,13 @@
 
 import pytest
 
+import arknit.ar as ar
 from arknit import (
     VertexSet,
     almost_split_sequence,
     ar_category_kind,
     classify_component,
+    classify_membership,
     coker_proj,
     coxeter_transform,
     dim_vector,
@@ -31,6 +33,7 @@ from arknit import (
     split_ses,
 )
 
+from arknit.hom import joint_window
 from oracles import (
     an_almost_split,
     an_ar_arrows,
@@ -236,6 +239,48 @@ def test_knit_rejects_bad_seed(zig):
     region = VertexSet.make(zig, (), [("inf", "even", 0), ("inf", "odd", 0)])
     with pytest.raises(ValueError):
         knit(thin_rep(zig, region), 2)
+
+
+def test_knit_meshes_are_additive(a5, line, zig, kron):
+    """Each tau link (Z, tau Z) spans an almost split sequence
+    0 -> tau Z -> (+) E^m -> Z -> 0, so dim tau Z + dim Z = sum m dim E on
+    any window, and the arrows out of tau Z are the arrows into Z, with the
+    same multiplicities."""
+    comps = [knit(projective_at(a5, 5), 10),
+             knit(simple_at(line, 0), 4),
+             knit(thin_rep(zig, VertexSet.make(zig, (0, 1, 2, 3), ())), 3),
+             knit(projective_at(kron, 2), 5)]
+    for comp in comps:
+        assert comp.tau_links
+        for z, tz in comp.tau_links.items():
+            into_z = {e: m for (e, d), m in comp.arrows.items() if d == z}
+            out_of_tz = {e: m for (s, e), m in comp.arrows.items() if s == tz}
+            assert into_z and into_z == out_of_tz
+            reps = [comp.node(k).rep for k in (z, tz, *into_z)]
+            window, _ = joint_window([classify_membership(r) for r in reps])
+            ends = [a + b for a, b in zip(dim_vector(reps[0], window),
+                                          dim_vector(reps[1], window))]
+            middle = [0] * len(window)
+            for e, m in into_z.items():
+                for i, d in enumerate(dim_vector(comp.node(e).rep, window)):
+                    middle[i] += m * d
+            assert ends == middle
+
+
+def test_knit_computes_each_mesh_once(kron, monkeypatch):
+    ends = []
+
+    def spy(x, budget=None):
+        ends.append(x)
+        return almost_split_sequence(x, budget)
+
+    monkeypatch.setattr(ar, "almost_split_sequence", spy)
+    comp = knit(projective_at(kron, 2), 8)
+    assert len(comp.tau_links) == 7
+    assert len(ends) == 8  # one per tau link, one for a mesh at the frontier
+    for i, x in enumerate(ends):
+        for y in ends[i + 1:]:
+            assert iso_test(x, y) is None
 
 
 # ---------------------------------------------------------------------------

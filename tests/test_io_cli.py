@@ -353,6 +353,43 @@ def test_cli_rejects_negative_depth_and_budget(monkeypatch, argv, env):
     assert "must be >= 0" in err
 
 
+@pytest.mark.parametrize("argv, env, pointer", [
+    (["knit", "--depth", str(cli.MAX_DEPTH + 1)], None, "/depth"),
+    (["classify", "--depth", "100000"], None, "/depth"),
+    (["knit", "--budget", str(cli.MAX_BUDGET + 1)], None, "/budget"),
+    (["knit"], {"ARKNIT_BUDGET": str(cli.MAX_BUDGET + 1)}, "/budget"),
+    (["knit"], {"ARKNIT_BUDGET": "abc"}, "/budget"),
+])
+def test_cli_caps_depth_and_budget(monkeypatch, argv, env, pointer):
+    def boom(*a, **k):
+        raise RuntimeError("knit started")
+
+    monkeypatch.setattr(cli, "knit", boom)
+    code, out, err = run_cli(argv[:1] + ["--quiver", KRON, "--seed",
+                                         '{"proj":"2"}'] + argv[1:], env=env)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"arknit: error: {pointer}:")
+    assert "Traceback" not in err and "invalid literal" not in err
+
+
+def test_cli_caps_admit_their_bounds(monkeypatch):
+    seen = {}
+
+    def stop(seed, depth, budget):
+        seen.update(depth=depth, budget=budget)
+        raise ValueError("stopped before knitting")
+
+    monkeypatch.setattr(cli, "knit", stop)
+    code, _, err = run_cli(["knit", "--quiver", KRON, "--seed", '{"proj":"2"}',
+                            "--depth", str(cli.MAX_DEPTH),
+                            "--budget", str(cli.MAX_BUDGET)])
+    assert code == 1 and "stopped before knitting" in err
+    assert seen == {"depth": cli.MAX_DEPTH, "budget": cli.MAX_BUDGET}
+    # the largest depth a library test knits, and the default budget
+    assert cli.MAX_DEPTH >= 10 and cli.MAX_BUDGET >= 40
+
+
 def test_cli_usage_error_on_unknown_verb():
     code, _, _ = run_cli(["frobnicate"])
     assert code == 2  # argparse usage failure
