@@ -22,8 +22,9 @@ from .quiver import vkey
 from .rep import (BudgetError, classify_membership, injective_at,
                   projective_at, simple_at)
 
-MAX_BUDGET = 400  # stabilization budget; the knit node budget is 4x this
-MAX_DEPTH = 32    # knit/classify hop depth
+MAX_BUDGET = 400   # stabilization budget; the knit node budget is 4x this
+MAX_DEPTH = 32     # knit/classify hop depth
+MAX_RADIUS = 1000  # display window radius past the stable cutoffs
 
 
 def _load_spec(text: str, what: str):
@@ -142,7 +143,8 @@ def run(args) -> dict | str:
                                         f"got {env_budget!r}") from None
     depth = getattr(args, "depth", None)
     for name, value, cap in (("budget", budget, MAX_BUDGET),
-                             ("depth", depth, MAX_DEPTH)):
+                             ("depth", depth, MAX_DEPTH),
+                             ("radius", args.radius, MAX_RADIUS)):
         if value is not None and value < 0:
             raise ParseError(f"/{name}", f"must be >= 0, got {value}")
         if value is not None and value > cap:

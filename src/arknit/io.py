@@ -17,6 +17,8 @@ from .rep import (PathMatrix, Rep, RungFamily, classify_membership,
                   restrict, simple_at, thin_rep, zero_rep)
 
 SCHEMA = "arknit/1"
+# P(1) on the linear quiver of n vertices holds n^2/2 arrows in its bases
+MAX_LINEAR_N = 3000
 
 
 class ParseError(ValueError):
@@ -47,8 +49,9 @@ def parse_quiver(obj, pointer: str = "") -> QuiverBase:
             return PRESETS[name]()
         if name == "linear":
             n = _need(obj, "n", pointer, int)
-            if n < 1:
-                raise ParseError(f"{pointer}/n", "need n >= 1")
+            if not 1 <= n <= MAX_LINEAR_N:
+                raise ParseError(f"{pointer}/n",
+                                 f"need 1 <= n <= {MAX_LINEAR_N}, got {n}")
             return linear_quiver(n)
         if name == "kronecker":
             return kronecker_quiver()

@@ -9,6 +9,10 @@ symbolic reasoning about infinite supports goes through this band structure.
 Vertices are ints for integer-indexed presets, ("a", n)/("b", n) pairs for
 the ladder, and arbitrary labels for finite quivers.  All enumerations sort
 by vkey so results are deterministic.
+
+Each quiver instance memoizes its path bases x ~> y (immutable tuples, built
+from the bases at the sources of the arrows into y) and, if finite, the
+descendant set of each source; opposite() is one instance per quiver.
 """
 from __future__ import annotations
 
@@ -72,6 +76,10 @@ class QuiverBase:
     is_finite = False
     name = "?"
 
+    def __post_init__(self):
+        # derived data, kept for the lifetime of this instance
+        object.__setattr__(self, "_memo", {})
+
     # ---- local structure ----
     def contains(self, v) -> bool:
         raise NotImplementedError
@@ -87,7 +95,9 @@ class QuiverBase:
         raise NotImplementedError
 
     def opposite(self) -> "QuiverBase":
-        return OppositeQuiver(self)
+        if "opposite" not in self._memo:
+            self._memo["opposite"] = OppositeQuiver(self)
+        return self._memo["opposite"]
 
     # ---- ends (empty for finite quivers) ----
     def ends(self):
@@ -117,44 +127,42 @@ class QuiverBase:
     def _pathlen_cap(self, x, y) -> int:
         return 10 * 16
 
-    def _between(self, x, y) -> set:
-        """Vertices on some path x ~> y, empty if there is none: a walk back
-        from y that never leaves the successors of x, so it stays finite on
-        the infinite presets."""
-        if not self.reaches(x, y):
-            return set()
-        between = {y}
-        stack = [y]
-        while stack:
-            for a in self.in_arrows(stack.pop()):
-                if a.src not in between and self.reaches(x, a.src):
-                    between.add(a.src)
-                    stack.append(a.src)
-        return between
-
-    def paths_between(self, x, y, cap: Optional[int] = None):
+    def paths_between(self, x, y, cap: Optional[int] = None) -> tuple:
         """All paths x ~> y, canonically ordered (trivial path first)."""
-        if not (self.contains(x) and self.contains(y)):
-            raise ValueError(f"vertex outside quiver: {x!r} or {y!r}")
-        if cap is None:
-            cap = self._pathlen_cap(x, y)
-        out = []
-        between = self._between(x, y)
-        if x not in between:
-            return out
-        stack = [(x, ())]
-        while stack:
-            v, arrows = stack.pop()
-            if len(arrows) > cap:
-                raise ValueError("path search exceeded hop budget; "
-                                 "interval-finiteness violated or cap too small")
-            if v == y:
-                out.append(Path(x, y, arrows))
-            nxt = [a for a in self.out_arrows(v) if a.dst in between]
-            for a in sorted(nxt, reverse=True):
-                stack.append((a.dst, arrows + (a,)))
-        out.sort()
-        return out
+        key = ("paths", x, y)
+        if key not in self._memo:
+            if not (self.contains(x) and self.contains(y)):
+                raise ValueError(f"vertex outside quiver: {x!r} or {y!r}")
+            self._fill_paths(x, y)
+        basis, longest = self._memo[key]
+        if basis and longest > (self._pathlen_cap(x, y) if cap is None else cap):
+            raise ValueError("path search exceeded hop budget; "
+                             "interval-finiteness violated or cap too small")
+        return basis
+
+    def _fill_paths(self, x, y):
+        """Memoize (basis, longest length) for x ~> u, u = y and each missing
+        u on the way: the trivial path if u = x, plus each path x ~> a.src then
+        a, over the arrows a into u whose source x reaches.  The work stack
+        finishes those sources before u, so long chains need no recursion."""
+        memo = self._memo
+        todo = [(y, None)]
+        while todo:
+            u, arrows = todo.pop()
+            if ("paths", x, u) in memo:
+                continue
+            if arrows is None:
+                arrows = [a for a in self.in_arrows(u) if self.reaches(x, a.src)]
+                todo += [(u, arrows)] + [(a.src, None) for a in arrows]
+                continue
+            paths = [Path(x, x)] if u == x else []
+            for a in arrows:
+                paths += [Path(x, u, p.arrows + (a,))
+                          for p in memo["paths", x, a.src][0]]
+            if len(paths) > 1:
+                paths.sort(key=Path.key)
+            memo["paths", x, u] = (tuple(paths),
+                                   max((p.length for p in paths), default=0))
 
     def has_left_infinite_path(self) -> bool:
         return any(r.kind == "I" for e in self.ends() for r in e.rays)
@@ -227,6 +235,7 @@ class FiniteQuiver(QuiverBase):
     name = "finite"
 
     def __post_init__(self):
+        super().__post_init__()
         seen = set()
         outs = {v: [] for v in self.vertices}
         ins = {v: [] for v in self.vertices}
@@ -306,10 +315,10 @@ class FiniteQuiver(QuiverBase):
         return seen
 
     def reaches(self, x, y):
-        return y in self._walk((x,), True)
-
-    def _between(self, x, y):
-        return self._walk((x,), True) & self._walk((y,), False)
+        key = ("descendants", x)
+        if key not in self._memo:
+            self._memo[key] = frozenset(self._walk((x,), True))
+        return y in self._memo[key]
 
     def _pathlen_cap(self, x, y):
         return len(self.vertices) + 1
@@ -683,9 +692,6 @@ class OppositeQuiver(QuiverBase):
 
     def reaches(self, x, y):
         return self.base.reaches(y, x)
-
-    def _between(self, x, y):
-        return self.base._between(y, x)
 
     def opposite(self):
         return self.base

@@ -273,12 +273,9 @@ class ProjRep(Rep):
         if not quiver.contains(a):
             raise ValueError(f"vertex {a!r} outside the quiver")
         self.vertex = a
-        self._bases: dict = {}
 
-    def basis(self, v) -> list:
-        if v not in self._bases:
-            self._bases[v] = self.quiver.paths_between(self.vertex, v)
-        return self._bases[v]
+    def basis(self, v) -> tuple:
+        return self.quiver.paths_between(self.vertex, v)
 
     def _dim_at(self, v):
         return len(self.basis(v))
@@ -312,12 +309,9 @@ class InjRep(Rep):
         if not quiver.contains(a):
             raise ValueError(f"vertex {a!r} outside the quiver")
         self.vertex = a
-        self._bases: dict = {}
 
-    def basis(self, v) -> list:
-        if v not in self._bases:
-            self._bases[v] = self.quiver.paths_between(v, self.vertex)
-        return self._bases[v]
+    def basis(self, v) -> tuple:
+        return self.quiver.paths_between(v, self.vertex)
 
     def _dim_at(self, v):
         return len(self.basis(v))

@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import arknit as ak
 from arknit import (
     QQ,
     BudgetError,
@@ -166,3 +169,69 @@ def test_window_relative_basis_classes_are_finite(ladder):
     finite, witness, report = is_finite_extension(ses)
     assert finite
     assert all(hasattr(a, "src") for a in witness)
+
+
+# ---------------------------------------------------------------------------
+# Euler form: dim Hom(M, N) - dim Ext(M, N) = <dim M, dim N> for finite
+# dimensional M, N over a finite acyclic window (hereditary, Ringel LNM 1099)
+
+# (quiver, window vertices, arrows inside the window as (src, dst, label)),
+# written out so that the oracle does not read the quiver under test
+EULER_POOLS = {
+    "A3": (lambda: ak.linear_quiver(3), (1, 2, 3),
+           ((1, 2, "1>2"), (2, 3, "2>3"))),
+    "A5": (lambda: ak.linear_quiver(5), (1, 2, 3, 4, 5),
+           tuple((i, i + 1, f"{i}>{i + 1}") for i in range(1, 5))),
+    "kronecker": (ak.kronecker_quiver, (1, 2),
+                  ((1, 2, "alpha"), (1, 2, "beta"))),
+    "zigzag": (ak.PRESETS["zigzag"], (0, 1, 2, 3),
+               ((1, 0, "1>0"), (1, 2, "1>2"), (3, 2, "3>2"))),
+}
+
+
+def euler_form(verts, arrows, dm, dn):
+    return (sum(dm[v] * dn[v] for v in verts)
+            - sum(dm[s] * dn[t] for s, t, _ in arrows))
+
+
+@st.composite
+def fd_data(draw, verts, arrows):
+    """(dims, {label: integer rows}) supported in verts, not all zero."""
+    dims = {v: draw(st.integers(0, 2)) for v in verts}
+    if not any(dims.values()):
+        dims[draw(st.sampled_from(verts))] = 1
+    mats = {label: draw(st.lists(
+                st.lists(st.integers(-2, 2), min_size=dims[s],
+                         max_size=dims[s]),
+                min_size=dims[t], max_size=dims[t]))
+            for s, t, label in arrows if dims[s] and dims[t]}
+    return dims, mats
+
+
+@st.composite
+def euler_cases(draw):
+    kind = draw(st.sampled_from(sorted(EULER_POOLS)))
+    _, verts, arrows = EULER_POOLS[kind]
+    char = draw(st.sampled_from((0, 7)))
+    return (kind, char, draw(fd_data(verts, arrows)),
+            draw(fd_data(verts, arrows)))
+
+
+def _fd(q, field, data):
+    dims, mats = data
+    return ak.explicit_fd(q, dims, {
+        label: ak.Mat(field, len(rows), len(rows[0]),
+                      tuple(tuple(field.of(x) for x in r) for r in rows))
+        for label, rows in mats.items()}, field)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(euler_cases())
+def test_euler_form_on_random_fd_pairs(case):
+    kind, char, dm, dn = case
+    make, verts, arrows = EULER_POOLS[kind]
+    q, field = make(), ak.GF(char) if char else QQ
+    m, n = _fd(q, field, dm), _fd(q, field, dn)
+    hom = ak.hom_space(m, n).dimension
+    ext = ext_space(m, n).dimension
+    assert hom - ext == euler_form(verts, arrows, dm[0], dn[0])

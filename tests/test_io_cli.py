@@ -8,6 +8,7 @@ import os
 import pytest
 
 import arknit.cli as cli
+import arknit.io as io_mod
 from arknit import (
     QQ,
     dim_vector,
@@ -317,7 +318,7 @@ def test_cli_large_linear_quiver():
 
 def test_cli_member_on_large_linear_quiver():
     code, out, _ = run_cli(["member", "--quiver",
-                            '{"preset":"linear","n":400}',
+                            '{"preset":"linear","n":2000}',
                             "--rep", '{"proj":"1"}'])
     assert code == 0
     assert json.loads(out)["verdict"] == "fd"
@@ -388,6 +389,57 @@ def test_cli_caps_admit_their_bounds(monkeypatch):
     assert seen == {"depth": cli.MAX_DEPTH, "budget": cli.MAX_BUDGET}
     # the largest depth a library test knits, and the default budget
     assert cli.MAX_DEPTH >= 10 and cli.MAX_BUDGET >= 40
+
+
+@pytest.mark.parametrize("radius, message", [
+    (-3, "/radius: must be >= 0, got -3"),
+    (cli.MAX_RADIUS + 1, f"/radius: must be <= {cli.MAX_RADIUS}, got "
+                         f"{cli.MAX_RADIUS + 1}"),
+    (1000000, f"/radius: must be <= {cli.MAX_RADIUS}, got 1000000"),
+])
+def test_cli_caps_radius(monkeypatch, radius, message):
+    def boom(*a, **k):
+        raise RuntimeError("computation started")
+
+    monkeypatch.setattr(cli, "parse_quiver", boom)
+    code, out, err = run_cli(["rep", "--quiver", LINE, "--rep",
+                              '{"proj":"0"}', "--radius", str(radius)])
+    assert code == 1
+    assert out == ""
+    assert err == f"arknit: error: {message}\n"
+
+
+@pytest.mark.parametrize("n", [0, io_mod.MAX_LINEAR_N + 1, 10 ** 9])
+def test_cli_caps_linear_n(monkeypatch, n):
+    def boom(*a, **k):
+        raise RuntimeError("quiver built")
+
+    monkeypatch.setattr(io_mod, "linear_quiver", boom)
+    code, out, err = run_cli(["member", "--quiver",
+                              f'{{"preset":"linear","n":{n}}}',
+                              "--rep", '{"proj":"1"}'])
+    assert code == 1
+    assert out == ""
+    assert err == (f"arknit: error: /n: need 1 <= n <= {io_mod.MAX_LINEAR_N}, "
+                   f"got {n}\n")
+
+
+def test_cli_radius_and_n_caps_admit_their_bounds(monkeypatch):
+    seen = {}
+
+    def stop(m, budget=None):
+        seen["n"] = len(m.quiver.vertices)
+        raise ValueError("stopped before classifying")
+
+    monkeypatch.setattr(cli, "classify_membership", stop)
+    code, _, err = run_cli(["rep", "--quiver",
+                            f'{{"preset":"linear","n":{io_mod.MAX_LINEAR_N}}}',
+                            "--rep", '{"proj":"1"}',
+                            "--radius", str(cli.MAX_RADIUS)])
+    assert code == 1 and "stopped before classifying" in err
+    assert seen == {"n": io_mod.MAX_LINEAR_N}
+    # the default radius, and the largest n a test builds
+    assert cli.MAX_RADIUS >= 2 and io_mod.MAX_LINEAR_N >= 3000
 
 
 def test_cli_usage_error_on_unknown_verb():

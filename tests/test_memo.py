@@ -1,7 +1,8 @@
 """Derived invariants are computed once per object and cached on it.
 
 A Rep is immutable once built, so its membership certificate, structural
-depth and minimal (co)presentations are kept in a per-instance memo.  These
+depth and minimal (co)presentations are kept in a per-instance memo; a
+quiver likewise keeps its path bases, descendant sets and opposite.  These
 tests count the work with monkeypatched bodies, not with timers, and scan
 the library for caches that would outlive an object.
 """
@@ -17,7 +18,7 @@ import arknit as ak
 import arknit.cli as cli
 import arknit.presentations as presentations
 import arknit.rep as rep
-from arknit.quiver import VertexSet
+from arknit.quiver import FiniteQuiver, VertexSet
 
 
 def test_classify_membership_is_memoized_per_budget(a3):
@@ -126,6 +127,53 @@ def test_shared_results_are_frozen(a3):
     for obj, field in ((cert, "verdict"), (pres, "pm")):
         with pytest.raises(AttributeError):
             setattr(obj, field, None)
+
+
+# ---------------------------------------------------------------------------
+# path bases are memoized per quiver instance
+
+
+def test_repeated_paths_between_returns_the_same_tuple(kron, line):
+    for q, x, y in ((kron, 1, 2), (line, 3, -1), (kron.opposite(), 2, 1)):
+        basis = q.paths_between(x, y)
+        assert isinstance(basis, tuple) and basis
+        assert q.paths_between(x, y) is basis
+
+
+def test_opposite_is_one_instance(a3, ladder):
+    for q in (a3, ladder):
+        assert q.opposite() is q.opposite()
+        assert q.opposite().opposite() is q
+    assert ak.dualize(ak.projective_at(a3, 1)).quiver is a3.opposite()
+
+
+def test_separately_built_quivers_share_no_memo():
+    q1, q2 = ak.linear_quiver(3), ak.linear_quiver(3)
+    assert q1 == q2 and q1._memo is not q2._memo
+    basis = q1.paths_between(1, 3)
+    assert q1.reaches(1, 3) and q1.opposite().paths_between(3, 1)
+    assert q2._memo == {}
+    assert q2.paths_between(1, 3) == basis
+    assert q2.paths_between(1, 3) is not basis
+    assert q2.opposite() is not q1.opposite()
+
+
+def test_long_chain_reads_in_arrows_linearly(monkeypatch):
+    n = 2000
+    q = ak.linear_quiver(n)
+    reads = []
+    in_arrows = FiniteQuiver.in_arrows
+
+    def counting(self, v):
+        reads.append(v)
+        return in_arrows(self, v)
+
+    monkeypatch.setattr(FiniteQuiver, "in_arrows", counting)
+    p1 = ak.projective_at(q, 1)
+    assert p1.dim(n) == 1  # the deepest basis first: no recursion limit
+    assert [p1.dim(v) for v in q.vertices] == [1] * n
+    assert len(p1.basis(n)[0].arrows) == n - 1
+    assert len(reads) <= 2 * n
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arknit as ak
-from arknit.quiver import FiniteQuiver, VertexSet, classify_subquiver
+from arknit.quiver import (Arrow, FiniteQuiver, Path, VertexSet,
+                           classify_subquiver)
 
 
 def test_linear_quiver_paths(a3):
@@ -145,3 +148,81 @@ def test_classify_subquiver(line, ray_out):
     vs2 = VertexSet.make(line, (), [("pos", "v", 0)])
     info2 = classify_subquiver(vs2)
     assert info2.socle_finite and not info2.top_finite
+
+
+# ---------------------------------------------------------------------------
+# path bases, exactly and in order, against a naive enumerator that does not
+# go through paths_between or reaches
+
+def naive_paths(q, x, y, cap):
+    """Every path x ~> y, walking forward from x to length cap + 1.  Depth
+    first, pre-order, the arrows out of each vertex in key order: this visits
+    paths in the canonical (lexicographic, prefix first) order.  A path of
+    length cap + 1 ending at y means the cap is too small."""
+    out = []
+    stack = [(x, ())]
+    while stack:
+        v, arrows = stack.pop()
+        if v == y:
+            if len(arrows) > cap:
+                raise ValueError(f"a path {x!r} ~> {y!r} is longer than {cap}")
+            out.append(Path(x, y, arrows))
+        if len(arrows) <= cap:
+            for a in sorted(q.out_arrows(v), key=Arrow.key, reverse=True):
+                stack.append((a.dst, arrows + (a,)))
+    return out
+
+
+def check_exact_paths(q, fresh, grid):
+    """paths_between on q equals the naive list for every pair in grid, and
+    both raise for a cap one below the longest path.  q answers the small
+    cap from its memo; fresh (an equal, separately built quiver) meets the
+    small cap first."""
+    for x in grid:
+        for y in grid:
+            want = naive_paths(q, x, y, q._pathlen_cap(x, y))
+            longest = max((p.length for p in want), default=0)
+            if longest:
+                with pytest.raises(ValueError, match="hop budget"):
+                    fresh.paths_between(x, y, cap=longest - 1)
+                with pytest.raises(ValueError):
+                    naive_paths(q, x, y, longest - 1)
+            assert list(q.paths_between(x, y)) == want
+            assert list(fresh.paths_between(x, y, cap=longest)) == want
+            if longest:
+                with pytest.raises(ValueError, match="hop budget"):
+                    q.paths_between(x, y, cap=longest - 1)
+
+
+@st.composite
+def acyclic_quivers(draw):
+    """Arrows i -> j with i < j, repeats allowed, as (n, arrow list)."""
+    n = draw(st.integers(2, 6))
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                    unique=True).map(sorted)
+    return n, draw(st.lists(pair, max_size=12))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(acyclic_quivers())
+def test_finite_paths_equal_naive_enumeration(spec):
+    n, arrows = spec
+    q, fresh = (FiniteQuiver.build(range(n), arrows) for _ in range(2))
+    check_exact_paths(q, fresh, range(n))
+    check_exact_paths(q.opposite(), fresh.opposite(), range(n))
+
+
+PRESET_GRIDS = {
+    "line": range(-4, 5),
+    "ray_in": range(0, 7),
+    "ray_out": range(0, 7),
+    "zigzag": range(0, 7),
+    "ladder": [(t, k) for t in "ab" for k in range(5)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_GRIDS))
+def test_preset_paths_equal_naive_enumeration(name):
+    q, fresh = ak.PRESETS[name](), ak.PRESETS[name]()
+    check_exact_paths(q, fresh, PRESET_GRIDS[name])
+    check_exact_paths(q.opposite(), fresh.opposite(), PRESET_GRIDS[name])
