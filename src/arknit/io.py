@@ -17,7 +17,8 @@ from .rep import (PathMatrix, Rep, RungFamily, classify_membership,
                   restrict, simple_at, thin_rep, zero_rep)
 
 SCHEMA = "arknit/1"
-# P(1) on the linear quiver of n vertices holds n^2/2 arrows in its bases
+# P(1) or I(n) on the linear quiver of n vertices holds n^2/2 arrows in its
+# bases; `member` on either peaks near 55 MB of RSS at n = 3000
 MAX_LINEAR_N = 3000
 
 

@@ -11,8 +11,10 @@ the ladder, and arbitrary labels for finite quivers.  All enumerations sort
 by vkey so results are deterministic.
 
 Each quiver instance memoizes its path bases x ~> y (immutable tuples, built
-from the bases at the sources of the arrows into y) and, if finite, the
-descendant set of each source; opposite() is one instance per quiver.
+from the bases x ~> u of the arrows' sources u into y, or u ~> y of their
+targets out of x, whichever end the caller's queries share) and, if finite,
+the descendant or ancestor set of that end; opposite() is one instance per
+quiver.
 """
 from __future__ import annotations
 
@@ -68,6 +70,10 @@ class Path:
 
     def __lt__(self, other):
         return self.key() < other.key()
+
+
+_HOP_BUDGET = ("path search exceeded hop budget; "
+               "interval-finiteness violated or cap too small")
 
 
 class QuiverBase:
@@ -127,42 +133,73 @@ class QuiverBase:
     def _pathlen_cap(self, x, y) -> int:
         return 10 * 16
 
-    def paths_between(self, x, y, cap: Optional[int] = None) -> tuple:
-        """All paths x ~> y, canonically ordered (trivial path first)."""
+    def paths_between(self, x, y, cap: Optional[int] = None,
+                      fixed: str = "src") -> tuple:
+        """All paths x ~> y, canonically ordered (trivial path first).
+
+        fixed names the end that the caller's queries share: "src" memoizes
+        the bases x ~> u on the way (P(x) at each vertex), "dst" the bases
+        u ~> y (I(y) at each vertex), so a sweep holds each path once."""
+        if cap is None:
+            cap = self._pathlen_cap(x, y)
         key = ("paths", x, y)
         if key not in self._memo:
             if not (self.contains(x) and self.contains(y)):
                 raise ValueError(f"vertex outside quiver: {x!r} or {y!r}")
-            self._fill_paths(x, y)
+            self._fill_paths(x, y, cap, fixed == "dst")
         basis, longest = self._memo[key]
-        if basis and longest > (self._pathlen_cap(x, y) if cap is None else cap):
-            raise ValueError("path search exceeded hop budget; "
-                             "interval-finiteness violated or cap too small")
+        if basis and longest > cap:
+            raise ValueError(_HOP_BUDGET)
         return basis
 
-    def _fill_paths(self, x, y):
-        """Memoize (basis, longest length) for x ~> u, u = y and each missing
-        u on the way: the trivial path if u = x, plus each path x ~> a.src then
-        a, over the arrows a into u whose source x reaches.  The work stack
-        finishes those sources before u, so long chains need no recursion."""
-        memo = self._memo
-        todo = [(y, None)]
+    def _fill_paths(self, x, y, cap, from_dst):
+        """Memoize (basis, longest length) of x ~> y and of each missing basis
+        on the way that shares its fixed end.  From x: x ~> u is the trivial
+        path if u = x, plus each path x ~> a.src then a, over the arrows a
+        into u whose source x reaches.  From y, mirrored: u ~> y from the
+        arrows out of u whose target reaches y.  The work stack finishes
+        those neighbours before u, so long chains need no recursion.  Each
+        item carries its number of hops from the queried end, a lower bound
+        on the length of some path x ~> y, so a cycle or an unbounded
+        interval stops at the cap before any basis is built."""
+        memo, reach = self._memo, self._reach_test(y if from_dst else x, from_dst)
+        todo = [(x if from_dst else y, 0, None)]
         while todo:
-            u, arrows = todo.pop()
-            if ("paths", x, u) in memo:
+            u, hops, arrows = todo.pop()
+            key = ("paths", u, y) if from_dst else ("paths", x, u)
+            if key in memo:
                 continue
+            if hops > cap:
+                raise ValueError(_HOP_BUDGET)
             if arrows is None:
-                arrows = [a for a in self.in_arrows(u) if self.reaches(x, a.src)]
-                todo += [(u, arrows)] + [(a.src, None) for a in arrows]
+                if from_dst:
+                    arrows = [a for a in self.out_arrows(u) if reach(a.dst)]
+                    near = [(a.dst, hops + 1, None) for a in arrows]
+                else:
+                    arrows = [a for a in self.in_arrows(u) if reach(a.src)]
+                    near = [(a.src, hops + 1, None) for a in arrows]
+                todo += [(u, hops, arrows)] + near
                 continue
-            paths = [Path(x, x)] if u == x else []
-            for a in arrows:
-                paths += [Path(x, u, p.arrows + (a,))
-                          for p in memo["paths", x, a.src][0]]
+            if from_dst:
+                paths = [Path(y, y)] if u == y else []
+                for a in arrows:
+                    paths += [Path(u, y, (a,) + p.arrows)
+                              for p in memo["paths", a.dst, y][0]]
+            else:
+                paths = [Path(x, x)] if u == x else []
+                for a in arrows:
+                    paths += [Path(x, u, p.arrows + (a,))
+                              for p in memo["paths", x, a.src][0]]
             if len(paths) > 1:
                 paths.sort(key=Path.key)
-            memo["paths", x, u] = (tuple(paths),
-                                   max((p.length for p in paths), default=0))
+            memo[key] = (tuple(paths),
+                         max((p.length for p in paths), default=0))
+
+    def _reach_test(self, v, backward):
+        """Predicate w -> (v reaches w), or (w reaches v) if backward."""
+        if backward:
+            return lambda w: self.reaches(w, v)
+        return lambda w: self.reaches(v, w)
 
     def has_left_infinite_path(self) -> bool:
         return any(r.kind == "I" for e in self.ends() for r in e.rays)
@@ -315,10 +352,13 @@ class FiniteQuiver(QuiverBase):
         return seen
 
     def reaches(self, x, y):
-        key = ("descendants", x)
+        return self._reach_test(x, False)(y)
+
+    def _reach_test(self, v, backward):
+        key = ("ancestors" if backward else "descendants", v)
         if key not in self._memo:
-            self._memo[key] = frozenset(self._walk((x,), True))
-        return y in self._memo[key]
+            self._memo[key] = frozenset(self._walk((v,), not backward))
+        return self._memo[key].__contains__
 
     def _pathlen_cap(self, x, y):
         return len(self.vertices) + 1
@@ -692,6 +732,9 @@ class OppositeQuiver(QuiverBase):
 
     def reaches(self, x, y):
         return self.base.reaches(y, x)
+
+    def _reach_test(self, v, backward):
+        return self.base._reach_test(v, not backward)
 
     def opposite(self):
         return self.base

@@ -153,7 +153,7 @@ def inj_sum_basis(q: QuiverBase, verts: Sequence, v) -> list:
     """Basis of (⊕_i I_{verts[i]})(v): pairs (i, path v ~> verts[i])."""
     out = []
     for i, a in enumerate(verts):
-        for p in q.paths_between(v, a):
+        for p in q.paths_between(v, a, fixed="dst"):
             out.append((i, p))
     return out
 
@@ -311,7 +311,7 @@ class InjRep(Rep):
         self.vertex = a
 
     def basis(self, v) -> tuple:
-        return self.quiver.paths_between(v, self.vertex)
+        return self.quiver.paths_between(v, self.vertex, fixed="dst")
 
     def _dim_at(self, v):
         return len(self.basis(v))

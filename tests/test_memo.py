@@ -158,22 +158,38 @@ def test_separately_built_quivers_share_no_memo():
     assert q2.opposite() is not q1.opposite()
 
 
-def test_long_chain_reads_in_arrows_linearly(monkeypatch):
+def held_arrows(q) -> int:
+    """Arrows held by the path bases in q's memo."""
+    return sum(len(p.arrows) for k, v in q._memo.items()
+               if isinstance(k, tuple) and k[0] == "paths" for p in v[0])
+
+
+@pytest.mark.parametrize("side, opposite", [
+    ("proj", False), ("inj", False), ("proj", True), ("inj", True)])
+def test_long_chain_sweep_holds_each_path_once(monkeypatch, side, opposite):
+    """P(first) or I(last) at every vertex of a 2000-vertex chain: each basis
+    on the way is built once from its neighbour and shares the fixed end, so
+    the memo holds n^2/2 arrows (one path per vertex), not the n^3/6 of one
+    memoized basis per (start, end) pair on the way."""
     n = 2000
-    q = ak.linear_quiver(n)
+    base = ak.linear_quiver(n)
+    q = base.opposite() if opposite else base
+    first, last = (n, 1) if opposite else (1, n)
     reads = []
-    in_arrows = FiniteQuiver.in_arrows
-
-    def counting(self, v):
-        reads.append(v)
-        return in_arrows(self, v)
-
-    monkeypatch.setattr(FiniteQuiver, "in_arrows", counting)
-    p1 = ak.projective_at(q, 1)
-    assert p1.dim(n) == 1  # the deepest basis first: no recursion limit
-    assert [p1.dim(v) for v in q.vertices] == [1] * n
-    assert len(p1.basis(n)[0].arrows) == n - 1
+    for name in ("in_arrows", "out_arrows"):
+        def counting(self, v, read=getattr(FiniteQuiver, name)):
+            reads.append(v)
+            return read(self, v)
+        monkeypatch.setattr(FiniteQuiver, name, counting)
+    m = ak.projective_at(q, first) if side == "proj" else \
+        ak.injective_at(q, last)
+    far = last if side == "proj" else first
+    assert m.dim(far) == 1  # the deepest basis first: no recursion limit
+    assert [m.dim(v) for v in base.vertices] == [1] * n
+    assert len(m.basis(far)[0].arrows) == n - 1
     assert len(reads) <= 2 * n
+    assert held_arrows(q) == n * (n - 1) // 2
+    assert held_arrows(base if opposite else base.opposite()) == 0
 
 
 # ---------------------------------------------------------------------------

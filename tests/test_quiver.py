@@ -1,11 +1,12 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arknit as ak
-from arknit.quiver import (Arrow, FiniteQuiver, Path, VertexSet,
+from arknit.quiver import (Arrow, FiniteQuiver, Path, QuiverBase, VertexSet,
                            classify_subquiver)
 
 
@@ -173,25 +174,27 @@ def naive_paths(q, x, y, cap):
     return out
 
 
-def check_exact_paths(q, fresh, grid):
+def check_exact_paths(q, fresh, grid, fixed):
     """paths_between on q equals the naive list for every pair in grid, and
     both raise for a cap one below the longest path.  q answers the small
     cap from its memo; fresh (an equal, separately built quiver) meets the
-    small cap first."""
+    small cap first.  fixed is passed through: the bases are the same
+    whichever end the memo shares."""
     for x in grid:
         for y in grid:
             want = naive_paths(q, x, y, q._pathlen_cap(x, y))
             longest = max((p.length for p in want), default=0)
             if longest:
                 with pytest.raises(ValueError, match="hop budget"):
-                    fresh.paths_between(x, y, cap=longest - 1)
+                    fresh.paths_between(x, y, cap=longest - 1, fixed=fixed)
                 with pytest.raises(ValueError):
                     naive_paths(q, x, y, longest - 1)
-            assert list(q.paths_between(x, y)) == want
-            assert list(fresh.paths_between(x, y, cap=longest)) == want
+            assert list(q.paths_between(x, y, fixed=fixed)) == want
+            assert list(fresh.paths_between(x, y, cap=longest,
+                                            fixed=fixed)) == want
             if longest:
                 with pytest.raises(ValueError, match="hop budget"):
-                    q.paths_between(x, y, cap=longest - 1)
+                    q.paths_between(x, y, cap=longest - 1, fixed=fixed)
 
 
 @st.composite
@@ -204,12 +207,12 @@ def acyclic_quivers(draw):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(acyclic_quivers())
-def test_finite_paths_equal_naive_enumeration(spec):
+@given(acyclic_quivers(), st.sampled_from(["src", "dst"]))
+def test_finite_paths_equal_naive_enumeration(spec, fixed):
     n, arrows = spec
     q, fresh = (FiniteQuiver.build(range(n), arrows) for _ in range(2))
-    check_exact_paths(q, fresh, range(n))
-    check_exact_paths(q.opposite(), fresh.opposite(), range(n))
+    check_exact_paths(q, fresh, range(n), fixed)
+    check_exact_paths(q.opposite(), fresh.opposite(), range(n), fixed)
 
 
 PRESET_GRIDS = {
@@ -221,8 +224,44 @@ PRESET_GRIDS = {
 }
 
 
+@pytest.mark.parametrize("fixed", ["src", "dst"])
 @pytest.mark.parametrize("name", sorted(PRESET_GRIDS))
-def test_preset_paths_equal_naive_enumeration(name):
+def test_preset_paths_equal_naive_enumeration(name, fixed):
     q, fresh = ak.PRESETS[name](), ak.PRESETS[name]()
-    check_exact_paths(q, fresh, PRESET_GRIDS[name])
-    check_exact_paths(q.opposite(), fresh.opposite(), PRESET_GRIDS[name])
+    check_exact_paths(q, fresh, PRESET_GRIDS[name], fixed)
+    check_exact_paths(q.opposite(), fresh.opposite(), PRESET_GRIDS[name],
+                      fixed)
+
+
+@dataclass(frozen=True)
+class TwoCycle(QuiverBase):
+    """0 <-> 1: not interval-finite, every path search must stop."""
+
+    def contains(self, v):
+        return v in (0, 1)
+
+    def out_arrows(self, v):
+        return [Arrow(v, 1 - v, f"{v}>{1 - v}")]
+
+    def in_arrows(self, v):
+        return [Arrow(1 - v, v, f"{1 - v}>{v}")]
+
+    def reaches(self, x, y):
+        return True
+
+
+def stored_bases(q) -> int:
+    return sum(isinstance(k, tuple) and k[0] == "paths" for k in q._memo)
+
+
+@pytest.mark.parametrize("fixed", ["src", "dst"])
+def test_path_search_stops_at_the_hop_budget(fixed):
+    # the budget bounds the walk itself: it stops before storing a basis
+    line, q = ak.PRESETS["line"](), TwoCycle()
+    with pytest.raises(ValueError, match="hop budget"):
+        line.paths_between(100, 0, cap=5, fixed=fixed)
+    assert stored_bases(line) == 0
+    assert len(line.paths_between(100, 0, fixed=fixed)[0].arrows) == 100
+    with pytest.raises(ValueError, match="hop budget"):
+        q.paths_between(0, 1, fixed=fixed)
+    assert stored_bases(q) == 0
