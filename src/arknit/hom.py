@@ -14,7 +14,7 @@ so bases from different routes can be compared and composed freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .linalg import (Mat, block_matrix, inverse, kernel_basis, min_poly,
@@ -294,6 +294,11 @@ class EndAlgebra:
     window: tuple
     notes: dict
 
+    @cached_property
+    def idempotent(self):
+        """A nontrivial idempotent (coords), or None; searched once."""
+        return _find_idempotent(self)
+
 
 def _flatten(comps, verts):
     out = []
@@ -366,7 +371,7 @@ def end_algebra(m: Rep, budget: Optional[int] = None) -> EndAlgebra:
     if F.char == 0:
         alg.is_local = (n - len(radical) == 1)
     else:
-        alg.is_local = _find_idempotent(alg) is None
+        alg.is_local = alg.idempotent is None
     return alg
 
 
@@ -451,35 +456,28 @@ def _candidate_elements(E: EndAlgebra):
 
 def _find_idempotent(E: EndAlgebra):
     """A nontrivial idempotent (coords) via minimal polynomial splitting,
-    searched over a deterministic candidate list; None if not found."""
+    searched over a deterministic candidate list; None if not found, or if
+    a minimal polynomial over Q is too costly to factor (poly.factor)."""
     F = E.obj.field
     for cand in _candidate_elements(E):
         if _is_multiple_of(F, cand, E.identity):
             continue
-        import sympy  # loaded only when a minimal polynomial is factored
-        x = sympy.Symbol("x")
-        dom = {"modulus": F.char} if F.char != 0 else {"domain": sympy.QQ}
+        # imported here, so processes that never factor do not compile it
+        from . import poly
         mp = min_poly(_left_mult_matrix(E, cand))
-        coeffs_high = [sympy.Rational(c) if F.char == 0 else int(c)
-                       for c in reversed(mp)]
-        P = sympy.Poly(coeffs_high, x, **dom)
-        factors = P.factor_list()[1]
+        factors = poly.factor(F, mp)
+        if factors is None:
+            return None
         if len(factors) < 2:
             continue
+        # the polynomial that is 1 mod f0^e0 and 0 mod the cofactor g
         f0, e0 = factors[0]
-        m0 = f0 ** e0
-        g = P.div(m0)[0]
-        s, _, h = g.gcdex(m0)
-        if not h.is_one:
-            continue
-        idem_poly = (s * g).rem(P)
-        lows = list(reversed(idem_poly.all_coeffs()))
-        if F.char == 0:
-            coeffs = [F.of(Fraction(int(sympy.Rational(c).p),
-                                    int(sympy.Rational(c).q))) for c in lows]
-        else:
-            coeffs = [F.of(int(c) % F.char) for c in lows]
-        idem = _eval_alg_poly(E, coeffs, cand)
+        m0 = f0
+        for _ in range(e0 - 1):
+            m0 = poly.mul(F, m0, f0)
+        g = poly.div(F, mp, m0)[0]
+        s = poly.gcdex(F, g, m0)[0]
+        idem = _eval_alg_poly(E, poly.div(F, poly.mul(F, s, g), mp)[1], cand)
         if all(F.is_zero(c) for c in idem):
             continue
         if idem == E.identity:
@@ -592,7 +590,7 @@ def _decompose_rec(m: Rep, incl: Morphism, proj: Morphism, budget, out,
     if E.dimension == 1:
         out.append(Summand(m, incl, proj, False))
         return
-    ec = _find_idempotent(E)
+    ec = E.idempotent
     if ec is None:
         out.append(Summand(m, incl, proj, not E.is_local))
         return

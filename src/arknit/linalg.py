@@ -125,8 +125,8 @@ class Mat:
         return all(F.is_zero(x) for r in self.entries for x in r)
 
     def transpose(self) -> "Mat":
-        return Mat(self.field, self.cols, self.rows,
-                   tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)))
+        cols = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return Mat(self.field, self.cols, self.rows, cols)
 
     def add(self, other: "Mat") -> "Mat":
         F = self.field
@@ -394,15 +394,8 @@ def min_poly(m: Mat) -> tuple:
         A = Mat(F, len(stack), n * n, tuple(stack))
         k = kernel_basis(A.transpose())
         if k.cols > 0:
-            # first dependency: normalize so the top (highest power) coeff is 1
-            vec = [k.entries[i][0] for i in range(k.rows)]
-            top = vec[-1]
-            if F.is_zero(top):
-                # canonical kernel basis puts 1 at the free coordinate; retry trimmed
-                stack.pop()
-                power = power.mul(m)
-                continue
-            inv = F.inv(top)
-            return tuple(F.mul(inv, c) for c in vec)
+            # the earlier powers are independent, so the one kernel vector
+            # has its free coordinate, the top power, equal to 1
+            return k.col(0)
         power = power.mul(m)
     raise RuntimeError("min_poly did not terminate")

@@ -329,7 +329,10 @@ class FiniteQuiver(QuiverBase):
         return FiniteQuiver(vs, tuple(sorted(out)))
 
     def contains(self, v):
-        return v in self.vertices
+        try:
+            return v in self._outs
+        except TypeError:  # an unhashable id is no vertex
+            return False
 
     def out_arrows(self, v):
         return list(self._outs.get(v, ()))

@@ -108,20 +108,20 @@ class PathMatrix:
         sum_basis = proj_sum_basis if proj else inj_sum_basis
         dom_b = sum_basis(q, self.domain, v)
         cod_b = sum_basis(q, self.codomain, v)
-        index = {(j, p.key()): r for r, (j, p) in enumerate(cod_b)}
+        index = {(j, p.arrows): r for r, (j, p) in enumerate(cod_b)}
         rows = [[F.zero] * len(dom_b) for _ in cod_b]
         for c, (i, p) in enumerate(dom_b):
             for j in range(len(self.codomain)):
                 for (coeff, e) in self.entries[j][i]:
                     if proj:
-                        tgt = e.then(p)  # codomain[j] ~> domain[i] ~> v
+                        tgt = e.then(p).arrows  # codomain[j] ~> domain[i] ~> v
                     else:
                         # strip the suffix e: p = r . e with r: v ~> codomain[j]
                         k = len(p.arrows) - len(e.arrows)
                         if k < 0 or p.arrows[k:] != e.arrows:
                             continue
-                        tgt = Path(v, self.codomain[j], p.arrows[:k])
-                    r = index[(j, tgt.key())]
+                        tgt = p.arrows[:k]
+                    r = index[(j, tgt)]
                     rows[r][c] = F.add(rows[r][c], F.of(coeff))
         return Mat(F, len(cod_b), len(dom_b), tuple(tuple(r) for r in rows))
 
@@ -189,11 +189,14 @@ class Rep:
 
     # -- evaluation --
     def dim(self, v) -> int:
-        if not self.quiver.contains(v):
-            raise EvalRangeError(f"vertex {v!r} outside the quiver")
-        if v not in self._dims:
-            self._dims[v] = self._dim_at(v)
-        return self._dims[v]
+        try:
+            return self._dims[v]  # a cached vertex was checked on first use
+        except (KeyError, TypeError):
+            if not self.quiver.contains(v):
+                raise EvalRangeError(f"vertex {v!r} outside the quiver") \
+                    from None
+        d = self._dims[v] = self._dim_at(v)
+        return d
 
     def mat(self, a: Arrow) -> Mat:
         if a not in self._mats:
@@ -287,10 +290,10 @@ class ProjRep(Rep):
     def _mat_at(self, a):
         F = self.field
         bu, bw = self.basis(a.src), self.basis(a.dst)
-        index = {p.key(): r for r, p in enumerate(bw)}
+        index = {p.arrows: r for r, p in enumerate(bw)}
         rows = [[F.zero] * len(bu) for _ in range(len(bw))]
         for c, p in enumerate(bu):
-            rows[index[Path(p.src, a.dst, p.arrows + (a,)).key()]][c] = F.one
+            rows[index[p.arrows + (a,)]][c] = F.one
         return Mat(F, len(bw), len(bu), tuple(tuple(r) for r in rows))
 
     def support(self):
@@ -323,11 +326,11 @@ class InjRep(Rep):
     def _mat_at(self, a):
         F = self.field
         bu, bw = self.basis(a.src), self.basis(a.dst)
-        index = {p.key(): r for r, p in enumerate(bw)}
+        index = {p.arrows: r for r, p in enumerate(bw)}
         rows = [[F.zero] * len(bu) for _ in range(len(bw))]
         for c, p in enumerate(bu):
             if p.arrows and p.arrows[0] == a:
-                rows[index[Path(a.dst, p.dst, p.arrows[1:]).key()]][c] = F.one
+                rows[index[p.arrows[1:]]][c] = F.one
         return Mat(F, len(bw), len(bu), tuple(tuple(r) for r in rows))
 
     def support(self):

@@ -272,3 +272,24 @@ def test_empty_and_zero_matrices(F):
         assert z.mul(Mat.zeros(F, cols, 4)).entries == \
             Mat.zeros(F, rows, 4).entries
     assert inverse(Mat.zeros(F, 0, 0)).entries == ()
+
+
+@PROPERTY
+@given(st.data())
+def test_min_poly_is_the_first_dependency_among_powers(data):
+    # p(m) = 0 with p monic of degree d, and I, m, ..., m^(d-1) independent
+    F = data.draw(st.sampled_from((QQ, GF(7))))
+    n = data.draw(st.integers(0, 4))
+    m = data.draw(matrices(F, rows=n, cols=n))
+    coeffs = min_poly(m)
+    d = len(coeffs) - 1
+    assert coeffs[-1] == 1 and all(_entry_ok(F, c) for c in coeffs)
+    powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    for _ in range(d):
+        powers.append(naive_mul(Mat(F, n, n, tuple(map(tuple, powers[-1]))), m))
+    value = [[_reduce(F, sum(c * pk[i][j] for c, pk in zip(coeffs, powers)))
+              for j in range(n)] for i in range(n)]
+    assert all(x == 0 for row in value for x in row)
+    flat = Mat(F, d, n * n, tuple(tuple(F.of(x) for row in pk for x in row)
+                                  for pk in powers[:d]))
+    assert naive_rank(flat) == d

@@ -45,6 +45,12 @@ def test_finite_paths_match_a_path_count():
                 assert len(q.opposite().paths_between(y, x)) == count[y]
 
 
+def test_finite_contains_is_membership_and_rejects_unhashable_ids(a3):
+    assert all(a3.contains(v) for v in (1, 2, 3))
+    assert not a3.contains(0) and not a3.contains("1")
+    assert not a3.contains([1]) and not a3.contains({"v": 1})
+
+
 def test_finite_quiver_rejects_cycles():
     with pytest.raises(ValueError):
         FiniteQuiver.build([1, 2], [(1, 2), (2, 1)])
