@@ -6,7 +6,7 @@ kernels, cokernels, translates and almost split sequences stay computable.
 from .linalg import GF, QQ, Field, Mat
 from .quiver import (Arrow, End, FiniteQuiver, OppositeQuiver, PRESETS, Path,
                      QuiverBase, SubquiverClass, VertexSet, classify_subquiver,
-                     closure, kronecker_quiver, linear_quiver, vkey)
+                     kronecker_quiver, linear_quiver, vkey)
 from .rep import (BudgetError, DEFAULT_BUDGET, EvalRangeError, PathMatrix,
                   PFIDecomposition, Rep, RepClassCertificate, RungFamily,
                   classify_membership, coker_proj, dim_vector, direct_sum,
@@ -35,12 +35,6 @@ from .ar import (ARComponent, ARNode, ASReport, ShapeHypothesis,
                  verify_almost_split)
 from .io import (ParseError, SCHEMA, component_dot, component_json,
                  emit_quiver, emit_rep, parse_field, parse_quiver, parse_rep)
-
-
-def glue(sub, quot, cocycle=(), families=()):
-    """Extension of quot by sub from an explicit cocycle; returns the glued
-    object together with its defining short exact sequence."""
-    return glue_ses(sub, quot, cocycle, families)
 
 
 __all__ = [n for n in dir() if not n.startswith("_")]

@@ -50,7 +50,7 @@ def _load_spec(text: str, what: str):
     return obj
 
 
-def _common(p, rep_args=()):
+def _common(p, rep_args=(), radius=False):
     p.add_argument("--quiver", required=True,
                    help="quiver spec: inline JSON or a file path")
     for name, hlp in rep_args:
@@ -59,10 +59,10 @@ def _common(p, rep_args=()):
                    help="QQ (default) or a prime p for GF(p)")
     p.add_argument("--budget", type=int, default=None,
                    help="stabilization budget (env ARKNIT_BUDGET)")
-    p.add_argument("--radius", type=int, default=2,
-                   help="display window radius for dimension snapshots")
+    if radius:
+        p.add_argument("--radius", type=int, default=2,
+                       help="display window radius for dimension snapshots")
     p.add_argument("--out", default="-", help="output file, - for stdout")
-    p.add_argument("--format", choices=("json", "dot"), default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     _common(sub.add_parser("quiver", help="inspect a quiver"))
     _common(sub.add_parser("rep", help="parse and classify a representation"),
-            [("rep", "representation spec")])
+            [("rep", "representation spec")], radius=True)
     _common(sub.add_parser("member", help="class membership verdict"),
             [("rep", "representation spec")])
     _common(sub.add_parser("hom", help="Hom space between two objects"),
@@ -82,16 +82,17 @@ def build_parser() -> argparse.ArgumentParser:
     _common(sub.add_parser("ext", help="Ext classes 0 -> sub -> E -> quot -> 0"),
             [("quot", "quotient term spec"), ("sub", "sub term spec")])
     t = sub.add_parser("tau", help="translate of an object")
-    _common(t, [("rep", "representation spec")])
+    _common(t, [("rep", "representation spec")], radius=True)
     t.add_argument("--inverse", action="store_true",
                    help="apply the inverse translate")
     a = sub.add_parser("ass", help="almost split sequence ending at an object")
-    _common(a, [("rep", "representation spec")])
+    _common(a, [("rep", "representation spec")], radius=True)
     a.add_argument("--no-verify", action="store_true",
                    help="skip the lifting/factoring battery")
     k = sub.add_parser("knit", help="grow the AR component of a seed")
     _common(k, [("seed", "seed representation spec")])
     k.add_argument("--depth", type=int, default=4)
+    k.add_argument("--format", choices=("json", "dot"), default="json")
     c = sub.add_parser("classify", help="classify the AR component of a seed")
     _common(c, [("seed", "seed representation spec")])
     c.add_argument("--depth", type=int, default=4)
@@ -141,10 +142,10 @@ def run(args) -> dict | str:
         except ValueError:
             raise ParseError("/budget", "ARKNIT_BUDGET must be an integer, "
                                         f"got {env_budget!r}") from None
-    depth = getattr(args, "depth", None)
     for name, value, cap in (("budget", budget, MAX_BUDGET),
-                             ("depth", depth, MAX_DEPTH),
-                             ("radius", args.radius, MAX_RADIUS)):
+                             ("depth", getattr(args, "depth", None), MAX_DEPTH),
+                             ("radius", getattr(args, "radius", None),
+                              MAX_RADIUS)):
         if value is not None and value < 0:
             raise ParseError(f"/{name}", f"must be >= 0, got {value}")
         if value is not None and value > cap:

@@ -6,9 +6,11 @@ For objects X (quotient side) and Y (sub side) the complex
     C1 = sum over arrows a of Hom(X(src a), Y(dst a))
     d(f)_a = Y(a) f_src - f_dst X(a)
 
-has cokernel Ext(X, Y); only vertices and arrows where both evaluations are
-nonzero contribute.  When the contributing arrow set is provably finite the
-answer is exact; otherwise the result is computed on a window and flagged.
+has kernel Hom(X, Y) and cokernel Ext(X, Y) (Ringel, LNM 1099).  hom.py
+takes the kernel on a window; here only vertices and arrows where both
+evaluations are nonzero contribute to the cokernel.  When the contributing
+arrow set is provably finite the answer is exact; otherwise the result is
+computed on a window and flagged.
 """
 from __future__ import annotations
 
@@ -22,8 +24,53 @@ from .presentations import min_proj_presentation, relation_matrix
 from .rep import BudgetError, Rep, RungFamily, classify_membership
 
 
+def arrow_complex(x: Rep, y: Rep, verts, arrows):
+    """(d, offsets): the differential C0 -> C1 on verts and arrows.
+
+    Column offsets[v] + r * x.dim(v) + c is entry (r, c) of f_v, for v in
+    verts; row (a, r, c), in the order of arrows, is entry (r, c) of d(f)_a.
+    A vertex outside verts contributes nothing.
+    """
+    F = x.field
+    offsets, total = {}, 0
+    for v in verts:
+        offsets[v] = total
+        total += y.dim(v) * x.dim(v)
+    rows = []
+    for a in arrows:
+        Ya, Xa = y.mat(a), x.mat(a)
+        sx, dx = x.dim(a.src), x.dim(a.dst)
+        for r in range(Ya.rows):
+            for c in range(sx):
+                row = [F.zero] * total
+                if a.src in offsets:
+                    base = offsets[a.src] + c
+                    for k, val in enumerate(Ya.entries[r]):
+                        if not F.is_zero(val):
+                            row[base + k * sx] = F.add(row[base + k * sx], val)
+                if a.dst in offsets:
+                    base = offsets[a.dst] + r * dx
+                    for k in range(dx):
+                        val = Xa.entries[k][c]
+                        if not F.is_zero(val):
+                            row[base + k] = F.sub(row[base + k], val)
+                rows.append(tuple(row))
+    return Mat(F, len(rows), total, tuple(rows)), offsets
+
+
 def _stable_depth(certs) -> int:
     return max([p.cutoff for c in certs for p in c.profiles], default=0) + 2
+
+
+def _arrows_at_depth(q, t) -> list:
+    """Each end's band arrows and crossing arrows at depth t, sorted per end:
+    the arrows whose behaviour repeats at every depth >= t."""
+    out = []
+    for end in q.ends():
+        cands = set(end.band_arrows(t))
+        cands.update(end.crossing_arrow(cid, t) for (cid, _, _) in end.crossings)
+        out.extend(sorted(cands))
+    return out
 
 
 def _interaction(x: Rep, y: Rep, certx, certy):
@@ -44,18 +91,12 @@ def _interaction(x: Rep, y: Rep, certx, certy):
             if y.dim(a.dst) > 0:
                 arrows.append(a)
     arrows = sorted(set(arrows))
-    families = []
     t = depth + 1
-    for end in q.ends():
-        cands = list(end.band_arrows(t))
-        for (cid, _, _) in end.crossings:
-            cands.append(end.crossing_arrow(cid, t))
-        for a in sorted(set(cands)):
-            if x.dim(a.src) > 0 and y.dim(a.dst) > 0:
-                families.append(
-                    f"{q.vertex_str(a.src)}->{q.vertex_str(a.dst)} "
-                    f"repeating for depth >= {t}")
-    return vs, arrows, tuple(families), depth
+    families = tuple(f"{q.vertex_str(a.src)}->{q.vertex_str(a.dst)} "
+                     f"repeating for depth >= {t}"
+                     for a in _arrows_at_depth(q, t)
+                     if x.dim(a.src) > 0 and y.dim(a.dst) > 0)
+    return vs, arrows, families, depth
 
 
 @dataclass
@@ -92,56 +133,19 @@ def ext_space(x: Rep, y: Rep, budget: Optional[int] = None) -> ExtClassBasis:
     F = x.field
     vs, arrows, families, depth = _interaction(x, y, certx, certy)
 
-    c0_layout, c0_off = [], {}
-    for v in vs:
-        c0_off[v] = len(c0_layout)
-        for r in range(y.dim(v)):
-            for c in range(x.dim(v)):
-                c0_layout.append((v, r, c))
-    c1_layout, c1_off = [], {}
-    for a in arrows:
-        c1_off[a] = len(c1_layout)
-        for r in range(y.dim(a.dst)):
-            for c in range(x.dim(a.src)):
-                c1_layout.append((a, r, c))
-
-    rows = []
-    vset = set(vs)
-    for a in arrows:
-        Ya, Xa = y.mat(a), x.mat(a)
-        sx, dx = x.dim(a.src), x.dim(a.dst)
-        sy_, dy = y.dim(a.src), y.dim(a.dst)
-        for r in range(dy):
-            for c in range(sx):
-                row = [F.zero] * len(c0_layout)
-                if a.src in vset:
-                    base = c0_off[a.src]
-                    for k in range(sy_):
-                        val = Ya.entries[r][k]
-                        if not F.is_zero(val):
-                            row[base + k * sx + c] = F.add(
-                                row[base + k * sx + c], val)
-                if a.dst in vset:
-                    base = c0_off[a.dst]
-                    for k in range(dx):
-                        val = Xa.entries[k][c]
-                        if not F.is_zero(val):
-                            idx = base + r * dx + k
-                            row[idx] = F.sub(row[idx], val)
-                rows.append(tuple(row))
-    # rows are indexed by C1 coordinates, columns by C0: this is d itself
-    d = Mat(F, len(rows), len(c0_layout), tuple(rows))
+    d, _ = arrow_complex(x, y, vs, arrows)
+    c1_layout = tuple((a, r, c) for a in arrows
+                      for r in range(y.dim(a.dst)) for c in range(x.dim(a.src)))
     P, free = coker_projection(d)
     basis = []
     for fr in free:
         a, r, c = c1_layout[fr]
-        m = Mat.zeros(F, y.dim(a.dst), x.dim(a.src))
-        ent = [list(rw) for rw in m.entries]
-        ent[r][c] = F.one
-        basis.append({a: Mat(F, m.rows, m.cols, tuple(tuple(rw) for rw in ent))})
+        unit = [[F.zero] * x.dim(a.src) for _ in range(y.dim(a.dst))]
+        unit[r][c] = F.one
+        basis.append({a: Mat.from_rows(F, unit)})
     cert = {"vertices": len(vs), "arrows": len(arrows), "depth": depth}
     return ExtClassBasis(x, y, len(free), tuple(arrows), tuple(basis),
-                         bool(families), families, cert, P, tuple(c1_layout))
+                         bool(families), families, cert, P, c1_layout)
 
 
 def ext_class_to_ses(ecb: ExtClassBasis, coeffs) -> SES:
@@ -253,47 +257,26 @@ def is_finite_extension(ses: SES, budget: Optional[int] = None):
     for c in certs:
         region.update(c.support.members(depth))
 
-    eset, e_w = [], []
-    for v in sorted(region, key=vkey):
-        for a in q.out_arrows(v):
-            if _arrow_rep_zero(M, a):
-                continue
-            if _arrow_rep_zero(L, a) and _arrow_rep_zero(N, a):
-                eset.append(a)
-    t = depth + 1
-    for end in q.ends():
-        cands = list(end.band_arrows(t))
-        for (cid, _, _) in end.crossings:
-            cands.append(end.crossing_arrow(cid, t))
-        for a in sorted(set(cands)):
-            if (not _arrow_rep_zero(M, a)) and _arrow_rep_zero(L, a) \
-                    and _arrow_rep_zero(N, a):
-                e_w.append(f"{q.vertex_str(a.src)}->{q.vertex_str(a.dst)} "
-                           f"for all depths >= {t}")
+    def only_middle(a):   # nonzero in the middle, zero in both ends
+        return not _arrow_rep_zero(M, a) and _arrow_rep_zero(L, a) \
+            and _arrow_rep_zero(N, a)
 
-    gset, g_w = [], []
-    for v in sorted(region, key=vkey):
-        if N.dim(v) == 0:
-            continue
-        for a in q.out_arrows(v):
-            if L.dim(a.dst) == 0:
-                continue
-            c = ses.cocycle_at(a)
-            if c is not None and not c.is_zero():
-                gset.append(a)
-    for end in q.ends():
-        cands = list(end.band_arrows(t))
-        for (cid, _, _) in end.crossings:
-            cands.append(end.crossing_arrow(cid, t))
-        for a in sorted(set(cands)):
-            if N.dim(a.src) > 0 and L.dim(a.dst) > 0:
-                c = ses.cocycle_at(a)
-                if c is not None and not c.is_zero():
-                    g_w.append(f"{q.vertex_str(a.src)}->{q.vertex_str(a.dst)} "
-                               f"for all depths >= {t}")
+    def glued(a):         # a gluing arrow with a nonzero cocycle
+        if N.dim(a.src) == 0 or L.dim(a.dst) == 0:
+            return False
+        c = ses.cocycle_at(a)
+        return c is not None and not c.is_zero()
+
+    arrows = {a for v in region for a in q.out_arrows(v)
+              if only_middle(a) or glued(a)}
+    t = depth + 1
+    deep = _arrows_at_depth(q, t)
+    e_w, g_w = ([f"{q.vertex_str(a.src)}->{q.vertex_str(a.dst)} "
+                 f"for all depths >= {t}" for a in deep if test(a)]
+                for test in (only_middle, glued))
 
     rep = FiniteExtReport((not e_w) and (not g_w), not e_w, not g_w,
-                          tuple(sorted(set(eset) | set(gset))),
+                          tuple(sorted(arrows)),
                           tuple(sorted(set(e_w + g_w))))
     finite = rep.finite
     witness = rep.witness if not finite else rep.arrows

@@ -3,10 +3,12 @@
 Three finite routes to Hom(M, N):
   presentation    M finitely presented: kernel of the map between evaluation
                   sums induced by the relation matrix of M.
-  copresentation  N finitely copresented: the dual computation through the
-                  socle embedding of N.
-  window          both objects certified: naturality solve on a stabilized
-                  window, with a second solve one band deeper as certificate.
+  copresentation  N finitely copresented: the presentation route on the
+                  duals, Hom(M, N) = Hom(DN, DM) over the opposite quiver,
+                  transposed back.
+  window          both objects certified: the kernel of the arrow complex of
+                  ext.py on a stabilized window, with a second solve one band
+                  deeper as certificate.
 
 All routes return morphisms defined everywhere (rule or propagation based),
 so bases from different routes can be compared and composed freely.
@@ -17,15 +19,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .linalg import (Mat, block_matrix, inverse, kernel_basis, min_poly,
-                     rank, solve, solve_matrix)
+from .ext import arrow_complex
+from .linalg import (Mat, inverse, kernel_basis, min_poly, rank, solve,
+                     solve_matrix)
 from .morphism import Morphism, identity_morphism, zero_morphism
-from .presentations import (min_inj_copresentation, min_proj_presentation,
-                            relation_matrix)
+from .presentations import min_proj_presentation, relation_matrix
 from .quiver import vkey
 from .rep import (DEFAULT_BUDGET, BudgetError, ImageRep, Rep,
-                  classify_membership, dim_vector, inj_sum_basis,
-                  proj_sum_basis)
+                  classify_membership, dim_vector, dualize, proj_sum_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -56,42 +57,10 @@ def solve_natural(src: Rep, dst: Rep, verts, extra=()):
     F = src.field
     vs = sorted(set(verts), key=vkey)
     vset = set(vs)
-    offs, total = {}, 0
-    for v in vs:
-        offs[v] = total
-        total += dst.dim(v) * src.dim(v)
-    rows, rhs = [], []
-
-    def blank():
-        return [F.zero] * total
-
-    q = src.quiver
-    for u in vs:
-        for a in q.out_arrows(u):
-            if a.dst not in vset:
-                continue
-            A, B = dst.mat(a), src.mat(a)
-            su, sw = src.dim(a.src), src.dim(a.dst)
-            dw = dst.dim(a.dst)
-            for r in range(dw):
-                for c in range(su):
-                    row = blank()
-                    hit = False
-                    for k in range(A.cols):
-                        x = A.entries[r][k]
-                        if not F.is_zero(x):
-                            row[offs[a.src] + k * su + c] = F.add(
-                                row[offs[a.src] + k * su + c], x)
-                            hit = True
-                    for k in range(sw):
-                        x = B.entries[k][c]
-                        if not F.is_zero(x):
-                            idx = offs[a.dst] + r * sw + k
-                            row[idx] = F.sub(row[idx], x)
-                            hit = True
-                    if hit:
-                        rows.append(row)
-                        rhs.append(F.zero)
+    arrows = [a for u in vs for a in src.quiver.out_arrows(u) if a.dst in vset]
+    d, offs = arrow_complex(src, dst, vs, arrows)
+    rows = list(d.entries)
+    rhs = [F.zero] * d.rows
     for (v, A, B, R) in extra:
         if v not in vset:
             raise ValueError("constraint vertex outside the window")
@@ -100,20 +69,15 @@ def solve_natural(src: Rep, dst: Rep, verts, extra=()):
         B = Mat.identity(F, sd) if B is None else B
         for r in range(A.rows):
             for c in range(B.cols):
-                row = blank()
-                for k in range(dd):
-                    ar = A.entries[r][k]
-                    if F.is_zero(ar):
-                        continue
-                    for l in range(sd):
-                        bl = B.entries[l][c]
-                        if not F.is_zero(bl):
-                            idx = offs[v] + k * sd + l
-                            row[idx] = F.add(row[idx], F.mul(ar, bl))
-                rows.append(row)
+                # entry (r, c) of A f_v B: A[r][k] B[l][c] on entry (k, l)
+                row = [F.zero] * d.cols
+                row[offs[v]:offs[v] + dd * sd] = [
+                    F.mul(A.entries[r][k], B.entries[l][c])
+                    for k in range(dd) for l in range(sd)]
+                rows.append(tuple(row))
                 rhs.append(R.entries[r][c])
 
-    mat = Mat(F, len(rows), total, tuple(tuple(r) for r in rows))
+    mat = Mat(F, len(rows), d.cols, tuple(rows))
 
     def unflatten(vec):
         comps = {}
@@ -128,7 +92,7 @@ def solve_natural(src: Rep, dst: Rep, verts, extra=()):
     K = kernel_basis(mat)
     hom = [unflatten(K.col(j)) for j in range(K.cols)]
     if all(F.is_zero(x) for x in rhs):
-        part = unflatten([F.zero] * total)
+        part = unflatten([F.zero] * d.cols)
     else:
         sol = solve(mat, rhs)
         part = unflatten(sol) if sol is not None else None
@@ -183,43 +147,12 @@ def _presentation_route(m: Rep, n: Rep, budget):
 
 
 def _copresentation_route(m: Rep, n: Rep, budget):
-    cop = min_inj_copresentation(n, budget)
-    q, F = m.quiver, m.field
-    as_, bs = cop.pm.domain, cop.pm.codomain
-    rd = [m.dim(b) for b in bs]
-    cd = [m.dim(a) for a in as_]
-    blocks = [[None] * len(as_) for _ in bs]
-    for j in range(len(bs)):
-        for i in range(len(as_)):
-            combo = cop.pm.entries[j][i]
-            if combo:
-                acc = Mat.zeros(F, m.dim(bs[j]), m.dim(as_[i]))
-                for (c, p) in combo:
-                    acc = acc.add(m.mat_path(p).transpose().scale(c))
-                blocks[j][i] = acc
-    D = block_matrix(F, blocks, rd, cd)
-    K = kernel_basis(D)
-    basis = []
-    for kcol in range(K.cols):
-        vec = K.col(kcol)
-        phis, off = [], 0
-        for a in as_:
-            d = m.dim(a)
-            phis.append(Mat(F, 1, d, (tuple(vec[off + r] for r in range(d)),)))
-            off += d
-
-        def rule(v, phis=phis):
-            bl = inj_sum_basis(q, as_, v)
-            rows = [phis[i].mul(m.mat_path(p)).row(0) for (i, p) in bl]
-            fhat = Mat(F, len(bl), m.dim(v), tuple(rows))
-            sol = solve_matrix(cop.cover.component(v), fhat)
-            if sol is None:
-                raise AssertionError("reconstruction through the socle failed")
-            return sol
-
-        basis.append(Morphism(m, n, rule=rule, label=f"h{kcol}"))
-    cert = {"socle": list(as_), "cosocle": list(bs)}
-    return basis, cert
+    """Hom(M, N) = Hom(DN, DM) over the opposite quiver, where DN is finitely
+    presented; each basis morphism is the pointwise transpose of its dual."""
+    dual, cert = _presentation_route(dualize(n), dualize(m), budget)
+    basis = [Morphism(m, n, rule=lambda v, g=g: g.component(v).transpose(),
+                      label=g.label) for g in dual]
+    return basis, {"socle": cert["generators"], "cosocle": cert["relations"]}
 
 
 def _window_route(m: Rep, n: Rep, budget, certs):

@@ -110,10 +110,6 @@ class Mat:
         z, o = field.zero, field.one
         return Mat(field, n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
     def row(self, i):
         return self.entries[i]
 
@@ -182,10 +178,6 @@ class Mat:
         if self.cols != other.cols:
             raise ValueError("col mismatch in vstack")
         return Mat(self.field, self.rows + other.rows, self.cols, self.entries + other.entries)
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Mat":
-        return Mat(self.field, len(row_idx), len(col_idx),
-                   tuple(tuple(self.entries[i][j] for j in col_idx) for i in row_idx))
 
 
 def _dot(F: Field, a, b):

@@ -190,7 +190,9 @@ def _min_inj_copresentation(w: Rep, budget: int) -> Presentation:
 
 def nakayama(pm: PathMatrix) -> PathMatrix:
     """Swap the interpretation side; vertex lists and entries are unchanged."""
-    return pm.flip_side()
+    other = "inj" if pm.side == "proj" else "proj"
+    return PathMatrix(pm.quiver, pm.field, other, pm.domain, pm.codomain,
+                      pm.entries)
 
 
 def relation_matrix(pm: PathMatrix, n: Rep) -> Mat:

@@ -19,7 +19,7 @@ quiver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 
 def vkey(v):
@@ -232,12 +232,6 @@ class End:
         self.eid = eid
         self.rays = tuple(rays)
         self.crossings = tuple(crossings)  # (cid, src_rid, dst_rid)
-
-    def ray(self, rid) -> Ray:
-        for r in self.rays:
-            if r.rid == rid:
-                return r
-        raise KeyError(rid)
 
     def vertex(self, rid, t):
         return self.quiver._end_vertex(self.eid, rid, t)
@@ -903,9 +897,6 @@ class VertexSet:
                 tails.append((eid, rid, t0))
         return VertexSet.make(self.quiver, expl, tails)
 
-    def max_tail_depth(self) -> int:
-        return max([t0 for (_, _, t0) in self.tails], default=0)
-
     def probe_depth(self) -> int:
         depths = [t0 for (_, _, t0) in self.tails]
         for v in self.explicit:
@@ -929,14 +920,6 @@ class SubquiverClass:
     sources: tuple
     sinks: tuple
     witnesses: tuple
-
-
-def closure(quiver: QuiverBase, vs: Iterable, direction: str) -> VertexSet:
-    if direction == "successor":
-        return quiver.succ_closure(vs)
-    if direction == "predecessor":
-        return quiver.pred_closure(vs)
-    raise ValueError(f"direction must be successor/predecessor, got {direction!r}")
 
 
 def _boundary_analysis(vset: VertexSet, mode: str):

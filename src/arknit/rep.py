@@ -79,11 +79,6 @@ class PathMatrix:
                         raise ValueError(
                             f"entry path must run codomain[{j}] ~> domain[{i}]")
 
-    def flip_side(self) -> "PathMatrix":
-        other = "inj" if self.side == "proj" else "proj"
-        return PathMatrix(self.quiver, self.field, other, self.domain,
-                          self.codomain, self.entries)
-
     def is_zero(self) -> bool:
         return all(not combo for row in self.entries for combo in row)
 
@@ -214,9 +209,6 @@ class Rep:
             m = self.mat(a).mul(m)
         return m
 
-    def basis_labels(self, v) -> tuple:
-        return tuple(f"e{i}" for i in range(self.dim(v)))
-
     # -- structure --
     def _dim_at(self, v) -> int:
         raise NotImplementedError
@@ -283,10 +275,6 @@ class ProjRep(Rep):
     def _dim_at(self, v):
         return len(self.basis(v))
 
-    def basis_labels(self, v):
-        return tuple("." .join(a.label for a in p.arrows) or "<triv>"
-                     for p in self.basis(v))
-
     def _mat_at(self, a):
         F = self.field
         bu, bw = self.basis(a.src), self.basis(a.dst)
@@ -318,10 +306,6 @@ class InjRep(Rep):
 
     def _dim_at(self, v):
         return len(self.basis(v))
-
-    def basis_labels(self, v):
-        return tuple(".".join(a.label for a in p.arrows) or "<triv>"
-                     for p in self.basis(v))
 
     def _mat_at(self, a):
         F = self.field
@@ -610,12 +594,11 @@ class KernelOfRep(Rep):
     def __init__(self, f):
         super().__init__(f.src.quiver, f.src.field)
         self.f = f
-        self._kb: dict = {}
 
     def kb(self, v) -> Mat:
-        if v not in self._kb:
-            self._kb[v] = kernel_basis(self.f.component(v))
-        return self._kb[v]
+        """Kernel basis at v, as columns in the coordinates of f.src(v)."""
+        return self.cached(("kb", v),
+                           lambda: kernel_basis(self.f.component(v)))
 
     def _dim_at(self, v):
         return self.kb(v).cols
@@ -646,12 +629,11 @@ class CokerOfRep(Rep):
     def __init__(self, f):
         super().__init__(f.dst.quiver, f.dst.field)
         self.f = f
-        self._data: dict = {}
 
     def _at(self, v):
-        if v not in self._data:
-            self._data[v] = coker_projection(self.f.component(v))
-        return self._data[v]
+        """(projection, free rows) of the cokernel at v."""
+        return self.cached(("coker", v),
+                           lambda: coker_projection(self.f.component(v)))
 
     def _dim_at(self, v):
         return len(self._at(v)[1])
@@ -686,12 +668,11 @@ class ImageRep(Rep):
         super().__init__(base.quiver, base.field)
         self.base = base
         self.idem = idem
-        self._cb: dict = {}
 
     def cb(self, v) -> Mat:
-        if v not in self._cb:
-            self._cb[v] = column_space_basis(self.idem.component(v))
-        return self._cb[v]
+        """Image basis at v, as columns in the coordinates of base(v)."""
+        return self.cached(("cb", v),
+                           lambda: column_space_basis(self.idem.component(v)))
 
     def _dim_at(self, v):
         return self.cb(v).cols
@@ -757,9 +738,11 @@ def direct_sum(*parts: Rep) -> Rep:
 
 
 def dualize(m: Rep) -> Rep:
+    """The pointwise dual over the opposite quiver; one instance per object,
+    so what is cached on D(m) (its presentation, say) is computed once."""
     if isinstance(m, DualRep):
         return m.base
-    return DualRep(m)
+    return m.cached("dual", lambda: DualRep(m))
 
 
 def restrict(m: Rep, region: VertexSet) -> Rep:

@@ -30,6 +30,7 @@ from arknit import (
     verify_exact,
 )
 from arknit.ext import ext_dim_via_presentation
+from arknit.hom import solve_natural
 
 from conftest import random_fd_rep
 from oracles import ext_dim_brute
@@ -232,6 +233,9 @@ def test_euler_form_on_random_fd_pairs(case):
     make, verts, arrows = EULER_POOLS[kind]
     q, field = make(), ak.GF(char) if char else QQ
     m, n = _fd(q, field, dm), _fd(q, field, dn)
-    hom = ak.hom_space(m, n).dimension
+    hb = ak.hom_space(m, n)
     ext = ext_space(m, n).dimension
-    assert hom - ext == euler_form(verts, arrows, dm[0], dn[0])
+    assert hb.dimension - ext == euler_form(verts, arrows, dm[0], dn[0])
+    # the kernel of the arrow complex on the whole window is the same Hom
+    assert hb.route == "presentation"
+    assert len(solve_natural(m, n, verts)[1]) == hb.dimension

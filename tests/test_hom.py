@@ -73,12 +73,31 @@ def test_hom_dims_match_oracle(a3, kron):
                 assert naturality_defect(f, verts)
 
 
-def test_routes_agree(a3):
+def test_routes_agree(a3, line, ray_in, ladder):
     m = simple_at(a3, 2)
     n = injective_at(a3, 2)
     dims = {r: hom_space(m, n, route=r).dimension
             for r in ("presentation", "copresentation", "window")}
     assert len(set(dims.values())) == 1
+    # fc codomains on infinite quivers: the copresentation route (the
+    # presentation route on the duals) agrees with every other route, and
+    # its basis morphisms are natural on the window
+    for q, verts in ((line, (-1, 0, 1)), (ray_in, (0, 1, 2)),
+                     (ladder, (("a", 0), ("a", 1), ("b", 0), ("b", 1)))):
+        for field in (QQ, GF(3)):
+            for nv in verts:
+                n = injective_at(q, nv, field)
+                for make in (projective_at, injective_at, simple_at):
+                    for mv in verts:
+                        m = make(q, mv, field)
+                        cop = hom_space(m, n, route="copresentation")
+                        routes = cop.certificate["routes_available"]
+                        assert "copresentation" in routes
+                        assert {hom_space(m, n, route=r).dimension
+                                for r in routes} == {cop.dimension}
+                        assert len(cop.basis) == cop.dimension
+                        for f in cop.basis:
+                            assert naturality_defect(f, cop.window)
 
 
 def test_hom_with_infinite_supports(line, line_full):

@@ -1,8 +1,11 @@
-"""Every name a library module imports is used in that module, and no
-module imports sympy, which is a test oracle only.
+"""Every name a library module imports is used in that module, every
+function, method and class it defines is used somewhere in the project, and
+no module imports sympy, which is a test oracle only.
 
 No linter ships with the project, so this parses each module with ``ast``:
-an imported name that no other part of the module reads is dead weight.
+an imported name that no other part of the module reads is dead weight, and
+so is a definition whose name nothing in src/, tests/, demos/ or bench/
+reads.
 """
 import ast
 import os
@@ -14,8 +17,9 @@ import pytest
 
 import arknit
 
-MODULES = sorted(p for p in Path(arknit.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = Path(arknit.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+PROJECT_DIRS = ("src", "tests", "demos", "bench")
 
 
 def unused_imports(source: str) -> list:
@@ -43,6 +47,56 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def defined_names(source: str) -> list:
+    """(line, name) of every function, method and class a module defines;
+    dunder methods are left out, since the language calls them."""
+    return [(n.lineno, n.name) for n in ast.walk(ast.parse(source))
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef))
+            and not (n.name.startswith("__") and n.name.endswith("__"))]
+
+
+def referenced_names(source: str) -> set:
+    """Names read as a variable or an attribute; an import is no reference,
+    so a re-export in __init__ does not keep a definition alive."""
+    tree = ast.parse(source)
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def dead_definitions(source: str, references: set) -> list:
+    return sorted((line, name) for line, name in defined_names(source)
+                  if name not in references)
+
+
+@pytest.fixture(scope="module")
+def project_references():
+    root = PACKAGE.parent.parent
+    refs = set()
+    for d in PROJECT_DIRS:
+        for path in (root / d).rglob("*.py"):
+            refs |= referenced_names(path.read_text())
+    return refs
+
+
+def test_detects_a_dead_definition():
+    lib = ("class A:\n"
+           "    def used(self): ...\n"
+           "    def dead(self): ...\n"
+           "    def __len__(self): ...\n"
+           "def helper(): ...\n"
+           "class B: ...\n")
+    user = "from lib import helper\nx = A().used() + len(B.__name__)\n"
+    refs = referenced_names(lib) | referenced_names(user)
+    assert dead_definitions(lib, refs) == [(3, "dead"), (5, "helper")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_dead_definitions(path, project_references):
+    assert dead_definitions(path.read_text(), project_references) == []
 
 
 def names_sympy(source: str) -> bool:

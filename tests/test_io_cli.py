@@ -447,6 +447,21 @@ def test_cli_usage_error_on_unknown_verb():
     assert code == 2  # argparse usage failure
 
 
+@pytest.mark.parametrize("argv", [
+    ["hom", "--quiver", A3, "--src", '{"proj":"2"}', "--dst", '{"inj":"2"}',
+     "--format", "dot"],
+    ["classify", "--quiver", KRON, "--seed", '{"proj":"2"}',
+     "--format", "dot"],
+    ["hom", "--quiver", A3, "--src", '{"proj":"2"}', "--dst", '{"inj":"2"}',
+     "--radius", "3"],
+    ["knit", "--quiver", KRON, "--seed", '{"proj":"2"}', "--radius", "3"],
+], ids=["hom_format", "classify_format", "hom_radius", "knit_radius"])
+def test_cli_verbs_reject_flags_they_do_not_read(argv):
+    code, out, err = run_cli(argv)
+    assert code == 2  # argparse usage failure
+    assert out == "" and "unrecognized arguments" in err
+
+
 def test_cli_budget_env_and_flag(monkeypatch):
     seen = {}
 

@@ -147,6 +147,27 @@ def test_opposite_is_one_instance(a3, ladder):
     assert ak.dualize(ak.projective_at(a3, 1)).quiver is a3.opposite()
 
 
+def test_dual_is_one_instance_per_object(a3, monkeypatch):
+    m = ak.injective_at(a3, 2)
+    assert ak.dualize(m) is ak.dualize(m)
+    assert ak.dualize(ak.dualize(m)) is m
+    # so the presentation of D(m) behind min_inj_copresentation(m) also
+    # serves the copresentation route of Hom into m
+    presented = []
+    real = presentations._min_proj_presentation
+
+    def counting(x, budget):
+        presented.append(x)
+        return real(x, budget)
+
+    monkeypatch.setattr(presentations, "_min_proj_presentation", counting)
+    cop = ak.min_inj_copresentation(m)
+    hb = ak.hom_space(ak.simple_at(a3, 2), m, route="copresentation")
+    assert hb.dimension == 1
+    assert hb.certificate["socle"] == list(cop.pm.domain)
+    assert presented == [ak.dualize(m)]
+
+
 def test_separately_built_quivers_share_no_memo():
     q1, q2 = ak.linear_quiver(3), ak.linear_quiver(3)
     assert q1 == q2 and q1._memo is not q2._memo
