@@ -18,7 +18,9 @@ from .rep import (PathMatrix, Rep, RungFamily, classify_membership,
 
 SCHEMA = "arknit/1"
 # P(1) or I(n) on the linear quiver of n vertices holds n^2/2 arrows in its
-# bases; `member` on either peaks near 55 MB of RSS at n = 3000
+# bases; `member` on either peaks near 55 MB of RSS at n = 3000.  The same
+# cap bounds the depth of a vertex on a ray of an infinite preset, whose
+# closures and bases grow the same way.
 MAX_LINEAR_N = 3000
 
 
@@ -100,13 +102,18 @@ def emit_quiver(q: QuiverBase) -> dict:
 
 def _parse_vert(q: QuiverBase, x, pointer: str):
     try:
-        if isinstance(x, str):
-            return q.parse_vertex(x)
-        if q.contains(x):
-            return x
+        v = q.parse_vertex(x) if isinstance(x, str) else x
+        inside = q.contains(v)
     except (ValueError, TypeError) as e:
         raise ParseError(pointer, str(e))
-    raise ParseError(pointer, f"vertex {x!r} outside the quiver")
+    if not inside:
+        raise ParseError(pointer, f"vertex {x!r} outside the quiver")
+    loc = q.locate(v)
+    if loc is not None and loc[2] > MAX_LINEAR_N:
+        raise ParseError(pointer, f"vertex {q.vertex_str(v)} lies at depth "
+                                  f"{loc[2]} on end {loc[0]}, past the cap "
+                                  f"{MAX_LINEAR_N}")
+    return v
 
 
 def parse_field(spec):
@@ -152,9 +159,13 @@ def _parse_region(q, obj, pointer) -> VertexSet:
     expl = [_parse_vert(q, v, f"{pointer}/explicit/{i}")
             for i, v in enumerate(obj.get("explicit", []))]
     tails = []
+    rays = [(e.eid, r.rid) for e in q.ends() for r in e.rays]
     for i, t in enumerate(obj.get("tails", [])):
         if not isinstance(t, list) or len(t) != 3:
             raise ParseError(f"{pointer}/tails/{i}", "tail must be [end, ray, start]")
+        if not any(t[0] == eid and t[1] == rid for eid, rid in rays):
+            raise ParseError(f"{pointer}/tails/{i}",
+                             f"no ray {t[1]!r} on end {t[0]!r}")
         tails.append((t[0], t[1], int(t[2])))
     try:
         return VertexSet.make(q, expl, tails)

@@ -373,21 +373,19 @@ def is_invertible(m: Mat) -> bool:
 def min_poly(m: Mat) -> tuple:
     """Monic minimal polynomial of a square matrix, low degree first.
 
-    Returned as a coefficient tuple (c0, c1, ..., 1).
+    Returned as a coefficient tuple (c0, c1, ..., 1).  One elimination of
+    the vectorized powers I, m, ..., m^n as columns: the first free column d
+    is the first power that depends on the earlier ones, which are pivots,
+    so m^d = sum of R[i][d] m^i over i < d.
     """
     if m.rows != m.cols:
         raise ValueError("min_poly needs a square matrix")
     F = m.field
     n = m.rows
-    power = Mat.identity(F, n)
-    stack = []  # vectorized powers as rows
-    for _ in range(n + 1):
-        stack.append(tuple(x for r in power.entries for x in r))
-        A = Mat(F, len(stack), n * n, tuple(stack))
-        k = kernel_basis(A.transpose())
-        if k.cols > 0:
-            # the earlier powers are independent, so the one kernel vector
-            # has its free coordinate, the top power, equal to 1
-            return k.col(0)
-        power = power.mul(m)
-    raise RuntimeError("min_poly did not terminate")
+    powers = [Mat.identity(F, n)]
+    for _ in range(n):
+        powers.append(powers[-1].mul(m))
+    flat = [tuple(x for r in p.entries for x in r) for p in powers]
+    R, pivots = rref(Mat(F, n * n, n + 1, tuple(zip(*flat))))
+    d = len(pivots)  # Cayley-Hamilton: m^n depends on the lower powers
+    return tuple(F.neg(R.entries[i][d]) for i in range(d)) + (F.one,)

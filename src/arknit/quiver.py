@@ -1,7 +1,8 @@
 """Quivers: finite user quivers and the infinite presets.
 
 Infinite quivers exist only as presets (line, ray_in, ray_out, zigzag,
-ladder).  Each preset exposes its "ends": periodic bands of vertices going to
+ladder): each is one entry of the _PRESETS table, read by PresetQuiver.
+Each preset exposes its "ends": periodic bands of vertices going to
 infinity, with each ray in a band tagged by how a thin tail on it behaves
 (P = projective direction, I = injective direction, bad = neither).  All
 symbolic reasoning about infinite supports goes through this band structure.
@@ -10,15 +11,17 @@ Vertices are ints for integer-indexed presets, ("a", n)/("b", n) pairs for
 the ladder, and arbitrary labels for finite quivers.  All enumerations sort
 by vkey so results are deterministic.
 
-Each quiver instance memoizes its path bases x ~> y (immutable tuples, built
-from the bases x ~> u of the arrows' sources u into y, or u ~> y of their
-targets out of x, whichever end the caller's queries share) and, if finite,
-the descendant or ancestor set of that end; opposite() is one instance per
-quiver.
+Each quiver instance memoizes its closures per vertex (one walk serves
+every quiver: the explicit vertices it meets plus the tails of the rays it
+steps onto) and its path bases x ~> y (immutable tuples, built from the
+bases x ~> u of the arrows' sources u into y, or u ~> y of their targets
+out of x, whichever end the caller's queries share); a preset also
+memoizes its arrows per vertex, and opposite() is one instance per quiver.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 
@@ -80,24 +83,33 @@ class QuiverBase:
     """Shared behaviour; concrete quivers implement the local arrow structure."""
 
     is_finite = False
-    name = "?"
 
     def __post_init__(self):
-        # derived data, kept for the lifetime of this instance
+        # derived data, kept for the lifetime of this instance: the arrows
+        # out of and into each vertex asked about, and everything else
+        object.__setattr__(self, "_outs", {})
+        object.__setattr__(self, "_ins", {})
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_ends", ())
 
     # ---- local structure ----
     def contains(self, v) -> bool:
         raise NotImplementedError
 
     def out_arrows(self, v):
-        raise NotImplementedError
+        outs = self._outs
+        if v not in outs:
+            outs[v] = self._arrows(v, True)
+        return list(outs[v])
 
     def in_arrows(self, v):
-        raise NotImplementedError
+        ins = self._ins
+        if v not in ins:
+            ins[v] = self._arrows(v, False)
+        return list(ins[v])
 
-    def reaches(self, x, y) -> bool:
-        """True iff there is a (possibly trivial) path x ~> y."""
+    def _arrows(self, v, out):
+        """The arrows out of (out) or into v, sorted."""
         raise NotImplementedError
 
     def opposite(self) -> "QuiverBase":
@@ -107,7 +119,7 @@ class QuiverBase:
 
     # ---- ends (empty for finite quivers) ----
     def ends(self):
-        return ()
+        return self._ends
 
     def end(self, eid):
         for e in self.ends():
@@ -119,15 +131,55 @@ class QuiverBase:
         """(eid, rid, depth) if v sits on an end ray, else None."""
         return None
 
-    def _tail_str(self, eid, rid, t0) -> str:
-        return f"{eid}/{rid} depth >= {t0}"
-
     # ---- closures ----
+    def reaches(self, x, y) -> bool:
+        """True iff there is a (possibly trivial) path x ~> y."""
+        return self._reach_test(x, False)(y)
+
+    def _reach_test(self, v, backward):
+        """Predicate w -> (v reaches w), or (w reaches v) if backward."""
+        s = self._closure(v, not backward)
+        return s.contains if s.tails else s.explicit.__contains__
+
     def succ_closure(self, vs) -> "VertexSet":
-        raise NotImplementedError
+        return self._closure_of_all(vs, True)
 
     def pred_closure(self, vs) -> "VertexSet":
-        raise NotImplementedError
+        return self._closure_of_all(vs, False)
+
+    def _closure_of_all(self, vs, forward):
+        parts = [self._closure(v, forward) for v in vs]
+        if len(parts) == 1:
+            return parts[0]
+        return VertexSet.make(self, [v for s in parts for v in s.explicit],
+                              [t for s in parts for t in s.tails])
+
+    def _closure(self, v, forward) -> "VertexSet":
+        """v and every vertex reached from it along (forward) or against
+        the arrows.  A step onto a ray that runs away in the walk's
+        direction (P forward, I backward) records the tail of that ray from
+        there and walks no further: on every preset, the arrows leaving such
+        a vertex in that direction go one step deeper along its ray."""
+        key = ("closure", v, forward)
+        if key in self._memo:
+            return self._memo[key]
+        away = "P" if forward else "I"
+        runs_away = {(e.eid, r.rid) for e in self.ends() for r in e.rays
+                     if r.kind == away}
+        seen, tails, stack = {v}, [], [v]
+        while stack:
+            u = stack.pop()
+            loc = self.locate(u)
+            if loc is not None and loc[:2] in runs_away:
+                tails.append(loc)
+                continue
+            for a in self.out_arrows(u) if forward else self.in_arrows(u):
+                w = a.dst if forward else a.src
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        s = self._memo[key] = VertexSet.make(self, seen, tails)
+        return s
 
     # ---- paths ----
     def _pathlen_cap(self, x, y) -> int:
@@ -139,16 +191,17 @@ class QuiverBase:
 
         fixed names the end that the caller's queries share: "src" memoizes
         the bases x ~> u on the way (P(x) at each vertex), "dst" the bases
-        u ~> y (I(y) at each vertex), so a sweep holds each path once."""
-        if cap is None:
-            cap = self._pathlen_cap(x, y)
+        u ~> y (I(y) at each vertex), so a sweep holds each path once.  The
+        default cap bounds every path x ~> y, so only a miss computes it."""
         key = ("paths", x, y)
         if key not in self._memo:
             if not (self.contains(x) and self.contains(y)):
                 raise ValueError(f"vertex outside quiver: {x!r} or {y!r}")
+            if cap is None:
+                cap = self._pathlen_cap(x, y)
             self._fill_paths(x, y, cap, fixed == "dst")
         basis, longest = self._memo[key]
-        if basis and longest > cap:
+        if basis and cap is not None and longest > cap:
             raise ValueError(_HOP_BUDGET)
         return basis
 
@@ -194,12 +247,6 @@ class QuiverBase:
                 paths.sort(key=Path.key)
             memo[key] = (tuple(paths),
                          max((p.length for p in paths), default=0))
-
-    def _reach_test(self, v, backward):
-        """Predicate w -> (v reaches w), or (w reaches v) if backward."""
-        if backward:
-            return lambda w: self.reaches(w, v)
-        return lambda w: self.reaches(v, w)
 
     def has_left_infinite_path(self) -> bool:
         return any(r.kind == "I" for e in self.ends() for r in e.rays)
@@ -334,37 +381,8 @@ class FiniteQuiver(QuiverBase):
     def in_arrows(self, v):
         return list(self._ins.get(v, ()))
 
-    def _walk(self, starts, forward: bool) -> set:
-        """starts and every vertex reached from them along (forward) or
-        against (not forward) the arrows."""
-        index = self._outs if forward else self._ins
-        seen = set(starts)
-        stack = list(seen)
-        while stack:
-            for a in index.get(stack.pop(), ()):
-                w = a.dst if forward else a.src
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
-    def reaches(self, x, y):
-        return self._reach_test(x, False)(y)
-
-    def _reach_test(self, v, backward):
-        key = ("ancestors" if backward else "descendants", v)
-        if key not in self._memo:
-            self._memo[key] = frozenset(self._walk((v,), not backward))
-        return self._memo[key].__contains__
-
     def _pathlen_cap(self, x, y):
         return len(self.vertices) + 1
-
-    def succ_closure(self, vs):
-        return VertexSet.make(self, self._walk(vs, True))
-
-    def pred_closure(self, vs):
-        return VertexSet.make(self, self._walk(vs, False))
 
     def parse_vertex(self, s):
         for v in self.vertices:
@@ -388,17 +406,124 @@ def kronecker_quiver() -> FiniteQuiver:
 
 
 # ---------------------------------------------------------------------------
-# integer-indexed presets
+# infinite presets
 
 
-class _IntPreset(QuiverBase):
+# Each preset as data.  An end lists its rays as (rid, kind, place, tail):
+# the vertex at depth t is place[0] * t + place[1], or the pair (rid, t)
+# when place is None; tail is the text of the ray from depth t on, given t
+# and v, the vertex there.  step(v) and back(v) name the far ends of the
+# arrows out of and into v; those outside the preset are dropped, and an
+# arrow is labelled "src>dst".  crossings lists per end the arrows
+# (cid, src rid, dst rid) that join two rays at the same depth.
+_PRESETS = {
+    "line": {  # Z, arrows n+1 -> n
+        "ends": {"neg": [("v", "P", (-1, 0), "n <= {v}")],
+                 "pos": [("v", "I", (1, 1), "n >= {v}")]},
+        "step": lambda v: (v - 1,),
+        "back": lambda v: (v + 1,)},
+    "ray_out": {  # N, arrows n -> n+1
+        "ends": {"inf": [("v", "P", (1, 0), "n >= {v}")]},
+        "step": lambda v: (v + 1,),
+        "back": lambda v: (v - 1,)},
+    "ray_in": {  # N, arrows n+1 -> n: ... -> 2 -> 1 -> 0
+        "ends": {"inf": [("v", "I", (1, 0), "n >= {v}")]},
+        "step": lambda v: (v - 1,),
+        "back": lambda v: (v + 1,)},
+    "zigzag": {  # N, odd vertices are sources: 1->0, 1->2, 3->2, 3->4, ...
+        "ends": {"inf": [("even", "bad", (2, 0), "even n >= {v}"),
+                         ("odd", "bad", (2, 1), "odd n >= {v}")]},
+        "step": lambda v: (v - 1, v + 1) if v % 2 else (),
+        "back": lambda v: () if v % 2 else (v - 1, v + 1)},
+    "ladder": {  # a_n, b_n (n in N): a_{n+1} -> a_n, b_n -> b_{n+1}, a_n -> b_n
+        "ends": {"inf": [("a", "I", None, "a_n, n >= {t}"),
+                         ("b", "P", None, "b_n, n >= {t}")]},
+        "crossings": {"inf": [("rung", "a", "b")]},
+        "step": lambda v: ((("a", v[1] - 1), ("b", v[1])) if v[0] == "a"
+                           else (("b", v[1] + 1),)),
+        "back": lambda v: ((("a", v[1] + 1),) if v[0] == "a"
+                           else (("b", v[1] - 1), ("a", v[1])))},
+}
+
+
+@dataclass(frozen=True)
+class PresetQuiver(QuiverBase):
+    """The infinite preset named by its _PRESETS entry."""
+
+    name: str
+
+    def __post_init__(self):
+        super().__post_init__()
+        spec = _PRESETS[self.name]
+        rays = {(eid, rid): (kind, place, tail)
+                for eid, rs in spec["ends"].items()
+                for rid, kind, place, tail in rs}
+        crossings = spec.get("crossings", {})
+        object.__setattr__(self, "_spec", spec)
+        object.__setattr__(self, "_rays", rays)
+        object.__setattr__(self, "_ends", tuple(
+            End(self, eid, [Ray(rid, kind) for rid, kind, _, _ in rs],
+                crossings.get(eid, ()))
+            for eid, rs in spec["ends"].items()))
+        # (eid, rid, slope, offset) of each ray of integer vertices
+        object.__setattr__(self, "_places", tuple(
+            (eid, rid) + place for (eid, rid), (_, place, _) in rays.items()
+            if place is not None))
+        # ladder-style vertices (rid, t) rather than integers
+        object.__setattr__(self, "_tagged", not self._places)
+
     def contains(self, v):
-        return isinstance(v, int) and not isinstance(v, bool) and self._in_range(v)
+        return self.locate(v) is not None
 
-    def _in_range(self, v):
-        return True
+    def locate(self, v):
+        # exact types: a bool is no vertex
+        if self._tagged:
+            if (type(v) is tuple and len(v) == 2 and type(v[1]) is int
+                    and v[1] >= 0):
+                for eid, rid in self._rays:
+                    if rid == v[0]:
+                        return (eid, rid, v[1])
+        elif type(v) is int:
+            for eid, rid, slope, offset in self._places:
+                t, r = divmod(v - offset, slope)
+                if not r and t >= 0:
+                    return (eid, rid, t)
+        return None
+
+    def _arrow(self, src, dst):
+        return Arrow(src, dst, f"{self.vertex_str(src)}>{self.vertex_str(dst)}")
+
+    def _arrows(self, v, out):
+        far = [w for w in self._spec["step" if out else "back"](v)
+               if self.contains(w)]
+        return sorted(self._arrow(v, w) if out else self._arrow(w, v)
+                      for w in far)
+
+    def _pathlen_cap(self, x, y):
+        return self.locate(x)[2] + self.locate(y)[2] + 4
+
+    def _end_vertex(self, eid, rid, t):
+        place = self._rays[eid, rid][1]
+        return (rid, t) if place is None else place[0] * t + place[1]
+
+    def _crossing_arrow(self, eid, cid, t):
+        (src, dst), = [(s, d) for c, s, d in self.end(eid).crossings
+                       if c == cid]
+        return self._arrow(self._end_vertex(eid, src, t),
+                           self._end_vertex(eid, dst, t))
+
+    def _tail_str(self, eid, rid, t0):
+        v = self.vertex_str(self._end_vertex(eid, rid, t0))
+        return self._rays[eid, rid][2].format(v=v, t=t0)
+
+    def vertex_str(self, v):
+        return f"{v[0]}{v[1]}" if self._tagged else str(v)
 
     def parse_vertex(self, s):
+        if self._tagged:
+            if s[:1] in {rid for _, rid in self._rays} and s[1:].isdigit():
+                return (s[0], int(s[1:]))
+            raise ValueError(f"bad {self.name} vertex {s!r}")
         v = int(s)
         if not self.contains(v):
             raise ValueError(f"vertex {v} outside preset {self.name}")
@@ -409,306 +534,16 @@ class _IntPreset(QuiverBase):
 
 
 @dataclass(frozen=True)
-class LineQuiver(_IntPreset):
-    """Vertices Z, arrows n+1 -> n."""
-
-    name = "line"
-
-    def out_arrows(self, v):
-        return [Arrow(v, v - 1, f"{v}>{v-1}")]
-
-    def in_arrows(self, v):
-        return [Arrow(v + 1, v, f"{v+1}>{v}")]
-
-    def reaches(self, x, y):
-        return x >= y
-
-    def _pathlen_cap(self, x, y):
-        return abs(x - y) + 4
-
-    def ends(self):
-        return (End(self, "neg", [Ray("v", "P")]),
-                End(self, "pos", [Ray("v", "I")]))
-
-    def _end_vertex(self, eid, rid, t):
-        return -t if eid == "neg" else t + 1
-
-    def locate(self, v):
-        return ("neg", "v", -v) if v <= 0 else ("pos", "v", v - 1)
-
-    def _tail_str(self, eid, rid, t0):
-        return f"n <= {-t0}" if eid == "neg" else f"n >= {t0 + 1}"
-
-    def succ_closure(self, vs):
-        vs = list(vs)
-        if not vs:
-            return VertexSet.make(self, ())
-        m = max(vs)
-        expl = set(range(1, m + 1))
-        return VertexSet.make(self, expl, [("neg", "v", max(0, -m))])
-
-    def pred_closure(self, vs):
-        vs = list(vs)
-        if not vs:
-            return VertexSet.make(self, ())
-        m = min(vs)
-        expl = set(range(m, 1))
-        return VertexSet.make(self, expl, [("pos", "v", max(0, m - 1))])
-
-
-@dataclass(frozen=True)
-class RayOutQuiver(_IntPreset):
-    """Vertices N, arrows n -> n+1."""
-
-    name = "ray_out"
-
-    def _in_range(self, v):
-        return v >= 0
-
-    def out_arrows(self, v):
-        return [Arrow(v, v + 1, f"{v}>{v+1}")]
-
-    def in_arrows(self, v):
-        return [Arrow(v - 1, v, f"{v-1}>{v}")] if v >= 1 else []
-
-    def reaches(self, x, y):
-        return x <= y
-
-    def _pathlen_cap(self, x, y):
-        return abs(x - y) + 4
-
-    def ends(self):
-        return (End(self, "inf", [Ray("v", "P")]),)
-
-    def _end_vertex(self, eid, rid, t):
-        return t
-
-    def locate(self, v):
-        return ("inf", "v", v)
-
-    def _tail_str(self, eid, rid, t0):
-        return f"n >= {t0}"
-
-    def succ_closure(self, vs):
-        vs = list(vs)
-        if not vs:
-            return VertexSet.make(self, ())
-        return VertexSet.make(self, (), [("inf", "v", min(vs))])
-
-    def pred_closure(self, vs):
-        vs = list(vs)
-        if not vs:
-            return VertexSet.make(self, ())
-        return VertexSet.make(self, set(range(0, max(vs) + 1)))
-
-
-@dataclass(frozen=True)
-class RayInQuiver(_IntPreset):
-    """Vertices N, arrows n+1 -> n (the ... -> 2 -> 1 -> 0 preset)."""
-
-    name = "ray_in"
-
-    def _in_range(self, v):
-        return v >= 0
-
-    def out_arrows(self, v):
-        return [Arrow(v, v - 1, f"{v}>{v-1}")] if v >= 1 else []
-
-    def in_arrows(self, v):
-        return [Arrow(v + 1, v, f"{v+1}>{v}")]
-
-    def reaches(self, x, y):
-        return x >= y
-
-    def _pathlen_cap(self, x, y):
-        return abs(x - y) + 4
-
-    def ends(self):
-        return (End(self, "inf", [Ray("v", "I")]),)
-
-    def _end_vertex(self, eid, rid, t):
-        return t
-
-    def locate(self, v):
-        return ("inf", "v", v)
-
-    def _tail_str(self, eid, rid, t0):
-        return f"n >= {t0}"
-
-    def succ_closure(self, vs):
-        vs = list(vs)
-        if not vs:
-            return VertexSet.make(self, ())
-        return VertexSet.make(self, set(range(0, max(vs) + 1)))
-
-    def pred_closure(self, vs):
-        vs = list(vs)
-        if not vs:
-            return VertexSet.make(self, ())
-        return VertexSet.make(self, (), [("inf", "v", min(vs))])
-
-
-@dataclass(frozen=True)
-class ZigzagQuiver(_IntPreset):
-    """Vertices N; odd vertices are sources: 1->0, 1->2, 3->2, 3->4, ..."""
-
-    name = "zigzag"
-
-    def _in_range(self, v):
-        return v >= 0
-
-    def out_arrows(self, v):
-        if v % 2 == 1:
-            return [Arrow(v, v - 1, f"{v}>{v-1}"), Arrow(v, v + 1, f"{v}>{v+1}")]
-        return []
-
-    def in_arrows(self, v):
-        if v % 2 == 0:
-            out = []
-            if v >= 1:
-                out.append(Arrow(v - 1, v, f"{v-1}>{v}"))
-            out.append(Arrow(v + 1, v, f"{v+1}>{v}"))
-            return out
-        return []
-
-    def reaches(self, x, y):
-        return x == y or (x % 2 == 1 and abs(x - y) == 1)
-
-    def _pathlen_cap(self, x, y):
-        return 3
-
-    def ends(self):
-        return (End(self, "inf", [Ray("even", "bad"), Ray("odd", "bad")]),)
-
-    def _end_vertex(self, eid, rid, t):
-        return 2 * t if rid == "even" else 2 * t + 1
-
-    def locate(self, v):
-        return ("inf", "even", v // 2) if v % 2 == 0 else ("inf", "odd", v // 2)
-
-    def _tail_str(self, eid, rid, t0):
-        if rid == "even":
-            return f"even n >= {2 * t0}"
-        return f"odd n >= {2 * t0 + 1}"
-
-    def succ_closure(self, vs):
-        expl = set()
-        for v in vs:
-            expl.add(v)
-            if v % 2 == 1:
-                expl.add(v - 1)
-                expl.add(v + 1)
-        return VertexSet.make(self, expl)
-
-    def pred_closure(self, vs):
-        expl = set()
-        for v in vs:
-            expl.add(v)
-            if v % 2 == 0:
-                if v >= 1:
-                    expl.add(v - 1)
-                expl.add(v + 1)
-        return VertexSet.make(self, expl)
-
-
-@dataclass(frozen=True)
-class LadderQuiver(QuiverBase):
-    """Vertices a_n, b_n (n in N); arrows a_{n+1}->a_n, b_n->b_{n+1}, a_n->b_n."""
-
-    name = "ladder"
-
-    def contains(self, v):
-        return (isinstance(v, tuple) and len(v) == 2 and v[0] in ("a", "b")
-                and isinstance(v[1], int) and not isinstance(v[1], bool) and v[1] >= 0)
-
-    def out_arrows(self, v):
-        tag, n = v
-        if tag == "a":
-            out = []
-            if n >= 1:
-                out.append(Arrow(v, ("a", n - 1), f"a{n}>a{n-1}"))
-            out.append(Arrow(v, ("b", n), f"a{n}>b{n}"))
-            return out
-        return [Arrow(v, ("b", n + 1), f"b{n}>b{n+1}")]
-
-    def in_arrows(self, v):
-        tag, n = v
-        if tag == "a":
-            return [Arrow(("a", n + 1), v, f"a{n+1}>a{n}")]
-        out = []
-        if n >= 1:
-            out.append(Arrow(("b", n - 1), v, f"b{n-1}>b{n}"))
-        out.append(Arrow(("a", n), v, f"a{n}>b{n}"))
-        return sorted(out)
-
-    def reaches(self, x, y):
-        (tx, m), (ty, k) = x, y
-        if tx == "a" and ty == "a":
-            return m >= k
-        if tx == "a" and ty == "b":
-            return True
-        if tx == "b" and ty == "b":
-            return m <= k
-        return False
-
-    def _pathlen_cap(self, x, y):
-        return x[1] + y[1] + 6
-
-    def ends(self):
-        return (End(self, "inf", [Ray("a", "I"), Ray("b", "P")],
-                    crossings=[("rung", "a", "b")]),)
-
-    def _end_vertex(self, eid, rid, t):
-        return (rid, t)
-
-    def _crossing_arrow(self, eid, cid, t):
-        return Arrow(("a", t), ("b", t), f"a{t}>b{t}")
-
-    def locate(self, v):
-        return ("inf", v[0], v[1])
-
-    def _tail_str(self, eid, rid, t0):
-        return f"{rid}_n, n >= {t0}"
-
-    def vertex_str(self, v):
-        return f"{v[0]}{v[1]}"
-
-    def parse_vertex(self, s):
-        if s and s[0] in ("a", "b") and s[1:].isdigit():
-            return (s[0], int(s[1:]))
-        raise ValueError(f"bad ladder vertex {s!r}")
-
-    def succ_closure(self, vs):
-        expl = set()
-        tails = []
-        for v in vs:
-            tag, n = v
-            if tag == "a":
-                expl.update(("a", j) for j in range(0, n + 1))
-                tails.append(("inf", "b", 0))
-            else:
-                tails.append(("inf", "b", n))
-        return VertexSet.make(self, expl, tails)
-
-    def pred_closure(self, vs):
-        expl = set()
-        tails = []
-        for v in vs:
-            tag, n = v
-            if tag == "a":
-                tails.append(("inf", "a", n))
-            else:
-                expl.update(("b", j) for j in range(0, n + 1))
-                tails.append(("inf", "a", 0))
-        return VertexSet.make(self, expl, tails)
-
-    def spec_dict(self):
-        return {"preset": self.name}
-
-
-@dataclass(frozen=True)
 class OppositeQuiver(QuiverBase):
     base: QuiverBase
+
+    def __post_init__(self):
+        super().__post_init__()
+        flip = {"P": "I", "I": "P", "bad": "bad"}
+        object.__setattr__(self, "_ends", tuple(
+            End(self, e.eid, [Ray(r.rid, flip[r.kind]) for r in e.rays],
+                [(cid, dst, src) for (cid, src, dst) in e.crossings])
+            for e in self.base.ends()))
 
     @property
     def name(self):
@@ -721,32 +556,15 @@ class OppositeQuiver(QuiverBase):
     def contains(self, v):
         return self.base.contains(v)
 
-    def out_arrows(self, v):
-        return sorted(Arrow(a.dst, a.src, a.label) for a in self.base.in_arrows(v))
-
-    def in_arrows(self, v):
-        return sorted(Arrow(a.dst, a.src, a.label) for a in self.base.out_arrows(v))
-
-    def reaches(self, x, y):
-        return self.base.reaches(y, x)
-
-    def _reach_test(self, v, backward):
-        return self.base._reach_test(v, not backward)
+    def _arrows(self, v, out):
+        base = self.base.in_arrows(v) if out else self.base.out_arrows(v)
+        return sorted(Arrow(a.dst, a.src, a.label) for a in base)
 
     def opposite(self):
         return self.base
 
     def _pathlen_cap(self, x, y):
         return self.base._pathlen_cap(y, x)
-
-    def ends(self):
-        flip = {"P": "I", "I": "P", "bad": "bad"}
-        out = []
-        for e in self.base.ends():
-            rays = [Ray(r.rid, flip[r.kind]) for r in e.rays]
-            crossings = [(cid, dst, src) for (cid, src, dst) in e.crossings]
-            out.append(End(self, e.eid, rays, crossings))
-        return tuple(out)
 
     def _end_vertex(self, eid, rid, t):
         return self.base._end_vertex(eid, rid, t)
@@ -760,14 +578,6 @@ class OppositeQuiver(QuiverBase):
 
     def _tail_str(self, eid, rid, t0):
         return self.base._tail_str(eid, rid, t0)
-
-    def succ_closure(self, vs):
-        s = self.base.pred_closure(vs)
-        return VertexSet(self, s.explicit, s.tails)
-
-    def pred_closure(self, vs):
-        s = self.base.succ_closure(vs)
-        return VertexSet(self, s.explicit, s.tails)
 
     def vertex_str(self, v):
         return self.base.vertex_str(v)
@@ -787,13 +597,8 @@ class OppositeQuiver(QuiverBase):
         return tuple(sorted(Arrow(a.dst, a.src, a.label) for a in self.base.arrows))
 
 
-PRESETS = {
-    "line": LineQuiver,
-    "ray_out": RayOutQuiver,
-    "ray_in": RayInQuiver,
-    "zigzag": ZigzagQuiver,
-    "ladder": LadderQuiver,
-}
+# fresh instances, each with its own memo
+PRESETS = {name: partial(PresetQuiver, name) for name in _PRESETS}
 
 
 # ---------------------------------------------------------------------------

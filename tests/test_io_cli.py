@@ -141,6 +141,16 @@ def test_parse_errors_carry_pointers(a3):
     assert parse_field(None) is QQ
 
 
+@pytest.mark.parametrize("tail, message", [
+    (["neg", "w", 0], "no ray 'w' on end 'neg'"),
+    (["zzz", "v", 2], "no ray 'v' on end 'zzz'"),
+])
+def test_region_tails_name_a_ray(line, tail, message):
+    with pytest.raises(ParseError) as e:
+        parse_rep(line, {"thin": {"tails": [["pos", "v", 0], tail]}}, QQ)
+    assert str(e.value) == f"/thin/tails/1: {message}"
+
+
 def test_cyclic_quiver_rejected():
     with pytest.raises(ParseError):
         parse_quiver({"vertices": ["1", "2"],
@@ -422,6 +432,41 @@ def test_cli_caps_linear_n(monkeypatch, n):
     assert out == ""
     assert err == (f"arknit: error: /n: need 1 <= n <= {io_mod.MAX_LINEAR_N}, "
                    f"got {n}\n")
+
+
+CAP = io_mod.MAX_LINEAR_N
+
+
+@pytest.mark.parametrize("quiver, rep, message", [
+    (LINE, '{"inj":"-1000000000"}', "/inj: vertex -1000000000 lies at depth "
+                                    f"1000000000 on end neg, past the cap {CAP}"),
+    (LINE, '{"proj":"30000"}',
+     f"/proj: vertex 30000 lies at depth 29999 on end pos, past the cap {CAP}"),
+    (LINE, f'{{"thin":{{"explicit":["0", "{CAP + 2}"]}}}}',
+     f"/thin/explicit/1: vertex {CAP + 2} lies at depth {CAP + 1} on end pos, "
+     f"past the cap {CAP}"),
+    ('{"preset":"ladder"}', f'{{"simple":"b{CAP + 1}"}}',
+     f"/simple: vertex b{CAP + 1} lies at depth {CAP + 1} on end inf, past "
+     f"the cap {CAP}"),
+    ('{"opposite":{"preset":"zigzag"}}', f'{{"proj":{2 * CAP + 3}}}',
+     f"/proj: vertex {2 * CAP + 3} lies at depth {CAP + 1} on end inf, past "
+     f"the cap {CAP}"),
+])
+def test_cli_caps_preset_depth(monkeypatch, quiver, rep, message):
+    def boom(*a, **k):
+        raise RuntimeError("computation started")
+
+    monkeypatch.setattr(cli, "classify_membership", boom)
+    code, out, err = run_cli(["member", "--quiver", quiver, "--rep", rep])
+    assert code == 1
+    assert out == ""
+    assert err == f"arknit: error: {message}\n"
+
+
+def test_preset_depth_cap_admits_its_bound(line, ladder):
+    assert parse_rep(line, {"simple": str(-CAP)}).vertex == -CAP
+    assert parse_rep(line, {"inj": str(CAP + 1)}).vertex == CAP + 1
+    assert parse_rep(ladder, {"proj": f"a{CAP}"}).vertex == ("a", CAP)
 
 
 def test_cli_radius_and_n_caps_admit_their_bounds(monkeypatch):

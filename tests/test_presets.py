@@ -95,3 +95,73 @@ def write_golden():
 
 def test_preset_structure_matches_golden():
     assert golden_text() == GOLDEN.read_text()
+
+
+# ---------------------------------------------------------------------------
+# closures and reachability against a plain breadth-first search over
+# out_arrows, which calls no closure or reachability code
+
+
+def bfs(q, x, window) -> set:
+    """Vertices of the window reached from x along arrows inside it."""
+    seen, frontier = {x}, [x]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for a in q.out_arrows(u):
+                if a.dst in window and a.dst not in seen:
+                    seen.add(a.dst)
+                    nxt.append(a.dst)
+        frontier = nxt
+    return seen
+
+
+def check_closures(q, v, window):
+    """On every preset and finite quiver, a path between two vertices of
+    the window stays inside it, so the search is exact there."""
+    window = set(window)
+    down = bfs(q, v, window)
+    up = {w for w in window if v in bfs(q, w, window)}
+    succ, pred = q.succ_closure([v]), q.pred_closure([v])
+    for w in window:
+        assert q.reaches(v, w) == succ.contains(w) == (w in down), (v, w)
+        assert q.reaches(w, v) == pred.contains(w) == (w in up), (w, v)
+    return succ, pred, down, up
+
+
+def check_tails(q, closure, seen, depth):
+    """Each tail starts at the smallest depth from which the search sees
+    the whole rest of its ray."""
+    for eid, rid, t0 in closure.tails:
+        end = q.end(eid)
+        assert all(end.vertex(rid, t) in seen for t in range(t0, depth + 1))
+        assert t0 == 0 or end.vertex(rid, t0 - 1) not in seen
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(ak.PRESETS)), st.booleans(), st.data())
+def test_preset_closures_equal_a_search(name, flip, data):
+    q = ak.PRESETS[name]()
+    q = q.opposite() if flip else q
+    end = data.draw(st.sampled_from(q.ends()))
+    ray = data.draw(st.sampled_from(end.rays))
+    d = data.draw(st.integers(0, 10))
+    v = end.vertex(ray.rid, d)
+    depth = 2 * (d + 1)
+    succ, pred, down, up = check_closures(q, v, grid(q, depth))
+    check_tails(q, succ, down, depth)
+    check_tails(q, pred, up, depth)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(st.integers(0, n - 1), min_size=2,
+                                  max_size=2, unique=True).map(sorted),
+                         max_size=12),
+    st.integers(0, n - 1), st.booleans())))
+def test_finite_closures_equal_a_search(case):
+    n, arrows, v, flip = case
+    q = FiniteQuiver.build(range(n), arrows)
+    q = q.opposite() if flip else q
+    succ, pred, _, _ = check_closures(q, v, range(n))
+    assert succ.tails == pred.tails == ()

@@ -252,9 +252,6 @@ class TwoCycle(QuiverBase):
     def in_arrows(self, v):
         return [Arrow(1 - v, v, f"{1 - v}>{v}")]
 
-    def reaches(self, x, y):
-        return True
-
 
 def stored_bases(q) -> int:
     return sum(isinstance(k, tuple) and k[0] == "paths" for k in q._memo)
