@@ -413,8 +413,8 @@ def kronecker_quiver() -> FiniteQuiver:
 # the vertex at depth t is place[0] * t + place[1], or the pair (rid, t)
 # when place is None; tail is the text of the ray from depth t on, given t
 # and v, the vertex there.  step(v) and back(v) name the far ends of the
-# arrows out of and into v; those outside the preset are dropped, and an
-# arrow is labelled "src>dst".  crossings lists per end the arrows
+# arrows out of and into v, in vkey order; those outside the preset are
+# dropped, and an arrow is labelled "src>dst".  crossings lists per end the arrows
 # (cid, src rid, dst rid) that join two rays at the same depth.
 _PRESETS = {
     "line": {  # Z, arrows n+1 -> n
@@ -442,7 +442,7 @@ _PRESETS = {
         "step": lambda v: ((("a", v[1] - 1), ("b", v[1])) if v[0] == "a"
                            else (("b", v[1] + 1),)),
         "back": lambda v: ((("a", v[1] + 1),) if v[0] == "a"
-                           else (("b", v[1] - 1), ("a", v[1])))},
+                           else (("a", v[1]), ("b", v[1] - 1)))},
 }
 
 
@@ -496,8 +496,7 @@ class PresetQuiver(QuiverBase):
     def _arrows(self, v, out):
         far = [w for w in self._spec["step" if out else "back"](v)
                if self.contains(w)]
-        return sorted(self._arrow(v, w) if out else self._arrow(w, v)
-                      for w in far)
+        return [self._arrow(v, w) if out else self._arrow(w, v) for w in far]
 
     def _pathlen_cap(self, x, y):
         return self.locate(x)[2] + self.locate(y)[2] + 4
@@ -621,7 +620,7 @@ class VertexSet:
             key = (eid, rid)
             best[key] = min(best.get(key, t0), t0)
         # absorb explicit vertices that extend a tail downward
-        changed = True
+        changed = bool(best)  # with no tail, nothing to absorb or drop
         while changed:
             changed = False
             for (eid, rid), t0 in list(best.items()):
