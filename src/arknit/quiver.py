@@ -86,11 +86,14 @@ class QuiverBase:
 
     def __post_init__(self):
         # derived data, kept for the lifetime of this instance: the arrows
-        # out of and into each vertex asked about, and everything else
+        # out of and into each vertex asked about, and everything else.  Only
+        # a memoized opposite refers back to the quiver, so a dropped quiver
+        # is otherwise freed at once with its memo, not by the cyclic GC.
         object.__setattr__(self, "_outs", {})
         object.__setattr__(self, "_ins", {})
         object.__setattr__(self, "_memo", {})
-        object.__setattr__(self, "_ends", ())
+        # (eid, rays, crossings) of each end
+        object.__setattr__(self, "_end_data", ())
 
     # ---- local structure ----
     def contains(self, v) -> bool:
@@ -119,7 +122,7 @@ class QuiverBase:
 
     # ---- ends (empty for finite quivers) ----
     def ends(self):
-        return self._ends
+        return tuple(End(self, *e) for e in self._end_data)
 
     def end(self, eid):
         for e in self.ends():
@@ -162,7 +165,7 @@ class QuiverBase:
         a vertex in that direction go one step deeper along its ray."""
         key = ("closure", v, forward)
         if key in self._memo:
-            return self._memo[key]
+            return VertexSet(self, *self._memo[key])
         away = "P" if forward else "I"
         runs_away = {(e.eid, r.rid) for e in self.ends() for r in e.rays
                      if r.kind == away}
@@ -178,7 +181,8 @@ class QuiverBase:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        s = self._memo[key] = VertexSet.make(self, seen, tails)
+        s = VertexSet.make(self, seen, tails)
+        self._memo[key] = (s.explicit, s.tails)
         return s
 
     # ---- paths ----
@@ -461,9 +465,9 @@ class PresetQuiver(QuiverBase):
         crossings = spec.get("crossings", {})
         object.__setattr__(self, "_spec", spec)
         object.__setattr__(self, "_rays", rays)
-        object.__setattr__(self, "_ends", tuple(
-            End(self, eid, [Ray(rid, kind) for rid, kind, _, _ in rs],
-                crossings.get(eid, ()))
+        object.__setattr__(self, "_end_data", tuple(
+            (eid, [Ray(rid, kind) for rid, kind, _, _ in rs],
+             crossings.get(eid, ()))
             for eid, rs in spec["ends"].items()))
         # (eid, rid, slope, offset) of each ray of integer vertices
         object.__setattr__(self, "_places", tuple(
@@ -539,9 +543,9 @@ class OppositeQuiver(QuiverBase):
     def __post_init__(self):
         super().__post_init__()
         flip = {"P": "I", "I": "P", "bad": "bad"}
-        object.__setattr__(self, "_ends", tuple(
-            End(self, e.eid, [Ray(r.rid, flip[r.kind]) for r in e.rays],
-                [(cid, dst, src) for (cid, src, dst) in e.crossings])
+        object.__setattr__(self, "_end_data", tuple(
+            (e.eid, [Ray(r.rid, flip[r.kind]) for r in e.rays],
+             [(cid, dst, src) for (cid, src, dst) in e.crossings])
             for e in self.base.ends()))
 
     @property

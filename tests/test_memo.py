@@ -7,9 +7,11 @@ tests count the work with monkeypatched bodies, not with timers, and scan
 the library for caches that would outlive an object.
 """
 import ast
+import gc
 import io
 import contextlib
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -177,6 +179,28 @@ def test_separately_built_quivers_share_no_memo():
     assert q2.paths_between(1, 3) == basis
     assert q2.paths_between(1, 3) is not basis
     assert q2.opposite() is not q1.opposite()
+
+
+@pytest.mark.parametrize("build, x, y", [
+    (lambda: ak.PRESETS["line"](), 5, -2),
+    (lambda: ak.PRESETS["ladder"](), ("a", 3), ("b", 2)),
+    (lambda: ak.linear_quiver(4), 1, 4),
+])
+def test_a_dropped_quiver_is_freed_with_its_memo_at_once(build, x, y):
+    """The memo refers to nothing that refers back to the quiver, so the
+    last reference going frees the quiver and its bases at once."""
+    q = build()
+    assert q.reaches(x, y) and q.paths_between(x, y)
+    q.succ_closure([x]), q.pred_closure([y]), q.ends(), q.out_arrows(x)
+    gone = weakref.ref(q)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del q
+        assert gone() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def held_arrows(q) -> int:
