@@ -15,8 +15,9 @@ Each quiver instance memoizes its closures per vertex (one walk serves
 every quiver: the explicit vertices it meets plus the tails of the rays it
 steps onto) and its path bases x ~> y (immutable tuples, built from the
 bases x ~> u of the arrows' sources u into y, or u ~> y of their targets
-out of x, whichever end the caller's queries share); a preset also
-memoizes its arrows per vertex, and opposite() is one instance per quiver.
+out of x, whichever end the caller's queries share); a preset or an
+opposite also memoizes its arrows per vertex, and opposite() is one
+instance per quiver.
 """
 from __future__ import annotations
 
@@ -418,8 +419,8 @@ def kronecker_quiver() -> FiniteQuiver:
 # when place is None; tail is the text of the ray from depth t on, given t
 # and v, the vertex there.  step(v) and back(v) name the far ends of the
 # arrows out of and into v, in vkey order; those outside the preset are
-# dropped, and an arrow is labelled "src>dst".  crossings lists per end the arrows
-# (cid, src rid, dst rid) that join two rays at the same depth.
+# dropped, and an arrow is labelled "src>dst".  crossings lists per end
+# the arrows (cid, src rid, dst rid) that join two rays at the same depth.
 _PRESETS = {
     "line": {  # Z, arrows n+1 -> n
         "ends": {"neg": [("v", "P", (-1, 0), "n <= {v}")],
@@ -459,9 +460,9 @@ class PresetQuiver(QuiverBase):
     def __post_init__(self):
         super().__post_init__()
         spec = _PRESETS[self.name]
-        rays = {(eid, rid): (kind, place, tail)
+        rays = {(eid, rid): (place, tail)
                 for eid, rs in spec["ends"].items()
-                for rid, kind, place, tail in rs}
+                for rid, _, place, tail in rs}
         crossings = spec.get("crossings", {})
         object.__setattr__(self, "_spec", spec)
         object.__setattr__(self, "_rays", rays)
@@ -471,7 +472,7 @@ class PresetQuiver(QuiverBase):
             for eid, rs in spec["ends"].items()))
         # (eid, rid, slope, offset) of each ray of integer vertices
         object.__setattr__(self, "_places", tuple(
-            (eid, rid) + place for (eid, rid), (_, place, _) in rays.items()
+            (eid, rid) + place for (eid, rid), (place, _) in rays.items()
             if place is not None))
         # ladder-style vertices (rid, t) rather than integers
         object.__setattr__(self, "_tagged", not self._places)
@@ -506,7 +507,7 @@ class PresetQuiver(QuiverBase):
         return self.locate(x)[2] + self.locate(y)[2] + 4
 
     def _end_vertex(self, eid, rid, t):
-        place = self._rays[eid, rid][1]
+        place = self._rays[eid, rid][0]
         return (rid, t) if place is None else place[0] * t + place[1]
 
     def _crossing_arrow(self, eid, cid, t):
@@ -517,7 +518,7 @@ class PresetQuiver(QuiverBase):
 
     def _tail_str(self, eid, rid, t0):
         v = self.vertex_str(self._end_vertex(eid, rid, t0))
-        return self._rays[eid, rid][2].format(v=v, t=t0)
+        return self._rays[eid, rid][1].format(v=v, t=t0)
 
     def vertex_str(self, v):
         return f"{v[0]}{v[1]}" if self._tagged else str(v)
