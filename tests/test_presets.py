@@ -9,7 +9,6 @@ only for an intended change of that structure:
 """
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
