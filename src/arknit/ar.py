@@ -2,9 +2,11 @@
 
 tau sends a finitely presented non-projective object to the kernel of the
 reinterpreted relation matrix on the injective side; tau_inv is the dual.
-Almost split sequences are built from the socle class of Ext(X, tau X) under
-the endomorphism action and checked by an explicit battery.  Knitting walks
-the component graph breadth first in both directions, with payload identity
+The standard objects are read from the same minimal (co)presentations: X is
+P_a (I_a) when it has one (co)generator a and no (co)relations.  Almost
+split sequences are built from the socle class of Ext(X, tau X) under the
+endomorphism action and checked by an explicit battery.  Knitting walks the
+component graph breadth first in both directions, with payload identity
 decided by fingerprints plus certified isomorphism tests.  Each mesh is
 computed once, from whichever of its ends comes up first, and replayed from
 the other side.
@@ -24,8 +26,7 @@ from .presentations import (min_inj_copresentation, min_proj_presentation,
                             nakayama)
 from .quiver import FiniteQuiver, Path, QuiverBase, vkey
 from .rep import (DEFAULT_BUDGET, Rep, classify_membership, coker_proj,
-                  dim_vector, injective_at, is_doubly_infinite, ker_inj,
-                  path_matrix, projective_at)
+                  dim_vector, is_doubly_infinite, ker_inj, path_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +51,19 @@ def tau_inv(w: Rep, budget: Optional[int] = None) -> Rep:
     if not cop.pm.codomain:
         raise ValueError("tau_inv undefined for injective objects")
     return coker_proj(nakayama(cop.pm))
+
+
+def standard_vertex(x: Rep, kind: str, budget: Optional[int] = None):
+    """a with x isomorphic to P_a (kind "proj") or I_a (kind "inj"), else
+    None: its minimal (co)presentation has the one (co)generator a and no
+    (co)relations."""
+    if kind == "proj":
+        pm = min_proj_presentation(x, budget).pm
+        gens, rels = pm.codomain, pm.domain
+    else:
+        pm = min_inj_copresentation(x, budget).pm
+        gens, rels = pm.domain, pm.codomain
+    return gens[0] if len(gens) == 1 and not rels else None
 
 
 def is_pseudo_projective(x: Rep, budget: Optional[int] = None) -> bool:
@@ -84,9 +98,7 @@ def almost_split_sequence(x: Rep, budget: Optional[int] = None) -> SES:
             for bc in ecb.basis:
                 moved = {a: m.mul(r.component(a.src)) for a, m in bc.items()}
                 cols.append(ecb.coords(lambda a: moved.get(a)))
-            act = Mat(F, len(cols[0]) if cols else 0, len(cols),
-                      tuple(tuple(c[rr] for c in cols)
-                            for rr in range(len(cols[0]) if cols else 0)))
+            act = Mat(F, ecb.dimension, len(cols), tuple(zip(*cols)))
             stacked = act if stacked is None else stacked.vstack(act)
         soc = kernel_basis(stacked)
         if soc.cols == 0:
@@ -97,7 +109,8 @@ def almost_split_sequence(x: Rep, budget: Optional[int] = None) -> SES:
 
 def minimal_right_almost_split_into(p: Rep,
                                     budget: Optional[int] = None) -> Morphism:
-    """The radical inclusion into an indecomposable projective."""
+    """The radical inclusion into P_a followed by the cover P_a -> p of the
+    minimal presentation, an isomorphism as p has no relations."""
     q, F = p.quiver, p.field
     pres = min_proj_presentation(p, budget)
     if pres.pm.domain:
@@ -108,17 +121,13 @@ def minimal_right_almost_split_into(p: Rep,
     arrows = sorted(q.out_arrows(a))
     rad = path_matrix(q, F, "proj", [al.dst for al in arrows], [a],
                       [[[(1, Path(a, al.dst, (al,)))] for al in arrows]])
-    incl = Morphism(rad.src, rad.dst, rule=rad.component, label="rad")
-    pair = _iso_indec(rad.dst, p, budget)
-    if pair is None:
-        raise ValueError("input is not isomorphic to the expected projective")
-    u, _ = pair
-    return incl.then(u)
+    return Morphism(rad.src, rad.dst, rule=rad.component).then(pres.cover)
 
 
 def minimal_left_almost_split_from(i: Rep,
                                    budget: Optional[int] = None) -> Morphism:
-    """The quotient by the socle out of an indecomposable injective."""
+    """The embedding i -> I_a of the minimal copresentation, an isomorphism
+    as i has no corelations, followed by the quotient by the socle."""
     q, F = i.quiver, i.field
     cop = min_inj_copresentation(i, budget)
     if cop.pm.codomain:
@@ -129,12 +138,7 @@ def minimal_left_almost_split_from(i: Rep,
     arrows = sorted(q.in_arrows(a))
     cosoc = path_matrix(q, F, "inj", [a], [al.src for al in arrows],
                         [[[(1, Path(al.src, a, (al,)))]] for al in arrows])
-    proj = Morphism(cosoc.src, cosoc.dst, rule=cosoc.component, label="cosoc")
-    pair = _iso_indec(i, cosoc.src, budget)
-    if pair is None:
-        raise ValueError("input is not isomorphic to the expected injective")
-    u, _ = pair
-    return u.then(proj)
+    return cop.cover.then(Morphism(cosoc.src, cosoc.dst, rule=cosoc.component))
 
 
 # ---------------------------------------------------------------------------
@@ -242,19 +246,6 @@ def _fingerprint(rep: Rep, window, cert) -> tuple:
     tails = tuple(sorted((p.eid, r.rid, r.kind, r.dim)
                          for p in cert.profiles for r in p.rays if r.dim > 0))
     return dim_vector(rep, window), tails
-
-
-def _match_standard(rep: Rep, verts, budget, kind: str):
-    """Vertex a with rep isomorphic to P_a / I_a, or None."""
-    q, F = rep.quiver, rep.field
-    probe = list(verts)
-    for a in sorted(set(probe), key=vkey):
-        std = projective_at(q, a, F) if kind == "proj" else injective_at(q, a, F)
-        if dim_vector(std, probe) != dim_vector(rep, probe):
-            continue
-        if _iso_indec(std, rep, budget) is not None:
-            return a
-    return None
 
 
 def knit(seed: Rep, depth: int, budget: Optional[int] = None) -> ARComponent:
@@ -370,32 +361,34 @@ def knit(seed: Rep, depth: int, budget: Optional[int] = None) -> ARComponent:
             node.notes = tuple(notes)
             continue
 
-        probe = joint_window([cert])[0]
-        pa = _match_standard(x, probe, budget, "proj")
-        ia = _match_standard(x, probe, budget, "inj")
-        node.is_projective = pa is not None
-        node.is_injective = ia is not None
+        # an fp node needs its presentation for tau anyway, an fc node its
+        # copresentation for tau_inv
+        fp, fc = cert.verdict in ("fp", "fd"), cert.verdict in ("fc", "fd")
+        node.is_projective = fp and \
+            standard_vertex(x, "proj", budget) is not None
+        node.is_injective = fc and \
+            standard_vertex(x, "inj", budget) is not None
 
         # backward step: predecessors through the right almost split map
-        if pa is not None:
+        if node.is_projective:
             incl = minimal_right_almost_split_into(x, budget)
             for (summand, mult) in decompose(incl.src, budget):
                 skey = add_node(summand, node.hops + 1)
                 add_arrow(skey, key, mult)
                 queue.append(skey)
-        elif cert.verdict in ("fp", "fd"):
+        elif fp:
             knit_mesh(key, forward=False)
         else:
             notes.append("no backward expansion: payload not fp")
 
         # forward step: successors through the left almost split map
-        if ia is not None:
+        if node.is_injective:
             proj = minimal_left_almost_split_from(x, budget)
             for (summand, mult) in decompose(proj.dst, budget):
                 skey = add_node(summand, node.hops + 1)
                 add_arrow(key, skey, mult)
                 queue.append(skey)
-        elif cert.verdict in ("fc", "fd"):
+        elif fc:
             knit_mesh(key, forward=True)
         else:
             notes.append("no forward expansion: payload not fc")

@@ -308,63 +308,16 @@ def end_algebra(m: Rep, budget: Optional[int] = None) -> EndAlgebra:
     return alg
 
 
-def _alg_mul(E: EndAlgebra, x, y):
+def _left_mult(E: EndAlgebra, x) -> Mat:
+    """L_x, the matrix of left multiplication by x in the regular
+    representation: column j holds the coordinates of x o basis[j]."""
     F = E.obj.field
     n = E.dimension
-    out = [F.zero] * n
-    for i in range(n):
-        if F.is_zero(x[i]):
-            continue
-        for j in range(n):
-            if F.is_zero(y[j]):
-                continue
-            c = F.mul(x[i], y[j])
-            for r in range(n):
-                t = E.table[i][j][r]
-                if not F.is_zero(t):
-                    out[r] = F.add(out[r], F.mul(c, t))
-    return tuple(out)
-
-
-def _left_mult_matrix(E: EndAlgebra, x) -> Mat:
-    F = E.obj.field
-    n = E.dimension
-    cols = []
-    for j in range(n):
-        ej = tuple(F.one if t == j else F.zero for t in range(n))
-        cols.append(_alg_mul(E, x, ej))
-    return Mat(F, n, n, tuple(tuple(cols[j][r] for j in range(n))
-                              for r in range(n)))
-
-
-def _eval_alg_poly(E: EndAlgebra, coeffs, x):
-    """coeffs low-first; evaluates in the algebra (constant term on identity)."""
-    F = E.obj.field
-    n = E.dimension
-    acc = tuple(F.zero for _ in range(n))
-    power = E.identity
-    for c in coeffs:
-        c = F.of(c)
+    acc = Mat.zeros(F, n, n)
+    for c, products in zip(x, E.table):
         if not F.is_zero(c):
-            acc = tuple(F.add(a, F.mul(c, p)) for a, p in zip(acc, power))
-        power = _alg_mul(E, power, x)
+            acc = acc.add(Mat(F, n, n, tuple(zip(*products))).scale(c))
     return acc
-
-
-def _is_multiple_of(F, x, y):
-    """x = c*y for some scalar c (including c = 0)?"""
-    ratio = None
-    for a, b in zip(x, y):
-        if F.is_zero(b):
-            if not F.is_zero(a):
-                return False
-        else:
-            r = F.div(a, b)
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                return False
-    return True
 
 
 def _candidate_elements(E: EndAlgebra):
@@ -392,12 +345,14 @@ def _find_idempotent(E: EndAlgebra):
     searched over a deterministic candidate list; None if not found, or if
     a minimal polynomial over Q is too costly to factor (poly.factor)."""
     F = E.obj.field
+    n = E.dimension
     for cand in _candidate_elements(E):
-        if _is_multiple_of(F, cand, E.identity):
+        L = _left_mult(E, cand)
+        mp = min_poly(L)
+        if len(mp) == 2:  # degree 1: a scalar multiple of the identity
             continue
         # imported here, so processes that never factor do not compile it
         from . import poly
-        mp = min_poly(_left_mult_matrix(E, cand))
         factors = poly.factor(F, mp)
         if factors is None:
             return None
@@ -410,12 +365,13 @@ def _find_idempotent(E: EndAlgebra):
             m0 = poly.mul(F, m0, f0)
         g = poly.div(F, mp, m0)[0]
         s = poly.gcdex(F, g, m0)[0]
-        idem = _eval_alg_poly(E, poly.div(F, poly.mul(F, s, g), mp)[1], cand)
-        if all(F.is_zero(c) for c in idem):
+        value = Mat.zeros(F, n, n)  # Horner: the polynomial at L
+        for c in reversed(poly.div(F, poly.mul(F, s, g), mp)[1]):
+            value = value.mul(L).add(Mat.identity(F, n).scale(c))
+        idem = value.apply(E.identity)
+        if idem == E.identity or all(F.is_zero(c) for c in idem):
             continue
-        if idem == E.identity:
-            continue
-        if _alg_mul(E, idem, idem) != idem:
+        if _left_mult(E, idem).apply(idem) != idem:
             raise AssertionError("idempotent construction failed")
         return idem
     return None

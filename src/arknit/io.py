@@ -84,6 +84,13 @@ def parse_quiver(obj, pointer: str = "") -> QuiverBase:
                      "expected 'preset', 'vertices' or 'opposite'")
 
 
+def _natural(x, pointer: str, what: str) -> int:
+    """x when it is a JSON integer >= 0; a bool or a digit string is not."""
+    if type(x) is not int or x < 0:
+        raise ParseError(pointer, f"{what} must be an integer >= 0, got {x!r}")
+    return x
+
+
 def _vertex_id(x, pointer: str):
     """A vertex of a finite quiver spec: an int (digit strings included) or
     a string."""
@@ -155,6 +162,23 @@ def _parse_mat(F, rows, pointer) -> Mat:
               for j, x in enumerate(r)) for i, r in enumerate(rows)))
 
 
+def _parse_arrow_mat(q, F, dims, lbl, rows, pointer) -> Mat:
+    """The matrix of the arrow labelled lbl at a vertex of dims, shaped
+    dims(dst) x dims(src) with a missing dim read as 0."""
+    arrow = next((a for v in dims for a in q.out_arrows(v) + q.in_arrows(v)
+                  if a.label == lbl), None)
+    if arrow is None:
+        raise ParseError(pointer, f"no arrow {lbl!r} at a vertex of dims")
+    m = _parse_mat(F, rows, pointer)
+    shape = (dims.get(arrow.dst, 0), dims.get(arrow.src, 0))
+    if m.rows == 0 == shape[0]:  # [] is the one way to write 0 x n
+        return Mat.zeros(F, *shape)
+    if (m.rows, m.cols) != shape:
+        raise ParseError(pointer, f"matrix is {m.rows}x{m.cols}, "
+                                  f"arrow {lbl!r} needs {shape[0]}x{shape[1]}")
+    return m
+
+
 def _parse_region(q, obj, pointer) -> VertexSet:
     expl = [_parse_vert(q, v, f"{pointer}/explicit/{i}")
             for i, v in enumerate(obj.get("explicit", []))]
@@ -166,7 +190,8 @@ def _parse_region(q, obj, pointer) -> VertexSet:
         if not any(t[0] == eid and t[1] == rid for eid, rid in rays):
             raise ParseError(f"{pointer}/tails/{i}",
                              f"no ray {t[1]!r} on end {t[0]!r}")
-        tails.append((t[0], t[1], int(t[2])))
+        tails.append((t[0], t[1],
+                      _natural(t[2], f"{pointer}/tails/{i}/2", "tail start")))
     try:
         return VertexSet.make(q, expl, tails)
     except (KeyError, ValueError) as e:
@@ -240,10 +265,15 @@ def parse_rep(q: QuiverBase, obj, field=QQ, pointer: str = "") -> Rep:
     if key == "thin":
         return thin_rep(q, _parse_region(q, val, ptr), F)
     if key == "explicit_fd":
-        dims = {_parse_vert(q, k, f"{ptr}/dims"): int(d)
+        dims = {_parse_vert(q, k, f"{ptr}/dims"):
+                _natural(d, f"{ptr}/dims/{k}", "dim")
                 for k, d in _need(val, "dims", ptr, dict).items()}
-        mats = {lbl: _parse_mat(F, rows, f"{ptr}/mats/{lbl}")
-                for lbl, rows in val.get("mats", {}).items()}
+        mats = val.get("mats", {})
+        if not isinstance(mats, dict):
+            raise ParseError(f"{ptr}/mats", "expected dict")
+        mats = {lbl: _parse_arrow_mat(q, F, dims, lbl, rows,
+                                      f"{ptr}/mats/{lbl}")
+                for lbl, rows in mats.items()}
         try:
             return explicit_fd(q, dims, mats, F)
         except ValueError as e:
@@ -283,9 +313,10 @@ def parse_rep(q: QuiverBase, obj, field=QQ, pointer: str = "") -> Rep:
             if not isinstance(f, list) or len(f) != 4:
                 raise ParseError(f"{ptr}/families/{i}",
                                  "family must be [end, crossing, start, coeff]")
-            fams.append(RungFamily(f[0], f[1], int(f[2]),
-                                   _parse_scalar(F, f[3],
-                                                 f"{ptr}/families/{i}/3")))
+            fams.append(RungFamily(
+                f[0], f[1],
+                _natural(f[2], f"{ptr}/families/{i}/2", "family start"),
+                _parse_scalar(F, f[3], f"{ptr}/families/{i}/3")))
         try:
             return glue_rep(sub, quot, coc, fams)
         except ValueError as e:

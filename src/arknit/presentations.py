@@ -21,8 +21,8 @@ from .rep import (DEFAULT_BUDGET, BudgetError, KernelOfRep, PathMatrix, Rep,
 
 @dataclass(frozen=True)
 class Presentation:
-    """side 'proj': 0 -> (sum over pm.domain) -> (sum over pm.codomain) -> obj -> 0.
-    side 'inj':  0 -> obj -> (sum over pm.domain) -> (sum over pm.codomain).
+    """pm.side 'proj': 0 -> (sum over pm.domain) -> (sum over pm.codomain) -> obj -> 0.
+    pm.side 'inj':  0 -> obj -> (sum over pm.domain) -> (sum over pm.codomain).
     cover: the surjection onto obj (proj side) / the embedding of obj (inj side).
     gens: one (vertex, column) pair per summand of the cover term; on the proj
     side columns are lifted top basis vectors, on the inj side they are the
@@ -31,12 +31,8 @@ class Presentation:
 
     obj: Rep
     pm: PathMatrix
-    side: str
-    sum_rep: Rep
     cover: Morphism
     gens: tuple
-    minimal: bool
-    certificate: dict
 
 
 def top_generators(m: Rep, region, deep_bands):
@@ -65,8 +61,9 @@ def top_generators(m: Rep, region, deep_bands):
 
 
 def _cover_from_gens(m: Rep, gens):
-    """(P0 rep, pi: P0 -> m) with pi sending the i-th generator path basis to
-    m evaluated along the path applied to the generator vector."""
+    """(generator vertices, pi: P0 -> m) with pi sending the i-th generator
+    path basis to m evaluated along the path applied to the generator
+    vector."""
     q, F = m.quiver, m.field
     verts = tuple(v for (v, _) in gens)
     p0 = sum_of(q, F, "proj", verts)
@@ -79,7 +76,7 @@ def _cover_from_gens(m: Rep, gens):
         rows = tuple(tuple(c[r] for c in cols) for r in range(m.dim(w)))
         return Mat(F, m.dim(w), len(basis), rows)
 
-    return p0, verts, Morphism(p0, m, rule=rule, label="cover")
+    return verts, Morphism(p0, m, rule=rule, label="cover")
 
 
 def _probe_and_deep(m: Rep, cert, pad=1):
@@ -109,7 +106,7 @@ def _min_proj_presentation(x: Rep, budget: int) -> Presentation:
             f"minimal projective presentation needs an fp object, got {cert.verdict}")
     region, deep = _probe_and_deep(x, cert)
     gens = top_generators(x, region, deep)
-    p0, p0_verts, cover = _cover_from_gens(x, gens)
+    p0_verts, cover = _cover_from_gens(x, gens)
 
     # surjectivity of the cover over the probe (tails follow by stability)
     for v in list(region) + deep:
@@ -132,14 +129,10 @@ def _min_proj_presentation(x: Rep, budget: int) -> Presentation:
                 entries[j][i].append((coord, p))
     pm = path_matrix(q, F, "proj", p1_verts, p0_verts, entries)
 
-    minimal = all(p.length >= 1 for row in pm.entries for combo in row
-                  for (_, p) in combo)
-    if not minimal:
+    if any(p.length == 0 for row in pm.entries for combo in row
+           for (_, p) in combo):
         raise AssertionError("cover is not minimal: trivial path in relations")
-    return Presentation(x, pm, "proj", p0, cover, tuple(gens), True,
-                        {"region": [q.vertex_str(v) for v in region],
-                         "generators": [q.vertex_str(v) for v in p0_verts],
-                         "relations": [q.vertex_str(v) for v in p1_verts]})
+    return Presentation(x, pm, cover, tuple(gens))
 
 
 def _reverse_path(q: QuiverBase, p: Path) -> Path:
@@ -171,9 +164,8 @@ def _min_inj_copresentation(w: Rep, budget: int) -> Presentation:
             for (c, p) in dpres.pm.entries[j][i]:
                 entries[i][j].append((c, _reverse_path(q, p)))
     pm = path_matrix(q, F, "inj", i0_verts, i1_verts, entries)
-    i0 = pm.src
     # socle functionals: the dual-side top generators read as row vectors
-    gens = tuple((v, col) for (v, col) in dpres.gens)
+    gens = dpres.gens
 
     def rule(v):
         bl = inj_sum_basis(q, i0_verts, v)
@@ -182,10 +174,8 @@ def _min_inj_copresentation(w: Rep, budget: int) -> Presentation:
             rows.append(gens[i][1].transpose().mul(w.mat_path(p)).row(0))
         return Mat(F, len(bl), w.dim(v), tuple(rows))
 
-    coemb = Morphism(w, i0, rule=rule, label="coembed")
-    return Presentation(w, pm, "inj", i0, coemb, gens, dpres.minimal,
-                        {"socle": [q.vertex_str(v) for v in i0_verts],
-                         "cosocle": [q.vertex_str(v) for v in i1_verts]})
+    coemb = Morphism(w, pm.src, rule=rule, label="coembed")
+    return Presentation(w, pm, coemb, gens)
 
 
 def nakayama(pm: PathMatrix) -> PathMatrix:

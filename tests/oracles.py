@@ -1,11 +1,18 @@
 """Independent brute-force oracles used to freeze expected values.
 
-Everything here is computed from first principles with its own Fraction
-arithmetic so that no production code path is trusted twice: Hom/Ext via
-naive commuting-square systems, A_n structure via the interval model, the
-translation-quiver shape via an explicit combinatorial construction.
+Everything here but the last section is computed from first principles with
+its own Fraction arithmetic so that no production code path is trusted
+twice: Hom/Ext via naive commuting-square systems, A_n structure via the
+interval model, the translation-quiver shape via an explicit combinatorial
+construction.  The last section decides the standard objects by a search
+over isomorphism tests, a second route through the package's Hom layer that
+the presentation reading in ar.py does not take.
 """
 from fractions import Fraction
+
+from arknit import classify_membership, dim_vector, injective_at, projective_at
+from arknit.hom import _iso_indec, joint_window
+from arknit.quiver import vkey
 
 
 # ---------------------------------------------------------------------------
@@ -256,3 +263,22 @@ def coxeter_images(vertices, arrows, dims, inverse=False):
         phi = matinv(phi)
     vec = [Fraction(d) for d in dims]
     return tuple(sum(phi[i][j] * vec[j] for j in range(n)) for i in range(n))
+
+
+# ---------------------------------------------------------------------------
+# standard objects by isomorphism search
+
+
+def standard_by_search(rep, kind, budget=None):
+    """The vertex a of the certified probe window with rep isomorphic to P_a
+    (kind "proj") or I_a (kind "inj"), tested against every candidate with
+    the same dimension vector on the window; None if there is none."""
+    q, F = rep.quiver, rep.field
+    probe = joint_window([classify_membership(rep, budget)])[0]
+    make = projective_at if kind == "proj" else injective_at
+    for a in sorted(set(probe), key=vkey):
+        std = make(q, a, F)
+        if dim_vector(std, probe) == dim_vector(rep, probe) and \
+                _iso_indec(std, rep, budget) is not None:
+            return a
+    return None

@@ -45,6 +45,7 @@ from arknit import (
     verify_almost_split,
     verify_exact,
 )
+from arknit.ar import standard_vertex
 from arknit.hom import joint_window, solve_natural
 
 from conftest import random_fd_rep, random_morphism
@@ -58,6 +59,7 @@ from oracles import (
     an_tau,
     coxeter_images,
     nqop_truncation,
+    standard_by_search,
 )
 
 V5 = (1, 2, 3, 4, 5)
@@ -437,9 +439,23 @@ def test_criterion_10_taxonomy_audit(a3, a5, kron, zig, ray_in, ray_out,
         knit(single_rung_mid, 3),
     ]
     tags = []
+    found = {"proj": 0, "inj": 0}
     for comp in corpus:
         verdict = {n.key: classify_membership(n.rep).verdict
                    for n in comp.nodes}
+        # P_a and I_a as read from the minimal (co)presentations agree with
+        # the isomorphism search over the probe window
+        for n in comp.nodes:
+            if n.status != "expanded":  # neither flag is decided
+                assert not n.is_projective and not n.is_injective
+                continue
+            for kind, flag, sides in (("proj", n.is_projective, ("fp", "fd")),
+                                      ("inj", n.is_injective, ("fc", "fd"))):
+                want = standard_by_search(n.rep, kind)
+                assert flag == (want is not None)
+                if verdict[n.key] in sides:
+                    assert standard_vertex(n.rep, kind) == want
+                found[kind] += flag
         for s, d in comp.arrows:
             assert verdict[s] in ("fd", "fc") or verdict[d] in ("fd", "fp")
         hyp = classify_component(comp)
@@ -457,5 +473,6 @@ def test_criterion_10_taxonomy_audit(a3, a5, kron, zig, ray_in, ray_out,
             assert into_a == out_b
     assert "Wing" in tags
     assert tags.count("TrivialSingleton") == 2
-    ok(10, "arrow direction, wing payloads and valuation symmetry hold "
-           "over 11 components")
+    assert found == {"proj": 20, "inj": 15}
+    ok(10, "arrow direction, wing payloads, valuation symmetry and the "
+           "standard objects hold over 11 components")

@@ -1,9 +1,14 @@
 """Translates, almost split sequences, knitting, component taxonomy."""
 
+import sys
+
 import pytest
 
 import arknit.ar as ar
 from arknit import (
+    GF,
+    QQ,
+    Mat,
     VertexSet,
     almost_split_sequence,
     ar_category_kind,
@@ -12,6 +17,8 @@ from arknit import (
     coker_proj,
     coxeter_transform,
     dim_vector,
+    end_algebra,
+    explicit_fd,
     injective_at,
     is_pseudo_projective,
     iso_test,
@@ -20,6 +27,7 @@ from arknit import (
     minimal_left_almost_split_from,
     minimal_right_almost_split_into,
     min_proj_presentation,
+    morphism_from_components,
     nakayama,
     projective_at,
     simple_at,
@@ -33,7 +41,8 @@ from arknit import (
     split_ses,
 )
 
-from arknit.hom import joint_window
+from arknit.hom import joint_window, solve_natural
+from arknit.quiver import linear_quiver
 from oracles import (
     an_almost_split,
     an_ar_arrows,
@@ -144,6 +153,35 @@ def test_ass_kronecker_middle(kron):
     assert dim_vector(ses.sub, (1, 2)) == (0, 1)
     assert dim_vector(ses.middle, (1, 2)) == (2, 4)
     assert dim_vector(ses.quot, (1, 2)) == (2, 3)
+
+
+@pytest.mark.parametrize("F", [
+    QQ, GF(3), GF(7),
+    pytest.param(GF(2), marks=pytest.mark.xfail(
+        raises=AssertionError, strict=True,
+        reason="the trace-form radical overshoots to all of End in "
+               "characteristic 2, so no Ext class survives it")),
+], ids=repr)
+def test_ass_takes_the_socle_class_of_a_non_simple_end(kron, F):
+    """alpha = I, beta = N = [[0, 1], [0, 0]] on Kronecker: End is k[x]/(x^2),
+    local of dimension 2, with radical spanned by the endomorphism N at both
+    vertices, so the class must be chosen in the socle of Ext(X, tau X)."""
+    nil = Mat.from_rows(F, [[0, 1], [0, 0]])
+    x = explicit_fd(kron, {1: 2, 2: 2},
+                    {"alpha": Mat.identity(F, 2), "beta": nil}, F)
+    ses = almost_split_sequence(x)
+    E = end_algebra(x)
+    assert E.is_local and E.dimension == 2 and len(E.radical) == 1
+    verts = (1, 2)
+    assert verify_exact(ses, verts)["exact"]
+    battery = [make(kron, a, F) for make in (simple_at, projective_at,
+                                             injective_at) for a in verts]
+    report = verify_almost_split(ses, battery)
+    assert report.non_split and report.passed
+    # rad End kills the class: N factors through the middle term
+    n = morphism_from_components(x, x, {1: nil, 2: nil})
+    lift = [(v, ses.proj.component(v), None, n.component(v)) for v in verts]
+    assert solve_natural(x, ses.middle, verts, extra=lift)[0] is not None
 
 
 def test_verify_almost_split_accepts(a3):
@@ -281,6 +319,19 @@ def test_knit_computes_each_mesh_once(kron, monkeypatch):
     for i, x in enumerate(ends):
         for y in ends[i + 1:]:
             assert iso_test(x, y) is None
+
+
+def test_knit_tests_isomorphism_only_to_find_nodes(monkeypatch):
+    callers = []
+    iso = ar._iso_indec
+
+    def spy(m, n, budget=None, probe=None):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return iso(m, n, budget, probe)
+
+    monkeypatch.setattr(ar, "_iso_indec", spy)
+    knit(projective_at(linear_quiver(3), 3), 6)
+    assert callers == ["find_node"] * 6
 
 
 # ---------------------------------------------------------------------------

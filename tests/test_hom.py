@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import arknit.hom as hom
 from arknit import (
     GF,
     QQ,
@@ -183,6 +184,29 @@ def test_iso_test_distinguishes_same_dim_vector(a3):
     n = direct_sum(injective_at(a3, 2), projective_at(a3, 2))  # dims (1,2,1)
     assert dim_vector(m, (1, 2, 3)) == dim_vector(n, (1, 2, 3))
     assert iso_test(m, n) is None
+
+
+def test_iso_test_pairs_summands(a3, monkeypatch):
+    """Neither pair below has a single invertible basis composite, so
+    iso_test matches the summands of the two decompositions."""
+    reports = []
+
+    def spy(m, budget=None):
+        reports.append(m)
+        return decompose_report(m, budget)
+
+    monkeypatch.setattr(hom, "decompose_report", spy)
+    m = direct_sum(projective_at(a3, 1), simple_at(a3, 2))
+    n = direct_sum(simple_at(a3, 2), projective_at(a3, 1))
+    f, finv = iso_test(m, n)
+    assert reports == [m, n]
+    for v in (1, 2, 3):
+        assert f.then(finv).component(v) == identity_morphism(m).component(v)
+        assert finv.then(f).component(v) == identity_morphism(n).component(v)
+    other = direct_sum(projective_at(a3, 2), injective_at(a3, 2))
+    assert dim_vector(other, (1, 2, 3)) == dim_vector(m, (1, 2, 3)) == (1, 2, 1)
+    assert iso_test(m, other) is None
+    assert reports[2:] == [m, other]
 
 
 def test_decompose_sum(a3):

@@ -151,6 +151,56 @@ def test_region_tails_name_a_ray(line, tail, message):
     assert str(e.value) == f"/thin/tails/1: {message}"
 
 
+@pytest.mark.parametrize("quiver, rep, message", [
+    (KRON, {"explicit_fd": {"dims": {"1": 1, "2": 1}, "mats": {"zzz": [[1]]}}},
+     "/explicit_fd/mats/zzz: no arrow 'zzz' at a vertex of dims"),
+    (KRON, {"explicit_fd": {"dims": {"1": 1, "2": 1},
+                            "mats": {"alpha": [[1, 0], [0, 1]]}}},
+     "/explicit_fd/mats/alpha: matrix is 2x2, arrow 'alpha' needs 1x1"),
+    (KRON, {"explicit_fd": {"dims": {"1": 1}, "mats": {"beta": [[1]]}}},
+     "/explicit_fd/mats/beta: matrix is 1x1, arrow 'beta' needs 0x1"),
+    (KRON, {"explicit_fd": {"dims": {"1": 1}, "mats": [[1]]}},
+     "/explicit_fd/mats: expected dict"),
+    (KRON, {"explicit_fd": {"dims": {"1": -1, "2": 1}}},
+     "/explicit_fd/dims/1: dim must be an integer >= 0, got -1"),
+    (KRON, {"explicit_fd": {"dims": {"1": "x", "2": 1}}},
+     "/explicit_fd/dims/1: dim must be an integer >= 0, got 'x'"),
+    (KRON, {"explicit_fd": {"dims": {"1": True}}},
+     "/explicit_fd/dims/1: dim must be an integer >= 0, got True"),
+    (LINE, {"explicit_fd": {"dims": {"0": 1}, "mats": {"2>1": []}}},
+     "/explicit_fd/mats/2>1: no arrow '2>1' at a vertex of dims"),
+    (LINE, {"thin": {"tails": [["neg", "v", "x"]]}},
+     "/thin/tails/0/2: tail start must be an integer >= 0, got 'x'"),
+    (LINE, {"thin": {"tails": [["neg", "v", -3]]}},
+     "/thin/tails/0/2: tail start must be an integer >= 0, got -3"),
+    ('{"preset":"ladder"}',
+     {"glue": {"sub": {"thin": {"tails": [["inf", "b", 0]]}},
+               "quot": {"thin": {"tails": [["inf", "a", 0]]}},
+               "families": [["inf", "rung", -3, "1"]]}},
+     "/glue/families/0/2: family start must be an integer >= 0, got -3"),
+    (LINE, {"sum": [{"simple": "0"},
+                    {"restrict": {"rep": {"proj": "0"},
+                                  "region": {"tails": [["neg", "v", 1.5]]}}}]},
+     "/sum/1/restrict/region/tails/0/2: tail start must be an integer >= 0, "
+     "got 1.5"),
+])
+def test_cli_rejects_bad_explicit_fd_and_starts(quiver, rep, message):
+    code, out, err = run_cli(["rep", "--quiver", quiver,
+                              "--rep", json.dumps(rep)])
+    assert (code, out, err) == (1, "", f"arknit: error: {message}\n")
+
+
+def test_explicit_fd_accepts_every_arrow_at_its_dims(line):
+    spec = {"explicit_fd": {"dims": {"0": 1, "-1": 2, "-2": 0},
+                            "mats": {"0>-1": [["1"], ["2"]], "-1>-2": []}}}
+    m = parse_rep(line, spec, QQ)
+    assert dim_vector(m, (0, -1, -2)) == (1, 2, 0)
+    assert [(a.label, m.mat(a).rows, m.mat(a).cols)
+            for a in line.out_arrows(-1)] == [("-1>-2", 0, 2)]
+    assert emit_rep(parse_rep(line, emit_rep(m)["rep"]["spec"], QQ)) == \
+        emit_rep(m)
+
+
 def test_cyclic_quiver_rejected():
     with pytest.raises(ParseError):
         parse_quiver({"vertices": ["1", "2"],

@@ -2,7 +2,8 @@
 
 The properties check factorizations with naive arithmetic written here; the
 oracle test compares factor lists and idempotents with sympy when it is
-installed.
+installed, multiplying in the algebra with naive table arithmetic written
+here too.
 """
 import itertools
 import math
@@ -16,10 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arknit import poly
-from arknit.hom import (EndAlgebra, _alg_mul, _candidate_elements,
-                        _eval_alg_poly, _find_idempotent, _is_multiple_of,
-                        _left_mult_matrix, end_algebra)
-from arknit.linalg import GF, QQ, min_poly
+from arknit.hom import (EndAlgebra, _candidate_elements, _find_idempotent,
+                        end_algebra)
+from arknit.linalg import GF, QQ, Mat, min_poly
 from arknit.rep import direct_sum, injective_at, projective_at, simple_at
 
 FIELDS = (QQ, GF(2), GF(3), GF(7))
@@ -172,6 +172,41 @@ def test_gcdex_and_div():
 
 
 # ---------------------------------------------------------------------------
+# naive arithmetic in an algebra given by its structure table
+
+
+def table_mul(E, x, y):
+    """x o y, summing x_i y_j table[i][j] term by term."""
+    F = E.obj.field
+    out = [F.zero] * E.dimension
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            for r, t in enumerate(E.table[i][j]):
+                out[r] = F.add(out[r], F.mul(F.mul(a, b), t))
+    return tuple(out)
+
+
+def left_mult_columns(E, x):
+    """The matrix of y -> x o y: column j holds x o basis[j]."""
+    F = E.obj.field
+    n = E.dimension
+    cols = [table_mul(E, x, tuple(F.one if t == j else F.zero
+                                  for t in range(n))) for j in range(n)]
+    return Mat(F, n, n, tuple(zip(*cols)))
+
+
+def power_sum(E, coeffs, x):
+    """sum of coeffs[k] x^k (low first), with x^0 the identity."""
+    F = E.obj.field
+    acc = tuple(F.zero for _ in range(E.dimension))
+    power = E.identity
+    for c in coeffs:
+        acc = tuple(F.add(a, F.mul(F.of(c), p)) for a, p in zip(acc, power))
+        power = table_mul(E, power, x)
+    return acc
+
+
+# ---------------------------------------------------------------------------
 # idempotents of F[x]/(f): the candidate x has minimal polynomial f
 
 
@@ -208,7 +243,7 @@ def test_idempotent_of_a_split_quotient():
     F = GF(7)
     E = quotient_algebra(F, _from_high(F, 1, 0, -1))
     e = E.idempotent
-    assert e is not None and _alg_mul(E, e, e) == e
+    assert e is not None and table_mul(E, e, e) == e
     assert E.idempotent is e  # searched once
 
 
@@ -236,9 +271,10 @@ def sympy_idempotent(sympy, E):
     """_find_idempotent as computed with sympy's factor_list and gcdex."""
     F = E.obj.field
     for cand in _candidate_elements(E):
-        if _is_multiple_of(F, cand, E.identity):
+        P, factors = _sympy_factor(sympy, F,
+                                   min_poly(left_mult_columns(E, cand)))
+        if P.degree() == 1:  # a scalar multiple of the identity
             continue
-        P, factors = _sympy_factor(sympy, F, min_poly(_left_mult_matrix(E, cand)))
         if len(factors) < 2:
             continue
         f0, e0 = factors[0]
@@ -248,9 +284,10 @@ def sympy_idempotent(sympy, E):
         coeffs = [F.of(int(c)) if F.char else
                   F.of(Fraction(int(c.p), int(c.q)))
                   for c in reversed(idem_poly.all_coeffs())]
-        idem = _eval_alg_poly(E, coeffs, cand)
+        idem = power_sum(E, coeffs, cand)
         if all(F.is_zero(c) for c in idem) or idem == E.identity:
             continue
+        assert table_mul(E, idem, idem) == idem
         return idem
     return None
 

