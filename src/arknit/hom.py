@@ -1,8 +1,9 @@
 """Hom spaces, endomorphism algebras, isomorphism testing, decomposition.
 
 Three finite routes to Hom(M, N):
-  presentation    M finitely presented: kernel of the map between evaluation
-                  sums induced by the relation matrix of M.
+  presentation    M finitely presented: generator images that the relations
+                  of M kill, each read as the Yoneda map of the images
+                  through a section of the cover.
   copresentation  N finitely copresented: the presentation route on the
                   duals, Hom(M, N) = Hom(DN, DM) over the opposite quiver,
                   transposed back.
@@ -22,11 +23,11 @@ from typing import Optional
 from .ext import arrow_complex
 from .linalg import (Mat, inverse, kernel_basis, min_poly, rank, solve,
                      solve_matrix)
-from .morphism import Morphism, identity_morphism, zero_morphism
-from .presentations import min_proj_presentation, relation_matrix
+from .morphism import Morphism, identity_morphism, image, zero_morphism
+from .presentations import min_proj_presentation, relation_matrix, yoneda
 from .quiver import vkey
-from .rep import (DEFAULT_BUDGET, BudgetError, ImageRep, Rep,
-                  classify_membership, dim_vector, dualize, proj_sum_basis)
+from .rep import (DEFAULT_BUDGET, BudgetError, Rep, classify_membership,
+                  dim_vector, dualize)
 
 
 # ---------------------------------------------------------------------------
@@ -116,34 +117,20 @@ class HomBasis:
 
 def _presentation_route(m: Rep, n: Rep, budget):
     pres = min_proj_presentation(m, budget)
-    q, F = m.quiver, m.field
-    ys, xs = pres.pm.codomain, pres.pm.domain
+    F = m.field
+    ys = pres.pm.codomain
     K = kernel_basis(relation_matrix(pres.pm, n))
-    cover = pres.cover
     basis = []
-    for kcol in range(K.cols):
-        vec = K.col(kcol)
-        njs, off = [], 0
+    for k in range(K.cols):
+        col, off, images = K.col(k), 0, []
         for y in ys:
             d = n.dim(y)
-            njs.append(Mat(F, d, 1, tuple((vec[off + r],) for r in range(d))))
+            images.append(Mat(F, d, 1, tuple((x,) for x in col[off:off + d])))
             off += d
-
-        def rule(v, njs=njs):
-            bl = proj_sum_basis(q, ys, v)
-            cols = [n.mat_path(p).mul(njs[j]).col(0) for (j, p) in bl]
-            fhat = Mat(F, n.dim(v), len(bl),
-                       tuple(tuple(c[r] for c in cols)
-                             for r in range(n.dim(v))))
-            sol = solve_matrix(cover.component(v).transpose(),
-                               fhat.transpose())
-            if sol is None:
-                raise AssertionError("reconstruction through the cover failed")
-            return sol.transpose()
-
-        basis.append(Morphism(m, n, rule=rule, label=f"h{kcol}"))
-    cert = {"generators": list(ys), "relations": list(xs)}
-    return basis, cert
+        fhat = yoneda(n, ys, images)
+        basis.append(Morphism(m, n, label=f"h{k}", rule=lambda v, fhat=fhat:
+                              fhat.component(v).mul(pres.section(v))))
+    return basis, {"generators": list(ys), "relations": list(pres.pm.domain)}
 
 
 def _copresentation_route(m: Rep, n: Rep, budget):
@@ -184,30 +171,22 @@ def hom_space(m: Rep, n: Rep, route: Optional[str] = None,
         if not c.is_in_rrep():
             raise ValueError(
                 f"hom_space needs finite-data objects; {which} is {c.verdict}")
-    if route is None:
-        if certm.verdict in ("fd", "fp"):
-            route = "presentation"
-        elif certn.verdict in ("fd", "fc"):
-            route = "copresentation"
-        else:
-            route = "window"
-    window, _ = joint_window([certm, certn])
-    if route == "presentation":
-        if certm.verdict not in ("fd", "fp"):
-            raise ValueError("presentation route needs an fp domain")
-        basis, cert = _presentation_route(m, n, budget)
-    elif route == "copresentation":
-        if certn.verdict not in ("fd", "fc"):
-            raise ValueError("copresentation route needs an fc codomain")
-        basis, cert = _copresentation_route(m, n, budget)
-    elif route == "window":
-        basis, window, cert = _window_route(m, n, budget, [certm, certn])
-    else:
-        raise ValueError(f"unknown route {route!r}")
-    cert["routes_available"] = [r for r, ok in (
+    available = [r for r, ok in (
         ("presentation", certm.verdict in ("fd", "fp")),
         ("copresentation", certn.verdict in ("fd", "fc")),
         ("window", True)) if ok]
+    route = available[0] if route is None else route
+    if route not in available:
+        raise ValueError(f"route {route!r} is not available here; "
+                         f"available: {', '.join(available)}")
+    window, _ = joint_window([certm, certn])
+    if route == "presentation":
+        basis, cert = _presentation_route(m, n, budget)
+    elif route == "copresentation":
+        basis, cert = _copresentation_route(m, n, budget)
+    else:
+        basis, window, cert = _window_route(m, n, budget, [certm, certn])
+    cert["routes_available"] = available
     return HomBasis(m, n, len(basis), tuple(basis), route, window, cert)
 
 
@@ -233,25 +212,11 @@ class EndAlgebra:
         return _find_idempotent(self)
 
 
-def _flatten(comps, verts):
-    out = []
-    for v in verts:
-        for row in comps[v].entries:
-            out.extend(row)
-    return out
-
-
-def _column_matrix(F, comps, verts):
-    """Matrix whose columns are the flattened component dicts."""
-    cols = [_flatten(c, verts) for c in comps]
+def _columns(F, comps) -> Mat:
+    """The matrix whose k-th column is the list of matrices comps[k]
+    flattened row by row, one after the other."""
+    cols = [[x for c in cs for row in c.entries for x in row] for cs in comps]
     return Mat(F, len(cols[0]), len(cols), tuple(zip(*cols)))
-
-
-def _coords_solver(morphs, verts):
-    """Matrix whose columns are flattened morphisms; must be injective."""
-    return _column_matrix(morphs[0].src.field,
-                          [{v: f.component(v) for v in verts} for f in morphs],
-                          verts)
 
 
 def end_algebra(m: Rep, budget: Optional[int] = None) -> EndAlgebra:
@@ -261,27 +226,20 @@ def end_algebra(m: Rep, budget: Optional[int] = None) -> EndAlgebra:
     if n == 0:
         return EndAlgebra(m, 0, (), (), (), (), False, hb.window,
                           {"zero_object": True})
-    verts = list(hb.window)
-    B = _coords_solver(hb.basis, verts)
-    grow = 0
-    while rank(B) < n:
-        grow += 1
-        if grow > (DEFAULT_BUDGET if budget is None else budget):
-            raise BudgetError("basis coordinates did not separate")
-        verts = sorted(set(verts) | set(
-            joint_window([classify_membership(m, budget)], 2 + grow)[0]),
-            key=vkey)
-        B = _coords_solver(hb.basis, verts)
+    # each route's basis is independent on hb.window: a presentation-route
+    # morphism is fixed at its generators, which lie inside it, a
+    # copresentation-route one at the socle, and the window route solves there
+    verts = hb.window
+    comps = [[f.component(v) for v in verts] for f in hb.basis]
+    B = _columns(F, comps)
+    if rank(B) < n:
+        raise AssertionError("Hom basis is dependent on its window")
 
     # coordinates of the identity and of every basis[i] o basis[j], from one
     # elimination of [B | identity, products]
-    comps = [[f.component(v) for v in verts] for f in hb.basis]
-    rhs = [{v: Mat.identity(F, m.dim(v)) for v in verts}]
-    for i in range(n):
-        for j in range(n):
-            rhs.append({v: a.mul(b) for v, a, b in
-                        zip(verts, comps[i], comps[j])})
-    X = solve_matrix(B, _column_matrix(F, rhs, verts))
+    rhs = [[Mat.identity(F, m.dim(v)) for v in verts]]
+    rhs += [[a.mul(b) for a, b in zip(ci, cj)] for ci in comps for cj in comps]
+    X = solve_matrix(B, _columns(F, rhs))
     if X is None:
         raise AssertionError("endomorphism outside the computed basis")
     coords = X.transpose().entries
@@ -299,8 +257,8 @@ def end_algebra(m: Rep, budget: Optional[int] = None) -> EndAlgebra:
     if F.char != 0:
         notes["radical_caveat"] = (
             "trace-form radical; may overshoot in small characteristic")
-    alg = EndAlgebra(m, n, hb.basis, table, ident, radical, False,
-                     tuple(verts), notes)
+    alg = EndAlgebra(m, n, hb.basis, table, ident, radical, False, verts,
+                     notes)
     if F.char == 0:
         alg.is_local = (n - len(radical) == 1)
     else:
@@ -436,7 +394,6 @@ class DecomposeReport:
     obj: Rep
     summands: tuple       # one Summand per indecomposable occurrence
     items: tuple          # (representative rep, multiplicity)
-    groups: tuple         # parallel to items: tuple of Summand
     flagged: bool
 
 
@@ -455,9 +412,7 @@ def _endo_from_coords(E: EndAlgebra, coords, label="e") -> Morphism:
 
 def _split_summand(m: Rep, emor: Morphism):
     """(piece, incl, proj) for the image of an idempotent endomorphism."""
-    F = m.field
-    piece = ImageRep(m, emor)
-    incl = Morphism(piece, m, rule=lambda v: piece.cb(v), label="incl")
+    piece, incl = image(emor)
 
     def prule(v):
         sol = solve_matrix(piece.cb(v), emor.component(v))
@@ -483,12 +438,9 @@ def _decompose_rec(m: Rep, incl: Morphism, proj: Morphism, budget, out,
     if ec is None:
         out.append(Summand(m, incl, proj, not E.is_local))
         return
-    F = m.field
-    emor = _endo_from_coords(E, ec)
-    comp = tuple(F.sub(a, b) for a, b in zip(E.identity, ec))
-    emor2 = _endo_from_coords(E, comp)
-    for part in (emor, emor2):
-        piece, pincl, pproj = _split_summand(m, part)
+    comp = tuple(m.field.sub(a, b) for a, b in zip(E.identity, ec))
+    for coords in (ec, comp):
+        piece, pincl, pproj = _split_summand(m, _endo_from_coords(E, coords))
         _decompose_rec(piece, pincl.then(incl), proj.then(pproj), budget,
                        out, depth + 1)
 
@@ -517,7 +469,6 @@ def decompose_report(m: Rep, budget: Optional[int] = None) -> DecomposeReport:
                                g[0].rep.describe()))
     items = tuple((g[0].rep, len(g)) for g in groups)
     return DecomposeReport(m, tuple(leaves), items,
-                           tuple(tuple(g) for g in groups),
                            any(s.flagged for s in leaves))
 
 

@@ -22,6 +22,9 @@ SCHEMA = "arknit/1"
 # cap bounds the depth of a vertex on a ray of an infinite preset, whose
 # closures and bases grow the same way.
 MAX_LINEAR_N = 3000
+# GF(p) checks p for primality by trial division up to sqrt(p), about 46,000
+# steps at this cap; a prime of twenty digits would take hours.
+MAX_FIELD_CHAR = 2**31 - 1
 
 
 class ParseError(ValueError):
@@ -51,7 +54,7 @@ def parse_quiver(obj, pointer: str = "") -> QuiverBase:
         if name in PRESETS:
             return PRESETS[name]()
         if name == "linear":
-            n = _need(obj, "n", pointer, int)
+            n = _natural(_need(obj, "n", pointer), f"{pointer}/n", "n")
             if not 1 <= n <= MAX_LINEAR_N:
                 raise ParseError(f"{pointer}/n",
                                  f"need 1 <= n <= {MAX_LINEAR_N}, got {n}")
@@ -82,6 +85,12 @@ def parse_quiver(obj, pointer: str = "") -> QuiverBase:
             raise ParseError(f"{pointer}/arrows", str(e))
     raise ParseError(pointer or "/",
                      "expected 'preset', 'vertices' or 'opposite'")
+
+
+def _list(x, pointer: str) -> list:
+    if not isinstance(x, list):
+        raise ParseError(pointer, "expected list")
+    return x
 
 
 def _natural(x, pointer: str, what: str) -> int:
@@ -132,6 +141,8 @@ def parse_field(spec):
         raise ParseError("/field", f"bad field spec {spec!r}")
     if p < 2:
         raise ParseError("/field", "prime field needs p >= 2")
+    if p > MAX_FIELD_CHAR:
+        raise ParseError("/field", f"need p <= {MAX_FIELD_CHAR}, got {p}")
     try:
         return GF(p)
     except ValueError as e:
@@ -180,11 +191,13 @@ def _parse_arrow_mat(q, F, dims, lbl, rows, pointer) -> Mat:
 
 
 def _parse_region(q, obj, pointer) -> VertexSet:
-    expl = [_parse_vert(q, v, f"{pointer}/explicit/{i}")
-            for i, v in enumerate(obj.get("explicit", []))]
+    if not isinstance(obj, dict):
+        raise ParseError(pointer, "region must be an object")
+    expl = [_parse_vert(q, v, f"{pointer}/explicit/{i}") for i, v in
+            enumerate(_list(obj.get("explicit", []), f"{pointer}/explicit"))]
     tails = []
     rays = [(e.eid, r.rid) for e in q.ends() for r in e.rays]
-    for i, t in enumerate(obj.get("tails", [])):
+    for i, t in enumerate(_list(obj.get("tails", []), f"{pointer}/tails")):
         if not isinstance(t, list) or len(t) != 3:
             raise ParseError(f"{pointer}/tails/{i}", "tail must be [end, ray, start]")
         if not any(t[0] == eid and t[1] == rid for eid, rid in rays):
@@ -202,7 +215,8 @@ def _parse_path(q, obj, pointer) -> Path:
     src = _parse_vert(q, _need(obj, "src", pointer), f"{pointer}/src")
     cur = src
     arrows = []
-    for i, lbl in enumerate(obj.get("arrows", [])):
+    for i, lbl in enumerate(_list(obj.get("arrows", []),
+                                  f"{pointer}/arrows")):
         nxt = None
         for a in q.out_arrows(cur):
             if a.label == lbl:
@@ -234,7 +248,7 @@ def _parse_pm(q, F, obj, pointer) -> PathMatrix:
         for i, combo in enumerate(row):
             ptr = f"{pointer}/entries/{j}/{i}"
             cell = []
-            for k, pair in enumerate(combo):
+            for k, pair in enumerate(_list(combo, ptr)):
                 if not isinstance(pair, list) or len(pair) != 2:
                     raise ParseError(f"{ptr}/{k}", "expected [coeff, path]")
                 c = _parse_scalar(F, pair[0], f"{ptr}/{k}/0")
@@ -279,7 +293,8 @@ def parse_rep(q: QuiverBase, obj, field=QQ, pointer: str = "") -> Rep:
         except ValueError as e:
             raise ParseError(ptr, str(e))
     if key == "sum":
-        parts = [parse_rep(q, p, F, f"{ptr}/{i}") for i, p in enumerate(val)]
+        parts = [parse_rep(q, p, F, f"{ptr}/{i}")
+                 for i, p in enumerate(_list(val, ptr))]
         return direct_sum(*parts) if parts else zero_rep(q, F)
     if key == "dual":
         return dualize(parse_rep(q.opposite(), val, F, ptr))
@@ -295,7 +310,8 @@ def parse_rep(q: QuiverBase, obj, field=QQ, pointer: str = "") -> Rep:
         sub = parse_rep(q, _need(val, "sub", ptr), F, f"{ptr}/sub")
         quot = parse_rep(q, _need(val, "quot", ptr), F, f"{ptr}/quot")
         coc = []
-        for i, e in enumerate(val.get("cocycle", [])):
+        for i, e in enumerate(_list(val.get("cocycle", []),
+                                    f"{ptr}/cocycle")):
             eptr = f"{ptr}/cocycle/{i}"
             src = _parse_vert(q, _need(e, "src", eptr), f"{eptr}/src")
             lbl = _need(e, "label", eptr, str)
@@ -309,10 +325,15 @@ def parse_rep(q: QuiverBase, obj, field=QQ, pointer: str = "") -> Rep:
             coc.append((arrow, _parse_mat(F, _need(e, "mat", eptr),
                                           f"{eptr}/mat")))
         fams = []
-        for i, f in enumerate(val.get("families", [])):
+        crossings = [(e.eid, c[0]) for e in q.ends() for c in e.crossings]
+        for i, f in enumerate(_list(val.get("families", []),
+                                    f"{ptr}/families")):
             if not isinstance(f, list) or len(f) != 4:
                 raise ParseError(f"{ptr}/families/{i}",
                                  "family must be [end, crossing, start, coeff]")
+            if (f[0], f[1]) not in crossings:
+                raise ParseError(f"{ptr}/families/{i}",
+                                 f"no crossing {f[1]!r} on end {f[0]!r}")
             fams.append(RungFamily(
                 f[0], f[1],
                 _natural(f[2], f"{ptr}/families/{i}/2", "family start"),

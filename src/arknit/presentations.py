@@ -5,13 +5,17 @@ top: generators are lifted top basis vectors, so the cover is minimal by
 construction and the relation matrix has radical entries (no trivial paths).
 The injective copresentation is obtained by running the same construction on
 the pointwise dual over the opposite quiver and dualizing back.
+yoneda builds every map from a sum of projectives out of generator images
+(Hom(P_a, N) = N(a)): the cover, and each presentation-route Hom basis
+morphism before it factors through Presentation.section, a right inverse of
+the cover kept per vertex.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
-from .linalg import Mat, block_matrix, coker_projection, rank
+from .linalg import Mat, block_matrix, coker_projection, rank, solve_matrix
 from .morphism import Morphism
 from .quiver import Arrow, Path, QuiverBase, vkey
 from .rep import (DEFAULT_BUDGET, BudgetError, KernelOfRep, PathMatrix, Rep,
@@ -33,6 +37,18 @@ class Presentation:
     pm: PathMatrix
     cover: Morphism
     gens: tuple
+    _sections: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def section(self, v) -> Mat:
+        """A right inverse of cover(v), onto on the proj side; solved once
+        per vertex."""
+        if v not in self._sections:
+            s = solve_matrix(self.cover.component(v),
+                             Mat.identity(self.obj.field, self.obj.dim(v)))
+            if s is None:
+                raise AssertionError("the cover is not onto")
+            self._sections[v] = s
+        return self._sections[v]
 
 
 def top_generators(m: Rep, region, deep_bands):
@@ -60,23 +76,18 @@ def top_generators(m: Rep, region, deep_bands):
     return gens
 
 
-def _cover_from_gens(m: Rep, gens):
-    """(generator vertices, pi: P0 -> m) with pi sending the i-th generator
-    path basis to m evaluated along the path applied to the generator
-    vector."""
-    q, F = m.quiver, m.field
-    verts = tuple(v for (v, _) in gens)
-    p0 = sum_of(q, F, "proj", verts)
+def yoneda(n: Rep, verts, vecs) -> Morphism:
+    """The map ⊕ P_{verts[j]} -> n sending the trivial path at verts[j] to
+    the column vecs[j]: at w the column of the basis path (j, p) is
+    n(p)·vecs[j]."""
+    q, F = n.quiver, n.field
 
     def rule(w):
-        basis = proj_sum_basis(q, verts, w)
-        cols = []
-        for (i, p) in basis:
-            cols.append(tuple(m.mat_path(p).mul(gens[i][1]).col(0)))
-        rows = tuple(tuple(c[r] for c in cols) for r in range(m.dim(w)))
-        return Mat(F, m.dim(w), len(basis), rows)
+        cols = [n.mat_path(p).mul(vecs[j]).col(0)
+                for (j, p) in proj_sum_basis(q, verts, w)]
+        return Mat(F, len(cols), n.dim(w), tuple(cols)).transpose()
 
-    return verts, Morphism(p0, m, rule=rule, label="cover")
+    return Morphism(sum_of(q, F, "proj", verts), n, rule=rule, label="yoneda")
 
 
 def _probe_and_deep(m: Rep, cert, pad=1):
@@ -106,7 +117,8 @@ def _min_proj_presentation(x: Rep, budget: int) -> Presentation:
             f"minimal projective presentation needs an fp object, got {cert.verdict}")
     region, deep = _probe_and_deep(x, cert)
     gens = top_generators(x, region, deep)
-    p0_verts, cover = _cover_from_gens(x, gens)
+    p0_verts = tuple(v for (v, _) in gens)
+    cover = yoneda(x, p0_verts, [col for (_, col) in gens])
 
     # surjectivity of the cover over the probe (tails follow by stability)
     for v in list(region) + deep:
@@ -168,11 +180,9 @@ def _min_inj_copresentation(w: Rep, budget: int) -> Presentation:
     gens = dpres.gens
 
     def rule(v):
-        bl = inj_sum_basis(q, i0_verts, v)
-        rows = []
-        for (i, p) in bl:
-            rows.append(gens[i][1].transpose().mul(w.mat_path(p)).row(0))
-        return Mat(F, len(bl), w.dim(v), tuple(rows))
+        rows = [gens[i][1].transpose().mul(w.mat_path(p)).row(0)
+                for (i, p) in inj_sum_basis(q, i0_verts, v)]
+        return Mat(F, len(rows), w.dim(v), tuple(rows))
 
     coemb = Morphism(w, pm.src, rule=rule, label="coembed")
     return Presentation(w, pm, coemb, gens)

@@ -19,14 +19,17 @@ from arknit import (
     injective_at,
     is_radical,
     iso_test,
+    min_proj_presentation,
     morphism_from_components,
     naturality_defect,
     projective_at,
     simple_at,
     thin_rep,
     Mat,
+    VertexSet,
 )
 
+from arknit.presentations import yoneda
 from conftest import random_fd_rep
 from oracles import hom_dim_brute
 
@@ -146,11 +149,30 @@ def _kronecker_modules(kron, F):
     return jordan, direct_sum(s2, s2)
 
 
+def _end_objects(kron, line, F):
+    """(object, route of its Hom space, dim End): the Kronecker modules, and
+    one object per route on the line."""
+    jordan, s2s2 = _kronecker_modules(kron, F)
+    full = thin_rep(line, VertexSet.make(line, (), [("neg", "v", 0),
+                                                    ("pos", "v", 0)]), F)
+    i0 = injective_at(line, 0, F)
+    return [(jordan, "presentation", 2), (s2s2, "presentation", 4),
+            (direct_sum(projective_at(line, 0, F), projective_at(line, 1, F)),
+             "presentation", 3),
+            (direct_sum(i0, i0), "copresentation", 4),
+            (direct_sum(full, full), "window", 4)]
+
+
 @pytest.mark.parametrize("F", [QQ, GF(7)], ids=repr)
-def test_end_algebra_table_reproduces_products(kron, F):
-    for m, dim in zip(_kronecker_modules(kron, F), (2, 4)):
+def test_end_algebra_table_reproduces_products(kron, line, F):
+    """End coordinates are read on the Hom route's own window; the identity
+    and every product of two basis morphisms come back at each of its
+    vertices."""
+    for m, route, dim in _end_objects(kron, line, F):
+        hb = hom_space(m, m)
+        assert (hb.route, hb.dimension) == (route, dim)
         E = end_algebra(m)
-        assert E.dimension == dim
+        assert E.dimension == dim and E.window == hb.window
 
         def combo(coords, v):
             acc = Mat.zeros(F, m.dim(v), m.dim(v))
@@ -158,13 +180,46 @@ def test_end_algebra_table_reproduces_products(kron, F):
                 acc = acc.add(f.component(v).scale(c))
             return acc
 
-        for v in (1, 2):
+        for v in hb.window:
             assert combo(E.identity, v).entries == \
                 Mat.identity(F, m.dim(v)).entries
             for i, fi in enumerate(E.basis):
                 for j, fj in enumerate(E.basis):
                     prod = fi.component(v).mul(fj.component(v))
                     assert combo(E.table[i][j], v).entries == prod.entries
+
+
+@pytest.mark.parametrize("F", [QQ, GF(3)], ids=repr)
+def test_presentation_route_is_yoneda_through_the_cover(line, ray_out,
+                                                        ladder, F):
+    """A presentation-route morphism f: M -> N is the Yoneda map of its
+    generator images composed with a section of the cover: at each window
+    vertex f(v)·cover(v) is that map, cover(v)·section(v) = I, and f is
+    natural."""
+    for q, verts in ((line, (-1, 0, 1)), (ray_out, (0, 1, 2)),
+                     (ladder, (("a", 0), ("a", 1), ("b", 0), ("b", 1)))):
+        for mk in (projective_at, simple_at):
+            for mv in verts:
+                m = mk(q, mv, F)
+                pres = min_proj_presentation(m)
+                ys = pres.pm.codomain
+                for nk in (projective_at, injective_at, simple_at):
+                    for nv in verts:
+                        n = nk(q, nv, F)
+                        hb = hom_space(m, n, route="presentation")
+                        for v in hb.window:
+                            cover = pres.cover.component(v)
+                            assert cover.mul(pres.section(v)).entries == \
+                                Mat.identity(F, m.dim(v)).entries
+                        for f in hb.basis:
+                            images = [f.component(y).mul(g)
+                                      for y, g in pres.gens]
+                            fhat = yoneda(n, ys, images)
+                            for v in hb.window:
+                                assert f.component(v).mul(
+                                    pres.cover.component(v)).entries == \
+                                    fhat.component(v).entries
+                            assert naturality_defect(f, hb.window)
 
 
 # ---------------------------------------------------------------------------

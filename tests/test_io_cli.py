@@ -484,6 +484,76 @@ def test_cli_caps_linear_n(monkeypatch, n):
                    f"got {n}\n")
 
 
+LADDER = '{"preset":"ladder"}'
+THIN_A = {"thin": {"tails": [["inf", "a", 0]]}}
+THIN_B = {"thin": {"tails": [["inf", "b", 0]]}}
+
+
+def _glue(family, sub=THIN_B, quot=THIN_A):
+    return json.dumps({"glue": {"sub": sub, "quot": quot,
+                                "families": [family]}})
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rep", "--quiver", LINE, "--rep", '{"thin":[]}'],
+     "/thin: region must be an object"),
+    (["rep", "--quiver", LINE, "--rep",
+      '{"restrict":{"rep":{"proj":"0"},"region":[]}}'],
+     "/restrict/region: region must be an object"),
+    (["rep", "--quiver", LINE, "--rep", '{"thin":{"explicit":"0"}}'],
+     "/thin/explicit: expected list"),
+    (["rep", "--quiver", LINE, "--rep", '{"thin":{"tails":{"neg":0}}}'],
+     "/thin/tails: expected list"),
+    (["rep", "--quiver", LADDER, "--rep", _glue(["inf", "nope", 0, "1"])],
+     "/glue/families/0: no crossing 'nope' on end 'inf'"),
+    (["rep", "--quiver", LADDER, "--rep", _glue(["zz", "rung", 0, "1"])],
+     "/glue/families/0: no crossing 'rung' on end 'zz'"),
+    (["rep", "--quiver", KRON, "--rep",
+      _glue(["inf", "rung", 0, "1"], {"simple": "2"}, {"simple": "1"})],
+     "/glue/families/0: no crossing 'rung' on end 'inf'"),
+    (["rep", "--quiver", LINE, "--rep", '{"sum":5}'], "/sum: expected list"),
+    (["rep", "--quiver", LADDER, "--rep",
+      json.dumps({"glue": {"sub": THIN_B, "quot": THIN_A, "cocycle": 5}})],
+     "/glue/cocycle: expected list"),
+    (["rep", "--quiver", LADDER, "--rep",
+      json.dumps({"glue": {"sub": THIN_B, "quot": THIN_A, "families": 5}})],
+     "/glue/families: expected list"),
+    (["rep", "--quiver", LINE, "--rep", json.dumps(
+        {"coker_proj": {"side": "proj", "domain": ["1"], "codomain": ["0"],
+                        "entries": [[5]]}})],
+     "/coker_proj/entries/0/0: expected list"),
+    (["rep", "--quiver", LINE, "--rep", json.dumps(
+        {"coker_proj": {"side": "proj", "domain": ["1"], "codomain": ["0"],
+                        "entries": [[[["1", {"src": "1", "arrows": 5}]]]]}})],
+     "/coker_proj/entries/0/0/0/1/arrows: expected list"),
+    (["quiver", "--quiver", '{"preset":"linear","n":true}'],
+     "/n: n must be an integer >= 0, got True"),
+    (["quiver", "--quiver", '{"preset":"linear","n":"3"}'],
+     "/n: n must be an integer >= 0, got '3'"),
+])
+def test_cli_rejects_malformed_regions_families_and_n(argv, message):
+    code, out, err = run_cli(argv)
+    assert (code, out, err) == (1, "", f"arknit: error: {message}\n")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("p", [io_mod.MAX_FIELD_CHAR + 1, 2**61 - 1,
+                               10**40 + 121])
+def test_cli_rejects_field_characteristic_past_the_cap(p):
+    code, out, err = run_cli(["quiver", "--quiver", LINE, "--field", str(p)])
+    assert (code, out) == (1, "")
+    assert err == (f"arknit: error: /field: need p <= "
+                   f"{io_mod.MAX_FIELD_CHAR}, got {p}\n")
+
+
+def test_field_cap_admits_its_bound():
+    # 2^31 - 1 is prime: the largest characteristic accepted
+    assert parse_field(str(io_mod.MAX_FIELD_CHAR)).char == 2**31 - 1
+    code, out, _ = run_cli(["quiver", "--quiver", LINE, "--field",
+                            str(io_mod.MAX_FIELD_CHAR)])
+    assert code == 0 and json.loads(out)["quiver"] == {"preset": "line"}
+
+
 CAP = io_mod.MAX_LINEAR_N
 
 
