@@ -21,7 +21,8 @@ from .linalg import Mat, coker_projection, rank
 from .morphism import SES, glue_ses
 from .quiver import vkey
 from .presentations import min_proj_presentation, relation_matrix
-from .rep import BudgetError, Rep, RungFamily, classify_membership
+from .rep import (BudgetError, Rep, RungFamily, classify_membership,
+                  equal_on)
 
 
 def arrow_complex(x: Rep, y: Rep, verts, arrows):
@@ -177,8 +178,25 @@ def is_split(ses: SES, budget: Optional[int] = None) -> bool:
     return all(F.is_zero(c) for c in ses_class_coords(ses, ecb))
 
 
+def _same_ends(s1: SES, s2: SES, budget) -> None:
+    """Raise ValueError unless each end of s2 is s1's own object or equal to
+    it on both certified supports down to the stable depth of the two
+    certificates, past which the equality is certified."""
+    for which, e1, e2 in (("sub", s1.sub, s2.sub),
+                          ("quotient", s1.quot, s2.quot)):
+        if e2 is e1:
+            continue
+        certs = [classify_membership(e, budget) for e in (e1, e2)]
+        verts = {v for c in certs
+                 for v in c.support.members(_stable_depth(certs))}
+        if not equal_on(e1, e2, verts):
+            raise ValueError(f"the {which} ends differ: the second "
+                             f"sequence's {e2.describe()} is not the first's")
+
+
 def equiv_ext(s1: SES, s2: SES, budget: Optional[int] = None) -> bool:
     """Same Ext class (equivalence of extensions with identified ends)."""
+    _same_ends(s1, s2, budget)
     ecb = ext_space(s1.quot, s1.sub, budget)
     if ecb.window_relative:
         raise BudgetError("equivalence undecidable: infinite interaction window")
@@ -202,11 +220,8 @@ def _merge_families(F, fams1, fams2):
 
 def baer_sum(s1: SES, s2: SES, budget: Optional[int] = None) -> SES:
     """Sum of extension classes of two sequences with the same ends."""
+    _same_ends(s1, s2, budget)
     sub, quot = s1.sub, s1.quot
-    if s2.sub is not sub and s2.sub.describe() != sub.describe():
-        raise ValueError("Baer sum needs identical sub objects")
-    if s2.quot is not quot and s2.quot.describe() != quot.describe():
-        raise ValueError("Baer sum needs identical quotient objects")
     F = sub.field
     certq = classify_membership(quot, budget)
     certs_ = classify_membership(sub, budget)

@@ -3,9 +3,10 @@
 The projective presentation of a finitely presented object is built from its
 top: generators are lifted top basis vectors, so the cover is minimal by
 construction and the relation matrix has radical entries (no trivial paths).
-The injective copresentation is obtained by running the same construction on
-the pointwise dual over the opposite quiver and dualizing back.
-yoneda builds every map from a sum of projectives out of generator images
+The injective copresentation is D of the projective presentation of the
+pointwise dual over the opposite quiver: its path matrix is that
+presentation's PathMatrix.dual and its co-embedding the transposed cover.
+yoneda_at builds every map from a sum of projectives out of generator images
 (Hom(P_a, N) = N(a)): the cover, and each presentation-route Hom basis
 morphism before it factors through Presentation.section, a right inverse of
 the cover kept per vertex.
@@ -17,10 +18,10 @@ from typing import Optional
 
 from .linalg import Mat, block_matrix, coker_projection, rank, solve_matrix
 from .morphism import Morphism
-from .quiver import Arrow, Path, QuiverBase, vkey
+from .quiver import vkey
 from .rep import (DEFAULT_BUDGET, BudgetError, KernelOfRep, PathMatrix, Rep,
-                  classify_membership, dualize, incoming_stack, inj_sum_basis,
-                  path_matrix, proj_sum_basis, sum_of)
+                  classify_membership, dualize, incoming_stack, path_matrix,
+                  proj_sum_basis, sum_of)
 
 
 @dataclass(frozen=True)
@@ -76,18 +77,20 @@ def top_generators(m: Rep, region, deep_bands):
     return gens
 
 
-def yoneda(n: Rep, verts, vecs) -> Morphism:
-    """The map ⊕ P_{verts[j]} -> n sending the trivial path at verts[j] to
-    the column vecs[j]: at w the column of the basis path (j, p) is
+def yoneda_at(n: Rep, verts, vecs, w) -> Mat:
+    """At w, the map ⊕ P_{verts[j]} -> n sending the trivial path at verts[j]
+    to the column vecs[j]: the column of the basis path (j, p) is
     n(p)·vecs[j]."""
-    q, F = n.quiver, n.field
+    cols = [n.mat_path(p).mul(vecs[j]).col(0)
+            for (j, p) in proj_sum_basis(n.quiver, verts, w)]
+    return Mat(n.field, len(cols), n.dim(w), tuple(cols)).transpose()
 
-    def rule(w):
-        cols = [n.mat_path(p).mul(vecs[j]).col(0)
-                for (j, p) in proj_sum_basis(q, verts, w)]
-        return Mat(F, len(cols), n.dim(w), tuple(cols)).transpose()
 
-    return Morphism(sum_of(q, F, "proj", verts), n, rule=rule, label="yoneda")
+def yoneda(n: Rep, verts, vecs) -> Morphism:
+    """The map ⊕ P_{verts[j]} -> n of yoneda_at, as a morphism."""
+    return Morphism(sum_of(n.quiver, n.field, "proj", verts), n,
+                    rule=lambda w: yoneda_at(n, verts, vecs, w),
+                    label="yoneda")
 
 
 def _probe_and_deep(m: Rep, cert, pad=1):
@@ -147,12 +150,6 @@ def _min_proj_presentation(x: Rep, budget: int) -> Presentation:
     return Presentation(x, pm, cover, tuple(gens))
 
 
-def _reverse_path(q: QuiverBase, p: Path) -> Path:
-    """A path over the opposite quiver, rewritten over q (or vice versa)."""
-    arrows = tuple(Arrow(a.dst, a.src, a.label) for a in reversed(p.arrows))
-    return Path(p.dst, p.src, arrows)
-
-
 def min_inj_copresentation(w: Rep, budget: Optional[int] = None) -> Presentation:
     budget = DEFAULT_BUDGET if budget is None else budget
     return w.cached(("inj_copresentation", budget),
@@ -160,32 +157,16 @@ def min_inj_copresentation(w: Rep, budget: Optional[int] = None) -> Presentation
 
 
 def _min_inj_copresentation(w: Rep, budget: int) -> Presentation:
-    q, F = w.quiver, w.field
     cert = classify_membership(w, budget)
     if cert.verdict not in ("fc", "fd"):
         raise ValueError(
             f"minimal injective copresentation needs an fc object, got {cert.verdict}")
-    wd = dualize(w)
-    dpres = min_proj_presentation(wd, budget)
-    # dualize back: contravariant, so domain/codomain swap and paths reverse
-    i0_verts = dpres.pm.codomain
-    i1_verts = dpres.pm.domain
-    entries = [[[] for _ in i0_verts] for _ in i1_verts]
-    for j in range(len(dpres.pm.codomain)):
-        for i in range(len(dpres.pm.domain)):
-            for (c, p) in dpres.pm.entries[j][i]:
-                entries[i][j].append((c, _reverse_path(q, p)))
-    pm = path_matrix(q, F, "inj", i0_verts, i1_verts, entries)
-    # socle functionals: the dual-side top generators read as row vectors
-    gens = dpres.gens
-
-    def rule(v):
-        rows = [gens[i][1].transpose().mul(w.mat_path(p)).row(0)
-                for (i, p) in inj_sum_basis(q, i0_verts, v)]
-        return Mat(F, len(rows), w.dim(v), tuple(rows))
-
-    coemb = Morphism(w, pm.src, rule=rule, label="coembed")
-    return Presentation(w, pm, coemb, gens)
+    # D of the dual presentation: its path matrix read back over q, and the
+    # co-embedding the transpose of its cover
+    dpres = min_proj_presentation(dualize(w), budget)
+    coemb = Morphism(w, dpres.pm.dual.src, label="coembed",
+                     rule=lambda v: dpres.cover.component(v).transpose())
+    return Presentation(w, dpres.pm.dual, coemb, dpres.gens)
 
 
 def nakayama(pm: PathMatrix) -> PathMatrix:

@@ -14,10 +14,11 @@ by vkey so results are deterministic.
 Each quiver instance memoizes its closures per vertex (one walk serves
 every quiver: the explicit vertices it meets plus the tails of the rays it
 steps onto) and its path bases x ~> y (immutable tuples, built from the
-bases x ~> u of the arrows' sources u into y, or u ~> y of their targets
-out of x, whichever end the caller's queries share); a preset or an
-opposite also memoizes its arrows per vertex, and opposite() is one
-instance per quiver.
+bases x ~> u of the arrows' sources u into y, so a sweep out of x holds
+each path once); a preset or an opposite also memoizes its arrows per
+vertex, and opposite() is one instance per quiver.  There is one path walk:
+the bases u ~> y that an injective I_y reads are the paths y ~> u of the
+opposite quiver, memoized there.
 """
 from __future__ import annotations
 
@@ -138,11 +139,11 @@ class QuiverBase:
     # ---- closures ----
     def reaches(self, x, y) -> bool:
         """True iff there is a (possibly trivial) path x ~> y."""
-        return self._reach_test(x, False)(y)
+        return self._reach_test(x)(y)
 
-    def _reach_test(self, v, backward):
-        """Predicate w -> (v reaches w), or (w reaches v) if backward."""
-        s = self._closure(v, not backward)
+    def _reach_test(self, v):
+        """Predicate w -> (v reaches w)."""
+        s = self._closure(v, True)
         return s.contains if s.tails else s.explicit.__contains__
 
     def succ_closure(self, vs) -> "VertexSet":
@@ -190,13 +191,12 @@ class QuiverBase:
     def _pathlen_cap(self, x, y) -> int:
         return 10 * 16
 
-    def paths_between(self, x, y, cap: Optional[int] = None,
-                      fixed: str = "src") -> tuple:
+    def paths_between(self, x, y, cap: Optional[int] = None) -> tuple:
         """All paths x ~> y, canonically ordered (trivial path first).
 
-        fixed names the end that the caller's queries share: "src" memoizes
-        the bases x ~> u on the way (P(x) at each vertex), "dst" the bases
-        u ~> y (I(y) at each vertex), so a sweep holds each path once.  The
+        The bases x ~> u on the way are memoized too (P(x) at each vertex),
+        so a sweep out of x holds each path once; a sweep into y (I(y) at
+        each vertex) is the sweep out of y on the opposite quiver.  The
         default cap bounds every path x ~> y, so only a miss computes it."""
         key = ("paths", x, y)
         if key not in self._memo:
@@ -204,54 +204,41 @@ class QuiverBase:
                 raise ValueError(f"vertex outside quiver: {x!r} or {y!r}")
             if cap is None:
                 cap = self._pathlen_cap(x, y)
-            self._fill_paths(x, y, cap, fixed == "dst")
+            self._fill_paths(x, y, cap)
         basis, longest = self._memo[key]
         if basis and cap is not None and longest > cap:
             raise ValueError(_HOP_BUDGET)
         return basis
 
-    def _fill_paths(self, x, y, cap, from_dst):
+    def _fill_paths(self, x, y, cap):
         """Memoize (basis, longest length) of x ~> y and of each missing basis
-        on the way that shares its fixed end.  From x: x ~> u is the trivial
-        path if u = x, plus each path x ~> a.src then a, over the arrows a
-        into u whose source x reaches.  From y, mirrored: u ~> y from the
-        arrows out of u whose target reaches y.  The work stack finishes
-        those neighbours before u, so long chains need no recursion.  Each
-        item carries its number of hops from the queried end, a lower bound
-        on the length of some path x ~> y, so a cycle or an unbounded
-        interval stops at the cap before any basis is built."""
-        memo, reach = self._memo, self._reach_test(y if from_dst else x, from_dst)
-        todo = [(x if from_dst else y, 0, None)]
+        x ~> u on the way: the trivial path if u = x, plus each path
+        x ~> a.src then a, over the arrows a into u whose source x reaches.
+        The work stack finishes those sources before u, so long chains need
+        no recursion.  Each item carries its number of hops back from y, a
+        lower bound on the length of some path x ~> y, so a cycle or an
+        unbounded interval stops at the cap before any basis is built."""
+        memo, reach = self._memo, self._reach_test(x)
+        todo = [(y, 0, None)]
         while todo:
             u, hops, arrows = todo.pop()
-            key = ("paths", u, y) if from_dst else ("paths", x, u)
-            if key in memo:
+            if ("paths", x, u) in memo:
                 continue
             if hops > cap:
                 raise ValueError(_HOP_BUDGET)
             if arrows is None:
-                if from_dst:
-                    arrows = [a for a in self.out_arrows(u) if reach(a.dst)]
-                    near = [(a.dst, hops + 1, None) for a in arrows]
-                else:
-                    arrows = [a for a in self.in_arrows(u) if reach(a.src)]
-                    near = [(a.src, hops + 1, None) for a in arrows]
-                todo += [(u, hops, arrows)] + near
+                arrows = [a for a in self.in_arrows(u) if reach(a.src)]
+                todo += [(u, hops, arrows)] + [(a.src, hops + 1, None)
+                                               for a in arrows]
                 continue
-            if from_dst:
-                paths = [Path(y, y)] if u == y else []
-                for a in arrows:
-                    paths += [Path(u, y, (a,) + p.arrows)
-                              for p in memo["paths", a.dst, y][0]]
-            else:
-                paths = [Path(x, x)] if u == x else []
-                for a in arrows:
-                    paths += [Path(x, u, p.arrows + (a,))
-                              for p in memo["paths", x, a.src][0]]
+            paths = [Path(x, x)] if u == x else []
+            for a in arrows:
+                paths += [Path(x, u, p.arrows + (a,))
+                          for p in memo["paths", x, a.src][0]]
             if len(paths) > 1:
                 paths.sort(key=Path.key)
-            memo[key] = (tuple(paths),
-                         max((p.length for p in paths), default=0))
+            memo["paths", x, u] = (tuple(paths),
+                                   max((p.length for p in paths), default=0))
 
     def has_left_infinite_path(self) -> bool:
         return any(r.kind == "I" for e in self.ends() for r in e.rays)

@@ -4,7 +4,9 @@ A representation is a tree of constructor nodes (projectives, injectives,
 explicit finite data, kernels/cokernels of path matrices, glued extensions,
 sums, duals, restrictions).  Every node can be evaluated exactly at any
 vertex of the quiver; infinite supports are handled symbolically through the
-preset end/ray structure of the quiver layer.
+preset end/ray structure of the quiver layer.  The injective side is the
+projective side of the opposite quiver read through D: I_a = D P_a, and a
+map between sums of injectives is the transpose of its dual there.
 
 Membership in the four classes (finite dimensional, finitely presented,
 finitely copresented, finite-extension) is decided by stabilizing the
@@ -83,11 +85,8 @@ class PathMatrix:
         return all(not combo for row in self.entries for combo in row)
 
     def depth_bound(self) -> int:
-        q = self.quiver
-        d = 0
-        for v in self.domain + self.codomain:
-            d = max(d, _loc_depth(q, v))
-        return d
+        return max((_loc_depth(self.quiver, v)
+                    for v in self.domain + self.codomain), default=0)
 
     @cached_property
     def src(self) -> "Rep":
@@ -97,26 +96,33 @@ class PathMatrix:
     def dst(self) -> "Rep":
         return sum_of(self.quiver, self.field, self.side, self.codomain)
 
+    @cached_property
+    def dual(self) -> "PathMatrix":
+        """D of this map: over the opposite quiver, where D I_x = P_x and
+        D P_x = I_x, the map of the other side from codomain to domain,
+        each entry path reversed."""
+        entries = tuple(tuple(tuple((c, reverse_path(p)) for (c, p) in row[i])
+                              for row in self.entries)
+                        for i in range(len(self.domain)))
+        return PathMatrix(self.quiver.opposite(), self.field,
+                          "inj" if self.side == "proj" else "proj",
+                          self.codomain, self.domain, entries)
+
     def component(self, v) -> Mat:
-        """The map (⊕ over domain)(v) -> (⊕ over codomain)(v)."""
-        q, F, proj = self.quiver, self.field, self.side == "proj"
-        sum_basis = proj_sum_basis if proj else inj_sum_basis
-        dom_b = sum_basis(q, self.domain, v)
-        cod_b = sum_basis(q, self.codomain, v)
+        """The map (⊕ over domain)(v) -> (⊕ over codomain)(v); on the inj
+        side the transpose of the dual's component."""
+        if self.side == "inj":
+            return self.dual.component(v).transpose()
+        q, F = self.quiver, self.field
+        dom_b = proj_sum_basis(q, self.domain, v)
+        cod_b = proj_sum_basis(q, self.codomain, v)
         index = {(j, p.arrows): r for r, (j, p) in enumerate(cod_b)}
         rows = [[F.zero] * len(dom_b) for _ in cod_b]
         for c, (i, p) in enumerate(dom_b):
             for j in range(len(self.codomain)):
                 for (coeff, e) in self.entries[j][i]:
-                    if proj:
-                        tgt = e.then(p).arrows  # codomain[j] ~> domain[i] ~> v
-                    else:
-                        # strip the suffix e: p = r . e with r: v ~> codomain[j]
-                        k = len(p.arrows) - len(e.arrows)
-                        if k < 0 or p.arrows[k:] != e.arrows:
-                            continue
-                        tgt = p.arrows[:k]
-                    r = index[(j, tgt)]
+                    # codomain[j] ~> domain[i] ~> v
+                    r = index[(j, e.then(p).arrows)]
                     rows[r][c] = F.add(rows[r][c], F.of(coeff))
         return Mat(F, len(cod_b), len(dom_b), tuple(tuple(r) for r in rows))
 
@@ -136,26 +142,21 @@ def path_matrix(quiver, field, side, domain, codomain, entries) -> PathMatrix:
 
 
 def proj_sum_basis(q: QuiverBase, verts: Sequence, v) -> list:
-    """Basis of (⊕_i P_{verts[i]})(v): pairs (i, path verts[i] ~> v)."""
-    out = []
-    for i, a in enumerate(verts):
-        for p in q.paths_between(a, v):
-            out.append((i, p))
-    return out
+    """Basis of (⊕_i P_{verts[i]})(v): pairs (i, path verts[i] ~> v); over
+    the opposite quiver, the basis of (⊕_i I_{verts[i]})(v) over q."""
+    return [(i, p) for i, a in enumerate(verts) for p in q.paths_between(a, v)]
 
 
-def inj_sum_basis(q: QuiverBase, verts: Sequence, v) -> list:
-    """Basis of (⊕_i I_{verts[i]})(v): pairs (i, path v ~> verts[i])."""
-    out = []
-    for i, a in enumerate(verts):
-        for p in q.paths_between(v, a, fixed="dst"):
-            out.append((i, p))
-    return out
+def reverse_path(p: Path) -> Path:
+    """p read over the opposite quiver: the same arrows, reversed."""
+    return Path(p.dst, p.src, tuple(Arrow(a.dst, a.src, a.label)
+                                    for a in reversed(p.arrows)))
 
 
 def sum_of(quiver, field, side: str, verts) -> "Rep":
     """⊕ P_v ('proj') or ⊕ I_v ('inj') over verts, in order; 0 when empty.
-    Its basis at each vertex is proj_sum_basis / inj_sum_basis."""
+    Its basis at each vertex is proj_sum_basis, over the opposite quiver
+    for 'inj'."""
     kind = ProjRep if side == "proj" else InjRep
     return direct_sum(*[kind(quiver, field, v) for v in verts]) if verts \
         else ZeroRep(quiver, field)
@@ -262,12 +263,38 @@ class ZeroRep(Rep):
         return {"zero": True}
 
 
-class ProjRep(Rep):
+def _path_extension(q: QuiverBase, F: Field, x, a: Arrow) -> Mat:
+    """The matrix of P_x on the arrow a of q: the basis path p of P_x(a.src)
+    goes to p then a in P_x(a.dst)."""
+    bu, bw = q.paths_between(x, a.src), q.paths_between(x, a.dst)
+    index = {p.arrows: r for r, p in enumerate(bw)}
+    rows = [[F.zero] * len(bu) for _ in range(len(bw))]
+    for c, p in enumerate(bu):
+        rows[index[p.arrows + (a,)]][c] = F.one
+    return Mat(F, len(bw), len(bu), tuple(tuple(r) for r in rows))
+
+
+class _VertexRep(Rep):
+    """An object named by one vertex a of the quiver: P_a, I_a or S_a,
+    written with its letter and spec key."""
+
+    letter = key = ""
+
     def __init__(self, quiver, field, a):
         super().__init__(quiver, field)
         if not quiver.contains(a):
             raise ValueError(f"vertex {a!r} outside the quiver")
         self.vertex = a
+
+    def describe(self):
+        return f"{self.letter}({self.quiver.vertex_str(self.vertex)})"
+
+    def spec_dict(self):
+        return {self.key: self.quiver.vertex_str(self.vertex)}
+
+
+class ProjRep(_VertexRep):
+    letter, key = "P", "proj"
 
     def basis(self, v) -> tuple:
         return self.quiver.paths_between(self.vertex, v)
@@ -276,63 +303,35 @@ class ProjRep(Rep):
         return len(self.basis(v))
 
     def _mat_at(self, a):
-        F = self.field
-        bu, bw = self.basis(a.src), self.basis(a.dst)
-        index = {p.arrows: r for r, p in enumerate(bw)}
-        rows = [[F.zero] * len(bu) for _ in range(len(bw))]
-        for c, p in enumerate(bu):
-            rows[index[p.arrows + (a,)]][c] = F.one
-        return Mat(F, len(bw), len(bu), tuple(tuple(r) for r in rows))
+        return _path_extension(self.quiver, self.field, self.vertex, a)
 
     def support(self):
         return self.quiver.succ_closure([self.vertex])
 
-    def describe(self):
-        return f"P({self.quiver.vertex_str(self.vertex)})"
 
-    def spec_dict(self):
-        return {"proj": self.quiver.vertex_str(self.vertex)}
+class InjRep(_VertexRep):
+    """I_a = D P_a of the opposite quiver: I_a(v) has the basis of P_a(v)
+    there (the reversed paths v ~> a) and its arrow maps are the transposes
+    of P_a's."""
 
-
-class InjRep(Rep):
-    def __init__(self, quiver, field, a):
-        super().__init__(quiver, field)
-        if not quiver.contains(a):
-            raise ValueError(f"vertex {a!r} outside the quiver")
-        self.vertex = a
+    letter, key = "I", "inj"
 
     def basis(self, v) -> tuple:
-        return self.quiver.paths_between(v, self.vertex, fixed="dst")
+        return self.quiver.opposite().paths_between(self.vertex, v)
 
     def _dim_at(self, v):
         return len(self.basis(v))
 
     def _mat_at(self, a):
-        F = self.field
-        bu, bw = self.basis(a.src), self.basis(a.dst)
-        index = {p.arrows: r for r, p in enumerate(bw)}
-        rows = [[F.zero] * len(bu) for _ in range(len(bw))]
-        for c, p in enumerate(bu):
-            if p.arrows and p.arrows[0] == a:
-                rows[index[p.arrows[1:]]][c] = F.one
-        return Mat(F, len(bw), len(bu), tuple(tuple(r) for r in rows))
+        return _path_extension(self.quiver.opposite(), self.field, self.vertex,
+                               Arrow(a.dst, a.src, a.label)).transpose()
 
     def support(self):
         return self.quiver.pred_closure([self.vertex])
 
-    def describe(self):
-        return f"I({self.quiver.vertex_str(self.vertex)})"
 
-    def spec_dict(self):
-        return {"inj": self.quiver.vertex_str(self.vertex)}
-
-
-class SimpleRep(Rep):
-    def __init__(self, quiver, field, a):
-        super().__init__(quiver, field)
-        if not quiver.contains(a):
-            raise ValueError(f"vertex {a!r} outside the quiver")
-        self.vertex = a
+class SimpleRep(_VertexRep):
+    letter, key = "S", "simple"
 
     def _dim_at(self, v):
         return 1 if v == self.vertex else 0
@@ -342,12 +341,6 @@ class SimpleRep(Rep):
 
     def support(self):
         return VertexSet.make(self.quiver, (self.vertex,))
-
-    def describe(self):
-        return f"S({self.quiver.vertex_str(self.vertex)})"
-
-    def spec_dict(self):
-        return {"simple": self.quiver.vertex_str(self.vertex)}
 
 
 class ThinRep(Rep):

@@ -1,17 +1,21 @@
 """Independent brute-force oracles used to freeze expected values.
 
-Everything here but the last section is computed from first principles with
-its own Fraction arithmetic so that no production code path is trusted
-twice: Hom/Ext via naive commuting-square systems, A_n structure via the
-interval model, the translation-quiver shape via an explicit combinatorial
-construction.  The last section decides the standard objects by a search
-over isomorphism tests, a second route through the package's Hom layer that
-the presentation reading in ar.py does not take.
+Everything here but the last two sections is computed from first
+principles with its own Fraction arithmetic so that no production code path
+is trusted twice: Hom/Ext via naive commuting-square systems, A_n structure
+via the interval model, the translation-quiver shape via an explicit
+combinatorial construction.  The section on standard objects decides them
+by a search over isomorphism tests, a second route through the package's
+Hom layer that the presentation reading in ar.py does not take.  The last
+section keeps constructions that the package replaced, as references:
+injectives built over q by stripping the first arrow of a path, and the
+isomorphism test that searched pairs of basis maps.
 """
 from fractions import Fraction
 
-from arknit import classify_membership, dim_vector, injective_at, projective_at
-from arknit.hom import _iso_indec, joint_window
+from arknit import (Mat, classify_membership, dim_vector, hom_space,
+                    injective_at, projective_at)
+from arknit.hom import _iso_indec, _pointwise_inverse, _probe_verts, joint_window
 from arknit.quiver import vkey
 
 
@@ -281,4 +285,64 @@ def standard_by_search(rep, kind, budget=None):
         if dim_vector(std, probe) == dim_vector(rep, probe) and \
                 _iso_indec(std, rep, budget) is not None:
             return a
+    return None
+
+
+# ---------------------------------------------------------------------------
+# replaced constructions, kept as references
+
+
+def inj_basis_over_q(q, verts, v):
+    """Basis of (⊕_i I_{verts[i]})(v) over q: pairs (i, path v ~> verts[i]),
+    the paths in q's order."""
+    return [(i, p) for i, a in enumerate(verts) for p in q.paths_between(v, a)]
+
+
+def injective_by_stripping(q, F, a, arrow):
+    """The matrix of I_a on arrow in the basis of inj_basis_over_q: the path
+    arrow then r goes to r, a path that does not start with arrow to 0."""
+    bu, bw = (inj_basis_over_q(q, [a], u) for u in (arrow.src, arrow.dst))
+    index = {p.arrows: r for r, (_, p) in enumerate(bw)}
+    rows = [[F.zero] * len(bu) for _ in bw]
+    for c, (_, p) in enumerate(bu):
+        if p.arrows and p.arrows[0] == arrow:
+            rows[index[p.arrows[1:]]][c] = F.one
+    return Mat(F, len(bw), len(bu), tuple(tuple(r) for r in rows))
+
+
+def inj_component_by_stripping(pm, v):
+    """An inj-side path matrix at v in the bases of inj_basis_over_q: the
+    basis path (i, p) with p = r then e, for a path e of entry [j][i], goes
+    to (j, r) with the coefficient of e."""
+    q, F = pm.quiver, pm.field
+    dom_b = inj_basis_over_q(q, pm.domain, v)
+    cod_b = inj_basis_over_q(q, pm.codomain, v)
+    index = {(j, p.arrows): r for r, (j, p) in enumerate(cod_b)}
+    rows = [[F.zero] * len(dom_b) for _ in cod_b]
+    for c, (i, p) in enumerate(dom_b):
+        for j in range(len(pm.codomain)):
+            for (coeff, e) in pm.entries[j][i]:
+                k = len(p.arrows) - len(e.arrows)
+                if k >= 0 and p.arrows[k:] == e.arrows:
+                    r = index[(j, p.arrows[:k])]
+                    rows[r][c] = F.add(rows[r][c], F.of(coeff))
+    return Mat(F, len(cod_b), len(dom_b), tuple(tuple(r) for r in rows))
+
+
+def iso_by_pair_search(m, n, budget=None):
+    """The first f of the basis of Hom(m, n) for which some g of the basis
+    of Hom(n, m) makes g o f invertible on the probe window, with
+    (g o f)^-1 o g as its inverse; None if there is no such pair."""
+    probe = _probe_verts(m, n, budget)
+    if dim_vector(m, probe) != dim_vector(n, probe):
+        return None
+    fwd = hom_space(m, n, budget=budget)
+    if fwd.dimension == 0:
+        return None
+    bwd = hom_space(n, m, budget=budget)
+    for f in fwd.basis:
+        for g in bwd.basis:
+            h = f.then(g)
+            if h.is_invertible_on(probe):
+                return f, g.then(_pointwise_inverse(h))
     return None

@@ -115,6 +115,38 @@ def test_equiv_ext(a3):
     assert not equiv_ext(s1, s2)  # equivalence fixes both end identities
 
 
+def _kronecker_lines(kron):
+    """x1 (alpha = 1, beta = 0) and x2 (beta = 1, alpha = 0): equal dimension
+    vectors and the same description, but not isomorphic."""
+    one = ak.Mat.from_rows(QQ, [[1]])
+    return [ak.explicit_fd(kron, {1: 1, 2: 1}, {lbl: one})
+            for lbl in ("alpha", "beta")]
+
+
+def test_baer_sum_rejects_sequences_whose_ends_differ(kron):
+    x1, x2 = _kronecker_lines(kron)
+    assert x1.describe() == x2.describe() and ak.iso_test(x1, x2) is None
+    s2 = simple_at(kron, 2)
+    s1, t1 = (ext_class_to_ses(ext_space(x, s2), (1,)) for x in (x1, x2))
+    with pytest.raises(ValueError, match="the quotient ends differ"):
+        baer_sum(s1, t1)
+    # an equal, separately built end is the same end
+    again, _ = _kronecker_lines(kron)
+    same = ext_class_to_ses(ext_space(again, s2), (1,))
+    assert ses_class_coords(baer_sum(s1, same),
+                            ext_space(x1, s2)) == (QQ.of(2),)
+
+
+def test_equiv_ext_rejects_sequences_whose_ends_differ(kron):
+    x1, x2 = _kronecker_lines(kron)
+    s2 = simple_at(kron, 2)
+    with pytest.raises(ValueError, match="the quotient ends differ"):
+        equiv_ext(split_ses(s2, x1), split_ses(s2, x2))
+    with pytest.raises(ValueError, match="the sub ends differ"):
+        equiv_ext(split_ses(x1, s2), split_ses(x2, s2))
+    assert equiv_ext(split_ses(s2, x1), split_ses(simple_at(kron, 2), x1))
+
+
 # ---------------------------------------------------------------------------
 # finite-extension recognition
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import arknit as ak
 import arknit.hom as hom
 from arknit import (
     GF,
@@ -31,7 +32,7 @@ from arknit import (
 
 from arknit.presentations import yoneda
 from conftest import random_fd_rep
-from oracles import hom_dim_brute
+from oracles import hom_dim_brute, iso_by_pair_search
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +289,42 @@ def test_decompose_report_certifies(a3, rng_reps):
             e = s.proj.then(s.incl)
             ident = e if ident is None else ident.add(e)
         assert ident.equal_on(identity_morphism(m), (1, 2, 3))
+
+
+def test_iso_indec_returns_what_the_pair_search_returned(kron, zig):
+    """On pairs of summands with equal dimension vectors, of seeded random
+    fd objects, _iso_indec returns the f and f^-1 of the old search over
+    pairs of basis maps (an isomorphism f is its first invertible basis
+    element, and (g o f)^-1 o g is f^-1), or None with it."""
+    a4 = ak.linear_quiver(4)
+    rng = random.Random(41)
+    # and a module with End = k[x]/(x^2) against a conjugate, where the
+    # first basis map is not invertible
+    one, nil = Mat.identity(QQ, 2), Mat.from_rows(QQ, [[0, 1], [0, 0]])
+    g1, g2 = Mat.from_rows(QQ, [[1, -1], [0, 1]]), Mat.from_rows(QQ, [[2, 0],
+                                                                   [1, 1]])
+    local = [explicit_fd(kron, {1: 2, 2: 2}, {"alpha": h2.mul(h1),
+                                             "beta": h2.mul(nil).mul(h1)})
+             for h1, h2 in ((one, one), (g1, g2))]
+    matched = compared = 0
+    for q, verts, extra in ((kron, (1, 2), local), (a4, (1, 2, 3, 4), []),
+                            (zig, (0, 1, 2, 3), [])):
+        summands = extra + [s.rep for _ in range(16) for s in decompose_report(
+            random_fd_rep(q, rng, verts)).summands]
+        for i, m in enumerate(summands):
+            for n in summands[i + 1:]:
+                if dim_vector(m, verts) != dim_vector(n, verts):
+                    continue
+                got, want = hom._iso_indec(m, n), iso_by_pair_search(m, n)
+                compared += 1
+                assert (got is None) == (want is None)
+                if got is None:
+                    continue
+                matched += 1
+                probe = hom._probe_verts(m, n, None)
+                for g, w in zip(got, want):
+                    assert all(g.component(v) == w.component(v) for v in probe)
+    assert matched and compared > matched
 
 
 def test_is_radical(a3):

@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, every
-function, method and class it defines is used somewhere in the project, and
-no module imports sympy, which is a test oracle only.
+function, method and class it defines is used somewhere in the project, no
+module imports sympy, which is a test oracle only, and every boundary that
+the benchmark traces by name exists.
 
 No linter ships with the project, so this parses each module with ``ast``:
 an imported name that no other part of the module reads is dead weight, and
@@ -8,6 +9,7 @@ so is a definition whose name nothing in src/, tests/, demos/ or bench/
 reads.
 """
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -153,3 +155,14 @@ with open({str(golden)!r}) as fh:
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_boundary_the_benchmark_traces_exists():
+    # bench/tracing.py names functions such as hom._iso_indec by module and
+    # name, so renaming one would otherwise show only in the bench's own tests
+    root = PACKAGE.parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", root / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.missing_named(PACKAGE.parent) == []

@@ -215,7 +215,8 @@ def test_long_chain_sweep_holds_each_path_once(monkeypatch, side, opposite):
     """P(first) or I(last) at every vertex of a 2000-vertex chain: each basis
     on the way is built once from its neighbour and shares the fixed end, so
     the memo holds n^2/2 arrows (one path per vertex), not the n^3/6 of one
-    memoized basis per (start, end) pair on the way."""
+    memoized basis per (start, end) pair on the way.  I(last) reads its bases
+    off P(last) of the opposite quiver, so they sit in that quiver's memo."""
     n = 2000
     base = ak.linear_quiver(n)
     q = base.opposite() if opposite else base
@@ -233,8 +234,9 @@ def test_long_chain_sweep_holds_each_path_once(monkeypatch, side, opposite):
     assert [m.dim(v) for v in base.vertices] == [1] * n
     assert len(m.basis(far)[0].arrows) == n - 1
     assert len(reads) <= 2 * n
-    assert held_arrows(q) == n * (n - 1) // 2
-    assert held_arrows(base if opposite else base.opposite()) == 0
+    walked = q if side == "proj" else q.opposite()
+    assert held_arrows(walked) == n * (n - 1) // 2
+    assert held_arrows(walked.opposite()) == 0
 
 
 # ---------------------------------------------------------------------------

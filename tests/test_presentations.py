@@ -1,5 +1,7 @@
 """Minimal projective presentations and injective copresentations."""
 
+import random
+
 import pytest
 
 from arknit import (
@@ -18,6 +20,7 @@ from arknit import (
     thin_rep,
 )
 from arknit.linalg import rank
+from conftest import random_fd_rep
 
 
 def _no_trivial_paths(pm):
@@ -95,6 +98,26 @@ def test_copres_projective_kronecker(kron):
     rebuilt = ker_inj(cop.pm)
     assert dim_vector(rebuilt, (1, 2)) == (1, 2)
     assert equal_on(rebuilt, projective_at(kron, 1), (1, 2))
+
+
+def test_coembedding_is_natural_mono_and_onto_the_kernel(kron, ladder):
+    """The co-embedding, the transposed cover of the dual presentation, on
+    objects whose injectives are 2-dimensional at some vertex: natural,
+    injective, and its image is the kernel of the path matrix after it."""
+    rng = random.Random(5)
+    grid = [(t, k) for t in "ab" for k in range(4)]
+    cases = [(kron, (1, 2), random_fd_rep(kron, rng, (1, 2)))
+             for _ in range(6)]
+    cases += [(ladder, grid, mk(ladder, v)) for mk in (injective_at, simple_at)
+              for v in (("a", 1), ("b", 1), ("b", 2))]
+    for q, verts, w in cases:
+        cop = min_inj_copresentation(w)
+        assert naturality_defect(cop.cover, verts)
+        for v in verts:
+            k, d = cop.cover.component(v), cop.pm.component(v)
+            assert rank(k) == w.dim(v)
+            assert d.mul(k).is_zero()
+            assert rank(k) + rank(d) == k.rows
 
 
 def test_copres_rebuild_roundtrip(a3):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import arknit as ak
 from arknit.quiver import (Arrow, FiniteQuiver, Path, QuiverBase, VertexSet,
                            classify_subquiver)
+from arknit.rep import reverse_path
 
 
 def test_linear_quiver_paths(a3):
@@ -184,23 +185,31 @@ def check_exact_paths(q, fresh, grid, fixed):
     """paths_between on q equals the naive list for every pair in grid, and
     both raise for a cap one below the longest path.  q answers the small
     cap from its memo; fresh (an equal, separately built quiver) meets the
-    small cap first.  fixed is passed through: the bases are the same
-    whichever end the memo shares."""
+    small cap first.  fixed names the end that a sweep shares: "src" reads
+    the bases x ~> y of q, as P(x) does; "dst" reads them as I(y) does, as
+    the reversed bases y ~> x of the opposite quiver, which come in that
+    quiver's order."""
     for x in grid:
         for y in grid:
+            if fixed == "src":
+                def got(r, **cap):
+                    return list(r.paths_between(x, y, **cap))
+            else:
+                def got(r, **cap):
+                    return sorted(map(reverse_path, r.opposite().paths_between(
+                        y, x, **cap)), key=Path.key)
             want = naive_paths(q, x, y, q._pathlen_cap(x, y))
             longest = max((p.length for p in want), default=0)
             if longest:
                 with pytest.raises(ValueError, match="hop budget"):
-                    fresh.paths_between(x, y, cap=longest - 1, fixed=fixed)
+                    got(fresh, cap=longest - 1)
                 with pytest.raises(ValueError):
                     naive_paths(q, x, y, longest - 1)
-            assert list(q.paths_between(x, y, fixed=fixed)) == want
-            assert list(fresh.paths_between(x, y, cap=longest,
-                                            fixed=fixed)) == want
+            assert got(q) == want
+            assert got(fresh, cap=longest) == want
             if longest:
                 with pytest.raises(ValueError, match="hop budget"):
-                    q.paths_between(x, y, cap=longest - 1, fixed=fixed)
+                    got(q, cap=longest - 1)
 
 
 @st.composite
@@ -259,12 +268,16 @@ def stored_bases(q) -> int:
 
 @pytest.mark.parametrize("fixed", ["src", "dst"])
 def test_path_search_stops_at_the_hop_budget(fixed):
-    # the budget bounds the walk itself: it stops before storing a basis
+    # the budget bounds the walk itself: it stops before storing a basis.
+    # "dst" walks the opposite quiver, where a sweep into 0 reads its bases
     line, q = ak.PRESETS["line"](), TwoCycle()
+    x, y = (100, 0) if fixed == "src" else (0, 100)
+    if fixed == "dst":
+        line, q = line.opposite(), q.opposite()
     with pytest.raises(ValueError, match="hop budget"):
-        line.paths_between(100, 0, cap=5, fixed=fixed)
+        line.paths_between(x, y, cap=5)
     assert stored_bases(line) == 0
-    assert len(line.paths_between(100, 0, fixed=fixed)[0].arrows) == 100
+    assert len(line.paths_between(x, y)[0].arrows) == 100
     with pytest.raises(ValueError, match="hop budget"):
-        q.paths_between(0, 1, fixed=fixed)
+        q.paths_between(0, 1)
     assert stored_bases(q) == 0

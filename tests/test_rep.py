@@ -1,8 +1,11 @@
 """Representation construction, membership verdicts, and region splits."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arknit import (
     QQ,
@@ -30,8 +33,12 @@ from arknit import (
     is_doubly_infinite,
     vkey,
 )
+from arknit.quiver import FiniteQuiver
+from arknit.rep import path_matrix, proj_sum_basis, reverse_path
 
-from oracles import an_dims
+from oracles import (an_dims, inj_basis_over_q, inj_component_by_stripping,
+                     injective_by_stripping)
+from test_quiver import PRESET_GRIDS, acyclic_quivers
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +53,69 @@ def test_a3_proj_inj_dims(a3):
     assert dim_vector(injective_at(a3, 2), (1, 2, 3)) == (1, 1, 0)
     assert dim_vector(injective_at(a3, 3), (1, 2, 3)) == (1, 1, 1)
     assert dim_vector(simple_at(a3, 2), (1, 2, 3)) == (0, 1, 0)
+
+
+# I_a and maps between sums of injectives are read off the projective side
+# of the opposite quiver; the references build them over q, with the paths
+# v ~> a in q's order, so the two agree up to that permutation of bases
+
+
+def _permutation(q, verts, v):
+    """old[k]: the index in the basis over q of the k-th basis element of
+    (⊕ I_verts)(v) as read off the opposite quiver."""
+    old = {(i, p): r for r, (i, p) in enumerate(inj_basis_over_q(q, verts, v))}
+    return [old[i, reverse_path(p)]
+            for (i, p) in proj_sum_basis(q.opposite(), verts, v)]
+
+
+def _permuted(m, rows, cols):
+    """m with its rows and columns reordered: entry (k, l) is
+    m[rows[k]][cols[l]]."""
+    return tuple(tuple(m.entries[r][c] for c in cols) for r in rows)
+
+
+def check_injectives_against_stripping(q, grid, rng):
+    """InjRep on every arrow, and the inj-side component of random path
+    matrices at every vertex of grid, equal the references under the
+    permutation; True if some basis is permuted nontrivially."""
+    moved = False
+    for a in grid:
+        inj = injective_at(q, a)
+        for u in grid:
+            perm = _permutation(q, [a], u)
+            moved |= perm != sorted(perm)
+            assert inj.dim(u) == len(perm)
+            for arrow in q.out_arrows(u):
+                if arrow.dst in grid:
+                    want = injective_by_stripping(q, QQ, a, arrow)
+                    assert inj.mat(arrow).entries == _permuted(
+                        want, _permutation(q, [a], arrow.dst), perm)
+    for _ in range(4):
+        dom = [rng.choice(grid) for _ in range(rng.randrange(1, 3))]
+        cod = [rng.choice(grid) for _ in range(rng.randrange(1, 3))]
+        entries = [[[(rng.choice((1, 2, -1)), p)
+                     for p in q.paths_between(y, x) if rng.random() < 0.6]
+                    for x in dom] for y in cod]
+        pm = path_matrix(q, QQ, "inj", dom, cod, entries)
+        for v in grid:
+            want = inj_component_by_stripping(pm, v)
+            assert pm.component(v).entries == _permuted(
+                want, _permutation(q, cod, v), _permutation(q, dom, v))
+    return moved
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(acyclic_quivers(), st.integers(0, 2**16))
+def test_injectives_equal_first_arrow_stripping_on_finite_quivers(spec,
+                                                                 seed):
+    n, arrows = spec
+    q = FiniteQuiver.build(range(n), arrows)
+    check_injectives_against_stripping(q, range(n), random.Random(seed))
+
+
+def test_injectives_equal_first_arrow_stripping_on_the_ladder(ladder):
+    grid = PRESET_GRIDS["ladder"]
+    assert check_injectives_against_stripping(ladder, grid, random.Random(13))
 
 
 def test_a5_proj_inj_match_interval_model(a5):
