@@ -71,7 +71,7 @@ def rng_reps():
     return make
 
 
-def random_fd_rep(q, rng, verts, max_dim=2):
+def random_fd_rep(q, rng, verts, max_dim=2, field=ak.QQ):
     """Seeded random finite dimensional object supported inside verts."""
     dims = {v: rng.randrange(max_dim + 1) for v in verts}
     if all(d == 0 for d in dims.values()):
@@ -81,11 +81,11 @@ def random_fd_rep(q, rng, verts, max_dim=2):
     for v in verts:
         for a in q.out_arrows(v):
             if a.dst in vset and dims[v] and dims[a.dst]:
-                ent = tuple(tuple(ak.QQ.of(Fraction(rng.randrange(-2, 3)))
+                ent = tuple(tuple(field.of(Fraction(rng.randrange(-2, 3)))
                                   for _ in range(dims[v]))
                             for _ in range(dims[a.dst]))
-                mats[a.label] = ak.Mat(ak.QQ, dims[a.dst], dims[v], ent)
-    return ak.explicit_fd(q, dims, mats)
+                mats[a.label] = ak.Mat(field, dims[a.dst], dims[v], ent)
+    return ak.explicit_fd(q, dims, mats, field=field)
 
 
 def random_morphism(h, rng):
