@@ -12,7 +12,9 @@ Three finite routes to Hom(M, N):
                   deeper as certificate.
 
 All routes return morphisms defined everywhere (rule or propagation based),
-so bases from different routes can be compared and composed freely.
+so bases from different routes can be compared and composed freely.  Each
+route's anchor (generators, socle, window) fixes its basis, so End
+coordinates are solved there; a summand eM has End(eM) = e·End(M)·e.
 """
 from __future__ import annotations
 
@@ -112,6 +114,7 @@ class HomBasis:
     basis: tuple
     route: str
     window: tuple
+    anchor: tuple         # vertices where the basis is fixed, and independent
     certificate: dict
 
 
@@ -129,16 +132,18 @@ def _presentation_route(m: Rep, n: Rep, budget):
             off += d
         basis.append(Morphism(m, n, label=f"h{k}", rule=lambda v, im=images:
                               yoneda_at(n, ys, im, v).mul(pres.section(v))))
-    return basis, {"generators": list(ys), "relations": list(pres.pm.domain)}
+    return basis, tuple(dict.fromkeys(ys)), {
+        "generators": list(ys), "relations": list(pres.pm.domain)}
 
 
 def _copresentation_route(m: Rep, n: Rep, budget):
     """Hom(M, N) = Hom(DN, DM) over the opposite quiver, where DN is finitely
     presented; each basis morphism is the pointwise transpose of its dual."""
-    dual, cert = _presentation_route(dualize(n), dualize(m), budget)
+    dual, socle, cert = _presentation_route(dualize(n), dualize(m), budget)
     basis = [Morphism(m, n, rule=lambda v, g=g: g.component(v).transpose(),
                       label=g.label) for g in dual]
-    return basis, {"socle": cert["generators"], "cosocle": cert["relations"]}
+    return basis, socle, {"socle": cert["generators"],
+                          "cosocle": cert["relations"]}
 
 
 def _window_route(m: Rep, n: Rep, budget, certs):
@@ -180,13 +185,15 @@ def hom_space(m: Rep, n: Rep, route: Optional[str] = None,
                          f"available: {', '.join(available)}")
     window, _ = joint_window([certm, certn])
     if route == "presentation":
-        basis, cert = _presentation_route(m, n, budget)
+        basis, anchor, cert = _presentation_route(m, n, budget)
     elif route == "copresentation":
-        basis, cert = _copresentation_route(m, n, budget)
+        basis, anchor, cert = _copresentation_route(m, n, budget)
     else:
         basis, window, cert = _window_route(m, n, budget, [certm, certn])
+        anchor = window
     cert["routes_available"] = available
-    return HomBasis(m, n, len(basis), tuple(basis), route, window, cert)
+    return HomBasis(m, n, len(basis), tuple(basis), route, window, anchor,
+                    cert)
 
 
 # ---------------------------------------------------------------------------
@@ -219,20 +226,19 @@ def _columns(F, comps) -> Mat:
 
 
 def end_algebra(m: Rep, budget: Optional[int] = None) -> EndAlgebra:
+    """End(M) on the basis of Hom(M, M), the coordinates of the identity and
+    of each product of two basis morphisms solved at the route's anchor."""
     F = m.field
     hb = hom_space(m, m, budget=budget)
     n = hb.dimension
     if n == 0:
         return EndAlgebra(m, 0, (), (), (), (), False, hb.window,
                           {"zero_object": True})
-    # each route's basis is independent on hb.window: a presentation-route
-    # morphism is fixed at its generators, which lie inside it, a
-    # copresentation-route one at the socle, and the window route solves there
-    verts = hb.window
+    verts = hb.anchor
     comps = [[f.component(v) for v in verts] for f in hb.basis]
     B = _columns(F, comps)
     if rank(B) < n:
-        raise AssertionError("Hom basis is dependent on its window")
+        raise AssertionError("Hom basis is dependent on its anchor")
 
     # coordinates of the identity and of every basis[i] o basis[j], from one
     # elimination of [B | identity, products]
@@ -256,7 +262,7 @@ def end_algebra(m: Rep, budget: Optional[int] = None) -> EndAlgebra:
     if F.char != 0:
         notes["radical_caveat"] = (
             "trace-form radical; may overshoot in small characteristic")
-    alg = EndAlgebra(m, n, hb.basis, table, ident, radical, False, verts,
+    alg = EndAlgebra(m, n, hb.basis, table, ident, radical, False, hb.window,
                      notes)
     if F.char == 0:
         alg.is_local = (n - len(radical) == 1)
@@ -265,16 +271,23 @@ def end_algebra(m: Rep, budget: Optional[int] = None) -> EndAlgebra:
     return alg
 
 
-def _left_mult(E: EndAlgebra, x) -> Mat:
+def _left_mult(E: EndAlgebra, x, right=False) -> Mat:
     """L_x, the matrix of left multiplication by x in the regular
-    representation: column j holds the coordinates of x o basis[j]."""
+    representation: column j holds the coordinates of x o basis[j]; with
+    right=True its mirror R_x, whose column j holds those of basis[j] o x."""
     F = E.obj.field
     n = E.dimension
     acc = Mat.zeros(F, n, n)
-    for c, products in zip(x, E.table):
+    for i, c in enumerate(x):
         if not F.is_zero(c):
-            acc = acc.add(Mat(F, n, n, tuple(zip(*products))).scale(c))
+            cols = [row[i] for row in E.table] if right else E.table[i]
+            acc = acc.add(Mat(F, n, n, tuple(zip(*cols))).scale(c))
     return acc
+
+
+def _corner_dim(E: EndAlgebra, e) -> int:
+    """dim e·End·e = dim End(eM), the rank of x -> e·x·e, that is L_e·R_e."""
+    return rank(_left_mult(E, e).mul(_left_mult(E, e, right=True)))
 
 
 def _candidate_elements(E: EndAlgebra):
@@ -412,6 +425,8 @@ def _split_summand(m: Rep, emor: Morphism):
 
 def _decompose_rec(m: Rep, incl: Morphism, proj: Morphism, budget, out,
                    depth=0):
+    """Split m by an idempotent e of End(m) and 1 - e; a piece whose corner
+    e·End·e = End(eM) is k is a leaf, any other recurses on its own End."""
     if depth > 32:
         raise BudgetError("decomposition recursion exceeded depth bound")
     E = end_algebra(m, budget)
@@ -427,8 +442,11 @@ def _decompose_rec(m: Rep, incl: Morphism, proj: Morphism, budget, out,
     comp = tuple(m.field.sub(a, b) for a, b in zip(E.identity, ec))
     for coords in (ec, comp):
         piece, pincl, pproj = _split_summand(m, _endo_from_coords(E, coords))
-        _decompose_rec(piece, pincl.then(incl), proj.then(pproj), budget,
-                       out, depth + 1)
+        pincl, pproj = pincl.then(incl), proj.then(pproj)
+        if _corner_dim(E, coords) == 1:
+            out.append(Summand(piece, pincl, pproj, False))
+        else:
+            _decompose_rec(piece, pincl, pproj, budget, out, depth + 1)
 
 
 def decompose_report(m: Rep, budget: Optional[int] = None) -> DecomposeReport:

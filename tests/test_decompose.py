@@ -13,9 +13,11 @@ import random
 from pathlib import Path
 
 import arknit as ak
+import arknit.ar as ar
+import arknit.hom as hom
 from arknit import (GF, QQ, almost_split_sequence, decompose_report,
-                    direct_sum, injective_at, projective_at, simple_at,
-                    tau_inv)
+                    dim_vector, direct_sum, end_algebra, hom_space,
+                    injective_at, knit, projective_at, simple_at, tau_inv)
 from arknit.cli import build_parser, run
 from arknit.io import snapshot_rep
 from conftest import random_fd_rep
@@ -83,3 +85,74 @@ def test_payload_is_what_the_verb_prints():
     m = direct_sum(projective_at(a3, 1, F), simple_at(a3, 2, F),
                    simple_at(a3, 2, F))
     assert run(args) == payload(m)
+
+
+# ---------------------------------------------------------------------------
+# work: a summand whose corner algebra e·End·e is k computes no End
+
+
+def _spy_end_algebra(monkeypatch):
+    """Record the object of every End computed from now on."""
+    seen, real = [], hom.end_algebra
+
+    def spy(m, budget=None):
+        seen.append(m)
+        return real(m, budget)
+
+    monkeypatch.setattr(hom, "end_algebra", spy)
+    monkeypatch.setattr(ar, "end_algebra", spy)
+    return seen
+
+
+def test_decompose_computes_end_only_for_corners_above_k(a3, monkeypatch):
+    seen = _spy_end_algebra(monkeypatch)
+    p1, s2 = projective_at(a3, 1), simple_at(a3, 2)
+    m = direct_sum(p1, s2)
+    assert len(decompose_report(m).summands) == 2
+    assert seen == [m]
+    seen.clear()
+    m = direct_sum(p1, s2, s2)
+    assert len(decompose_report(m).summands) == 3
+    # the whole object, then the piece S(2)^2, whose corner is M_2(k)
+    assert len(seen) == 2 and seen[0] is m
+    assert dim_vector(seen[1], (1, 2, 3)) == (0, 2, 0)
+
+
+def test_kronecker_knit_computes_twelve_end_algebras(kron, monkeypatch):
+    seen = _spy_end_algebra(monkeypatch)
+    knit(projective_at(kron, 2), 5)
+    assert len(seen) == 12
+
+
+# ---------------------------------------------------------------------------
+# the corner rule against Hom computed afresh
+
+
+def _random_objects(a3, kron, zig):
+    rng = random.Random(67)
+    for q, verts in ((a3, (1, 2, 3)), (kron, (1, 2)), (zig, (0, 1, 2, 3))):
+        for F in (QQ, GF(3)):
+            for _ in range(6):
+                yield random_fd_rep(q, rng, verts, field=F)
+
+
+def test_corner_rank_is_the_dimension_of_the_summands_end(a3, kron, zig):
+    """For every split of the decomposition, dim e·End·e read from the table
+    (the rank of L_e·R_e) is dim Hom(eM, eM) computed on eM itself, for e
+    and for 1 - e."""
+    corners = []
+    todo = list(_random_objects(a3, kron, zig))
+    while todo:
+        m = todo.pop()
+        E = end_algebra(m)
+        e = E.idempotent if E.dimension > 1 else None
+        if e is None:
+            continue
+        F = m.field
+        for coords in (e, tuple(F.sub(a, b) for a, b in zip(E.identity, e))):
+            piece = hom._split_summand(m, hom._endo_from_coords(E, coords))[0]
+            dim = hom._corner_dim(E, coords)
+            assert dim == hom_space(piece, piece).dimension
+            corners.append(dim)
+            todo.append(piece)
+    assert corners.count(1) >= 10 and any(d > 1 for d in corners)

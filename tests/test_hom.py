@@ -30,6 +30,7 @@ from arknit import (
     VertexSet,
 )
 
+from arknit.linalg import kernel_basis, solve_matrix
 from arknit.presentations import yoneda
 from conftest import random_fd_rep
 from oracles import hom_dim_brute, iso_by_pair_search
@@ -166,9 +167,9 @@ def _end_objects(kron, line, F):
 
 @pytest.mark.parametrize("F", [QQ, GF(7)], ids=repr)
 def test_end_algebra_table_reproduces_products(kron, line, F):
-    """End coordinates are read on the Hom route's own window; the identity
-    and every product of two basis morphisms come back at each of its
-    vertices."""
+    """End coordinates are read at the Hom route's anchor; the identity and
+    every product of two basis morphisms come back at each vertex of its
+    window."""
     for m, route, dim in _end_objects(kron, line, F):
         hb = hom_space(m, m)
         assert (hb.route, hb.dimension) == (route, dim)
@@ -188,6 +189,57 @@ def test_end_algebra_table_reproduces_products(kron, line, F):
                 for j, fj in enumerate(E.basis):
                     prod = fi.component(v).mul(fj.component(v))
                     assert combo(E.table[i][j], v).entries == prod.entries
+
+
+def _end_on_window(hb):
+    """(identity, table, radical) of End solved on all of hb.window: the
+    coordinates of the identity and of every product of two basis morphisms,
+    and the kernel of the trace form tr(L_{b_i b_j})."""
+    m, n = hb.src, hb.dimension
+    F = m.field
+
+    def flat(mats):
+        return [x for a in mats for row in a.entries for x in row]
+
+    comps = [[f.component(v) for v in hb.window] for f in hb.basis]
+    B = Mat(F, len(flat(comps[0])), n, tuple(zip(*map(flat, comps))))
+    rhs = [[Mat.identity(F, m.dim(v)) for v in hb.window]]
+    rhs += [[a.mul(b) for a, b in zip(ci, cj)] for ci in comps for cj in comps]
+    X = solve_matrix(B, Mat(F, B.rows, len(rhs), tuple(zip(*map(flat, rhs)))))
+    coords = X.transpose().entries
+    table = tuple(coords[1 + i * n:1 + (i + 1) * n] for i in range(n))
+
+    def trace_of_left_mult(x):
+        return sum((F.mul(x[k], table[k][j][j]) for k in range(n)
+                    for j in range(n)), F.zero)
+
+    T = Mat(F, n, n, tuple(tuple(trace_of_left_mult(table[i][j])
+                                 for j in range(n)) for i in range(n)))
+    K = kernel_basis(T)
+    return coords[0], table, tuple(K.col(j) for j in range(K.cols))
+
+
+@pytest.mark.parametrize("F", [QQ, GF(3)], ids=repr)
+def test_end_coordinates_at_the_anchor_are_those_on_the_window(kron, line,
+                                                               a3, zig, F):
+    """end_algebra solves at the route's anchor (generators, socle, or the
+    window); its identity, table and radical are those solved on the whole
+    window, on every route."""
+    rng = random.Random(71)
+    objects = [m for m, _, _ in _end_objects(kron, line, F)]
+    objects += [random_fd_rep(q, rng, verts, field=F)
+                for q, verts in ((a3, (1, 2, 3)), (kron, (1, 2)),
+                                 (zig, (0, 1, 2, 3))) for _ in range(5)]
+    routes = set()
+    for m in objects:
+        hb = hom_space(m, m)
+        routes.add(hb.route)
+        E = end_algebra(m)
+        if E.dimension == 0:
+            continue
+        assert set(hb.anchor) <= set(hb.window)
+        assert (E.identity, E.table, E.radical) == _end_on_window(hb)
+    assert routes == {"presentation", "copresentation", "window"}
 
 
 @pytest.mark.parametrize("F", [QQ, GF(3)], ids=repr)
