@@ -19,14 +19,15 @@ from typing import Optional
 
 from .ext import ext_class_to_ses, ext_space
 from .hom import (_endo_from_coords, _iso_indec, decompose, end_algebra,
-                  hom_space, joint_window, solve_natural)
-from .linalg import Mat, inverse, kernel_basis
+                  hom_space, solve_natural)
+from .linalg import QQ, Mat, inverse, kernel_basis
 from .morphism import SES, Morphism, verify_exact
 from .presentations import (min_inj_copresentation, min_proj_presentation,
                             nakayama)
 from .quiver import FiniteQuiver, Path, QuiverBase, vkey
 from .rep import (DEFAULT_BUDGET, Rep, classify_membership, coker_proj,
-                  dim_vector, is_doubly_infinite, ker_inj, path_matrix)
+                  dim_vector, is_doubly_infinite, joint_window, ker_inj,
+                  path_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +258,7 @@ def knit(seed: Rep, depth: int, budget: Optional[int] = None) -> ARComponent:
     cert0 = classify_membership(seed, budget)
     if not cert0.is_in_rrep():
         raise ValueError(f"seed is {cert0.verdict}; knitting needs rrep payloads")
-    base_window = cert0.support.members(
-        max([p.cutoff for p in cert0.profiles], default=0) + 2)
+    base_window, _ = joint_window([cert0])
     fwindow = tuple(sorted(_expand_window(q, base_window, depth + 2),
                            key=vkey))
 
@@ -466,13 +466,11 @@ def ar_category_kind(q: QuiverBase) -> str:
 # Coxeter oracle for finite quivers
 
 
-def coxeter_matrix(q: FiniteQuiver, field=None) -> Mat:
+def coxeter_matrix(q: FiniteQuiver) -> Mat:
     """C[i][j] = number of paths from vertex j to vertex i (Cartan matrix)."""
-    from .linalg import QQ
-    F = QQ if field is None else field
     vs = sorted(q.vertices, key=vkey)
-    return Mat(F, len(vs), len(vs), tuple(
-        tuple(F.of(len(q.paths_between(b, a))) for b in vs) for a in vs))
+    return Mat(QQ, len(vs), len(vs), tuple(
+        tuple(QQ.of(len(q.paths_between(b, a))) for b in vs) for a in vs))
 
 
 def coxeter_transform(q: FiniteQuiver, dims, inverse_transform=False):

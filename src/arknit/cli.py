@@ -20,7 +20,7 @@ from .io import (SCHEMA, ParseError, component_dot, component_json, emit_rep,
 from .morphism import verify_exact
 from .quiver import vkey
 from .rep import (BudgetError, classify_membership, injective_at,
-                  projective_at, simple_at)
+                  joint_window, projective_at, simple_at)
 
 MAX_BUDGET = 400   # stabilization budget; the knit node budget is 4x this
 MAX_DEPTH = 32     # knit/classify hop depth
@@ -104,11 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _window(cert, radius):
-    depth = max([p.cutoff for p in cert.profiles], default=0) + radius
-    return sorted(cert.support.members(depth), key=vkey)
-
-
 def _dims(q, m, verts):
     return {q.vertex_str(v): m.dim(v) for v in verts}
 
@@ -165,7 +160,7 @@ def run(args) -> dict | str:
     if args.verb == "rep":
         m = rep_of(args.rep, "rep")
         cert = classify_membership(m, budget)
-        win = _window(cert, args.radius)
+        win, _ = joint_window([cert], args.radius)
         return {"schema": SCHEMA, "rep": snapshot_rep(m, budget),
                 "verdict": cert.verdict, "dims": _dims(q, m, win)}
 
@@ -200,7 +195,7 @@ def run(args) -> dict | str:
         m = rep_of(args.rep, "rep")
         out = tau_inv(m, budget) if args.inverse else tau(m, budget)
         cert = classify_membership(out, budget)
-        win = _window(cert, args.radius)
+        win, _ = joint_window([cert], args.radius)
         return {"schema": SCHEMA, "rep": snapshot_rep(out, budget),
                 "verdict": cert.verdict, "dims": _dims(q, out, win)}
 
@@ -208,7 +203,7 @@ def run(args) -> dict | str:
         x = rep_of(args.rep, "rep")
         ses = almost_split_sequence(x, budget)
         cert = classify_membership(ses.middle, budget)
-        win = _window(cert, args.radius)
+        win, _ = joint_window([cert], args.radius)
         payload = {
             "schema": SCHEMA,
             "sub": snapshot_rep(ses.sub, budget),

@@ -19,10 +19,9 @@ from typing import Optional
 
 from .linalg import Mat, coker_projection, rank
 from .morphism import SES, glue_ses
-from .quiver import vkey
 from .presentations import min_proj_presentation, relation_matrix
-from .rep import (BudgetError, Rep, RungFamily, classify_membership,
-                  equal_on)
+from .rep import (BudgetError, GlueRep, Rep, RungFamily, classify_membership,
+                  equal_on, joint_window)
 
 
 def arrow_complex(x: Rep, y: Rep, verts, arrows):
@@ -59,10 +58,6 @@ def arrow_complex(x: Rep, y: Rep, verts, arrows):
     return Mat(F, len(rows), total, tuple(rows)), offsets
 
 
-def _stable_depth(certs) -> int:
-    return max([p.cutoff for c in certs for p in c.profiles], default=0) + 2
-
-
 def _arrows_at_depth(q, t) -> list:
     """Each end's band arrows and crossing arrows at depth t, sorted per end:
     the arrows whose behaviour repeats at every depth >= t."""
@@ -79,19 +74,10 @@ def _interaction(x: Rep, y: Rep, certx, certy):
     y-target evaluations are both nonzero; families are symbolic witnesses
     that the arrow set continues periodically past the window."""
     q = x.quiver
-    depth = _stable_depth([certx, certy])
-    rx = certx.support.members(depth)
-    ry = certy.support.members(depth)
-    vs = sorted({v for v in set(rx) | set(ry)
-                 if x.dim(v) > 0 and y.dim(v) > 0}, key=vkey)
-    arrows = []
-    for v in sorted(set(rx), key=vkey):
-        if x.dim(v) == 0:
-            continue
-        for a in q.out_arrows(v):
-            if y.dim(a.dst) > 0:
-                arrows.append(a)
-    arrows = sorted(set(arrows))
+    window, depth = joint_window([certx, certy])
+    vs = [v for v in window if x.dim(v) > 0 and y.dim(v) > 0]
+    arrows = sorted({a for v in window if x.dim(v) > 0
+                     for a in q.out_arrows(v) if y.dim(a.dst) > 0})
     t = depth + 1
     families = tuple(f"{q.vertex_str(a.src)}->{q.vertex_str(a.dst)} "
                      f"repeating for depth >= {t}"
@@ -186,9 +172,8 @@ def _same_ends(s1: SES, s2: SES, budget) -> None:
                           ("quotient", s1.quot, s2.quot)):
         if e2 is e1:
             continue
-        certs = [classify_membership(e, budget) for e in (e1, e2)]
-        verts = {v for c in certs
-                 for v in c.support.members(_stable_depth(certs))}
+        verts, _ = joint_window([classify_membership(e, budget)
+                                 for e in (e1, e2)])
         if not equal_on(e1, e2, verts):
             raise ValueError(f"the {which} ends differ: the second "
                              f"sequence's {e2.describe()} is not the first's")
@@ -238,9 +223,9 @@ def baer_sum(s1: SES, s2: SES, budget: Optional[int] = None) -> SES:
             m = m.add(m2)
         if not m.is_zero():
             acc[a] = m
-    fams = _merge_families(F, getattr(s1, "families", ()) or (),
-                           getattr(s2, "families", ()) or ())
-    _, ses = glue_ses(sub, quot, tuple(acc.items()), fams)
+    fams = [s.middle.families if isinstance(s.middle, GlueRep) else ()
+            for s in (s1, s2)]
+    _, ses = glue_ses(sub, quot, tuple(acc.items()), _merge_families(F, *fams))
     return ses
 
 
@@ -260,17 +245,16 @@ def _arrow_rep_zero(m: Rep, a) -> bool:
 
 
 def is_finite_extension(ses: SES, budget: Optional[int] = None):
-    """(finite, witness); the report with both criteria is on .report."""
+    """(finite, witness, report): witness is the contributing arrows when
+    finite, else the repeating arrows that make it infinite; the report
+    holds both criteria."""
     L, M, N = ses.sub, ses.middle, ses.quot
     q = M.quiver
     certs = [classify_membership(r, budget) for r in (L, M, N)]
     for c in certs:
         if c.verdict.startswith("unknown"):
             raise BudgetError("membership did not certify within budget")
-    depth = _stable_depth(certs)
-    region = set()
-    for c in certs:
-        region.update(c.support.members(depth))
+    region, depth = joint_window(certs)
 
     def only_middle(a):   # nonzero in the middle, zero in both ends
         return not _arrow_rep_zero(M, a) and _arrow_rep_zero(L, a) \

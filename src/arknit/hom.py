@@ -29,23 +29,11 @@ from .morphism import Morphism, identity_morphism, image, zero_morphism
 from .presentations import min_proj_presentation, relation_matrix, yoneda_at
 from .quiver import vkey
 from .rep import (DEFAULT_BUDGET, BudgetError, Rep, classify_membership,
-                  dim_vector, dualize)
+                  dim_vector, dualize, joint_window)
 
 
 # ---------------------------------------------------------------------------
 # windowed naturality solve
-
-
-def joint_window(certs, pad: int = 2):
-    """Union of the certified exact supports down to (max cutoff + pad),
-    sorted."""
-    verts = set()
-    depth = 0
-    for cert in certs:
-        depth = max([p.cutoff for p in cert.profiles] + [depth])
-    for cert in certs:
-        verts.update(cert.support.members(depth + pad))
-    return tuple(sorted(verts, key=vkey)), depth + pad
 
 
 def solve_natural(src: Rep, dst: Rep, verts, extra=()):
@@ -60,8 +48,7 @@ def solve_natural(src: Rep, dst: Rep, verts, extra=()):
     F = src.field
     vs = sorted(set(verts), key=vkey)
     vset = set(vs)
-    arrows = [a for u in vs for a in src.quiver.out_arrows(u) if a.dst in vset]
-    d, offs = arrow_complex(src, dst, vs, arrows)
+    d, offs = arrow_complex(src, dst, vs, src.quiver.arrows_within(vs))
     rows = list(d.entries)
     rhs = [F.zero] * d.rows
     for (v, A, B, R) in extra:

@@ -13,8 +13,8 @@ from .quiver import (FiniteQuiver, Path, PRESETS, QuiverBase, VertexSet,
                      kronecker_quiver, linear_quiver, vkey)
 from .rep import (PathMatrix, Rep, RungFamily, classify_membership,
                   coker_proj, direct_sum, dualize, explicit_fd, glue_rep,
-                  injective_at, ker_inj, path_matrix, projective_at,
-                  restrict, simple_at, thin_rep, zero_rep)
+                  injective_at, joint_window, ker_inj, path_matrix,
+                  projective_at, restrict, simple_at, thin_rep, zero_rep)
 
 SCHEMA = "arknit/1"
 # P(1) or I(n) on the linear quiver of n vertices holds n^2/2 arrows in its
@@ -353,9 +353,7 @@ def snapshot_rep(m: Rep, budget=None) -> dict:
     except NotImplementedError:
         pass
     cert = classify_membership(m, budget)
-    depth = max([p.cutoff for p in cert.profiles], default=0) + 1
-    supp = cert.support
-    verts = supp.members(depth)
+    verts, _ = joint_window([cert], 1)
     q = m.quiver
     dims = {q.vertex_str(v): m.dim(v) for v in verts}
     mats = {}
@@ -366,7 +364,7 @@ def snapshot_rep(m: Rep, budget=None) -> dict:
                                  for row in m.mat(a).entries]
     return {"opaque": m.describe(), "verdict": cert.verdict,
             "window_dims": dims, "window_mats": mats,
-            "tails": [[t[0], t[1], t[2]] for t in supp.tails]}
+            "tails": [[t[0], t[1], t[2]] for t in cert.support.tails]}
 
 
 def emit_rep(m: Rep, budget=None) -> dict:

@@ -225,15 +225,10 @@ class SES:
     quot: Rep
     incl: Morphism
     proj: Morphism
-    cocycle: tuple = ()    # (Arrow, Mat) pairs when built from a glue
-    families: tuple = ()
 
     def cocycle_at(self, a: Arrow) -> Optional[Mat]:
         if isinstance(self.middle, GlueRep):
             return self.middle.cocycle_at(a)
-        for (arr, m) in self.cocycle:
-            if arr == a:
-                return m
         return _extracted_cocycle(self, a)
 
     def describe(self) -> str:
@@ -273,8 +268,7 @@ def glue_ses(sub: Rep, quot: Rep, cocycle=(), families=()):
 
     ses = SES(sub, mid, quot,
               Morphism(sub, mid, rule=incl_rule, label="glue-incl"),
-              Morphism(mid, quot, rule=proj_rule, label="glue-proj"),
-              tuple(cocycle), tuple(families))
+              Morphism(mid, quot, rule=proj_rule, label="glue-proj"))
     return mid, ses
 
 
@@ -319,14 +313,6 @@ def verify_exact(ses: SES, verts) -> dict:
 
 def naturality_defect(f: Morphism, verts) -> bool:
     """True when f commutes with all arrow matrices inside the region."""
-    q = f.src.quiver
-    vs = set(verts)
-    for v in sorted(vs, key=vkey):
-        for a in q.out_arrows(v):
-            if a.dst not in vs:
-                continue
-            lhs = f.dst.mat(a).mul(f.component(a.src))
-            rhs = f.component(a.dst).mul(f.src.mat(a))
-            if lhs.entries != rhs.entries:
-                return False
-    return True
+    return all(f.dst.mat(a).mul(f.component(a.src)).entries
+               == f.component(a.dst).mul(f.src.mat(a)).entries
+               for a in f.src.quiver.arrows_within(verts))

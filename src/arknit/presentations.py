@@ -20,8 +20,8 @@ from .linalg import Mat, block_matrix, coker_projection, rank, solve_matrix
 from .morphism import Morphism
 from .quiver import vkey
 from .rep import (DEFAULT_BUDGET, BudgetError, KernelOfRep, PathMatrix, Rep,
-                  classify_membership, dualize, incoming_stack, path_matrix,
-                  proj_sum_basis, sum_of)
+                  classify_membership, dualize, incoming_stack,
+                  joint_window, path_matrix, proj_sum_basis, sum_of)
 
 
 @dataclass(frozen=True)
@@ -93,16 +93,11 @@ def yoneda(n: Rep, verts, vecs) -> Morphism:
                     label="yoneda")
 
 
-def _probe_and_deep(m: Rep, cert, pad=1):
-    depth = max([p.cutoff for p in cert.profiles], default=0)
-    region = cert.support.members(depth + pad)
-    deep = []
-    for p in cert.profiles:
-        for r in p.rays:
-            if r.dim > 0:
-                end = m.quiver.end(r.eid)
-                deep.append(end.vertex(r.rid, depth + pad + 1))
-                deep.append(end.vertex(r.rid, depth + pad + 2))
+def _probe_and_deep(m: Rep, cert):
+    region, depth = joint_window([cert], 1)
+    deep = [m.quiver.end(r.eid).vertex(r.rid, t)
+            for p in cert.profiles for r in p.rays if r.dim > 0
+            for t in (depth + 1, depth + 2)]
     return region, deep
 
 

@@ -117,6 +117,11 @@ class QuiverBase:
         """The arrows out of (out) or into v, sorted."""
         raise NotImplementedError
 
+    def arrows_within(self, verts):
+        """The arrows with both ends in verts, sorted."""
+        vs = set(verts)
+        return sorted(a for v in vs for a in self.out_arrows(v) if a.dst in vs)
+
     def opposite(self) -> "QuiverBase":
         if "opposite" not in self._memo:
             self._memo["opposite"] = OppositeQuiver(self)
@@ -280,13 +285,7 @@ class End:
 
     def band_arrows(self, t):
         """Arrows with both endpoints inside bands t and t+1."""
-        verts = set(self.band(t)) | set(self.band(t + 1))
-        arrows = []
-        for v in sorted(verts, key=vkey):
-            for a in self.quiver.out_arrows(v):
-                if a.dst in verts:
-                    arrows.append(a)
-        return sorted(arrows)
+        return self.quiver.arrows_within(self.band(t) + self.band(t + 1))
 
     def crossing_arrow(self, cid, t) -> Arrow:
         return self.quiver._crossing_arrow(self.eid, cid, t)

@@ -12,7 +12,9 @@ Membership in the four classes (finite dimensional, finitely presented,
 finitely copresented, finite-extension) is decided by stabilizing the
 evaluation data along each ray: once the per-band snapshot repeats beyond the
 node's structural depth, the data is shift-equivariant and the verdict is a
-certificate, not a sample.
+certificate, not a sample.  The certificate owns the stable depth (its
+deepest cutoff) and with it the one finite window every computation reads:
+`joint_window`, the certified supports down to a pad past that depth.
 
 A Rep is immutable once built, and its derived invariants (structural depth,
 membership certificates, minimal presentations) are cached on the instance.
@@ -769,14 +771,9 @@ def dim_vector(m: Rep, verts) -> tuple:
 def equal_on(m1: Rep, m2: Rep, verts) -> bool:
     """Evaluation equality: same dims and same arrow matrices on the region."""
     vs = set(verts)
-    for v in vs:
-        if m1.dim(v) != m2.dim(v):
-            return False
-    for v in sorted(vs, key=vkey):
-        for a in m1.quiver.out_arrows(v):
-            if a.dst in vs and m1.mat(a).entries != m2.mat(a).entries:
-                return False
-    return True
+    return all(m1.dim(v) == m2.dim(v) for v in vs) and all(
+        m1.mat(a).entries == m2.mat(a).entries
+        for a in m1.quiver.arrows_within(vs))
 
 
 def incoming_stack(m: Rep, v):
@@ -887,6 +884,21 @@ class RepClassCertificate:
 
     def is_in_rrep(self) -> bool:
         return self.verdict in ("fd", "fp", "fc", "rrep")
+
+    @property
+    def depth(self) -> int:
+        """The stable depth: the deepest profile cutoff, 0 with no ends."""
+        return max([p.cutoff for p in self.profiles], default=0)
+
+
+def joint_window(certs, pad: int = 2):
+    """(window, depth): the union of the certified exact supports down to
+    depth = (deepest stable depth + pad), sorted."""
+    depth = max([c.depth for c in certs], default=0) + pad
+    verts = set()
+    for cert in certs:
+        verts.update(cert.support.members(depth))
+    return tuple(sorted(verts, key=vkey)), depth
 
 
 def support_exact(m: Rep, profiles) -> VertexSet:
@@ -1041,7 +1053,7 @@ def pfi_decompose(m: Rep, budget: Optional[int] = None) -> PFIDecomposition:
         si = _tails_set(q, [(e, rr, t) for (e, rr), t in sorted(istarts.items())])
         return sp, si
 
-    base_probe = max([p.cutoff for p in cert.profiles], default=0) + 2
+    base_probe = cert.depth + 2
     sigmaP, sigmaI = build()
     # gluing arrows must not run from the injective part into the projective part
     for _ in range(base_probe + 2):

@@ -181,6 +181,26 @@ def test_all_rungs_glue_is_not_finite(ladder):
     assert any("depth" in w or "depths" in w for w in witness)
 
 
+def test_baer_sum_adds_rung_families(ladder):
+    sub = thin_rep(ladder, VertexSet.make(ladder, (), [("inf", "b", 0)]))
+    quot = thin_rep(ladder, VertexSet.make(ladder, (), [("inf", "a", 0)]))
+
+    def glued(start, c):
+        fam = RungFamily("inf", "rung", start, QQ.of(c))
+        return glue_ses(sub, quot, (), [fam])[1]
+
+    one = glued(0, 1)
+    assert baer_sum(one, one).middle.families == (
+        RungFamily("inf", "rung", 0, QQ.of(2)),)
+    # opposite coefficients cancel to a family-free, finite extension
+    cancelled = baer_sum(one, glued(0, -1))
+    assert cancelled.middle.families == ()
+    assert is_finite_extension(cancelled)[0]
+    assert not is_finite_extension(one)[0]
+    with pytest.raises(ValueError, match="family starts disagree"):
+        baer_sum(one, glued(1, 1))
+
+
 def test_infinite_interaction_window_is_flagged(ladder):
     quot = thin_rep(ladder, VertexSet.make(ladder, (), [("inf", "a", 0)]))
     sub = thin_rep(ladder, VertexSet.make(ladder, (), [("inf", "b", 0)]))

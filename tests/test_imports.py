@@ -101,6 +101,30 @@ def test_no_dead_definitions(path, project_references):
     assert dead_definitions(path.read_text(), project_references) == []
 
 
+def cutoff_maxima(source: str) -> list:
+    """Lines that call max(...) on anything reading .cutoff: a stable depth
+    worked out afresh, where the certificate's own depth is the one answer."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                  and n.func.id == "max"
+                  and any(isinstance(a, ast.Attribute) and a.attr == "cutoff"
+                          for a in ast.walk(n)))
+
+
+def test_detects_a_max_over_cutoffs():
+    src = ("d = max([p.cutoff for p in c.profiles], default=0)\n"
+           "e = max(c.depth, 2)\n"
+           "out = {'cutoff': p.cutoff}\n"
+           "f = max(r.cutoff + 1, 3)\n")
+    assert cutoff_maxima(src) == [1, 4]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "rep.py"],
+                         ids=lambda p: p.name)
+def test_only_rep_takes_the_stable_depth(path):
+    assert cutoff_maxima(path.read_text()) == []
+
+
 def names_sympy(source: str) -> bool:
     """Does the module import, or refer to, anything called sympy?"""
     for node in ast.walk(ast.parse(source)):

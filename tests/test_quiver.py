@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import arknit as ak
 from arknit.quiver import (Arrow, FiniteQuiver, Path, QuiverBase, VertexSet,
-                           classify_subquiver)
+                           classify_subquiver, vkey)
 from arknit.rep import reverse_path
 
 
@@ -281,3 +281,32 @@ def test_path_search_stops_at_the_hop_budget(fixed):
     with pytest.raises(ValueError, match="hop budget"):
         q.paths_between(0, 1)
     assert stored_bases(q) == 0
+
+
+def _random_subsets(pool, seed, count=12):
+    rng = random.Random(seed)
+    pool = sorted(pool, key=vkey)
+    return [set(rng.sample(pool, rng.randrange(len(pool) + 1)))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("make", [lambda: ak.linear_quiver(3),
+                                  lambda: ak.linear_quiver(5),
+                                  ak.kronecker_quiver],
+                         ids=["A3", "A5", "kronecker"])
+def test_arrows_within_matches_the_arrow_list(make):
+    for q in (make(), make().opposite()):
+        for i, vs in enumerate(_random_subsets(q.vertices, 5)):
+            assert q.arrows_within(vs) == \
+                [a for a in q.arrows if a.src in vs and a.dst in vs], i
+
+
+@pytest.mark.parametrize("name", sorted(ak.PRESETS))
+def test_arrows_within_matches_the_local_arrows(name):
+    q = ak.PRESETS[name]()
+    pool = {e.vertex(r.rid, t) for e in q.ends() for r in e.rays
+            for t in range(8)}
+    for i, vs in enumerate(_random_subsets(pool, 7)):
+        local = {a for v in vs for a in q.out_arrows(v) + q.in_arrows(v)
+                 if a.src in vs and a.dst in vs}
+        assert q.arrows_within(vs) == sorted(local), i
