@@ -238,11 +238,11 @@ def end_algebra(m: Rep, budget: Optional[int] = None) -> EndAlgebra:
     ident = coords[0]
     table = tuple(coords[1 + i * n:1 + (i + 1) * n] for i in range(n))
 
-    traces = [sum((table[k][j][j] for j in range(n)), F.zero) for k in range(n)]
-    T = Mat(F, n, n, tuple(
-        tuple(sum((F.mul(table[i][j][r], traces[r]) for r in range(n)), F.zero)
-              for j in range(n))
-        for i in range(n)))
+    # the trace form T[i][j] = tr(L_(b_i b_j)), as Mat products, so each
+    # entry is a field element (reduced mod p, as rref needs)
+    diagonals = tuple(tuple(t[j][j] for j in range(n)) for t in table)
+    traces = Mat(F, n, n, diagonals).apply((F.one,) * n)
+    T = Mat(F, n, n, tuple(Mat(F, n, n, t).apply(traces) for t in table))
     radK = kernel_basis(T)
     radical = tuple(radK.col(j) for j in range(radK.cols))
     notes = {}

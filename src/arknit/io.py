@@ -6,8 +6,6 @@ JSON-pointer style path to the offending element.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .linalg import GF, QQ, Mat
 from .quiver import (FiniteQuiver, Path, PRESETS, QuiverBase, VertexSet,
                      kronecker_quiver, linear_quiver, vkey)
@@ -154,9 +152,10 @@ def parse_field(spec):
 
 
 def _parse_scalar(F, x, pointer):
+    if type(x) not in (int, str):
+        hint = "" if F.char else ', or a rational as a string such as "1/2"'
+        raise ParseError(pointer, f"bad scalar {x!r}: write an integer{hint}")
     try:
-        if isinstance(x, str):
-            return F.of(Fraction(x)) if F.char == 0 else F.of(int(x))
         return F.of(x)
     except (ValueError, ZeroDivisionError) as e:
         raise ParseError(pointer, f"bad scalar {x!r}: {e}")

@@ -3,6 +3,12 @@
 Matrices are immutable (tuples of tuples) so they can live inside hashable
 representation nodes.  Everything is deterministic: kernel and cokernel bases
 come from reduced echelon forms, never from randomized pivoting.
+
+Every scalar has one canonical form.  Over GF(p) it is an int in [0, p).
+Over Q it is an int when it is integral and otherwise a Fraction with
+denominator > 1, so integral entries never pay for Fraction arithmetic.  An
+int equals, hashes and prints as the Fraction of the same value, so the form
+does not show in equality, hashing or output.
 """
 from __future__ import annotations
 
@@ -26,6 +32,8 @@ class Field:
                 raise ValueError(f"field characteristic must be 0 or a prime, got {p}")
 
     def of(self, x):
+        """The canonical element for an int, a Fraction or, over Q, a string
+        such as "-3/4" (over GF(p) a string must name an integer)."""
         if self.char:
             if isinstance(x, Fraction):
                 den = x.denominator % self.char
@@ -35,26 +43,26 @@ class Field:
                 return (x.numerator * pow(den, self.char - 2, self.char)) \
                     % self.char
             return int(x) % self.char
-        if isinstance(x, Fraction):
+        if type(x) is int:
             return x
-        return Fraction(x)
+        return _canon(x if isinstance(x, Fraction) else Fraction(x))
 
     @property
     def zero(self):
-        return 0 if self.char else Fraction(0)
+        return 0
 
     @property
     def one(self):
-        return 1 if self.char else Fraction(1)
+        return 1
 
     def add(self, a, b):
-        return (a + b) % self.char if self.char else a + b
+        return (a + b) % self.char if self.char else _canon(a + b)
 
     def sub(self, a, b):
-        return (a - b) % self.char if self.char else a - b
+        return (a - b) % self.char if self.char else _canon(a - b)
 
     def mul(self, a, b):
-        return (a * b) % self.char if self.char else a * b
+        return (a * b) % self.char if self.char else _canon(a * b)
 
     def neg(self, a):
         return (-a) % self.char if self.char else -a
@@ -64,7 +72,7 @@ class Field:
             raise ZeroDivisionError("inverting zero field element")
         if self.char:
             return pow(a, self.char - 2, self.char)
-        return 1 / a
+        return _frac(a.denominator, a.numerator)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -125,15 +133,17 @@ class Mat:
         return Mat(self.field, self.cols, self.rows, cols)
 
     def add(self, other: "Mat") -> "Mat":
-        F = self.field
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in add")
-        return Mat(F, self.rows, self.cols,
-                   tuple(tuple(F.add(a, b) for a, b in zip(r1, r2))
-                         for r1, r2 in zip(self.entries, other.entries)))
+        return self._entrywise(self.field.add, other)
 
     def sub(self, other: "Mat") -> "Mat":
-        return self.add(other.scale(self.field.neg(self.field.one)))
+        return self._entrywise(self.field.sub, other)
+
+    def _entrywise(self, op, other: "Mat") -> "Mat":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError(f"shape mismatch in {op.__name__}")
+        return Mat(self.field, self.rows, self.cols,
+                   tuple(tuple(map(op, r1, r2))
+                         for r1, r2 in zip(self.entries, other.entries)))
 
     def scale(self, c) -> "Mat":
         F = self.field
@@ -143,8 +153,9 @@ class Mat:
     def mul(self, other: "Mat") -> "Mat":
         """Product on plain ints: over GF(p) each entry is one sum of raw
         products reduced mod p once; over Q each row of self and each column
-        of other is scaled to integers first, so an entry is one integer dot
-        product over the product of the two denominators."""
+        of other is scaled to integers first (an all-int one as it is), so an
+        entry is one integer dot product over the product of the two
+        denominators, returned in canonical form (an int when integral)."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch in mul: {self.rows}x{self.cols} * {other.rows}x{other.cols}")
         p = self.field.char
@@ -161,12 +172,10 @@ class Mat:
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix times column vector (vector given as a flat sequence)."""
-        F = self.field
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(
-            _dot(F, r, vec) for r in self.entries
-        )
+        return self.mul(Mat(self.field, self.cols, 1,
+                            tuple((x,) for x in vec))).col(0)
 
     def hstack(self, other: "Mat") -> "Mat":
         if self.rows != other.rows:
@@ -180,29 +189,28 @@ class Mat:
         return Mat(self.field, self.rows + other.rows, self.cols, self.entries + other.entries)
 
 
-def _dot(F: Field, a, b):
-    acc = F.zero
-    for x, y in zip(a, b):
-        if x != 0 and y != 0:
-            acc = F.add(acc, F.mul(x, y))
-    return acc
-
-
-_ZERO = Fraction(0)
-
-
 def _int_row(row):
-    """(ints, d) with row == ints / d: a row of rationals over one denominator."""
+    """(ints, d) with row == ints / d: a row of rationals over one
+    denominator; a row of ints is returned as it is, with d = 1."""
+    for x in row:
+        if type(x) is not int:
+            break
+    else:
+        return row, 1
     d = lcm(*[x.denominator for x in row])
-    if d == 1:
-        return [x.numerator for x in row], 1
     return [x.numerator * (d // x.denominator) for x in row], d
 
 
-def _frac(n: int, d: int) -> Fraction:
-    if not n:
-        return _ZERO
-    return Fraction(n) if d == 1 else Fraction(n, d)
+def _canon(x: Fraction):
+    """The canonical form of a rational: its numerator when it is integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _frac(n: int, d: int):
+    """n / d in canonical form: n // d when d divides n, else a Fraction."""
+    if d == 1:
+        return n
+    return n // d if n % d == 0 else Fraction(n, d)
 
 
 def block_matrix(field: Field, blocks: Sequence[Sequence[Optional[Mat]]],
@@ -230,7 +238,8 @@ def rref(m: Mat):
     Elimination runs on plain int rows.  Over GF(p) each step is reduced mod
     p.  Over Q each row is scaled to integers, rows are combined by integer
     cross-multiplication and each combined row is divided by the gcd of its
-    entries; a pivot row is divided by its pivot only when R is built.
+    entries; a pivot row is divided by its pivot only when R is built, and
+    each entry of R is in canonical form (an int when integral).
     """
     p = m.field.char
     if p:
@@ -273,10 +282,11 @@ def rref(m: Mat):
         out = []
         for i, row in enumerate(rows):
             if i >= r:
-                out.append((_ZERO,) * m.cols)
+                out.append((0,) * m.cols)
                 continue
             d = row[pivots[i]]
-            out.append(tuple(_frac(x, d) for x in row))
+            out.append(tuple(row) if d == 1 else
+                       tuple(_frac(x, d) for x in row))
         out = tuple(out)
     return Mat(m.field, m.rows, m.cols, out), tuple(pivots)
 

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 from itertools import combinations
 
-from .linalg import Field
+from .linalg import Field, _frac
 
 # Over Q, recombination tries subsets of the modular factors, so its cost
 # grows as 2^r in their number r; above this many, factor gives up.
@@ -42,7 +41,7 @@ def _red(f, m):
 
 
 def _inv(a, m):
-    return pow(a, -1, m) if m else 1 / Fraction(a)
+    return pow(a, -1, m) if m else _frac(a.denominator, a.numerator)
 
 
 def _add(f, g, m, sign=1):
@@ -366,7 +365,7 @@ def factor(F: Field, f):
         if p:
             parts = _factor_mod_p(a, p)
         else:
-            d = math.lcm(*[Fraction(c).denominator for c in a])
+            d = math.lcm(*[c.denominator for c in a])
             parts = _factor_sqf_zz(_primitive([int(c * d) for c in a]))
             if parts is None:
                 return None

@@ -30,7 +30,7 @@ from arknit import (
     VertexSet,
 )
 
-from arknit.linalg import kernel_basis, solve_matrix
+from arknit.linalg import kernel_basis, rank, solve_matrix
 from arknit.presentations import yoneda
 from conftest import random_fd_rep
 from oracles import hom_dim_brute, iso_by_pair_search
@@ -210,13 +210,34 @@ def _end_on_window(hb):
     table = tuple(coords[1 + i * n:1 + (i + 1) * n] for i in range(n))
 
     def trace_of_left_mult(x):
-        return sum((F.mul(x[k], table[k][j][j]) for k in range(n)
-                    for j in range(n)), F.zero)
+        return F.of(sum(x[k] * table[k][j][j] for k in range(n)
+                        for j in range(n)))
 
     T = Mat(F, n, n, tuple(tuple(trace_of_left_mult(table[i][j])
                                  for j in range(n)) for i in range(n)))
     K = kernel_basis(T)
     return coords[0], table, tuple(K.col(j) for j in range(K.cols))
+
+
+@pytest.mark.parametrize("F", [GF(2), GF(3), GF(5)], ids=repr)
+def test_end_radical_is_the_kernel_of_the_trace_form_mod_p(a3, kron, F):
+    """Over GF(p) the radical is the whole kernel of the trace form
+    T[i][j] = tr(L_(b_i b_j)) reduced mod p; random objects whose traces
+    reach p, where an unreduced form once gave too small a kernel."""
+    rng = random.Random(4)
+    for q, verts in ((a3, (1, 2, 3)), (kron, (1, 2))):
+        for _ in range(12):
+            E = end_algebra(random_fd_rep(q, rng, verts, 3, field=F))
+            n, t = E.dimension, E.table
+            traces = [sum(t[k][j][j] for j in range(n)) for k in range(n)]
+            T = Mat.from_rows(F, [
+                [sum(c * tr for c, tr in zip(t[i][j], traces))
+                 for j in range(n)] for i in range(n)])
+            assert len(E.radical) == n - rank(T)
+            if E.radical:
+                R = Mat.from_rows(F, E.radical)
+                assert rank(R) == len(E.radical)
+                assert T.mul(R.transpose()).is_zero()
 
 
 @pytest.mark.parametrize("F", [QQ, GF(3)], ids=repr)

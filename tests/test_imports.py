@@ -1,7 +1,7 @@
 """Every name a library module imports is used in that module, every
 function, method and class it defines is used somewhere in the project, no
-module imports sympy, which is a test oracle only, and every boundary that
-the benchmark traces by name exists.
+module imports sympy, which is a test oracle only, only linalg names
+Fraction, and every boundary that the benchmark traces by name exists.
 
 No linter ships with the project, so this parses each module with ``ast``:
 an imported name that no other part of the module reads is dead weight, and
@@ -123,6 +123,42 @@ def test_detects_a_max_over_cutoffs():
                          ids=lambda p: p.name)
 def test_only_rep_takes_the_stable_depth(path):
     assert cutoff_maxima(path.read_text()) == []
+
+
+def fraction_lines(source: str) -> list:
+    """Lines that import the fractions module or name Fraction: a second
+    place that decides how a rational is held, where linalg's canonical
+    form (an int while integral) is the one answer."""
+    lines = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Import):
+            if any(a.name == "fractions" for a in n.names):
+                lines.add(n.lineno)
+        elif isinstance(n, ast.ImportFrom):
+            if n.module == "fractions" or any(a.name == "Fraction"
+                                              for a in n.names):
+                lines.add(n.lineno)
+        elif ((isinstance(n, ast.Name) and n.id == "Fraction")
+              or (isinstance(n, ast.Attribute) and n.attr == "Fraction")):
+            lines.add(n.lineno)
+    return sorted(lines)
+
+
+def test_detects_a_fraction():
+    src = ("from fractions import Fraction as F\n"
+           "import fractions\n"
+           "x = fractions.Fraction(1, 2)\n"
+           '"""a Fraction in a docstring"""\n'
+           "y = isinstance(x, Fraction)\n"
+           "from .linalg import _frac\n")
+    assert fraction_lines(src) == [1, 2, 3, 5]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
+                                  if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_only_linalg_names_fraction(path):
+    assert fraction_lines(path.read_text()) == []
 
 
 def names_sympy(source: str) -> bool:

@@ -201,6 +201,38 @@ def test_explicit_fd_accepts_every_arrow_at_its_dims(line):
         emit_rep(m)
 
 
+RATIONAL_HINT = ', or a rational as a string such as "1/2"'
+
+
+@pytest.mark.parametrize("field, hint", [("QQ", RATIONAL_HINT), ("3", "")])
+@pytest.mark.parametrize("x, shown", [
+    ("0.1", "0.1"), ("1.5", "1.5"), ("2.0", "2.0"), ("true", "True"),
+    ("null", "None"), ("[1]", "[1]")])
+def test_cli_rejects_non_integer_json_scalars(field, hint, x, shown):
+    # a JSON float or boolean is no exact scalar: 0.1 is not 1/10 and
+    # GF(3) would truncate 1.5 to 1, so only ints and strings are read
+    rep = ('{"explicit_fd":{"dims":{"1":1,"2":1},"mats":{"alpha":[[%s]]}}}'
+           % x)
+    code, out, err = run_cli(["rep", "--quiver", KRON, "--field", field,
+                              "--rep", rep])
+    assert (code, out, err) == (
+        1, "", f"arknit: error: /explicit_fd/mats/alpha/0/0: bad scalar "
+               f"{shown}: write an integer{hint}\n")
+
+
+@pytest.mark.parametrize("field, x, entry", [
+    ("QQ", '"1/2"', "1/2"), ("QQ", '"4/2"', "2"), ("QQ", "-3", "-3"),
+    ("3", '"5"', "2"), ("3", "-1", "2")])
+def test_cli_reads_integer_and_string_scalars(field, x, entry):
+    rep = ('{"explicit_fd":{"dims":{"1":1,"2":1},"mats":{"alpha":[[%s]]}}}'
+           % x)
+    code, out, _ = run_cli(["rep", "--quiver", KRON, "--field", field,
+                            "--rep", rep])
+    assert code == 0
+    spec = json.loads(out)["rep"]["spec"]["explicit_fd"]
+    assert spec["mats"]["alpha"] == [[entry]]
+
+
 def test_cyclic_quiver_rejected():
     with pytest.raises(ParseError):
         parse_quiver({"vertices": ["1", "2"],

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arknit.linalg import (GF, QQ, Mat, coker_projection, inverse,
-                           is_invertible, kernel_basis, min_poly, rank, rref,
-                           solve, solve_matrix)
+from arknit.linalg import (GF, QQ, Mat, column_space_basis, coker_projection,
+                           inverse, is_invertible, kernel_basis, min_poly,
+                           rank, rref, solve, solve_matrix)
 
 from oracles import rref_rank
 
@@ -176,9 +176,11 @@ def naive_rank(m: Mat) -> int:
 
 
 def _entry_ok(F, x):
+    """Canonical form: over GF(p) an int in [0, p); over Q an int, or a
+    Fraction only when it is not integral."""
     if F.char:
         return type(x) is int and 0 <= x < F.char
-    return type(x) is Fraction
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
 
 
 @PROPERTY
@@ -293,3 +295,45 @@ def test_min_poly_is_the_first_dependency_among_powers(data):
     flat = Mat(F, d, n * n, tuple(tuple(F.of(x) for row in pk for x in row)
                                   for pk in powers[:d]))
     assert naive_rank(flat) == d
+
+
+def _canonical(m: Mat) -> bool:
+    return all(_entry_ok(m.field, x) for row in m.entries for x in row)
+
+
+@PROPERTY
+@given(st.data())
+def test_every_result_is_in_canonical_form(data):
+    # rationals stay ints while they are integral, whatever the route
+    m = data.draw(matrices())
+    F = m.field
+    other = data.draw(matrices(F, rows=m.cols))
+    assert _canonical(rref(m)[0]) and _canonical(m.mul(other))
+    assert _canonical(kernel_basis(m)) and _canonical(column_space_basis(m))
+    assert _canonical(coker_projection(m)[0])
+    assert all(_entry_ok(F, x) for x in m.apply((F.one,) * m.cols))
+    b = Mat(F, m.rows, other.cols, tuple(map(tuple, naive_mul(m, other))))
+    assert _canonical(solve_matrix(m, b))
+    if m.rows == m.cols:
+        inv = inverse(m)
+        assert inv is None or _canonical(inv)
+        assert all(_entry_ok(F, c) for c in min_poly(m))
+    xs = [x for row in m.entries for x in row][:6] + [F.zero, F.one]
+    for x in xs:
+        assert _entry_ok(F, x) and _entry_ok(F, F.neg(x))
+        if not F.is_zero(x):
+            assert _entry_ok(F, F.inv(x)) and F.mul(x, F.inv(x)) == 1
+        for y in xs:
+            for op in (F.add, F.sub, F.mul):
+                assert _entry_ok(F, op(x, y))
+            if not F.is_zero(y):
+                assert _entry_ok(F, F.div(x, y))
+
+
+def test_of_gives_the_canonical_form():
+    assert [type(QQ.of(x)) for x in (Fraction(4, 2), 3, "6/3", "-0")] == \
+        [int] * 4
+    assert QQ.of("3/6") == Fraction(1, 2) and type(QQ.zero) is type(QQ.one) is int
+    assert QQ.inv(-1) == -1 and QQ.inv(Fraction(1, 3)) == 3
+    assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(2)) is Fraction
+    assert GF(7).of("10") == 3
