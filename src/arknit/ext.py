@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .linalg import Mat, coker_projection, rank
+from .linalg import Mat, coker_projection
 from .morphism import SES, glue_ses
-from .presentations import min_proj_presentation, relation_matrix
 from .rep import (BudgetError, GlueRep, Rep, RungFamily, classify_membership,
                   equal_on, joint_window)
 
@@ -280,14 +279,3 @@ def is_finite_extension(ses: SES, budget: Optional[int] = None):
     finite = rep.finite
     witness = rep.witness if not finite else rep.arrows
     return finite, witness, rep
-
-
-def ext_dim_via_presentation(x: Rep, y: Rep,
-                             budget: Optional[int] = None) -> int:
-    """Independent route: Ext(X, Y) as the cokernel of the map between
-    evaluation sums induced by a minimal projective presentation of X."""
-    pres = min_proj_presentation(x, budget)
-    rows = sum(y.dim(v) for v in pres.pm.domain)
-    if rows == 0:
-        return 0
-    return rows - rank(relation_matrix(pres.pm, y))

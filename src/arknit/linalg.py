@@ -235,15 +235,16 @@ def block_matrix(field: Field, blocks: Sequence[Sequence[Optional[Mat]]],
 def rref(m: Mat):
     """Reduced row echelon form.  Returns (R, pivot_cols).
 
-    Elimination runs on plain int rows.  Over GF(p) each step is reduced mod
-    p.  Over Q each row is scaled to integers, rows are combined by integer
+    Elimination runs on plain int rows.  Over GF(p) the input is reduced mod
+    p first (a Mat checks nothing, so an entry may be any int) and so is each
+    step.  Over Q each row is scaled to integers, rows are combined by integer
     cross-multiplication and each combined row is divided by the gcd of its
     entries; a pivot row is divided by its pivot only when R is built, and
     each entry of R is in canonical form (an int when integral).
     """
     p = m.field.char
     if p:
-        rows = [list(r) for r in m.entries]
+        rows = [[x % p for x in r] for r in m.entries]
     else:
         rows = [_int_row(r)[0] for r in m.entries]
     nrows = m.rows

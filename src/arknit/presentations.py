@@ -3,6 +3,11 @@
 The projective presentation of a finitely presented object is built from its
 top: generators are lifted top basis vectors, so the cover is minimal by
 construction and the relation matrix has radical entries (no trivial paths).
+Relations are read off the incoming stacks: kQ has no relations, so the
+kernel K of the cover P0 -> M is projective, and the snake lemma on the
+incoming maps gives top K(w) = ker(sum over a: u -> w of M(u) -> M(w)), the
+standard resolution made minimal (Ringel 1976; Crawley-Boevey 1992;
+Bautista, Liu and Paquette 2013 for rep+(Q)).
 The injective copresentation is D of the projective presentation of the
 pointwise dual over the opposite quiver: its path matrix is that
 presentation's PathMatrix.dual and its co-embedding the transposed cover.
@@ -16,12 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .linalg import Mat, block_matrix, coker_projection, rank, solve_matrix
+from .linalg import (Mat, block_matrix, coker_projection, kernel_basis, rank,
+                     solve_matrix)
 from .morphism import Morphism
 from .quiver import vkey
-from .rep import (DEFAULT_BUDGET, BudgetError, KernelOfRep, PathMatrix, Rep,
-                  classify_membership, dualize, incoming_stack,
-                  joint_window, path_matrix, proj_sum_basis, sum_of)
+from .rep import (DEFAULT_BUDGET, BudgetError, PathMatrix, Rep,
+                  classify_membership, dualize, incoming_stack, joint_window,
+                  path_matrix, proj_sum_basis, sum_of)
 
 
 @dataclass(frozen=True)
@@ -52,12 +58,8 @@ class Presentation:
         return self._sections[v]
 
 
-def top_generators(m: Rep, region, deep_bands):
-    """Lifted top basis: list of (vertex, coordinate column in m(v)).
-
-    deep_bands are vertices where the top must vanish (certifies that the
-    region caught all of it); a nonzero top there raises BudgetError.
-    """
+def top_generators(m: Rep, region):
+    """Lifted top basis over region: (vertex, column in m(v)) pairs."""
     F = m.field
     gens = []
     for v in sorted(region, key=vkey):
@@ -68,13 +70,21 @@ def top_generators(m: Rep, region, deep_bands):
                       tuple((F.one,) if i == r else (F.zero,)
                             for i in range(m.dim(v))))
             gens.append((v, col))
-    for v in deep_bands:
-        inc, _ = incoming_stack(m, v)
-        if rank(inc) != m.dim(v):
-            raise BudgetError(
-                f"top does not vanish at {m.quiver.vertex_str(v)}; "
-                f"object is not finitely presented over this window")
     return gens
+
+
+def check_vanishing(m: Rep, verts, what: str):
+    """BudgetError at the first of verts, named by end, ray and depth, where
+    the top of m (what "top") or the kernel of its incoming stack, the top of
+    its relations (what "relations"), is nonzero."""
+    for v in verts:
+        inc, _ = incoming_stack(m, v)
+        if rank(inc) != (m.dim(v) if what == "top" else inc.cols):
+            eid, rid, t = m.quiver.locate(v)
+            raise BudgetError(
+                f"nonzero {what} at {m.quiver.vertex_str(v)} (end {eid}, ray "
+                f"{rid}, depth {t}); object is not finitely presented over "
+                f"this window")
 
 
 def yoneda_at(n: Rep, verts, vecs, w) -> Mat:
@@ -93,14 +103,6 @@ def yoneda(n: Rep, verts, vecs) -> Morphism:
                     label="yoneda")
 
 
-def _probe_and_deep(m: Rep, cert):
-    region, depth = joint_window([cert], 1)
-    deep = [m.quiver.end(r.eid).vertex(r.rid, t)
-            for p in cert.profiles for r in p.rays if r.dim > 0
-            for t in (depth + 1, depth + 2)]
-    return region, deep
-
-
 def min_proj_presentation(x: Rep, budget: Optional[int] = None) -> Presentation:
     budget = DEFAULT_BUDGET if budget is None else budget
     return x.cached(("proj_presentation", budget),
@@ -108,13 +110,22 @@ def min_proj_presentation(x: Rep, budget: Optional[int] = None) -> Presentation:
 
 
 def _min_proj_presentation(x: Rep, budget: int) -> Presentation:
+    """Generators lift the top of x over its certified window.  Relations
+    sit where incoming_stack(x, w) has a kernel, which is top K(w) by the
+    snake lemma (Ringel 1976, Crawley-Boevey 1992, BLP 2013); there they are
+    the free rows of the cokernel of K's incoming maps, as columns of the
+    kernel basis of cover(w)."""
     q, F = x.quiver, x.field
     cert = classify_membership(x, budget)
     if cert.verdict not in ("fp", "fd"):
         raise ValueError(
             f"minimal projective presentation needs an fp object, got {cert.verdict}")
-    region, deep = _probe_and_deep(x, cert)
-    gens = top_generators(x, region, deep)
+    region, depth = joint_window([cert], 1)
+    deep = [q.end(r.eid).vertex(r.rid, t)
+            for p in cert.profiles for r in p.rays if r.dim > 0
+            for t in (depth + 1, depth + 2)]
+    gens = top_generators(x, region)
+    check_vanishing(x, deep, "top")
     p0_verts = tuple(v for (v, _) in gens)
     cover = yoneda(x, p0_verts, [col for (_, col) in gens])
 
@@ -123,16 +134,31 @@ def _min_proj_presentation(x: Rep, budget: int) -> Presentation:
         if rank(cover.component(v)) != x.dim(v):
             raise ValueError("top generators do not generate; object not fp")
 
-    k = KernelOfRep(cover)
-    kcert = classify_membership(k, budget)
-    kregion, kdeep = _probe_and_deep(k, kcert)
-    kgens = top_generators(k, kregion, kdeep)
+    # no relations deep on any ray, where x is zero too (a rung can feed it)
+    check_vanishing(x, [e.vertex(r.rid, t) for e in q.ends() for r in e.rays
+                        for t in (depth + 1, depth + 2)], "relations")
+    rels = []  # (w, relation as coordinates inside P0(w))
+    sites = set(region).union(a.dst for v in region for a in q.out_arrows(v))
+    for w in sorted(sites, key=vkey):
+        inc, _ = incoming_stack(x, w)
+        count = inc.cols - rank(inc)
+        if count == 0:
+            continue
+        kw = kernel_basis(cover.component(w))
+        stack = Mat.zeros(F, kw.cols, 0)
+        for a in sorted(q.in_arrows(w)):
+            ku = kernel_basis(cover.component(a.src))
+            stack = stack.hstack(solve_matrix(kw, cover.src.mat(a).mul(ku)))
+        _, free = coker_projection(stack)
+        if len(free) != count:
+            raise AssertionError("relations at a vertex differ in number "
+                                 "from the kernel of its incoming stack")
+        rels.extend((w, kw.col(r)) for r in free)
 
-    # relation entries read off the kernel generators in the path basis of P0
-    p1_verts = tuple(v for (v, _) in kgens)
+    # relation entries in the path basis of P0
+    p1_verts = tuple(w for (w, _) in rels)
     entries = [[[] for _ in p1_verts] for _ in p0_verts]
-    for i, (w, col) in enumerate(kgens):
-        vec = k.kb(w).mul(col).col(0)  # coordinates inside P0(w)
+    for i, (w, vec) in enumerate(rels):
         basis = proj_sum_basis(q, p0_verts, w)
         for (coord, (j, p)) in zip(vec, basis):
             if not F.is_zero(coord):

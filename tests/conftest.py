@@ -54,6 +54,10 @@ def line_full(line):
 
 @pytest.fixture(scope="session")
 def single_rung_mid(ladder):
+    return single_rung(ladder)
+
+
+def single_rung(ladder):
     """Gluing along one rung only: stays inside the finite-extension class."""
     sub = ak.thin_rep(ladder, VertexSet.make(ladder, (), [("inf", "b", 0)]))
     quot = ak.thin_rep(ladder, VertexSet.make(ladder, (), [("inf", "a", 0)]))

@@ -1,12 +1,14 @@
 """Independent brute-force oracles used to freeze expected values.
 
-Everything here but the last two sections is computed from first
+Everything here but the last three sections is computed from first
 principles with its own Fraction arithmetic so that no production code path
 is trusted twice: Hom/Ext via naive commuting-square systems, A_n structure
 via the interval model, the translation-quiver shape via an explicit
 combinatorial construction.  The section on standard objects decides them
 by a search over isomorphism tests, a second route through the package's
-Hom layer that the presentation reading in ar.py does not take.  The last
+Hom layer that the presentation reading in ar.py does not take.  The
+section after it reads Ext off a minimal projective presentation, a route
+that ext.py does not take.  The last
 section keeps constructions that the package replaced, as references:
 injectives built over q by stripping the first arrow of a path, and the
 isomorphism test that searched pairs of basis maps.
@@ -14,8 +16,10 @@ isomorphism test that searched pairs of basis maps.
 from fractions import Fraction
 
 from arknit import (Mat, classify_membership, dim_vector, hom_space,
-                    injective_at, projective_at)
+                    injective_at, min_proj_presentation, projective_at)
 from arknit.hom import _iso_indec, _pointwise_inverse, _probe_verts, joint_window
+from arknit.linalg import rank
+from arknit.presentations import relation_matrix
 from arknit.quiver import vkey
 
 
@@ -286,6 +290,20 @@ def standard_by_search(rep, kind, budget=None):
                 _iso_indec(std, rep, budget) is not None:
             return a
     return None
+
+
+# ---------------------------------------------------------------------------
+# Ext by a presentation
+
+
+def ext_dim_via_presentation(x, y, budget=None):
+    """Ext(X, Y) as the cokernel of the map between evaluation sums induced
+    by a minimal projective presentation of X."""
+    pres = min_proj_presentation(x, budget)
+    rows = sum(y.dim(v) for v in pres.pm.domain)
+    if rows == 0:
+        return 0
+    return rows - rank(relation_matrix(pres.pm, y))
 
 
 # ---------------------------------------------------------------------------

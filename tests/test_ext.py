@@ -29,11 +29,10 @@ from arknit import (
     thin_rep,
     verify_exact,
 )
-from arknit.ext import ext_dim_via_presentation
 from arknit.hom import solve_natural
 
 from conftest import random_fd_rep
-from oracles import ext_dim_brute
+from oracles import ext_dim_brute, ext_dim_via_presentation
 
 
 # ---------------------------------------------------------------------------

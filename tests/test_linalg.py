@@ -337,3 +337,34 @@ def test_of_gives_the_canonical_form():
     assert QQ.inv(-1) == -1 and QQ.inv(Fraction(1, 3)) == 3
     assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(2)) is Fraction
     assert GF(7).of("10") == 3
+
+
+def test_rank_reduces_unreduced_gf_p_entries():
+    # a Mat checks nothing: 3 is 0 in GF(3), so it is no pivot
+    m = Mat(GF(3), 2, 2, ((3, 0), (0, 1)))
+    assert rank(m) == 1
+    assert rref(m) == (Mat(GF(3), 2, 2, ((0, 1), (0, 0))), (1,))
+    assert kernel_basis(m).entries == ((1,), (0,))
+
+
+@st.composite
+def unreduced(draw, m: Mat):
+    """m with each GF(p) entry shifted by a multiple of p, negative too."""
+    p = m.field.char
+    return Mat(m.field, m.rows, m.cols,
+               tuple(tuple(x + p * draw(st.integers(-3, 3)) for x in row)
+                     for row in m.entries))
+
+
+@PROPERTY
+@given(st.data())
+def test_unreduced_gf_p_input_reads_as_its_reduction(data):
+    F = data.draw(st.sampled_from([F for F in FIELDS if F.char]))
+    m = data.draw(matrices(F))
+    u = data.draw(unreduced(m))
+    assert rank(u) == rank(m) == naive_rank(m)
+    assert rref(u) == rref(m)
+    assert kernel_basis(u) == kernel_basis(m)
+    x = data.draw(matrices(F, rows=m.cols))
+    b = Mat(F, m.rows, x.cols, tuple(map(tuple, naive_mul(m, x))))
+    assert solve_matrix(u, data.draw(unreduced(b))) == solve_matrix(m, b)
