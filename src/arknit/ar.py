@@ -54,17 +54,35 @@ def tau_inv(w: Rep, budget: Optional[int] = None) -> Rep:
     return coker_proj(nakayama(cop.pm))
 
 
+def _generators(x: Rep, kind: str, budget: Optional[int] = None):
+    """(generators, relations) of the minimal presentation of x (kind
+    "proj"), or (cogenerators, corelations) of its copresentation ("inj")."""
+    if kind == "proj":
+        pm = min_proj_presentation(x, budget).pm
+        return pm.codomain, pm.domain
+    pm = min_inj_copresentation(x, budget).pm
+    return pm.domain, pm.codomain
+
+
 def standard_vertex(x: Rep, kind: str, budget: Optional[int] = None):
     """a with x isomorphic to P_a (kind "proj") or I_a (kind "inj"), else
     None: its minimal (co)presentation has the one (co)generator a and no
     (co)relations."""
-    if kind == "proj":
-        pm = min_proj_presentation(x, budget).pm
-        gens, rels = pm.codomain, pm.domain
-    else:
-        pm = min_inj_copresentation(x, budget).pm
-        gens, rels = pm.domain, pm.codomain
+    gens, rels = _generators(x, kind, budget)
     return gens[0] if len(gens) == 1 and not rels else None
+
+
+def _is_standard(x: Rep, kind: str, budget: Optional[int]) -> bool:
+    """Whether the knit node x is P_a (kind "proj") or I_a ("inj").  A zero
+    x, or a sum of several P_a (I_a), is refused: tau (tau_inv) would fail
+    on it, and only a seed can be one."""
+    gens, rels = _generators(x, kind, budget)
+    if len(gens) != 1 and not rels:
+        word = "projective" if kind == "proj" else "injective"
+        raise ValueError(f"seed is a sum of {len(gens)} {word} objects, not "
+                         f"indecomposable" if gens else
+                         "seed is zero; knitting needs an indecomposable seed")
+    return not rels
 
 
 def is_pseudo_projective(x: Rep, budget: Optional[int] = None) -> bool:
@@ -218,7 +236,6 @@ def verify_almost_split(ses: SES, battery, budget: Optional[int] = None) -> ASRe
 class ARNode:
     key: int
     rep: Rep
-    fingerprint: tuple
     is_projective: bool = False
     is_injective: bool = False
     status: str = "open"       # open | expanded | frontier | blocked
@@ -282,7 +299,7 @@ def knit(seed: Rep, depth: int, budget: Optional[int] = None) -> ARComponent:
             return key
         if not create:
             return None
-        node = ARNode(len(comp.nodes), rep, fp, hops=hops)
+        node = ARNode(len(comp.nodes), rep, hops=hops)
         comp.nodes.append(node)
         by_fingerprint.setdefault(fp, []).append(node.key)
         return node.key
@@ -364,10 +381,8 @@ def knit(seed: Rep, depth: int, budget: Optional[int] = None) -> ARComponent:
         # an fp node needs its presentation for tau anyway, an fc node its
         # copresentation for tau_inv
         fp, fc = cert.verdict in ("fp", "fd"), cert.verdict in ("fc", "fd")
-        node.is_projective = fp and \
-            standard_vertex(x, "proj", budget) is not None
-        node.is_injective = fc and \
-            standard_vertex(x, "inj", budget) is not None
+        node.is_projective = fp and _is_standard(x, "proj", budget)
+        node.is_injective = fc and _is_standard(x, "inj", budget)
 
         # backward step: predecessors through the right almost split map
         if node.is_projective:

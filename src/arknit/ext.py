@@ -158,7 +158,8 @@ def ses_class_coords(ses: SES, ecb: ExtClassBasis) -> tuple:
 def is_split(ses: SES, budget: Optional[int] = None) -> bool:
     ecb = ext_space(ses.quot, ses.sub, budget)
     if ecb.window_relative:
-        raise BudgetError("splitness undecidable: infinite interaction window")
+        raise BudgetError(f"splitness undecidable: infinite interaction "
+                          f"window, first family {ecb.families[0]}")
     F = ses.sub.field
     return all(F.is_zero(c) for c in ses_class_coords(ses, ecb))
 
@@ -183,7 +184,8 @@ def equiv_ext(s1: SES, s2: SES, budget: Optional[int] = None) -> bool:
     _same_ends(s1, s2, budget)
     ecb = ext_space(s1.quot, s1.sub, budget)
     if ecb.window_relative:
-        raise BudgetError("equivalence undecidable: infinite interaction window")
+        raise BudgetError(f"equivalence undecidable: infinite interaction "
+                          f"window, first family {ecb.families[0]}")
     return ses_class_coords(s1, ecb) == ses_class_coords(s2, ecb)
 
 
@@ -250,9 +252,10 @@ def is_finite_extension(ses: SES, budget: Optional[int] = None):
     L, M, N = ses.sub, ses.middle, ses.quot
     q = M.quiver
     certs = [classify_membership(r, budget) for r in (L, M, N)]
-    for c in certs:
+    for which, c in zip(("sub", "middle", "quotient"), certs):
         if c.verdict.startswith("unknown"):
-            raise BudgetError("membership did not certify within budget")
+            raise BudgetError(f"membership of the {which} term did not "
+                              f"certify within budget: {c.witnesses[0]}")
     region, depth = joint_window(certs)
 
     def only_middle(a):   # nonzero in the middle, zero in both ends

@@ -144,9 +144,12 @@ def _window_route(m: Rep, n: Rep, budget, certs):
         if len(hom2) == len(hom):
             break
         pad += 1
-        verts, hom = verts2, hom2
+        verts, hom, last = verts2, hom2, len(hom)
         if pad > 2 + budget:
-            raise BudgetError("window solve did not stabilize within budget")
+            raise BudgetError(
+                f"window solve did not stabilize within budget: Hom dimension "
+                f"{last} at pad {pad - 1} and {len(hom)} at pad {pad}, window "
+                f"depth {depth + pad - 2} reached")
     basis = [Morphism(m, n, window=verts, comps=comps, label=f"h{i}")
              for i, comps in enumerate(hom)]
     return basis, verts, {"window_depth": depth + pad - 2, "pad": pad}
@@ -401,7 +404,7 @@ def _split_summand(m: Rep, emor: Morphism):
     piece, incl = image(emor)
 
     def prule(v):
-        sol = solve_matrix(piece.cb(v), emor.component(v))
+        sol = solve_matrix(piece.basis(v), emor.component(v))
         if sol is None:
             raise AssertionError("idempotent image projection failed")
         return sol

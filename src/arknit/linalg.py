@@ -296,20 +296,27 @@ def rank(m: Mat) -> int:
     return len(rref(m)[1])
 
 
-def kernel_basis(m: Mat) -> Mat:
-    """Columns form the canonical kernel basis (one per free column of rref)."""
+def _null_rows(m: Mat):
+    """(rows, free): the canonical null-space basis of m as rows, the row for
+    free column f of rref(m) being 1 at f and -R[i][f] at the i-th pivot."""
     F = m.field
     R, pivots = rref(m)
     pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
-    cols = []
+    free = tuple(c for c in range(m.cols) if c not in pivset)
+    rows = []
     for fc in free:
         v = [F.zero] * m.cols
         v[fc] = F.one
         for i, pc in enumerate(pivots):
             v[pc] = F.neg(R.entries[i][fc])
-        cols.append(v)
-    return Mat(F, m.cols, len(cols), tuple(tuple(v[i] for v in cols) for i in range(m.cols)))
+        rows.append(tuple(v))
+    return tuple(rows), free
+
+
+def kernel_basis(m: Mat) -> Mat:
+    """Columns form the canonical kernel basis (one per free column of rref)."""
+    rows, free = _null_rows(m)
+    return Mat(m.field, len(free), m.cols, rows).transpose()
 
 
 def column_space_basis(m: Mat) -> Mat:
@@ -323,26 +330,11 @@ def coker_projection(m: Mat):
     """Projection onto a canonical complement of the column space.
 
     Returns (P, free_rows) with P*m == 0, P of shape (rows-rank) x rows, and
-    free_rows naming the coordinate labels of the quotient basis.
+    free_rows naming the coordinate labels of the quotient basis, where P is
+    the identity: its rows are the null-space rows of m transposed.
     """
-    F = m.field
-    R, pivots = rref(m.transpose())  # rows of R: echelon basis of column space
-    pivset = set(pivots)
-    free = [j for j in range(m.rows) if j not in pivset]
-    # reduce e_c against the echelon rows, then read coordinates at free slots
-    rows = []
-    for j in free:
-        # value of projection at each input coordinate c
-        row = []
-        for c in range(m.rows):
-            if c in pivset:
-                i = pivots.index(c)
-                row.append(F.neg(R.entries[i][j]))
-            else:
-                row.append(F.one if c == j else F.zero)
-        rows.append(tuple(row))
-    P = Mat(F, len(free), m.rows, tuple(rows))
-    return P, tuple(free)
+    rows, free = _null_rows(m.transpose())
+    return Mat(m.field, len(free), m.rows, rows), free
 
 
 def solve(m: Mat, b: Sequence) -> Optional[tuple]:

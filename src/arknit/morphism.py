@@ -158,11 +158,14 @@ def morphism_from_components(src: Rep, dst: Rep, comps: dict,
 # kernels and cokernels (abelian structure)
 
 
+def _inclusion(S):
+    """(S, inclusion S -> S.ambient): S's basis at v is its component."""
+    return S, Morphism(S, S.ambient, rule=S.basis, label="incl")
+
+
 def kernel(f: Morphism):
     """(K, inclusion K -> src)."""
-    K = KernelOfRep(f)
-    incl = Morphism(K, f.src, rule=lambda v: K.kb(v), label="ker-incl")
-    return K, incl
+    return _inclusion(KernelOfRep(f))
 
 
 def cokernel(f: Morphism):
@@ -179,39 +182,7 @@ def cokernel(f: Morphism):
 
 def image(f: Morphism):
     """(Im, inclusion Im -> dst) using canonical column space bases."""
-    I = ImageRep(f.dst, f)
-    incl = Morphism(I, f.dst, rule=lambda v: I.cb(v), label="im-incl")
-    return I, incl
-
-
-# ---------------------------------------------------------------------------
-# restrictions as sub/quotient morphisms
-
-
-def restriction_inclusion(m: Rep, region: VertexSet):
-    """M_region -> M for a successor-closed region (identity on the region)."""
-    sub = restrict(m, region)
-
-    def rule(v):
-        F = m.field
-        if region.contains(v):
-            return Mat.identity(F, m.dim(v))
-        return Mat.zeros(F, m.dim(v), 0)
-
-    return sub, Morphism(sub, m, rule=rule, label="restr-incl")
-
-
-def restriction_projection(m: Rep, region: VertexSet):
-    """M -> M_region for a predecessor-closed region (identity on the region)."""
-    quot = restrict(m, region)
-
-    def rule(v):
-        F = m.field
-        if region.contains(v):
-            return Mat.identity(F, m.dim(v))
-        return Mat.zeros(F, 0, m.dim(v))
-
-    return quot, Morphism(m, quot, rule=rule, label="restr-proj")
+    return _inclusion(ImageRep(f))
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +244,20 @@ def glue_ses(sub: Rep, quot: Rep, cocycle=(), families=()):
 
 
 def restriction_ses(m: Rep, omega: VertexSet, complement: VertexSet) -> SES:
-    """0 -> M_omega -> M -> M_complement -> 0 for successor-closed omega."""
-    sub, incl = restriction_inclusion(m, omega)
-    quot, proj = restriction_projection(m, complement)
-    return SES(sub, m, quot, incl, proj)
+    """0 -> M_omega -> M -> M_complement -> 0 for successor-closed omega;
+    both maps are the identity on their region and zero off it."""
+    F = m.field
+    sub, quot = restrict(m, omega), restrict(m, complement)
+
+    def rule(region, v):
+        d = m.dim(v)
+        return Mat.identity(F, d) if region.contains(v) else Mat.zeros(F, 0, d)
+
+    return SES(sub, m, quot,
+               Morphism(sub, m, label="restr-incl",
+                        rule=lambda v: rule(omega, v).transpose()),
+               Morphism(m, quot, label="restr-proj",
+                        rule=lambda v: rule(complement, v)))
 
 
 def standard_ext(m: Rep, budget=None):

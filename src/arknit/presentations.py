@@ -3,11 +3,13 @@
 The projective presentation of a finitely presented object is built from its
 top: generators are lifted top basis vectors, so the cover is minimal by
 construction and the relation matrix has radical entries (no trivial paths).
-Relations are read off the incoming stacks: kQ has no relations, so the
-kernel K of the cover P0 -> M is projective, and the snake lemma on the
-incoming maps gives top K(w) = ker(sum over a: u -> w of M(u) -> M(w)), the
-standard resolution made minimal (Ringel 1976; Crawley-Boevey 1992;
-Bautista, Liu and Paquette 2013 for rep+(Q)).
+The relations are the top of the kernel object K of the cover P0 -> M,
+read through top_generators as generators are: kQ has no relations, so K
+is projective, and the snake lemma on the incoming maps gives
+top K(w) = ker(sum over a: u -> w of M(u) -> M(w)), so only the vertices
+where M's incoming stack has a kernel are read; this is the standard
+resolution made minimal (Ringel 1976; Crawley-Boevey 1992; Bautista, Liu
+and Paquette 2013 for rep+(Q)).
 The injective copresentation is D of the projective presentation of the
 pointwise dual over the opposite quiver: its path matrix is that
 presentation's PathMatrix.dual and its co-embedding the transposed cover.
@@ -18,14 +20,14 @@ the cover kept per vertex.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .linalg import (Mat, block_matrix, coker_projection, kernel_basis, rank,
-                     solve_matrix)
+from .linalg import Mat, block_matrix, coker_projection, rank, solve_matrix
 from .morphism import Morphism
 from .quiver import vkey
-from .rep import (DEFAULT_BUDGET, BudgetError, PathMatrix, Rep,
+from .rep import (DEFAULT_BUDGET, BudgetError, KernelOfRep, PathMatrix, Rep,
                   classify_membership, dualize, incoming_stack, joint_window,
                   path_matrix, proj_sum_basis, sum_of)
 
@@ -59,18 +61,11 @@ class Presentation:
 
 
 def top_generators(m: Rep, region):
-    """Lifted top basis over region: (vertex, column in m(v)) pairs."""
-    F = m.field
-    gens = []
-    for v in sorted(region, key=vkey):
-        inc, _ = incoming_stack(m, v)
-        _, free = coker_projection(inc)
-        for r in free:
-            col = Mat(F, m.dim(v), 1,
-                      tuple((F.one,) if i == r else (F.zero,)
-                            for i in range(m.dim(v))))
-            gens.append((v, col))
-    return gens
+    """Lifted top basis over region: (vertex v, row r) pairs, one per free
+    row r of the cokernel of m's incoming stack at v, naming the basis
+    vector e_r of m(v)."""
+    return [(v, r) for v in sorted(region, key=vkey)
+            for r in coker_projection(incoming_stack(m, v)[0])[1]]
 
 
 def check_vanishing(m: Rep, verts, what: str):
@@ -111,10 +106,11 @@ def min_proj_presentation(x: Rep, budget: Optional[int] = None) -> Presentation:
 
 def _min_proj_presentation(x: Rep, budget: int) -> Presentation:
     """Generators lift the top of x over its certified window.  Relations
-    sit where incoming_stack(x, w) has a kernel, which is top K(w) by the
-    snake lemma (Ringel 1976, Crawley-Boevey 1992, BLP 2013); there they are
-    the free rows of the cokernel of K's incoming maps, as columns of the
-    kernel basis of cover(w)."""
+    are the top of K = KernelOfRep(cover), top_generators(K, sites) over the
+    sites where incoming_stack(x, w) has a kernel, which is top K(w) by the
+    snake lemma (Ringel 1976, Crawley-Boevey 1992, BLP 2013); each is a
+    column of K.basis(w), a vector of P0(w), and their number at w is the
+    dimension of that kernel."""
     q, F = x.quiver, x.field
     cert = classify_membership(x, budget)
     if cert.verdict not in ("fp", "fd"):
@@ -124,7 +120,9 @@ def _min_proj_presentation(x: Rep, budget: int) -> Presentation:
     deep = [q.end(r.eid).vertex(r.rid, t)
             for p in cert.profiles for r in p.rays if r.dim > 0
             for t in (depth + 1, depth + 2)]
-    gens = top_generators(x, region)
+    gens = [(v, Mat(F, x.dim(v), 1, tuple((F.one if i == r else F.zero,)
+                                          for i in range(x.dim(v)))))
+            for (v, r) in top_generators(x, region)]
     check_vanishing(x, deep, "top")
     p0_verts = tuple(v for (v, _) in gens)
     cover = yoneda(x, p0_verts, [col for (_, col) in gens])
@@ -137,23 +135,19 @@ def _min_proj_presentation(x: Rep, budget: int) -> Presentation:
     # no relations deep on any ray, where x is zero too (a rung can feed it)
     check_vanishing(x, [e.vertex(r.rid, t) for e in q.ends() for r in e.rays
                         for t in (depth + 1, depth + 2)], "relations")
-    rels = []  # (w, relation as coordinates inside P0(w))
-    sites = set(region).union(a.dst for v in region for a in q.out_arrows(v))
-    for w in sorted(sites, key=vkey):
+    # the relations are the top of K = ker(cover), taken where x's incoming
+    # stack has a kernel: each is a column of K's basis, inside P0(w)
+    counts = {}
+    for w in set(region).union(a.dst for v in region for a in q.out_arrows(v)):
         inc, _ = incoming_stack(x, w)
-        count = inc.cols - rank(inc)
-        if count == 0:
-            continue
-        kw = kernel_basis(cover.component(w))
-        stack = Mat.zeros(F, kw.cols, 0)
-        for a in sorted(q.in_arrows(w)):
-            ku = kernel_basis(cover.component(a.src))
-            stack = stack.hstack(solve_matrix(kw, cover.src.mat(a).mul(ku)))
-        _, free = coker_projection(stack)
-        if len(free) != count:
-            raise AssertionError("relations at a vertex differ in number "
-                                 "from the kernel of its incoming stack")
-        rels.extend((w, kw.col(r)) for r in free)
+        n = inc.cols - rank(inc)
+        if n:
+            counts[w] = n
+    K = KernelOfRep(cover)
+    rels = [(w, K.basis(w).col(r)) for (w, r) in top_generators(K, counts)]
+    if Counter(w for (w, _) in rels) != counts:
+        raise AssertionError("relations at a vertex differ in number "
+                             "from the kernel of its incoming stack")
 
     # relation entries in the path basis of P0
     p1_verts = tuple(w for (w, _) in rels)

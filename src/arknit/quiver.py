@@ -712,8 +712,6 @@ class SubquiverClass:
     is_finite: bool
     top_finite: bool
     socle_finite: bool
-    sources: tuple
-    sinks: tuple
     witnesses: tuple
 
 
@@ -743,7 +741,7 @@ def _boundary_analysis(vset: VertexSet, mode: str):
             kind = "sources" if mode == "top" else "sinks"
             witnesses.append(f"infinitely many {kind}: {q._tail_str(eid, rid, t0)}")
     if infinite:
-        return extremes, False, tuple(witnesses)
+        return False, tuple(witnesses)
 
     # coverage: walk from the extreme vertices inside the set
     seen = set(extremes)
@@ -771,11 +769,11 @@ def _boundary_analysis(vset: VertexSet, mode: str):
         kind = "a source" if mode == "top" else "a sink"
         witnesses.append(
             f"vertex {q.vertex_str(uncovered[0])} is not reachable from {kind} of the subquiver")
-        return extremes, False, tuple(witnesses)
-    return extremes, True, tuple(witnesses)
+        return False, tuple(witnesses)
+    return True, tuple(witnesses)
 
 
 def classify_subquiver(vset: VertexSet) -> SubquiverClass:
-    sources, topf, w1 = _boundary_analysis(vset, "top")
-    sinks, socf, w2 = _boundary_analysis(vset, "socle")
-    return SubquiverClass(vset.is_finite, topf, socf, tuple(sources), tuple(sinks), w1 + w2)
+    topf, w1 = _boundary_analysis(vset, "top")
+    socf, w2 = _boundary_analysis(vset, "socle")
+    return SubquiverClass(vset.is_finite, topf, socf, w1 + w2)

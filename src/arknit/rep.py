@@ -584,28 +584,33 @@ class GlueRep(Rep):
 class KernelOfRep(Rep):
     """Kernel of a map f: a Morphism or a PathMatrix, read through .src,
     .dst, .component(v), .depth_bound(), and .describe()/.spec_dict() for
-    naming."""
+    naming: the subobject of its ambient f.src with basis kernel_basis(f(v))
+    at v, on which an arrow acts by the ambient map, solved in those bases."""
+
+    _span = staticmethod(kernel_basis)
 
     def __init__(self, f):
         super().__init__(f.src.quiver, f.src.field)
         self.f = f
+        self.ambient = f.src
 
-    def kb(self, v) -> Mat:
-        """Kernel basis at v, as columns in the coordinates of f.src(v)."""
-        return self.cached(("kb", v),
-                           lambda: kernel_basis(self.f.component(v)))
+    def basis(self, v) -> Mat:
+        """The basis at v, as columns in the coordinates of ambient(v)."""
+        return self.cached(("basis", v),
+                           lambda: self._span(self.f.component(v)))
 
     def _dim_at(self, v):
-        return self.kb(v).cols
+        return self.basis(v).cols
 
     def _mat_at(self, a):
-        sol = solve_matrix(self.kb(a.dst), self.f.src.mat(a).mul(self.kb(a.src)))
+        sol = solve_matrix(self.basis(a.dst),
+                           self.ambient.mat(a).mul(self.basis(a.src)))
         if sol is None:
             raise AssertionError("morphism does not commute with arrows")
         return sol
 
     def support(self):
-        return self.f.src.support()
+        return self.ambient.support()
 
     def _extra_depth(self):
         return max(self.f.src.structural_depth(), self.f.dst.structural_depth(),
@@ -656,36 +661,21 @@ class CokerOfRep(Rep):
         return {"coker_proj": self.f.spec_dict()}
 
 
-class ImageRep(Rep):
-    """Image of an idempotent endomorphism; used by decompose for splitting."""
+class ImageRep(KernelOfRep):
+    """Image of a morphism f: the subobject of f.dst with the basis
+    column_space_basis(f(v)) at each vertex v.  decompose splits off the
+    image of an idempotent endomorphism as a summand."""
 
-    def __init__(self, base: Rep, idem):
-        super().__init__(base.quiver, base.field)
-        self.base = base
-        self.idem = idem
+    _span = staticmethod(column_space_basis)
 
-    def cb(self, v) -> Mat:
-        """Image basis at v, as columns in the coordinates of base(v)."""
-        return self.cached(("cb", v),
-                           lambda: column_space_basis(self.idem.component(v)))
-
-    def _dim_at(self, v):
-        return self.cb(v).cols
-
-    def _mat_at(self, a):
-        sol = solve_matrix(self.cb(a.dst), self.base.mat(a).mul(self.cb(a.src)))
-        if sol is None:
-            raise AssertionError("image is not arrow-stable; not an endomorphism")
-        return sol
-
-    def support(self):
-        return self.base.support()
-
-    def _extra_depth(self):
-        return max(self.base.structural_depth(), self.idem.depth_bound())
+    def __init__(self, f):
+        super().__init__(f)
+        self.ambient = f.dst
 
     def describe(self):
-        return f"summand({self.base.describe()})"
+        return f"summand({self.ambient.describe()})"
+
+    spec_dict = Rep.spec_dict
 
 
 # ---------------------------------------------------------------------------
@@ -879,7 +869,6 @@ class RepClassCertificate:
     verdict: str
     witnesses: tuple
     profiles: tuple
-    evidence: dict
     support: VertexSet  # exact support, as support_exact(m, profiles)
 
     def is_in_rrep(self) -> bool:
@@ -925,7 +914,7 @@ def _classify(m: Rep, budget: int) -> RepClassCertificate:
     try:
         profiles = tuple(end_profile(m, e, budget) for e in q.ends())
     except BudgetError as e:
-        return RepClassCertificate("unknown(budget)", (str(e),), (), {},
+        return RepClassCertificate("unknown(budget)", (str(e),), (),
                                    support_exact(m, ()))
 
     supp = support_exact(m, profiles)
@@ -942,15 +931,13 @@ def _classify(m: Rep, budget: int) -> RepClassCertificate:
             witnesses.append(
                 f"support runs along ray {r.eid}/{r.rid} with no projective or "
                 f"injective direction (stable dim {r.dim} from depth {r.cutoff})")
-        return RepClassCertificate("notInRrep", tuple(witnesses), profiles,
-                                   {"support": supp.describe()}, supp)
+        return RepClassCertificate("notInRrep", tuple(witnesses), profiles, supp)
     if other:
         for r in other:
             witnesses.append(
                 f"stable transition along ray {r.eid}/{r.rid} is not invertible; "
                 f"the tail splits into infinitely many summands")
-        return RepClassCertificate("notInRrep", tuple(witnesses), profiles,
-                                   {"support": supp.describe()}, supp)
+        return RepClassCertificate("notInRrep", tuple(witnesses), profiles, supp)
     if cross:
         for c in cross:
             a = q._crossing_arrow(c.eid, c.cid, c.cutoff)
@@ -958,8 +945,7 @@ def _classify(m: Rep, budget: int) -> RepClassCertificate:
             witnesses.append(
                 f"nonzero gluing arrows {base} for all n >= {c.cutoff} "
                 f"(family {c.eid}/{c.cid}, checked at depths {c.cutoff},{c.cutoff+1})")
-        return RepClassCertificate("notInRrep", tuple(witnesses), profiles,
-                                   {"support": supp.describe()}, supp)
+        return RepClassCertificate("notInRrep", tuple(witnesses), profiles, supp)
 
     kinds = {r.kind for p in profiles for r in p.rays if r.dim > 0}
     if not kinds:
@@ -970,11 +956,7 @@ def _classify(m: Rep, budget: int) -> RepClassCertificate:
         verdict = "fc"
     else:
         verdict = "rrep"
-    ev = {"support": supp.describe(),
-          "checkedDepths": [list(p.checked_depths) for p in profiles],
-          "rays": [[r.eid, r.rid, r.kind, r.dim, r.status] for p in profiles
-                   for r in p.rays]}
-    return RepClassCertificate(verdict, (), profiles, ev, supp)
+    return RepClassCertificate(verdict, (), profiles, supp)
 
 
 # ---------------------------------------------------------------------------
@@ -1030,7 +1012,6 @@ def _supporting_arrows_between(m: Rep, src_set: VertexSet, dst_set: VertexSet,
 class PFIDecomposition:
     sigmaP: VertexSet
     sigmaI: VertexSet
-    omegaCore: VertexSet
     projPart: Rep
     corePart: Rep
     injPart: Rep
@@ -1076,9 +1057,8 @@ def pfi_decompose(m: Rep, budget: Optional[int] = None) -> PFIDecomposition:
         sigmaP, sigmaI = build()
         core = supp.difference(sigmaP.union(sigmaI))
     return PFIDecomposition(
-        sigmaP, sigmaI, core,
-        restrict(m, sigmaP), restrict(m, core), restrict(m, sigmaI),
-        {"probeDepth": probe, "support": supp.describe()})
+        sigmaP, sigmaI, restrict(m, sigmaP), restrict(m, core),
+        restrict(m, sigmaI), {"probeDepth": probe, "support": supp.describe()})
 
 
 def standard_ext_region(m: Rep, budget: Optional[int] = None):
@@ -1093,22 +1073,13 @@ def standard_ext_region(m: Rep, budget: Optional[int] = None):
 
 
 def tail_split(m: Rep, budget: Optional[int] = None):
-    """(Omega, projective tail, fd head) for a finitely presented object."""
+    """(Omega, projective tail, fd head) for a finitely presented object:
+    the projective and core parts of its pfi_decompose."""
     cert = classify_membership(m, budget)
     if cert.verdict not in ("fp", "fd"):
         raise ValueError(f"tail_split needs an fp object, got {cert.verdict}")
-    q = m.quiver
-    supp = cert.support
-    starts = [[r.eid, r.rid, t] for r, t in _stable_tail_starts(m, cert)]
-    omega = _tails_set(q, [tuple(s) for s in starts])
-    head_region = supp.difference(omega)
-    if not head_region.explicit and starts:
-        # head must be nonzero: retract every tail one band
-        for s in starts:
-            s[2] += 1
-        omega = _tails_set(q, [tuple(s) for s in starts])
-        head_region = supp.difference(omega)
-    return omega, restrict(m, omega), restrict(m, head_region)
+    d = pfi_decompose(m, budget)
+    return d.sigmaP, d.projPart, d.corePart
 
 
 def is_doubly_infinite(m: Rep, budget: Optional[int] = None) -> bool:

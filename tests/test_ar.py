@@ -17,6 +17,7 @@ from arknit import (
     coker_proj,
     coxeter_transform,
     dim_vector,
+    direct_sum,
     end_algebra,
     explicit_fd,
     injective_at,
@@ -36,6 +37,7 @@ from arknit import (
     thin_rep,
     verify_almost_split,
     verify_exact,
+    zero_rep,
     ext_space,
     ext_class_to_ses,
     split_ses,
@@ -277,6 +279,20 @@ def test_knit_rejects_bad_seed(zig):
     region = VertexSet.make(zig, (), [("inf", "even", 0), ("inf", "odd", 0)])
     with pytest.raises(ValueError):
         knit(thin_rep(zig, region), 2)
+
+
+def test_knit_refuses_a_zero_or_decomposable_standard_seed(a3, kron, line):
+    # each once reached tau or tau_inv and failed there for the wrong reason
+    cases = [
+        (direct_sum(projective_at(a3, 1), projective_at(a3, 2)),
+         "seed is a sum of 2 projective objects, not indecomposable"),
+        (zero_rep(kron), "seed is zero; knitting needs an indecomposable seed"),
+        (direct_sum(injective_at(line, 0), injective_at(line, 1)),
+         "seed is a sum of 2 injective objects, not indecomposable"),
+    ]
+    for seed, message in cases:
+        with pytest.raises(ValueError, match=message):
+            knit(seed, 2)
 
 
 def test_knit_meshes_are_additive(a5, line, zig, kron):

@@ -1,12 +1,14 @@
 """Extension spaces, Baer sums, and the finite-extension criterion."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arknit as ak
+import arknit.rep as rep
 from arknit import (
     QQ,
     BudgetError,
@@ -207,8 +209,28 @@ def test_infinite_interaction_window_is_flagged(ladder):
     assert ecb.window_relative
     assert ecb.families
     ses = ext_class_to_ses(ecb, tuple(1 for _ in range(ecb.dimension)))
-    with pytest.raises(BudgetError):
+    # each refusal names the first family that repeats past the window
+    first = re.escape(f"first family {ecb.families[0]}")
+    with pytest.raises(BudgetError, match="splitness undecidable.*" + first):
         is_split(ses)
+    with pytest.raises(BudgetError, match="equivalence undecidable.*" + first):
+        equiv_ext(ses, ses)
+
+
+def test_uncertified_term_is_named_by_finite_extension(line, monkeypatch):
+    ses = split_ses(simple_at(line, 0), simple_at(line, 1))
+    real = rep.end_profile
+
+    def stuck(m, end, budget=None):
+        if m is ses.middle:
+            raise BudgetError(f"end {end.eid}: band data did not stabilize")
+        return real(m, end, budget)
+
+    monkeypatch.setattr(rep, "end_profile", stuck)
+    with pytest.raises(BudgetError, match=(
+            r"membership of the middle term did not certify within budget: "
+            r"end \w+: band data did not stabilize")):
+        is_finite_extension(ses)
 
 
 def test_window_relative_basis_classes_are_finite(ladder):

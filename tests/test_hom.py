@@ -32,6 +32,7 @@ from arknit import (
 
 from arknit.linalg import kernel_basis, rank, solve_matrix
 from arknit.presentations import yoneda
+from arknit.rep import joint_window
 from conftest import random_fd_rep
 from oracles import hom_dim_brute, iso_by_pair_search
 
@@ -189,6 +190,20 @@ def test_end_algebra_table_reproduces_products(kron, line, F):
                 for j, fj in enumerate(E.basis):
                     prod = fi.component(v).mul(fj.component(v))
                     assert combo(E.table[i][j], v).entries == prod.entries
+
+
+def test_window_route_budget_failure_names_dims_and_depth(line, monkeypatch):
+    # a Hom dimension that grows with every pad never stabilizes
+    m = projective_at(line, 0)
+    certs = [ak.classify_membership(m)] * 2
+    monkeypatch.setattr(hom, "solve_natural",
+                        lambda src, dst, verts: (None, [{}] * len(verts)))
+    _, depth = joint_window(certs, 2)
+    dims = [len(joint_window(certs, pad)[0]) for pad in (4, 5)]
+    with pytest.raises(ak.BudgetError, match=(
+            f"Hom dimension {dims[0]} at pad 4 and {dims[1]} at pad 5, "
+            f"window depth {depth + 3} reached")):
+        hom._window_route(m, m, 2, certs)
 
 
 def _end_on_window(hb):

@@ -1,12 +1,13 @@
 """Every name a library module imports is used in that module, every
-function, method and class it defines is used somewhere in the project, no
-module imports sympy, which is a test oracle only, only linalg names
+function, method and class it defines is used somewhere in the project, so
+is every field of its dataclasses, no module imports sympy, which is a test oracle only, only linalg names
 Fraction, and every boundary that the benchmark traces by name exists.
 
 No linter ships with the project, so this parses each module with ``ast``:
 an imported name that no other part of the module reads is dead weight, and
 so is a definition whose name nothing in src/, tests/, demos/ or bench/
-reads.
+reads, and a dataclass field that nothing there reads as an attribute or
+passes as a keyword.
 """
 import ast
 import importlib.util
@@ -99,6 +100,63 @@ def test_detects_a_dead_definition():
                          ids=lambda p: p.name)
 def test_no_dead_definitions(path, project_references):
     assert dead_definitions(path.read_text(), project_references) == []
+
+
+def dataclass_fields(source: str) -> list:
+    """(line, name) of every field that a @dataclass in the module declares."""
+    def is_dataclass(d):
+        f = d.func if isinstance(d, ast.Call) else d
+        return getattr(f, "id", getattr(f, "attr", None)) == "dataclass"
+
+    return [(s.lineno, s.target.id) for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.ClassDef)
+            and any(is_dataclass(d) for d in n.decorator_list)
+            for s in n.body
+            if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+
+
+def field_reads(source: str) -> set:
+    """Names read as an attribute or passed as a keyword argument."""
+    tree = ast.parse(source)
+    return ({n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+             and isinstance(n.ctx, ast.Load)}
+            | {n.arg for n in ast.walk(tree) if isinstance(n, ast.keyword)})
+
+
+@pytest.fixture(scope="module")
+def project_field_reads():
+    root = PACKAGE.parent.parent
+    reads = set()
+    for d in PROJECT_DIRS:
+        for path in (root / d).rglob("*.py"):
+            reads |= field_reads(path.read_text())
+    return reads
+
+
+def test_detects_an_unread_dataclass_field():
+    lib = ("@dataclass(frozen=True)\n"
+           "class A:\n"
+           "    read: int\n"
+           "    keyword: int\n"
+           "    written: int\n"
+           "    unread: int = 0\n"
+           "@dataclasses.dataclass\n"
+           "class B:\n"
+           "    dead: tuple\n"
+           "class C:\n"
+           "    plain: int\n")
+    user = ("a = A(1, keyword=2)\n"
+            "a.written = a.read\n"
+            "unread = dead = B(())\n")
+    reads = field_reads(lib) | field_reads(user)
+    assert [(line, name) for line, name in dataclass_fields(lib)
+            if name not in reads] == [(5, "written"), (6, "unread"), (9, "dead")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_dataclass_fields(path, project_field_reads):
+    assert [(line, name) for line, name in dataclass_fields(path.read_text())
+            if name not in project_field_reads] == []
 
 
 def cutoff_maxima(source: str) -> list:

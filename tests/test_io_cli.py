@@ -376,6 +376,21 @@ def test_cli_exit_1_on_domain_error():
     assert code == 1
 
 
+@pytest.mark.parametrize("quiver,seed,message", [
+    (A3, '{"sum":[{"proj":"1"},{"proj":"2"}]}',
+     "seed is a sum of 2 projective objects, not indecomposable"),
+    (KRON, '{"zero":true}',
+     "seed is zero; knitting needs an indecomposable seed"),
+    (LINE, '{"sum":[{"inj":"0"},{"inj":"1"}]}',
+     "seed is a sum of 2 injective objects, not indecomposable"),
+])
+def test_cli_knit_refuses_a_zero_or_decomposable_standard_seed(
+        quiver, seed, message):
+    code, out, err = run_cli(["knit", "--quiver", quiver, "--seed", seed,
+                              "--depth", "2"])
+    assert (code, out, err) == (1, "", f"arknit: error: {message}\n")
+
+
 def test_cli_exit_2_on_budget(monkeypatch):
     from arknit.rep import BudgetError
 
