@@ -25,9 +25,9 @@ from .morphism import SES, Morphism, verify_exact
 from .presentations import (min_inj_copresentation, min_proj_presentation,
                             nakayama)
 from .quiver import FiniteQuiver, Path, QuiverBase, vkey
-from .rep import (DEFAULT_BUDGET, Rep, classify_membership, coker_proj,
-                  dim_vector, is_doubly_infinite, joint_window, ker_inj,
-                  path_matrix)
+from .rep import (DEFAULT_BUDGET, PathMatrix, Rep, classify_membership,
+                  coker_proj, dim_vector, dualize, is_doubly_infinite,
+                  joint_window, ker_inj, path_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -56,12 +56,10 @@ def tau_inv(w: Rep, budget: Optional[int] = None) -> Rep:
 
 def _generators(x: Rep, kind: str, budget: Optional[int] = None):
     """(generators, relations) of the minimal presentation of x (kind
-    "proj"), or (cogenerators, corelations) of its copresentation ("inj")."""
-    if kind == "proj":
-        pm = min_proj_presentation(x, budget).pm
-        return pm.codomain, pm.domain
-    pm = min_inj_copresentation(x, budget).pm
-    return pm.domain, pm.codomain
+    "proj"), or (cogenerators, corelations) of its copresentation ("inj"),
+    which are the generators and relations of the presentation of D x."""
+    pm = min_proj_presentation(x if kind == "proj" else dualize(x), budget).pm
+    return pm.codomain, pm.domain
 
 
 def standard_vertex(x: Rep, kind: str, budget: Optional[int] = None):
@@ -126,37 +124,39 @@ def almost_split_sequence(x: Rep, budget: Optional[int] = None) -> SES:
     return ext_class_to_ses(ecb, coeffs)
 
 
+def _radical_inclusion(q: QuiverBase, F, a) -> PathMatrix:
+    """rad P_a -> P_a: the sum of P_b over the arrows al: a -> b, in order,
+    each summand mapped by its arrow."""
+    arrows = sorted(q.out_arrows(a))
+    return path_matrix(q, F, "proj", [al.dst for al in arrows], [a],
+                       [[[(1, Path(a, al.dst, (al,)))] for al in arrows]])
+
+
 def minimal_right_almost_split_into(p: Rep,
                                     budget: Optional[int] = None) -> Morphism:
     """The radical inclusion into P_a followed by the cover P_a -> p of the
     minimal presentation, an isomorphism as p has no relations."""
-    q, F = p.quiver, p.field
     pres = min_proj_presentation(p, budget)
     if pres.pm.domain:
         raise ValueError("input is not projective")
     if len(pres.pm.codomain) != 1:
         raise ValueError("input is not an indecomposable projective")
-    a = pres.pm.codomain[0]
-    arrows = sorted(q.out_arrows(a))
-    rad = path_matrix(q, F, "proj", [al.dst for al in arrows], [a],
-                      [[[(1, Path(a, al.dst, (al,)))] for al in arrows]])
+    rad = _radical_inclusion(p.quiver, p.field, pres.pm.codomain[0])
     return Morphism(rad.src, rad.dst, rule=rad.component).then(pres.cover)
 
 
 def minimal_left_almost_split_from(i: Rep,
                                    budget: Optional[int] = None) -> Morphism:
     """The embedding i -> I_a of the minimal copresentation, an isomorphism
-    as i has no corelations, followed by the quotient by the socle."""
-    q, F = i.quiver, i.field
+    as i has no corelations, followed by the quotient by the socle, D of the
+    radical inclusion into P_a over the opposite quiver."""
     cop = min_inj_copresentation(i, budget)
     if cop.pm.codomain:
         raise ValueError("input is not injective")
     if len(cop.pm.domain) != 1:
         raise ValueError("input is not an indecomposable injective")
-    a = cop.pm.domain[0]
-    arrows = sorted(q.in_arrows(a))
-    cosoc = path_matrix(q, F, "inj", [a], [al.src for al in arrows],
-                        [[[(1, Path(al.src, a, (al,)))]] for al in arrows])
+    cosoc = _radical_inclusion(i.quiver.opposite(), i.field,
+                               cop.pm.domain[0]).dual
     return cop.cover.then(Morphism(cosoc.src, cosoc.dst, rule=cosoc.component))
 
 

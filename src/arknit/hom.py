@@ -125,12 +125,10 @@ def _presentation_route(m: Rep, n: Rep, budget):
 
 def _copresentation_route(m: Rep, n: Rep, budget):
     """Hom(M, N) = Hom(DN, DM) over the opposite quiver, where DN is finitely
-    presented; each basis morphism is the pointwise transpose of its dual."""
+    presented; each basis morphism is D of its dual."""
     dual, socle, cert = _presentation_route(dualize(n), dualize(m), budget)
-    basis = [Morphism(m, n, rule=lambda v, g=g: g.component(v).transpose(),
-                      label=g.label) for g in dual]
-    return basis, socle, {"socle": cert["generators"],
-                          "cosocle": cert["relations"]}
+    return [g.dual for g in dual], socle, {"socle": cert["generators"],
+                                           "cosocle": cert["relations"]}
 
 
 def _window_route(m: Rep, n: Rep, budget, certs):

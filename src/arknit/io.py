@@ -98,6 +98,16 @@ def _natural(x, pointer: str, what: str) -> int:
     return x
 
 
+def _start(x, pointer: str, what: str) -> int:
+    """A start depth on a ray: a natural number within the cap that
+    _parse_vert puts on a vertex's depth, since a support is read down to
+    its deepest start."""
+    t = _natural(x, pointer, what)
+    if t > MAX_LINEAR_N:
+        raise ParseError(pointer, f"{what} {t} is past the cap {MAX_LINEAR_N}")
+    return t
+
+
 def _vertex_id(x, pointer: str):
     """A vertex of a finite quiver spec: an int (digit strings included) or
     a string."""
@@ -203,7 +213,7 @@ def _parse_region(q, obj, pointer) -> VertexSet:
             raise ParseError(f"{pointer}/tails/{i}",
                              f"no ray {t[1]!r} on end {t[0]!r}")
         tails.append((t[0], t[1],
-                      _natural(t[2], f"{pointer}/tails/{i}/2", "tail start")))
+                      _start(t[2], f"{pointer}/tails/{i}/2", "tail start")))
     try:
         return VertexSet.make(q, expl, tails)
     except (KeyError, ValueError) as e:
@@ -335,7 +345,7 @@ def parse_rep(q: QuiverBase, obj, field=QQ, pointer: str = "") -> Rep:
                                  f"no crossing {f[1]!r} on end {f[0]!r}")
             fams.append(RungFamily(
                 f[0], f[1],
-                _natural(f[2], f"{ptr}/families/{i}/2", "family start"),
+                _start(f[2], f"{ptr}/families/{i}/2", "family start"),
                 _parse_scalar(F, f[3], f"{ptr}/families/{i}/3")))
         try:
             return glue_rep(sub, quot, coc, fams)

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 from .linalg import Mat, inverse, is_invertible, rank, solve_matrix
 from .quiver import Arrow, VertexSet, vkey
 from .rep import (CokerOfRep, EvalRangeError, GlueRep, ImageRep, KernelOfRep,
-                  Rep, _loc_depth, _ray_transition, restrict,
+                  Rep, _loc_depth, _ray_transition, dualize, restrict,
                   standard_ext_region)
 
 
@@ -105,6 +105,14 @@ class Morphism:
     def spec_dict(self) -> dict:
         raise NotImplementedError("a morphism has no JSON form")
 
+    @property
+    def dual(self) -> "Morphism":
+        """D f : D(dst) -> D(src) over the opposite quiver, with the
+        components f(v) transposed; the one place a morphism is transposed."""
+        return Morphism(dualize(self.dst), dualize(self.src), self.window,
+                        rule=lambda v: self.component(v).transpose(),
+                        label=self.label)
+
     # -- algebra --
     def add(self, other: "Morphism") -> "Morphism":
         return Morphism(self.src, self.dst, self.window,
@@ -169,15 +177,11 @@ def kernel(f: Morphism):
 
 
 def cokernel(f: Morphism):
-    """(C, projection dst -> C)."""
+    """(C, projection dst -> C): C = D ker(D f), so the projection at v is
+    the transposed basis of that kernel."""
     C = CokerOfRep(f)
-
-    def rule(v):
-        P, _ = C._at(v)
-        return P
-
-    proj = Morphism(f.dst, C, rule=rule, label="coker-proj")
-    return C, proj
+    return C, Morphism(f.dst, C, rule=lambda v: C.base.basis(v).transpose(),
+                       label="coker-proj")
 
 
 def image(f: Morphism):

@@ -12,7 +12,8 @@ resolution made minimal (Ringel 1976; Crawley-Boevey 1992; Bautista, Liu
 and Paquette 2013 for rep+(Q)).
 The injective copresentation is D of the projective presentation of the
 pointwise dual over the opposite quiver: its path matrix is that
-presentation's PathMatrix.dual and its co-embedding the transposed cover.
+presentation's PathMatrix.dual and its co-embedding that cover's
+Morphism.dual.
 yoneda_at builds every map from a sum of projectives out of generator images
 (Hom(P_a, N) = N(a)): the cover, and each presentation-route Hom basis
 morphism before it factors through Presentation.section, a right inverse of
@@ -36,7 +37,9 @@ from .rep import (DEFAULT_BUDGET, BudgetError, KernelOfRep, PathMatrix, Rep,
 class Presentation:
     """pm.side 'proj': 0 -> (sum over pm.domain) -> (sum over pm.codomain) -> obj -> 0.
     pm.side 'inj':  0 -> obj -> (sum over pm.domain) -> (sum over pm.codomain).
-    cover: the surjection onto obj (proj side) / the embedding of obj (inj side).
+    cover: the surjection onto obj (proj side) / the embedding of obj (inj
+    side), D of the dual cover, whose codomain D(sum of P over the opposite
+    quiver) evaluates as the sum over pm.domain.
     gens: one (vertex, column) pair per summand of the cover term; on the proj
     side columns are lifted top basis vectors, on the inj side they are the
     socle functionals expressed in the evaluation basis.
@@ -177,11 +180,9 @@ def _min_inj_copresentation(w: Rep, budget: int) -> Presentation:
         raise ValueError(
             f"minimal injective copresentation needs an fc object, got {cert.verdict}")
     # D of the dual presentation: its path matrix read back over q, and the
-    # co-embedding the transpose of its cover
+    # co-embedding D of its cover
     dpres = min_proj_presentation(dualize(w), budget)
-    coemb = Morphism(w, dpres.pm.dual.src, label="coembed",
-                     rule=lambda v: dpres.cover.component(v).transpose())
-    return Presentation(w, dpres.pm.dual, coemb, dpres.gens)
+    return Presentation(w, dpres.pm.dual, dpres.cover.dual, dpres.gens)
 
 
 def nakayama(pm: PathMatrix) -> PathMatrix:

@@ -715,8 +715,11 @@ class SubquiverClass:
     witnesses: tuple
 
 
-def _boundary_analysis(vset: VertexSet, mode: str):
-    """Shared source/sink analysis.  mode='top' looks at sources, 'socle' at sinks."""
+def _top_analysis(vset: VertexSet, many: str, one: str):
+    """(top_finite, witnesses): whether vset has finitely many sources and
+    reaches every vertex from them inside itself; many and one name a
+    source in the witnesses.  Over the opposite quiver this is the socle
+    analysis, with sinks for sources."""
     q = vset.quiver
     T = vset.probe_depth() + 2
     probe = set(vset.explicit)
@@ -726,9 +729,7 @@ def _boundary_analysis(vset: VertexSet, mode: str):
     probe = {v for v in probe if vset.contains(v)}
 
     def boundary_free(v):
-        arrows = q.in_arrows(v) if mode == "top" else q.out_arrows(v)
-        nb = [a.src if mode == "top" else a.dst for a in arrows]
-        return all(not vset.contains(w) for w in nb)
+        return all(not vset.contains(a.src) for a in q.in_arrows(v))
 
     extremes = sorted((v for v in probe if boundary_free(v)), key=vkey)
     witnesses = []
@@ -738,8 +739,8 @@ def _boundary_analysis(vset: VertexSet, mode: str):
         deep = end.vertex(rid, T + 1)
         if boundary_free(deep):
             infinite = True
-            kind = "sources" if mode == "top" else "sinks"
-            witnesses.append(f"infinitely many {kind}: {q._tail_str(eid, rid, t0)}")
+            witnesses.append(
+                f"infinitely many {many}: {q._tail_str(eid, rid, t0)}")
     if infinite:
         return False, tuple(witnesses)
 
@@ -749,9 +750,8 @@ def _boundary_analysis(vset: VertexSet, mode: str):
     deepcap = T + 3
     while stack:
         v = stack.pop()
-        arrows = q.out_arrows(v) if mode == "top" else q.in_arrows(v)
-        for a in arrows:
-            w = a.dst if mode == "top" else a.src
+        for a in q.out_arrows(v):
+            w = a.dst
             if w in seen or not vset.contains(w):
                 continue
             loc = q.locate(w)
@@ -766,14 +766,15 @@ def _boundary_analysis(vset: VertexSet, mode: str):
     region = {v for v in region if vset.contains(v)}
     uncovered = sorted((v for v in region if v not in seen), key=vkey)
     if uncovered:
-        kind = "a source" if mode == "top" else "a sink"
         witnesses.append(
-            f"vertex {q.vertex_str(uncovered[0])} is not reachable from {kind} of the subquiver")
+            f"vertex {q.vertex_str(uncovered[0])} is not reachable from {one} of the subquiver")
         return False, tuple(witnesses)
     return True, tuple(witnesses)
 
 
 def classify_subquiver(vset: VertexSet) -> SubquiverClass:
-    topf, w1 = _boundary_analysis(vset, "top")
-    socf, w2 = _boundary_analysis(vset, "socle")
+    topf, w1 = _top_analysis(vset, "sources", "a source")
+    socf, w2 = _top_analysis(
+        VertexSet(vset.quiver.opposite(), vset.explicit, vset.tails),
+        "sinks", "a sink")
     return SubquiverClass(vset.is_finite, topf, socf, w1 + w2)

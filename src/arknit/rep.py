@@ -4,9 +4,10 @@ A representation is a tree of constructor nodes (projectives, injectives,
 explicit finite data, kernels/cokernels of path matrices, glued extensions,
 sums, duals, restrictions).  Every node can be evaluated exactly at any
 vertex of the quiver; infinite supports are handled symbolically through the
-preset end/ray structure of the quiver layer.  The injective side is the
-projective side of the opposite quiver read through D: I_a = D P_a, and a
-map between sums of injectives is the transpose of its dual there.
+preset end/ray structure of the quiver layer.  The injective and cokernel
+sides are the projective and kernel sides of the opposite quiver read
+through D: I_a = D P_a, a map between sums of injectives is the transpose
+of its dual there, and coker f = D ker(D f).
 
 Membership in the four classes (finite dimensional, finitely presented,
 finitely copresented, finite-extension) is decided by stabilizing the
@@ -25,9 +26,8 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Optional, Sequence
 
-from .linalg import (Field, Mat, QQ, block_matrix, coker_projection,
-                     column_space_basis, is_invertible, kernel_basis,
-                     solve_matrix)
+from .linalg import (Field, Mat, QQ, block_matrix, column_space_basis,
+                     is_invertible, kernel_basis, solve_matrix)
 from .quiver import (Arrow, Path, QuiverBase, VertexSet, classify_subquiver,
                      vkey)
 
@@ -58,8 +58,8 @@ class PathMatrix:
     entries[j][i] is a combination of paths codomain[j] ~> domain[i]; this is
     the canonical identification of Hom(P_x, P_y) and Hom(I_x, I_y) with the
     span of the paths y ~> x.  A path matrix is a morphism src -> dst for
-    KernelOfRep and CokerOfRep: .src/.dst are the two sums and
-    .component(v) the map between their evaluations at v.
+    KernelOfRep and CokerOfRep: .src/.dst are the two sums, .component(v)
+    the map between their evaluations at v and .dual its D.
     """
 
     quiver: QuiverBase
@@ -583,9 +583,11 @@ class GlueRep(Rep):
 
 class KernelOfRep(Rep):
     """Kernel of a map f: a Morphism or a PathMatrix, read through .src,
-    .dst, .component(v), .depth_bound(), and .describe()/.spec_dict() for
-    naming: the subobject of its ambient f.src with basis kernel_basis(f(v))
-    at v, on which an arrow acts by the ambient map, solved in those bases."""
+    .dst, .component(v), .depth_bound(), .describe()/.spec_dict() for
+    naming, and .dual for CokerOfRep: the subobject of its ambient f.src
+    with basis kernel_basis(f(v)) at v, on which an arrow acts by the
+    ambient map, solved in those bases.  It is the one subobject evaluator:
+    kernels and images here, and cokernels through D."""
 
     _span = staticmethod(kernel_basis)
 
@@ -623,36 +625,14 @@ class KernelOfRep(Rep):
         return {"ker_inj": self.f.spec_dict()}
 
 
-class CokerOfRep(Rep):
-    """Cokernel of a map f (duck-typed like KernelOfRep)."""
+class CokerOfRep(DualRep):
+    """Cokernel of a map f: D of the kernel of its dual f.dual (a
+    PathMatrix.dual or a Morphism.dual), so coker f(v) has the kernel basis
+    of f(v)ᵀ, transposed, as its projection from f.dst(v)."""
 
     def __init__(self, f):
-        super().__init__(f.dst.quiver, f.dst.field)
+        super().__init__(KernelOfRep(f.dual))
         self.f = f
-
-    def _at(self, v):
-        """(projection, free rows) of the cokernel at v."""
-        return self.cached(("coker", v),
-                           lambda: coker_projection(self.f.component(v)))
-
-    def _dim_at(self, v):
-        return len(self._at(v)[1])
-
-    def _mat_at(self, a):
-        F = self.field
-        Pu, fu = self._at(a.src)
-        Pw, _ = self._at(a.dst)
-        n = self.f.dst.dim(a.src)
-        lift = Mat(F, n, len(fu), tuple(tuple(F.one if r == fr else F.zero
-                                              for fr in fu) for r in range(n)))
-        return Pw.mul(self.f.dst.mat(a)).mul(lift)
-
-    def support(self):
-        return self.f.dst.support()
-
-    def _extra_depth(self):
-        return max(self.f.src.structural_depth(), self.f.dst.structural_depth(),
-                   self.f.depth_bound())
 
     def describe(self):
         return f"coker({self.f.describe()})"
@@ -724,8 +704,9 @@ def direct_sum(*parts: Rep) -> Rep:
 
 def dualize(m: Rep) -> Rep:
     """The pointwise dual over the opposite quiver; one instance per object,
-    so what is cached on D(m) (its presentation, say) is computed once."""
-    if isinstance(m, DualRep):
+    so what is cached on D(m) (its presentation, say) is computed once.  Only
+    a plain DualRep is undone: a cokernel, D of a kernel, keeps its name."""
+    if type(m) is DualRep:
         return m.base
     return m.cached("dual", lambda: DualRep(m))
 

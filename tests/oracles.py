@@ -10,15 +10,16 @@ Hom layer that the presentation reading in ar.py does not take.  The
 section after it reads Ext off a minimal projective presentation, a route
 that ext.py does not take.  The last
 section keeps constructions that the package replaced, as references:
-injectives built over q by stripping the first arrow of a path, and the
-isomorphism test that searched pairs of basis maps.
+injectives built over q by stripping the first arrow of a path, the
+isomorphism test that searched pairs of basis maps, and the cokernel
+evaluated on its own, before it was read as D of a kernel.
 """
 from fractions import Fraction
 
 from arknit import (Mat, classify_membership, dim_vector, hom_space,
                     injective_at, min_proj_presentation, projective_at)
 from arknit.hom import _iso_indec, _pointwise_inverse, _probe_verts, joint_window
-from arknit.linalg import rank
+from arknit.linalg import coker_projection, rank
 from arknit.presentations import relation_matrix
 from arknit.quiver import vkey
 
@@ -364,3 +365,20 @@ def iso_by_pair_search(m, n, budget=None):
             if h.is_invertible_on(probe):
                 return f, g.then(_pointwise_inverse(h))
     return None
+
+
+def cokernel_by_lift(f, verts):
+    """(dims, mats) of the cokernel of f, a Morphism or a PathMatrix, at the
+    vertices verts and on the arrows among them, keyed by arrow: at v the
+    projection P_v of coker_projection(f(v)) with its free rows, and on
+    a: u -> w the product P_w f.dst(a) lift, where lift has a unit column
+    at each free row of P_u."""
+    F = f.dst.field
+    at = {v: coker_projection(f.component(v)) for v in verts}
+    mats = {}
+    for a in f.dst.quiver.arrows_within(verts):
+        fu, n = at[a.src][1], f.dst.dim(a.src)
+        lift = Mat(F, n, len(fu), tuple(tuple(F.one if r == fr else F.zero
+                                              for fr in fu) for r in range(n)))
+        mats[a] = at[a.dst][0].mul(f.dst.mat(a)).mul(lift).entries
+    return {v: len(at[v][1]) for v in verts}, mats

@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, every
 function, method and class it defines is used somewhere in the project, so
 is every field of its dataclasses, no module imports sympy, which is a test oracle only, only linalg names
-Fraction, and every boundary that the benchmark traces by name exists.
+Fraction, only the duals in rep.py and morphism.py transpose a component,
+and every boundary that the benchmark traces by name exists.
 
 No linter ships with the project, so this parses each module with ``ast``:
 an imported name that no other part of the module reads is dead weight, and
@@ -181,6 +182,35 @@ def test_detects_a_max_over_cutoffs():
                          ids=lambda p: p.name)
 def test_only_rep_takes_the_stable_depth(path):
     assert cutoff_maxima(path.read_text()) == []
+
+
+def transposed_components(source: str) -> list:
+    """Lines that call .transpose() on a .component(...) result: a morphism
+    transposed by hand, where D of it (PathMatrix.dual, Morphism.dual) is
+    the one answer."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Call)
+                  and isinstance(n.func, ast.Attribute)
+                  and n.func.attr == "transpose"
+                  and isinstance(n.func.value, ast.Call)
+                  and isinstance(n.func.value.func, ast.Attribute)
+                  and n.func.value.func.attr == "component")
+
+
+def test_detects_a_transposed_component():
+    src = ("a = f.component(v).transpose()\n"
+           "b = f.component(v)\n"
+           "c = b.transpose()\n"
+           "d = g(f.component(v).transpose(), C.base.basis(v).transpose())\n"
+           '"""f.component(v).transpose() in a docstring"""\n')
+    assert transposed_components(src) == [1, 4]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name not in ("rep.py", "morphism.py")],
+                         ids=lambda p: p.name)
+def test_only_the_duals_transpose_a_component(path):
+    assert transposed_components(path.read_text()) == []
 
 
 def fraction_lines(source: str) -> list:

@@ -183,6 +183,15 @@ def test_region_tails_name_a_ray(line, tail, message):
                                   "region": {"tails": [["neg", "v", 1.5]]}}}]},
      "/sum/1/restrict/region/tails/0/2: tail start must be an integer >= 0, "
      "got 1.5"),
+    # a start past the vertex depth cap would have the support of the other
+    # tail read down to it
+    (LINE, {"thin": {"tails": [["neg", "v", 0], ["pos", "v", 100000000]]}},
+     "/thin/tails/1/2: tail start 100000000 is past the cap 3000"),
+    ('{"preset":"ladder"}',
+     {"glue": {"sub": {"thin": {"tails": [["inf", "b", 0]]}},
+               "quot": {"thin": {"tails": [["inf", "a", 0]]}},
+               "families": [["inf", "rung", 100000000, "1"]]}},
+     "/glue/families/0/2: family start 100000000 is past the cap 3000"),
 ])
 def test_cli_rejects_bad_explicit_fd_and_starts(quiver, rep, message):
     code, out, err = run_cli(["rep", "--quiver", quiver,
@@ -634,6 +643,14 @@ def test_preset_depth_cap_admits_its_bound(line, ladder):
     assert parse_rep(line, {"simple": str(-CAP)}).vertex == -CAP
     assert parse_rep(line, {"inj": str(CAP + 1)}).vertex == CAP + 1
     assert parse_rep(ladder, {"proj": f"a{CAP}"}).vertex == ("a", CAP)
+    # so do a region tail and a glue family starting at the cap
+    assert parse_rep(line, {"thin": {"tails": [["pos", "v", CAP]]}}) \
+        .region.tails == (("pos", "v", CAP),)
+    glued = parse_rep(ladder, {"glue": {
+        "sub": {"thin": {"tails": [["inf", "b", 0]]}},
+        "quot": {"thin": {"tails": [["inf", "a", 0]]}},
+        "families": [["inf", "rung", CAP, "1"]]}})
+    assert [f.start for f in glued.families] == [CAP]
 
 
 def test_cli_radius_and_n_caps_admit_their_bounds(monkeypatch):

@@ -2,10 +2,14 @@
 
 import random
 
+import pytest
+
 from arknit import (
+    GF,
     QQ,
     Mat,
     VertexSet,
+    classify_membership,
     cokernel,
     dim_vector,
     equal_on,
@@ -22,12 +26,17 @@ from arknit import (
     simple_at,
     split_ses,
     standard_ext,
+    tau_inv,
     thin_rep,
     verify_exact,
     zero_morphism,
 )
+from arknit.linalg import coker_projection
+from arknit.quiver import vkey
+from arknit.rep import joint_window
 
 from conftest import random_fd_rep
+from oracles import cokernel_by_lift
 
 
 def _one(field=QQ):
@@ -140,3 +149,56 @@ def test_morphism_linear_algebra(a3):
     assert g.sub(g).is_zero_on((1, 2, 3))
     assert f.equal_on(identity_morphism(p), (1, 2, 3))
     assert f.is_invertible_on((1, 2, 3))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("qname", ["a3", "kron"])
+def test_cokernel_matches_the_evaluation_it_replaced(request, qname, field):
+    # coker f = D ker(D f): the same dims, arrow matrices and projection as
+    # the cokernel evaluated on its own, on seeded random maps between fd
+    # objects
+    q = request.getfixturevalue(qname)
+    verts = sorted(q.vertices, key=vkey)
+    rng = random.Random(29)
+    acting = 0
+    for _ in range(10):
+        m, n = (random_fd_rep(q, rng, verts, 3, field) for _ in range(2))
+        f = None
+        for b in hom_space(m, n).basis:
+            g = b.scale(rng.randrange(-2, 3))
+            f = g if f is None else f.add(g)
+        if f is None:
+            continue
+        C, proj = cokernel(f)
+        dims, mats = cokernel_by_lift(f, verts)
+        assert {v: C.dim(v) for v in verts} == dims
+        assert {a: C.mat(a).entries for a in mats} == mats
+        for v in verts:
+            assert proj.component(v).entries == \
+                coker_projection(f.component(v))[0].entries
+        acting += any(any(any(row) for row in mat) for mat in mats.values())
+    assert acting >= 3  # cokernels with a nonzero arrow map
+
+
+@pytest.mark.parametrize("qname, verts", [
+    ("a3", ("1", "2", "3")), ("kron", ("1", "2")), ("line", ("0", "1", "-1")),
+    ("ladder", ("a0", "b0", "b1"))])
+def test_coker_proj_matches_the_evaluation_it_replaced(request, qname, verts):
+    # tau_inv is the cokernel of a path matrix between sums of projectives
+    q = request.getfixturevalue(qname)
+    checked = 0
+    for v in map(q.parse_vertex, verts):
+        for make in (simple_at, projective_at, injective_at):
+            w = make(q, v)
+            if classify_membership(w).verdict not in ("fc", "fd"):
+                continue
+            try:
+                C = tau_inv(w)
+            except ValueError:  # w is injective
+                continue
+            window, _ = joint_window([classify_membership(C)])
+            dims, mats = cokernel_by_lift(C.f, window)
+            assert {x: C.dim(x) for x in window} == dims
+            assert {a: C.mat(a).entries for a in mats} == mats
+            checked += 1
+    assert checked >= 2

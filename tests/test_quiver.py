@@ -158,6 +158,50 @@ def test_classify_subquiver(line, ray_out):
     assert info2.socle_finite and not info2.top_finite
 
 
+NOT_FROM = "is not reachable from {} of the subquiver"
+
+
+@pytest.mark.parametrize("name, explicit, tails, flags, witnesses", [
+    ("line", ["0", "1", "3"], [], (True, True, True), ()),
+    ("line", [], [("neg", "v", 0)], (False, True, False),
+     ("vertex -5 " + NOT_FROM.format("a sink"),)),
+    ("line", ["-3"], [("pos", "v", 2)], (False, False, True),
+     ("vertex 3 " + NOT_FROM.format("a source"),)),
+    ("line", [], [("neg", "v", 1), ("pos", "v", 1)], (False, False, False),
+     ("vertex 2 " + NOT_FROM.format("a source"),
+      "vertex -6 " + NOT_FROM.format("a sink"))),
+    ("ray_out", ["0", "1", "2"], [], (True, True, True), ()),
+    ("ray_out", ["1"], [("inf", "v", 4)], (False, True, False),
+     ("vertex 4 " + NOT_FROM.format("a sink"),)),
+    ("ray_in", ["0"], [("inf", "v", 3)], (False, False, True),
+     ("vertex 3 " + NOT_FROM.format("a source"),)),
+    ("zigzag", ["1", "2", "3"], [], (True, True, True), ()),
+    ("zigzag", [], [("inf", "even", 2)], (False, False, False),
+     ("infinitely many sources: even n >= 4",
+      "infinitely many sinks: even n >= 4")),
+    ("zigzag", [], [("inf", "even", 1), ("inf", "odd", 1)],
+     (False, False, False), ("infinitely many sources: odd n >= 3",
+                             "infinitely many sinks: even n >= 2")),
+    ("ladder", ["a0", "b0", "b1"], [], (True, True, True), ()),
+    ("ladder", ["a0", "a1"], [("inf", "b", 1)], (False, True, False),
+     ("vertex b1 " + NOT_FROM.format("a sink"),)),
+    ("ladder", ["b0"], [("inf", "a", 2)], (False, False, True),
+     ("vertex a2 " + NOT_FROM.format("a source"),)),
+    ("ladder", [], [("inf", "a", 1), ("inf", "b", 1)], (False, False, False),
+     ("vertex a1 " + NOT_FROM.format("a source"),
+      "vertex a1 " + NOT_FROM.format("a sink"))),
+])
+def test_classify_subquiver_pins_flags_and_witnesses(name, explicit, tails,
+                                                     flags, witnesses):
+    # the socle half is the top half over the opposite quiver, with sinks
+    # for sources: these pin both words and the vertices they name
+    q = ak.PRESETS[name]()
+    info = classify_subquiver(
+        VertexSet.make(q, [q.parse_vertex(v) for v in explicit], tails))
+    assert (info.is_finite, info.top_finite, info.socle_finite) == flags
+    assert info.witnesses == witnesses
+
+
 # ---------------------------------------------------------------------------
 # path bases, exactly and in order, against a naive enumerator that does not
 # go through paths_between or reaches
