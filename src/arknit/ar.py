@@ -108,16 +108,15 @@ def almost_split_sequence(x: Rep, budget: Optional[int] = None) -> SES:
         coeffs = [F.one] + [F.zero] * (ecb.dimension - 1)
     else:
         # socle of the right End(X)-action: classes killed by the radical
-        stacked = None
+        rows = []
         for rad in E.radical:
             r = _endo_from_coords(E, rad)
             cols = []
             for bc in ecb.basis:
                 moved = {a: m.mul(r.component(a.src)) for a, m in bc.items()}
                 cols.append(ecb.coords(lambda a: moved.get(a)))
-            act = Mat(F, ecb.dimension, len(cols), tuple(zip(*cols)))
-            stacked = act if stacked is None else stacked.vstack(act)
-        soc = kernel_basis(stacked)
+            rows.extend(zip(*cols))
+        soc = kernel_basis(Mat(F, len(rows), ecb.dimension, tuple(rows)))
         if soc.cols == 0:
             raise AssertionError("Ext socle vanished; class selection failed")
         coeffs = list(soc.col(0))

@@ -416,7 +416,10 @@ def _decompose_rec(m: Rep, incl: Morphism, proj: Morphism, budget, out,
     """Split m by an idempotent e of End(m) and 1 - e; a piece whose corner
     e·End·e = End(eM) is k is a leaf, any other recurses on its own End."""
     if depth > 32:
-        raise BudgetError("decomposition recursion exceeded depth bound")
+        window = joint_window([classify_membership(m, budget)])[0]
+        raise BudgetError(f"decomposition recursion exceeded depth bound 32 "
+                          f"at depth {depth}: a piece of dimension vector "
+                          f"{dim_vector(m, window)} on window {window}")
     E = end_algebra(m, budget)
     if E.dimension == 0:
         return

@@ -1,8 +1,9 @@
 """Exact dense linear algebra over Q and over prime fields.
 
-Matrices are immutable (tuples of tuples) so they can live inside hashable
-representation nodes.  Everything is deterministic: kernel and cokernel bases
-come from reduced echelon forms, never from randomized pivoting.
+A Mat is a value: slotted, compared and hashed by (field, rows, cols, entries)
+and never stored to after __init__ (tests/test_imports.py lints this), so it
+can live in hashable representation nodes.  Everything is deterministic: kernel
+and cokernel bases come from reduced echelon forms, never randomized pivoting.
 
 Every scalar has one canonical form.  Over GF(p) it is an int in [0, p).
 Over Q it is an int when it is integral and otherwise a Fraction with
@@ -24,6 +25,7 @@ class Field:
     """Scalar field: characteristic 0 means Q, a prime p means GF(p)."""
 
     char: int = 0
+    zero, one = 0, 1  # class constants, not fields: canonical in every field
 
     def __post_init__(self):
         if self.char:
@@ -46,14 +48,6 @@ class Field:
         if type(x) is int:
             return x
         return _canon(x if isinstance(x, Fraction) else Fraction(x))
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def add(self, a, b):
         return (a + b) % self.char if self.char else _canon(a + b)
@@ -91,14 +85,30 @@ def GF(p: int) -> Field:
     return Field(p)
 
 
-@dataclass(frozen=True)
 class Mat:
-    """Immutable dense matrix over a Field."""
+    """Dense matrix over a Field; a value, equal to another Mat, hashed and
+    printed by (field, rows, cols, entries), the rows a tuple of tuples."""
 
-    field: Field
-    rows: int
-    cols: int
-    entries: tuple  # tuple of row tuples
+    __slots__ = ("field", "rows", "cols", "entries")
+
+    def __init__(self, field: Field, rows: int, cols: int, entries: tuple):
+        self.field = field
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
+
+    def __eq__(self, other):
+        if other.__class__ is not Mat:
+            return NotImplemented
+        return (self.field, self.rows, self.cols, self.entries) == \
+            (other.field, other.rows, other.cols, other.entries)
+
+    def __hash__(self):
+        return hash((self.field, self.rows, self.cols, self.entries))
+
+    def __repr__(self):
+        return (f"Mat(field={self.field!r}, rows={self.rows!r}, "
+                f"cols={self.cols!r}, entries={self.entries!r})")
 
     @staticmethod
     def from_rows(field: Field, rows: Sequence[Sequence]) -> "Mat":
@@ -117,9 +127,6 @@ class Mat:
     def identity(field: Field, n: int) -> "Mat":
         z, o = field.zero, field.one
         return Mat(field, n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
-
-    def row(self, i):
-        return self.entries[i]
 
     def col(self, j):
         return tuple(r[j] for r in self.entries)
@@ -159,7 +166,7 @@ class Mat:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch in mul: {self.rows}x{self.cols} * {other.rows}x{other.cols}")
         p = self.field.char
-        ot = other.transpose().entries
+        ot = tuple(zip(*other.entries)) if other.rows else ((),) * other.cols
         if p:
             out = tuple(tuple(sum(map(operator.mul, r, c)) % p for c in ot)
                         for r in self.entries)

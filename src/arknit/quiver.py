@@ -40,11 +40,29 @@ def vkey(v):
     raise TypeError(f"unsupported vertex identifier: {v!r}")
 
 
-@dataclass(frozen=True, order=False)
 class Arrow:
-    src: object
-    dst: object
-    label: str
+    """An arrow src -> dst named label; a value like Mat, hashed once (arrows
+    key every arrow-matrix cache) and sorted by vkey of its ends, then label."""
+
+    __slots__ = ("src", "dst", "label", "_hash")
+
+    def __init__(self, src, dst, label: str):
+        self.src = src
+        self.dst = dst
+        self.label = label
+        self._hash = hash((src, dst, label))
+
+    def __eq__(self, other):
+        if other.__class__ is not Arrow:
+            return NotImplemented
+        return (self.src, self.dst, self.label) == \
+            (other.src, other.dst, other.label)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"Arrow(src={self.src!r}, dst={self.dst!r}, label={self.label!r})"
 
     def key(self):
         return (vkey(self.src), vkey(self.dst), self.label)

@@ -197,12 +197,13 @@ class Rep:
         return d
 
     def mat(self, a: Arrow) -> Mat:
-        if a not in self._mats:
+        m = self._mats.get(a)
+        if m is None:
             m = self._mat_at(a)
             if m.rows != self.dim(a.dst) or m.cols != self.dim(a.src):
                 raise AssertionError(f"bad matrix shape for {a}")
             self._mats[a] = m
-        return self._mats[a]
+        return m
 
     def mat_path(self, p: Path) -> Mat:
         if not p.arrows:
@@ -750,11 +751,10 @@ def equal_on(m1: Rep, m2: Rep, verts) -> bool:
 def incoming_stack(m: Rep, v):
     """(hstack of M(α) over incoming α, ordered arrow list); rows = dim(v)."""
     arrows = sorted(m.quiver.in_arrows(v))
-    F = m.field
-    mat = Mat.zeros(F, m.dim(v), 0)
-    for a in arrows:
-        mat = mat.hstack(m.mat(a))
-    return mat, arrows
+    mats = [m.mat(a).entries for a in arrows]
+    rows = tuple(sum(r, ()) for r in zip(*mats)) if mats else ((),) * m.dim(v)
+    return Mat(m.field, m.dim(v), sum(m.dim(a.src) for a in arrows), rows), \
+        arrows
 
 
 # ---------------------------------------------------------------------------
@@ -809,6 +809,14 @@ def _band_snapshot(m: Rep, end, t):
     return (dims, dims1, mats)
 
 
+def _ray_data(m: Rep, end, rid, t):
+    """One ray's part of _band_snapshot(m, end, t): dims and arrow matrices."""
+    vs = (end.vertex(rid, t), end.vertex(rid, t + 1))
+    return (tuple(m.dim(v) for v in vs),
+            tuple(m.mat(a).entries for a in end.band_arrows(t)
+                  if a.src in vs or a.dst in vs))
+
+
 def end_profile(m: Rep, end, budget: Optional[int] = None) -> EndProfile:
     budget = DEFAULT_BUDGET if budget is None else budget
     q = m.quiver
@@ -822,8 +830,11 @@ def end_profile(m: Rep, end, budget: Optional[int] = None) -> EndProfile:
         t += 1
         snap = nxt
         if t > c0 + budget:
+            moved = [r.rid for r in end.rays if _ray_data(m, end, r.rid, t - 1)
+                     != _ray_data(m, end, r.rid, t)]
             raise BudgetError(
-                f"end {end.eid}: band data did not stabilize within depth {t}")
+                f"end {end.eid}: band data did not stabilize within depth {t}; "
+                f"rays still changing: {', '.join(moved)}")
     cutoff = t
     rays = []
     for r in end.rays:

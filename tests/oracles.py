@@ -11,9 +11,11 @@ section after it reads Ext off a minimal projective presentation, a route
 that ext.py does not take.  The last
 section keeps constructions that the package replaced, as references:
 injectives built over q by stripping the first arrow of a path, the
-isomorphism test that searched pairs of basis maps, and the cokernel
-evaluated on its own, before it was read as D of a kernel.
+isomorphism test that searched pairs of basis maps, the cokernel
+evaluated on its own, before it was read as D of a kernel, and Mat and Arrow
+as the frozen dataclasses they were before they were slotted.
 """
+from dataclasses import dataclass
 from fractions import Fraction
 
 from arknit import (Mat, classify_membership, dim_vector, hom_space,
@@ -382,3 +384,32 @@ def cokernel_by_lift(f, verts):
                                               for fr in fu) for r in range(n)))
         mats[a] = at[a.dst][0].mul(f.dst.mat(a)).mul(lift).entries
     return {v: len(at[v][1]) for v in verts}, mats
+
+
+@dataclass(frozen=True)
+class FrozenMat:
+    """Mat as a frozen dataclass of its four fields: its ==, hash and repr
+    are the ones the slotted Mat must give."""
+
+    __qualname__ = "Mat"  # so the dataclass repr reads Mat(...)
+    field: object
+    rows: int
+    cols: int
+    entries: tuple
+
+
+@dataclass(frozen=True, order=False)
+class FrozenArrow:
+    """Arrow as a frozen dataclass of its three fields, sorted by vkey of its
+    ends, then label."""
+
+    __qualname__ = "Arrow"
+    src: object
+    dst: object
+    label: str
+
+    def key(self):
+        return (vkey(self.src), vkey(self.dst), self.label)
+
+    def __lt__(self, other):
+        return self.key() < other.key()

@@ -312,3 +312,41 @@ def test_euler_form_on_random_fd_pairs(case):
     # the kernel of the arrow complex on the whole window is the same Hom
     assert hb.route == "presentation"
     assert len(solve_natural(m, n, verts)[1]) == hb.dimension
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(euler_cases())
+def test_hom_routes_agree_on_random_fd_pairs(case):
+    # an fd domain is fp and an fd codomain is fc, so all three routes run
+    kind, char, dm, dn = case
+    q, field = EULER_POOLS[kind][0](), ak.GF(char) if char else QQ
+    m, n = _fd(q, field, dm), _fd(q, field, dn)
+    dims = {r: ak.hom_space(m, n, route=r).dimension
+            for r in ("presentation", "copresentation", "window")}
+    assert len(set(dims.values())) == 1, dims
+
+
+BIG_P = 2 ** 31 - 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(("A3", "kronecker")).flatmap(
+    lambda kind: st.tuples(st.just(kind),
+                           fd_data(*EULER_POOLS[kind][1:]),
+                           fd_data(*EULER_POOLS[kind][1:]))))
+def test_qq_and_a_large_prime_field_agree_on_integer_data(case):
+    """Hom and Ext are the kernel and cokernel of one arrow complex, so their
+    dimensions over GF(p) are those over QQ exactly when the complex has the
+    same rank, which holds when every minor that is nonzero over QQ is
+    nonzero mod p.  Here a row of the complex has at most four nonzero
+    entries, each of size at most 2 (dims <= 2, entries in -2..2), so its
+    norm is at most 4, and a minor has at most 8 rows (two arrows, each a
+    map of at most 2 x 2 entries); by Hadamard's bound every minor is at
+    most 4^8 < p = 2^31 - 1 in size."""
+    kind, dm, dn = case
+    q = EULER_POOLS[kind][0]()
+    dims = set()
+    for field in (QQ, ak.GF(BIG_P)):
+        m, n = _fd(q, field, dm), _fd(q, field, dn)
+        dims.add((ak.hom_space(m, n).dimension, ext_space(m, n).dimension))
+    assert len(dims) == 1, dims

@@ -1,6 +1,7 @@
 """Hom spaces, endomorphism algebras, isomorphism tests, decomposition."""
 
 import random
+import re
 
 import pytest
 
@@ -362,6 +363,15 @@ def test_decompose_sum(a3):
         for v in total:
             total[v] += mult * r.dim(v)
     assert total == {1: 1, 2: 3, 3: 1}
+
+
+def test_decompose_depth_bound_names_the_depth_and_the_piece(a3):
+    m = direct_sum(projective_at(a3, 1), simple_at(a3, 2))
+    ident = identity_morphism(m)
+    with pytest.raises(ak.BudgetError, match=re.escape(
+            "decomposition recursion exceeded depth bound 32 at depth 33: a "
+            "piece of dimension vector (1, 2, 1) on window (1, 2, 3)")):
+        hom._decompose_rec(m, ident, ident, None, [], depth=33)
 
 
 def test_decompose_report_certifies(a3, rng_reps):

@@ -1,8 +1,10 @@
 """Every name a library module imports is used in that module, every
 function, method and class it defines is used somewhere in the project, so
-is every field of its dataclasses, no module imports sympy, which is a test oracle only, only linalg names
-Fraction, only the duals in rep.py and morphism.py transpose a component,
-and every boundary that the benchmark traces by name exists.
+is every field of its dataclasses and every name in a __slots__, no module
+stores to a field of the value types Mat and Arrow after __init__, no module
+imports sympy, which is a test oracle only, only linalg names Fraction, only
+the duals in rep.py and morphism.py transpose a component, and every
+boundary that the benchmark traces by name exists.
 
 No linter ships with the project, so this parses each module with ``ast``:
 an imported name that no other part of the module reads is dead weight, and
@@ -104,16 +106,31 @@ def test_no_dead_definitions(path, project_references):
 
 
 def dataclass_fields(source: str) -> list:
-    """(line, name) of every field that a @dataclass in the module declares."""
+    """(line, name) of every field that a @dataclass in the module declares,
+    and of every name in a class body's __slots__, the fields of a slotted
+    class such as Mat or Arrow."""
     def is_dataclass(d):
         f = d.func if isinstance(d, ast.Call) else d
         return getattr(f, "id", getattr(f, "attr", None)) == "dataclass"
 
-    return [(s.lineno, s.target.id) for n in ast.walk(ast.parse(source))
-            if isinstance(n, ast.ClassDef)
-            and any(is_dataclass(d) for d in n.decorator_list)
-            for s in n.body
-            if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+    def is_slots(s):
+        return isinstance(s, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in s.targets)
+
+    fields = []
+    for n in ast.walk(ast.parse(source)):
+        if not isinstance(n, ast.ClassDef):
+            continue
+        dataclass = any(is_dataclass(d) for d in n.decorator_list)
+        for s in n.body:
+            if dataclass and isinstance(s, ast.AnnAssign) \
+                    and isinstance(s.target, ast.Name):
+                fields.append((s.lineno, s.target.id))
+            elif is_slots(s):
+                names = getattr(s.value, "elts", [s.value])
+                fields += [(e.lineno, e.value) for e in names
+                           if isinstance(e, ast.Constant)]
+    return fields
 
 
 def field_reads(source: str) -> set:
@@ -145,19 +162,84 @@ def test_detects_an_unread_dataclass_field():
            "class B:\n"
            "    dead: tuple\n"
            "class C:\n"
-           "    plain: int\n")
+           "    plain: int\n"
+           "class D:\n"
+           "    __slots__ = ('slot_read', 'slot_unread')\n"
+           "class E:\n"
+           "    __slots__ = 'lone'\n")
     user = ("a = A(1, keyword=2)\n"
             "a.written = a.read\n"
-            "unread = dead = B(())\n")
+            "unread = dead = B(())\n"
+            "d = D().slot_read\n")
     reads = field_reads(lib) | field_reads(user)
     assert [(line, name) for line, name in dataclass_fields(lib)
-            if name not in reads] == [(5, "written"), (6, "unread"), (9, "dead")]
+            if name not in reads] == [(5, "written"), (6, "unread"), (9, "dead"),
+                                      (13, "slot_unread"), (15, "lone")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unread_dataclass_fields(path, project_field_reads):
     assert [(line, name) for line, name in dataclass_fields(path.read_text())
             if name not in project_field_reads] == []
+
+
+VALUE_FIELDS = ("entries", "rows", "cols", "field", "src", "dst", "label")
+
+
+def value_field_stores(source: str) -> list:
+    """Lines that store to, or delete, an attribute named like a field of Mat
+    or Arrow (VALUE_FIELDS), other than self.<name> = ... in an __init__, or
+    that set one by setattr: Mat and Arrow are slotted, not frozen, so this
+    lint is what keeps them immutable, at no cost when the code runs."""
+    tree = ast.parse(source)
+    allowed = set()
+    for f in ast.walk(tree):
+        if isinstance(f, ast.FunctionDef) and f.name == "__init__":
+            for s in ast.walk(f):
+                if isinstance(s, (ast.Assign, ast.AnnAssign)):
+                    targets = s.targets if isinstance(s, ast.Assign) \
+                        else [s.target]
+                    for t in targets:
+                        allowed.update(
+                            id(e) for e in getattr(t, "elts", [t])
+                            if isinstance(e, ast.Attribute)
+                            and isinstance(e.value, ast.Name)
+                            and e.value.id == "self")
+    lines = {n.lineno for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and n.attr in VALUE_FIELDS
+             and not isinstance(n.ctx, ast.Load) and id(n) not in allowed}
+    lines |= {n.lineno for n in ast.walk(tree)
+              if isinstance(n, ast.Call)
+              and getattr(n.func, "id", getattr(n.func, "attr", None))
+              in ("setattr", "__setattr__")
+              and len(n.args) > 1 and isinstance(n.args[1], ast.Constant)
+              and n.args[1].value in VALUE_FIELDS}
+    return sorted(lines)
+
+
+def test_detects_a_value_field_store():
+    src = ("class M:\n"
+           "    def __init__(self, rows, field, a, b):\n"
+           "        self.rows = rows\n"
+           "        self.field: object = field\n"
+           "        self.src, self.dst = a, b\n"
+           "        other.cols = 0\n"
+           "    def grow(self):\n"
+           "        self.rows += 1\n"
+           "        self.label = 'x'\n"
+           "m.entries = ()\n"
+           "del m.src\n"
+           "object.__setattr__(m, 'dst', 1)\n"
+           "setattr(m, 'name', 1)\n"
+           "n = m.entries\n"
+           '"""m.entries = () in a docstring"""\n')
+    assert value_field_stores(src) == [6, 8, 9, 10, 11, 12]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_value_field_stored_after_init(path):
+    assert value_field_stores(path.read_text()) == []
 
 
 def cutoff_maxima(source: str) -> list:

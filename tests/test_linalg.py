@@ -9,7 +9,8 @@ from arknit.linalg import (GF, QQ, Mat, column_space_basis, coker_projection,
                            inverse, is_invertible, kernel_basis, min_poly,
                            rank, rref, solve, solve_matrix)
 
-from oracles import rref_rank
+from arknit.quiver import Arrow
+from oracles import FrozenArrow, FrozenMat, rref_rank
 
 
 def rmat(rng, rows, cols, field=QQ):
@@ -368,3 +369,57 @@ def test_unreduced_gf_p_input_reads_as_its_reduction(data):
     x = data.draw(matrices(F, rows=m.cols))
     b = Mat(F, m.rows, x.cols, tuple(map(tuple, naive_mul(m, x))))
     assert solve_matrix(u, data.draw(unreduced(b))) == solve_matrix(m, b)
+
+
+# ---------------------------------------------------------------------------
+# Mat and Arrow are slotted values: ==, hash, repr, order and dict lookup are
+# those of the frozen dataclasses they replaced (tests/oracles.py)
+
+
+def _twins_agree(news, olds, fields):
+    """Each new value against its frozen twin, pairwise and as dict keys."""
+    for a, A in zip(news, olds):
+        assert hash(a) == hash(A) and repr(a) == repr(A)
+        assert a != fields(a) and not a == fields(a) and A != fields(A)
+        for b, B in zip(news, olds):
+            assert (a == b, a != b) == (A == B, A != B)
+    index = {a: i for i, a in enumerate(news)}
+    twin_index = {A: i for i, A in enumerate(olds)}
+    assert len(index) == len(twin_index)
+    assert [index[a] for a in news] == [twin_index[A] for A in olds]
+
+
+@st.composite
+def value_mats(draw):
+    """Mats over QQ with int and Fraction entries and over GF(7), 0 x n and
+    n x 0 among them, each with a copy built from fresh tuples."""
+    F = draw(st.sampled_from((QQ, GF(7))))
+    r, c = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    entry = st.integers(0, 6) if F.char else st.one_of(
+        st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3))
+    rows = draw(st.lists(st.tuples(*[entry] * c), min_size=r, max_size=r))
+    m = Mat(F, r, c, tuple(rows))
+    return [m, Mat(F, r, c, tuple(tuple(list(row)) for row in rows))]
+
+
+@PROPERTY
+@given(st.lists(value_mats(), min_size=1, max_size=4))
+def test_mat_value_semantics_match_the_frozen_dataclass(pairs):
+    news = [m for pair in pairs for m in pair]
+    olds = [FrozenMat(m.field, m.rows, m.cols, m.entries) for m in news]
+    _twins_agree(news, olds, lambda m: (m.field, m.rows, m.cols, m.entries))
+
+
+VERTICES = st.one_of(st.integers(-2, 2), st.sampled_from("ab"),
+                     st.tuples(st.sampled_from("ab"), st.integers(0, 2)))
+
+
+@PROPERTY
+@given(st.lists(st.tuples(VERTICES, VERTICES, st.sampled_from(("x", "1>2"))),
+                min_size=1, max_size=8))
+def test_arrow_value_semantics_match_the_frozen_dataclass(triples):
+    news = [Arrow(*t) for t in triples] + [Arrow(*t) for t in triples]
+    olds = [FrozenArrow(*t) for t in triples] * 2
+    _twins_agree(news, olds, lambda a: (a.src, a.dst, a.label))
+    as_triples = [(a.src, a.dst, a.label) for a in sorted(news)]
+    assert as_triples == [(a.src, a.dst, a.label) for a in sorted(olds)]

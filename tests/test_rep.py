@@ -34,10 +34,12 @@ from arknit import (
     vkey,
 )
 from arknit.quiver import FiniteQuiver
-from arknit.rep import path_matrix, proj_sum_basis, reverse_path
+from arknit.rep import (BudgetError, Rep, incoming_stack, path_matrix,
+                        proj_sum_basis, reverse_path)
 
 from oracles import (an_dims, inj_basis_over_q, inj_component_by_stripping,
                      injective_by_stripping)
+from conftest import random_fd_rep
 from test_quiver import PRESET_GRIDS, acyclic_quivers
 
 
@@ -288,6 +290,55 @@ def test_end_profile_checks_two_depths(ray_out):
     assert len(prof.checked_depths) >= 2
     d0, d1 = prof.checked_depths[:2]
     assert d1 == d0 + 1
+
+
+def test_incoming_stack_is_the_hstack_of_the_incoming_maps(kron, zig, ladder):
+    # vertices with two incoming arrows, with one, with none, and of dim 0
+    rng = random.Random(3)
+    cases = [(random_fd_rep(kron, rng, (1, 2), field=F), (1, 2))
+             for F in (QQ, GF(7)) for _ in range(4)]
+    cases += [(random_fd_rep(zig, rng, (0, 1, 2, 3)), (0, 1, 2, 3))
+              for _ in range(4)]
+    lad = (("a", 0), ("a", 1), ("b", 0), ("b", 1))
+    cases += [(make(ladder, v), lad) for make in (projective_at, injective_at)
+              for v in lad]
+    for m, verts in cases:
+        for v in verts:
+            arrows = sorted(m.quiver.in_arrows(v))
+            mat = Mat.zeros(m.field, m.dim(v), 0)
+            for a in arrows:
+                mat = mat.hstack(m.mat(a))
+            assert incoming_stack(m, v) == (mat, arrows)
+
+
+class _WideningA(Rep):
+    """dim t at ("a", t) and 0 on ray b of the ladder, zero maps: the band
+    data on ray a changes at every depth, that on ray b (0 x t rungs) never."""
+
+    b_dim = 0
+
+    def _dim_at(self, v):
+        return v[1] if v[0] == "a" else self.b_dim
+
+    def _mat_at(self, a):
+        return self._zero_mat(a)
+
+    def support(self):
+        return VertexSet.make(self.quiver, (), [("inf", "a", 0)])
+
+
+def test_end_profile_budget_failure_names_the_rays_and_the_depth(ladder):
+    (end,) = ladder.ends()
+    # structural depth 0, so stabilization starts at depth 3 and a budget of
+    # 4 gives up at depth 8
+    with pytest.raises(BudgetError, match=(
+            r"^end inf: band data did not stabilize within depth 8; "
+            r"rays still changing: a$")):
+        end_profile(_WideningA(ladder, QQ), end, budget=4)
+    # with dim 1 on ray b its rungs widen with ray a, so both rays move
+    both = type("_WideningAB", (_WideningA,), {"b_dim": 1})(ladder, QQ)
+    with pytest.raises(BudgetError, match="rays still changing: a, b$"):
+        end_profile(both, end, budget=4)
 
 
 # ---------------------------------------------------------------------------
