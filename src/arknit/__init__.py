@@ -7,7 +7,7 @@ from .linalg import GF, QQ, Field, Mat
 from .quiver import (Arrow, End, FiniteQuiver, OppositeQuiver, PRESETS, Path,
                      QuiverBase, SubquiverClass, VertexSet, classify_subquiver,
                      kronecker_quiver, linear_quiver, vkey)
-from .rep import (BudgetError, DEFAULT_BUDGET, EvalRangeError, PathMatrix,
+from .rep import (BudgetError, EvalRangeError, PathMatrix,
                   PFIDecomposition, Rep, RepClassCertificate, RungFamily,
                   classify_membership, coker_proj, dim_vector, direct_sum,
                   dualize, end_profile, equal_on, explicit_fd, glue_rep,

@@ -25,56 +25,58 @@ from .morphism import SES, Morphism, verify_exact
 from .presentations import (min_inj_copresentation, min_proj_presentation,
                             nakayama)
 from .quiver import FiniteQuiver, Path, QuiverBase, vkey
-from .rep import (DEFAULT_BUDGET, PathMatrix, Rep, classify_membership,
-                  coker_proj, dim_vector, dualize, is_doubly_infinite,
-                  joint_window, ker_inj, path_matrix)
+from .rep import (PathMatrix, Rep, classify_membership, coker_proj,
+                  dim_vector, dualize, is_doubly_infinite, joint_window,
+                  ker_inj, path_matrix)
+
+MAX_NODES = 160  # knit expands no node once the component has more
 
 
 # ---------------------------------------------------------------------------
 # translates
 
 
-def tau(x: Rep, budget: Optional[int] = None) -> Rep:
-    cert = classify_membership(x, budget)
+def tau(x: Rep) -> Rep:
+    cert = classify_membership(x)
     if cert.verdict not in ("fp", "fd"):
         raise ValueError(f"tau undefined: input is {cert.verdict}, not fp")
-    pres = min_proj_presentation(x, budget)
+    pres = min_proj_presentation(x)
     if not pres.pm.domain:
         raise ValueError("tau undefined for projective objects")
     return ker_inj(nakayama(pres.pm))
 
 
-def tau_inv(w: Rep, budget: Optional[int] = None) -> Rep:
-    cert = classify_membership(w, budget)
+def tau_inv(w: Rep) -> Rep:
+    cert = classify_membership(w)
     if cert.verdict not in ("fc", "fd"):
         raise ValueError(f"tau_inv undefined: input is {cert.verdict}, not fc")
-    cop = min_inj_copresentation(w, budget)
+    cop = min_inj_copresentation(w)
     if not cop.pm.codomain:
         raise ValueError("tau_inv undefined for injective objects")
     return coker_proj(nakayama(cop.pm))
 
 
-def _generators(x: Rep, kind: str, budget: Optional[int] = None):
+def _generators(x: Rep, kind: str):
     """(generators, relations) of the minimal presentation of x (kind
     "proj"), or (cogenerators, corelations) of its copresentation ("inj"),
     which are the generators and relations of the presentation of D x."""
-    pm = min_proj_presentation(x if kind == "proj" else dualize(x), budget).pm
+    pm = min_proj_presentation(x if kind == "proj" else dualize(x)).pm
     return pm.codomain, pm.domain
 
 
-def standard_vertex(x: Rep, kind: str, budget: Optional[int] = None):
+def standard_vertex(x: Rep, kind: str):
     """a with x isomorphic to P_a (kind "proj") or I_a (kind "inj"), else
     None: its minimal (co)presentation has the one (co)generator a and no
     (co)relations."""
-    gens, rels = _generators(x, kind, budget)
+    gens, rels = _generators(x, kind)
     return gens[0] if len(gens) == 1 and not rels else None
 
 
-def _is_standard(x: Rep, kind: str, budget: Optional[int]) -> bool:
+def _is_standard(x: Rep, kind: str) -> bool:
     """Whether the knit node x is P_a (kind "proj") or I_a ("inj").  A zero
     x, or a sum of several P_a (I_a), is refused: tau (tau_inv) would fail
     on it, and only a seed can be one."""
-    gens, rels = _generators(x, kind, budget)
+    gens, rels = _generators(x, kind)
     if len(gens) != 1 and not rels:
         word = "projective" if kind == "proj" else "injective"
         raise ValueError(f"seed is a sum of {len(gens)} {word} objects, not "
@@ -83,10 +85,10 @@ def _is_standard(x: Rep, kind: str, budget: Optional[int]) -> bool:
     return not rels
 
 
-def is_pseudo_projective(x: Rep, budget: Optional[int] = None) -> bool:
+def is_pseudo_projective(x: Rep) -> bool:
     """fp non-projective with infinite-dimensional translate."""
-    tx = tau(x, budget)
-    cert = classify_membership(tx, budget)
+    tx = tau(x)
+    cert = classify_membership(tx)
     return any(r.dim > 0 for p in cert.profiles for r in p.rays)
 
 
@@ -94,13 +96,13 @@ def is_pseudo_projective(x: Rep, budget: Optional[int] = None) -> bool:
 # almost split sequences
 
 
-def almost_split_sequence(x: Rep, budget: Optional[int] = None) -> SES:
+def almost_split_sequence(x: Rep) -> SES:
     """0 -> tau X -> E -> X -> 0 from the socle class of Ext(X, tau X)."""
-    tx = tau(x, budget)
-    E = end_algebra(x, budget)
+    tx = tau(x)
+    E = end_algebra(x)
     if not E.is_local:
         raise ValueError("almost split sequence needs an indecomposable end")
-    ecb = ext_space(x, tx, budget)
+    ecb = ext_space(x, tx)
     if ecb.dimension == 0:
         raise AssertionError("Ext(X, tau X) vanished unexpectedly")
     F = x.field
@@ -131,11 +133,10 @@ def _radical_inclusion(q: QuiverBase, F, a) -> PathMatrix:
                        [[[(1, Path(a, al.dst, (al,)))] for al in arrows]])
 
 
-def minimal_right_almost_split_into(p: Rep,
-                                    budget: Optional[int] = None) -> Morphism:
+def minimal_right_almost_split_into(p: Rep) -> Morphism:
     """The radical inclusion into P_a followed by the cover P_a -> p of the
     minimal presentation, an isomorphism as p has no relations."""
-    pres = min_proj_presentation(p, budget)
+    pres = min_proj_presentation(p)
     if pres.pm.domain:
         raise ValueError("input is not projective")
     if len(pres.pm.codomain) != 1:
@@ -144,12 +145,11 @@ def minimal_right_almost_split_into(p: Rep,
     return Morphism(rad.src, rad.dst, rule=rad.component).then(pres.cover)
 
 
-def minimal_left_almost_split_from(i: Rep,
-                                   budget: Optional[int] = None) -> Morphism:
+def minimal_left_almost_split_from(i: Rep) -> Morphism:
     """The embedding i -> I_a of the minimal copresentation, an isomorphism
     as i has no corelations, followed by the quotient by the socle, D of the
     radical inclusion into P_a over the opposite quiver."""
-    cop = min_inj_copresentation(i, budget)
+    cop = min_inj_copresentation(i)
     if cop.pm.codomain:
         raise ValueError("input is not injective")
     if len(cop.pm.domain) != 1:
@@ -181,19 +181,19 @@ class ASReport:
                 and not self.factor_failures)
 
 
-def _radical_morphisms(src: Rep, dst: Rep, budget):
+def _radical_morphisms(src: Rep, dst: Rep):
     """Basis of the radical of Hom(src, dst) for indecomposable ends."""
-    pair = _iso_indec(src, dst, budget)
+    pair = _iso_indec(src, dst)
     if pair is None:
-        return list(hom_space(src, dst, budget=budget).basis)
+        return list(hom_space(src, dst).basis)
     u, _ = pair
-    E = end_algebra(dst, budget)
+    E = end_algebra(dst)
     return [u.then(_endo_from_coords(E, coords)) for coords in E.radical]
 
 
-def verify_almost_split(ses: SES, battery, budget: Optional[int] = None) -> ASReport:
+def verify_almost_split(ses: SES, battery) -> ASReport:
     sub, mid, quot = ses.sub, ses.middle, ses.quot
-    certs = [classify_membership(r, budget) for r in (sub, mid, quot)]
+    certs = [classify_membership(r) for r in (sub, mid, quot)]
     window, _ = joint_window(certs)
     checks = verify_exact(ses, window)
     exact = checks["exact"]
@@ -203,20 +203,20 @@ def verify_almost_split(ses: SES, battery, budget: Optional[int] = None) -> ASRe
     part, _ = solve_natural(quot, mid, window, extra=sec_extra)
     non_split = part is None
 
-    sub_loc = end_algebra(sub, budget).is_local
-    quot_loc = end_algebra(quot, budget).is_local
+    sub_loc = end_algebra(sub).is_local
+    quot_loc = end_algebra(quot).is_local
 
     lift_failures, factor_failures = [], []
     for m in battery:
         w2 = sorted(set(window) | set(joint_window(
-            [classify_membership(m, budget)])[0]), key=vkey)
-        for g in _radical_morphisms(m, quot, budget):
+            [classify_membership(m)])[0]), key=vkey)
+        for g in _radical_morphisms(m, quot):
             extra = [(v, ses.proj.component(v), None, g.component(v))
                      for v in w2]
             part, _ = solve_natural(m, mid, w2, extra=extra)
             if part is None:
                 lift_failures.append((m.describe(), g.label))
-        for g in _radical_morphisms(sub, m, budget):
+        for g in _radical_morphisms(sub, m):
             extra = [(v, None, ses.incl.component(v), g.component(v))
                      for v in w2]
             part, _ = solve_natural(mid, m, w2, extra=extra)
@@ -265,13 +265,12 @@ def _fingerprint(rep: Rep, window, cert) -> tuple:
     return dim_vector(rep, window), tails
 
 
-def knit(seed: Rep, depth: int, budget: Optional[int] = None) -> ARComponent:
+def knit(seed: Rep, depth: int) -> ARComponent:
     """Breadth-first closure of the component of the seed under almost split
     sequences, radical inclusions of projectives, and socle quotients of
     injectives, up to the given hop depth."""
     q, F = seed.quiver, seed.field
-    bud = DEFAULT_BUDGET if budget is None else budget
-    cert0 = classify_membership(seed, budget)
+    cert0 = classify_membership(seed)
     if not cert0.is_in_rrep():
         raise ValueError(f"seed is {cert0.verdict}; knitting needs rrep payloads")
     base_window, _ = joint_window([cert0])
@@ -282,11 +281,11 @@ def knit(seed: Rep, depth: int, budget: Optional[int] = None) -> ARComponent:
     by_fingerprint: dict = {}  # fingerprint -> node keys, in insertion order
 
     def fingerprint(rep: Rep) -> tuple:
-        return _fingerprint(rep, fwindow, classify_membership(rep, budget))
+        return _fingerprint(rep, fwindow, classify_membership(rep))
 
     def find_node(rep: Rep, fp) -> Optional[int]:
         for key in by_fingerprint.get(fp, ()):
-            if _iso_indec(comp.nodes[key].rep, rep, budget):
+            if _iso_indec(comp.nodes[key].rep, rep):
                 return key
         return None
 
@@ -327,15 +326,15 @@ def knit(seed: Rep, depth: int, budget: Optional[int] = None) -> ARComponent:
             far = end if forward else tkey
         else:
             x = comp.nodes[key].rep
-            y = tau_inv(x, budget) if forward else x
-            ses = almost_split_sequence(y, budget)
+            y = tau_inv(x) if forward else x
+            ses = almost_split_sequence(y)
             # the other end sits two hops out; past the depth it is only
             # linked when its iso class is already present, never created
             far = add_node(y if forward else ses.sub, hops + 2,
                            create=hops + 2 <= depth)
             end, tkey = (far, key) if forward else (key, far)
             summands = [(add_node(summand, hops + 1), mult)
-                        for summand, mult in decompose(ses.middle, budget)]
+                        for summand, mult in decompose(ses.middle)]
             for skey, mult in summands:
                 if end is not None:
                     add_arrow(skey, end, mult)
@@ -363,15 +362,15 @@ def knit(seed: Rep, depth: int, budget: Optional[int] = None) -> ARComponent:
         if node.hops >= depth:
             node.status = "frontier"
             continue
-        if len(comp.nodes) > bud * 4:
+        if len(comp.nodes) > MAX_NODES:
             comp.notes.append("node budget exhausted; frontier left open")
             node.status = "frontier"
             continue
         x = node.rep
-        cert = classify_membership(x, budget)
+        cert = classify_membership(x)
         notes = list(node.notes)
 
-        if is_doubly_infinite(x, budget):
+        if is_doubly_infinite(x):
             node.status = "blocked"
             notes.append("doubly infinite payload: trivial component member")
             node.notes = tuple(notes)
@@ -380,13 +379,13 @@ def knit(seed: Rep, depth: int, budget: Optional[int] = None) -> ARComponent:
         # an fp node needs its presentation for tau anyway, an fc node its
         # copresentation for tau_inv
         fp, fc = cert.verdict in ("fp", "fd"), cert.verdict in ("fc", "fd")
-        node.is_projective = fp and _is_standard(x, "proj", budget)
-        node.is_injective = fc and _is_standard(x, "inj", budget)
+        node.is_projective = fp and _is_standard(x, "proj")
+        node.is_injective = fc and _is_standard(x, "inj")
 
         # backward step: predecessors through the right almost split map
         if node.is_projective:
-            incl = minimal_right_almost_split_into(x, budget)
-            for (summand, mult) in decompose(incl.src, budget):
+            incl = minimal_right_almost_split_into(x)
+            for (summand, mult) in decompose(incl.src):
                 skey = add_node(summand, node.hops + 1)
                 add_arrow(skey, key, mult)
                 queue.append(skey)
@@ -397,8 +396,8 @@ def knit(seed: Rep, depth: int, budget: Optional[int] = None) -> ARComponent:
 
         # forward step: successors through the left almost split map
         if node.is_injective:
-            proj = minimal_left_almost_split_from(x, budget)
-            for (summand, mult) in decompose(proj.dst, budget):
+            proj = minimal_left_almost_split_from(x)
+            for (summand, mult) in decompose(proj.dst):
                 skey = add_node(summand, node.hops + 1)
                 add_arrow(key, skey, mult)
                 queue.append(skey)
@@ -435,15 +434,11 @@ class ShapeHypothesis:
     certificate: dict
 
 
-def classify_component(comp: ARComponent,
-                       budget: Optional[int] = None) -> ShapeHypothesis:
-    certs = [classify_membership(n.rep, budget) for n in comp.nodes]
+def classify_component(comp: ARComponent) -> ShapeHypothesis:
+    certs = [classify_membership(n.rep) for n in comp.nodes]
     cert_info = {"nodes": len(comp.nodes), "arrows": len(comp.arrows),
                  "depth": comp.depth, "frontier": comp.frontier(),
                  "notes": list(comp.notes)}
-    if any(c.verdict.startswith("unknown") for c in certs):
-        return ShapeHypothesis("Inconclusive", {**cert_info,
-                               "reason": "membership budget exhausted"})
     if len(comp.nodes) == 1 and not comp.arrows and \
             comp.nodes[0].status == "blocked":
         return ShapeHypothesis("TrivialSingleton", cert_info)

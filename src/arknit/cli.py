@@ -1,7 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 domain or parse errors, 2 budget exhaustion,
-3 internal errors (a broken invariant of the engine).
+Exit codes: 0 success, 1 domain or parse errors, 2 a computation that the
+finite window cannot decide (BudgetError), 3 internal errors (a broken
+invariant of the engine, such as a constructor's periodicity contract).
 Output is deterministic: identical invocations produce identical bytes.
 """
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .quiver import vkey
 from .rep import (BudgetError, classify_membership, injective_at,
                   joint_window, projective_at, simple_at)
 
-MAX_BUDGET = 400   # stabilization budget; the knit node budget is 4x this
 MAX_DEPTH = 32     # knit/classify hop depth
 MAX_RADIUS = 1000  # display window radius past the stable cutoffs
 
@@ -57,8 +57,6 @@ def _common(p, rep_args=(), radius=False):
         p.add_argument(f"--{name}", required=True, help=hlp)
     p.add_argument("--field", default="QQ",
                    help="QQ (default) or a prime p for GF(p)")
-    p.add_argument("--budget", type=int, default=None,
-                   help="stabilization budget (env ARKNIT_BUDGET)")
     if radius:
         p.add_argument("--radius", type=int, default=2,
                        help="display window radius for dimension snapshots")
@@ -129,18 +127,8 @@ def _morphism_json(q, f, verts):
 
 
 def run(args) -> dict | str:
-    budget = args.budget
-    env_budget = os.environ.get("ARKNIT_BUDGET")
-    if budget is None and env_budget:
-        try:
-            budget = int(env_budget)
-        except ValueError:
-            raise ParseError("/budget", "ARKNIT_BUDGET must be an integer, "
-                                        f"got {env_budget!r}") from None
-    for name, value, cap in (("budget", budget, MAX_BUDGET),
-                             ("depth", getattr(args, "depth", None), MAX_DEPTH),
-                             ("radius", getattr(args, "radius", None),
-                              MAX_RADIUS)):
+    for name, cap in (("depth", MAX_DEPTH), ("radius", MAX_RADIUS)):
+        value = getattr(args, name, None)
         if value is not None and value < 0:
             raise ParseError(f"/{name}", f"must be >= 0, got {value}")
         if value is not None and value > cap:
@@ -159,14 +147,14 @@ def run(args) -> dict | str:
 
     if args.verb == "rep":
         m = rep_of(args.rep, "rep")
-        cert = classify_membership(m, budget)
+        cert = classify_membership(m)
         win, _ = joint_window([cert], args.radius)
-        return {"schema": SCHEMA, "rep": snapshot_rep(m, budget),
+        return {"schema": SCHEMA, "rep": snapshot_rep(m),
                 "verdict": cert.verdict, "dims": _dims(q, m, win)}
 
     if args.verb == "member":
         m = rep_of(args.rep, "rep")
-        cert = classify_membership(m, budget)
+        cert = classify_membership(m)
         return {"schema": SCHEMA, "verdict": cert.verdict,
                 "in_class": cert.is_in_rrep(),
                 "witnesses": list(cert.witnesses),
@@ -175,7 +163,7 @@ def run(args) -> dict | str:
     if args.verb == "hom":
         src = rep_of(args.src, "src")
         dst = rep_of(args.dst, "dst")
-        hb = hom_space(src, dst, budget=budget)
+        hb = hom_space(src, dst)
         win = sorted(hb.window, key=vkey)
         return {"schema": SCHEMA, "dimension": hb.dimension,
                 "route": hb.route,
@@ -185,7 +173,7 @@ def run(args) -> dict | str:
     if args.verb == "ext":
         quot = rep_of(args.quot, "quot")
         sub = rep_of(args.sub, "sub")
-        ecb = ext_space(quot, sub, budget=budget)
+        ecb = ext_space(quot, sub)
         return {"schema": SCHEMA, "dimension": ecb.dimension,
                 "window_relative": ecb.window_relative,
                 "interaction_arrows": [a.label for a in ecb.arrows],
@@ -193,22 +181,22 @@ def run(args) -> dict | str:
 
     if args.verb == "tau":
         m = rep_of(args.rep, "rep")
-        out = tau_inv(m, budget) if args.inverse else tau(m, budget)
-        cert = classify_membership(out, budget)
+        out = tau_inv(m) if args.inverse else tau(m)
+        cert = classify_membership(out)
         win, _ = joint_window([cert], args.radius)
-        return {"schema": SCHEMA, "rep": snapshot_rep(out, budget),
+        return {"schema": SCHEMA, "rep": snapshot_rep(out),
                 "verdict": cert.verdict, "dims": _dims(q, out, win)}
 
     if args.verb == "ass":
         x = rep_of(args.rep, "rep")
-        ses = almost_split_sequence(x, budget)
-        cert = classify_membership(ses.middle, budget)
+        ses = almost_split_sequence(x)
+        cert = classify_membership(ses.middle)
         win, _ = joint_window([cert], args.radius)
         payload = {
             "schema": SCHEMA,
-            "sub": snapshot_rep(ses.sub, budget),
-            "middle": snapshot_rep(ses.middle, budget),
-            "quot": snapshot_rep(ses.quot, budget),
+            "sub": snapshot_rep(ses.sub),
+            "middle": snapshot_rep(ses.middle),
+            "quot": snapshot_rep(ses.quot),
             "dims": {"sub": _dims(q, ses.sub, win),
                      "middle": _dims(q, ses.middle, win),
                      "quot": _dims(q, ses.quot, win)},
@@ -219,7 +207,7 @@ def run(args) -> dict | str:
             for v in win:
                 battery += [simple_at(q, v, field), projective_at(q, v, field),
                             injective_at(q, v, field)]
-            rep = verify_almost_split(ses, battery, budget)
+            rep = verify_almost_split(ses, battery)
             payload["battery"] = {
                 "size": rep.battery_size,
                 "exact": rep.exact,
@@ -234,12 +222,12 @@ def run(args) -> dict | str:
 
     if args.verb in ("knit", "classify"):
         seed = rep_of(args.seed, "seed")
-        comp = knit(seed, args.depth, budget)
+        comp = knit(seed, args.depth)
         if args.verb == "knit":
             if args.format == "dot":
                 return component_dot(comp)
-            return component_json(comp, budget)
-        hyp = classify_component(comp, budget)
+            return component_json(comp)
+        hyp = classify_component(comp)
         return {"schema": SCHEMA, "tag": hyp.tag,
                 "certificate": hyp.certificate,
                 "nodes": len(comp.nodes),
@@ -248,16 +236,16 @@ def run(args) -> dict | str:
 
     if args.verb == "decompose":
         m = rep_of(args.rep, "rep")
-        rep = decompose_report(m, budget)
+        rep = decompose_report(m)
         return {"schema": SCHEMA,
-                "summands": [{"payload": snapshot_rep(r, budget),
+                "summands": [{"payload": snapshot_rep(r),
                               "multiplicity": k} for r, k in rep.items],
                 "indecomposable_certified": not rep.flagged,
                 }
 
     if args.verb == "export":
         if args.rep is not None:
-            return emit_rep(rep_of(args.rep, "rep"), budget)
+            return emit_rep(rep_of(args.rep, "rep"))
         return {"schema": SCHEMA, "quiver": q.spec_dict()}
 
     raise ParseError("/verb", f"unknown verb {args.verb!r}")

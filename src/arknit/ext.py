@@ -15,7 +15,6 @@ computed on a window and flagged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .linalg import Mat, coker_projection
 from .morphism import SES, glue_ses
@@ -108,10 +107,10 @@ class ExtClassBasis:
         return self._proj.apply(vec)
 
 
-def ext_space(x: Rep, y: Rep, budget: Optional[int] = None) -> ExtClassBasis:
+def ext_space(x: Rep, y: Rep) -> ExtClassBasis:
     """Basis of Ext(X, Y): classes of sequences 0 -> Y -> E -> X -> 0."""
-    certx = classify_membership(x, budget)
-    certy = classify_membership(y, budget)
+    certx = classify_membership(x)
+    certy = classify_membership(y)
     for c, which in ((certx, "quotient"), (certy, "sub")):
         if not c.is_in_rrep():
             raise ValueError(f"ext_space needs finite-data objects; "
@@ -155,8 +154,8 @@ def ses_class_coords(ses: SES, ecb: ExtClassBasis) -> tuple:
     return ecb.coords(lambda a: ses.cocycle_at(a))
 
 
-def is_split(ses: SES, budget: Optional[int] = None) -> bool:
-    ecb = ext_space(ses.quot, ses.sub, budget)
+def is_split(ses: SES) -> bool:
+    ecb = ext_space(ses.quot, ses.sub)
     if ecb.window_relative:
         raise BudgetError(f"splitness undecidable: infinite interaction "
                           f"window, first family {ecb.families[0]}")
@@ -164,7 +163,7 @@ def is_split(ses: SES, budget: Optional[int] = None) -> bool:
     return all(F.is_zero(c) for c in ses_class_coords(ses, ecb))
 
 
-def _same_ends(s1: SES, s2: SES, budget) -> None:
+def _same_ends(s1: SES, s2: SES) -> None:
     """Raise ValueError unless each end of s2 is s1's own object or equal to
     it on both certified supports down to the stable depth of the two
     certificates, past which the equality is certified."""
@@ -172,17 +171,16 @@ def _same_ends(s1: SES, s2: SES, budget) -> None:
                           ("quotient", s1.quot, s2.quot)):
         if e2 is e1:
             continue
-        verts, _ = joint_window([classify_membership(e, budget)
-                                 for e in (e1, e2)])
+        verts, _ = joint_window([classify_membership(e) for e in (e1, e2)])
         if not equal_on(e1, e2, verts):
             raise ValueError(f"the {which} ends differ: the second "
                              f"sequence's {e2.describe()} is not the first's")
 
 
-def equiv_ext(s1: SES, s2: SES, budget: Optional[int] = None) -> bool:
+def equiv_ext(s1: SES, s2: SES) -> bool:
     """Same Ext class (equivalence of extensions with identified ends)."""
-    _same_ends(s1, s2, budget)
-    ecb = ext_space(s1.quot, s1.sub, budget)
+    _same_ends(s1, s2)
+    ecb = ext_space(s1.quot, s1.sub)
     if ecb.window_relative:
         raise BudgetError(f"equivalence undecidable: infinite interaction "
                           f"window, first family {ecb.families[0]}")
@@ -204,13 +202,13 @@ def _merge_families(F, fams1, fams2):
     return tuple(f for f in by_key.values() if not F.is_zero(f.coeff))
 
 
-def baer_sum(s1: SES, s2: SES, budget: Optional[int] = None) -> SES:
+def baer_sum(s1: SES, s2: SES) -> SES:
     """Sum of extension classes of two sequences with the same ends."""
-    _same_ends(s1, s2, budget)
+    _same_ends(s1, s2)
     sub, quot = s1.sub, s1.quot
     F = sub.field
-    certq = classify_membership(quot, budget)
-    certs_ = classify_membership(sub, budget)
+    certq = classify_membership(quot)
+    certs_ = classify_membership(sub)
     _, arrows, _, _ = _interaction(quot, sub, certq, certs_)
     acc = {}
     for a in arrows:
@@ -245,18 +243,13 @@ def _arrow_rep_zero(m: Rep, a) -> bool:
     return m.mat(a).is_zero()
 
 
-def is_finite_extension(ses: SES, budget: Optional[int] = None):
+def is_finite_extension(ses: SES):
     """(finite, witness, report): witness is the contributing arrows when
     finite, else the repeating arrows that make it infinite; the report
     holds both criteria."""
     L, M, N = ses.sub, ses.middle, ses.quot
     q = M.quiver
-    certs = [classify_membership(r, budget) for r in (L, M, N)]
-    for which, c in zip(("sub", "middle", "quotient"), certs):
-        if c.verdict.startswith("unknown"):
-            raise BudgetError(f"membership of the {which} term did not "
-                              f"certify within budget: {c.witnesses[0]}")
-    region, depth = joint_window(certs)
+    region, depth = joint_window([classify_membership(r) for r in (L, M, N)])
 
     def only_middle(a):   # nonzero in the middle, zero in both ends
         return not _arrow_rep_zero(M, a) and _arrow_rep_zero(L, a) \

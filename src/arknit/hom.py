@@ -28,8 +28,10 @@ from .linalg import (Mat, inverse, kernel_basis, min_poly, rank, solve,
 from .morphism import Morphism, identity_morphism, image, zero_morphism
 from .presentations import min_proj_presentation, relation_matrix, yoneda_at
 from .quiver import vkey
-from .rep import (DEFAULT_BUDGET, BudgetError, Rep, classify_membership,
-                  dim_vector, dualize, joint_window)
+from .rep import (BudgetError, Rep, classify_membership, dim_vector, dualize,
+                  joint_window)
+
+WINDOW_PADS = 40  # pads the window route tries past its first two
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +107,8 @@ class HomBasis:
     certificate: dict
 
 
-def _presentation_route(m: Rep, n: Rep, budget):
-    pres = min_proj_presentation(m, budget)
+def _presentation_route(m: Rep, n: Rep):
+    pres = min_proj_presentation(m)
     F = m.field
     ys = pres.pm.codomain
     K = kernel_basis(relation_matrix(pres.pm, n))
@@ -123,16 +125,15 @@ def _presentation_route(m: Rep, n: Rep, budget):
         "generators": list(ys), "relations": list(pres.pm.domain)}
 
 
-def _copresentation_route(m: Rep, n: Rep, budget):
+def _copresentation_route(m: Rep, n: Rep):
     """Hom(M, N) = Hom(DN, DM) over the opposite quiver, where DN is finitely
     presented; each basis morphism is D of its dual."""
-    dual, socle, cert = _presentation_route(dualize(n), dualize(m), budget)
+    dual, socle, cert = _presentation_route(dualize(n), dualize(m))
     return [g.dual for g in dual], socle, {"socle": cert["generators"],
                                            "cosocle": cert["relations"]}
 
 
-def _window_route(m: Rep, n: Rep, budget, certs):
-    budget = DEFAULT_BUDGET if budget is None else budget
+def _window_route(m: Rep, n: Rep, certs):
     pad = 2
     verts, depth = joint_window(certs, pad)
     _, hom = solve_natural(m, n, verts)
@@ -143,7 +144,7 @@ def _window_route(m: Rep, n: Rep, budget, certs):
             break
         pad += 1
         verts, hom, last = verts2, hom2, len(hom)
-        if pad > 2 + budget:
+        if pad > 2 + WINDOW_PADS:
             raise BudgetError(
                 f"window solve did not stabilize within budget: Hom dimension "
                 f"{last} at pad {pad - 1} and {len(hom)} at pad {pad}, window "
@@ -153,12 +154,11 @@ def _window_route(m: Rep, n: Rep, budget, certs):
     return basis, verts, {"window_depth": depth + pad - 2, "pad": pad}
 
 
-def hom_space(m: Rep, n: Rep, route: Optional[str] = None,
-              budget: Optional[int] = None) -> HomBasis:
+def hom_space(m: Rep, n: Rep, route: Optional[str] = None) -> HomBasis:
     if m.field.char != n.field.char:
         raise ValueError("field mismatch")
-    certm = classify_membership(m, budget)
-    certn = classify_membership(n, budget)
+    certm = classify_membership(m)
+    certn = classify_membership(n)
     for c, which in ((certm, "domain"), (certn, "codomain")):
         if not c.is_in_rrep():
             raise ValueError(
@@ -173,11 +173,11 @@ def hom_space(m: Rep, n: Rep, route: Optional[str] = None,
                          f"available: {', '.join(available)}")
     window, _ = joint_window([certm, certn])
     if route == "presentation":
-        basis, anchor, cert = _presentation_route(m, n, budget)
+        basis, anchor, cert = _presentation_route(m, n)
     elif route == "copresentation":
-        basis, anchor, cert = _copresentation_route(m, n, budget)
+        basis, anchor, cert = _copresentation_route(m, n)
     else:
-        basis, window, cert = _window_route(m, n, budget, [certm, certn])
+        basis, window, cert = _window_route(m, n, [certm, certn])
         anchor = window
     cert["routes_available"] = available
     return HomBasis(m, n, len(basis), tuple(basis), route, window, anchor,
@@ -213,11 +213,11 @@ def _columns(F, comps) -> Mat:
     return Mat(F, len(cols[0]), len(cols), tuple(zip(*cols)))
 
 
-def end_algebra(m: Rep, budget: Optional[int] = None) -> EndAlgebra:
+def end_algebra(m: Rep) -> EndAlgebra:
     """End(M) on the basis of Hom(M, M), the coordinates of the identity and
     of each product of two basis morphisms solved at the route's anchor."""
     F = m.field
-    hb = hom_space(m, m, budget=budget)
+    hb = hom_space(m, m)
     n = hb.dimension
     if n == 0:
         return EndAlgebra(m, 0, (), (), (), (), False, hb.window,
@@ -339,9 +339,8 @@ def _find_idempotent(E: EndAlgebra):
 # isomorphism testing and decomposition
 
 
-def _probe_verts(m: Rep, n: Rep, budget):
-    return joint_window([classify_membership(m, budget),
-                         classify_membership(n, budget)])[0]
+def _probe_verts(m: Rep, n: Rep):
+    return joint_window([classify_membership(m), classify_membership(n)])[0]
 
 
 def _pointwise_inverse(h: Morphism) -> Morphism:
@@ -353,16 +352,16 @@ def _pointwise_inverse(h: Morphism) -> Morphism:
     return Morphism(h.src, h.dst, rule=rule, label="inv")
 
 
-def _iso_indec(m: Rep, n: Rep, budget=None, probe=None):
+def _iso_indec(m: Rep, n: Rep, probe=None):
     """(f, f_inverse) for the first basis element f of Hom(m, n) that is
     invertible on the probe window, or None.  Complete when both objects are
     indecomposable: the maps that are not isomorphisms then form a proper
     subspace, so some basis element is invertible."""
     if probe is None:
-        probe = _probe_verts(m, n, budget)
+        probe = _probe_verts(m, n)
     if dim_vector(m, probe) != dim_vector(n, probe):
         return None
-    for f in hom_space(m, n, budget=budget).basis:
+    for f in hom_space(m, n).basis:
         if f.is_invertible_on(probe):
             return f, _pointwise_inverse(f)
     return None
@@ -411,16 +410,15 @@ def _split_summand(m: Rep, emor: Morphism):
     return piece, incl, proj
 
 
-def _decompose_rec(m: Rep, incl: Morphism, proj: Morphism, budget, out,
-                   depth=0):
+def _decompose_rec(m: Rep, incl: Morphism, proj: Morphism, out, depth=0):
     """Split m by an idempotent e of End(m) and 1 - e; a piece whose corner
     e·End·e = End(eM) is k is a leaf, any other recurses on its own End."""
     if depth > 32:
-        window = joint_window([classify_membership(m, budget)])[0]
+        window = joint_window([classify_membership(m)])[0]
         raise BudgetError(f"decomposition recursion exceeded depth bound 32 "
                           f"at depth {depth}: a piece of dimension vector "
                           f"{dim_vector(m, window)} on window {window}")
-    E = end_algebra(m, budget)
+    E = end_algebra(m)
     if E.dimension == 0:
         return
     if E.dimension == 1:
@@ -437,23 +435,22 @@ def _decompose_rec(m: Rep, incl: Morphism, proj: Morphism, budget, out,
         if _corner_dim(E, coords) == 1:
             out.append(Summand(piece, pincl, pproj, False))
         else:
-            _decompose_rec(piece, pincl, pproj, budget, out, depth + 1)
+            _decompose_rec(piece, pincl, pproj, out, depth + 1)
 
 
-def decompose_report(m: Rep, budget: Optional[int] = None) -> DecomposeReport:
-    cert = classify_membership(m, budget)
+def decompose_report(m: Rep) -> DecomposeReport:
+    cert = classify_membership(m)
     if not cert.is_in_rrep():
         raise ValueError(f"decompose needs a finite-data object, got {cert.verdict}")
     probe = joint_window([cert])[0]
     leaves: list = []
-    _decompose_rec(m, identity_morphism(m), identity_morphism(m), budget,
-                   leaves)
+    _decompose_rec(m, identity_morphism(m), identity_morphism(m), leaves)
     groups: list = []
     for s in leaves:
         for g in groups:
             r0 = g[0].rep
             if dim_vector(r0, probe) == dim_vector(s.rep, probe) and \
-                    _iso_indec(r0, s.rep, budget) is not None:
+                    _iso_indec(r0, s.rep) is not None:
                 g.append(s)
                 break
         else:
@@ -467,21 +464,21 @@ def decompose_report(m: Rep, budget: Optional[int] = None) -> DecomposeReport:
                            any(s.flagged for s in leaves))
 
 
-def decompose(m: Rep, budget: Optional[int] = None) -> list:
+def decompose(m: Rep) -> list:
     """List of (indecomposable summand, multiplicity), deterministic order."""
-    return list(decompose_report(m, budget).items)
+    return list(decompose_report(m).items)
 
 
-def iso_test(m: Rep, n: Rep, budget: Optional[int] = None):
+def iso_test(m: Rep, n: Rep):
     """(f, f_inverse) if the objects are isomorphic, else None."""
-    probe = _probe_verts(m, n, budget)
+    probe = _probe_verts(m, n)
     if dim_vector(m, probe) != dim_vector(n, probe):
         return None
-    direct = _iso_indec(m, n, budget, probe=probe)
+    direct = _iso_indec(m, n, probe=probe)
     if direct is not None:
         return direct
-    rm = decompose_report(m, budget)
-    rn = decompose_report(n, budget)
+    rm = decompose_report(m)
+    rn = decompose_report(n)
     if len(rm.summands) != len(rn.summands):
         return None
     used = [False] * len(rn.summands)
@@ -491,7 +488,7 @@ def iso_test(m: Rep, n: Rep, budget: Optional[int] = None):
         for j, sn in enumerate(rn.summands):
             if used[j]:
                 continue
-            pair = _iso_indec(sm.rep, sn.rep, budget)
+            pair = _iso_indec(sm.rep, sn.rep)
             if pair is not None:
                 used[j] = True
                 pairing.append((sm, sn, pair))
@@ -507,13 +504,13 @@ def iso_test(m: Rep, n: Rep, budget: Optional[int] = None):
     return f, finv
 
 
-def is_radical(f: Morphism, budget: Optional[int] = None) -> bool:
+def is_radical(f: Morphism) -> bool:
     """No component of f between matched indecomposable summands is an
     isomorphism: one invertible on the probe is its own witness."""
     m, n = f.src, f.dst
-    probe = _probe_verts(m, n, budget)
-    rm = decompose_report(m, budget)
-    rn = decompose_report(n, budget)
+    probe = _probe_verts(m, n)
+    rm = decompose_report(m)
+    rn = decompose_report(n)
     for sm in rm.summands:
         for sn in rn.summands:
             if dim_vector(sm.rep, probe) != dim_vector(sn.rep, probe):

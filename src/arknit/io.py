@@ -354,14 +354,14 @@ def parse_rep(q: QuiverBase, obj, field=QQ, pointer: str = "") -> Rep:
     raise ParseError(pointer or "/", f"unknown rep constructor {key!r}")
 
 
-def snapshot_rep(m: Rep, budget=None) -> dict:
+def snapshot_rep(m: Rep) -> dict:
     """Evaluation snapshot: canonical spec when available, else dims plus
     arrow matrices over the certified probe window."""
     try:
         return {"spec": m.spec_dict()}
     except NotImplementedError:
         pass
-    cert = classify_membership(m, budget)
+    cert = classify_membership(m)
     verts, _ = joint_window([cert], 1)
     q = m.quiver
     dims = {q.vertex_str(v): m.dim(v) for v in verts}
@@ -376,20 +376,20 @@ def snapshot_rep(m: Rep, budget=None) -> dict:
             "tails": [[t[0], t[1], t[2]] for t in cert.support.tails]}
 
 
-def emit_rep(m: Rep, budget=None) -> dict:
-    return {"schema": SCHEMA, "rep": snapshot_rep(m, budget)}
+def emit_rep(m: Rep) -> dict:
+    return {"schema": SCHEMA, "rep": snapshot_rep(m)}
 
 
 # ---------------------------------------------------------------------------
 # components
 
 
-def component_json(comp, budget=None) -> dict:
+def component_json(comp) -> dict:
     nodes = []
     for n in comp.nodes:
         nodes.append({
             "key": n.key,
-            "payload": snapshot_rep(n.rep, budget),
+            "payload": snapshot_rep(n.rep),
             "projective": n.is_projective,
             "injective": n.is_injective,
             "status": n.status,

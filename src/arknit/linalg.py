@@ -128,6 +128,12 @@ class Mat:
         z, o = field.zero, field.one
         return Mat(field, n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
 
+    @staticmethod
+    def from_columns(field: Field, rows: int, cols: Sequence) -> "Mat":
+        """The rows x len(cols) matrix whose j-th column is cols[j]."""
+        return Mat(field, rows, len(cols),
+                   tuple(zip(*cols)) if cols else ((),) * rows)
+
     def col(self, j):
         return tuple(r[j] for r in self.entries)
 
@@ -136,8 +142,7 @@ class Mat:
         return all(F.is_zero(x) for r in self.entries for x in r)
 
     def transpose(self) -> "Mat":
-        cols = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
-        return Mat(self.field, self.cols, self.rows, cols)
+        return Mat.from_columns(self.field, self.cols, self.entries)
 
     def add(self, other: "Mat") -> "Mat":
         return self._entrywise(self.field.add, other)
@@ -322,15 +327,13 @@ def _null_rows(m: Mat):
 
 def kernel_basis(m: Mat) -> Mat:
     """Columns form the canonical kernel basis (one per free column of rref)."""
-    rows, free = _null_rows(m)
-    return Mat(m.field, len(free), m.cols, rows).transpose()
+    return Mat.from_columns(m.field, m.cols, _null_rows(m)[0])
 
 
 def column_space_basis(m: Mat) -> Mat:
     """Canonical echelon basis of the column space, as columns."""
     R, pivots = rref(m.transpose())
-    rows = [R.entries[i] for i in range(len(pivots))]
-    return Mat(m.field, len(pivots), m.rows, tuple(rows)).transpose()
+    return Mat.from_columns(m.field, m.rows, R.entries[:len(pivots)])
 
 
 def coker_projection(m: Mat):

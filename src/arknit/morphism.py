@@ -264,9 +264,9 @@ def restriction_ses(m: Rep, omega: VertexSet, complement: VertexSet) -> SES:
                         rule=lambda v: rule(complement, v)))
 
 
-def standard_ext(m: Rep, budget=None):
+def standard_ext(m: Rep):
     """(omega, SES 0 -> M_omega -> M -> M/M_omega -> 0); sub fp, quot fc."""
-    omega, sub, quot = standard_ext_region(m, budget)
+    omega, sub, quot = standard_ext_region(m)
     supp = m.support()
     comp = supp.difference(omega)
     return omega, restriction_ses(m, omega, comp)

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .linalg import Mat, block_matrix, coker_projection, rank, solve_matrix
 from .morphism import Morphism
 from .quiver import vkey
-from .rep import (DEFAULT_BUDGET, BudgetError, KernelOfRep, PathMatrix, Rep,
+from .rep import (BudgetError, KernelOfRep, PathMatrix, Rep,
                   classify_membership, dualize, incoming_stack, joint_window,
                   path_matrix, proj_sum_basis, sum_of)
 
@@ -91,7 +90,7 @@ def yoneda_at(n: Rep, verts, vecs, w) -> Mat:
     n(p)·vecs[j]."""
     cols = [n.mat_path(p).mul(vecs[j]).col(0)
             for (j, p) in proj_sum_basis(n.quiver, verts, w)]
-    return Mat(n.field, len(cols), n.dim(w), tuple(cols)).transpose()
+    return Mat.from_columns(n.field, n.dim(w), cols)
 
 
 def yoneda(n: Rep, verts, vecs) -> Morphism:
@@ -101,13 +100,11 @@ def yoneda(n: Rep, verts, vecs) -> Morphism:
                     label="yoneda")
 
 
-def min_proj_presentation(x: Rep, budget: Optional[int] = None) -> Presentation:
-    budget = DEFAULT_BUDGET if budget is None else budget
-    return x.cached(("proj_presentation", budget),
-                    lambda: _min_proj_presentation(x, budget))
+def min_proj_presentation(x: Rep) -> Presentation:
+    return x.cached("proj_presentation", lambda: _min_proj_presentation(x))
 
 
-def _min_proj_presentation(x: Rep, budget: int) -> Presentation:
+def _min_proj_presentation(x: Rep) -> Presentation:
     """Generators lift the top of x over its certified window.  Relations
     are the top of K = KernelOfRep(cover), top_generators(K, sites) over the
     sites where incoming_stack(x, w) has a kernel, which is top K(w) by the
@@ -115,7 +112,7 @@ def _min_proj_presentation(x: Rep, budget: int) -> Presentation:
     column of K.basis(w), a vector of P0(w), and their number at w is the
     dimension of that kernel."""
     q, F = x.quiver, x.field
-    cert = classify_membership(x, budget)
+    cert = classify_membership(x)
     if cert.verdict not in ("fp", "fd"):
         raise ValueError(
             f"minimal projective presentation needs an fp object, got {cert.verdict}")
@@ -168,20 +165,18 @@ def _min_proj_presentation(x: Rep, budget: int) -> Presentation:
     return Presentation(x, pm, cover, tuple(gens))
 
 
-def min_inj_copresentation(w: Rep, budget: Optional[int] = None) -> Presentation:
-    budget = DEFAULT_BUDGET if budget is None else budget
-    return w.cached(("inj_copresentation", budget),
-                    lambda: _min_inj_copresentation(w, budget))
+def min_inj_copresentation(w: Rep) -> Presentation:
+    return w.cached("inj_copresentation", lambda: _min_inj_copresentation(w))
 
 
-def _min_inj_copresentation(w: Rep, budget: int) -> Presentation:
-    cert = classify_membership(w, budget)
+def _min_inj_copresentation(w: Rep) -> Presentation:
+    cert = classify_membership(w)
     if cert.verdict not in ("fc", "fd"):
         raise ValueError(
             f"minimal injective copresentation needs an fc object, got {cert.verdict}")
     # D of the dual presentation: its path matrix read back over q, and the
     # co-embedding D of its cover
-    dpres = min_proj_presentation(dualize(w), budget)
+    dpres = min_proj_presentation(dualize(w))
     return Presentation(w, dpres.pm.dual, dpres.cover.dual, dpres.gens)
 
 

@@ -10,12 +10,15 @@ through D: I_a = D P_a, a map between sums of injectives is the transpose
 of its dual there, and coker f = D ker(D f).
 
 Membership in the four classes (finite dimensional, finitely presented,
-finitely copresented, finite-extension) is decided by stabilizing the
-evaluation data along each ray: once the per-band snapshot repeats beyond the
-node's structural depth, the data is shift-equivariant and the verdict is a
-certificate, not a sample.  The certificate owns the stable depth (its
-deepest cutoff) and with it the one finite window every computation reads:
-`joint_window`, the certified supports down to a pad past that depth.
+finitely copresented, finite-extension) is read off the data along each ray
+at one depth c0 past the object's structural depth.  The contract: every
+constructor is periodic past that depth, its dims and arrow maps on bands t
+and t + 1 of every end the same for all such t (why, node by node, is in
+the _extra_depth docstrings).  So the verdict is a certificate, not a
+sample; end_profile checks c0 against c0 + 1 once, and a mismatch is an
+engine bug.  The certificate owns the stable depth (its deepest cutoff) and
+with it the one finite window every computation reads: `joint_window`, the
+certified supports down to a pad past that depth.
 
 A Rep is immutable once built, and its derived invariants (structural depth,
 membership certificates, minimal presentations) are cached on the instance.
@@ -31,11 +34,9 @@ from .linalg import (Field, Mat, QQ, block_matrix, column_space_basis,
 from .quiver import (Arrow, Path, QuiverBase, VertexSet, classify_subquiver,
                      vkey)
 
-DEFAULT_BUDGET = 40
-
-
 class BudgetError(RuntimeError):
-    """Raised when a stabilization or search exceeds its window budget."""
+    """Raised when a computation cannot be decided on the finite window it
+    reads (a Hom window, a deep top, splitness, the decomposition depth)."""
 
 
 class EvalRangeError(ValueError):
@@ -225,12 +226,23 @@ class Rep:
         raise NotImplementedError
 
     def _extra_depth(self) -> int:
+        """Depth past which this node's data are periodic beyond what its
+        support hint shows: 0 for the leaves.  S_a and explicit data vanish
+        past their deepest vertex, a thin region is 1 with identity maps on
+        each tail from its start, and P_a(v) has the paths a ~> v as basis,
+        each path to depth t + 1 of a tail, past the depth of a and of its
+        closure's explicit part, being one to depth t followed by the ray
+        arrow, in order; I_a is P_a over the opposite quiver."""
         return 0
 
     def structural_depth(self) -> int:
         return self.cached("structural_depth", self._structural_depth)
 
     def _structural_depth(self) -> int:
+        """The depth past which the dims and maps on bands t and t + 1 of
+        every end repeat for all t: the node's _extra_depth, and the depths
+        of the explicit vertices and tail starts of its support hint, past
+        which the support is whole tails."""
         d = self._extra_depth()
         s = self.support()
         for v in s.explicit:
@@ -438,7 +450,11 @@ class DirectSumRep(Rep):
                       VertexSet.make(self.quiver, ()))
 
     def _extra_depth(self):
-        return max(p._extra_depth() for p in self.parts)
+        """The deepest summand's structural depth: a sum is periodic where
+        every summand is.  The union of the supports does not show it, since
+        a tail of one summand absorbs the deeper explicit vertices and tail
+        starts of another."""
+        return max(p.structural_depth() for p in self.parts)
 
     def describe(self):
         return " + ".join(p.describe() for p in self.parts)
@@ -466,6 +482,8 @@ class DualRep(Rep):
         return VertexSet(self.quiver, s.explicit, s.tails)
 
     def _extra_depth(self):
+        """The base's: D transposes the base's maps vertex by vertex, and
+        the support hint has the base's explicit part and tails."""
         return self.base._extra_depth()
 
     def describe(self):
@@ -493,6 +511,9 @@ class RestrictRep(Rep):
         return self.base.support().intersect(self.region)
 
     def _extra_depth(self):
+        """Past the base's structural depth and the depth of the region's
+        explicit part and tail starts, the region holds or misses a whole
+        band of each ray, so the restriction repeats the base's data."""
         return max(self.base.structural_depth(), self.region.probe_depth())
 
     def describe(self):
@@ -560,6 +581,11 @@ class GlueRep(Rep):
         return self.sub.support().union(self.quot.support())
 
     def _extra_depth(self):
+        """Past the structural depths of sub and quot, the deepest explicit
+        cocycle arrow and the start of each rung family, every block of
+        [[sub, cocycle], [0, quot]] repeats: the explicit cocycle is zero
+        there, and a family puts the same coefficient on every rung from
+        fam.start on."""
         d = max(self.sub.structural_depth(), self.quot.structural_depth())
         for (a, _) in self.cocycle:
             d = max(d, _loc_depth(self.quiver, a.src), _loc_depth(self.quiver, a.dst))
@@ -616,6 +642,12 @@ class KernelOfRep(Rep):
         return self.ambient.support()
 
     def _extra_depth(self):
+        """Past the structural depths of f's ends and f.depth_bound(), f(v)
+        repeats along every ray: a path matrix's entries are fixed paths,
+        extended along the rays as the bases of P_a are, and a morphism is
+        read off periodic data past its window.  The basis at v is a function
+        of f(v) alone, so the bases and the solved arrow maps repeat too.  A
+        cokernel, D of the kernel of f.dual, inherits this through DualRep."""
         return max(self.f.src.structural_depth(), self.f.dst.structural_depth(),
                    self.f.depth_bound())
 
@@ -758,7 +790,7 @@ def incoming_stack(m: Rep, v):
 
 
 # ---------------------------------------------------------------------------
-# stabilization along ends and class membership
+# stable data along ends and class membership
 
 
 @dataclass
@@ -817,25 +849,21 @@ def _ray_data(m: Rep, end, rid, t):
                   if a.src in vs or a.dst in vs))
 
 
-def end_profile(m: Rep, end, budget: Optional[int] = None) -> EndProfile:
-    budget = DEFAULT_BUDGET if budget is None else budget
+def end_profile(m: Rep, end) -> EndProfile:
+    """The stable data of m along end, read at cutoff c0 = max(structural
+    depth, 2) + 1.  Every constructor is periodic past its structural depth,
+    so the band data at c0 and c0 + 1 agree; that one comparison checks the
+    contract, and a mismatch is an engine bug (AssertionError) naming the
+    rays whose data differ."""
     q = m.quiver
-    c0 = max(m.structural_depth(), 2) + 1
-    t = c0
-    snap = _band_snapshot(m, end, t)
-    while True:
-        nxt = _band_snapshot(m, end, t + 1)
-        if snap == nxt:
-            break
-        t += 1
-        snap = nxt
-        if t > c0 + budget:
-            moved = [r.rid for r in end.rays if _ray_data(m, end, r.rid, t - 1)
-                     != _ray_data(m, end, r.rid, t)]
-            raise BudgetError(
-                f"end {end.eid}: band data did not stabilize within depth {t}; "
-                f"rays still changing: {', '.join(moved)}")
-    cutoff = t
+    cutoff = max(m.structural_depth(), 2) + 1
+    if _band_snapshot(m, end, cutoff) != _band_snapshot(m, end, cutoff + 1):
+        moved = [r.rid for r in end.rays if _ray_data(m, end, r.rid, cutoff)
+                 != _ray_data(m, end, r.rid, cutoff + 1)]
+        raise AssertionError(
+            f"end {end.eid}: band data at depths {cutoff} and {cutoff + 1} "
+            f"differ past structural depth {m.structural_depth()}; rays "
+            f"changing: {', '.join(moved)}")
     rays = []
     for r in end.rays:
         d = m.dim(end.vertex(r.rid, cutoff))
@@ -896,19 +924,13 @@ def support_exact(m: Rep, profiles) -> VertexSet:
     return VertexSet.make(q, expl, tails)
 
 
-def classify_membership(m: Rep, budget: Optional[int] = None) -> RepClassCertificate:
-    budget = DEFAULT_BUDGET if budget is None else budget
-    return m.cached(("membership", budget), lambda: _classify(m, budget))
+def classify_membership(m: Rep) -> RepClassCertificate:
+    return m.cached("membership", lambda: _classify(m))
 
 
-def _classify(m: Rep, budget: int) -> RepClassCertificate:
+def _classify(m: Rep) -> RepClassCertificate:
     q = m.quiver
-    try:
-        profiles = tuple(end_profile(m, e, budget) for e in q.ends())
-    except BudgetError as e:
-        return RepClassCertificate("unknown(budget)", (str(e),), (),
-                                   support_exact(m, ()))
-
+    profiles = tuple(end_profile(m, e) for e in q.ends())
     supp = support_exact(m, profiles)
     witnesses = []
 
@@ -1010,8 +1032,8 @@ class PFIDecomposition:
     certificate: dict
 
 
-def pfi_decompose(m: Rep, budget: Optional[int] = None) -> PFIDecomposition:
-    cert = classify_membership(m, budget)
+def pfi_decompose(m: Rep) -> PFIDecomposition:
+    cert = classify_membership(m)
     if not cert.is_in_rrep():
         raise ValueError(f"pfi_decompose needs an rrep object, got {cert.verdict}")
     q = m.quiver
@@ -1053,9 +1075,9 @@ def pfi_decompose(m: Rep, budget: Optional[int] = None) -> PFIDecomposition:
         restrict(m, sigmaI), {"probeDepth": probe, "support": supp.describe()})
 
 
-def standard_ext_region(m: Rep, budget: Optional[int] = None):
+def standard_ext_region(m: Rep):
     """(Omega, sub, quot) with sub = M_Omega fp and quot = M/M_Omega fc."""
-    cert = classify_membership(m, budget)
+    cert = classify_membership(m)
     if not cert.is_in_rrep():
         raise ValueError(f"standard_ext needs an rrep object, got {cert.verdict}")
     sigmaI = _tails_set(m.quiver, [(r.eid, r.rid, t) for r, t in
@@ -1064,18 +1086,18 @@ def standard_ext_region(m: Rep, budget: Optional[int] = None):
     return omega, restrict(m, omega), restrict(m, sigmaI)
 
 
-def tail_split(m: Rep, budget: Optional[int] = None):
+def tail_split(m: Rep):
     """(Omega, projective tail, fd head) for a finitely presented object:
     the projective and core parts of its pfi_decompose."""
-    cert = classify_membership(m, budget)
+    cert = classify_membership(m)
     if cert.verdict not in ("fp", "fd"):
         raise ValueError(f"tail_split needs an fp object, got {cert.verdict}")
-    d = pfi_decompose(m, budget)
+    d = pfi_decompose(m)
     return d.sigmaP, d.projPart, d.corePart
 
 
-def is_doubly_infinite(m: Rep, budget: Optional[int] = None) -> bool:
-    cert = classify_membership(m, budget)
+def is_doubly_infinite(m: Rep) -> bool:
+    cert = classify_membership(m)
     if not cert.is_in_rrep():
         raise ValueError("not an rrep object")
     kinds = {r.kind for p in cert.profiles for r in p.rays if r.dim > 0}

@@ -280,17 +280,17 @@ def coxeter_images(vertices, arrows, dims, inverse=False):
 # standard objects by isomorphism search
 
 
-def standard_by_search(rep, kind, budget=None):
+def standard_by_search(rep, kind):
     """The vertex a of the certified probe window with rep isomorphic to P_a
     (kind "proj") or I_a (kind "inj"), tested against every candidate with
     the same dimension vector on the window; None if there is none."""
     q, F = rep.quiver, rep.field
-    probe = joint_window([classify_membership(rep, budget)])[0]
+    probe = joint_window([classify_membership(rep)])[0]
     make = projective_at if kind == "proj" else injective_at
     for a in sorted(set(probe), key=vkey):
         std = make(q, a, F)
         if dim_vector(std, probe) == dim_vector(rep, probe) and \
-                _iso_indec(std, rep, budget) is not None:
+                _iso_indec(std, rep) is not None:
             return a
     return None
 
@@ -299,10 +299,10 @@ def standard_by_search(rep, kind, budget=None):
 # Ext by a presentation
 
 
-def ext_dim_via_presentation(x, y, budget=None):
+def ext_dim_via_presentation(x, y):
     """Ext(X, Y) as the cokernel of the map between evaluation sums induced
     by a minimal projective presentation of X."""
-    pres = min_proj_presentation(x, budget)
+    pres = min_proj_presentation(x)
     rows = sum(y.dim(v) for v in pres.pm.domain)
     if rows == 0:
         return 0
@@ -350,17 +350,17 @@ def inj_component_by_stripping(pm, v):
     return Mat(F, len(cod_b), len(dom_b), tuple(tuple(r) for r in rows))
 
 
-def iso_by_pair_search(m, n, budget=None):
+def iso_by_pair_search(m, n):
     """The first f of the basis of Hom(m, n) for which some g of the basis
     of Hom(n, m) makes g o f invertible on the probe window, with
     (g o f)^-1 o g as its inverse; None if there is no such pair."""
-    probe = _probe_verts(m, n, budget)
+    probe = _probe_verts(m, n)
     if dim_vector(m, probe) != dim_vector(n, probe):
         return None
-    fwd = hom_space(m, n, budget=budget)
+    fwd = hom_space(m, n)
     if fwd.dimension == 0:
         return None
-    bwd = hom_space(n, m, budget=budget)
+    bwd = hom_space(n, m)
     for f in fwd.basis:
         for g in bwd.basis:
             h = f.then(g)

@@ -324,9 +324,9 @@ def test_knit_meshes_are_additive(a5, line, zig, kron):
 def test_knit_computes_each_mesh_once(kron, monkeypatch):
     ends = []
 
-    def spy(x, budget=None):
+    def spy(x):
         ends.append(x)
-        return almost_split_sequence(x, budget)
+        return almost_split_sequence(x)
 
     monkeypatch.setattr(ar, "almost_split_sequence", spy)
     comp = knit(projective_at(kron, 2), 8)
@@ -341,9 +341,9 @@ def test_knit_tests_isomorphism_only_to_find_nodes(monkeypatch):
     callers = []
     iso = ar._iso_indec
 
-    def spy(m, n, budget=None, probe=None):
+    def spy(m, n, probe=None):
         callers.append(sys._getframe(1).f_code.co_name)
-        return iso(m, n, budget, probe)
+        return iso(m, n, probe)
 
     monkeypatch.setattr(ar, "_iso_indec", spy)
     knit(projective_at(linear_quiver(3), 3), 6)

@@ -95,9 +95,9 @@ def _spy_end_algebra(monkeypatch):
     """Record the object of every End computed from now on."""
     seen, real = [], hom.end_algebra
 
-    def spy(m, budget=None):
+    def spy(m):
         seen.append(m)
-        return real(m, budget)
+        return real(m)
 
     monkeypatch.setattr(hom, "end_algebra", spy)
     monkeypatch.setattr(ar, "end_algebra", spy)

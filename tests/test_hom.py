@@ -199,12 +199,13 @@ def test_window_route_budget_failure_names_dims_and_depth(line, monkeypatch):
     certs = [ak.classify_membership(m)] * 2
     monkeypatch.setattr(hom, "solve_natural",
                         lambda src, dst, verts: (None, [{}] * len(verts)))
+    monkeypatch.setattr(hom, "WINDOW_PADS", 2)
     _, depth = joint_window(certs, 2)
     dims = [len(joint_window(certs, pad)[0]) for pad in (4, 5)]
     with pytest.raises(ak.BudgetError, match=(
             f"Hom dimension {dims[0]} at pad 4 and {dims[1]} at pad 5, "
             f"window depth {depth + 3} reached")):
-        hom._window_route(m, m, 2, certs)
+        hom._window_route(m, m, certs)
 
 
 def _end_on_window(hb):
@@ -336,9 +337,9 @@ def test_iso_test_pairs_summands(a3, monkeypatch):
     iso_test matches the summands of the two decompositions."""
     reports = []
 
-    def spy(m, budget=None):
+    def spy(m):
         reports.append(m)
-        return decompose_report(m, budget)
+        return decompose_report(m)
 
     monkeypatch.setattr(hom, "decompose_report", spy)
     m = direct_sum(projective_at(a3, 1), simple_at(a3, 2))
@@ -371,7 +372,7 @@ def test_decompose_depth_bound_names_the_depth_and_the_piece(a3):
     with pytest.raises(ak.BudgetError, match=re.escape(
             "decomposition recursion exceeded depth bound 32 at depth 33: a "
             "piece of dimension vector (1, 2, 1) on window (1, 2, 3)")):
-        hom._decompose_rec(m, ident, ident, None, [], depth=33)
+        hom._decompose_rec(m, ident, ident, [], depth=33)
 
 
 def test_decompose_report_certifies(a3, rng_reps):
@@ -419,7 +420,7 @@ def test_iso_indec_returns_what_the_pair_search_returned(kron, zig):
                 if got is None:
                     continue
                 matched += 1
-                probe = hom._probe_verts(m, n, None)
+                probe = hom._probe_verts(m, n)
                 for g, w in zip(got, want):
                     assert all(g.component(v) == w.component(v) for v in probe)
     assert matched and compared > matched

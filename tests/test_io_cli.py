@@ -1,5 +1,6 @@
 """JSON schema round trips, CLI verbs, exit codes, deterministic output."""
 
+import argparse
 import io
 import contextlib
 import json
@@ -20,6 +21,8 @@ from arknit import (
     tau,
 )
 from arknit.io import ParseError, parse_field
+
+from test_rep import _WideningA
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -425,6 +428,17 @@ def test_cli_exit_3_on_internal_error(monkeypatch):
                    "morphism does not commute with arrows\n")
 
 
+def test_cli_exit_3_on_a_broken_periodicity_contract(monkeypatch):
+    # an object whose band data on ray a change at every depth
+    monkeypatch.setattr(cli, "parse_rep",
+                        lambda q, spec, field: _WideningA(q, field))
+    code, out, err = run_cli(["member", "--quiver", '{"preset":"ladder"}',
+                              "--rep", '{"zero":true}'])
+    assert (code, out) == (3, "")
+    assert err == ("arknit: internal error: end inf: band data at depths 3 "
+                   "and 4 differ past structural depth 0; rays changing: a\n")
+
+
 def test_cli_large_linear_quiver():
     code, out, _ = run_cli(["quiver", "--quiver",
                             '{"preset":"linear","n":3000}'])
@@ -456,8 +470,7 @@ def test_cli_rejects_non_scalar_vertex_ids(spec, pointer):
 
 @pytest.mark.parametrize("argv, env", [
     (["knit", "--seed", '{"proj":"1"}', "--depth", "-2"], None),
-    (["member", "--rep", '{"proj":"1"}', "--budget", "-1"], None),
-    (["member", "--rep", '{"proj":"1"}'], {"ARKNIT_BUDGET": "-1"}),
+    (["rep", "--rep", '{"proj":"1"}', "--radius", "-1"], None),
 ])
 def test_cli_rejects_negative_depth_and_budget(monkeypatch, argv, env):
     def boom(*a, **k):
@@ -473,9 +486,6 @@ def test_cli_rejects_negative_depth_and_budget(monkeypatch, argv, env):
 @pytest.mark.parametrize("argv, env, pointer", [
     (["knit", "--depth", str(cli.MAX_DEPTH + 1)], None, "/depth"),
     (["classify", "--depth", "100000"], None, "/depth"),
-    (["knit", "--budget", str(cli.MAX_BUDGET + 1)], None, "/budget"),
-    (["knit"], {"ARKNIT_BUDGET": str(cli.MAX_BUDGET + 1)}, "/budget"),
-    (["knit"], {"ARKNIT_BUDGET": "abc"}, "/budget"),
 ])
 def test_cli_caps_depth_and_budget(monkeypatch, argv, env, pointer):
     def boom(*a, **k):
@@ -493,18 +503,17 @@ def test_cli_caps_depth_and_budget(monkeypatch, argv, env, pointer):
 def test_cli_caps_admit_their_bounds(monkeypatch):
     seen = {}
 
-    def stop(seed, depth, budget):
-        seen.update(depth=depth, budget=budget)
+    def stop(seed, depth):
+        seen.update(depth=depth)
         raise ValueError("stopped before knitting")
 
     monkeypatch.setattr(cli, "knit", stop)
     code, _, err = run_cli(["knit", "--quiver", KRON, "--seed", '{"proj":"2"}',
-                            "--depth", str(cli.MAX_DEPTH),
-                            "--budget", str(cli.MAX_BUDGET)])
+                            "--depth", str(cli.MAX_DEPTH)])
     assert code == 1 and "stopped before knitting" in err
-    assert seen == {"depth": cli.MAX_DEPTH, "budget": cli.MAX_BUDGET}
-    # the largest depth a library test knits, and the default budget
-    assert cli.MAX_DEPTH >= 10 and cli.MAX_BUDGET >= 40
+    assert seen == {"depth": cli.MAX_DEPTH}
+    # the largest depth a library test knits
+    assert cli.MAX_DEPTH >= 10
 
 
 @pytest.mark.parametrize("radius, message", [
@@ -656,7 +665,7 @@ def test_preset_depth_cap_admits_its_bound(line, ladder):
 def test_cli_radius_and_n_caps_admit_their_bounds(monkeypatch):
     seen = {}
 
-    def stop(m, budget=None):
+    def stop(m):
         seen["n"] = len(m.quiver.vertices)
         raise ValueError("stopped before classifying")
 
@@ -684,34 +693,40 @@ def test_cli_usage_error_on_unknown_verb():
     ["hom", "--quiver", A3, "--src", '{"proj":"2"}', "--dst", '{"inj":"2"}',
      "--radius", "3"],
     ["knit", "--quiver", KRON, "--seed", '{"proj":"2"}', "--radius", "3"],
-], ids=["hom_format", "classify_format", "hom_radius", "knit_radius"])
+    ["hom", "--quiver", A3, "--src", '{"proj":"2"}', "--dst", '{"inj":"2"}',
+     "--budget", "5"],
+], ids=["hom_format", "classify_format", "hom_radius", "knit_radius",
+        "hom_budget"])
 def test_cli_verbs_reject_flags_they_do_not_read(argv):
     code, out, err = run_cli(argv)
     assert code == 2  # argparse usage failure
     assert out == "" and "unrecognized arguments" in err
 
 
-def test_cli_budget_env_and_flag(monkeypatch):
-    seen = {}
+COMMON = {"--quiver", "--field", "--out"}
+CLI_OPTIONS = {
+    "quiver": COMMON,
+    "rep": COMMON | {"--rep", "--radius"},
+    "member": COMMON | {"--rep"},
+    "hom": COMMON | {"--src", "--dst"},
+    "ext": COMMON | {"--quot", "--sub"},
+    "tau": COMMON | {"--rep", "--radius", "--inverse"},
+    "ass": COMMON | {"--rep", "--radius", "--no-verify"},
+    "knit": COMMON | {"--seed", "--depth", "--format"},
+    "classify": COMMON | {"--seed", "--depth"},
+    "decompose": COMMON | {"--rep"},
+    "export": COMMON | {"--rep"},
+}
 
-    def spy(src, dst, budget=None, **k):
-        seen["budget"] = budget
 
-        class H:
-            dimension = 0
-            basis = ()
-            route = "window"
-            window = ()
-            certificate = {}
-        return H()
-
-    monkeypatch.setattr(cli, "hom_space", spy)
-    base = ["hom", "--quiver", A3, "--src", '{"proj":"1"}',
-            "--dst", '{"proj":"1"}']
-    run_cli(base, env={"ARKNIT_BUDGET": "7"})
-    assert seen["budget"] == 7
-    run_cli(base + ["--budget", "3"], env={"ARKNIT_BUDGET": "7"})
-    assert seen["budget"] == 3
+def test_cli_options_are_pinned():
+    """Every option of every verb: a new knob is a change to this table."""
+    (verbs,) = [a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)]
+    options = {verb: {s for a in p._actions for s in a.option_strings}
+               for verb, p in verbs.choices.items()}
+    assert options == {verb: opts | {"-h", "--help"}
+                       for verb, opts in CLI_OPTIONS.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -269,12 +269,15 @@ def test_empty_and_zero_matrices(F):
         z = Mat.zeros(F, rows, cols)
         R, pivots = rref(z)
         assert pivots == () and R.entries == z.entries
-        assert kernel_basis(z).cols == cols
+        assert kernel_basis(z) == Mat.identity(F, cols)
+        assert column_space_basis(z) == Mat(F, rows, 0, ((),) * rows)
         assert solve_matrix(z, Mat.zeros(F, rows, 2)).entries == \
             Mat.zeros(F, cols, 2).entries
         assert z.mul(Mat.zeros(F, cols, 4)).entries == \
             Mat.zeros(F, rows, 4).entries
     assert inverse(Mat.zeros(F, 0, 0)).entries == ()
+    # a trivial kernel has zero columns and one empty row per column of m
+    assert kernel_basis(Mat.identity(F, 3)) == Mat(F, 3, 0, ((),) * 3)
 
 
 @PROPERTY

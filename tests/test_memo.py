@@ -8,36 +8,21 @@ the library for caches that would outlive an object.
 """
 import ast
 import gc
-import io
-import contextlib
-import json
 import weakref
 from pathlib import Path
 
 import pytest
 
 import arknit as ak
-import arknit.cli as cli
 import arknit.presentations as presentations
 import arknit.rep as rep
-from arknit.quiver import FiniteQuiver, VertexSet
-
-
-def test_classify_membership_is_memoized_per_budget(a3):
-    m = ak.projective_at(a3, 3)
-    cert = ak.classify_membership(m)
-    assert ak.classify_membership(m) is cert
-    assert ak.classify_membership(m, 40) is cert  # None means the default 40
-    other = ak.classify_membership(m, 5)
-    assert other is not cert
-    assert ak.classify_membership(m, 5) is other
-    assert other.verdict == cert.verdict == "fd"
+from arknit.quiver import FiniteQuiver
 
 
 def test_presentations_are_memoized_per_object(a3):
     s = ak.simple_at(a3, 2)
     pres = ak.min_proj_presentation(s)
-    assert ak.min_proj_presentation(s, 40) is pres
+    assert ak.min_proj_presentation(s) is pres
     cop = ak.min_inj_copresentation(s)
     assert ak.min_inj_copresentation(s) is cop
     assert cop is not pres
@@ -84,13 +69,11 @@ def test_knit_computes_each_profile_and_presentation_once(
         return wrapper
 
     monkeypatch.setattr(rep, "end_profile", counting(
-        rep.end_profile, lambda m, end, budget=None: (id(m), end.eid, budget)))
+        rep.end_profile, lambda m, end: (id(m), end.eid)))
     monkeypatch.setattr(presentations, "_min_proj_presentation", counting(
-        presentations._min_proj_presentation,
-        lambda x, budget: (id(x), "proj", budget)))
+        presentations._min_proj_presentation, lambda x: (id(x), "proj")))
     monkeypatch.setattr(presentations, "_min_inj_copresentation", counting(
-        presentations._min_inj_copresentation,
-        lambda w, budget: (id(w), "inj", budget)))
+        presentations._min_inj_copresentation, lambda w: (id(w), "inj")))
 
     q = quiver()
     comp = ak.knit(seed(q), depth)
@@ -100,27 +83,6 @@ def test_knit_computes_each_profile_and_presentation_once(
     # A3 has no ends; on the line both ends are profiled
     assert {e.eid for e in q.ends()} <= kinds
     assert {k: n for k, n in runs.items() if n > 1} == {}
-
-
-def test_budget_failure_certificate_carries_a_support(line, monkeypatch):
-    def boom(*a, **k):
-        raise ak.BudgetError("band data did not stabilize")
-
-    monkeypatch.setattr(rep, "end_profile", boom)
-    m = ak.injective_at(line, 0)
-    cert = ak.classify_membership(m)
-    assert cert.verdict == "unknown(budget)"
-    assert isinstance(cert.support, VertexSet)
-    assert cert.support == rep.support_exact(m, ())
-
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["rep", "--quiver", '{"preset":"line"}',
-                         "--rep", '{"inj":"0"}'])
-    assert code == 0, err.getvalue()
-    assert json.loads(out.getvalue()) == {
-        "schema": "arknit/1", "rep": {"spec": {"inj": "0"}},
-        "verdict": "unknown(budget)", "dims": {"0": 1, "1": 1}}
 
 
 def test_shared_results_are_frozen(a3):
@@ -158,9 +120,9 @@ def test_dual_is_one_instance_per_object(a3, monkeypatch):
     presented = []
     real = presentations._min_proj_presentation
 
-    def counting(x, budget):
+    def counting(x):
         presented.append(x)
-        return real(x, budget)
+        return real(x)
 
     monkeypatch.setattr(presentations, "_min_proj_presentation", counting)
     cop = ak.min_inj_copresentation(m)

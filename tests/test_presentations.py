@@ -255,9 +255,9 @@ def test_presentation_classifies_the_object_only(monkeypatch, line, ladder):
     seen = []
     classify = rep._classify
 
-    def spy(m, budget):
+    def spy(m):
         seen.append(m)
-        return classify(m, budget)
+        return classify(m)
     monkeypatch.setattr(rep, "_classify", spy)
     for x in (simple_at(line, 0),
               thin_rep(ladder, VertexSet.make(ladder, (("a", 1), ("a", 0)),
@@ -312,8 +312,8 @@ def presentations_made(run) -> list:
     """Every presentation that _min_proj_presentation makes during run()."""
     made, make = [], presentations._min_proj_presentation
 
-    def spy(x, budget):
-        made.append(make(x, budget))
+    def spy(x):
+        made.append(make(x))
         return made[-1]
     presentations._min_proj_presentation = spy
     try:

@@ -34,8 +34,8 @@ from arknit import (
     vkey,
 )
 from arknit.quiver import FiniteQuiver
-from arknit.rep import (BudgetError, Rep, incoming_stack, path_matrix,
-                        proj_sum_basis, reverse_path)
+from arknit.rep import (Rep, incoming_stack, path_matrix, proj_sum_basis,
+                        reverse_path)
 
 from oracles import (an_dims, inj_basis_over_q, inj_component_by_stripping,
                      injective_by_stripping)
@@ -327,18 +327,17 @@ class _WideningA(Rep):
         return VertexSet.make(self.quiver, (), [("inf", "a", 0)])
 
 
-def test_end_profile_budget_failure_names_the_rays_and_the_depth(ladder):
+def test_end_profile_names_the_rays_that_break_periodicity(ladder):
     (end,) = ladder.ends()
-    # structural depth 0, so stabilization starts at depth 3 and a budget of
-    # 4 gives up at depth 8
-    with pytest.raises(BudgetError, match=(
-            r"^end inf: band data did not stabilize within depth 8; "
-            r"rays still changing: a$")):
-        end_profile(_WideningA(ladder, QQ), end, budget=4)
+    # structural depth 0, so the band data are compared at depths 3 and 4
+    with pytest.raises(AssertionError, match=(
+            r"^end inf: band data at depths 3 and 4 differ past structural "
+            r"depth 0; rays changing: a$")):
+        end_profile(_WideningA(ladder, QQ), end)
     # with dim 1 on ray b its rungs widen with ray a, so both rays move
     both = type("_WideningAB", (_WideningA,), {"b_dim": 1})(ladder, QQ)
-    with pytest.raises(BudgetError, match="rays still changing: a, b$"):
-        end_profile(both, end, budget=4)
+    with pytest.raises(AssertionError, match="rays changing: a, b$"):
+        end_profile(both, end)
 
 
 # ---------------------------------------------------------------------------
