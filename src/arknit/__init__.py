@@ -7,14 +7,13 @@ from .linalg import GF, QQ, Field, Mat
 from .quiver import (Arrow, End, FiniteQuiver, OppositeQuiver, PRESETS, Path,
                      QuiverBase, SubquiverClass, VertexSet, classify_subquiver,
                      kronecker_quiver, linear_quiver, vkey)
-from .rep import (BudgetError, EvalRangeError, PathMatrix,
-                  PFIDecomposition, Rep, RepClassCertificate, RungFamily,
-                  classify_membership, coker_proj, dim_vector, direct_sum,
-                  dualize, end_profile, equal_on, explicit_fd, glue_rep,
-                  injective_at, is_doubly_infinite, ker_inj, path_matrix,
-                  pfi_decompose, projective_at, restrict, simple_at,
-                  standard_ext_region, support_exact, tail_split, thin_rep,
-                  zero_rep)
+from .rep import (EvalRangeError, PathMatrix, PFIDecomposition, Rep,
+                  RepClassCertificate, RungFamily, classify_membership,
+                  coker_proj, dim_vector, direct_sum, dualize, end_profile,
+                  equal_on, explicit_fd, glue_rep, injective_at,
+                  is_doubly_infinite, ker_inj, path_matrix, pfi_decompose,
+                  projective_at, restrict, simple_at, standard_ext_region,
+                  support_exact, tail_split, thin_rep, zero_rep)
 from .morphism import (Morphism, SES, glue_ses, identity_morphism,
                        kernel, cokernel, image, morphism_from_components,
                        naturality_defect, restriction_ses, split_ses,

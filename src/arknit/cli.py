@@ -1,8 +1,9 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 domain or parse errors, 2 a computation that the
-finite window cannot decide (BudgetError), 3 internal errors (a broken
-invariant of the engine, such as a constructor's periodicity contract).
+Exit codes: 0 success, 1 domain or parse errors, 2 an argparse usage error
+only, 3 internal errors (a broken invariant of the engine, such as a
+constructor's periodicity contract, the window Hom route's check one band
+deeper, or the deep checks of a presentation).
 Output is deterministic: identical invocations produce identical bytes.
 """
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .io import (SCHEMA, ParseError, component_dot, component_json, emit_rep,
                  parse_field, parse_quiver, parse_rep, snapshot_rep)
 from .morphism import verify_exact
 from .quiver import vkey
-from .rep import (BudgetError, classify_membership, injective_at,
-                  joint_window, projective_at, simple_at)
+from .rep import (classify_membership, injective_at, joint_window,
+                  projective_at, simple_at)
 
 MAX_DEPTH = 32     # knit/classify hop depth
 MAX_RADIUS = 1000  # display window radius past the stable cutoffs
@@ -255,9 +256,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload = run(args)
-    except BudgetError as e:
-        print(f"arknit: budget exhausted: {e}", file=sys.stderr)
-        return 2
     except (ParseError, ValueError, KeyError) as e:
         print(f"arknit: error: {e}", file=sys.stderr)
         return 1

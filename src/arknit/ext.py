@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from .linalg import Mat, coker_projection
 from .morphism import SES, glue_ses
-from .rep import (BudgetError, GlueRep, Rep, RungFamily, classify_membership,
-                  equal_on, joint_window)
+from .rep import (GlueRep, Rep, RungFamily, classify_membership, equal_on,
+                  joint_window)
 
 
 def arrow_complex(x: Rep, y: Rep, verts, arrows):
@@ -155,10 +155,13 @@ def ses_class_coords(ses: SES, ecb: ExtClassBasis) -> tuple:
 
 
 def is_split(ses: SES) -> bool:
+    """Whether the class of ses is zero; ValueError (exit 1) when the class
+    has infinitely many coordinates past the window, outside what the
+    finite data decide."""
     ecb = ext_space(ses.quot, ses.sub)
     if ecb.window_relative:
-        raise BudgetError(f"splitness undecidable: infinite interaction "
-                          f"window, first family {ecb.families[0]}")
+        raise ValueError(f"splitness undecidable: infinite interaction "
+                         f"window, first family {ecb.families[0]}")
     F = ses.sub.field
     return all(F.is_zero(c) for c in ses_class_coords(ses, ecb))
 
@@ -182,8 +185,8 @@ def equiv_ext(s1: SES, s2: SES) -> bool:
     _same_ends(s1, s2)
     ecb = ext_space(s1.quot, s1.sub)
     if ecb.window_relative:
-        raise BudgetError(f"equivalence undecidable: infinite interaction "
-                          f"window, first family {ecb.families[0]}")
+        raise ValueError(f"equivalence undecidable: infinite interaction "
+                         f"window, first family {ecb.families[0]}")
     return ses_class_coords(s1, ecb) == ses_class_coords(s2, ecb)
 
 

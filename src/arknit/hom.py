@@ -8,8 +8,15 @@ Three finite routes to Hom(M, N):
                   duals, Hom(M, N) = Hom(DN, DM) over the opposite quiver,
                   transposed back.
   window          both objects certified: the kernel of the arrow complex of
-                  ext.py on a stabilized window, with a second solve one band
-                  deeper as certificate.
+                  ext.py on the joint window at pad 2.
+
+The window is exact.  Past the stable depth every nonzero ray of an object
+in rrep has an invertible transition and every crossing map is zero (else
+its verdict is notInRrep), so a natural map on the joint window extends to
+the next band in exactly one way, through the ray arrow: restriction from
+pad p + 1 to pad p is bijective for every p >= 0, and one solve at pad 3
+checks that contract (a mismatch is an engine bug, AssertionError).  This
+is also why Morphism propagates window components along rays.
 
 All routes return morphisms defined everywhere (rule or propagation based),
 so bases from different routes can be compared and composed freely.  Each
@@ -28,10 +35,7 @@ from .linalg import (Mat, inverse, kernel_basis, min_poly, rank, solve,
 from .morphism import Morphism, identity_morphism, image, zero_morphism
 from .presentations import min_proj_presentation, relation_matrix, yoneda_at
 from .quiver import vkey
-from .rep import (BudgetError, Rep, classify_membership, dim_vector, dualize,
-                  joint_window)
-
-WINDOW_PADS = 40  # pads the window route tries past its first two
+from .rep import Rep, classify_membership, dim_vector, dualize, joint_window
 
 
 # ---------------------------------------------------------------------------
@@ -134,24 +138,17 @@ def _copresentation_route(m: Rep, n: Rep):
 
 
 def _window_route(m: Rep, n: Rep, certs):
-    pad = 2
-    verts, depth = joint_window(certs, pad)
+    verts, depth = joint_window(certs, 2)
     _, hom = solve_natural(m, n, verts)
-    while True:
-        verts2, _ = joint_window(certs, pad + 1)
-        _, hom2 = solve_natural(m, n, verts2)
-        if len(hom2) == len(hom):
-            break
-        pad += 1
-        verts, hom, last = verts2, hom2, len(hom)
-        if pad > 2 + WINDOW_PADS:
-            raise BudgetError(
-                f"window solve did not stabilize within budget: Hom dimension "
-                f"{last} at pad {pad - 1} and {len(hom)} at pad {pad}, window "
-                f"depth {depth + pad - 2} reached")
+    deeper = len(solve_natural(m, n, joint_window(certs, 3)[0])[1])
+    if deeper != len(hom):
+        raise AssertionError(
+            f"window Hom dimension {len(hom)} at pad 2 and {deeper} at pad 3, "
+            f"window depth {depth}: restriction past the stable depth is "
+            f"not bijective")
     basis = [Morphism(m, n, window=verts, comps=comps, label=f"h{i}")
              for i, comps in enumerate(hom)]
-    return basis, verts, {"window_depth": depth + pad - 2, "pad": pad}
+    return basis, verts, {"window_depth": depth, "pad": 2}
 
 
 def hom_space(m: Rep, n: Rep, route: Optional[str] = None) -> HomBasis:
@@ -410,14 +407,12 @@ def _split_summand(m: Rep, emor: Morphism):
     return piece, incl, proj
 
 
-def _decompose_rec(m: Rep, incl: Morphism, proj: Morphism, out, depth=0):
+def _decompose_rec(m: Rep, incl: Morphism, proj: Morphism, out):
     """Split m by an idempotent e of End(m) and 1 - e; a piece whose corner
-    e·End·e = End(eM) is k is a leaf, any other recurses on its own End."""
-    if depth > 32:
-        window = joint_window([classify_membership(m)])[0]
-        raise BudgetError(f"decomposition recursion exceeded depth bound 32 "
-                          f"at depth {depth}: a piece of dimension vector "
-                          f"{dim_vector(m, window)} on window {window}")
+    e·End·e = End(eM) is k is a leaf, any other recurses on its own End.
+    Each split is by a verified e != 0, 1, so both pieces are nonzero, and m
+    has at most dim End(m) indecomposable summands (Krull-Schmidt): the
+    recursion ends."""
     E = end_algebra(m)
     if E.dimension == 0:
         return
@@ -435,7 +430,7 @@ def _decompose_rec(m: Rep, incl: Morphism, proj: Morphism, out, depth=0):
         if _corner_dim(E, coords) == 1:
             out.append(Summand(piece, pincl, pproj, False))
         else:
-            _decompose_rec(piece, pincl, pproj, out, depth + 1)
+            _decompose_rec(piece, pincl, pproj, out)
 
 
 def decompose_report(m: Rep) -> DecomposeReport:

@@ -411,14 +411,10 @@ def component_json(comp) -> dict:
 
 
 def _display_window(comp, cap: int = 14):
-    verts = set()
-    for n in comp.nodes:
-        hint = n.rep.support()
-        verts.update(hint.members(2))
-    out = sorted(verts, key=vkey)
-    if len(out) > cap:
-        out = out[:cap]
-    return out
+    """The joint window of the node certificates at pad 0, its first cap
+    vertices."""
+    return joint_window([classify_membership(n.rep) for n in comp.nodes],
+                        0)[0][:cap]
 
 
 def component_dot(comp) -> str:

@@ -18,6 +18,10 @@ yoneda_at builds every map from a sum of projectives out of generator images
 (Hom(P_a, N) = N(a)): the cover, and each presentation-route Hom basis
 morphism before it factors through Presentation.section, a right inverse of
 the cover kept per vertex.
+The top and the relations of an fp object lie in its certified window, so
+the checks two bands deeper (the cover onto, no relations) are contract
+checks: a failure is an engine bug (AssertionError) naming the vertex, and
+on a ray its end, ray and depth.
 """
 from __future__ import annotations
 
@@ -27,9 +31,9 @@ from dataclasses import dataclass, field
 from .linalg import Mat, block_matrix, coker_projection, rank, solve_matrix
 from .morphism import Morphism
 from .quiver import vkey
-from .rep import (BudgetError, KernelOfRep, PathMatrix, Rep,
-                  classify_membership, dualize, incoming_stack, joint_window,
-                  path_matrix, proj_sum_basis, sum_of)
+from .rep import (KernelOfRep, PathMatrix, Rep, classify_membership,
+                  dualize, incoming_stack, joint_window, path_matrix,
+                  proj_sum_basis, sum_of)
 
 
 @dataclass(frozen=True)
@@ -70,18 +74,22 @@ def top_generators(m: Rep, region):
             for r in coker_projection(incoming_stack(m, v)[0])[1]]
 
 
-def check_vanishing(m: Rep, verts, what: str):
-    """BudgetError at the first of verts, named by end, ray and depth, where
-    the top of m (what "top") or the kernel of its incoming stack, the top of
-    its relations (what "relations"), is nonzero."""
+def _site(q, v) -> str:
+    """v, and on a ray also its end, ray and depth."""
+    loc = q.locate(v)
+    return q.vertex_str(v) + (
+        "" if loc is None else " (end {}, ray {}, depth {})".format(*loc))
+
+
+def check_vanishing(m: Rep, verts):
+    """AssertionError at the first of verts, named by _site, where the
+    kernel of m's incoming stack, the top of its relations, is nonzero."""
     for v in verts:
         inc, _ = incoming_stack(m, v)
-        if rank(inc) != (m.dim(v) if what == "top" else inc.cols):
-            eid, rid, t = m.quiver.locate(v)
-            raise BudgetError(
-                f"nonzero {what} at {m.quiver.vertex_str(v)} (end {eid}, ray "
-                f"{rid}, depth {t}); object is not finitely presented over "
-                f"this window")
+        if rank(inc) != inc.cols:
+            raise AssertionError(
+                f"nonzero relations at {_site(m.quiver, v)}, past the "
+                f"certified window of a finitely presented object")
 
 
 def yoneda_at(n: Rep, verts, vecs, w) -> Mat:
@@ -123,18 +131,19 @@ def _min_proj_presentation(x: Rep) -> Presentation:
     gens = [(v, Mat(F, x.dim(v), 1, tuple((F.one if i == r else F.zero,)
                                           for i in range(x.dim(v)))))
             for (v, r) in top_generators(x, region)]
-    check_vanishing(x, deep, "top")
     p0_verts = tuple(v for (v, _) in gens)
     cover = yoneda(x, p0_verts, [col for (_, col) in gens])
 
-    # surjectivity of the cover over the probe (tails follow by stability)
+    # surjectivity of the cover over the window and two bands past it,
+    # which fails wherever a deep top is nonzero (tails follow by stability)
     for v in list(region) + deep:
         if rank(cover.component(v)) != x.dim(v):
-            raise ValueError("top generators do not generate; object not fp")
+            raise AssertionError(f"the cover of a finitely presented object "
+                                 f"is not onto at {_site(q, v)}")
 
     # no relations deep on any ray, where x is zero too (a rung can feed it)
     check_vanishing(x, [e.vertex(r.rid, t) for e in q.ends() for r in e.rays
-                        for t in (depth + 1, depth + 2)], "relations")
+                        for t in (depth + 1, depth + 2)])
     # the relations are the top of K = ker(cover), taken where x's incoming
     # stack has a kernel: each is a column of K's basis, inside P0(w)
     counts = {}

@@ -18,7 +18,11 @@ the _extra_depth docstrings).  So the verdict is a certificate, not a
 sample; end_profile checks c0 against c0 + 1 once, and a mismatch is an
 engine bug.  The certificate owns the stable depth (its deepest cutoff) and
 with it the one finite window every computation reads: `joint_window`, the
-certified supports down to a pad past that depth.
+certified supports down to a pad past that depth.  The same contract makes
+that window decide: past the stable depth restriction between bands is
+bijective, so the window Hom route, the deep checks of a presentation and
+the recursion of decompose need no budget, and a check of theirs that
+fails is an engine bug as well (AssertionError, CLI exit 3).
 
 A Rep is immutable once built, and its derived invariants (structural depth,
 membership certificates, minimal presentations) are cached on the instance.
@@ -33,11 +37,6 @@ from .linalg import (Field, Mat, QQ, block_matrix, column_space_basis,
                      is_invertible, kernel_basis, solve_matrix)
 from .quiver import (Arrow, Path, QuiverBase, VertexSet, classify_subquiver,
                      vkey)
-
-class BudgetError(RuntimeError):
-    """Raised when a computation cannot be decided on the finite window it
-    reads (a Hom window, a deep top, splitness, the decomposition depth)."""
-
 
 class EvalRangeError(ValueError):
     """Raised when evaluation is requested outside any computable region."""
@@ -240,16 +239,9 @@ class Rep:
 
     def _structural_depth(self) -> int:
         """The depth past which the dims and maps on bands t and t + 1 of
-        every end repeat for all t: the node's _extra_depth, and the depths
-        of the explicit vertices and tail starts of its support hint, past
-        which the support is whole tails."""
-        d = self._extra_depth()
-        s = self.support()
-        for v in s.explicit:
-            d = max(d, _loc_depth(self.quiver, v))
-        for (_, _, t0) in s.tails:
-            d = max(d, t0)
-        return d
+        every end repeat for all t: the node's _extra_depth, and the probe
+        depth of its support hint, past which the support is whole tails."""
+        return max(self._extra_depth(), self.support().probe_depth())
 
     def describe(self) -> str:
         return type(self).__name__
@@ -881,7 +873,7 @@ def end_profile(m: Rep, end) -> EndProfile:
         cm = m.mat(end.crossing_arrow(cid, cutoff))
         crossings.append(CrossingProfile(end.eid, cid, cutoff, cm, not cm.is_zero()))
     return EndProfile(end.eid, cutoff, tuple(rays), tuple(crossings),
-                      (cutoff, cutoff + 1, cutoff + 2))
+                      (cutoff, cutoff + 1))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Hom spaces, endomorphism algebras, isomorphism tests, decomposition."""
 
 import random
-import re
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import arknit as ak
 import arknit.hom as hom
@@ -36,6 +37,7 @@ from arknit.presentations import yoneda
 from arknit.rep import joint_window
 from conftest import random_fd_rep
 from oracles import hom_dim_brute, iso_by_pair_search
+from test_periodicity import QUIVERS, objects
 
 
 # ---------------------------------------------------------------------------
@@ -194,18 +196,35 @@ def test_end_algebra_table_reproduces_products(kron, line, F):
 
 
 def test_window_route_budget_failure_names_dims_and_depth(line, monkeypatch):
-    # a Hom dimension that grows with every pad never stabilizes
+    # a Hom dimension that grows with the pad breaks the contract
     m = projective_at(line, 0)
     certs = [ak.classify_membership(m)] * 2
     monkeypatch.setattr(hom, "solve_natural",
                         lambda src, dst, verts: (None, [{}] * len(verts)))
-    monkeypatch.setattr(hom, "WINDOW_PADS", 2)
     _, depth = joint_window(certs, 2)
-    dims = [len(joint_window(certs, pad)[0]) for pad in (4, 5)]
-    with pytest.raises(ak.BudgetError, match=(
-            f"Hom dimension {dims[0]} at pad 4 and {dims[1]} at pad 5, "
-            f"window depth {depth + 3} reached")):
+    dims = [len(joint_window(certs, pad)[0]) for pad in (2, 3)]
+    assert dims[0] != dims[1]
+    with pytest.raises(AssertionError, match=(
+            f"window Hom dimension {dims[0]} at pad 2 and {dims[1]} at pad 3, "
+            f"window depth {depth}: ")):
         hom._window_route(m, m, certs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_window_hom_dimension_is_the_same_at_every_pad(data):
+    # past the stable depth restriction from pad p + 1 to pad p is
+    # bijective, so the window route's pad is no guess
+    q = QUIVERS[data.draw(st.sampled_from(("line", "ladder")))]
+    m, n = data.draw(objects(q, 1)), data.draw(objects(q, 1))
+    certs = [ak.classify_membership(m), ak.classify_membership(n)]
+    assume(all(c.is_in_rrep() for c in certs))
+    dims = {len(hom.solve_natural(m, n, joint_window(certs, pad)[0])[1])
+            for pad in range(5)}
+    assert len(dims) == 1, (m.describe(), n.describe(), dims)
+    hb = hom_space(m, n)
+    if hb.route != "window":
+        assert dims == {hb.dimension}
 
 
 def _end_on_window(hb):
@@ -366,13 +385,14 @@ def test_decompose_sum(a3):
     assert total == {1: 1, 2: 3, 3: 1}
 
 
-def test_decompose_depth_bound_names_the_depth_and_the_piece(a3):
-    m = direct_sum(projective_at(a3, 1), simple_at(a3, 2))
-    ident = identity_morphism(m)
-    with pytest.raises(ak.BudgetError, match=re.escape(
-            "decomposition recursion exceeded depth bound 32 at depth 33: a "
-            "piece of dimension vector (1, 2, 1) on window (1, 2, 3)")):
-        hom._decompose_rec(m, ident, ident, [], depth=33)
+def test_decompose_splits_a_sum_of_35_simples():
+    # 34 nested splits, each by a verified idempotent: no depth bound
+    verts = tuple(range(1, 36))
+    q = ak.FiniteQuiver(verts, ())
+    items = decompose(direct_sum(*(simple_at(q, v) for v in verts)))
+    assert [k for (_, k) in items] == [1] * 35
+    assert sorted(dim_vector(r, verts) for (r, _) in items) == sorted(
+        tuple(int(u == v) for u in verts) for v in verts)
 
 
 def test_decompose_report_certifies(a3, rng_reps):

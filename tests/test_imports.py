@@ -3,8 +3,9 @@ function, method and class it defines is used somewhere in the project, so
 is every field of its dataclasses and every name in a __slots__, no module
 stores to a field of the value types Mat and Arrow after __init__, no module
 imports sympy, which is a test oracle only, only linalg names Fraction, only
-the duals in rep.py and morphism.py transpose a component, and every
-boundary that the benchmark traces by name exists.
+the duals in rep.py and morphism.py transpose a component, every boundary
+that the benchmark traces by name exists, and every exception a module
+raises is one of the classes the CLI maps to an exit code.
 
 No linter ships with the project, so this parses each module with ``ast``:
 an imported name that no other part of the module reads is dead weight, and
@@ -329,6 +330,47 @@ def test_detects_a_fraction():
                          ids=lambda p: p.name)
 def test_only_linalg_names_fraction(path):
     assert fraction_lines(path.read_text()) == []
+
+
+# the classes src/ may raise: cli.main maps ValueError (ParseError and
+# EvalRangeError among them) and KeyError to exit 1 and AssertionError to
+# exit 3; the other three mark a programming error of the caller
+RAISABLE = {"ValueError", "ParseError", "EvalRangeError", "KeyError",
+            "AssertionError", "NotImplementedError", "TypeError",
+            "ZeroDivisionError"}
+
+
+def foreign_raises(source: str) -> list:
+    """(line, name) of each raise of a class outside RAISABLE: a new
+    exception class or a new exit path; a bare re-raise names none."""
+    out = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Raise) and n.exc is not None:
+            exc = n.exc.func if isinstance(n.exc, ast.Call) else n.exc
+            name = getattr(exc, "id", getattr(exc, "attr", None))
+            if name not in RAISABLE:
+                out.append((n.lineno, name))
+    return sorted(out)
+
+
+def test_detects_a_foreign_raise():
+    src = ("raise ValueError('x')\n"
+           "raise BudgetError('window')\n"
+           "raise errors.Custom\n"
+           "try:\n"
+           "    pass\n"
+           "except KeyError as e:\n"
+           "    raise\n"
+           "raise RuntimeError from None\n"
+           '"""raise OSError in a docstring"""\n')
+    assert foreign_raises(src) == [(2, "BudgetError"), (3, "Custom"),
+                                   (8, "RuntimeError")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_src_raises_only_the_mapped_classes(path):
+    assert foreign_raises(path.read_text()) == []
 
 
 def names_sympy(source: str) -> bool:

@@ -5,14 +5,19 @@ import io
 import contextlib
 import json
 import os
+import re
 
 import pytest
 
 import arknit.cli as cli
+import arknit.hom as hom_mod
 import arknit.io as io_mod
+import arknit.presentations as presentations_mod
 from arknit import (
     QQ,
+    classify_membership,
     dim_vector,
+    knit,
     parse_quiver,
     parse_rep,
     emit_quiver,
@@ -22,6 +27,7 @@ from arknit import (
 )
 from arknit.io import ParseError, parse_field
 
+from test_presentations import criterion_10_knits
 from test_rep import _WideningA
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -332,6 +338,22 @@ def test_cli_knit_dot_matches_golden():
         assert out == fh.read()
 
 
+def test_dot_labels_show_each_certified_support_in_the_window():
+    # no label omits a vertex of its node's certified support down to the
+    # node's stable depth (no window is capped on this corpus)
+    for seed, depth in criterion_10_knits():
+        comp = knit(seed, depth)
+        win = io_mod._display_window(comp)
+        labels = dict(re.findall(r'n(\d+) \[label="\d+:\[([\d,]*)\]',
+                                 io_mod.component_dot(comp)))
+        for n in comp.nodes:
+            cert = classify_membership(n.rep)
+            shown = dict(zip(win, map(int, labels[str(n.key)].split(","))))
+            assert len(shown) == len(win) < 14
+            for v in cert.support.members(cert.depth):
+                assert shown.get(v) == n.rep.dim(v) > 0, (n.key, v)
+
+
 def test_cli_decompose():
     spec = '{"sum":[{"proj":"1"},{"simple":"2"},{"simple":"2"}]}'
     code, out, _ = run_cli(["decompose", "--quiver", A3, "--rep", spec])
@@ -403,19 +425,6 @@ def test_cli_knit_refuses_a_zero_or_decomposable_standard_seed(
     assert (code, out, err) == (1, "", f"arknit: error: {message}\n")
 
 
-def test_cli_exit_2_on_budget(monkeypatch):
-    from arknit.rep import BudgetError
-
-    def boom(*a, **k):
-        raise BudgetError("window did not stabilize")
-
-    monkeypatch.setattr(cli, "hom_space", boom)
-    code, _, err = run_cli(["hom", "--quiver", A3,
-                            "--src", '{"proj":"1"}', "--dst", '{"proj":"1"}'])
-    assert code == 2
-    assert "budget" in err
-
-
 def test_cli_exit_3_on_internal_error(monkeypatch):
     def broken(args):
         raise AssertionError("morphism does not commute with arrows")
@@ -437,6 +446,28 @@ def test_cli_exit_3_on_a_broken_periodicity_contract(monkeypatch):
     assert (code, out) == (3, "")
     assert err == ("arknit: internal error: end inf: band data at depths 3 "
                    "and 4 differ past structural depth 0; rays changing: a\n")
+
+
+def test_cli_exit_3_on_a_window_hom_dimension_that_moves(monkeypatch):
+    # a Hom dimension that grows with the pad of the window route
+    monkeypatch.setattr(hom_mod, "solve_natural",
+                        lambda src, dst, verts: (None, [{}] * len(verts)))
+    code, out, err = run_cli(["hom", "--quiver", LINE,
+                              "--src", ALLK, "--dst", ALLK])
+    assert (code, out) == (3, "")
+    assert err.startswith("arknit: internal error: window Hom dimension ")
+    assert "at pad 2 and " in err and "at pad 3, window depth " in err
+
+
+def test_cli_exit_3_on_a_presentation_that_breaks_the_contract(monkeypatch):
+    # a cover that misses the top of S(-2)
+    monkeypatch.setattr(presentations_mod, "top_generators",
+                        lambda m, region: [])
+    code, out, err = run_cli(["hom", "--quiver", LINE, "--src",
+                              '{"simple":"-2"}', "--dst", '{"simple":"-2"}'])
+    assert (code, out) == (3, "")
+    assert err == ("arknit: internal error: the cover of a finitely presented "
+                   "object is not onto at -2 (end neg, ray v, depth 2)\n")
 
 
 def test_cli_large_linear_quiver():
@@ -472,7 +503,7 @@ def test_cli_rejects_non_scalar_vertex_ids(spec, pointer):
     (["knit", "--seed", '{"proj":"1"}', "--depth", "-2"], None),
     (["rep", "--rep", '{"proj":"1"}', "--radius", "-1"], None),
 ])
-def test_cli_rejects_negative_depth_and_budget(monkeypatch, argv, env):
+def test_cli_rejects_negative_depth_and_radius(monkeypatch, argv, env):
     def boom(*a, **k):
         raise RuntimeError("computation started")
 
@@ -487,7 +518,7 @@ def test_cli_rejects_negative_depth_and_budget(monkeypatch, argv, env):
     (["knit", "--depth", str(cli.MAX_DEPTH + 1)], None, "/depth"),
     (["classify", "--depth", "100000"], None, "/depth"),
 ])
-def test_cli_caps_depth_and_budget(monkeypatch, argv, env, pointer):
+def test_cli_caps_depth(monkeypatch, argv, env, pointer):
     def boom(*a, **k):
         raise RuntimeError("knit started")
 

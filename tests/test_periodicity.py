@@ -91,7 +91,7 @@ def _translate(m, inverse):
     """tau^-1 m or tau m where it is defined, else m."""
     try:
         return ak.tau_inv(m) if inverse else ak.tau(m)
-    except (ValueError, ak.BudgetError):
+    except ValueError:
         return m
 
 

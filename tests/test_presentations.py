@@ -21,7 +21,6 @@ import arknit.rep as rep
 from arknit import (
     GF,
     QQ,
-    BudgetError,
     Mat,
     VertexSet,
     classify_membership,
@@ -267,18 +266,23 @@ def test_presentation_classifies_the_object_only(monkeypatch, line, ladder):
         assert seen == [x]
 
 
-def test_top_check_names_end_ray_and_depth(line):
-    with pytest.raises(BudgetError, match=r"nonzero top at -5 "
-                                          r"\(end neg, ray v, depth 5\)"):
-        check_vanishing(simple_at(line, -5), [-4, -5], "top")
+def test_top_check_names_end_ray_and_depth(line, a3, monkeypatch):
+    # a cover that misses the top breaks the contract where the top lies,
+    # named by end, ray and depth on a ray, and by the vertex alone off one
+    monkeypatch.setattr(presentations, "top_generators", lambda m, region: [])
+    with pytest.raises(AssertionError, match=r"not onto at -5 "
+                                             r"\(end neg, ray v, depth 5\)$"):
+        min_proj_presentation(simple_at(line, -5))
+    with pytest.raises(AssertionError, match=r"not onto at 2$"):
+        min_proj_presentation(simple_at(a3, 2))
 
 
 def test_relation_check_names_end_ray_and_depth(line):
     # S(-3) has its relation at -4, depth 4 of the ray neg/v
-    with pytest.raises(BudgetError, match=r"nonzero relations at -4 "
-                                          r"\(end neg, ray v, depth 4\)"):
-        check_vanishing(simple_at(line, -3), [-3, -4], "relations")
-    check_vanishing(simple_at(line, -3), [-5, -6], "relations")
+    with pytest.raises(AssertionError, match=r"nonzero relations at -4 "
+                                             r"\(end neg, ray v, depth 4\)"):
+        check_vanishing(simple_at(line, -3), [-3, -4])
+    check_vanishing(simple_at(line, -3), [-5, -6])
 
 
 # ---------------------------------------------------------------------------

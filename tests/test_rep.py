@@ -287,9 +287,7 @@ def test_end_profile_thin_tail(line):
 def test_end_profile_checks_two_depths(ray_out):
     (end,) = ray_out.ends()
     prof = end_profile(projective_at(ray_out, 0), end)
-    assert len(prof.checked_depths) >= 2
-    d0, d1 = prof.checked_depths[:2]
-    assert d1 == d0 + 1
+    assert prof.checked_depths == (prof.cutoff, prof.cutoff + 1)
 
 
 def test_incoming_stack_is_the_hstack_of_the_incoming_maps(kron, zig, ladder):
