@@ -7,27 +7,29 @@ P_a (I_a) when it has one (co)generator a and no (co)relations.  Almost
 split sequences are built from the socle class of Ext(X, tau X) under the
 endomorphism action and checked by an explicit battery.  Knitting walks the
 component graph breadth first in both directions, with payload identity
-decided by fingerprints plus certified isomorphism tests.  Each mesh is
-computed once, from whichever of its ends comes up first, and replayed from
-the other side.
+decided by fingerprints plus certified isomorphism tests.  rrep(Q) has the
+almost split sequences of rep(Q) (Bautista-Liu-Paquette, Proc. LMS 106,
+2013), so its AR quiver is a valued translation quiver: knit reads a mesh
+off its arrows on a known side (Auslander-Reiten-Smalo VII.1; Assem-Simson-
+Skowronski IV.4), or computes it once, and replays it at its other end.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .ext import ext_class_to_ses, ext_space
 from .hom import (_endo_from_coords, _iso_indec, decompose, end_algebra,
-                  hom_space, solve_natural)
+                  hom_space, solve_natural, summand_key)
 from .linalg import QQ, Mat, inverse, kernel_basis
 from .morphism import SES, Morphism, verify_exact
 from .presentations import (min_inj_copresentation, min_proj_presentation,
                             nakayama)
 from .quiver import FiniteQuiver, Path, QuiverBase, vkey
 from .rep import (PathMatrix, Rep, classify_membership, coker_proj,
-                  dim_vector, dualize, is_doubly_infinite, joint_window,
-                  ker_inj, path_matrix)
+                  dim_vector, dualize, injective_at, is_doubly_infinite,
+                  joint_window, ker_inj, path_matrix, projective_at)
 
 MAX_NODES = 160  # knit expands no node once the component has more
 
@@ -265,10 +267,63 @@ def _fingerprint(rep: Rep, window, cert) -> tuple:
     return dim_vector(rep, window), tails
 
 
+def _standard(q: QuiverBase, F, make, a, forward: bool) -> list:
+    """(make(q, b, F), m, None) for m arrows b -> a (forward) or a -> b."""
+    return [(make(q, b, F), m, None) for b, m in Counter(
+        al.src if forward else al.dst for al in
+        (q.in_arrows(a) if forward else q.out_arrows(a))).items()]
+
+
+def _predict_mesh(comp: ARComponent, end_of: dict, key: int, forward: bool):
+    """(far end, summands in decompose's order, how) of the step from
+    (forward) or into the node, or None to compute it: I_b per arrow b -> a
+    from I_a, P_b per arrow a -> b into P_a, else the mesh read off the
+    node's arrows on the other side, if any, known after an fp node's
+    backward step or once the mesh from it is recorded."""
+    node, q, F = comp.nodes[key], comp.quiver, comp.nodes[key].rep.field
+    kind, translate, record, has = (
+        ("inj", tau_inv, end_of, "fc") if forward else
+        ("proj", tau, comp.tau_links, "fp"))
+    if node.is_injective if forward else node.is_projective:
+        a = standard_vertex(node.rep, kind)
+        far, how = None, f"read off the arrows at {q.vertex_str(a)}"
+        parts = _standard(q, F, injective_at if forward else projective_at,
+                          a, forward)
+    elif (classify_membership(node.rep).verdict in ("fp", "fd") if forward
+          else key in end_of):
+        parts, sources = [], []
+        for (src, dst), mult in comp.arrows.items():
+            near, other = (dst, src) if forward else (src, dst)
+            if near == key:
+                rep = comp.nodes[other].rep
+                if classify_membership(rep).verdict not in ("fd", has):
+                    return None
+                sources.append(other)
+                if standard_vertex(rep, kind) is None:
+                    k = record.get(other)
+                    parts.append((translate(rep) if k is None else
+                                  comp.nodes[k].rep, mult, k))
+        if not sources:  # the mesh from a simple projective
+            return None
+        if forward and node.is_projective:
+            parts += _standard(q, F, projective_at,
+                               standard_vertex(node.rep, "proj"), True)
+        far, how = translate(node.rep), "predicted from nodes " + ", ".join(
+            map(str, sources))
+    else:
+        return None
+    probe, _ = joint_window([classify_membership(r) for r, _, _ in parts])
+    return far, sorted(parts, key=lambda p: summand_key(p[0], probe)), how
+
+
 def knit(seed: Rep, depth: int) -> ARComponent:
-    """Breadth-first closure of the component of the seed under almost split
-    sequences, radical inclusions of projectives, and socle quotients of
-    injectives, up to the given hop depth."""
+    """Breadth-first closure of the seed's component, to the hop depth.
+    rrep(Q) has the almost split sequences of rep(Q) (BLP 2013), so a mesh
+    is fixed by its arrows on one side (ARS VII.1; ASS IV.4): from X, it
+    ends at tau_inv X and has tau_inv Z per arrow Z -> X, Z not injective,
+    and P_b per arrow b -> c if X is P_c; into X, tau W per arrow X -> W, W
+    not projective.  It is predicted when that side is known and has a
+    node (a translate already in the component is reused), else computed."""
     q, F = seed.quiver, seed.field
     cert0 = classify_membership(seed)
     if not cert0.is_in_rrep():
@@ -280,9 +335,6 @@ def knit(seed: Rep, depth: int) -> ARComponent:
     comp = ARComponent(q, [], {}, {}, 0, depth)
     by_fingerprint: dict = {}  # fingerprint -> node keys, in insertion order
 
-    def fingerprint(rep: Rep) -> tuple:
-        return _fingerprint(rep, fwindow, classify_membership(rep))
-
     def find_node(rep: Rep, fp) -> Optional[int]:
         for key in by_fingerprint.get(fp, ()):
             if _iso_indec(comp.nodes[key].rep, rep):
@@ -290,7 +342,7 @@ def knit(seed: Rep, depth: int) -> ARComponent:
         return None
 
     def add_node(rep: Rep, hops: int, create: bool = True) -> Optional[int]:
-        fp = fingerprint(rep)
+        fp = _fingerprint(rep, fwindow, classify_membership(rep))
         key = find_node(rep, fp)
         if key is not None:
             comp.nodes[key].hops = min(comp.nodes[key].hops, hops)
@@ -313,28 +365,32 @@ def knit(seed: Rep, depth: int) -> ARComponent:
     meshes: dict = {}  # end key -> (tau key, [(summand key, multiplicity)])
     end_of: dict = {}  # tau key -> end key
 
-    def knit_mesh(key: int, forward: bool):
-        """The mesh tau Z -> (+) E -> Z through a node, as its end Z
-        (backward) or as its translate tau Z (forward).  The first side to
-        come up computes the almost split sequence, adds the arrows and
-        records the mesh when both ends are nodes; the other side replays
-        the record, which only lowers hop counts and queues the same nodes."""
-        hops = comp.nodes[key].hops
+    def knit_mesh(key: int, forward: bool) -> str:
+        """A node's neighbours on one side, and how they were obtained: the
+        first side of a mesh to come up predicts or computes it and records
+        it when both ends are nodes; the other side replays the record."""
+        node, hops = comp.nodes[key], comp.nodes[key].hops
         end = end_of.get(key) if forward else key
         if end in meshes:
             tkey, summands = meshes[end]
             far = end if forward else tkey
+            how = "replayed"
         else:
-            x = comp.nodes[key].rep
-            y = tau_inv(x) if forward else x
-            ses = almost_split_sequence(y)
+            step = _predict_mesh(comp, end_of, key, forward)
+            if step is None:
+                y = tau_inv(node.rep) if forward else node.rep
+                ses = almost_split_sequence(y)
+                step = y if forward else ses.sub, None, "computed"
+            far_rep, parts, how = step
             # the other end sits two hops out; past the depth it is only
             # linked when its iso class is already present, never created
-            far = add_node(y if forward else ses.sub, hops + 2,
-                           create=hops + 2 <= depth)
+            far = None if far_rep is None else add_node(
+                far_rep, hops + 2, create=hops + 2 <= depth)
             end, tkey = (far, key) if forward else (key, far)
-            summands = [(add_node(summand, hops + 1), mult)
-                        for summand, mult in decompose(ses.middle)]
+            if parts is None:  # computed: decomposed after the far end
+                parts = [(s, m, None) for s, m in decompose(ses.middle)]
+            summands = [(add_node(rep, hops + 1) if k is None else k, mult)
+                        for rep, mult, k in parts]
             for skey, mult in summands:
                 if end is not None:
                     add_arrow(skey, end, mult)
@@ -348,10 +404,10 @@ def knit(seed: Rep, depth: int) -> ARComponent:
         for k, h in near + [(skey, hops + 1) for skey, _ in summands]:
             comp.nodes[k].hops = min(comp.nodes[k].hops, h)
             queue.append(k)
+        return how
 
-    seed_key = add_node(seed, 0)
-    comp.seed_key = seed_key
-    queue = deque([seed_key])
+    comp.seed_key = add_node(seed, 0)
+    queue = deque([comp.seed_key])
     seen = set()
     while queue:
         key = queue.popleft()
@@ -368,12 +424,9 @@ def knit(seed: Rep, depth: int) -> ARComponent:
             continue
         x = node.rep
         cert = classify_membership(x)
-        notes = list(node.notes)
-
         if is_doubly_infinite(x):
             node.status = "blocked"
-            notes.append("doubly infinite payload: trivial component member")
-            node.notes = tuple(notes)
+            node.notes = ("doubly infinite payload: trivial component member",)
             continue
 
         # an fp node needs its presentation for tau anyway, an fc node its
@@ -381,32 +434,10 @@ def knit(seed: Rep, depth: int) -> ARComponent:
         fp, fc = cert.verdict in ("fp", "fd"), cert.verdict in ("fc", "fd")
         node.is_projective = fp and _is_standard(x, "proj")
         node.is_injective = fc and _is_standard(x, "inj")
-
-        # backward step: predecessors through the right almost split map
-        if node.is_projective:
-            incl = minimal_right_almost_split_into(x)
-            for (summand, mult) in decompose(incl.src):
-                skey = add_node(summand, node.hops + 1)
-                add_arrow(skey, key, mult)
-                queue.append(skey)
-        elif fp:
-            knit_mesh(key, forward=False)
-        else:
-            notes.append("no backward expansion: payload not fp")
-
-        # forward step: successors through the left almost split map
-        if node.is_injective:
-            proj = minimal_left_almost_split_from(x)
-            for (summand, mult) in decompose(proj.dst):
-                skey = add_node(summand, node.hops + 1)
-                add_arrow(key, skey, mult)
-                queue.append(skey)
-        elif fc:
-            knit_mesh(key, forward=True)
-        else:
-            notes.append("no forward expansion: payload not fc")
-
-        node.notes = tuple(notes)
+        node.notes = tuple(
+            f"{side} step: {knit_mesh(key, side == 'forward')}" if ok else
+            f"no {side} expansion: payload not {need}" for side, ok, need in
+            (("backward", fp, "fp"), ("forward", fc, "fc")))
         node.status = "expanded"
     return comp
 
@@ -414,13 +445,8 @@ def knit(seed: Rep, depth: int) -> ARComponent:
 def _expand_window(q: QuiverBase, verts, radius: int):
     out = set(verts)
     for _ in range(radius):
-        nxt = set(out)
-        for v in out:
-            for a in q.out_arrows(v):
-                nxt.add(a.dst)
-            for a in q.in_arrows(v):
-                nxt.add(a.src)
-        out = nxt
+        out |= {a.dst for v in out for a in q.out_arrows(v)} | \
+            {a.src for v in out for a in q.in_arrows(v)}
     return out
 
 

@@ -450,13 +450,16 @@ def decompose_report(m: Rep) -> DecomposeReport:
                 break
         else:
             groups.append([s])
-    groups.sort(key=lambda g: (tuple(sorted(dim_vector(g[0].rep, probe),
-                                            reverse=True)),
-                               dim_vector(g[0].rep, probe),
-                               g[0].rep.describe()))
+    groups.sort(key=lambda g: summand_key(g[0].rep, probe))
     items = tuple((g[0].rep, len(g)) for g in groups)
     return DecomposeReport(m, tuple(leaves), items,
                            any(s.flagged for s in leaves))
+
+
+def summand_key(rep: Rep, probe) -> tuple:
+    """decompose's summand order, which knit's predicted meshes keep."""
+    dims = dim_vector(rep, probe)
+    return tuple(sorted(dims, reverse=True)), dims, rep.describe()
 
 
 def decompose(m: Rep) -> list:

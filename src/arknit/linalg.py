@@ -325,15 +325,21 @@ def _null_rows(m: Mat):
     return tuple(rows), free
 
 
+def kernel_span(m: Mat):
+    """(K, free): the canonical kernel basis, the identity at the free rows."""
+    rows, free = _null_rows(m)
+    return Mat.from_columns(m.field, m.cols, rows), free
+
+
 def kernel_basis(m: Mat) -> Mat:
     """Columns form the canonical kernel basis (one per free column of rref)."""
-    return Mat.from_columns(m.field, m.cols, _null_rows(m)[0])
+    return kernel_span(m)[0]
 
 
-def column_space_basis(m: Mat) -> Mat:
-    """Canonical echelon basis of the column space, as columns."""
+def column_span(m: Mat):
+    """(B, pivots): the canonical column space basis, identity at pivots."""
     R, pivots = rref(m.transpose())
-    return Mat.from_columns(m.field, m.rows, R.entries[:len(pivots)])
+    return Mat.from_columns(m.field, m.rows, R.entries[:len(pivots)]), pivots
 
 
 def coker_projection(m: Mat):

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Optional, Sequence
 
-from .linalg import (Field, Mat, QQ, block_matrix, column_space_basis,
-                     is_invertible, kernel_basis, solve_matrix)
+from .linalg import (Field, Mat, QQ, block_matrix, column_span,
+                     is_invertible, kernel_span)
 from .quiver import (Arrow, Path, QuiverBase, VertexSet, classify_subquiver,
                      vkey)
 
@@ -604,29 +604,34 @@ class KernelOfRep(Rep):
     """Kernel of a map f: a Morphism or a PathMatrix, read through .src,
     .dst, .component(v), .depth_bound(), .describe()/.spec_dict() for
     naming, and .dual for CokerOfRep: the subobject of its ambient f.src
-    with basis kernel_basis(f(v)) at v, on which an arrow acts by the
-    ambient map, solved in those bases.  It is the one subobject evaluator:
-    kernels and images here, and cokernels through D."""
+    with basis kernel_span(f(v)) at v, on which an arrow acts by the ambient
+    map, read at the identity rows of those bases.  It is the one subobject
+    evaluator: kernels and images here, and cokernels through D."""
 
-    _span = staticmethod(kernel_basis)
+    _span = staticmethod(kernel_span)
 
     def __init__(self, f):
         super().__init__(f.src.quiver, f.src.field)
         self.f = f
         self.ambient = f.src
 
-    def basis(self, v) -> Mat:
-        """The basis at v, as columns in the coordinates of ambient(v)."""
-        return self.cached(("basis", v),
+    def span(self, v):
+        """(basis at v, as columns in ambient(v); its identity rows)."""
+        return self.cached(("span", v),
                            lambda: self._span(self.f.component(v)))
+
+    def basis(self, v) -> Mat:
+        return self.span(v)[0]
 
     def _dim_at(self, v):
         return self.basis(v).cols
 
     def _mat_at(self, a):
-        sol = solve_matrix(self.basis(a.dst),
-                           self.ambient.mat(a).mul(self.basis(a.src)))
-        if sol is None:
+        image = self.ambient.mat(a).mul(self.basis(a.src))
+        basis, units = self.span(a.dst)
+        sol = Mat(self.field, len(units), image.cols,
+                  tuple(image.entries[r] for r in units))
+        if basis.mul(sol) != image:
             raise AssertionError("morphism does not commute with arrows")
         return sol
 
@@ -668,10 +673,10 @@ class CokerOfRep(DualRep):
 
 class ImageRep(KernelOfRep):
     """Image of a morphism f: the subobject of f.dst with the basis
-    column_space_basis(f(v)) at each vertex v.  decompose splits off the
+    column_span(f(v)) at each vertex v.  decompose splits off the
     image of an idempotent endomorphism as a summand."""
 
-    _span = staticmethod(column_space_basis)
+    _span = staticmethod(column_span)
 
     def __init__(self, f):
         super().__init__(f)

@@ -12,14 +12,18 @@ that ext.py does not take.  The last
 section keeps constructions that the package replaced, as references:
 injectives built over q by stripping the first arrow of a path, the
 isomorphism test that searched pairs of basis maps, the cokernel
-evaluated on its own, before it was read as D of a kernel, and Mat and Arrow
-as the frozen dataclasses they were before they were slotted.
+evaluated on its own, before it was read as D of a kernel, Mat and Arrow
+as the frozen dataclasses they were before they were slotted, and knit's
+steps at P_a and I_a as they were computed before knit read them off the
+arrows at a.
 """
 from dataclasses import dataclass
 from fractions import Fraction
 
-from arknit import (Mat, classify_membership, dim_vector, hom_space,
-                    injective_at, min_proj_presentation, projective_at)
+from arknit import (Mat, classify_membership, decompose, dim_vector,
+                    hom_space, injective_at, min_proj_presentation,
+                    minimal_left_almost_split_from,
+                    minimal_right_almost_split_into, projective_at)
 from arknit.hom import _iso_indec, _pointwise_inverse, _probe_verts, joint_window
 from arknit.linalg import coker_projection, rank
 from arknit.presentations import relation_matrix
@@ -413,3 +417,17 @@ class FrozenArrow:
 
     def __lt__(self, other):
         return self.key() < other.key()
+
+
+def computed_step(comp, end_of, key, forward):
+    """A stand-in for ar._predict_mesh that predicts nothing: P_a's
+    predecessors and I_a's successors are the summands of the source of its
+    minimal right almost split map and of the target of its minimal left
+    almost split map, by decompose, and every other mesh is declined, so
+    knit computes it from an almost split sequence."""
+    node = comp.nodes[key]
+    if not (node.is_injective if forward else node.is_projective):
+        return None
+    middle = (minimal_left_almost_split_from(node.rep).dst if forward
+              else minimal_right_almost_split_into(node.rep).src)
+    return None, [(s, m, None) for s, m in decompose(middle)], "computed"

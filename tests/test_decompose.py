@@ -21,6 +21,7 @@ from arknit import (GF, QQ, almost_split_sequence, decompose_report,
 from arknit.cli import build_parser, run
 from arknit.io import snapshot_rep
 from conftest import random_fd_rep
+from oracles import computed_step
 
 GOLDEN = Path(__file__).parent / "golden" / "decompose.txt"
 
@@ -119,7 +120,13 @@ def test_decompose_computes_end_only_for_corners_above_k(a3, monkeypatch):
 
 
 def test_kronecker_knit_computes_twelve_end_algebras(kron, monkeypatch):
+    # computed, the five meshes take twelve End algebras; predicted, only
+    # the mesh from the simple projective P_2 is computed
     seen = _spy_end_algebra(monkeypatch)
+    knit(projective_at(kron, 2), 5)
+    assert len(seen) == 2
+    seen.clear()
+    monkeypatch.setattr(ar, "_predict_mesh", computed_step)
     knit(projective_at(kron, 2), 5)
     assert len(seen) == 12
 

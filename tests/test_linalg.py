@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arknit.linalg import (GF, QQ, Mat, column_space_basis, coker_projection,
-                           inverse, is_invertible, kernel_basis, min_poly,
-                           rank, rref, solve, solve_matrix)
+from arknit.linalg import (GF, QQ, Mat, coker_projection, column_span,
+                           inverse, is_invertible, kernel_basis, kernel_span,
+                           min_poly, rank, rref, solve, solve_matrix)
 
 from arknit.quiver import Arrow
 from oracles import FrozenArrow, FrozenMat, rref_rank
@@ -224,6 +224,18 @@ def test_kernel_basis_is_a_basis_of_the_kernel(m):
 
 @PROPERTY
 @given(matrices())
+def test_kernel_and_column_spans_are_the_identity_at_their_units(m):
+    # KernelOfRep reads an arrow map off these rows instead of solving
+    F = m.field
+    for B, units in (kernel_span(m), column_span(m)):
+        assert [B.entries[r] for r in units] == \
+            list(Mat.identity(F, B.cols).entries)
+    assert column_span(m)[0].cols == naive_rank(m)
+    assert kernel_span(m)[0] == kernel_basis(m)
+
+
+@PROPERTY
+@given(matrices())
 def test_coker_projection_kills_column_space(m):
     P, free = coker_projection(m)
     assert (P.rows, P.cols) == (len(free), m.rows)
@@ -270,7 +282,7 @@ def test_empty_and_zero_matrices(F):
         R, pivots = rref(z)
         assert pivots == () and R.entries == z.entries
         assert kernel_basis(z) == Mat.identity(F, cols)
-        assert column_space_basis(z) == Mat(F, rows, 0, ((),) * rows)
+        assert column_span(z) == (Mat(F, rows, 0, ((),) * rows), ())
         assert solve_matrix(z, Mat.zeros(F, rows, 2)).entries == \
             Mat.zeros(F, cols, 2).entries
         assert z.mul(Mat.zeros(F, cols, 4)).entries == \
@@ -313,7 +325,7 @@ def test_every_result_is_in_canonical_form(data):
     F = m.field
     other = data.draw(matrices(F, rows=m.cols))
     assert _canonical(rref(m)[0]) and _canonical(m.mul(other))
-    assert _canonical(kernel_basis(m)) and _canonical(column_space_basis(m))
+    assert _canonical(kernel_basis(m)) and _canonical(column_span(m)[0])
     assert _canonical(coker_projection(m)[0])
     assert all(_entry_ok(F, x) for x in m.apply((F.one,) * m.cols))
     b = Mat(F, m.rows, other.cols, tuple(map(tuple, naive_mul(m, other))))
