@@ -2,16 +2,20 @@
 
 tau sends a finitely presented non-projective object to the kernel of the
 reinterpreted relation matrix on the injective side; tau_inv is the dual.
-The standard objects are read from the same minimal (co)presentations: X is
-P_a (I_a) when it has one (co)generator a and no (co)relations.  Almost
-split sequences are built from the socle class of Ext(X, tau X) under the
-endomorphism action and checked by an explicit battery.  Knitting walks the
-component graph breadth first in both directions, with payload identity
-decided by fingerprints plus certified isomorphism tests.  rrep(Q) has the
-almost split sequences of rep(Q) (Bautista-Liu-Paquette, Proc. LMS 106,
-2013), so its AR quiver is a valued translation quiver: knit reads a mesh
-off its arrows on a known side (Auslander-Reiten-Smalo VII.1; Assem-Simson-
-Skowronski IV.4), or computes it once, and replays it at its other end.
+They are inverse bijections between the indecomposable non-projective and
+the indecomposable non-injective objects (Auslander-Reiten-Smalo IV.1 for
+D Tr and Tr D; Bautista-Liu-Paquette, Proc. LMS 106, 2013, for rep+(Q) and
+rep-(Q)).  The standard objects are read from the same minimal
+(co)presentations: X is P_a (I_a) when it has one (co)generator a and no
+(co)relations.  Almost split sequences are built from the socle class of
+Ext(X, tau X) under the endomorphism action and checked by an explicit
+battery.  Knitting walks the component graph breadth first in both
+directions, with payload identity decided by fingerprints plus certified
+isomorphism tests and a table of the translates it built.  rrep(Q) has the
+almost split sequences of rep(Q) (BLP 2013), so its AR quiver is a valued
+translation quiver: knit reads a mesh off its arrows on a known side (ARS
+VII.1; Assem-Simson-Skowronski IV.4), or computes it once, and replays it
+at its other end.
 """
 from __future__ import annotations
 
@@ -74,17 +78,23 @@ def standard_vertex(x: Rep, kind: str):
     return gens[0] if len(gens) == 1 and not rels else None
 
 
-def _is_standard(x: Rep, kind: str) -> bool:
-    """Whether the knit node x is P_a (kind "proj") or I_a ("inj").  A zero
-    x, or a sum of several P_a (I_a), is refused: tau (tau_inv) would fail
-    on it, and only a seed can be one."""
-    gens, rels = _generators(x, kind)
-    if len(gens) != 1 and not rels:
-        word = "projective" if kind == "proj" else "injective"
-        raise ValueError(f"seed is a sum of {len(gens)} {word} objects, not "
-                         f"indecomposable" if gens else
-                         "seed is zero; knitting needs an indecomposable seed")
-    return not rels
+def _check_seed(seed: Rep, verdict: str):
+    """Refuse a zero or decomposable seed at any depth: P_a (I_a) has one
+    (co)generator and no (co)relations, a zero object or a sum of several
+    none or several; any other seed needs a local End, as a brick has."""
+    for kind, has, word in (("proj", "fp", "projective"),
+                            ("inj", "fc", "injective")):
+        gens, rels = _generators(seed, kind) if verdict in ("fd", has) \
+            else ((), True)
+        if not rels:
+            if len(gens) == 1:
+                return
+            raise ValueError(f"seed is a sum of {len(gens)} {word} objects, "
+                             "not indecomposable" if gens else "seed is zero; "
+                             "knitting needs an indecomposable seed")
+    if hom_space(seed, seed).dimension > 1 and not end_algebra(seed).is_local:
+        raise ValueError("seed is decomposable; knitting needs an "
+                         "indecomposable seed")
 
 
 def is_pseudo_projective(x: Rep) -> bool:
@@ -98,9 +108,10 @@ def is_pseudo_projective(x: Rep) -> bool:
 # almost split sequences
 
 
-def almost_split_sequence(x: Rep) -> SES:
-    """0 -> tau X -> E -> X -> 0 from the socle class of Ext(X, tau X)."""
-    tx = tau(x)
+def almost_split_sequence(x: Rep, tx: Optional[Rep] = None) -> SES:
+    """0 -> tau X -> E -> X -> 0 from the socle class of Ext(X, tau X); tx
+    is tau X when the caller holds it already."""
+    tx = tau(x) if tx is None else tx
     E = end_algebra(x)
     if not E.is_local:
         raise ValueError("almost split sequence needs an indecomposable end")
@@ -274,23 +285,37 @@ def _standard(q: QuiverBase, F, make, a, forward: bool) -> list:
         (q.in_arrows(a) if forward else q.out_arrows(a))).items()]
 
 
-def _predict_mesh(comp: ARComponent, end_of: dict, key: int, forward: bool):
+def _translate(comp: ARComponent, tr: dict, key: int, forward: bool) -> Rep:
+    """tau_inv (forward) or tau of the node key: the node that the knit's
+    translate table tr holds, else built, at most once per knit."""
+    k = tr.get((key, forward))
+    return (tau_inv if forward else tau)(comp.nodes[key].rep) if k is None \
+        else comp.nodes[k].rep
+
+
+def _standard_at(comp: ARComponent, tr: dict, key: int, forward: bool):
+    """Whether the node key is I_a (forward) or P_a: not when the table holds
+    its translate on that side, else read off its (co)presentation."""
+    return (key, forward) not in tr and standard_vertex(
+        comp.nodes[key].rep, "inj" if forward else "proj") is not None
+
+
+def _predict_mesh(comp: ARComponent, tr: dict, key: int, forward: bool):
     """(far end, summands in decompose's order, how) of the step from
     (forward) or into the node, or None to compute it: I_b per arrow b -> a
     from I_a, P_b per arrow a -> b into P_a, else the mesh read off the
     node's arrows on the other side, if any, known after an fp node's
-    backward step or once the mesh from it is recorded."""
+    backward step or once the mesh from it is recorded.  A summand is
+    (rep, multiplicity, the node it translates, or None)."""
     node, q, F = comp.nodes[key], comp.quiver, comp.nodes[key].rep.field
-    kind, translate, record, has = (
-        ("inj", tau_inv, end_of, "fc") if forward else
-        ("proj", tau, comp.tau_links, "fp"))
+    kind, has = ("inj", "fc") if forward else ("proj", "fp")
     if node.is_injective if forward else node.is_projective:
         a = standard_vertex(node.rep, kind)
         far, how = None, f"read off the arrows at {q.vertex_str(a)}"
         parts = _standard(q, F, injective_at if forward else projective_at,
                           a, forward)
     elif (classify_membership(node.rep).verdict in ("fp", "fd") if forward
-          else key in end_of):
+          else tr.get((key, True)) in comp.tau_links):
         parts, sources = [], []
         for (src, dst), mult in comp.arrows.items():
             near, other = (dst, src) if forward else (src, dst)
@@ -299,17 +324,16 @@ def _predict_mesh(comp: ARComponent, end_of: dict, key: int, forward: bool):
                 if classify_membership(rep).verdict not in ("fd", has):
                     return None
                 sources.append(other)
-                if standard_vertex(rep, kind) is None:
-                    k = record.get(other)
-                    parts.append((translate(rep) if k is None else
-                                  comp.nodes[k].rep, mult, k))
+                if not _standard_at(comp, tr, other, forward):
+                    parts.append((_translate(comp, tr, other, forward), mult,
+                                  other))
         if not sources:  # the mesh from a simple projective
             return None
         if forward and node.is_projective:
             parts += _standard(q, F, projective_at,
                                standard_vertex(node.rep, "proj"), True)
-        far, how = translate(node.rep), "predicted from nodes " + ", ".join(
-            map(str, sources))
+        far, how = _translate(comp, tr, key, forward), \
+            "predicted from nodes " + ", ".join(map(str, sources))
     else:
         return None
     probe, _ = joint_window([classify_membership(r) for r, _, _ in parts])
@@ -323,17 +347,22 @@ def knit(seed: Rep, depth: int) -> ARComponent:
     ends at tau_inv X and has tau_inv Z per arrow Z -> X, Z not injective,
     and P_b per arrow b -> c if X is P_c; into X, tau W per arrow X -> W, W
     not projective.  It is predicted when that side is known and has a
-    node (a translate already in the component is reused), else computed."""
+    node, else computed.  The translate table tr holds tau_inv Z = X as
+    (Z, True) -> X and (X, False) -> Z (a bijection: ARS IV.1, BLP 2013), so
+    a node with a known tau is no P_a, one with a known tau_inv no I_a."""
     q, F = seed.quiver, seed.field
     cert0 = classify_membership(seed)
     if not cert0.is_in_rrep():
         raise ValueError(f"seed is {cert0.verdict}; knitting needs rrep payloads")
+    if not is_doubly_infinite(seed):
+        _check_seed(seed, cert0.verdict)
     base_window, _ = joint_window([cert0])
     fwindow = tuple(sorted(_expand_window(q, base_window, depth + 2),
                            key=vkey))
 
     comp = ARComponent(q, [], {}, {}, 0, depth)
     by_fingerprint: dict = {}  # fingerprint -> node keys, in insertion order
+    tr: dict = {}  # (key, forward) -> key of tau_inv (forward) or tau of it
 
     def find_node(rep: Rep, fp) -> Optional[int]:
         for key in by_fingerprint.get(fp, ()):
@@ -341,18 +370,21 @@ def knit(seed: Rep, depth: int) -> ARComponent:
                 return key
         return None
 
-    def add_node(rep: Rep, hops: int, create: bool = True) -> Optional[int]:
-        fp = _fingerprint(rep, fwindow, classify_membership(rep))
-        key = find_node(rep, fp)
-        if key is not None:
-            comp.nodes[key].hops = min(comp.nodes[key].hops, hops)
-            return key
-        if not create:
-            return None
-        node = ARNode(len(comp.nodes), rep, hops=hops)
-        comp.nodes.append(node)
-        by_fingerprint.setdefault(fp, []).append(node.key)
-        return node.key
+    def add_node(rep: Rep, hops: int, of=None, forward=True,
+                 create: bool = True) -> Optional[int]:
+        """The node of rep, found or made; if rep is tau_inv (forward) or
+        tau of the node of, the table answers first and then holds it."""
+        key = tr.get((of, forward))
+        if key is None:
+            fp = _fingerprint(rep, fwindow, classify_membership(rep))
+            key = find_node(rep, fp)
+            if key is None and create:
+                key = len(comp.nodes)
+                comp.nodes.append(ARNode(key, rep, hops=hops))
+                by_fingerprint.setdefault(fp, []).append(key)
+            if of is not None and key is not None:
+                tr[(of, forward)], tr[(key, not forward)] = key, of
+        return key
 
     def add_arrow(src: int, dst: int, mult: int):
         old = comp.arrows.get((src, dst))
@@ -363,34 +395,35 @@ def knit(seed: Rep, depth: int) -> ARComponent:
                 f"valuation mismatch on arrow {src}->{dst}: {old} vs {mult}")
 
     meshes: dict = {}  # end key -> (tau key, [(summand key, multiplicity)])
-    end_of: dict = {}  # tau key -> end key
 
     def knit_mesh(key: int, forward: bool) -> str:
         """A node's neighbours on one side, and how they were obtained: the
         first side of a mesh to come up predicts or computes it and records
         it when both ends are nodes; the other side replays the record."""
         node, hops = comp.nodes[key], comp.nodes[key].hops
-        end = end_of.get(key) if forward else key
+        end = tr.get((key, True)) if forward else key
         if end in meshes:
             tkey, summands = meshes[end]
             far = end if forward else tkey
             how = "replayed"
         else:
-            step = _predict_mesh(comp, end_of, key, forward)
+            step = _predict_mesh(comp, tr, key, forward)
             if step is None:
-                y = tau_inv(node.rep) if forward else node.rep
-                ses = almost_split_sequence(y)
+                y = _translate(comp, tr, key, True) if forward else node.rep
+                # tau y is node.rep, rebuilt for the bench's ar.tau count
+                ses = almost_split_sequence(y, None if forward else
+                                            _translate(comp, tr, key, False))
                 step = y if forward else ses.sub, None, "computed"
             far_rep, parts, how = step
             # the other end sits two hops out; past the depth it is only
             # linked when its iso class is already present, never created
             far = None if far_rep is None else add_node(
-                far_rep, hops + 2, create=hops + 2 <= depth)
+                far_rep, hops + 2, key, forward, create=hops + 2 <= depth)
             end, tkey = (far, key) if forward else (key, far)
             if parts is None:  # computed: decomposed after the far end
                 parts = [(s, m, None) for s, m in decompose(ses.middle)]
-            summands = [(add_node(rep, hops + 1) if k is None else k, mult)
-                        for rep, mult, k in parts]
+            summands = [(add_node(rep, hops + 1, of, forward), mult)
+                        for rep, mult, of in parts]
             for skey, mult in summands:
                 if end is not None:
                     add_arrow(skey, end, mult)
@@ -399,7 +432,6 @@ def knit(seed: Rep, depth: int) -> ARComponent:
             if far is not None:
                 comp.tau_links[end] = tkey
                 meshes[end] = (tkey, summands)
-                end_of[tkey] = end
         near = [(far, hops + 2)] if far is not None else []
         for k, h in near + [(skey, hops + 1) for skey, _ in summands]:
             comp.nodes[k].hops = min(comp.nodes[k].hops, h)
@@ -408,19 +440,17 @@ def knit(seed: Rep, depth: int) -> ARComponent:
 
     comp.seed_key = add_node(seed, 0)
     queue = deque([comp.seed_key])
-    seen = set()
     while queue:
         key = queue.popleft()
-        if key in seen:
-            continue
-        seen.add(key)
         node = comp.nodes[key]
-        if node.hops >= depth:
-            node.status = "frontier"
+        if node.status != "open":  # seen
             continue
-        if len(comp.nodes) > MAX_NODES:
-            comp.notes.append("node budget exhausted; frontier left open")
-            node.status = "frontier"
+        if node.hops >= depth or len(comp.nodes) > MAX_NODES:
+            node.status, node.notes = "frontier", (
+                f"frontier: hop depth {depth} reached" if node.hops >= depth
+                else f"frontier: node budget of {MAX_NODES} exhausted",)
+            if node.hops < depth:
+                comp.notes.append("node budget exhausted; frontier left open")
             continue
         x = node.rep
         cert = classify_membership(x)
@@ -430,10 +460,10 @@ def knit(seed: Rep, depth: int) -> ARComponent:
             continue
 
         # an fp node needs its presentation for tau anyway, an fc node its
-        # copresentation for tau_inv
+        # copresentation for tau_inv, unless the table holds that translate
         fp, fc = cert.verdict in ("fp", "fd"), cert.verdict in ("fc", "fd")
-        node.is_projective = fp and _is_standard(x, "proj")
-        node.is_injective = fc and _is_standard(x, "inj")
+        node.is_projective = fp and _standard_at(comp, tr, key, False)
+        node.is_injective = fc and _standard_at(comp, tr, key, True)
         node.notes = tuple(
             f"{side} step: {knit_mesh(key, side == 'forward')}" if ok else
             f"no {side} expansion: payload not {need}" for side, ok, need in

@@ -15,7 +15,8 @@ isomorphism test that searched pairs of basis maps, the cokernel
 evaluated on its own, before it was read as D of a kernel, Mat and Arrow
 as the frozen dataclasses they were before they were slotted, and knit's
 steps at P_a and I_a as they were computed before knit read them off the
-arrows at a.
+arrows at a, and its P_a and I_a flags as they were read before knit's
+translate table ruled them out.
 """
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +25,7 @@ from arknit import (Mat, classify_membership, decompose, dim_vector,
                     hom_space, injective_at, min_proj_presentation,
                     minimal_left_almost_split_from,
                     minimal_right_almost_split_into, projective_at)
+from arknit.ar import standard_vertex
 from arknit.hom import _iso_indec, _pointwise_inverse, _probe_verts, joint_window
 from arknit.linalg import coker_projection, rank
 from arknit.presentations import relation_matrix
@@ -419,7 +421,7 @@ class FrozenArrow:
         return self.key() < other.key()
 
 
-def computed_step(comp, end_of, key, forward):
+def computed_step(comp, tr, key, forward):
     """A stand-in for ar._predict_mesh that predicts nothing: P_a's
     predecessors and I_a's successors are the summands of the source of its
     minimal right almost split map and of the target of its minimal left
@@ -431,3 +433,11 @@ def computed_step(comp, end_of, key, forward):
     middle = (minimal_left_almost_split_from(node.rep).dst if forward
               else minimal_right_almost_split_into(node.rep).src)
     return None, [(s, m, None) for s, m in decompose(middle)], "computed"
+
+
+def standard_by_presentation(comp, tr, key, forward):
+    """A stand-in for ar._standard_at that ignores knit's translate table:
+    every node is I_a (forward) or P_a as its (co)presentation says, as
+    knit read it before the table."""
+    return standard_vertex(comp.nodes[key].rep,
+                           "inj" if forward else "proj") is not None

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -369,7 +370,8 @@ def test_knit_rejects_bad_seed(zig):
 
 
 def test_knit_refuses_a_zero_or_decomposable_standard_seed(a3, kron, line):
-    # each once reached tau or tau_inv and failed there for the wrong reason
+    # each once reached tau or tau_inv and failed there for the wrong reason,
+    # or, at depth 0, was knit as one node
     cases = [
         (direct_sum(projective_at(a3, 1), projective_at(a3, 2)),
          "seed is a sum of 2 projective objects, not indecomposable"),
@@ -378,8 +380,21 @@ def test_knit_refuses_a_zero_or_decomposable_standard_seed(a3, kron, line):
          "seed is a sum of 2 injective objects, not indecomposable"),
     ]
     for seed, message in cases:
-        with pytest.raises(ValueError, match=message):
-            knit(seed, 2)
+        for depth in (0, 2):
+            with pytest.raises(ValueError, match=message):
+                knit(seed, depth)
+
+
+def test_knit_refuses_a_decomposable_seed_at_every_depth(kron, line):
+    # neither P_a nor I_a, so End decides: at depth 0 these were knit as
+    # one node, deeper they failed in an almost split sequence whose message
+    # did not name the seed
+    for seed in (direct_sum(projective_at(kron, 2), simple_at(kron, 1)),
+                 direct_sum(simple_at(line, 0), simple_at(line, 0))):
+        for depth in (0, 1, 2):
+            with pytest.raises(ValueError, match="seed is decomposable; "
+                               "knitting needs an indecomposable seed"):
+                knit(seed, depth)
 
 
 def test_knit_meshes_are_additive(a5, line, zig, kron):
@@ -411,9 +426,9 @@ def test_knit_meshes_are_additive(a5, line, zig, kron):
 def test_knit_computes_each_mesh_once(kron, line, monkeypatch):
     ends = []
 
-    def spy(x):
+    def spy(x, tx=None):
         ends.append(x)
-        return almost_split_sequence(x)
+        return almost_split_sequence(x, tx)
 
     def computed(seed, depth):
         ends.clear()
@@ -447,9 +462,10 @@ def test_knit_tests_isomorphism_only_to_find_nodes(monkeypatch):
 
     monkeypatch.setattr(ar, "_iso_indec", spy)
     knit(projective_at(linear_quiver(3), 3), 6)
-    # the mesh from tau_inv P_3 reuses tau_inv P_2, the recorded end of the
-    # mesh from P_2, without a find
-    assert callers == ["find_node"] * 5
+    # a translate already made a node is read from the translate table, not
+    # built and found again: tau_inv P_2, a summand of the mesh from
+    # tau_inv P_3, is the far end of the mesh from P_2
+    assert callers == ["find_node"] * 4
 
 
 def test_kronecker_knit_at_depth_20_computes_one_mesh(kron, monkeypatch):
@@ -465,7 +481,7 @@ def test_kronecker_knit_at_depth_20_computes_one_mesh(kron, monkeypatch):
     assert calls == ["almost_split_sequence", "decompose"]
 
 
-def test_knit_notes_say_how_each_step_was_obtained(a3, line):
+def test_knit_notes_say_how_each_step_was_obtained(a3, line, monkeypatch):
     notes = [n.notes for n in knit(projective_at(a3, 3), 6).nodes]
     assert notes == [
         ("backward step: read off the arrows at 3", "forward step: computed"),
@@ -483,6 +499,17 @@ def test_knit_notes_say_how_each_step_was_obtained(a3, line):
     assert knit(injective_at(line, 0), 1).nodes[0].notes == (
         "no backward expansion: payload not fp",
         "forward step: read off the arrows at 0")
+    # a frontier node says which bound stopped it
+    comp = knit(projective_at(a3, 3), 1)
+    assert [(n.status, n.notes) for n in comp.nodes[1:]] == [
+        ("frontier", ("frontier: hop depth 1 reached",))]
+    assert knit(simple_at(line, 0), 0).nodes[0].notes == (
+        "frontier: hop depth 0 reached",)
+    monkeypatch.setattr(ar, "MAX_NODES", 2)
+    comp = knit(projective_at(a3, 3), 6)
+    assert comp.notes[0] == "node budget exhausted; frontier left open"
+    assert {n.notes for n in comp.nodes if n.status == "frontier"} == {
+        ("frontier: node budget of 2 exhausted",)}
 
 
 def _shape(comp):
@@ -520,6 +547,64 @@ def test_predicted_meshes_are_the_computed_ones(monkeypatch):
         assert _shape(comp) == _shape(computed), seed.describe()
         for a, b in zip(comp.nodes, computed.nodes):
             assert iso_test(a.rep, b.rep) is not None
+
+
+def _knit_and_table(monkeypatch, seed, depth):
+    """knit(seed, depth) and its translate table, the dict that knit hands
+    to every _predict_mesh call ({} when no node is expanded)."""
+    tables, predict = [{}], ar._predict_mesh
+
+    def spy(comp, tr, key, forward):
+        tables.append(tr)
+        return predict(comp, tr, key, forward)
+
+    with monkeypatch.context() as m:
+        m.setattr(ar, "_predict_mesh", spy)
+        return knit(seed, depth), tables[-1]
+
+
+def test_translate_table_holds_translates_and_flags(monkeypatch):
+    """On the 11 criterion-10 knits and the knits of seeded random fd
+    seeds: each entry (Z, forward) -> X of knit's translate table has
+    X = tau_inv Z, and (W, backward) -> X has X = tau W, up to isomorphism;
+    and each expanded node is P_a (I_a) exactly when its (co)presentation
+    says so, though knit reads none for a node whose tau (tau_inv) the
+    table holds."""
+    entries = 0
+    for seed, depth in criterion_10_knits() + list(_fd_seeds()):
+        comp, tr = _knit_and_table(monkeypatch, seed, depth)
+        entries += len(tr)
+        for (z, forward), x in tr.items():
+            there = (tau_inv if forward else tau)(comp.node(z).rep)
+            assert iso_test(there, comp.node(x).rep) is not None
+        for n in comp.nodes:
+            if n.status == "expanded":
+                verdict = classify_membership(n.rep).verdict
+                for kind, flag, has in (("proj", n.is_projective, "fp"),
+                                        ("inj", n.is_injective, "fc")):
+                    assert flag == (verdict in ("fd", has) and standard_vertex(
+                        n.rep, kind) is not None), (seed.describe(), n.key)
+    assert entries > 100
+
+
+def test_knit_builds_each_translate_at_most_once(monkeypatch):
+    """Within one knit, tau and tau_inv each run at most once on a node (on
+    its object or one isomorphic to it), on the same knits as above."""
+    calls = []
+    for name in ("tau", "tau_inv"):
+        monkeypatch.setattr(ar, name, lambda x, name=name, real=getattr(
+            ar, name): calls.append((name, x)) or real(x))
+    for seed, depth in criterion_10_knits() + list(_fd_seeds()):
+        calls.clear()
+        comp = knit(seed, depth)
+        runs = Counter()
+        for name, x in calls:
+            key = next((n.key for n in comp.nodes if n.rep is x), None)
+            if key is None:
+                key = next((n.key for n in comp.nodes
+                            if iso_test(n.rep, x) is not None), None)
+            runs[name, key] += key is not None
+        assert max(runs.values(), default=0) <= 1, (seed.describe(), runs)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from arknit import (
     thin_rep,
     verify_exact,
 )
+from arknit.ar import standard_vertex
 from arknit.hom import solve_natural
 
 from conftest import random_fd_rep
@@ -326,6 +327,42 @@ def test_ar_formula_on_random_fd_pairs(case):
         assert "projective" in str(e)
         tx = ak.zero_rep(q, field)
     assert ext_space(x, y).dimension == ak.hom_space(y, tx).dimension
+
+
+# simples, projectives and injectives near vertex 0 of each infinite preset,
+# and how many (X, Y) pairs of them have a certified Ext basis
+AR_FORMULA_VERTICES = {
+    "line": ((-1, 0, 1), 45), "zigzag": ((0, 1, 2), 81),
+    "ray_in": ((0, 1, 2), 54), "ray_out": ((0, 1, 2), 72),
+    "ladder": ((("a", 0), ("b", 0), ("a", 1), ("b", 1)), 80)}
+
+
+@pytest.mark.parametrize("name", sorted(AR_FORMULA_VERTICES))
+def test_ar_formula_for_fp_objects_on_the_presets(name):
+    """dim Ext(X, Y) = dim Hom(Y, tau X) for fp X, with tau X = 0 for a
+    projective X (BLP 2013 for rep+(Q)), over the simples, projectives and
+    injectives near vertex 0, X fp and Y any of them.  A pair whose Ext
+    basis is window_relative is left out: its classes have a family that
+    repeats past the certified window (ExtClassBasis.families), which the
+    window does not decide, so its dimension need not be that of Ext.  On
+    line, Ext(P(1), P(0)) is flagged and reads 1, though P(1) is
+    projective."""
+    q, (verts, certified) = ak.PRESETS[name](), AR_FORMULA_VERTICES[name]
+    objs = [make(q, v) for v in verts
+            for make in (ak.simple_at, ak.projective_at, ak.injective_at)]
+    compared = 0
+    for x in objs:
+        if ak.classify_membership(x).verdict not in ("fp", "fd"):
+            continue
+        tx = ak.zero_rep(q, x.field) if standard_vertex(x, "proj") \
+            is not None else ak.tau(x)
+        for y in objs:
+            ecb = ext_space(x, y)
+            if not ecb.window_relative:
+                assert ecb.dimension == ak.hom_space(y, tx).dimension, (
+                    x.describe(), y.describe())
+                compared += 1
+    assert compared == certified
 
 
 BIG_P = 2 ** 31 - 1

@@ -3,9 +3,10 @@ function, method and class it defines is used somewhere in the project, so
 is every field of its dataclasses and every name in a __slots__, no module
 stores to a field of the value types Mat and Arrow after __init__, no module
 imports sympy, which is a test oracle only, only linalg names Fraction, only
-the duals in rep.py and morphism.py transpose a component, every boundary
-that the benchmark traces by name exists, and every exception a module
-raises is one of the classes the CLI maps to an exit code.
+the duals in rep.py and morphism.py transpose a component, knit builds
+each translate through its translate table, every boundary that the
+benchmark traces by name exists, and every exception a module raises is one
+of the classes the CLI maps to an exit code.
 
 No linter ships with the project, so this parses each module with ``ast``:
 an imported name that no other part of the module reads is dead weight, and
@@ -294,6 +295,34 @@ def test_detects_a_transposed_component():
                          ids=lambda p: p.name)
 def test_only_the_duals_transpose_a_component(path):
     assert transposed_components(path.read_text()) == []
+
+
+def translate_bypasses(source: str) -> list:
+    """Lines in knit or _predict_mesh (nested functions included) that name
+    tau or tau_inv: a translate built there, not through _translate, which
+    reads knit's translate table first, builds again a node that the knit
+    already has."""
+    return sorted(n.lineno for f in ast.walk(ast.parse(source))
+                  if isinstance(f, ast.FunctionDef)
+                  and f.name in ("knit", "_predict_mesh")
+                  for n in ast.walk(f)
+                  if isinstance(n, ast.Name) and n.id in ("tau", "tau_inv"))
+
+
+def test_detects_a_translate_outside_the_table():
+    src = ("def knit(seed, depth):\n"
+           "    def step(x):\n"
+           "        return tau_inv(x)\n"
+           "    f = tau\n"
+           "def _predict_mesh(comp, tr, key, forward):\n"
+           "    return _translate(comp, tr, key, forward)\n"
+           "def _translate(comp, tr, key, forward):\n"
+           "    return tau(comp.nodes[key].rep)\n")
+    assert translate_bypasses(src) == [3, 4]
+
+
+def test_knit_builds_translates_only_through_the_table():
+    assert translate_bypasses((PACKAGE / "ar.py").read_text()) == []
 
 
 def fraction_lines(source: str) -> list:

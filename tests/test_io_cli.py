@@ -425,6 +425,17 @@ def test_cli_knit_refuses_a_zero_or_decomposable_standard_seed(
     assert (code, out, err) == (1, "", f"arknit: error: {message}\n")
 
 
+@pytest.mark.parametrize("depth", ["0", "1", "2"])
+def test_cli_knit_refuses_a_decomposable_seed_at_every_depth(depth):
+    # at depth 0 this seed was knit as one node; deeper, it failed in an
+    # almost split sequence whose message did not name the seed
+    code, out, err = run_cli(["knit", "--quiver", KRON, "--seed",
+                              '{"sum":[{"proj":"2"},{"simple":"1"}]}',
+                              "--depth", depth])
+    assert (code, out, err) == (1, "", "arknit: error: seed is decomposable; "
+                                "knitting needs an indecomposable seed\n")
+
+
 def test_cli_exit_3_on_internal_error(monkeypatch):
     def broken(args):
         raise AssertionError("morphism does not commute with arrows")

@@ -45,7 +45,7 @@ from arknit.linalg import rank
 from arknit.presentations import check_vanishing
 from arknit.rep import joint_window, proj_sum_basis
 from conftest import random_fd_rep, single_rung
-from oracles import computed_step
+from oracles import computed_step, standard_by_presentation
 
 GOLDEN = Path(__file__).parent / "golden" / "presentations.txt"
 
@@ -331,14 +331,16 @@ def presentations_made(run) -> list:
 
 def golden_text() -> str:
     """Under the computed route: a predicted mesh makes its nodes as other
-    constructions, so its presentations do not pin the relation basis."""
-    predict = ar._predict_mesh
-    ar._predict_mesh = computed_step
+    constructions, so its presentations do not pin the relation basis; and
+    with every P_a and I_a flag read off a (co)presentation, so that the
+    objects presented do not follow the translate table."""
+    predict, standard = ar._predict_mesh, ar._standard_at
+    ar._predict_mesh, ar._standard_at = computed_step, standard_by_presentation
     try:
         made = presentations_made(lambda: [knit(seed, depth) for seed, depth
                                            in criterion_10_knits()])
     finally:
-        ar._predict_mesh = predict
+        ar._predict_mesh, ar._standard_at = predict, standard
     return "".join(json.dumps([p.obj.describe(), p.pm.spec_dict()]) + "\n"
                    for p in made)
 
