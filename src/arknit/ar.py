@@ -81,7 +81,9 @@ def standard_vertex(x: Rep, kind: str):
 def _check_seed(seed: Rep, verdict: str):
     """Refuse a zero or decomposable seed at any depth: P_a (I_a) has one
     (co)generator and no (co)relations, a zero object or a sum of several
-    none or several; any other seed needs a local End, as a brick has."""
+    none or several; any other seed, doubly infinite ones too, needs a
+    local End, as a brick has.  dim End is counted first, so a brick stops
+    there at 1."""
     for kind, has, word in (("proj", "fp", "projective"),
                             ("inj", "fc", "injective")):
         gens, rels = _generators(seed, kind) if verdict in ("fd", has) \
@@ -354,8 +356,7 @@ def knit(seed: Rep, depth: int) -> ARComponent:
     cert0 = classify_membership(seed)
     if not cert0.is_in_rrep():
         raise ValueError(f"seed is {cert0.verdict}; knitting needs rrep payloads")
-    if not is_doubly_infinite(seed):
-        _check_seed(seed, cert0.verdict)
+    _check_seed(seed, cert0.verdict)
     base_window, _ = joint_window([cert0])
     fwindow = tuple(sorted(_expand_window(q, base_window, depth + 2),
                            key=vkey))
@@ -449,8 +450,9 @@ def knit(seed: Rep, depth: int) -> ARComponent:
             node.status, node.notes = "frontier", (
                 f"frontier: hop depth {depth} reached" if node.hops >= depth
                 else f"frontier: node budget of {MAX_NODES} exhausted",)
-            if node.hops < depth:
-                comp.notes.append("node budget exhausted; frontier left open")
+            note = "node budget exhausted; frontier left open"
+            if node.hops < depth and note not in comp.notes:
+                comp.notes.append(note)
             continue
         x = node.rep
         cert = classify_membership(x)

@@ -166,6 +166,7 @@ def run(args) -> dict | str:
         dst = rep_of(args.dst, "dst")
         hb = hom_space(src, dst)
         win = sorted(hb.window, key=vkey)
+        # the count and the basis are both read, so they are checked to agree
         return {"schema": SCHEMA, "dimension": hb.dimension,
                 "route": hb.route,
                 "window": [q.vertex_str(v) for v in win],

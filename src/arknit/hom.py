@@ -1,20 +1,28 @@
 """Hom spaces, endomorphism algebras, isomorphism testing, decomposition.
 
-Three finite routes to Hom(M, N):
+One count and three finite routes to a basis of Hom(M, N).  The dimension
+is d.cols - rank(d) for the arrow complex d of ext.py, with no basis built,
+on a vertex set where it is exact: for fd M, supp M and the heads of the
+arrows leaving it, since a natural map out of M vanishes off supp M and only
+the arrows out of supp M constrain it; for any other M, the joint window at
+pad 2, exact for the reason below, checked at pad 3.  A route builds its
+basis when the basis is first read, and an object whose count and basis are
+both read checks that they agree (a mismatch is an engine bug,
+AssertionError):
   presentation    M finitely presented: generator images that the relations
                   of M kill, each read as the Yoneda map of the images
                   through a section of the cover.
   copresentation  N finitely copresented: the presentation route on the
                   duals, Hom(M, N) = Hom(DN, DM) over the opposite quiver,
                   transposed back.
-  window          both objects certified: the kernel of the arrow complex of
-                  ext.py on the joint window at pad 2.
+  window          both objects certified: the kernel of the arrow complex on
+                  the joint window at pad 2.
 
 The window is exact.  Past the stable depth every nonzero ray of an object
 in rrep has an invertible transition and every crossing map is zero (else
 its verdict is notInRrep), so a natural map on the joint window extends to
 the next band in exactly one way, through the ray arrow: restriction from
-pad p + 1 to pad p is bijective for every p >= 0, and one solve at pad 3
+pad p + 1 to pad p is bijective for every p >= 0, and one rank at pad 3
 checks that contract (a mismatch is an engine bug, AssertionError).  This
 is also why Morphism propagates window components along rays.
 
@@ -99,16 +107,91 @@ def solve_natural(src: Rep, dst: Rep, verts, extra=()):
 # hom spaces
 
 
-@dataclass
 class HomBasis:
-    src: Rep
-    dst: Rep
-    dimension: int
-    basis: tuple
-    route: str
-    window: tuple
-    anchor: tuple         # vertices where the basis is fixed, and independent
-    certificate: dict
+    """Hom(src, dst) on one route, whose name and window hom_space fixes.
+
+    dimension is one rank of the arrow complex (_hom_dim), with no basis
+    built; basis, anchor (the vertices where the basis is fixed, and
+    independent) and certificate are the route's, built on first read.  An
+    object whose count and basis are both read checks that they agree."""
+
+    def __init__(self, src: Rep, dst: Rep, route: str, window: tuple, certs,
+                 available: list):
+        self.src, self.dst = src, dst
+        self.route, self.window = route, window
+        self._certs, self._available = certs, available
+
+    @cached_property
+    def dimension(self) -> int:
+        count = _hom_dim(self.src, self.dst, self._certs)
+        if "_built" in self.__dict__:
+            self._agree(count, len(self.basis))
+        return count
+
+    @cached_property
+    def _built(self) -> tuple:
+        m, n = self.src, self.dst
+        if self.route == "presentation":
+            basis, anchor, cert = _presentation_route(m, n)
+        elif self.route == "copresentation":
+            basis, anchor, cert = _copresentation_route(m, n)
+        else:
+            basis, anchor, cert = _window_route(m, n, self._certs)
+        cert["routes_available"] = self._available
+        if "dimension" in self.__dict__:
+            self._agree(self.dimension, len(basis))
+        return tuple(basis), anchor, cert
+
+    def _agree(self, count: int, built: int):
+        if count != built:
+            raise AssertionError(
+                f"Hom dimension {count} by the arrow complex, but {built} "
+                f"basis morphisms on the {self.route} route")
+
+    @property
+    def basis(self) -> tuple:
+        return self._built[0]
+
+    @property
+    def anchor(self) -> tuple:
+        return self._built[1]
+
+    @property
+    def certificate(self) -> dict:
+        return self._built[2]
+
+
+def _kernel_dim(m: Rep, n: Rep, verts) -> int:
+    """The dimension of the natural maps m -> n on verts: cols - rank of the
+    arrow complex over the arrows within verts."""
+    d, _ = arrow_complex(m, n, verts, m.quiver.arrows_within(verts))
+    return d.cols - rank(d)
+
+
+def _check_pad3(m: Rep, n: Rep, certs, count: int, depth: int):
+    """The window contract: Hom on the joint window at pad 3 has the count
+    found at pad 2, whose window depth is depth."""
+    deeper = _kernel_dim(m, n, joint_window(certs, 3)[0])
+    if deeper != count:
+        raise AssertionError(
+            f"window Hom dimension {count} at pad 2 and {deeper} at pad 3, "
+            f"window depth {depth}: restriction past the stable depth is "
+            f"not bijective")
+
+
+def _hom_dim(m: Rep, n: Rep, certs) -> int:
+    """dim Hom(m, n) by one rank, on a vertex set where it is exact.  For fd
+    m: supp m and the heads of the arrows leaving it, since a natural map
+    vanishes off supp m, and only the arrows out of supp m constrain the
+    rest.  Otherwise the joint window at pad 2, checked at pad 3."""
+    if certs[0].verdict == "fd":
+        supp = certs[0].support.explicit
+        heads = {a.dst for v in supp for a in m.quiver.out_arrows(v)}
+        return _kernel_dim(m, n, sorted(supp | heads, key=vkey))
+    verts, depth = joint_window(certs, 2)
+    count = _kernel_dim(m, n, verts)
+    _check_pad3(m, n, certs, count, depth)
+    return count
 
 
 def _presentation_route(m: Rep, n: Rep):
@@ -140,12 +223,7 @@ def _copresentation_route(m: Rep, n: Rep):
 def _window_route(m: Rep, n: Rep, certs):
     verts, depth = joint_window(certs, 2)
     _, hom = solve_natural(m, n, verts)
-    deeper = len(solve_natural(m, n, joint_window(certs, 3)[0])[1])
-    if deeper != len(hom):
-        raise AssertionError(
-            f"window Hom dimension {len(hom)} at pad 2 and {deeper} at pad 3, "
-            f"window depth {depth}: restriction past the stable depth is "
-            f"not bijective")
+    _check_pad3(m, n, certs, len(hom), depth)
     basis = [Morphism(m, n, window=verts, comps=comps, label=f"h{i}")
              for i, comps in enumerate(hom)]
     return basis, verts, {"window_depth": depth, "pad": 2}
@@ -169,16 +247,7 @@ def hom_space(m: Rep, n: Rep, route: Optional[str] = None) -> HomBasis:
         raise ValueError(f"route {route!r} is not available here; "
                          f"available: {', '.join(available)}")
     window, _ = joint_window([certm, certn])
-    if route == "presentation":
-        basis, anchor, cert = _presentation_route(m, n)
-    elif route == "copresentation":
-        basis, anchor, cert = _copresentation_route(m, n)
-    else:
-        basis, window, cert = _window_route(m, n, [certm, certn])
-        anchor = window
-    cert["routes_available"] = available
-    return HomBasis(m, n, len(basis), tuple(basis), route, window, anchor,
-                    cert)
+    return HomBasis(m, n, route, window, (certm, certn), available)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +284,7 @@ def end_algebra(m: Rep) -> EndAlgebra:
     of each product of two basis morphisms solved at the route's anchor."""
     F = m.field
     hb = hom_space(m, m)
-    n = hb.dimension
+    n = len(hb.basis)
     if n == 0:
         return EndAlgebra(m, 0, (), (), (), (), False, hb.window,
                           {"zero_object": True})

@@ -244,15 +244,15 @@ def block_matrix(field: Field, blocks: Sequence[Sequence[Optional[Mat]]],
     return Mat(field, sum(row_dims), sum(col_dims), tuple(rows))
 
 
-def rref(m: Mat):
-    """Reduced row echelon form.  Returns (R, pivot_cols).
+def _eliminate(m: Mat, full: bool):
+    """(rows, pivots): Gaussian elimination of m on plain int rows, each
+    pivot column cleared below its pivot and, when full, above it too.
 
-    Elimination runs on plain int rows.  Over GF(p) the input is reduced mod
-    p first (a Mat checks nothing, so an entry may be any int) and so is each
-    step.  Over Q each row is scaled to integers, rows are combined by integer
+    Over GF(p) the input is reduced mod p first (a Mat checks nothing, so an
+    entry may be any int) and so is each step, and each pivot is scaled to 1.
+    Over Q each row is scaled to integers, rows are combined by integer
     cross-multiplication and each combined row is divided by the gcd of its
-    entries; a pivot row is divided by its pivot only when R is built, and
-    each entry of R is in canonical form (an int when integral).
+    entries.
     """
     p = m.field.char
     if p:
@@ -272,7 +272,7 @@ def rref(m: Mat):
         if p and a != 1:
             inv = pow(a, p - 2, p)
             piv = rows[r] = [x * inv % p for x in piv]
-        for i in range(nrows):
+        for i in range(0 if full else r + 1, nrows):
             row = rows[i]
             f = row[c]
             if not f or i == r:
@@ -289,23 +289,36 @@ def rref(m: Mat):
         r += 1
         if r == nrows:
             break
-    if p:
+    return rows, tuple(pivots)
+
+
+def rref(m: Mat):
+    """Reduced row echelon form.  Returns (R, pivot_cols).
+
+    A pivot row over Q is divided by its pivot only when R is built, and
+    each entry of R is in canonical form (an int when integral).
+    """
+    rows, pivots = _eliminate(m, True)
+    if m.field.char:
         out = tuple(tuple(row) for row in rows)
     else:
         out = []
         for i, row in enumerate(rows):
-            if i >= r:
+            if i >= len(pivots):
                 out.append((0,) * m.cols)
                 continue
             d = row[pivots[i]]
             out.append(tuple(row) if d == 1 else
                        tuple(_frac(x, d) for x in row))
         out = tuple(out)
-    return Mat(m.field, m.rows, m.cols, out), tuple(pivots)
+    return Mat(m.field, m.rows, m.cols, out), pivots
 
 
 def rank(m: Mat) -> int:
-    return len(rref(m)[1])
+    """The number of pivots, by forward elimination only: clearing above
+    each pivot as rref does costs up to a factor of the row count more (a
+    bidiagonal matrix fills in above its pivots) and changes no pivot."""
+    return len(_eliminate(m, False)[1])
 
 
 def _null_rows(m: Mat):

@@ -507,7 +507,7 @@ def test_knit_notes_say_how_each_step_was_obtained(a3, line, monkeypatch):
         "frontier: hop depth 0 reached",)
     monkeypatch.setattr(ar, "MAX_NODES", 2)
     comp = knit(projective_at(a3, 3), 6)
-    assert comp.notes[0] == "node budget exhausted; frontier left open"
+    assert comp.notes == ["node budget exhausted; frontier left open"]
     assert {n.notes for n in comp.nodes if n.status == "frontier"} == {
         ("frontier: node budget of 2 exhausted",)}
 

@@ -304,9 +304,22 @@ def test_hom_routes_agree_on_random_fd_pairs(case):
     kind, char, dm, dn = case
     q, field = EULER_POOLS[kind][0](), ak.GF(char) if char else QQ
     m, n = _fd(q, field, dm), _fd(q, field, dn)
-    dims = {r: ak.hom_space(m, n, route=r).dimension
+    dims = {r: len(ak.hom_space(m, n, route=r).basis)
             for r in ("presentation", "copresentation", "window")}
     assert len(set(dims.values())) == 1, dims
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(euler_cases())
+def test_hom_count_is_the_basis_size_of_every_route_on_random_fd_pairs(case):
+    # dimension is one rank of the arrow complex; each route builds its own
+    # basis, read here from a second HomBasis so neither sees the other
+    kind, char, dm, dn = case
+    q, field = EULER_POOLS[kind][0](), ak.GF(char) if char else QQ
+    m, n = _fd(q, field, dm), _fd(q, field, dn)
+    for r in ("presentation", "copresentation", "window"):
+        assert ak.hom_space(m, n, route=r).dimension == \
+            len(ak.hom_space(m, n, route=r).basis), r
 
 
 # The Auslander-Reiten formula Ext(X, Y) = D Hom(Y, tau X) holds for X of
@@ -363,6 +376,23 @@ def test_ar_formula_for_fp_objects_on_the_presets(name):
                     x.describe(), y.describe())
                 compared += 1
     assert compared == certified
+
+
+@pytest.mark.parametrize("name", sorted(AR_FORMULA_VERTICES))
+def test_hom_count_is_the_basis_size_of_every_route_on_the_presets(name):
+    """The fp, fc and fd objects of the AR-formula test: the count of an
+    fd domain is taken on its support and the heads of the arrows leaving
+    it, any other on the window, and each route's basis has that size."""
+    q, (verts, _) = ak.PRESETS[name](), AR_FORMULA_VERTICES[name]
+    objs = [make(q, v) for v in verts
+            for make in (ak.simple_at, ak.projective_at, ak.injective_at)]
+    for m in objs:
+        for n in objs:
+            routes = ak.hom_space(m, n).certificate["routes_available"]
+            for r in routes:
+                assert ak.hom_space(m, n, route=r).dimension == \
+                    len(ak.hom_space(m, n, route=r).basis), (
+                        m.describe(), n.describe(), r)
 
 
 BIG_P = 2 ** 31 - 1

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import arknit as ak
 import arknit.hom as hom
+import arknit.presentations as presentations
 from arknit import (
     GF,
     QQ,
@@ -33,6 +34,7 @@ from arknit import (
 )
 
 from arknit.linalg import kernel_basis, rank, solve_matrix
+from arknit.morphism import Morphism
 from arknit.presentations import yoneda
 from arknit.rep import joint_window
 from conftest import random_fd_rep
@@ -86,7 +88,7 @@ def test_hom_dims_match_oracle(a3, kron):
 def test_routes_agree(a3, line, ray_in, ladder):
     m = simple_at(a3, 2)
     n = injective_at(a3, 2)
-    dims = {r: hom_space(m, n, route=r).dimension
+    dims = {r: len(hom_space(m, n, route=r).basis)
             for r in ("presentation", "copresentation", "window")}
     assert len(set(dims.values())) == 1
     # fc codomains on infinite quivers: the copresentation route (the
@@ -103,11 +105,41 @@ def test_routes_agree(a3, line, ray_in, ladder):
                         cop = hom_space(m, n, route="copresentation")
                         routes = cop.certificate["routes_available"]
                         assert "copresentation" in routes
-                        assert {hom_space(m, n, route=r).dimension
+                        assert {len(hom_space(m, n, route=r).basis)
                                 for r in routes} == {cop.dimension}
                         assert len(cop.basis) == cop.dimension
                         for f in cop.basis:
                             assert naturality_defect(f, cop.window)
+
+
+def test_hom_dimension_of_an_fd_domain_builds_no_basis(line, line_full,
+                                                      monkeypatch):
+    """Reading only the dimension of Hom out of an fd object is one rank of
+    the arrow complex on its support: no presentation, no morphism."""
+    calls = []
+    present = presentations._min_proj_presentation
+    init = Morphism.__init__
+
+    def spy_presentation(x):
+        calls.append("presentation")
+        return present(x)
+
+    def spy_init(self, *args, **kwargs):
+        calls.append("morphism")
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(presentations, "_min_proj_presentation",
+                        spy_presentation)
+    monkeypatch.setattr(Morphism, "__init__", spy_init)
+    m = explicit_fd(line, {1: 1, 0: 2, -1: 1},
+                    {"1>0": Mat.from_rows(QQ, [[1], [0]]),
+                     "0>-1": Mat.from_rows(QQ, [[0, 1]])})
+    targets = (simple_at(line, 0), projective_at(line, 0),
+               injective_at(line, 1), thin_rep(line, line_full))
+    dims = [hom_space(m, n).dimension for n in targets]
+    assert calls == []
+    assert dims == [len(hom_space(m, n).basis) for n in targets]
+    assert "presentation" in calls and "morphism" in calls
 
 
 def test_hom_with_infinite_supports(line, line_full):
@@ -196,18 +228,22 @@ def test_end_algebra_table_reproduces_products(kron, line, F):
 
 
 def test_window_route_budget_failure_names_dims_and_depth(line, monkeypatch):
-    # a Hom dimension that grows with the pad breaks the contract
+    # a Hom dimension that grows with the pad breaks the contract, whether
+    # the window route builds its basis or an fp domain's Hom is counted
     m = projective_at(line, 0)
     certs = [ak.classify_membership(m)] * 2
     monkeypatch.setattr(hom, "solve_natural",
                         lambda src, dst, verts: (None, [{}] * len(verts)))
+    monkeypatch.setattr(hom, "_kernel_dim", lambda src, dst, verts: len(verts))
     _, depth = joint_window(certs, 2)
     dims = [len(joint_window(certs, pad)[0]) for pad in (2, 3)]
     assert dims[0] != dims[1]
-    with pytest.raises(AssertionError, match=(
-            f"window Hom dimension {dims[0]} at pad 2 and {dims[1]} at pad 3, "
-            f"window depth {depth}: ")):
+    message = (f"window Hom dimension {dims[0]} at pad 2 and {dims[1]} at "
+               f"pad 3, window depth {depth}: ")
+    with pytest.raises(AssertionError, match=message):
         hom._window_route(m, m, certs)
+    with pytest.raises(AssertionError, match=message):
+        hom_space(m, m).dimension
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

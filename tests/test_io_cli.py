@@ -436,6 +436,27 @@ def test_cli_knit_refuses_a_decomposable_seed_at_every_depth(depth):
                                 "knitting needs an indecomposable seed\n")
 
 
+@pytest.mark.parametrize("depth", ["0", "1", "2"])
+def test_cli_knit_refuses_a_decomposable_doubly_infinite_seed(depth):
+    # the sum of two full thin objects on line was knit as one node
+    code, out, err = run_cli(["knit", "--quiver", LINE, "--seed",
+                              f'{{"sum":[{ALLK},{ALLK}]}}', "--depth", depth])
+    assert (code, out, err) == (1, "", "arknit: error: seed is decomposable; "
+                                "knitting needs an indecomposable seed\n")
+
+
+def test_cli_hom_exits_3_when_the_count_and_the_basis_disagree(monkeypatch):
+    # the hom verb reads both the counted dimension and the route's basis
+    count = hom_mod._hom_dim
+    monkeypatch.setattr(hom_mod, "_hom_dim",
+                        lambda m, n, certs: count(m, n, certs) + 1)
+    code, out, err = run_cli(["hom", "--quiver", A3,
+                              "--src", '{"proj":"2"}', "--dst", '{"inj":"2"}'])
+    assert (code, out) == (3, "")
+    assert err == ("arknit: internal error: Hom dimension 2 by the arrow "
+                   "complex, but 1 basis morphisms on the presentation route\n")
+
+
 def test_cli_exit_3_on_internal_error(monkeypatch):
     def broken(args):
         raise AssertionError("morphism does not commute with arrows")
