@@ -517,18 +517,6 @@ def classify_component(comp: ARComponent) -> ShapeHypothesis:
     return ShapeHypothesis("ZAinfinity", cert_info)
 
 
-def ar_category_kind(q: QuiverBase) -> str:
-    left = not q.has_right_infinite_path()
-    right = not q.has_left_infinite_path()
-    if left and right:
-        return "both"
-    if left:
-        return "left"
-    if right:
-        return "right"
-    return "neither"
-
-
 # ---------------------------------------------------------------------------
 # Coxeter oracle for finite quivers
 

@@ -1,7 +1,11 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 domain or parse errors, 2 an argparse usage error
-only, 3 internal errors (a broken invariant of the engine, such as a
+Only io, quiver and rep (and linalg under them) load with this module; a
+verb imports what else it calls in its branch, so hom, ext and decompose
+load no ar, and quiver, rep, member and export load nothing more.
+
+Exit codes: 0 success, 1 domain, parse or file errors, 2 an argparse usage
+error only, 3 internal errors (a broken invariant of the engine, such as a
 constructor's periodicity contract, the window Hom route's check one band
 deeper, or the deep checks of a presentation).
 Output is deterministic: identical invocations produce identical bytes.
@@ -10,19 +14,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from .ar import (almost_split_sequence, ar_category_kind, classify_component,
-                 knit, tau, tau_inv, verify_almost_split)
-from .ext import ext_space
-from .hom import decompose_report, hom_space
-from .io import (SCHEMA, ParseError, component_dot, component_json, emit_rep,
-                 parse_field, parse_quiver, parse_rep, snapshot_rep)
-from .morphism import verify_exact
-from .quiver import vkey
+# rep first: the largest module compiles while the heap is smallest, which
+# lowers every verb's peak memory
 from .rep import (classify_membership, injective_at, joint_window,
                   projective_at, simple_at)
+from .io import (SCHEMA, ParseError, component_dot, component_json, emit_rep,
+                 parse_field, parse_quiver, parse_rep, snapshot_rep)
+from .quiver import ar_category_kind, vkey
 
 MAX_DEPTH = 32     # knit/classify hop depth
 MAX_RADIUS = 1000  # display window radius past the stable cutoffs
@@ -32,10 +32,12 @@ def _load_spec(text: str, what: str):
     """A spec argument is either inline JSON or a path to a JSON file."""
     s = text.strip()
     if not s.startswith(("{", "[")):
-        if not os.path.exists(text):
-            raise ParseError(f"/{what}", f"file not found: {text}")
-        with open(text) as fh:
-            s = fh.read()
+        try:
+            with open(text, encoding="utf-8") as fh:
+                s = fh.read()
+        except (OSError, UnicodeDecodeError) as e:
+            reason = getattr(e, "strerror", e)  # a decode error has none
+            raise ParseError(f"/{what}", f"cannot read {text}: {reason}")
     try:
         obj = json.loads(s)
     except json.JSONDecodeError as e:
@@ -108,17 +110,12 @@ def _dims(q, m, verts):
 
 
 def _profiles_json(cert):
-    out = []
-    for p in cert.profiles:
-        out.append({
-            "end": p.eid,
-            "cutoff": p.cutoff,
-            "rays": [{"ray": r.rid, "kind": r.kind, "dim": r.dim,
-                      "status": r.status} for r in p.rays],
-            "crossings": [{"crossing": c.cid, "nonzero": c.nonzero}
-                          for c in p.crossings],
-        })
-    return out
+    return [{"end": p.eid, "cutoff": p.cutoff,
+             "rays": [{"ray": r.rid, "kind": r.kind, "dim": r.dim,
+                       "status": r.status} for r in p.rays],
+             "crossings": [{"crossing": c.cid, "nonzero": c.nonzero}
+                           for c in p.crossings]}
+            for p in cert.profiles]
 
 
 def _morphism_json(q, f, verts):
@@ -162,6 +159,7 @@ def run(args) -> dict | str:
                 "profiles": _profiles_json(cert)}
 
     if args.verb == "hom":
+        from .hom import hom_space
         src = rep_of(args.src, "src")
         dst = rep_of(args.dst, "dst")
         hb = hom_space(src, dst)
@@ -173,6 +171,7 @@ def run(args) -> dict | str:
                 "basis": [_morphism_json(q, f, win) for f in hb.basis]}
 
     if args.verb == "ext":
+        from .ext import ext_space
         quot = rep_of(args.quot, "quot")
         sub = rep_of(args.sub, "sub")
         ecb = ext_space(quot, sub)
@@ -182,6 +181,7 @@ def run(args) -> dict | str:
                 "symbolic_families": list(ecb.families)}
 
     if args.verb == "tau":
+        from .ar import tau, tau_inv
         m = rep_of(args.rep, "rep")
         out = tau_inv(m) if args.inverse else tau(m)
         cert = classify_membership(out)
@@ -190,6 +190,8 @@ def run(args) -> dict | str:
                 "verdict": cert.verdict, "dims": _dims(q, out, win)}
 
     if args.verb == "ass":
+        from .ar import almost_split_sequence, verify_almost_split
+        from .morphism import verify_exact
         x = rep_of(args.rep, "rep")
         ses = almost_split_sequence(x)
         cert = classify_membership(ses.middle)
@@ -223,6 +225,7 @@ def run(args) -> dict | str:
         return payload
 
     if args.verb in ("knit", "classify"):
+        from .ar import classify_component, knit
         seed = rep_of(args.seed, "seed")
         comp = knit(seed, args.depth)
         if args.verb == "knit":
@@ -237,6 +240,7 @@ def run(args) -> dict | str:
                 "notes": list(comp.notes)}
 
     if args.verb == "decompose":
+        from .hom import decompose_report
         m = rep_of(args.rep, "rep")
         rep = decompose_report(m)
         return {"schema": SCHEMA,
@@ -257,21 +261,23 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload = run(args)
+        text = payload if isinstance(payload, str) else \
+            json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        if args.out == "-":
+            sys.stdout.write(text)
+        else:
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as e:
+                raise ParseError("/out", f"cannot write {args.out}: "
+                                         f"{e.strerror}")
     except (ParseError, ValueError, KeyError) as e:
         print(f"arknit: error: {e}", file=sys.stderr)
         return 1
     except AssertionError as e:
         print(f"arknit: internal error: {e}", file=sys.stderr)
         return 3
-    if isinstance(payload, str):
-        text = payload
-    else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
     return 0
 
 

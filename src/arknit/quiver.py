@@ -414,6 +414,18 @@ def kronecker_quiver() -> FiniteQuiver:
     return FiniteQuiver.build([1, 2], [(1, 2, "alpha"), (1, 2, "beta")])
 
 
+def ar_category_kind(q: QuiverBase) -> str:
+    left = not q.has_right_infinite_path()
+    right = not q.has_left_infinite_path()
+    if left and right:
+        return "both"
+    if left:
+        return "left"
+    if right:
+        return "right"
+    return "neither"
+
+
 # ---------------------------------------------------------------------------
 # infinite presets
 

@@ -5,8 +5,9 @@ stores to a field of the value types Mat and Arrow after __init__, no module
 imports sympy, which is a test oracle only, only linalg names Fraction, only
 the duals in rep.py and morphism.py transpose a component, knit builds
 each translate through its translate table, every boundary that the
-benchmark traces by name exists, and every exception a module raises is one
-of the classes the CLI maps to an exit code.
+benchmark traces by name exists, every exception a module raises is one
+of the classes the CLI maps to an exit code, the package's public names are
+pinned and load only when read, and a CLI verb imports only what it reads.
 
 No linter ships with the project, so this parses each module with ``ast``:
 an imported name that no other part of the module reads is dead weight, and
@@ -422,6 +423,18 @@ def test_detects_a_sympy_import():
     assert not names_sympy('"""sympy in a docstring"""\n')
 
 
+def run_python(code: str) -> str:
+    """The stdout of a fresh interpreter that runs code with src/ first on
+    its path; the run must succeed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_sympy_is_not_loaded_by_import_or_a_plain_verb():
     # no module names it, and with every import of it blocked the verbs
     # that split endomorphism algebras still run and print the same bytes
@@ -449,13 +462,7 @@ for argv in runs:
 with open({str(golden)!r}) as fh:
     assert out.getvalue() == fh.read(), "knit DOT differs from the golden file"
 """
-    src = str(Path(arknit.__file__).parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    run_python(code)
 
 
 def test_every_boundary_the_benchmark_traces_exists():
@@ -467,3 +474,98 @@ def test_every_boundary_the_benchmark_traces_exists():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     assert tracing.missing_named(PACKAGE.parent) == []
+
+
+# the package namespace: these names resolve, each read from its module
+PUBLIC_NAMES = [
+    "ARComponent", "ARNode", "ASReport", "Arrow", "DecomposeReport", "End",
+    "EndAlgebra", "EvalRangeError", "ExtClassBasis", "Field",
+    "FiniteExtReport", "FiniteQuiver", "GF", "HomBasis", "Mat", "Morphism",
+    "OppositeQuiver", "PFIDecomposition", "PRESETS", "ParseError", "Path",
+    "PathMatrix", "Presentation", "QQ", "QuiverBase", "Rep",
+    "RepClassCertificate", "RungFamily", "SCHEMA", "SES", "ShapeHypothesis",
+    "SubquiverClass", "VertexSet", "almost_split_sequence", "ar",
+    "ar_category_kind", "baer_sum", "classify_component",
+    "classify_membership", "classify_subquiver", "coker_proj", "cokernel",
+    "component_dot", "component_json", "coxeter_matrix", "coxeter_transform",
+    "decompose", "decompose_report", "dim_vector", "direct_sum", "dualize",
+    "emit_quiver", "emit_rep", "end_algebra", "end_profile", "equal_on",
+    "equiv_ext", "explicit_fd", "ext", "ext_class_to_ses", "ext_space",
+    "glue_rep", "glue_ses", "hom", "hom_space", "identity_morphism", "image",
+    "injective_at", "io", "is_doubly_infinite", "is_finite_extension",
+    "is_pseudo_projective", "is_radical", "is_split", "iso_test", "ker_inj",
+    "kernel", "knit", "kronecker_quiver", "linalg", "linear_quiver",
+    "min_inj_copresentation", "min_proj_presentation",
+    "minimal_left_almost_split_from", "minimal_right_almost_split_into",
+    "morphism", "morphism_from_components", "nakayama", "naturality_defect",
+    "parse_field", "parse_quiver", "parse_rep", "path_matrix", "pfi_decompose",
+    "presentations", "projective_at", "quiver", "rep", "restrict",
+    "restriction_ses", "ses_class_coords", "simple_at", "split_ses",
+    "standard_ext", "standard_ext_region", "support_exact", "tail_split",
+    "tau", "tau_inv", "thin_rep", "verify_almost_split", "verify_exact",
+    "vkey", "zero_morphism", "zero_rep"
+]
+
+
+def test_the_public_names_are_pinned():
+    assert arknit.__all__ == PUBLIC_NAMES
+
+
+def test_every_public_name_resolves_and_an_unknown_one_does_not():
+    star = {}
+    exec("from arknit import *", star)
+    for name in PUBLIC_NAMES:
+        assert getattr(arknit, name) is star[name]
+    assert set(PUBLIC_NAMES) <= set(dir(arknit))
+    assert not hasattr(arknit, "nope")
+    assert getattr(arknit, "nope", None) is None
+
+
+def test_the_package_reads_a_rebound_name_from_its_module(monkeypatch):
+    # the benchmark's tracer rebinds module attributes and later restores
+    # them; a copy kept in the package would go stale
+    stub = object()
+    assert arknit.knit is arknit.ar.knit
+    monkeypatch.setattr(arknit.ar, "knit", stub)
+    assert arknit.knit is stub
+    monkeypatch.undo()
+    assert arknit.knit is not stub
+
+
+def test_importing_the_package_loads_no_module():
+    out = run_python("import sys, arknit\n"
+                     "print([m for m in sys.modules if 'arknit.' in m])")
+    assert out == "[]\n"
+
+
+ABOVE_REP = ("ar", "hom", "ext", "morphism", "presentations", "poly")
+LINE, A3 = '{"preset":"line"}', '{"preset":"linear","n":3}'
+VERB_RUNS = [
+    (["quiver", "--quiver", LINE], ABOVE_REP),
+    (["rep", "--quiver", LINE, "--rep", '{"inj":"0"}'], ABOVE_REP),
+    (["member", "--quiver", '{"preset":"zigzag"}', "--rep",
+      '{"thin":{"explicit":[],"tails":[["inf","even",0],["inf","odd",0]]}}'],
+     ABOVE_REP),
+    (["export", "--quiver", LINE, "--rep", '{"proj":"0"}'], ABOVE_REP),
+    (["hom", "--quiver", A3, "--src", '{"proj":"2"}', "--dst", '{"inj":"2"}'],
+     ("ar",)),
+    (["ext", "--quiver", '{"preset":"kronecker"}', "--quot",
+      '{"simple":"1"}', "--sub", '{"simple":"2"}'], ("ar",)),
+    (["decompose", "--quiver", A3, "--rep",
+      '{"sum":[{"proj":"1"},{"simple":"2"},{"simple":"2"}]}'], ("ar",)),
+]
+
+
+@pytest.mark.parametrize("argv, unloaded", VERB_RUNS,
+                         ids=[argv[0] for argv, _ in VERB_RUNS])
+def test_a_verb_imports_only_the_modules_it_reads(argv, unloaded):
+    code = f"""
+import contextlib, io, sys
+import arknit.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert arknit.cli.main({argv!r}) == 0
+print(" ".join(m for m in sys.modules if m.startswith("arknit.")))
+"""
+    loaded = set(run_python(code).split())
+    assert "arknit.rep" in loaded
+    assert loaded.isdisjoint(f"arknit.{m}" for m in unloaded)

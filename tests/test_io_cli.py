@@ -9,6 +9,7 @@ import re
 
 import pytest
 
+import arknit.ar as ar_mod
 import arknit.cli as cli
 import arknit.hom as hom_mod
 import arknit.io as io_mod
@@ -391,6 +392,36 @@ def test_cli_out_file(tmp_path):
     assert json.loads(target.read_text())["verdict"] == "rrep"
 
 
+@pytest.mark.parametrize("where, reason", [
+    ("missing/out.json", "No such file or directory"),
+    ("", "Is a directory"),
+    ("/dev/full", "No space left on device"),
+], ids=["missing_dir", "a_directory", "full_device"])
+def test_cli_out_file_errors_name_the_pointer(tmp_path, where, reason):
+    if where.startswith("/") and not os.path.exists(where):
+        pytest.skip(f"{where} does not exist here")
+    target = str(tmp_path / where) if not where.startswith("/") else where
+    code, out, err = run_cli(["quiver", "--quiver", LINE, "--out", target])
+    assert code == 1 and out == ""
+    assert err == f"arknit: error: /out: cannot write {target}: {reason}\n"
+
+
+@pytest.mark.parametrize("flag", ["quiver", "rep"])
+def test_cli_unreadable_spec_files_name_the_pointer(tmp_path, flag):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"preset": "line", "note": "\xe9"}')
+    specs = {"quiver": LINE, "rep": '{"proj":"0"}'}
+    for path, reason in ((tmp_path / "none.json", "No such file or directory"),
+                         (tmp_path, "Is a directory"),
+                         (bad, "'utf-8' codec can't decode byte 0xe9")):
+        specs[flag] = str(path)
+        code, out, err = run_cli(["rep", "--quiver", specs["quiver"],
+                                  "--rep", specs["rep"]])
+        assert code == 1 and out == ""
+        assert err.startswith(f"arknit: error: /{flag}: cannot read {path}: "
+                              f"{reason}")
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -554,7 +585,7 @@ def test_cli_caps_depth(monkeypatch, argv, env, pointer):
     def boom(*a, **k):
         raise RuntimeError("knit started")
 
-    monkeypatch.setattr(cli, "knit", boom)
+    monkeypatch.setattr(ar_mod, "knit", boom)
     code, out, err = run_cli(argv[:1] + ["--quiver", KRON, "--seed",
                                          '{"proj":"2"}'] + argv[1:], env=env)
     assert code == 1
@@ -570,7 +601,7 @@ def test_cli_caps_admit_their_bounds(monkeypatch):
         seen.update(depth=depth)
         raise ValueError("stopped before knitting")
 
-    monkeypatch.setattr(cli, "knit", stop)
+    monkeypatch.setattr(ar_mod, "knit", stop)
     code, _, err = run_cli(["knit", "--quiver", KRON, "--seed", '{"proj":"2"}',
                             "--depth", str(cli.MAX_DEPTH)])
     assert code == 1 and "stopped before knitting" in err
