@@ -118,11 +118,11 @@ def almost_split_sequence(x: Rep, tx: Optional[Rep] = None) -> SES:
     if not E.is_local:
         raise ValueError("almost split sequence needs an indecomposable end")
     ecb = ext_space(x, tx)
-    if ecb.dimension == 0:
+    if not (n := len(ecb.basis)):   # the classes are read; no count is run
         raise AssertionError("Ext(X, tau X) vanished unexpectedly")
     F = x.field
     if not E.radical:
-        coeffs = [F.one] + [F.zero] * (ecb.dimension - 1)
+        coeffs = [F.one] + [F.zero] * (n - 1)
     else:
         # socle of the right End(X)-action: classes killed by the radical
         rows = []
@@ -133,7 +133,7 @@ def almost_split_sequence(x: Rep, tx: Optional[Rep] = None) -> SES:
                 moved = {a: m.mul(r.component(a.src)) for a, m in bc.items()}
                 cols.append(ecb.coords(lambda a: moved.get(a)))
             rows.extend(zip(*cols))
-        soc = kernel_basis(Mat(F, len(rows), ecb.dimension, tuple(rows)))
+        soc = kernel_basis(Mat(F, len(rows), n, tuple(rows)))
         if soc.cols == 0:
             raise AssertionError("Ext socle vanished; class selection failed")
         coeffs = list(soc.col(0))

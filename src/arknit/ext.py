@@ -7,16 +7,18 @@ For objects X (quotient side) and Y (sub side) the complex
     d(f)_a = Y(a) f_src - f_dst X(a)
 
 has kernel Hom(X, Y) and cokernel Ext(X, Y) (Ringel, LNM 1099).  hom.py
-takes the kernel on a window; here only vertices and arrows where both
-evaluations are nonzero contribute to the cokernel.  When the contributing
-arrow set is provably finite the answer is exact; otherwise the result is
-computed on a window and flagged.
+takes the kernel; here only the cells where both evaluations are nonzero
+contribute to the cokernel.  Its dimension is rows - rank of the transposed
+complex on the joint window, with no basis built.  The class basis and the
+families are built on first read, on the same window; when the contributing
+arrow set continues past it (families) the basis is flagged window_relative.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .linalg import Mat, coker_projection
+from .linalg import Mat, coker_projection, rank
 from .morphism import SES, glue_ses
 from .rep import (GlueRep, Rep, RungFamily, classify_membership, equal_on,
                   joint_window)
@@ -67,76 +69,115 @@ def _arrows_at_depth(q, t) -> list:
     return out
 
 
-def _interaction(x: Rep, y: Rep, certx, certy):
-    """(V, A, families, depth): vertices and arrows where x-source and
-    y-target evaluations are both nonzero; families are symbolic witnesses
-    that the arrow set continues periodically past the window."""
+def _cells(x: Rep, y: Rep, verts):
+    """(V, A): where x and y are both nonzero, at a vertex or across an arrow."""
+    vs = [v for v in verts if x.dim(v) > 0 and y.dim(v) > 0]
+    arrows = sorted({a for v in verts if x.dim(v) > 0
+                     for a in x.quiver.out_arrows(v) if y.dim(a.dst) > 0})
+    return vs, arrows
+
+
+def _interaction(x: Rep, y: Rep, certs):
+    """(V, A, families): the cells on the joint window of the certificates;
+    families are symbolic witnesses that the arrow set continues
+    periodically past the window."""
     q = x.quiver
-    window, depth = joint_window([certx, certy])
-    vs = [v for v in window if x.dim(v) > 0 and y.dim(v) > 0]
-    arrows = sorted({a for v in window if x.dim(v) > 0
-                     for a in q.out_arrows(v) if y.dim(a.dst) > 0})
+    window, depth = joint_window(certs)
+    vs, arrows = _cells(x, y, window)
     t = depth + 1
     families = tuple(f"{q.vertex_str(a.src)}->{q.vertex_str(a.dst)} "
                      f"repeating for depth >= {t}"
                      for a in _arrows_at_depth(q, t)
                      if x.dim(a.src) > 0 and y.dim(a.dst) > 0)
-    return vs, arrows, families, depth
+    return vs, arrows, families
 
 
-@dataclass
-class ExtClassBasis:
-    quot: Rep                 # X, the quotient side
-    sub: Rep                  # Y, the sub side
-    dimension: int
-    arrows: tuple             # contributing arrows (window)
-    basis: tuple              # cocycle dicts arrow -> Mat
-    window_relative: bool
-    families: tuple           # nonempty iff window_relative
-    certificate: dict
-    _proj: Mat = None         # C1 -> class coordinates
-    _layout: tuple = None     # (arrow, row, col) per C1 coordinate
+def _ext_dim(x: Rep, y: Rep, certs) -> int:
+    """dim Ext(x, y) by one rank of the arrow complex on the joint window."""
+    d, _ = arrow_complex(x, y, *_cells(x, y, joint_window(certs)[0]))
+    return d.rows - rank(d.transpose())
+
+
+class CountedBasis:
+    """dimension is one count (_count), basis built on first read (_build,
+    basis first); reading both checks that they agree (AssertionError)."""
+
+    @cached_property
+    def dimension(self) -> int:
+        count = self._count()
+        if "_built" in self.__dict__:
+            self._agree(count, len(self.basis))
+        return count
+
+    @cached_property
+    def _built(self) -> tuple:
+        built = self._build()
+        if "dimension" in self.__dict__:
+            self._agree(self.dimension, len(built[0]))
+        return built
+
+    def _agree(self, count: int, built: int):
+        if count != built:
+            raise AssertionError(
+                f"{self._space} dimension {count} by the arrow complex, but "
+                f"{built} basis {self._built_on}")
+
+    basis = property(lambda self: self._built[0])
+
+
+class ExtClassBasis(CountedBasis):
+    """Ext(quot, sub): basis (cocycle dicts arrow -> Mat), arrows (those of
+    the window that contribute), families and coords, built on first read."""
+
+    _space, _built_on = "Ext", "classes on the interaction window"
+
+    def __init__(self, quot: Rep, sub: Rep, certs):
+        self.quot, self.sub, self._certs = quot, sub, certs
+
+    def _count(self) -> int:
+        return _ext_dim(self.quot, self.sub, self._certs)
+
+    def _build(self) -> tuple:
+        x, y = self.quot, self.sub
+        F = x.field
+        vs, arrows, families = _interaction(x, y, self._certs)
+        d, _ = arrow_complex(x, y, vs, arrows)
+        layout = tuple((a, r, c) for a in arrows
+                       for r in range(y.dim(a.dst)) for c in range(x.dim(a.src)))
+        P, free = coker_projection(d)
+        basis = []
+        for fr in free:
+            a, r, c = layout[fr]
+            unit = [[F.zero] * x.dim(a.src) for _ in range(y.dim(a.dst))]
+            unit[r][c] = F.one
+            basis.append({a: Mat.from_rows(F, unit)})
+        return tuple(basis), tuple(arrows), families, P, layout
+
+    arrows = property(lambda self: self._built[1])
+    families = property(lambda self: self._built[2])
+    window_relative = property(lambda self: bool(self.families))
 
     def coords(self, cocycle_at) -> tuple:
         """Class coordinates of a cocycle given as a lookup arrow -> Mat."""
-        F = self.sub.field
-        vec = []
-        for (a, r, c) in self._layout:
-            m = cocycle_at(a)
-            vec.append(F.zero if m is None else m.entries[r][c])
-        return self._proj.apply(vec)
+        zero, (_, _, _, proj, layout) = self.sub.field.zero, self._built
+        return proj.apply([zero if (m := cocycle_at(a)) is None
+                           else m.entries[r][c] for (a, r, c) in layout])
 
 
 def ext_space(x: Rep, y: Rep) -> ExtClassBasis:
-    """Basis of Ext(X, Y): classes of sequences 0 -> Y -> E -> X -> 0."""
-    certx = classify_membership(x)
-    certy = classify_membership(y)
-    for c, which in ((certx, "quotient"), (certy, "sub")):
+    """Ext(X, Y), its count and its basis each computed when first read."""
+    certs = (classify_membership(x), classify_membership(y))
+    for c, which in zip(certs, ("quotient", "sub")):
         if not c.is_in_rrep():
             raise ValueError(f"ext_space needs finite-data objects; "
                              f"{which} is {c.verdict}")
-    F = x.field
-    vs, arrows, families, depth = _interaction(x, y, certx, certy)
-
-    d, _ = arrow_complex(x, y, vs, arrows)
-    c1_layout = tuple((a, r, c) for a in arrows
-                      for r in range(y.dim(a.dst)) for c in range(x.dim(a.src)))
-    P, free = coker_projection(d)
-    basis = []
-    for fr in free:
-        a, r, c = c1_layout[fr]
-        unit = [[F.zero] * x.dim(a.src) for _ in range(y.dim(a.dst))]
-        unit[r][c] = F.one
-        basis.append({a: Mat.from_rows(F, unit)})
-    cert = {"vertices": len(vs), "arrows": len(arrows), "depth": depth}
-    return ExtClassBasis(x, y, len(free), tuple(arrows), tuple(basis),
-                         bool(families), families, cert, P, c1_layout)
+    return ExtClassBasis(x, y, certs)
 
 
 def ext_class_to_ses(ecb: ExtClassBasis, coeffs) -> SES:
     """The glued sequence representing a linear combination of basis classes."""
     F = ecb.sub.field
-    if len(coeffs) != ecb.dimension:
+    if len(coeffs) != len(ecb.basis):
         raise ValueError("coefficient count does not match Ext dimension")
     acc: dict = {}
     for c, bc in zip(coeffs, ecb.basis):
@@ -210,9 +251,8 @@ def baer_sum(s1: SES, s2: SES) -> SES:
     _same_ends(s1, s2)
     sub, quot = s1.sub, s1.quot
     F = sub.field
-    certq = classify_membership(quot)
-    certs_ = classify_membership(sub)
-    _, arrows, _, _ = _interaction(quot, sub, certq, certs_)
+    _, arrows, _ = _interaction(
+        quot, sub, [classify_membership(r) for r in (quot, sub)])
     acc = {}
     for a in arrows:
         m1 = s1.cocycle_at(a)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .ext import arrow_complex
+from .ext import CountedBasis, arrow_complex
 from .linalg import (Mat, inverse, kernel_basis, min_poly, rank, solve,
                      solve_matrix)
 from .morphism import Morphism, identity_morphism, image, zero_morphism
@@ -107,29 +107,27 @@ def solve_natural(src: Rep, dst: Rep, verts, extra=()):
 # hom spaces
 
 
-class HomBasis:
-    """Hom(src, dst) on one route, whose name and window hom_space fixes.
+class HomBasis(CountedBasis):
+    """Hom(src, dst) on one route, whose name hom_space fixes.
 
     dimension is one rank of the arrow complex (_hom_dim), with no basis
-    built; basis, anchor (the vertices where the basis is fixed, and
-    independent) and certificate are the route's, built on first read.  An
-    object whose count and basis are both read checks that they agree."""
+    built; the route's basis, anchor (the vertices where the basis is fixed,
+    and independent) and certificate, and the window, are built when read."""
 
-    def __init__(self, src: Rep, dst: Rep, route: str, window: tuple, certs,
+    _space = "Hom"
+
+    def __init__(self, src: Rep, dst: Rep, route: str, certs,
                  available: list):
-        self.src, self.dst = src, dst
-        self.route, self.window = route, window
+        self.src, self.dst, self.route = src, dst, route
         self._certs, self._available = certs, available
+        self._built_on = f"morphisms on the {route} route"
 
-    @cached_property
-    def dimension(self) -> int:
-        count = _hom_dim(self.src, self.dst, self._certs)
-        if "_built" in self.__dict__:
-            self._agree(count, len(self.basis))
-        return count
+    window = cached_property(lambda self: joint_window(self._certs)[0])
 
-    @cached_property
-    def _built(self) -> tuple:
+    def _count(self) -> int:
+        return _hom_dim(self.src, self.dst, self._certs)
+
+    def _build(self) -> tuple:
         m, n = self.src, self.dst
         if self.route == "presentation":
             basis, anchor, cert = _presentation_route(m, n)
@@ -138,27 +136,10 @@ class HomBasis:
         else:
             basis, anchor, cert = _window_route(m, n, self._certs)
         cert["routes_available"] = self._available
-        if "dimension" in self.__dict__:
-            self._agree(self.dimension, len(basis))
         return tuple(basis), anchor, cert
 
-    def _agree(self, count: int, built: int):
-        if count != built:
-            raise AssertionError(
-                f"Hom dimension {count} by the arrow complex, but {built} "
-                f"basis morphisms on the {self.route} route")
-
-    @property
-    def basis(self) -> tuple:
-        return self._built[0]
-
-    @property
-    def anchor(self) -> tuple:
-        return self._built[1]
-
-    @property
-    def certificate(self) -> dict:
-        return self._built[2]
+    anchor = property(lambda self: self._built[1])
+    certificate = property(lambda self: self._built[2])
 
 
 def _kernel_dim(m: Rep, n: Rep, verts) -> int:
@@ -246,8 +227,7 @@ def hom_space(m: Rep, n: Rep, route: Optional[str] = None) -> HomBasis:
     if route not in available:
         raise ValueError(f"route {route!r} is not available here; "
                          f"available: {', '.join(available)}")
-    window, _ = joint_window([certm, certn])
-    return HomBasis(m, n, route, window, (certm, certn), available)
+    return HomBasis(m, n, route, (certm, certn), available)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arknit as ak
+import arknit.ext as ext_mod
 from arknit import (
     QQ,
     RungFamily,
@@ -266,10 +267,10 @@ def fd_data(draw, verts, arrows):
 
 
 @st.composite
-def euler_cases(draw, kinds=tuple(sorted(EULER_POOLS))):
+def euler_cases(draw, kinds=tuple(sorted(EULER_POOLS)), chars=(0, 7)):
     kind = draw(st.sampled_from(kinds))
     _, verts, arrows = EULER_POOLS[kind]
-    char = draw(st.sampled_from((0, 7)))
+    char = draw(st.sampled_from(chars))
     return (kind, char, draw(fd_data(verts, arrows)),
             draw(fd_data(verts, arrows)))
 
@@ -282,15 +283,23 @@ def _fd(q, field, data):
         for label, rows in mats.items()}, field)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(euler_cases())
-def test_euler_form_on_random_fd_pairs(case):
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(euler_cases(chars=(0, 2, 3, 7)), st.booleans())
+def test_euler_form_on_random_fd_pairs(case, count_first):
+    """dim Ext is rows - rank of the transposed arrow complex; the oracle
+    takes the cokernel of relation_matrix of a minimal presentation of M, a
+    different matrix.  The class basis, built from its own elimination, has
+    the same size whichever is read first."""
     kind, char, dm, dn = case
     make, verts, arrows = EULER_POOLS[kind]
     q, field = make(), ak.GF(char) if char else QQ
     m, n = _fd(q, field, dm), _fd(q, field, dn)
-    hb = ak.hom_space(m, n)
-    ext = ext_space(m, n).dimension
+    hb, ecb = ak.hom_space(m, n), ext_space(m, n)
+    if count_first:
+        ext, built = ecb.dimension, len(ecb.basis)
+    else:
+        built, ext = len(ecb.basis), ecb.dimension
+    assert ext == built == ext_dim_via_presentation(m, n)
     assert hb.dimension - ext == euler_form(verts, arrows, dm[0], dn[0])
     # the kernel of the arrow complex on the whole window is the same Hom
     assert hb.route == "presentation"
@@ -320,6 +329,37 @@ def test_hom_count_is_the_basis_size_of_every_route_on_random_fd_pairs(case):
     for r in ("presentation", "copresentation", "window"):
         assert ak.hom_space(m, n, route=r).dimension == \
             len(ak.hom_space(m, n, route=r).basis), r
+
+
+def test_ext_count_of_an_fd_quotient_builds_no_basis(kron, monkeypatch):
+    """Reading only dim Ext(X, Y) is one rank on the window: no interaction
+    families, no cokernel projection; reading the basis then builds both,
+    once."""
+    calls = []
+    for name in ("_interaction", "coker_projection"):
+        def spy(*args, name=name, real=getattr(ext_mod, name)):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(ext_mod, name, spy)
+    ecb = ext_space(simple_at(kron, 1), simple_at(kron, 2))
+    assert ecb.dimension == 2 and calls == []
+    assert len(ecb.basis) == 2 and ecb.arrows and not ecb.window_relative
+    assert calls == ["_interaction", "coker_projection"]
+
+
+@pytest.mark.parametrize("basis_first", [False, True])
+def test_ext_count_that_disagrees_with_the_basis_is_an_internal_error(
+        a3, monkeypatch, basis_first):
+    count = ext_mod._ext_dim
+    monkeypatch.setattr(ext_mod, "_ext_dim",
+                        lambda x, y, certs: count(x, y, certs) + 1)
+    ecb = ext_space(simple_at(a3, 1), simple_at(a3, 2))
+    first, second = ("basis", "dimension") if basis_first \
+        else ("dimension", "basis")
+    getattr(ecb, first)
+    with pytest.raises(AssertionError, match="Ext dimension 2 by the arrow "
+                       "complex, but 1 basis classes"):
+        getattr(ecb, second)
 
 
 # The Auslander-Reiten formula Ext(X, Y) = D Hom(Y, tau X) holds for X of
@@ -382,7 +422,9 @@ def test_ar_formula_for_fp_objects_on_the_presets(name):
 def test_hom_count_is_the_basis_size_of_every_route_on_the_presets(name):
     """The fp, fc and fd objects of the AR-formula test: the count of an
     fd domain is taken on its support and the heads of the arrows leaving
-    it, any other on the window, and each route's basis has that size."""
+    it, any other on the window, and each route's basis has that size.  The
+    Ext count and class basis, both on the window, agree on every pair,
+    window_relative or not."""
     q, (verts, _) = ak.PRESETS[name](), AR_FORMULA_VERTICES[name]
     objs = [make(q, v) for v in verts
             for make in (ak.simple_at, ak.projective_at, ak.injective_at)]
@@ -393,6 +435,8 @@ def test_hom_count_is_the_basis_size_of_every_route_on_the_presets(name):
                 assert ak.hom_space(m, n, route=r).dimension == \
                     len(ak.hom_space(m, n, route=r).basis), (
                         m.describe(), n.describe(), r)
+            assert ext_space(m, n).dimension == \
+                len(ext_space(m, n).basis), (m.describe(), n.describe())
 
 
 BIG_P = 2 ** 31 - 1

@@ -112,6 +112,22 @@ def test_routes_agree(a3, line, ray_in, ladder):
                             assert naturality_defect(f, cop.window)
 
 
+def test_hom_window_is_built_only_when_read(a3, monkeypatch):
+    calls = []
+    window = hom.joint_window
+
+    def spy(certs, *pad):
+        calls.append(len(certs))
+        return window(certs, *pad)
+
+    monkeypatch.setattr(hom, "joint_window", spy)
+    m, n = simple_at(a3, 2), injective_at(a3, 2)
+    hb = hom_space(m, n)
+    assert hb.dimension == 1 and calls == []
+    certs = [ak.classify_membership(r) for r in (m, n)]
+    assert hb.window == hb.window == window(certs)[0] and calls == [2]
+
+
 def test_hom_dimension_of_an_fd_domain_builds_no_basis(line, line_full,
                                                       monkeypatch):
     """Reading only the dimension of Hom out of an fd object is one rank of

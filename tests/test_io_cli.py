@@ -11,6 +11,7 @@ import pytest
 
 import arknit.ar as ar_mod
 import arknit.cli as cli
+import arknit.ext as ext_mod
 import arknit.hom as hom_mod
 import arknit.io as io_mod
 import arknit.presentations as presentations_mod
@@ -486,6 +487,47 @@ def test_cli_hom_exits_3_when_the_count_and_the_basis_disagree(monkeypatch):
     assert (code, out) == (3, "")
     assert err == ("arknit: internal error: Hom dimension 2 by the arrow "
                    "complex, but 1 basis morphisms on the presentation route\n")
+
+
+EXT_STDOUT = (
+    # the README example
+    (KRON, '{"simple":"1"}', '{"simple":"2"}',
+     '{\n  "dimension": 2,\n  "interaction_arrows": [\n    "alpha",\n'
+     '    "beta"\n  ],\n  "schema": "arknit/1",\n'
+     '  "symbolic_families": [],\n  "window_relative": false\n}\n'),
+    # an fp quotient, counted and built on the window, flagged
+    (LINE, '{"proj":"1"}', '{"proj":"0"}',
+     '{\n  "dimension": 1,\n  "interaction_arrows": [\n    "-5>-6",\n'
+     '    "-4>-5",\n    "-3>-4",\n    "-2>-3",\n    "-1>-2",\n'
+     '    "0>-1",\n    "1>0"\n  ],\n  "schema": "arknit/1",\n'
+     '  "symbolic_families": [\n    "-6->-7 repeating for depth >= 6"\n'
+     '  ],\n  "window_relative": true\n}\n'),
+    # an fd pair on an infinite quiver, counted on supp I(2)
+    (ZIG, '{"inj":"2"}', '{"proj":"1"}',
+     '{\n  "dimension": 1,\n  "interaction_arrows": [\n    "1>0",\n'
+     '    "1>2",\n    "3>2"\n  ],\n  "schema": "arknit/1",\n'
+     '  "symbolic_families": [],\n  "window_relative": false\n}\n'),
+)
+
+
+@pytest.mark.parametrize("quiver,quot,sub,stdout", EXT_STDOUT,
+                         ids=("readme", "line_window", "zigzag_fd"))
+def test_cli_ext_stdout_is_pinned(quiver, quot, sub, stdout):
+    # the ext verb reads the count and the class basis, so they are checked
+    # to agree, and prints the same bytes as when both came from one basis
+    assert run_cli(["ext", "--quiver", quiver, "--quot", quot,
+                    "--sub", sub]) == (0, stdout, "")
+
+
+def test_cli_ext_exits_3_when_the_count_and_the_basis_disagree(monkeypatch):
+    count = ext_mod._ext_dim
+    monkeypatch.setattr(ext_mod, "_ext_dim",
+                        lambda x, y, certs: count(x, y, certs) - 1)
+    code, out, err = run_cli(["ext", "--quiver", KRON, "--quot",
+                              '{"simple":"1"}', "--sub", '{"simple":"2"}'])
+    assert (code, out) == (3, "")
+    assert err == ("arknit: internal error: Ext dimension 1 by the arrow "
+                   "complex, but 2 basis classes on the interaction window\n")
 
 
 def test_cli_exit_3_on_internal_error(monkeypatch):
