@@ -8,14 +8,15 @@ D Tr and Tr D; Bautista-Liu-Paquette, Proc. LMS 106, 2013, for rep+(Q) and
 rep-(Q)).  The standard objects are read from the same minimal
 (co)presentations: X is P_a (I_a) when it has one (co)generator a and no
 (co)relations.  Almost split sequences are built from the socle class of
-Ext(X, tau X) under the endomorphism action and checked by an explicit
-battery.  Knitting walks the component graph breadth first in both
-directions, with payload identity decided by fingerprints plus certified
-isomorphism tests and a table of the translates it built.  rrep(Q) has the
-almost split sequences of rep(Q) (BLP 2013), so its AR quiver is a valued
-translation quiver: knit reads a mesh off its arrows on a known side (ARS
-VII.1; Assem-Simson-Skowronski IV.4), or computes it once, and replays it
-at its other end.
+Ext(X, tau X) under the endomorphism action and checked by a battery of
+span tests: one window kernel of Hom per test object and side, in whose
+span each radical map must lie.  Knitting walks the component graph
+breadth first in both directions, with payload identity decided by
+fingerprints plus certified isomorphism tests and a table of the
+translates it built.  rrep(Q) has the almost split sequences of rep(Q)
+(BLP 2013), so its AR quiver is a valued translation quiver: knit reads a
+mesh off its arrows on a known side (ARS VII.1; Assem-Simson-Skowronski
+IV.4), or computes it once, and replays it at its other end.
 """
 from __future__ import annotations
 
@@ -24,9 +25,9 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .ext import ext_class_to_ses, ext_space
-from .hom import (_endo_from_coords, _iso_indec, decompose, end_algebra,
-                  hom_space, solve_natural, summand_key)
-from .linalg import QQ, Mat, inverse, kernel_basis
+from .hom import (_columns, _endo_from_coords, _iso_indec, decompose,
+                  end_algebra, hom_space, solve_natural, summand_key)
+from .linalg import QQ, Mat, inverse, kernel_basis, outside_span
 from .morphism import SES, Morphism, verify_exact
 from .presentations import (min_inj_copresentation, min_proj_presentation,
                             nakayama)
@@ -187,7 +188,6 @@ class ASReport:
     lift_failures: tuple
     factor_failures: tuple
     battery_size: int
-    window: tuple
 
     @property
     def passed(self) -> bool:
@@ -207,39 +207,47 @@ def _radical_morphisms(src: Rep, dst: Rep):
 
 
 def verify_almost_split(ses: SES, battery) -> ASReport:
+    """The defining properties (ARS V.1) on windows, each question one span
+    test: a radical g: M -> quot lifts iff it lies in the span of proj o h
+    over the window kernel h of Hom(M, middle), a radical g: sub -> M
+    factors iff it lies in that of h o incl over Hom(middle, M), and the
+    sequence splits iff id_quot lifts.  One kernel per object and side."""
     sub, mid, quot = ses.sub, ses.middle, ses.quot
-    certs = [classify_membership(r) for r in (sub, mid, quot)]
-    window, _ = joint_window(certs)
-    checks = verify_exact(ses, window)
-    exact = checks["exact"]
+    F, battery = quot.field, list(battery)
+    window, _ = joint_window([classify_membership(r) for r in (sub, mid, quot)])
+    proj, incl = ses.proj.component, ses.incl.component
 
-    sec_extra = [(v, ses.proj.component(v), None,
-                  Mat.identity(quot.field, quot.dim(v))) for v in window]
-    part, _ = solve_natural(quot, mid, window, extra=sec_extra)
-    non_split = part is None
+    def misses(src, dst, verts, maps, through):
+        """The indices of maps, component lists on verts, outside the span
+        of through(h, v) over the natural maps h: src -> dst on verts."""
+        if not maps:
+            return ()
+        span = [[through(h, v) for v in verts]
+                for h in solve_natural(src, dst, verts)]
+        return outside_span(_columns(F, span + maps), len(span))
 
-    sub_loc = end_algebra(sub).is_local
-    quot_loc = end_algebra(quot).is_local
+    def lifted(h, v):
+        return proj(v).mul(h[v])
+
+    def restricted(h, v):
+        return h[v].mul(incl(v))
 
     lift_failures, factor_failures = [], []
     for m in battery:
         w2 = sorted(set(window) | set(joint_window(
             [classify_membership(m)])[0]), key=vkey)
-        for g in _radical_morphisms(m, quot):
-            extra = [(v, ses.proj.component(v), None, g.component(v))
-                     for v in w2]
-            part, _ = solve_natural(m, mid, w2, extra=extra)
-            if part is None:
-                lift_failures.append((m.describe(), g.label))
-        for g in _radical_morphisms(sub, m):
-            extra = [(v, None, ses.incl.component(v), g.component(v))
-                     for v in w2]
-            part, _ = solve_natural(mid, m, w2, extra=extra)
-            if part is None:
-                factor_failures.append((m.describe(), g.label))
-    return ASReport(exact, non_split, sub_loc, quot_loc,
-                    tuple(lift_failures), tuple(factor_failures),
-                    len(list(battery)), tuple(window))
+        for out, src, dst, gs, through in (
+                (lift_failures, m, mid, _radical_morphisms(m, quot), lifted),
+                (factor_failures, mid, m, _radical_morphisms(sub, m),
+                 restricted)):
+            maps = [[g.component(v) for v in w2] for g in gs]
+            out += [(m.describe(), gs[i].label)
+                    for i in misses(src, dst, w2, maps, through)]
+    ident = [[Mat.identity(F, quot.dim(v)) for v in window]]
+    return ASReport(verify_exact(ses, window)["exact"],
+                    bool(misses(quot, mid, window, ident, lifted)),
+                    end_algebra(sub).is_local, end_algebra(quot).is_local,
+                    tuple(lift_failures), tuple(factor_failures), len(battery))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from functools import cached_property
 from .linalg import Mat, coker_projection, rank
 from .morphism import SES, glue_ses
 from .rep import (GlueRep, Rep, RungFamily, classify_membership, equal_on,
-                  joint_window)
+                  joint_window, same_ambient)
 
 
 def arrow_complex(x: Rep, y: Rep, verts, arrows):
@@ -166,6 +166,7 @@ class ExtClassBasis(CountedBasis):
 
 def ext_space(x: Rep, y: Rep) -> ExtClassBasis:
     """Ext(X, Y), its count and its basis each computed when first read."""
+    same_ambient(x, y, "ext_space objects")
     certs = (classify_membership(x), classify_membership(y))
     for c, which in zip(certs, ("quotient", "sub")):
         if not c.is_in_rrep():

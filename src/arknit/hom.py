@@ -2,10 +2,9 @@
 
 One count and three finite routes to a basis of Hom(M, N).  The dimension
 is d.cols - rank(d) for the arrow complex d of ext.py, with no basis built,
-on a vertex set where it is exact: for fd M, supp M and the heads of the
-arrows leaving it, since a natural map out of M vanishes off supp M and only
-the arrows out of supp M constrain it; for any other M, the joint window at
-pad 2, exact for the reason below, checked at pad 3.  A route builds its
+on the joint window at pad 2, exact for the reason below, and checked at
+pad 3 unless M is fd: a natural map out of fd M vanishes off supp M, which
+the window holds with the arrows out of it into supp N.  A route builds its
 basis when the basis is first read, and an object whose count and basis are
 both read checks that they agree (a mismatch is an engine bug,
 AssertionError):
@@ -16,7 +15,9 @@ AssertionError):
                   duals, Hom(M, N) = Hom(DN, DM) over the opposite quiver,
                   transposed back.
   window          both objects certified: the kernel of the arrow complex on
-                  the joint window at pad 2.
+                  the joint window at pad 2 (solve_natural, the one window
+                  kernel, which the almost split battery of ar.py also
+                  reads).
 
 The window is exact.  Past the stable depth every nonzero ray of an object
 in rrep has an invertible transition and every crossing map is zero (else
@@ -38,69 +39,34 @@ from functools import cached_property
 from typing import Optional
 
 from .ext import CountedBasis, arrow_complex
-from .linalg import (Mat, inverse, kernel_basis, min_poly, rank, solve,
-                     solve_matrix)
+from .linalg import Mat, inverse, kernel_basis, min_poly, rank, solve_matrix
 from .morphism import Morphism, identity_morphism, image, zero_morphism
 from .presentations import min_proj_presentation, relation_matrix, yoneda_at
 from .quiver import vkey
-from .rep import Rep, classify_membership, dim_vector, dualize, joint_window
+from .rep import (Rep, classify_membership, dim_vector, dualize, joint_window,
+                  same_ambient)
 
 
 # ---------------------------------------------------------------------------
-# windowed naturality solve
+# the window kernel
 
 
-def solve_natural(src: Rep, dst: Rep, verts, extra=()):
-    """Solve the naturality equations for maps src -> dst on a vertex set.
-
-    extra: constraints (v, A, B, R) meaning A * f_v * B = R, with None for
-    identity on either side.  Returns (particular, basis): particular is a
-    component dict satisfying the inhomogeneous constraints (None if
-    unsolvable), basis is a list of component dicts spanning the homogeneous
-    solution space.
-    """
+def solve_natural(src: Rep, dst: Rep, verts) -> list:
+    """The natural maps src -> dst on a vertex set: the kernel basis of the
+    arrow complex over the arrows within verts, each a dict v -> Mat."""
     F = src.field
     vs = sorted(set(verts), key=vkey)
-    vset = set(vs)
     d, offs = arrow_complex(src, dst, vs, src.quiver.arrows_within(vs))
-    rows = list(d.entries)
-    rhs = [F.zero] * d.rows
-    for (v, A, B, R) in extra:
-        if v not in vset:
-            raise ValueError("constraint vertex outside the window")
-        dd, sd = dst.dim(v), src.dim(v)
-        A = Mat.identity(F, dd) if A is None else A
-        B = Mat.identity(F, sd) if B is None else B
-        for r in range(A.rows):
-            for c in range(B.cols):
-                # entry (r, c) of A f_v B: A[r][k] B[l][c] on entry (k, l)
-                row = [F.zero] * d.cols
-                row[offs[v]:offs[v] + dd * sd] = [
-                    F.mul(A.entries[r][k], B.entries[l][c])
-                    for k in range(dd) for l in range(sd)]
-                rows.append(tuple(row))
-                rhs.append(R.entries[r][c])
 
-    mat = Mat(F, len(rows), d.cols, tuple(rows))
+    def component(col, v):
+        sd, base = src.dim(v), offs[v]
+        return Mat(F, dst.dim(v), sd, tuple(
+            tuple(col[base + r * sd + c] for c in range(sd))
+            for r in range(dst.dim(v))))
 
-    def unflatten(vec):
-        comps = {}
-        for v in vs:
-            dd, sd = dst.dim(v), src.dim(v)
-            base = offs[v]
-            comps[v] = Mat(F, dd, sd, tuple(
-                tuple(vec[base + r * sd + c] for c in range(sd))
-                for r in range(dd)))
-        return comps
-
-    K = kernel_basis(mat)
-    hom = [unflatten(K.col(j)) for j in range(K.cols)]
-    if all(F.is_zero(x) for x in rhs):
-        part = unflatten([F.zero] * d.cols)
-    else:
-        sol = solve(mat, rhs)
-        part = unflatten(sol) if sol is not None else None
-    return part, hom
+    K = kernel_basis(d)
+    return [{v: component(col, v) for v in vs}
+            for col in map(K.col, range(K.cols))]
 
 
 # ---------------------------------------------------------------------------
@@ -161,17 +127,13 @@ def _check_pad3(m: Rep, n: Rep, certs, count: int, depth: int):
 
 
 def _hom_dim(m: Rep, n: Rep, certs) -> int:
-    """dim Hom(m, n) by one rank, on a vertex set where it is exact.  For fd
-    m: supp m and the heads of the arrows leaving it, since a natural map
-    vanishes off supp m, and only the arrows out of supp m constrain the
-    rest.  Otherwise the joint window at pad 2, checked at pad 3."""
-    if certs[0].verdict == "fd":
-        supp = certs[0].support.explicit
-        heads = {a.dst for v in supp for a in m.quiver.out_arrows(v)}
-        return _kernel_dim(m, n, sorted(supp | heads, key=vkey))
+    """dim Hom(m, n) by one rank on the joint window at pad 2, checked at
+    pad 3 unless m is fd: a map out of fd m vanishes off supp m, which the
+    window holds with every arrow out of it into supp n."""
     verts, depth = joint_window(certs, 2)
     count = _kernel_dim(m, n, verts)
-    _check_pad3(m, n, certs, count, depth)
+    if certs[0].verdict != "fd":
+        _check_pad3(m, n, certs, count, depth)
     return count
 
 
@@ -203,7 +165,7 @@ def _copresentation_route(m: Rep, n: Rep):
 
 def _window_route(m: Rep, n: Rep, certs):
     verts, depth = joint_window(certs, 2)
-    _, hom = solve_natural(m, n, verts)
+    hom = solve_natural(m, n, verts)
     _check_pad3(m, n, certs, len(hom), depth)
     basis = [Morphism(m, n, window=verts, comps=comps, label=f"h{i}")
              for i, comps in enumerate(hom)]
@@ -211,8 +173,7 @@ def _window_route(m: Rep, n: Rep, certs):
 
 
 def hom_space(m: Rep, n: Rep, route: Optional[str] = None) -> HomBasis:
-    if m.field.char != n.field.char:
-        raise ValueError("field mismatch")
+    same_ambient(m, n, "hom_space objects")
     certm = classify_membership(m)
     certn = classify_membership(n)
     for c, which in ((certm, "domain"), (certn, "codomain")):
@@ -243,8 +204,6 @@ class EndAlgebra:
     identity: tuple       # coords of the identity
     radical: tuple        # coord vectors spanning the radical
     is_local: bool
-    window: tuple
-    notes: dict
 
     @cached_property
     def idempotent(self):
@@ -266,8 +225,7 @@ def end_algebra(m: Rep) -> EndAlgebra:
     hb = hom_space(m, m)
     n = len(hb.basis)
     if n == 0:
-        return EndAlgebra(m, 0, (), (), (), (), False, hb.window,
-                          {"zero_object": True})
+        return EndAlgebra(m, 0, (), (), (), (), False)
     verts = hb.anchor
     comps = [[f.component(v) for v in verts] for f in hb.basis]
     B = _columns(F, comps)
@@ -292,12 +250,7 @@ def end_algebra(m: Rep) -> EndAlgebra:
     T = Mat(F, n, n, tuple(Mat(F, n, n, t).apply(traces) for t in table))
     radK = kernel_basis(T)
     radical = tuple(radK.col(j) for j in range(radK.cols))
-    notes = {}
-    if F.char != 0:
-        notes["radical_caveat"] = (
-            "trace-form radical; may overshoot in small characteristic")
-    alg = EndAlgebra(m, n, hb.basis, table, ident, radical, False, hb.window,
-                     notes)
+    alg = EndAlgebra(m, n, hb.basis, table, ident, radical, False)
     if F.char == 0:
         alg.is_local = (n - len(radical) == 1)
     else:

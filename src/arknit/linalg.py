@@ -366,13 +366,6 @@ def coker_projection(m: Mat):
     return Mat(m.field, len(free), m.rows, rows), free
 
 
-def solve(m: Mat, b: Sequence) -> Optional[tuple]:
-    """One exact solution of m x = b with free variables set to zero, or None."""
-    F = m.field
-    x = solve_matrix(m, Mat(F, m.rows, 1, tuple((F.of(v),) for v in b)))
-    return None if x is None else x.col(0)
-
-
 def solve_matrix(m: Mat, b: Mat) -> Optional[Mat]:
     """One exact solution X of m X = b, free variables set to zero; None if
     any column of b is outside the column space of m."""
@@ -386,16 +379,23 @@ def solve_matrix(m: Mat, b: Mat) -> Optional[Mat]:
     return Mat(F, m.cols, b.cols, tuple(x))
 
 
+def outside_span(m: Mat, k: int) -> tuple:
+    """The indices i of the columns k + i of m outside the span of its first
+    k columns, by one forward elimination: below the pivots that fall in
+    those k columns they are zero, so a later column is in their span
+    exactly when it is zero there too."""
+    rows, pivots = _eliminate(m, False)
+    r = sum(c < k for c in pivots)
+    return tuple(j - k for j in range(k, m.cols)
+                 if any(row[j] for row in rows[r:]))
+
+
 def inverse(m: Mat) -> Optional[Mat]:
-    """Inverse of a square matrix from one elimination of [m | I]; None if m
-    is singular (fewer than m.cols pivots fall inside m)."""
-    n = m.rows
-    if n != m.cols:
+    """Inverse of a square matrix, the solution of m X = I; None if m is not
+    square or is singular."""
+    if m.rows != m.cols:
         return None
-    R, pivots = rref(m.hstack(Mat.identity(m.field, n)))
-    if pivots[:n] != tuple(range(n)):
-        return None
-    return Mat(m.field, n, n, tuple(row[n:] for row in R.entries))
+    return solve_matrix(m, Mat.identity(m.field, m.rows))
 
 
 def is_invertible(m: Mat) -> bool:

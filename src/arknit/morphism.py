@@ -16,14 +16,13 @@ from .linalg import Mat, inverse, is_invertible, rank, solve_matrix
 from .quiver import Arrow, VertexSet, vkey
 from .rep import (CokerOfRep, EvalRangeError, GlueRep, ImageRep, KernelOfRep,
                   Rep, _loc_depth, _ray_transition, dualize, restrict,
-                  standard_ext_region)
+                  same_ambient, standard_ext_region)
 
 
 class Morphism:
     def __init__(self, src: Rep, dst: Rep, window=(), comps=None,
                  rule: Optional[Callable] = None, label: str = ""):
-        if src.quiver != dst.quiver or src.field != dst.field:
-            raise ValueError("morphism endpoints live over different quivers/fields")
+        same_ambient(src, dst, "morphism endpoints")
         self.src = src
         self.dst = dst
         self.window = tuple(sorted(window, key=vkey))
@@ -67,18 +66,14 @@ class Morphism:
                 raise EvalRangeError(f"no transition arrow on ray {eid}/{rid}")
             if self.src.dim(vb) == 0 or self.dst.dim(vb) == 0:
                 f = Mat.zeros(F, self.dst.dim(vb), self.src.dim(vb))
-            elif a.src == va:
-                ms = self.src.mat(a)
-                if not is_invertible(ms):
-                    raise EvalRangeError(
-                        f"cannot propagate past non-invertible transition {a.label}")
-                f = self.dst.mat(a).mul(f).mul(inverse(ms))
             else:
-                md = self.dst.mat(a)
-                if not is_invertible(md):
+                forward = a.src == va
+                inv = inverse((self.src if forward else self.dst).mat(a))
+                if inv is None:
                     raise EvalRangeError(
                         f"cannot propagate past non-invertible transition {a.label}")
-                f = inverse(md).mul(f).mul(self.src.mat(a))
+                f = self.dst.mat(a).mul(f).mul(inv) if forward else \
+                    inv.mul(f).mul(self.src.mat(a))
             self._comps[vb] = f
         return f
 

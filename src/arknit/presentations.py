@@ -43,15 +43,11 @@ class Presentation:
     cover: the surjection onto obj (proj side) / the embedding of obj (inj
     side), D of the dual cover, whose codomain D(sum of P over the opposite
     quiver) evaluates as the sum over pm.domain.
-    gens: one (vertex, column) pair per summand of the cover term; on the proj
-    side columns are lifted top basis vectors, on the inj side they are the
-    socle functionals expressed in the evaluation basis.
     """
 
     obj: Rep
     pm: PathMatrix
     cover: Morphism
-    gens: tuple
     _sections: dict = field(default_factory=dict, compare=False, repr=False)
 
     def section(self, v) -> Mat:
@@ -171,7 +167,7 @@ def _min_proj_presentation(x: Rep) -> Presentation:
     if any(p.length == 0 for row in pm.entries for combo in row
            for (_, p) in combo):
         raise AssertionError("cover is not minimal: trivial path in relations")
-    return Presentation(x, pm, cover, tuple(gens))
+    return Presentation(x, pm, cover)
 
 
 def min_inj_copresentation(w: Rep) -> Presentation:
@@ -186,7 +182,7 @@ def _min_inj_copresentation(w: Rep) -> Presentation:
     # D of the dual presentation: its path matrix read back over q, and the
     # co-embedding D of its cover
     dpres = min_proj_presentation(dualize(w))
-    return Presentation(w, dpres.pm.dual, dpres.cover.dual, dpres.gens)
+    return Presentation(w, dpres.pm.dual, dpres.cover.dual)
 
 
 def nakayama(pm: PathMatrix) -> PathMatrix:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
 
 
 def vkey(v):
@@ -90,9 +89,6 @@ class Path:
         if self.dst != other.src:
             raise ValueError("paths do not compose")
         return Path(self.src, other.dst, self.arrows + other.arrows)
-
-    def __lt__(self, other):
-        return self.key() < other.key()
 
 
 _HOP_BUDGET = ("path search exceeded hop budget; "
@@ -214,24 +210,22 @@ class QuiverBase:
     def _pathlen_cap(self, x, y) -> int:
         return 10 * 16
 
-    def paths_between(self, x, y, cap: Optional[int] = None) -> tuple:
+    def paths_between(self, x, y) -> tuple:
         """All paths x ~> y, canonically ordered (trivial path first).
 
         The bases x ~> u on the way are memoized too (P(x) at each vertex),
         so a sweep out of x holds each path once; a sweep into y (I(y) at
-        each vertex) is the sweep out of y on the opposite quiver.  The
-        default cap bounds every path x ~> y, so only a miss computes it."""
+        each vertex) is the sweep out of y on the opposite quiver.  The cap
+        (_pathlen_cap) bounds every path x ~> y, so only a miss reads it."""
         key = ("paths", x, y)
         if key not in self._memo:
             if not (self.contains(x) and self.contains(y)):
                 raise ValueError(f"vertex outside quiver: {x!r} or {y!r}")
-            if cap is None:
-                cap = self._pathlen_cap(x, y)
+            cap = self._pathlen_cap(x, y)
             self._fill_paths(x, y, cap)
-        basis, longest = self._memo[key]
-        if basis and cap is not None and longest > cap:
-            raise ValueError(_HOP_BUDGET)
-        return basis
+            if self._memo[key][1] > cap:
+                raise ValueError(_HOP_BUDGET)
+        return self._memo[key][0]
 
     def _fill_paths(self, x, y, cap):
         """Memoize (basis, longest length) of x ~> y and of each missing basis

@@ -83,9 +83,6 @@ class PathMatrix:
                         raise ValueError(
                             f"entry path must run codomain[{j}] ~> domain[{i}]")
 
-    def is_zero(self) -> bool:
-        return all(not combo for row in self.entries for combo in row)
-
     def depth_bound(self) -> int:
         return max((_loc_depth(self.quiver, v)
                     for v in self.domain + self.codomain), default=0)
@@ -251,6 +248,12 @@ class Rep:
 
     def _zero_mat(self, a: Arrow) -> Mat:
         return Mat.zeros(self.field, self.dim(a.dst), self.dim(a.src))
+
+
+def same_ambient(a: Rep, b: Rep, what: str):
+    """Refuse two objects over different quivers or fields."""
+    if a.quiver != b.quiver or a.field != b.field:
+        raise ValueError(f"{what} live over different quivers/fields")
 
 
 class ZeroRep(Rep):
@@ -423,8 +426,7 @@ class DirectSumRep(Rep):
             raise ValueError("use ZeroRep for the empty sum")
         super().__init__(parts[0].quiver, parts[0].field)
         for p in parts:
-            if p.quiver != self.quiver or p.field != self.field:
-                raise ValueError("summands live over different quivers/fields")
+            same_ambient(p, self, "summands")
         self.parts = parts
 
     def _dim_at(self, v):
@@ -531,8 +533,7 @@ class GlueRep(Rep):
     """Extension middle: block triangular [[sub, cocycle], [0, quot]]."""
 
     def __init__(self, sub: Rep, quot: Rep, cocycle=(), families=()):
-        if sub.quiver != quot.quiver or sub.field != quot.field:
-            raise ValueError("glue parts live over different quivers/fields")
+        same_ambient(sub, quot, "glue parts")
         super().__init__(sub.quiver, sub.field)
         self.sub = sub
         self.quot = quot
@@ -816,7 +817,6 @@ class EndProfile:
     cutoff: int
     rays: tuple
     crossings: tuple
-    checked_depths: tuple
 
 
 def _ray_transition(q, end, rid, t):
@@ -877,8 +877,7 @@ def end_profile(m: Rep, end) -> EndProfile:
     for (cid, _, _) in end.crossings:
         cm = m.mat(end.crossing_arrow(cid, cutoff))
         crossings.append(CrossingProfile(end.eid, cid, cutoff, cm, not cm.is_zero()))
-    return EndProfile(end.eid, cutoff, tuple(rays), tuple(crossings),
-                      (cutoff, cutoff + 1))
+    return EndProfile(end.eid, cutoff, tuple(rays), tuple(crossings))
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ from arknit import (
     minimal_left_almost_split_from,
     minimal_right_almost_split_into,
     min_proj_presentation,
-    morphism_from_components,
     nakayama,
     PRESETS,
     projective_at,
@@ -51,7 +50,8 @@ from arknit import (
 )
 
 from arknit.ar import standard_vertex
-from arknit.hom import joint_window, solve_natural
+from arknit.hom import _columns, joint_window, solve_natural
+from arknit.linalg import outside_span
 from arknit.quiver import kronecker_quiver, linear_quiver
 from conftest import random_fd_rep
 from oracles import (
@@ -233,10 +233,13 @@ def test_ass_takes_the_socle_class_of_a_non_simple_end(kron, F):
                                              injective_at) for a in verts]
     report = verify_almost_split(ses, battery)
     assert report.non_split and report.passed
-    # rad End kills the class: N factors through the middle term
-    n = morphism_from_components(x, x, {1: nil, 2: nil})
-    lift = [(v, ses.proj.component(v), None, n.component(v)) for v in verts]
-    assert solve_natural(x, ses.middle, verts, extra=lift)[0] is not None
+    # rad End kills the class: N lifts through the middle term, the
+    # identity does not (the sequence is non-split)
+    lifts = [[ses.proj.component(v).mul(h[v]) for v in verts]
+             for h in solve_natural(x, ses.middle, verts)]
+    ident = Mat.identity(F, 2)
+    assert outside_span(_columns(F, lifts + [[nil, nil], [ident, ident]]),
+                        len(lifts)) == (1,)
 
 
 def test_verify_almost_split_accepts(a3):
@@ -252,7 +255,7 @@ def test_verify_almost_split_rejects_split(a3):
     ses = split_ses(simple_at(a3, 3), simple_at(a3, 2))
     report = verify_almost_split(ses, [projective_at(a3, 2)])
     assert not report.passed
-    assert not report.non_split
+    assert not report.non_split and report.battery_size == 1
 
 
 def test_verify_almost_split_rejects_wrong_nonsplit(a3):
@@ -265,7 +268,16 @@ def test_verify_almost_split_rejects_wrong_nonsplit(a3):
     report = verify_almost_split(ses, battery)
     assert report.exact and report.non_split
     assert not report.passed
-    assert report.lift_failures or report.factor_failures
+    # S_2 -> I_2 does not lift through P_1, S_3 -> P_2 does not factor
+    assert report.lift_failures == (("S(2)", "h0"),)
+    assert report.factor_failures == (("P(2)", "h0"),)
+
+
+def test_verify_almost_split_reads_a_generator_battery_once(a3):
+    ses = almost_split_sequence(simple_at(a3, 2))
+    report = verify_almost_split(
+        ses, (projective_at(a3, a) for a in (1, 2, 3)))
+    assert report.passed and report.battery_size == 3
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,43 @@ from arknit import (
 )
 from arknit.ar import standard_vertex
 from arknit.hom import solve_natural
+from arknit.morphism import Morphism
+from arknit.quiver import linear_quiver
 
 from conftest import random_fd_rep
 from oracles import ext_dim_brute, ext_dim_via_presentation
+
+
+def _ambient_cases():
+    """(call, message): each call pairs objects over A2 with objects over A3
+    or over GF(7), which every two-object constructor refuses."""
+    a2, a3, gf7 = linear_quiver(2), linear_quiver(3), ak.GF(7)
+    return [
+        (lambda: ext_space(simple_at(a2, 1), simple_at(a2, 2, gf7)).dimension,
+         "ext_space objects"),
+        (lambda: ext_space(simple_at(a2, 1), simple_at(a3, 2)).dimension,
+         "ext_space objects"),
+        (lambda: ak.hom_space(projective_at(a2, 1),
+                              projective_at(a3, 1)).dimension,
+         "hom_space objects"),
+        (lambda: ak.hom_space(simple_at(a2, 1), simple_at(a2, 1, gf7)),
+         "hom_space objects"),
+        (lambda: Morphism(simple_at(a2, 1), simple_at(a3, 1)),
+         "morphism endpoints"),
+        (lambda: ak.direct_sum(simple_at(a2, 1), simple_at(a2, 2, gf7)),
+         "summands"),
+        (lambda: glue_ses(simple_at(a3, 1), simple_at(a2, 2)), "glue parts"),
+    ]
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_objects_over_different_ambients_are_refused(index):
+    # Hom and Ext are counted without a Morphism, so they check for
+    # themselves, with the message every other two-object constructor gives
+    call, what = _ambient_cases()[index]
+    with pytest.raises(ValueError) as e:
+        call()
+    assert str(e.value) == f"{what} live over different quivers/fields"
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +337,7 @@ def test_euler_form_on_random_fd_pairs(case, count_first):
     assert hb.dimension - ext == euler_form(verts, arrows, dm[0], dn[0])
     # the kernel of the arrow complex on the whole window is the same Hom
     assert hb.route == "presentation"
-    assert len(solve_natural(m, n, verts)[1]) == hb.dimension
+    assert len(solve_natural(m, n, verts)) == hb.dimension
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

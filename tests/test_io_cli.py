@@ -24,6 +24,8 @@ from arknit import (
     parse_rep,
     emit_quiver,
     emit_rep,
+    ext_class_to_ses,
+    ext_space,
     simple_at,
     tau,
 )
@@ -119,6 +121,24 @@ def test_explicit_fd_rep_roundtrip(a3):
     assert dim_vector(m, (1, 2, 3)) == (1, 2, 0)
     again = parse_rep(a3, emit_rep(m)["rep"]["spec"], QQ)
     assert emit_rep(again) == emit_rep(m)
+
+
+def test_glue_cocycle_roundtrip(a3):
+    # the middle of the nonsplit 0 -> S(2) -> M -> S(1) -> 0 is glued along
+    # the arrow 1 -> 2, so its spec lists one cocycle entry
+    mid = ext_class_to_ses(ext_space(simple_at(a3, 1), simple_at(a3, 2)),
+                           (1,)).middle
+    spec = emit_rep(mid)["rep"]["spec"]
+    assert [(e["src"], e["label"]) for e in spec["glue"]["cocycle"]] == \
+        [("1", "1>2")]
+    again = parse_rep(a3, spec, QQ)
+    assert emit_rep(again) == emit_rep(mid)
+    assert dim_vector(again, (1, 2, 3)) == (1, 1, 0)
+    assert again.mat(a3.out_arrows(1)[0]) == mid.mat(a3.out_arrows(1)[0])
+    spec["glue"]["cocycle"][0]["label"] = "zzz"
+    with pytest.raises(ParseError) as e:
+        parse_rep(a3, spec, QQ)
+    assert str(e.value) == "/glue/cocycle/0/label: no arrow 'zzz'"
 
 
 def test_pm_rep_roundtrip(a3):
@@ -292,6 +312,18 @@ def test_cli_ass_with_battery():
                               '{"simple":"2"}', "--no-verify"])
     assert code2 == 0
     assert "battery" not in json.loads(out2)
+
+
+@pytest.mark.parametrize("quiver, rep, golden", [
+    (A3, '{"simple":"2"}', "ass_a3_simple2.json"),
+    (KRON, '{"inj":"2"}', "ass_kronecker_inj2.json"),
+])
+def test_cli_ass_matches_golden(quiver, rep, golden):
+    # the sequence, its dims and the whole battery report, byte for byte
+    code, out, err = run_cli(["ass", "--quiver", quiver, "--rep", rep])
+    assert (code, err) == (0, "")
+    with open(os.path.join(GOLDEN, golden), newline="") as f:
+        assert out == f.read()
 
 
 def test_cli_tau_and_inverse():
@@ -556,7 +588,7 @@ def test_cli_exit_3_on_a_broken_periodicity_contract(monkeypatch):
 def test_cli_exit_3_on_a_window_hom_dimension_that_moves(monkeypatch):
     # a Hom dimension that grows with the pad of the window route
     monkeypatch.setattr(hom_mod, "solve_natural",
-                        lambda src, dst, verts: (None, [{}] * len(verts)))
+                        lambda src, dst, verts: [{}] * len(verts))
     code, out, err = run_cli(["hom", "--quiver", LINE,
                               "--src", ALLK, "--dst", ALLK])
     assert (code, out) == (3, "")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from arknit.linalg import (GF, QQ, Mat, coker_projection, column_span,
                            inverse, is_invertible, kernel_basis, kernel_span,
-                           min_poly, rank, rref, solve, solve_matrix)
+                           min_poly, outside_span, rank, rref, solve_matrix)
 
 from arknit.quiver import Arrow
 from oracles import FrozenArrow, FrozenMat, rref_rank
@@ -48,15 +48,19 @@ def test_solve_and_inverse():
         done += 1
         inv = inverse(m)
         assert m.mul(inv).entries == Mat.identity(QQ, n).entries
-        b = tuple(QQ.of(rng.randrange(-3, 4)) for _ in range(n))
-        x = solve(m, b)
-        assert x is not None and m.apply(x) == b
+        b = Mat.from_rows(QQ, [[rng.randrange(-3, 4)] for _ in range(n)])
+        x = solve_matrix(m, b)
+        assert x is not None and m.mul(x) == b
 
 
 def test_solve_reports_inconsistency():
-    m = Mat(QQ, 2, 1, ((QQ.of(1),), (QQ.of(2),)))
-    assert solve(m, [QQ.of(1), QQ.of(1)]) is None
-    assert solve(m, [QQ.of(1), QQ.of(2)]) == (QQ.of(1),)
+    m = Mat.from_rows(QQ, [[1], [2]])
+    b = Mat.from_rows(QQ, [[1, 1], [1, 2]])
+    assert solve_matrix(m, b) is None
+    assert solve_matrix(m, Mat.from_rows(QQ, [[1], [2]])) == \
+        Mat.from_rows(QQ, [[1]])
+    # column 0 of b is outside the span of m, column 1 is m itself
+    assert outside_span(m.hstack(b), 1) == (0,)
 
 
 def test_solve_matrix_consistency():
@@ -255,8 +259,20 @@ def test_solve_matrix_recovers_a_consistent_system(data):
     y = solve_matrix(m, b)
     assert y is not None and (y.rows, y.cols) == (m.cols, x.cols)
     assert naive_mul(m, y) == [list(r) for r in b.entries]
-    if x.cols == 1:
-        assert solve(m, b.col(0)) == y.col(0)
+    assert outside_span(m.hstack(b), m.cols) == ()
+
+
+@PROPERTY
+@given(st.data())
+def test_outside_span_is_a_rank_test(data):
+    # column k + i is outside the span of the first k columns exactly when
+    # appending it to them raises the rank
+    m = data.draw(matrices())
+    k = data.draw(st.integers(0, m.cols))
+    head = Mat(m.field, m.rows, k, tuple(r[:k] for r in m.entries))
+    want = tuple(i for i in range(m.cols - k) if naive_rank(head.hstack(
+        Mat.from_columns(m.field, m.rows, [m.col(k + i)]))) > naive_rank(head))
+    assert outside_span(m, k) == want
 
 
 @PROPERTY

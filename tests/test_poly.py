@@ -152,6 +152,14 @@ def test_factor_order_is_sympys():
         [(_from_high(QQ, 1, 1), 1), (_from_high(QQ, 1, Fraction(-1, 2)), 1)]
 
 
+def test_factor_splits_two_cubics_over_gf2():
+    # x^3+x+1 and x^3+x^2+1 have the same degree, so only the equal-degree
+    # split separates them; over GF(2) it uses the trace a + a^2 + a^4
+    F = GF(2)
+    g, h = _from_high(F, 1, 0, 1, 1), _from_high(F, 1, 1, 0, 1)
+    assert poly.factor(F, naive_mul(F, g, h)) == [(g, 1), (h, 1)]
+
+
 def test_gcdex_and_div():
     for F in FIELDS:
         rng = random.Random(F.char)
@@ -220,7 +228,7 @@ def quotient_algebra(F, f):
         return tuple(r) + (F.zero,) * (n - len(r))
     table = tuple(tuple(coords(i + j) for j in range(n)) for i in range(n))
     return EndAlgebra(SimpleNamespace(field=F), n, tuple(range(n)), table,
-                      coords(0), (), False, (), {})
+                      coords(0), (), False)
 
 
 def test_recombination_cap_returns_uncertified_quickly():

@@ -1,5 +1,6 @@
 import random
 from dataclasses import dataclass
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -141,6 +142,46 @@ def test_vertex_set_operations(line):
     assert sorted(diff.members()) == [-3, -2, -1, 0]
 
 
+def test_vertex_set_difference_punches_holes_in_a_tail(line):
+    # {n >= 1} minus {2, 4} is {1, 3} and the tail from 5 (depth 4)
+    pos = VertexSet.make(line, (), [("pos", "v", 0)])
+    diff = pos.difference(VertexSet.make(line, (2, 4)))
+    assert (diff.explicit, diff.tails) == (frozenset({1, 3}),
+                                           (("pos", "v", 4),))
+
+
+SET_GRIDS = {
+    # (explicit pool, rays, vertices probed: past every tail start drawn)
+    "line": (range(-6, 7), [("neg", "v"), ("pos", "v")], range(-12, 13)),
+    "ladder": ([(t, k) for t in "ab" for k in range(6)],
+               [("inf", "a"), ("inf", "b")],
+               [(t, k) for t in "ab" for k in range(12)]),
+}
+
+
+@st.composite
+def vertex_sets(draw, q, name):
+    pool, rays, _ = SET_GRIDS[name]
+    explicit = draw(st.sets(st.sampled_from(list(pool))))
+    tails = [(eid, rid, draw(st.integers(0, 5))) for eid, rid in rays
+             if draw(st.booleans())]
+    return VertexSet.make(q, explicit, tails)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.sampled_from(sorted(SET_GRIDS)))
+def test_vertex_set_operations_match_membership(data, name):
+    # union, intersect and difference agree with or, and, and-not on every
+    # vertex, holes punched in tails included
+    q = ak.PRESETS[name]()
+    a, b = (data.draw(vertex_sets(q, name)) for _ in range(2))
+    for v in SET_GRIDS[name][2]:
+        x, y = a.contains(v), b.contains(v)
+        assert a.union(b).contains(v) == (x or y)
+        assert a.intersect(b).contains(v) == (x and y)
+        assert a.difference(b).contains(v) == (x and not y)
+
+
 def test_opposite_quiver(a3):
     op = a3.opposite()
     assert len(op.paths_between(3, 1)) == 1
@@ -225,35 +266,40 @@ def naive_paths(q, x, y, cap):
     return out
 
 
-def check_exact_paths(q, fresh, grid, fixed):
+def capped(r, cap):
+    """A context in which quivers of r's type read cap as their path length
+    cap (_pathlen_cap), the bound a miss of paths_between walks to."""
+    return patch.object(type(r), "_pathlen_cap", lambda self, x, y: cap)
+
+
+def check_exact_paths(q, make, grid, fixed):
     """paths_between on q equals the naive list for every pair in grid, and
-    both raise for a cap one below the longest path.  q answers the small
-    cap from its memo; fresh (an equal, separately built quiver) meets the
-    small cap first.  fixed names the end that a sweep shares: "src" reads
-    the bases x ~> y of q, as P(x) does; "dst" reads them as I(y) does, as
-    the reversed bases y ~> x of the opposite quiver, which come in that
+    a fresh quiver (an equal one that make builds, as a cap is read only on
+    a miss) raises for a cap one below the longest path and answers at that
+    length.  fixed names the end that a sweep shares: "src" reads the bases
+    x ~> y of q, as P(x) does; "dst" reads them as I(y) does, as the
+    reversed bases y ~> x of the opposite quiver, which come in that
     quiver's order."""
     for x in grid:
         for y in grid:
-            if fixed == "src":
-                def got(r, **cap):
-                    return list(r.paths_between(x, y, **cap))
-            else:
-                def got(r, **cap):
-                    return sorted(map(reverse_path, r.opposite().paths_between(
-                        y, x, **cap)), key=Path.key)
+            def got(r, cap=None):
+                w, a, b = (r, x, y) if fixed == "src" else (r.opposite(), y, x)
+                if cap is None:
+                    paths = w.paths_between(a, b)
+                else:
+                    with capped(w, cap):
+                        paths = w.paths_between(a, b)
+                return list(paths) if fixed == "src" else \
+                    sorted(map(reverse_path, paths), key=Path.key)
             want = naive_paths(q, x, y, q._pathlen_cap(x, y))
             longest = max((p.length for p in want), default=0)
             if longest:
                 with pytest.raises(ValueError, match="hop budget"):
-                    got(fresh, cap=longest - 1)
+                    got(make(), cap=longest - 1)
                 with pytest.raises(ValueError):
                     naive_paths(q, x, y, longest - 1)
             assert got(q) == want
-            assert got(fresh, cap=longest) == want
-            if longest:
-                with pytest.raises(ValueError, match="hop budget"):
-                    got(q, cap=longest - 1)
+            assert got(make(), cap=longest) == want
 
 
 @st.composite
@@ -269,9 +315,12 @@ def acyclic_quivers(draw):
 @given(acyclic_quivers(), st.sampled_from(["src", "dst"]))
 def test_finite_paths_equal_naive_enumeration(spec, fixed):
     n, arrows = spec
-    q, fresh = (FiniteQuiver.build(range(n), arrows) for _ in range(2))
-    check_exact_paths(q, fresh, range(n), fixed)
-    check_exact_paths(q.opposite(), fresh.opposite(), range(n), fixed)
+    def make():
+        return FiniteQuiver.build(range(n), arrows)
+    q = make()
+    check_exact_paths(q, make, range(n), fixed)
+    check_exact_paths(q.opposite(), lambda: make().opposite(), range(n),
+                      fixed)
 
 
 PRESET_GRIDS = {
@@ -286,10 +335,10 @@ PRESET_GRIDS = {
 @pytest.mark.parametrize("fixed", ["src", "dst"])
 @pytest.mark.parametrize("name", sorted(PRESET_GRIDS))
 def test_preset_paths_equal_naive_enumeration(name, fixed):
-    q, fresh = ak.PRESETS[name](), ak.PRESETS[name]()
-    check_exact_paths(q, fresh, PRESET_GRIDS[name], fixed)
-    check_exact_paths(q.opposite(), fresh.opposite(), PRESET_GRIDS[name],
-                      fixed)
+    make = ak.PRESETS[name]
+    check_exact_paths(make(), make, PRESET_GRIDS[name], fixed)
+    check_exact_paths(make().opposite(), lambda: make().opposite(),
+                      PRESET_GRIDS[name], fixed)
 
 
 @dataclass(frozen=True)
@@ -318,8 +367,8 @@ def test_path_search_stops_at_the_hop_budget(fixed):
     x, y = (100, 0) if fixed == "src" else (0, 100)
     if fixed == "dst":
         line, q = line.opposite(), q.opposite()
-    with pytest.raises(ValueError, match="hop budget"):
-        line.paths_between(x, y, cap=5)
+    with pytest.raises(ValueError, match="hop budget"), capped(line, 5):
+        line.paths_between(x, y)
     assert stored_bases(line) == 0
     assert len(line.paths_between(x, y)[0].arrows) == 100
     with pytest.raises(ValueError, match="hop budget"):

@@ -285,9 +285,15 @@ def test_end_profile_thin_tail(line):
 
 
 def test_end_profile_checks_two_depths(ray_out):
+    # the profile holds where the band data at the cutoff and one band
+    # deeper agree: each ray has its dimension at both depths
     (end,) = ray_out.ends()
-    prof = end_profile(projective_at(ray_out, 0), end)
-    assert prof.checked_depths == (prof.cutoff, prof.cutoff + 1)
+    m = projective_at(ray_out, 0)
+    prof = end_profile(m, end)
+    assert prof.rays
+    for r in prof.rays:
+        assert m.dim(end.vertex(r.rid, prof.cutoff)) == r.dim == \
+            m.dim(end.vertex(r.rid, prof.cutoff + 1))
 
 
 def test_incoming_stack_is_the_hstack_of_the_incoming_maps(kron, zig, ladder):
