@@ -102,9 +102,7 @@ def _check_seed(seed: Rep, verdict: str):
 
 def is_pseudo_projective(x: Rep) -> bool:
     """fp non-projective with infinite-dimensional translate."""
-    tx = tau(x)
-    cert = classify_membership(tx)
-    return any(r.dim > 0 for p in cert.profiles for r in p.rays)
+    return classify_membership(tau(x)).verdict != "fd"
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +212,7 @@ def verify_almost_split(ses: SES, battery) -> ASReport:
     sequence splits iff id_quot lifts.  One kernel per object and side."""
     sub, mid, quot = ses.sub, ses.middle, ses.quot
     F, battery = quot.field, list(battery)
-    window, _ = joint_window([classify_membership(r) for r in (sub, mid, quot)])
+    window, _ = joint_window((sub, mid, quot))
     proj, incl = ses.proj.component, ses.incl.component
 
     def misses(src, dst, verts, maps, through):
@@ -234,8 +232,7 @@ def verify_almost_split(ses: SES, battery) -> ASReport:
 
     lift_failures, factor_failures = [], []
     for m in battery:
-        w2 = sorted(set(window) | set(joint_window(
-            [classify_membership(m)])[0]), key=vkey)
+        w2 = sorted(set(window) | set(joint_window([m])[0]), key=vkey)
         for out, src, dst, gs, through in (
                 (lift_failures, m, mid, _radical_morphisms(m, quot), lifted),
                 (factor_failures, mid, m, _radical_morphisms(sub, m),
@@ -346,7 +343,7 @@ def _predict_mesh(comp: ARComponent, tr: dict, key: int, forward: bool):
             "predicted from nodes " + ", ".join(map(str, sources))
     else:
         return None
-    probe, _ = joint_window([classify_membership(r) for r, _, _ in parts])
+    probe, _ = joint_window([r for r, _, _ in parts])
     return far, sorted(parts, key=lambda p: summand_key(p[0], probe)), how
 
 
@@ -365,7 +362,7 @@ def knit(seed: Rep, depth: int) -> ARComponent:
     if not cert0.is_in_rrep():
         raise ValueError(f"seed is {cert0.verdict}; knitting needs rrep payloads")
     _check_seed(seed, cert0.verdict)
-    base_window, _ = joint_window([cert0])
+    base_window, _ = joint_window([seed])
     fwindow = tuple(sorted(_expand_window(q, base_window, depth + 2),
                            key=vkey))
 
@@ -403,7 +400,7 @@ def knit(seed: Rep, depth: int) -> ARComponent:
             raise AssertionError(
                 f"valuation mismatch on arrow {src}->{dst}: {old} vs {mult}")
 
-    meshes: dict = {}  # end key -> (tau key, [(summand key, multiplicity)])
+    meshes: dict = {}  # end -> [(summand, mult)]; tau key: comp.tau_links
 
     def knit_mesh(key: int, forward: bool) -> str:
         """A node's neighbours on one side, and how they were obtained: the
@@ -412,8 +409,8 @@ def knit(seed: Rep, depth: int) -> ARComponent:
         node, hops = comp.nodes[key], comp.nodes[key].hops
         end = tr.get((key, True)) if forward else key
         if end in meshes:
-            tkey, summands = meshes[end]
-            far = end if forward else tkey
+            summands = meshes[end]
+            far = end if forward else comp.tau_links[end]
             how = "replayed"
         else:
             step = _predict_mesh(comp, tr, key, forward)
@@ -440,7 +437,7 @@ def knit(seed: Rep, depth: int) -> ARComponent:
                     add_arrow(tkey, skey, mult)
             if far is not None:
                 comp.tau_links[end] = tkey
-                meshes[end] = (tkey, summands)
+                meshes[end] = summands
         near = [(far, hops + 2)] if far is not None else []
         for k, h in near + [(skey, hops + 1) for skey, _ in summands]:
             comp.nodes[k].hops = min(comp.nodes[k].hops, h)

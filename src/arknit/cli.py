@@ -18,18 +18,19 @@ import sys
 
 # rep first: the largest module compiles while the heap is smallest, which
 # lowers every verb's peak memory
-from .rep import (classify_membership, injective_at, joint_window,
-                  projective_at, simple_at)
+from .rep import (_mat_json, classify_membership, injective_at,
+                  joint_window, projective_at, simple_at)
 from .io import (SCHEMA, ParseError, component_dot, component_json, emit_rep,
                  parse_field, parse_quiver, parse_rep, snapshot_rep)
-from .quiver import ar_category_kind, vkey
+from .quiver import ar_category_kind
 
 MAX_DEPTH = 32     # knit/classify hop depth
 MAX_RADIUS = 1000  # display window radius past the stable cutoffs
 
 
 def _load_spec(text: str, what: str):
-    """A spec argument is either inline JSON or a path to a JSON file."""
+    """A spec argument is either inline JSON or a path to a JSON file; a
+    document of the schema gives its quiver, or its object's spec."""
     s = text.strip()
     if not s.startswith(("{", "[")):
         try:
@@ -46,10 +47,14 @@ def _load_spec(text: str, what: str):
     if isinstance(obj, dict) and obj.get("schema", SCHEMA) != SCHEMA:
         raise ParseError(f"/{what}/schema",
                          f"unsupported schema {obj['schema']!r}")
-    if isinstance(obj, dict):
+    if isinstance(obj, dict) and "schema" in obj:
         for key in ("quiver", "rep"):
-            if key in obj and "schema" in obj:
-                return obj[key]
+            if key in obj:
+                val = obj[key]
+                # export writes an object as a snapshot; its spec parses back
+                if isinstance(val, dict) and list(val) == ["spec"]:
+                    return val["spec"]
+                return val
     return obj
 
 
@@ -118,12 +123,6 @@ def _profiles_json(cert):
             for p in cert.profiles]
 
 
-def _morphism_json(q, f, verts):
-    return {q.vertex_str(v): [[str(x) for x in row]
-                              for row in f.component(v).entries]
-            for v in verts}
-
-
 def run(args) -> dict | str:
     for name, cap in (("depth", MAX_DEPTH), ("radius", MAX_RADIUS)):
         value = getattr(args, name, None)
@@ -146,7 +145,7 @@ def run(args) -> dict | str:
     if args.verb == "rep":
         m = rep_of(args.rep, "rep")
         cert = classify_membership(m)
-        win, _ = joint_window([cert], args.radius)
+        win, _ = joint_window([m], args.radius)
         return {"schema": SCHEMA, "rep": snapshot_rep(m),
                 "verdict": cert.verdict, "dims": _dims(q, m, win)}
 
@@ -163,12 +162,13 @@ def run(args) -> dict | str:
         src = rep_of(args.src, "src")
         dst = rep_of(args.dst, "dst")
         hb = hom_space(src, dst)
-        win = sorted(hb.window, key=vkey)
+        win = hb.window
         # the count and the basis are both read, so they are checked to agree
         return {"schema": SCHEMA, "dimension": hb.dimension,
                 "route": hb.route,
                 "window": [q.vertex_str(v) for v in win],
-                "basis": [_morphism_json(q, f, win) for f in hb.basis]}
+                "basis": [{q.vertex_str(v): _mat_json(f.component(v))
+                           for v in win} for f in hb.basis]}
 
     if args.verb == "ext":
         from .ext import ext_space
@@ -185,7 +185,7 @@ def run(args) -> dict | str:
         m = rep_of(args.rep, "rep")
         out = tau_inv(m) if args.inverse else tau(m)
         cert = classify_membership(out)
-        win, _ = joint_window([cert], args.radius)
+        win, _ = joint_window([out], args.radius)
         return {"schema": SCHEMA, "rep": snapshot_rep(out),
                 "verdict": cert.verdict, "dims": _dims(q, out, win)}
 
@@ -194,8 +194,7 @@ def run(args) -> dict | str:
         from .morphism import verify_exact
         x = rep_of(args.rep, "rep")
         ses = almost_split_sequence(x)
-        cert = classify_membership(ses.middle)
-        win, _ = joint_window([cert], args.radius)
+        win, _ = joint_window([ses.middle], args.radius)
         payload = {
             "schema": SCHEMA,
             "sub": snapshot_rep(ses.sub),

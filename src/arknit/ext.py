@@ -10,8 +10,9 @@ has kernel Hom(X, Y) and cokernel Ext(X, Y) (Ringel, LNM 1099).  hom.py
 takes the kernel; here only the cells where both evaluations are nonzero
 contribute to the cokernel.  Its dimension is rows - rank of the transposed
 complex on the joint window, with no basis built.  The class basis and the
-families are built on first read, on the same window; when the contributing
-arrow set continues past it (families) the basis is flagged window_relative.
+families are built on first read, on the same window, which each space
+reads once; when the contributing arrow set continues past it (families)
+the basis is flagged window_relative.
 """
 from __future__ import annotations
 
@@ -77,25 +78,19 @@ def _cells(x: Rep, y: Rep, verts):
     return vs, arrows
 
 
-def _interaction(x: Rep, y: Rep, certs):
-    """(V, A, families): the cells on the joint window of the certificates;
-    families are symbolic witnesses that the arrow set continues
-    periodically past the window."""
+def _interaction(x: Rep, y: Rep, window):
+    """(V, A, families): the cells on window, a joint window (verts, depth)
+    of x and y; families are symbolic witnesses that the arrow set
+    continues periodically past the window."""
     q = x.quiver
-    window, depth = joint_window(certs)
-    vs, arrows = _cells(x, y, window)
+    verts, depth = window
+    vs, arrows = _cells(x, y, verts)
     t = depth + 1
     families = tuple(f"{q.vertex_str(a.src)}->{q.vertex_str(a.dst)} "
                      f"repeating for depth >= {t}"
                      for a in _arrows_at_depth(q, t)
                      if x.dim(a.src) > 0 and y.dim(a.dst) > 0)
     return vs, arrows, families
-
-
-def _ext_dim(x: Rep, y: Rep, certs) -> int:
-    """dim Ext(x, y) by one rank of the arrow complex on the joint window."""
-    d, _ = arrow_complex(x, y, *_cells(x, y, joint_window(certs)[0]))
-    return d.rows - rank(d.transpose())
 
 
 class CountedBasis:
@@ -131,16 +126,21 @@ class ExtClassBasis(CountedBasis):
 
     _space, _built_on = "Ext", "classes on the interaction window"
 
-    def __init__(self, quot: Rep, sub: Rep, certs):
-        self.quot, self.sub, self._certs = quot, sub, certs
+    def __init__(self, quot: Rep, sub: Rep):
+        self.quot, self.sub = quot, sub
+
+    _window = cached_property(
+        lambda self: joint_window((self.quot, self.sub)))
 
     def _count(self) -> int:
-        return _ext_dim(self.quot, self.sub, self._certs)
+        x, y = self.quot, self.sub
+        d, _ = arrow_complex(x, y, *_cells(x, y, self._window[0]))
+        return d.rows - rank(d.transpose())
 
     def _build(self) -> tuple:
         x, y = self.quot, self.sub
         F = x.field
-        vs, arrows, families = _interaction(x, y, self._certs)
+        vs, arrows, families = _interaction(x, y, self._window)
         d, _ = arrow_complex(x, y, vs, arrows)
         layout = tuple((a, r, c) for a in arrows
                        for r in range(y.dim(a.dst)) for c in range(x.dim(a.src)))
@@ -167,12 +167,11 @@ class ExtClassBasis(CountedBasis):
 def ext_space(x: Rep, y: Rep) -> ExtClassBasis:
     """Ext(X, Y), its count and its basis each computed when first read."""
     same_ambient(x, y, "ext_space objects")
-    certs = (classify_membership(x), classify_membership(y))
-    for c, which in zip(certs, ("quotient", "sub")):
-        if not c.is_in_rrep():
+    for m, which in ((x, "quotient"), (y, "sub")):
+        if not (c := classify_membership(m)).is_in_rrep():
             raise ValueError(f"ext_space needs finite-data objects; "
                              f"{which} is {c.verdict}")
-    return ExtClassBasis(x, y, certs)
+    return ExtClassBasis(x, y)
 
 
 def ext_class_to_ses(ecb: ExtClassBasis, coeffs) -> SES:
@@ -216,7 +215,7 @@ def _same_ends(s1: SES, s2: SES) -> None:
                           ("quotient", s1.quot, s2.quot)):
         if e2 is e1:
             continue
-        verts, _ = joint_window([classify_membership(e) for e in (e1, e2)])
+        verts, _ = joint_window((e1, e2))
         if not equal_on(e1, e2, verts):
             raise ValueError(f"the {which} ends differ: the second "
                              f"sequence's {e2.describe()} is not the first's")
@@ -252,8 +251,7 @@ def baer_sum(s1: SES, s2: SES) -> SES:
     _same_ends(s1, s2)
     sub, quot = s1.sub, s1.quot
     F = sub.field
-    _, arrows, _ = _interaction(
-        quot, sub, [classify_membership(r) for r in (quot, sub)])
+    _, arrows, _ = _interaction(quot, sub, joint_window((quot, sub)))
     acc = {}
     for a in arrows:
         m1 = s1.cocycle_at(a)
@@ -293,7 +291,7 @@ def is_finite_extension(ses: SES):
     holds both criteria."""
     L, M, N = ses.sub, ses.middle, ses.quot
     q = M.quiver
-    region, depth = joint_window([classify_membership(r) for r in (L, M, N)])
+    region, depth = joint_window((L, M, N))
 
     def only_middle(a):   # nonzero in the middle, zero in both ends
         return not _arrow_rep_zero(M, a) and _arrow_rep_zero(L, a) \

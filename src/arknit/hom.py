@@ -17,7 +17,7 @@ AssertionError):
   window          both objects certified: the kernel of the arrow complex on
                   the joint window at pad 2 (solve_natural, the one window
                   kernel, which the almost split battery of ar.py also
-                  reads).
+                  reads), each map carrying the depth of that window.
 
 The window is exact.  Past the stable depth every nonzero ray of an object
 in rrep has an invertible transition and every crossing map is zero (else
@@ -25,10 +25,10 @@ its verdict is notInRrep), so a natural map on the joint window extends to
 the next band in exactly one way, through the ray arrow: restriction from
 pad p + 1 to pad p is bijective for every p >= 0, and one rank at pad 3
 checks that contract (a mismatch is an engine bug, AssertionError).  This
-is also why Morphism propagates window components along rays.
+is also why morphism_from_components carries window components along rays.
 
-All routes return morphisms defined everywhere (rule or propagation based),
-so bases from different routes can be compared and composed freely.  Each
+All routes return morphisms defined everywhere, each one rule, so bases
+from different routes can be compared and composed freely.  Each
 route's anchor (generators, socle, window) fixes its basis, so End
 coordinates are solved there; a summand eM has End(eM) = e·End(M)·e.
 """
@@ -40,7 +40,8 @@ from typing import Optional
 
 from .ext import CountedBasis, arrow_complex
 from .linalg import Mat, inverse, kernel_basis, min_poly, rank, solve_matrix
-from .morphism import Morphism, identity_morphism, image, zero_morphism
+from .morphism import (Morphism, identity_morphism, image,
+                       morphism_from_components, zero_morphism)
 from .presentations import min_proj_presentation, relation_matrix, yoneda_at
 from .quiver import vkey
 from .rep import (Rep, classify_membership, dim_vector, dualize, joint_window,
@@ -76,22 +77,39 @@ def solve_natural(src: Rep, dst: Rep, verts) -> list:
 class HomBasis(CountedBasis):
     """Hom(src, dst) on one route, whose name hom_space fixes.
 
-    dimension is one rank of the arrow complex (_hom_dim), with no basis
+    dimension is one rank of the arrow complex on the window, with no basis
     built; the route's basis, anchor (the vertices where the basis is fixed,
-    and independent) and certificate, and the window, are built when read."""
+    and independent) and certificate are built when read.  The window (the
+    joint window at pad 2) and the count at pad 3 are each computed once,
+    for the count and the window route alike."""
 
     _space = "Hom"
 
-    def __init__(self, src: Rep, dst: Rep, route: str, certs,
-                 available: list):
+    def __init__(self, src: Rep, dst: Rep, route: str, available: list):
         self.src, self.dst, self.route = src, dst, route
-        self._certs, self._available = certs, available
+        self._available = available
         self._built_on = f"morphisms on the {route} route"
 
-    window = cached_property(lambda self: joint_window(self._certs)[0])
+    _window = cached_property(lambda self: joint_window((self.src, self.dst)))
+    window = property(lambda self: self._window[0])
+    _deeper = cached_property(lambda self: _kernel_dim(  # the count at pad 3
+        self.src, self.dst, joint_window((self.src, self.dst), 3)[0]))
+
+    def _check_pad3(self, count: int):
+        """The window contract: the count at pad 3 is the one at pad 2."""
+        if self._deeper != count:
+            raise AssertionError(
+                f"window Hom dimension {count} at pad 2 and {self._deeper} at "
+                f"pad 3, window depth {self._window[1]}: restriction past the "
+                f"stable depth is not bijective")
 
     def _count(self) -> int:
-        return _hom_dim(self.src, self.dst, self._certs)
+        """Checked at pad 3 unless src is fd: a map out of fd src vanishes
+        off supp src, which the window holds with its arrows into supp dst."""
+        count = _kernel_dim(self.src, self.dst, self.window)
+        if classify_membership(self.src).verdict != "fd":
+            self._check_pad3(count)
+        return count
 
     def _build(self) -> tuple:
         m, n = self.src, self.dst
@@ -100,7 +118,12 @@ class HomBasis(CountedBasis):
         elif self.route == "copresentation":
             basis, anchor, cert = _copresentation_route(m, n)
         else:
-            basis, anchor, cert = _window_route(m, n, self._certs)
+            hom = solve_natural(m, n, self.window)
+            self._check_pad3(len(hom))
+            basis = [morphism_from_components(m, n, comps, f"h{i}")
+                     for i, comps in enumerate(hom)]
+            anchor, cert = self.window, {"window_depth": self._window[1],
+                                         "pad": 2}
         cert["routes_available"] = self._available
         return tuple(basis), anchor, cert
 
@@ -113,28 +136,6 @@ def _kernel_dim(m: Rep, n: Rep, verts) -> int:
     arrow complex over the arrows within verts."""
     d, _ = arrow_complex(m, n, verts, m.quiver.arrows_within(verts))
     return d.cols - rank(d)
-
-
-def _check_pad3(m: Rep, n: Rep, certs, count: int, depth: int):
-    """The window contract: Hom on the joint window at pad 3 has the count
-    found at pad 2, whose window depth is depth."""
-    deeper = _kernel_dim(m, n, joint_window(certs, 3)[0])
-    if deeper != count:
-        raise AssertionError(
-            f"window Hom dimension {count} at pad 2 and {deeper} at pad 3, "
-            f"window depth {depth}: restriction past the stable depth is "
-            f"not bijective")
-
-
-def _hom_dim(m: Rep, n: Rep, certs) -> int:
-    """dim Hom(m, n) by one rank on the joint window at pad 2, checked at
-    pad 3 unless m is fd: a map out of fd m vanishes off supp m, which the
-    window holds with every arrow out of it into supp n."""
-    verts, depth = joint_window(certs, 2)
-    count = _kernel_dim(m, n, verts)
-    if certs[0].verdict != "fd":
-        _check_pad3(m, n, certs, count, depth)
-    return count
 
 
 def _presentation_route(m: Rep, n: Rep):
@@ -163,15 +164,6 @@ def _copresentation_route(m: Rep, n: Rep):
                                            "cosocle": cert["relations"]}
 
 
-def _window_route(m: Rep, n: Rep, certs):
-    verts, depth = joint_window(certs, 2)
-    hom = solve_natural(m, n, verts)
-    _check_pad3(m, n, certs, len(hom), depth)
-    basis = [Morphism(m, n, window=verts, comps=comps, label=f"h{i}")
-             for i, comps in enumerate(hom)]
-    return basis, verts, {"window_depth": depth, "pad": 2}
-
-
 def hom_space(m: Rep, n: Rep, route: Optional[str] = None) -> HomBasis:
     same_ambient(m, n, "hom_space objects")
     certm = classify_membership(m)
@@ -188,7 +180,7 @@ def hom_space(m: Rep, n: Rep, route: Optional[str] = None) -> HomBasis:
     if route not in available:
         raise ValueError(f"route {route!r} is not available here; "
                          f"available: {', '.join(available)}")
-    return HomBasis(m, n, route, (certm, certn), available)
+    return HomBasis(m, n, route, available)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +212,12 @@ def _columns(F, comps) -> Mat:
 
 def end_algebra(m: Rep) -> EndAlgebra:
     """End(M) on the basis of Hom(M, M), the coordinates of the identity and
-    of each product of two basis morphisms solved at the route's anchor."""
+    of each product of two basis morphisms solved at the route's anchor;
+    computed once per object."""
+    return m.cached("end_algebra", lambda: _end_algebra(m))
+
+
+def _end_algebra(m: Rep) -> EndAlgebra:
     F = m.field
     hb = hom_space(m, m)
     n = len(hb.basis)
@@ -338,10 +335,6 @@ def _find_idempotent(E: EndAlgebra):
 # isomorphism testing and decomposition
 
 
-def _probe_verts(m: Rep, n: Rep):
-    return joint_window([classify_membership(m), classify_membership(n)])[0]
-
-
 def _pointwise_inverse(h: Morphism) -> Morphism:
     def rule(v):
         inv = inverse(h.component(v))
@@ -357,7 +350,7 @@ def _iso_indec(m: Rep, n: Rep, probe=None):
     indecomposable: the maps that are not isomorphisms then form a proper
     subspace, so some basis element is invertible."""
     if probe is None:
-        probe = _probe_verts(m, n)
+        probe = joint_window((m, n))[0]
     if dim_vector(m, probe) != dim_vector(n, probe):
         return None
     for f in hom_space(m, n).basis:
@@ -439,7 +432,7 @@ def decompose_report(m: Rep) -> DecomposeReport:
     cert = classify_membership(m)
     if not cert.is_in_rrep():
         raise ValueError(f"decompose needs a finite-data object, got {cert.verdict}")
-    probe = joint_window([cert])[0]
+    probe = joint_window([m])[0]
     leaves: list = []
     _decompose_rec(m, identity_morphism(m), identity_morphism(m), leaves)
     groups: list = []
@@ -471,7 +464,7 @@ def decompose(m: Rep) -> list:
 
 def iso_test(m: Rep, n: Rep):
     """(f, f_inverse) if the objects are isomorphic, else None."""
-    probe = _probe_verts(m, n)
+    probe = joint_window((m, n))[0]
     if dim_vector(m, probe) != dim_vector(n, probe):
         return None
     direct = _iso_indec(m, n, probe=probe)
@@ -508,7 +501,7 @@ def is_radical(f: Morphism) -> bool:
     """No component of f between matched indecomposable summands is an
     isomorphism: one invertible on the probe is its own witness."""
     m, n = f.src, f.dst
-    probe = _probe_verts(m, n)
+    probe = joint_window((m, n))[0]
     rm = decompose_report(m)
     rn = decompose_report(n)
     for sm in rm.summands:

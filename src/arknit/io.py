@@ -9,10 +9,11 @@ from __future__ import annotations
 from .linalg import GF, QQ, Mat
 from .quiver import (FiniteQuiver, Path, PRESETS, QuiverBase, VertexSet,
                      kronecker_quiver, linear_quiver, vkey)
-from .rep import (PathMatrix, Rep, RungFamily, classify_membership,
-                  coker_proj, direct_sum, dualize, explicit_fd, glue_rep,
-                  injective_at, joint_window, ker_inj, path_matrix,
-                  projective_at, restrict, simple_at, thin_rep, zero_rep)
+from .rep import (PathMatrix, Rep, RungFamily, _mat_json,
+                  classify_membership, coker_proj, direct_sum, dualize,
+                  explicit_fd, glue_rep, injective_at, joint_window, ker_inj,
+                  path_matrix, projective_at, restrict, simple_at, thin_rep,
+                  zero_rep)
 
 SCHEMA = "arknit/1"
 # P(1) or I(n) on the linear quiver of n vertices holds n^2/2 arrows in its
@@ -127,7 +128,8 @@ def emit_quiver(q: QuiverBase) -> dict:
 def _parse_vert(q: QuiverBase, x, pointer: str):
     try:
         v = q.parse_vertex(x) if isinstance(x, str) else x
-        inside = q.contains(v)
+        # a JSON float or bool equals an int vertex, but names none
+        inside = (isinstance(x, str) or type(x) is int) and q.contains(v)
     except (ValueError, TypeError) as e:
         raise ParseError(pointer, str(e))
     if not inside:
@@ -226,11 +228,7 @@ def _parse_path(q, obj, pointer) -> Path:
     arrows = []
     for i, lbl in enumerate(_list(obj.get("arrows", []),
                                   f"{pointer}/arrows")):
-        nxt = None
-        for a in q.out_arrows(cur):
-            if a.label == lbl:
-                nxt = a
-                break
+        nxt = next((a for a in q.out_arrows(cur) if a.label == lbl), None)
         if nxt is None:
             raise ParseError(f"{pointer}/arrows/{i}",
                              f"no arrow {lbl!r} out of {q.vertex_str(cur)}")
@@ -324,11 +322,8 @@ def parse_rep(q: QuiverBase, obj, field=QQ, pointer: str = "") -> Rep:
             eptr = f"{ptr}/cocycle/{i}"
             src = _parse_vert(q, _need(e, "src", eptr), f"{eptr}/src")
             lbl = _need(e, "label", eptr, str)
-            arrow = None
-            for a in q.out_arrows(src):
-                if a.label == lbl:
-                    arrow = a
-                    break
+            arrow = next((a for a in q.out_arrows(src) if a.label == lbl),
+                         None)
             if arrow is None:
                 raise ParseError(f"{eptr}/label", f"no arrow {lbl!r}")
             coc.append((arrow, _parse_mat(F, _need(e, "mat", eptr),
@@ -362,15 +357,14 @@ def snapshot_rep(m: Rep) -> dict:
     except NotImplementedError:
         pass
     cert = classify_membership(m)
-    verts, _ = joint_window([cert], 1)
+    verts, _ = joint_window([m], 1)
     q = m.quiver
     dims = {q.vertex_str(v): m.dim(v) for v in verts}
     mats = {}
     for v in verts:
         for a in q.out_arrows(v):
             if m.dim(a.src) and m.dim(a.dst):
-                mats[a.label] = [[str(x) for x in row]
-                                 for row in m.mat(a).entries]
+                mats[a.label] = _mat_json(m.mat(a))
     return {"opaque": m.describe(), "verdict": cert.verdict,
             "window_dims": dims, "window_mats": mats,
             "tails": [[t[0], t[1], t[2]] for t in cert.support.tails]}
@@ -413,8 +407,7 @@ def component_json(comp) -> dict:
 def _display_window(comp, cap: int = 14):
     """The joint window of the node certificates at pad 0, its first cap
     vertices."""
-    return joint_window([classify_membership(n.rep) for n in comp.nodes],
-                        0)[0][:cap]
+    return joint_window([n.rep for n in comp.nodes], 0)[0][:cap]
 
 
 def component_dot(comp) -> str:

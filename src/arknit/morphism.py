@@ -1,11 +1,12 @@
 """Morphisms between representations, and short exact sequences.
 
-A morphism stores exact components on a certified finite window; beyond the
-window the components are propagated along ray tails through the commuting
-squares, which is well defined exactly when the arrow matrices along the ray
-are invertible (the stable situation for rrep objects).  Structural morphisms
-(inclusions, projections, kernel/cokernel maps) instead carry a rule valid at
-every vertex.
+A morphism is one rule, its component at each vertex, computed once per
+vertex.  Structural morphisms (inclusions, projections, kernel/cokernel
+maps) carry a rule valid at every vertex.  A map solved on a certified
+window (morphism_from_components) carries its depth: past the window its
+components are propagated along ray tails through the commuting squares,
+which is well defined exactly when the arrow matrices along the ray are
+invertible (the stable situation for rrep objects).
 """
 from __future__ import annotations
 
@@ -13,86 +14,35 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .linalg import Mat, inverse, is_invertible, rank, solve_matrix
-from .quiver import Arrow, VertexSet, vkey
+from .quiver import Arrow, VertexSet
 from .rep import (CokerOfRep, EvalRangeError, GlueRep, ImageRep, KernelOfRep,
                   Rep, _loc_depth, _ray_transition, dualize, restrict,
                   same_ambient, standard_ext_region)
 
 
 class Morphism:
-    def __init__(self, src: Rep, dst: Rep, window=(), comps=None,
-                 rule: Optional[Callable] = None, label: str = ""):
+    """src -> dst by one rule, rule(v) the component at v, computed once per
+    vertex.  depth, when set, is that of the deepest given component of a
+    map solved on a window, which the kernel of the map reads as its
+    structural depth."""
+
+    def __init__(self, src: Rep, dst: Rep, rule: Callable, label: str = "",
+                 depth: Optional[int] = None):
         same_ambient(src, dst, "morphism endpoints")
         self.src = src
         self.dst = dst
-        self.window = tuple(sorted(window, key=vkey))
-        self._comps = dict(comps or {})
         self.rule = rule
         self.label = label
-        self._anchors: Optional[dict] = None
+        self.depth = depth
+        self._comps: dict = {}
 
-    # -- evaluation --
     def component(self, v) -> Mat:
-        if v in self._comps:
-            return self._comps[v]
-        m = self._compute(v)
-        self._comps[v] = m
-        return m
-
-    def _compute(self, v) -> Mat:
-        F = self.src.field
-        if self.rule is not None:
-            return self.rule(v)
-        sd, dd = self.src.dim(v), self.dst.dim(v)
-        if sd == 0 or dd == 0:
-            return Mat.zeros(F, dd, sd)
-        q = self.src.quiver
-        loc = q.locate(v)
-        if loc is None:
-            raise EvalRangeError(
-                f"morphism has no component at {q.vertex_str(v)} and no rule")
-        eid, rid, t = loc
-        anchor = self._anchor_depth(eid, rid)
-        if anchor is None or anchor > t:
-            raise EvalRangeError(
-                f"morphism window does not reach ray {eid}/{rid} at depth {t}")
-        end = q.end(eid)
-        f = self.component(end.vertex(rid, anchor))
-        for d in range(anchor, t):
-            va = end.vertex(rid, d)
-            vb = end.vertex(rid, d + 1)
-            a = _ray_transition(q, end, rid, d)
-            if a is None:
-                raise EvalRangeError(f"no transition arrow on ray {eid}/{rid}")
-            if self.src.dim(vb) == 0 or self.dst.dim(vb) == 0:
-                f = Mat.zeros(F, self.dst.dim(vb), self.src.dim(vb))
-            else:
-                forward = a.src == va
-                inv = inverse((self.src if forward else self.dst).mat(a))
-                if inv is None:
-                    raise EvalRangeError(
-                        f"cannot propagate past non-invertible transition {a.label}")
-                f = self.dst.mat(a).mul(f).mul(inv) if forward else \
-                    inv.mul(f).mul(self.src.mat(a))
-            self._comps[vb] = f
-        return f
-
-    def _anchor_depth(self, eid, rid) -> Optional[int]:
-        if self._anchors is None:
-            self._anchors = {}
-            q = self.src.quiver
-            for v in list(self._comps):
-                loc = q.locate(v)
-                if loc is not None:
-                    key = (loc[0], loc[1])
-                    cur = self._anchors.get(key)
-                    if cur is None or loc[2] > cur:
-                        self._anchors[key] = loc[2]
-        return self._anchors.get((eid, rid))
+        if v not in self._comps:
+            self._comps[v] = self.rule(v)
+        return self._comps[v]
 
     def depth_bound(self) -> int:
-        q = self.src.quiver
-        return max([0] + [_loc_depth(q, v) for v in self.window])
+        return self.depth or 0
 
     def describe(self) -> str:
         return f"{self.src.describe()} -> {self.dst.describe()}"
@@ -104,28 +54,30 @@ class Morphism:
     def dual(self) -> "Morphism":
         """D f : D(dst) -> D(src) over the opposite quiver, with the
         components f(v) transposed; the one place a morphism is transposed."""
-        return Morphism(dualize(self.dst), dualize(self.src), self.window,
-                        rule=lambda v: self.component(v).transpose(),
-                        label=self.label)
+        return Morphism(dualize(self.dst), dualize(self.src),
+                        lambda v: self.component(v).transpose(), self.label,
+                        self.depth)
 
     # -- algebra --
     def add(self, other: "Morphism") -> "Morphism":
-        return Morphism(self.src, self.dst, self.window,
-                        rule=lambda v: self.component(v).add(other.component(v)))
+        return Morphism(self.src, self.dst, lambda v: self.component(v).add(
+            other.component(v)), depth=self.depth)
 
     def sub(self, other: "Morphism") -> "Morphism":
-        return Morphism(self.src, self.dst, self.window,
-                        rule=lambda v: self.component(v).sub(other.component(v)))
+        return Morphism(self.src, self.dst, lambda v: self.component(v).sub(
+            other.component(v)), depth=self.depth)
 
     def scale(self, c) -> "Morphism":
-        cc = self.src.field.of(c)
-        return Morphism(self.src, self.dst, self.window,
-                        rule=lambda v: self.component(v).scale(cc))
+        c = self.src.field.of(c)
+        return Morphism(self.src, self.dst,
+                        lambda v: self.component(v).scale(c), depth=self.depth)
 
     def then(self, other: "Morphism") -> "Morphism":
         """self followed by other (other ∘ self)."""
-        return Morphism(self.src, other.dst, self.window or other.window,
-                        rule=lambda v: other.component(v).mul(self.component(v)))
+        return Morphism(self.src, other.dst,
+                        lambda v: other.component(v).mul(self.component(v)),
+                        depth=other.depth if self.depth is None
+                        else self.depth)
 
     def is_zero_on(self, verts) -> bool:
         return all(self.component(v).is_zero() for v in verts)
@@ -154,7 +106,56 @@ def identity_morphism(m: Rep) -> Morphism:
 
 def morphism_from_components(src: Rep, dst: Rep, comps: dict,
                              label: str = "") -> Morphism:
-    return Morphism(src, dst, window=tuple(comps), comps=comps, label=label)
+    """The morphism with the given components, carried along each ray past
+    the deepest of them through the commuting squares, which is well defined
+    when the ray's arrow matrices are invertible there (the stable situation
+    for objects in rrep); its depth is that of the deepest component."""
+    q, F = src.quiver, src.field
+    known = dict(comps)
+    anchors: dict = {}  # (end, ray) -> the deepest component on that ray
+    for v in comps:
+        if (loc := q.locate(v)) is not None:
+            anchors[loc[:2]] = max(anchors.get(loc[:2], loc[2]), loc[2])
+
+    def rule(v) -> Mat:
+        if v in known:
+            return known[v]
+        if src.dim(v) == 0 or dst.dim(v) == 0:
+            return Mat.zeros(F, dst.dim(v), src.dim(v))
+        loc = q.locate(v)
+        if loc is None:
+            raise EvalRangeError(
+                f"morphism has no component at {q.vertex_str(v)} and no rule")
+        eid, rid, t = loc
+        anchor = anchors.get((eid, rid))
+        if anchor is None or anchor > t:
+            raise EvalRangeError(
+                f"morphism window does not reach ray {eid}/{rid} at depth {t}")
+        end = q.end(eid)
+        f = known[end.vertex(rid, anchor)]
+        for d in range(anchor, t):
+            vb = end.vertex(rid, d + 1)
+            if vb in known:
+                f = known[vb]
+                continue
+            a = _ray_transition(q, end, rid, d)
+            if a is None:
+                raise EvalRangeError(f"no transition arrow on ray {eid}/{rid}")
+            if src.dim(vb) == 0 or dst.dim(vb) == 0:
+                f = Mat.zeros(F, dst.dim(vb), src.dim(vb))
+            else:
+                forward = a.src == end.vertex(rid, d)
+                inv = inverse((src if forward else dst).mat(a))
+                if inv is None:
+                    raise EvalRangeError(f"cannot propagate past non-"
+                                         f"invertible transition {a.label}")
+                f = dst.mat(a).mul(f).mul(inv) if forward else \
+                    inv.mul(f).mul(src.mat(a))
+            known[vb] = f
+        return f
+
+    return Morphism(src, dst, rule, label, max(
+        (_loc_depth(q, v) for v in comps), default=None))
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +201,6 @@ class SES:
         if isinstance(self.middle, GlueRep):
             return self.middle.cocycle_at(a)
         return _extracted_cocycle(self, a)
-
-    def describe(self) -> str:
-        return (f"0 -> {self.sub.describe()} -> {self.middle.describe()} "
-                f"-> {self.quot.describe()} -> 0")
 
 
 def _extracted_cocycle(ses: SES, a: Arrow) -> Mat:

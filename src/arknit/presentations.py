@@ -26,7 +26,7 @@ on a ray its end, ray and depth.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .linalg import Mat, block_matrix, coker_projection, rank, solve_matrix
 from .morphism import Morphism
@@ -48,18 +48,18 @@ class Presentation:
     obj: Rep
     pm: PathMatrix
     cover: Morphism
-    _sections: dict = field(default_factory=dict, compare=False, repr=False)
 
     def section(self, v) -> Mat:
         """A right inverse of cover(v), onto on the proj side; solved once
-        per vertex."""
-        if v not in self._sections:
-            s = solve_matrix(self.cover.component(v),
-                             Mat.identity(self.obj.field, self.obj.dim(v)))
-            if s is None:
-                raise AssertionError("the cover is not onto")
-            self._sections[v] = s
-        return self._sections[v]
+        per vertex and kept on obj."""
+        return self.obj.cached(("section", v), lambda: self._section(v))
+
+    def _section(self, v) -> Mat:
+        s = solve_matrix(self.cover.component(v),
+                         Mat.identity(self.obj.field, self.obj.dim(v)))
+        if s is None:
+            raise AssertionError("the cover is not onto")
+        return s
 
 
 def top_generators(m: Rep, region):
@@ -120,7 +120,7 @@ def _min_proj_presentation(x: Rep) -> Presentation:
     if cert.verdict not in ("fp", "fd"):
         raise ValueError(
             f"minimal projective presentation needs an fp object, got {cert.verdict}")
-    region, depth = joint_window([cert], 1)
+    region, depth = joint_window([x], 1)
     deep = [q.end(r.eid).vertex(r.rid, t)
             for p in cert.profiles for r in p.rays if r.dim > 0
             for t in (depth + 1, depth + 2)]

@@ -746,16 +746,11 @@ def _top_analysis(vset: VertexSet, many: str, one: str):
     analysis, with sinks for sources."""
     q = vset.quiver
     T = vset.probe_depth() + 2
-    probe = set(vset.explicit)
-    for (eid, rid, t0) in vset.tails:
-        end = q.end(eid)
-        probe.update(end.vertex(rid, t) for t in range(t0, T + 1))
-    probe = {v for v in probe if vset.contains(v)}
 
     def boundary_free(v):
         return all(not vset.contains(a.src) for a in q.in_arrows(v))
 
-    extremes = sorted((v for v in probe if boundary_free(v)), key=vkey)
+    extremes = [v for v in vset.members(T) if boundary_free(v)]
     witnesses = []
     infinite = False
     for (eid, rid, t0) in vset.tails:
@@ -783,12 +778,7 @@ def _top_analysis(vset: VertexSet, many: str, one: str):
                 continue
             seen.add(w)
             stack.append(w)
-    region = set(probe)
-    for (eid, rid, t0) in vset.tails:
-        end = q.end(eid)
-        region.update(end.vertex(rid, t) for t in range(T + 1, deepcap + 1))
-    region = {v for v in region if vset.contains(v)}
-    uncovered = sorted((v for v in region if v not in seen), key=vkey)
+    uncovered = [v for v in vset.members(deepcap) if v not in seen]
     if uncovered:
         witnesses.append(
             f"vertex {q.vertex_str(uncovered[0])} is not reachable from {one} of the subquiver")

@@ -896,9 +896,10 @@ class RepClassCertificate:
         return max([p.cutoff for p in self.profiles], default=0)
 
 
-def joint_window(certs, pad: int = 2):
-    """(window, depth): the union of the certified exact supports down to
-    depth = (deepest stable depth + pad), sorted."""
+def joint_window(objs, pad: int = 2):
+    """(window, depth): the union of the certified exact supports of objs
+    down to depth = (deepest stable depth + pad), sorted."""
+    certs = [classify_membership(m) for m in objs]
     depth = max([c.depth for c in certs], default=0) + pad
     verts = set()
     for cert in certs:
@@ -1096,8 +1097,7 @@ def is_doubly_infinite(m: Rep) -> bool:
     cert = classify_membership(m)
     if not cert.is_in_rrep():
         raise ValueError("not an rrep object")
-    kinds = {r.kind for p in cert.profiles for r in p.rays if r.dim > 0}
-    return "P" in kinds and "I" in kinds
+    return cert.verdict == "rrep"
 
 
 # ---------------------------------------------------------------------------

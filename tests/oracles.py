@@ -21,12 +21,12 @@ translate table ruled them out.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from arknit import (Mat, classify_membership, decompose, dim_vector,
-                    hom_space, injective_at, min_proj_presentation,
+from arknit import (Mat, decompose, dim_vector, hom_space,
+                    injective_at, min_proj_presentation,
                     minimal_left_almost_split_from,
                     minimal_right_almost_split_into, projective_at)
 from arknit.ar import standard_vertex
-from arknit.hom import _iso_indec, _pointwise_inverse, _probe_verts, joint_window
+from arknit.hom import _iso_indec, _pointwise_inverse, joint_window
 from arknit.linalg import coker_projection, rank
 from arknit.presentations import relation_matrix
 from arknit.quiver import vkey
@@ -291,7 +291,7 @@ def standard_by_search(rep, kind):
     (kind "proj") or I_a (kind "inj"), tested against every candidate with
     the same dimension vector on the window; None if there is none."""
     q, F = rep.quiver, rep.field
-    probe = joint_window([classify_membership(rep)])[0]
+    probe = joint_window([rep])[0]
     make = projective_at if kind == "proj" else injective_at
     for a in sorted(set(probe), key=vkey):
         std = make(q, a, F)
@@ -360,7 +360,7 @@ def iso_by_pair_search(m, n):
     """The first f of the basis of Hom(m, n) for which some g of the basis
     of Hom(n, m) makes g o f invertible on the probe window, with
     (g o f)^-1 o g as its inverse; None if there is no such pair."""
-    probe = _probe_verts(m, n)
+    probe = joint_window((m, n))[0]
     if dim_vector(m, probe) != dim_vector(n, probe):
         return None
     fwd = hom_space(m, n)

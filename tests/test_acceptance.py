@@ -412,8 +412,7 @@ def test_criterion_09_hom_route_consistency(a3, a5, kron, zig, line):
         assert hw.dimension == d_pres
         if classify_membership(n).verdict in ("fd", "fc"):
             assert hom_space(m, n, route="copresentation").dimension == d_pres
-        certs = [classify_membership(m), classify_membership(n)]
-        bigger, _ = joint_window(certs, hw.certificate["pad"] + 1)
+        bigger, _ = joint_window((m, n), hw.certificate["pad"] + 1)
         assert len(solve_natural(m, n, bigger)) == d_pres
     ok(9, "presentation and window dimensions agree on 100 pairs, "
           "stable under window enlargement, and so does the copresentation "

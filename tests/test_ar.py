@@ -26,18 +26,23 @@ from arknit import (
     direct_sum,
     end_algebra,
     explicit_fd,
+    hom_space,
     injective_at,
+    is_doubly_infinite,
     is_pseudo_projective,
     iso_test,
     ker_inj,
     knit,
     minimal_left_almost_split_from,
     minimal_right_almost_split_into,
+    min_inj_copresentation,
     min_proj_presentation,
     nakayama,
+    pfi_decompose,
     PRESETS,
     projective_at,
     simple_at,
+    tail_split,
     tau,
     tau_inv,
     thin_rep,
@@ -425,7 +430,7 @@ def test_knit_meshes_are_additive(a5, line, zig, kron):
             out_of_tz = {e: m for (s, e), m in comp.arrows.items() if s == tz}
             assert into_z and into_z == out_of_tz
             reps = [comp.node(k).rep for k in (z, tz, *into_z)]
-            window, _ = joint_window([classify_membership(r) for r in reps])
+            window, _ = joint_window(reps)
             ends = [a + b for a, b in zip(dim_vector(reps[0], window),
                                           dim_vector(reps[1], window))]
             middle = [0] * len(window)
@@ -674,3 +679,60 @@ def test_coxeter_tracks_tau_inv_chain(kron):
                               [(a.src, a.dst, a.label) for a in kron.arrows],
                               dims, inverse=True)
         assert dim_vector(m, (1, 2)) == dims
+
+
+# ---------------------------------------------------------------------------
+# refusals that no CLI input reaches: each is a ValueError (exit 1) naming
+# its cause
+
+
+def _api_refusals():
+    """(call, message) per refusal, on A3, line, zigzag and Kronecker."""
+    a3, line, zig = linear_quiver(3), PRESETS["line"](), PRESETS["zigzag"]()
+    kron = kronecker_quiver()
+    m0 = thin_rep(zig, VertexSet.make(zig, (), [("inf", "even", 0),
+                                                ("inf", "odd", 0)]))
+    p1, p2 = projective_at(a3, 1), projective_at(a3, 2)
+    i1, i2 = injective_at(a3, 1), injective_at(a3, 2)
+    return {
+        "route": (lambda: hom_space(projective_at(line, 0),
+                                       projective_at(line, 0),
+                                       route="copresentation"),
+                  "route 'copresentation' is not available here; "
+                  "available: presentation, window"),
+        "copresentation": (lambda: min_inj_copresentation(
+            projective_at(line, 0)), "minimal injective copresentation "
+            "needs an fc object, got fp"),
+        "pfi": (lambda: pfi_decompose(m0),
+                "pfi_decompose needs an rrep object, got notInRrep"),
+        "tail_split": (lambda: tail_split(injective_at(line, 0)),
+                       "tail_split needs an fp object, got fc"),
+        "doubly_infinite": (lambda: is_doubly_infinite(m0),
+                            "not an rrep object"),
+        "coefficients": (lambda: ext_class_to_ses(ext_space(
+            simple_at(kron, 1), simple_at(kron, 2)), [1]),
+            "coefficient count does not match Ext dimension"),
+        "end_not_local": (lambda: almost_split_sequence(
+            direct_sum(simple_at(a3, 2), simple_at(a3, 2))),
+            "almost split sequence needs an indecomposable end"),
+        "right_not_projective": (lambda: minimal_right_almost_split_into(
+            simple_at(a3, 2)), "input is not projective"),
+        "right_a_sum": (lambda: minimal_right_almost_split_into(
+            direct_sum(p1, p2)), "input is not an indecomposable projective"),
+        "left_not_injective": (lambda: minimal_left_almost_split_from(
+            simple_at(a3, 2)), "input is not injective"),
+        "left_a_sum": (lambda: minimal_left_almost_split_from(
+            direct_sum(i1, i2)), "input is not an indecomposable injective"),
+    }
+
+
+@pytest.mark.parametrize("case", ["route", "copresentation", "pfi",
+                                  "tail_split", "doubly_infinite",
+                                  "coefficients", "end_not_local",
+                                  "right_not_projective", "right_a_sum",
+                                  "left_not_injective", "left_a_sum"])
+def test_api_refusal_names_its_cause(case):
+    call, message = _api_refusals()[case]
+    with pytest.raises(ValueError) as e:
+        call()
+    assert str(e.value) == message

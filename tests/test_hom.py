@@ -117,9 +117,9 @@ def test_hom_window_is_built_only_when_read(a3, monkeypatch):
     calls = []
     window = hom.joint_window
 
-    def spy(certs, *pad):
-        calls.append(len(certs))
-        return window(certs, *pad)
+    def spy(objs, *pad):
+        calls.append(len(objs))
+        return window(objs, *pad)
 
     monkeypatch.setattr(hom, "joint_window", spy)
     m, n = simple_at(a3, 2), injective_at(a3, 2)
@@ -127,8 +127,8 @@ def test_hom_window_is_built_only_when_read(a3, monkeypatch):
     assert calls == []
     # the count reads the pad-2 window once (no pad-3 check: m is fd)
     assert hb.dimension == 1 and calls == [2]
-    certs = [ak.classify_membership(r) for r in (m, n)]
-    assert hb.window == hb.window == window(certs)[0] and calls == [2, 2]
+    # the space keeps the window that the count read
+    assert hb.window == hb.window == window((m, n))[0] and calls == [2]
 
 
 def test_hom_dimension_of_an_fd_domain_builds_no_basis(line, line_full,
@@ -250,17 +250,16 @@ def test_window_route_budget_failure_names_dims_and_depth(line, monkeypatch):
     # a Hom dimension that grows with the pad breaks the contract, whether
     # the window route builds its basis or an fp domain's Hom is counted
     m = projective_at(line, 0)
-    certs = [ak.classify_membership(m)] * 2
     monkeypatch.setattr(hom, "solve_natural",
                         lambda src, dst, verts: [{}] * len(verts))
     monkeypatch.setattr(hom, "_kernel_dim", lambda src, dst, verts: len(verts))
-    _, depth = joint_window(certs, 2)
-    dims = [len(joint_window(certs, pad)[0]) for pad in (2, 3)]
+    _, depth = joint_window((m, m), 2)
+    dims = [len(joint_window((m, m), pad)[0]) for pad in (2, 3)]
     assert dims[0] != dims[1]
     message = (f"window Hom dimension {dims[0]} at pad 2 and {dims[1]} at "
                f"pad 3, window depth {depth}: ")
     with pytest.raises(AssertionError, match=message):
-        hom._window_route(m, m, certs)
+        hom_space(m, m, route="window").basis
     with pytest.raises(AssertionError, match=message):
         hom_space(m, m).dimension
 
@@ -274,7 +273,7 @@ def test_window_hom_dimension_is_the_same_at_every_pad(data):
     m, n = data.draw(objects(q, 1)), data.draw(objects(q, 1))
     certs = [ak.classify_membership(m), ak.classify_membership(n)]
     assume(all(c.is_in_rrep() for c in certs))
-    dims = {len(hom.solve_natural(m, n, joint_window(certs, pad)[0]))
+    dims = {len(hom.solve_natural(m, n, joint_window((m, n), pad)[0]))
             for pad in range(5)}
     assert len(dims) == 1, (m.describe(), n.describe(), dims)
     hb = hom_space(m, n)
@@ -505,7 +504,7 @@ def test_iso_indec_returns_what_the_pair_search_returned(kron, zig):
                 if got is None:
                     continue
                 matched += 1
-                probe = hom._probe_verts(m, n)
+                probe = joint_window((m, n))[0]
                 for g, w in zip(got, want):
                     assert all(g.component(v) == w.component(v) for v in probe)
     assert matched and compared > matched

@@ -269,6 +269,38 @@ def test_only_rep_takes_the_stable_depth(path):
     assert cutoff_maxima(path.read_text()) == []
 
 
+def _calls(node, name: str) -> bool:
+    """Is node a call of name, bare or as an attribute?"""
+    f = node.func if isinstance(node, ast.Call) else None
+    return (isinstance(f, ast.Name) and f.id == name) or \
+        (isinstance(f, ast.Attribute) and f.attr == name)
+
+
+def certified_windows(source: str) -> list:
+    """Lines that call joint_window on arguments that call
+    classify_membership: certificates built for the window, which takes
+    the objects and classifies them itself."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if _calls(n, "joint_window")
+                  and any(_calls(c, "classify_membership")
+                          for a in n.args + [k.value for k in n.keywords]
+                          for c in ast.walk(a)))
+
+
+def test_detects_a_certificate_passed_to_joint_window():
+    src = ("w = joint_window([classify_membership(m)])\n"
+           "v = joint_window((m, n), 3)\n"
+           "u = rep.joint_window([rep.classify_membership(r) for r in rs], 1)\n"
+           "c = classify_membership(m)\n"
+           "t = joint_window(objs=[classify_membership(m)])\n")
+    assert certified_windows(src) == [1, 3, 5]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_joint_window_takes_objects(path):
+    assert certified_windows(path.read_text()) == []
+
+
 def transposed_components(source: str) -> list:
     """Lines that call .transpose() on a .component(...) result: a morphism
     transposed by hand, where D of it (PathMatrix.dual, Morphism.dual) is

@@ -18,6 +18,7 @@ import arknit.presentations as presentations_mod
 from arknit import (
     QQ,
     classify_membership,
+    decompose,
     dim_vector,
     knit,
     parse_quiver,
@@ -455,6 +456,161 @@ def test_cli_unreadable_spec_files_name_the_pointer(tmp_path, flag):
                               f"{reason}")
 
 
+# objects of the kinds that the demos build, each with a spec: export writes
+# them as a snapshot {"spec": ...}, which a spec argument reads back
+EXPORTABLE = (
+    (A3, '{"proj":"1"}'), (A3, '{"inj":"2"}'), (A3, '{"simple":"2"}'),
+    (A3, '{"explicit_fd":{"dims":{"1":1,"2":2},"mats":{"1>2":[[1],[0]]}}}'),
+    (A3, '{"sum":[{"proj":"1"},{"simple":"2"},{"simple":"2"}]}'),
+    (LINE, '{"thin":{"explicit":[],"tails":[["neg","v",0]]}}'),
+    (LINE, ALLK), (LINE, '{"inj":"0"}'), (LINE, '{"proj":"0"}'),
+    (KRON, '{"simple":"1"}'), (ZIG, '{"inj":"2"}'),
+)
+
+
+@pytest.mark.parametrize("quiver, rep", EXPORTABLE)
+def test_cli_export_of_an_object_parses_back(tmp_path, quiver, rep):
+    code, exported, _ = run_cli(["export", "--quiver", quiver, "--rep", rep])
+    assert code == 0
+    path = tmp_path / "rep.json"
+    path.write_text(exported)
+    assert run_cli(["export", "--quiver", quiver, "--rep", str(path)]) == \
+        (0, exported, "")
+    assert run_cli(["member", "--quiver", quiver, "--rep", str(path)]) == \
+        run_cli(["member", "--quiver", quiver, "--rep", rep])
+
+
+def test_cli_reads_the_object_that_a_verb_printed(tmp_path):
+    # tau prints the translate as a snapshot beside its verdict and dims
+    code, out, _ = run_cli(["tau", "--quiver", A3, "--rep", '{"simple":"2"}'])
+    assert code == 0
+    path = tmp_path / "tau.json"
+    path.write_text(out)
+    code, again, _ = run_cli(["export", "--quiver", A3, "--rep", str(path)])
+    assert code == 0
+    assert json.loads(again)["rep"] == json.loads(out)["rep"]
+
+
+def test_cli_refuses_an_opaque_snapshot(tmp_path):
+    # a summand split off by decompose has no spec, only window data
+    m = parse_rep(parse_quiver(json.loads(A3)), json.loads(
+        '{"sum":[{"proj":"1"},{"simple":"2"},{"simple":"2"}]}'))
+    piece = next(r for r, _ in decompose(m) if "opaque" in emit_rep(r)["rep"])
+    path = tmp_path / "opaque.json"
+    path.write_text(json.dumps(emit_rep(piece)))
+    assert run_cli(["member", "--quiver", A3, "--rep", str(path)]) == \
+        (1, "", "arknit: error: /: rep spec must have exactly one key\n")
+
+
+@pytest.mark.parametrize("flag", ["quiver", "rep"])
+def test_cli_refuses_an_unsupported_schema(tmp_path, flag):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"schema": "arknit/0", "quiver": {
+        "preset": "line"}, "rep": {"proj": "0"}}))
+    specs = {"quiver": LINE, "rep": '{"proj":"0"}', flag: str(path)}
+    assert run_cli(["member", "--quiver", specs["quiver"], "--rep",
+                    specs["rep"]]) == (1, "", f"arknit: error: /{flag}/schema: "
+                                              f"unsupported schema 'arknit/0'\n")
+
+
+# a coker_proj spec of the map P(2) -> P(1) on A3, its fields replaceable
+def _pm_spec(**fields):
+    pm = {"side": "proj", "domain": ["2"], "codomain": ["1"],
+          "entries": [[[[1, {"src": "1", "arrows": ["1>2"]}]]]]}
+    return json.dumps({"coker_proj": {**pm, **fields}})
+
+
+def _fd(mats, dims='{"1":1,"2":1}'):
+    return f'{{"explicit_fd":{{"dims":{dims},"mats":{{"alpha":{mats}}}}}}}'
+
+
+GLUE_A3 = '{"glue":{"sub":{"simple":"2"},"quot":{"simple":"1"},"cocycle":'
+REFUSALS = {
+    # domain errors: an object outside rrep, a decomposable end
+    "hom_not_in_rrep": (["hom", "--quiver", ZIG, "--src", M0, "--dst", M0],
+                        "hom_space needs finite-data objects; domain is "
+                        "notInRrep"),
+    "ext_not_in_rrep": (["ext", "--quiver", ZIG, "--quot", M0, "--sub", M0],
+                        "ext_space needs finite-data objects; quotient is "
+                        "notInRrep"),
+    "decompose_not_in_rrep": (["decompose", "--quiver", ZIG, "--rep", M0],
+                              "decompose needs a finite-data object, got "
+                              "notInRrep"),
+    "ass_of_a_sum": (["ass", "--quiver", A3, "--rep",
+                      '{"sum":[{"simple":"2"},{"simple":"2"}]}'],
+                     "almost split sequence needs an indecomposable end"),
+    # parse errors, each with its pointer
+    "missing_key": (["rep", "--quiver", A3, "--rep",
+                     '{"glue":{"quot":{"simple":"1"}}}'],
+                    "/glue: missing key 'sub'"),
+    "wrong_type": (["rep", "--quiver", A3, "--rep",
+                    '{"explicit_fd":{"dims":[1]}}'],
+                   "/explicit_fd/dims: expected dict"),
+    "quiver_not_an_object": (["quiver", "--quiver", "[1]"],
+                             "/: quiver spec must be an object"),
+    "arrow_not_a_pair": (["quiver", "--quiver",
+                          '{"vertices":[1,2],"arrows":[[1]]}'],
+                         "/arrows/0: arrow must be [src, dst] or [src, dst, "
+                         "label]"),
+    "quiver_of_no_kind": (["quiver", "--quiver", '{"vertex":[1]}'],
+                          "/: expected 'preset', 'vertices' or 'opposite'"),
+    "null_vertex": (["rep", "--quiver", A3, "--rep", '{"simple":null}'],
+                    "/simple: vertex None outside the quiver"),
+    "bad_field": (["quiver", "--quiver", A3, "--field", "x"],
+                  "/field: bad field spec 'x'"),
+    "field_below_2": (["quiver", "--quiver", A3, "--field", "1"],
+                      "/field: prime field needs p >= 2"),
+    "bad_scalar": (["rep", "--quiver", KRON, "--rep", _fd('[["1/0"]]')],
+                   "/explicit_fd/mats/alpha/0/0: bad scalar '1/0': "
+                   "Fraction(1, 0)"),
+    "matrix_not_rows": (["rep", "--quiver", KRON, "--rep", _fd("5")],
+                        "/explicit_fd/mats/alpha: matrix must be a list of "
+                        "rows"),
+    "ragged_matrix": (["rep", "--quiver", KRON, "--rep",
+                       _fd("[[1],[1,2]]", '{"1":1,"2":2}')],
+                      "/explicit_fd/mats/alpha: ragged matrix"),
+    "tail_not_a_triple": (["rep", "--quiver", LINE, "--rep",
+                           '{"thin":{"tails":[["neg","v"]]}}'],
+                          "/thin/tails/0: tail must be [end, ray, start]"),
+    "path_without_the_arrow": (["rep", "--quiver", A3, "--rep", _pm_spec(
+        entries=[[[[1, {"src": "1", "arrows": ["zzz"]}]]]])],
+        "/coker_proj/entries/0/0/0/1/arrows/0: no arrow 'zzz' out of 1"),
+    "path_matrix_rows": (["rep", "--quiver", A3, "--rep",
+                          _pm_spec(entries=[])],
+                         "/coker_proj/entries: row count != codomain length"),
+    "path_matrix_columns": (["rep", "--quiver", A3, "--rep",
+                             _pm_spec(entries=[[]])],
+                            "/coker_proj/entries/0: column count != domain "
+                            "length"),
+    "path_matrix_pair": (["rep", "--quiver", A3, "--rep",
+                          _pm_spec(entries=[[[[1]]]])],
+                         "/coker_proj/entries/0/0/0: expected [coeff, path]"),
+    "path_matrix_side": (["rep", "--quiver", A3, "--rep", _pm_spec(side="x")],
+                         "/coker_proj: side must be 'proj' or 'inj'"),
+    "several_keys": (["rep", "--quiver", A3, "--rep",
+                      '{"proj":"1","inj":"1"}'],
+                     "/: rep spec must have exactly one key"),
+    "family_not_a_4_list": (["rep", "--quiver", '{"preset":"ladder"}',
+                             "--rep", '{"glue":{"sub":{"simple":"a0"},'
+                             '"quot":{"simple":"b0"},"families":[[1]]}}'],
+                            "/glue/families/0: family must be [end, crossing, "
+                            "start, coeff]"),
+    "cocycle_shape": (["rep", "--quiver", A3, "--rep", GLUE_A3 +
+                       '[{"src":"1","label":"1>2","mat":[[1,2]]}]}}'],
+                      "/glue: dimension-mismatched cocycle entry at arrow "
+                      "1>2: expected 1x1, got 1x2"),
+    "cocycle_arrow": (["rep", "--quiver", A3, "--rep", GLUE_A3 +
+                       '[{"src":"1","label":"zzz","mat":[[1]]}]}}'],
+                      "/glue/cocycle/0/label: no arrow 'zzz'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_cli_refusal_exits_1_with_its_message(case):
+    argv, message = REFUSALS[case]
+    assert run_cli(argv) == (1, "", f"arknit: error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -511,14 +667,103 @@ def test_cli_knit_refuses_a_decomposable_doubly_infinite_seed(depth):
 
 def test_cli_hom_exits_3_when_the_count_and_the_basis_disagree(monkeypatch):
     # the hom verb reads both the counted dimension and the route's basis
-    count = hom_mod._hom_dim
-    monkeypatch.setattr(hom_mod, "_hom_dim",
-                        lambda m, n, certs: count(m, n, certs) + 1)
+    count = hom_mod.HomBasis._count
+    monkeypatch.setattr(hom_mod.HomBasis, "_count",
+                        lambda self: count(self) + 1)
     code, out, err = run_cli(["hom", "--quiver", A3,
                               "--src", '{"proj":"2"}', "--dst", '{"inj":"2"}'])
     assert (code, out) == (3, "")
     assert err == ("arknit: internal error: Hom dimension 2 by the arrow "
                    "complex, but 1 basis morphisms on the presentation route\n")
+
+
+def test_cli_hom_on_the_window_route_reads_each_window_once(monkeypatch):
+    # the count, the printed window and the window route's basis share one
+    # pad-2 window and one pad-3 count
+    pads, ranks = [], []
+    window, rank = hom_mod.joint_window, hom_mod.rank
+
+    def spy_window(objs, pad=2):
+        pads.append(pad)
+        return window(objs, pad)
+
+    def spy_rank(m):
+        ranks.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(hom_mod, "joint_window", spy_window)
+    monkeypatch.setattr(hom_mod, "rank", spy_rank)
+    code, out, err = run_cli(["hom", "--quiver", LINE, "--src", ALLK,
+                              "--dst", ALLK])
+    assert (code, err) == (0, "") and json.loads(out)["route"] == "window"
+    assert pads == [2, 3] and len(ranks) == 2
+
+
+def test_cli_ext_reads_one_window(monkeypatch):
+    pads = []
+    window = ext_mod.joint_window
+
+    def spy(objs, pad=2):
+        pads.append(pad)
+        return window(objs, pad)
+
+    monkeypatch.setattr(ext_mod, "joint_window", spy)
+    code, out, err = run_cli(["ext", "--quiver", LINE, "--quot", ALLK,
+                              "--sub", ALLK])
+    assert (code, err) == (0, "") and pads == [2]
+
+
+def test_cli_ass_computes_each_end_algebra_once(monkeypatch):
+    # six End reads over four objects, three of them on one object
+    reads, built = [], []
+    end, compute = hom_mod.end_algebra, hom_mod._end_algebra
+
+    def spy_read(m):
+        reads.append(m)
+        return end(m)
+
+    def spy_compute(m):
+        built.append(m)
+        return compute(m)
+
+    for mod in (hom_mod, ar_mod):
+        monkeypatch.setattr(mod, "end_algebra", spy_read)
+    monkeypatch.setattr(hom_mod, "_end_algebra", spy_compute)
+    code, _, err = run_cli(["ass", "--quiver", A3, "--rep", '{"simple":"2"}'])
+    assert (code, err) == (0, "")
+    assert (len(reads), len(built)) == (6, 4)
+    assert len({id(m) for m in built}) == 4
+
+
+# a cokernel spec whose domain names the vertex 2 as the JSON float 2.0
+COKER_2_0 = ('{"coker_proj":{"side":"proj","domain":[2.0],"codomain":[1],'
+             '"entries":[[[[1,{"src":1,"arrows":["1>2"]}]]]]}}')
+
+
+@pytest.mark.parametrize("argv, pointer, shown", [
+    (["rep", "--quiver", A3, "--rep", '{"simple":1.0}'], "/simple", "1.0"),
+    (["member", "--quiver", A3, "--rep", '{"simple":true}'], "/simple",
+     "True"),
+    (["hom", "--quiver", KRON, "--src", '{"proj":1.0}', "--dst",
+      '{"proj":"1"}'], "/proj", "1.0"),
+    (["rep", "--quiver", A3, "--rep", COKER_2_0], "/coker_proj/domain/0",
+     "2.0"),
+], ids=["rep_float", "member_bool", "hom_float", "coker_domain_float"])
+def test_cli_refuses_a_float_or_bool_vertex_of_a_finite_quiver(argv, pointer,
+                                                                shown):
+    # 1.0 == True == 1, but only the JSON integer 1 names a vertex
+    assert run_cli(argv) == (1, "", f"arknit: error: {pointer}: vertex "
+                                    f"{shown} outside the quiver\n")
+
+
+def test_cli_reads_an_int_vertex_of_a_finite_quiver():
+    code, out, _ = run_cli(["rep", "--quiver", A3, "--rep",
+                            COKER_2_0.replace("2.0", "2")])
+    assert code == 0
+    assert json.loads(out)["rep"]["spec"]["coker_proj"]["domain"] == ["2"]
+    code, out, _ = run_cli(["member", "--quiver", A3, "--rep",
+                            '{"simple":1}'])
+    assert code == 0 and json.loads(out)["verdict"] == "fd"
 
 
 EXT_STDOUT = (
@@ -552,9 +797,9 @@ def test_cli_ext_stdout_is_pinned(quiver, quot, sub, stdout):
 
 
 def test_cli_ext_exits_3_when_the_count_and_the_basis_disagree(monkeypatch):
-    count = ext_mod._ext_dim
-    monkeypatch.setattr(ext_mod, "_ext_dim",
-                        lambda x, y, certs: count(x, y, certs) - 1)
+    count = ext_mod.ExtClassBasis._count
+    monkeypatch.setattr(ext_mod.ExtClassBasis, "_count",
+                        lambda self: count(self) - 1)
     code, out, err = run_cli(["ext", "--quiver", KRON, "--quot",
                               '{"simple":"1"}', "--sub", '{"simple":"2"}'])
     assert (code, out) == (3, "")

@@ -7,6 +7,7 @@ import pytest
 from arknit import (
     GF,
     QQ,
+    EvalRangeError,
     Mat,
     VertexSet,
     classify_membership,
@@ -52,6 +53,26 @@ def test_identity_and_zero(a3):
         assert z.component(v).is_zero()
     assert naturality_defect(f, (1, 2, 3))
     assert f.sub(f).is_zero_on((1, 2, 3))
+
+
+def test_components_are_carried_along_each_ray_past_the_deepest(line, a3):
+    # the identity of the all-ones object of line, given on -2..2, is
+    # carried along both rays; its depth is that of its deepest component
+    allk = thin_rep(line, VertexSet.make(line, (), [("neg", "v", 0),
+                                                     ("pos", "v", 0)]))
+    f = morphism_from_components(allk, allk, {v: _one() for v in range(-2, 3)})
+    assert f.depth_bound() == 2
+    assert all(f.component(v) == _one() for v in (7, -40, 3000, 8))
+    g = morphism_from_components(allk, allk, {3: _one()})
+    for v, message in ((1, "ray pos/v at depth 0"),
+                       (-1, "ray neg/v at depth 1")):
+        with pytest.raises(EvalRangeError,
+                           match=f"morphism window does not reach {message}"):
+            g.component(v)
+    p1 = projective_at(a3, 1)
+    with pytest.raises(EvalRangeError, match="morphism has no component at "
+                                             "2 and no rule"):
+        morphism_from_components(p1, p1, {1: _one()}).component(2)
 
 
 def test_radical_inclusion_kernel_coker_image(a3):
@@ -196,7 +217,7 @@ def test_coker_proj_matches_the_evaluation_it_replaced(request, qname, verts):
                 C = tau_inv(w)
             except ValueError:  # w is injective
                 continue
-            window, _ = joint_window([classify_membership(C)])
+            window, _ = joint_window([C])
             dims, mats = cokernel_by_lift(C.f, window)
             assert {x: C.dim(x) for x in window} == dims
             assert {a: C.mat(a).entries for a in mats} == mats

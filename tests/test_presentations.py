@@ -24,7 +24,6 @@ from arknit import (
     QQ,
     Mat,
     VertexSet,
-    classify_membership,
     coker_proj,
     dim_vector,
     equal_on,
@@ -205,7 +204,7 @@ def relation_cases(a3, a5, kron, zig, line, ray_in, ray_out, ladder):
 def _sites(x):
     """x's certified window and its out-neighbours: every vertex where a
     relation can sit."""
-    window, _ = joint_window([classify_membership(x)])
+    window, _ = joint_window([x])
     q = x.quiver
     return sorted(set(window).union(a.dst for v in window
                                     for a in q.out_arrows(v)), key=vkey)
