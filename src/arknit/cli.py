@@ -123,6 +123,14 @@ def _profiles_json(cert):
             for p in cert.profiles]
 
 
+def _object_payload(q, m, radius: int) -> dict:
+    """An object's snapshot, verdict and dims on its window at radius."""
+    cert = classify_membership(m)
+    win, _ = joint_window([m], radius)
+    return {"schema": SCHEMA, "rep": snapshot_rep(m),
+            "verdict": cert.verdict, "dims": _dims(q, m, win)}
+
+
 def run(args) -> dict | str:
     for name, cap in (("depth", MAX_DEPTH), ("radius", MAX_RADIUS)):
         value = getattr(args, name, None)
@@ -143,11 +151,7 @@ def run(args) -> dict | str:
                 "ends": [e.eid for e in ends]}
 
     if args.verb == "rep":
-        m = rep_of(args.rep, "rep")
-        cert = classify_membership(m)
-        win, _ = joint_window([m], args.radius)
-        return {"schema": SCHEMA, "rep": snapshot_rep(m),
-                "verdict": cert.verdict, "dims": _dims(q, m, win)}
+        return _object_payload(q, rep_of(args.rep, "rep"), args.radius)
 
     if args.verb == "member":
         m = rep_of(args.rep, "rep")
@@ -183,11 +187,8 @@ def run(args) -> dict | str:
     if args.verb == "tau":
         from .ar import tau, tau_inv
         m = rep_of(args.rep, "rep")
-        out = tau_inv(m) if args.inverse else tau(m)
-        cert = classify_membership(out)
-        win, _ = joint_window([out], args.radius)
-        return {"schema": SCHEMA, "rep": snapshot_rep(out),
-                "verdict": cert.verdict, "dims": _dims(q, out, win)}
+        return _object_payload(q, tau_inv(m) if args.inverse else tau(m),
+                               args.radius)
 
     if args.verb == "ass":
         from .ar import almost_split_sequence, verify_almost_split

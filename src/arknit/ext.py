@@ -78,21 +78,6 @@ def _cells(x: Rep, y: Rep, verts):
     return vs, arrows
 
 
-def _interaction(x: Rep, y: Rep, window):
-    """(V, A, families): the cells on window, a joint window (verts, depth)
-    of x and y; families are symbolic witnesses that the arrow set
-    continues periodically past the window."""
-    q = x.quiver
-    verts, depth = window
-    vs, arrows = _cells(x, y, verts)
-    t = depth + 1
-    families = tuple(f"{q.vertex_str(a.src)}->{q.vertex_str(a.dst)} "
-                     f"repeating for depth >= {t}"
-                     for a in _arrows_at_depth(q, t)
-                     if x.dim(a.src) > 0 and y.dim(a.dst) > 0)
-    return vs, arrows, families
-
-
 class CountedBasis:
     """dimension is one count (_count), basis built on first read (_build,
     basis first); reading both checks that they agree (AssertionError)."""
@@ -138,9 +123,16 @@ class ExtClassBasis(CountedBasis):
         return d.rows - rank(d.transpose())
 
     def _build(self) -> tuple:
+        """The classes on the cells of the window; families are symbolic
+        witnesses that the arrow set continues periodically past it."""
         x, y = self.quot, self.sub
-        F = x.field
-        vs, arrows, families = _interaction(x, y, self._window)
+        F, q = x.field, x.quiver
+        verts, depth = self._window
+        vs, arrows = _cells(x, y, verts)
+        families = tuple(f"{q.vertex_str(a.src)}->{q.vertex_str(a.dst)} "
+                         f"repeating for depth >= {depth + 1}"
+                         for a in _arrows_at_depth(q, depth + 1)
+                         if x.dim(a.src) > 0 and y.dim(a.dst) > 0)
         d, _ = arrow_complex(x, y, vs, arrows)
         layout = tuple((a, r, c) for a in arrows
                        for r in range(y.dim(a.dst)) for c in range(x.dim(a.src)))
@@ -251,7 +243,7 @@ def baer_sum(s1: SES, s2: SES) -> SES:
     _same_ends(s1, s2)
     sub, quot = s1.sub, s1.quot
     F = sub.field
-    _, arrows, _ = _interaction(quot, sub, joint_window((quot, sub)))
+    arrows = _cells(quot, sub, joint_window((quot, sub))[0])[1]
     acc = {}
     for a in arrows:
         m1 = s1.cocycle_at(a)

@@ -391,14 +391,8 @@ def _endo_from_coords(E: EndAlgebra, coords, label="e") -> Morphism:
 def _split_summand(m: Rep, emor: Morphism):
     """(piece, incl, proj) for the image of an idempotent endomorphism."""
     piece, incl = image(emor)
-
-    def prule(v):
-        sol = solve_matrix(piece.basis(v), emor.component(v))
-        if sol is None:
-            raise AssertionError("idempotent image projection failed")
-        return sol
-
-    proj = Morphism(m, piece, rule=prule, label="proj")
+    proj = Morphism(m, piece, label="proj", rule=lambda v: piece.coords(
+        v, emor.component(v), "idempotent image projection failed"))
     return piece, incl, proj
 
 

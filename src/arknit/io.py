@@ -164,13 +164,15 @@ def parse_field(spec):
 
 
 def _parse_scalar(F, x, pointer):
-    if type(x) not in (int, str):
-        hint = "" if F.char else ', or a rational as a string such as "1/2"'
-        raise ParseError(pointer, f"bad scalar {x!r}: write an integer{hint}")
-    try:
-        return F.of(x)
-    except (ValueError, ZeroDivisionError) as e:
-        raise ParseError(pointer, f"bad scalar {x!r}: {e}")
+    if type(x) in (int, str):
+        try:
+            return F.of(x)
+        except ZeroDivisionError:
+            raise ParseError(pointer, f"bad scalar {x!r}: zero denominator")
+        except ValueError:
+            pass
+    hint = "" if F.char else ', or a rational as a string such as "1/2"'
+    raise ParseError(pointer, f"bad scalar {x!r}: write an integer{hint}")
 
 
 def _parse_mat(F, rows, pointer) -> Mat:
@@ -309,10 +311,12 @@ def parse_rep(q: QuiverBase, obj, field=QQ, pointer: str = "") -> Rep:
         base = parse_rep(q, _need(val, "rep", ptr), F, f"{ptr}/rep")
         region = _parse_region(q, _need(val, "region", ptr), f"{ptr}/region")
         return restrict(base, region)
-    if key == "coker_proj":
-        return coker_proj(_parse_pm(q, F, val, ptr))
-    if key == "ker_inj":
-        return ker_inj(_parse_pm(q, F, val, ptr))
+    if key in ("coker_proj", "ker_inj"):
+        pm = _parse_pm(q, F, val, ptr)
+        try:
+            return coker_proj(pm) if key == "coker_proj" else ker_inj(pm)
+        except ValueError as e:  # a path matrix of the other side
+            raise ParseError(f"{ptr}/side", str(e))
     if key == "glue":
         sub = parse_rep(q, _need(val, "sub", ptr), F, f"{ptr}/sub")
         quot = parse_rep(q, _need(val, "quot", ptr), F, f"{ptr}/quot")

@@ -85,11 +85,6 @@ class Path:
     def key(self):
         return tuple(a.key() for a in self.arrows)
 
-    def then(self, other: "Path") -> "Path":
-        if self.dst != other.src:
-            raise ValueError("paths do not compose")
-        return Path(self.src, other.dst, self.arrows + other.arrows)
-
 
 _HOP_BUDGET = ("path search exceeded hop budget; "
                "interval-finiteness violated or cap too small")

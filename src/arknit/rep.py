@@ -121,7 +121,7 @@ class PathMatrix:
             for j in range(len(self.codomain)):
                 for (coeff, e) in self.entries[j][i]:
                     # codomain[j] ~> domain[i] ~> v
-                    r = index[(j, e.then(p).arrows)]
+                    r = index[(j, e.arrows + p.arrows)]
                     rows[r][c] = F.add(rows[r][c], F.of(coeff))
         return Mat(F, len(cod_b), len(dom_b), tuple(tuple(r) for r in rows))
 
@@ -256,101 +256,11 @@ def same_ambient(a: Rep, b: Rep, what: str):
         raise ValueError(f"{what} live over different quivers/fields")
 
 
-class ZeroRep(Rep):
-    def _dim_at(self, v):
-        return 0
-
-    def _mat_at(self, a):
-        return Mat.zeros(self.field, 0, 0)
-
-    def support(self):
-        return VertexSet.make(self.quiver, ())
-
-    def describe(self):
-        return "0"
-
-    def spec_dict(self):
-        return {"zero": True}
-
-
-def _path_extension(q: QuiverBase, F: Field, x, a: Arrow) -> Mat:
-    """The matrix of P_x on the arrow a of q: the basis path p of P_x(a.src)
-    goes to p then a in P_x(a.dst)."""
-    bu, bw = q.paths_between(x, a.src), q.paths_between(x, a.dst)
-    index = {p.arrows: r for r, p in enumerate(bw)}
-    rows = [[F.zero] * len(bu) for _ in range(len(bw))]
-    for c, p in enumerate(bu):
-        rows[index[p.arrows + (a,)]][c] = F.one
-    return Mat(F, len(bw), len(bu), tuple(tuple(r) for r in rows))
-
-
-class _VertexRep(Rep):
-    """An object named by one vertex a of the quiver: P_a, I_a or S_a,
-    written with its letter and spec key."""
-
-    letter = key = ""
-
-    def __init__(self, quiver, field, a):
-        super().__init__(quiver, field)
-        if not quiver.contains(a):
-            raise ValueError(f"vertex {a!r} outside the quiver")
-        self.vertex = a
-
-    def describe(self):
-        return f"{self.letter}({self.quiver.vertex_str(self.vertex)})"
-
-    def spec_dict(self):
-        return {self.key: self.quiver.vertex_str(self.vertex)}
-
-
-class ProjRep(_VertexRep):
-    letter, key = "P", "proj"
-
-    def basis(self, v) -> tuple:
-        return self.quiver.paths_between(self.vertex, v)
-
-    def _dim_at(self, v):
-        return len(self.basis(v))
-
-    def _mat_at(self, a):
-        return _path_extension(self.quiver, self.field, self.vertex, a)
-
-    def support(self):
-        return self.quiver.succ_closure([self.vertex])
-
-
-class InjRep(_VertexRep):
-    """I_a = D P_a of the opposite quiver: I_a(v) has the basis of P_a(v)
-    there (the reversed paths v ~> a) and its arrow maps are the transposes
-    of P_a's."""
-
-    letter, key = "I", "inj"
-
-    def basis(self, v) -> tuple:
-        return self.quiver.opposite().paths_between(self.vertex, v)
-
-    def _dim_at(self, v):
-        return len(self.basis(v))
-
-    def _mat_at(self, a):
-        return _path_extension(self.quiver.opposite(), self.field, self.vertex,
-                               Arrow(a.dst, a.src, a.label)).transpose()
-
-    def support(self):
-        return self.quiver.pred_closure([self.vertex])
-
-
-class SimpleRep(_VertexRep):
-    letter, key = "S", "simple"
-
-    def _dim_at(self, v):
-        return 1 if v == self.vertex else 0
-
-    def _mat_at(self, a):
-        return self._zero_mat(a)
-
-    def support(self):
-        return VertexSet.make(self.quiver, (self.vertex,))
+def _inside(quiver, a):
+    """a, refused unless it is a vertex of the quiver."""
+    if not quiver.contains(a):
+        raise ValueError(f"vertex {a!r} outside the quiver")
+    return a
 
 
 class ThinRep(Rep):
@@ -385,8 +295,7 @@ class ExplicitFdRep(Rep):
         self.dims = dict(dims)
         self.mats = dict(mats)
         for v in self.dims:
-            if not quiver.contains(v):
-                raise ValueError(f"vertex {v!r} outside the quiver")
+            _inside(quiver, v)
 
     def _dim_at(self, v):
         return self.dims.get(v, 0)
@@ -485,6 +394,84 @@ class DualRep(Rep):
 
     def spec_dict(self):
         return {"dual": self.base.spec_dict()}
+
+
+class _VertexRep:
+    """Mixin for an object named by one vertex a of the quiver: P_a, I_a or
+    S_a, written with its letter and spec key."""
+
+    def describe(self):
+        return f"{self.letter}({self.quiver.vertex_str(self.vertex)})"
+
+    def spec_dict(self):
+        return {self.key: self.quiver.vertex_str(self.vertex)}
+
+
+class ProjRep(_VertexRep, Rep):
+    """P_a: the paths a ~> v as the basis of P_a(v)."""
+
+    letter, key = "P", "proj"
+
+    def __init__(self, quiver, field, a):
+        super().__init__(quiver, field)
+        self.vertex = _inside(quiver, a)
+
+    def basis(self, v) -> tuple:
+        return self.quiver.paths_between(self.vertex, v)
+
+    def _dim_at(self, v):
+        return len(self.basis(v))
+
+    def _mat_at(self, a):
+        """The basis path p of P_a(a.src) goes to p then a: the c-th path
+        to a.src goes to the c-th basis path at a.dst that ends in a.  A
+        basis is sorted by its arrows, and on an acyclic quiver no path to
+        a.src extends another, so appending a keeps their order."""
+        F, bw = self.field, self.basis(a.dst)
+        ends = [r for r, p in enumerate(bw) if p.arrows and p.arrows[-1] == a]
+        rows = [[F.zero] * len(ends) for _ in bw]
+        for c, r in enumerate(ends):
+            rows[r][c] = F.one
+        return Mat(F, len(rows), len(ends), tuple(tuple(r) for r in rows))
+
+    def support(self):
+        return self.quiver.succ_closure([self.vertex])
+
+
+class InjRep(_VertexRep, DualRep):
+    """I_a = D P_a of the opposite quiver: I_a(v) has the basis of P_a(v)
+    there (the reversed paths v ~> a) and its arrow maps are the transposes
+    of P_a's."""
+
+    letter, key = "I", "inj"
+
+    def __init__(self, quiver, field, a):
+        super().__init__(ProjRep(quiver.opposite(), field, a))
+        self.vertex = a
+
+    def basis(self, v) -> tuple:
+        return self.base.basis(v)
+
+
+class SimpleRep(_VertexRep, ExplicitFdRep):
+    """S_a: k at a, zero elsewhere."""
+
+    letter, key = "S", "simple"
+
+    def __init__(self, quiver, field, a):
+        super().__init__(quiver, field, {_inside(quiver, a): 1}, {})
+        self.vertex = a
+
+
+class ZeroRep(ExplicitFdRep):
+    def __init__(self, quiver, field):
+        super().__init__(quiver, field, {}, {})
+
+    def describe(self):
+        return "0"
+
+    def spec_dict(self):
+        return {"zero": True}
 
 
 class RestrictRep(Rep):
@@ -627,14 +614,20 @@ class KernelOfRep(Rep):
     def _dim_at(self, v):
         return self.basis(v).cols
 
-    def _mat_at(self, a):
-        image = self.ambient.mat(a).mul(self.basis(a.src))
-        basis, units = self.span(a.dst)
-        sol = Mat(self.field, len(units), image.cols,
-                  tuple(image.entries[r] for r in units))
-        if basis.mul(sol) != image:
-            raise AssertionError("morphism does not commute with arrows")
+    def coords(self, v, vecs: Mat, failure: str) -> Mat:
+        """The coordinates in the basis at v of the columns vecs of
+        ambient(v): their entries at its identity rows, checked to give
+        vecs back (AssertionError failure when a column lies outside)."""
+        basis, units = self.span(v)
+        sol = Mat(self.field, len(units), vecs.cols,
+                  tuple(vecs.entries[r] for r in units))
+        if basis.mul(sol) != vecs:
+            raise AssertionError(failure)
         return sol
+
+    def _mat_at(self, a):
+        return self.coords(a.dst, self.ambient.mat(a).mul(self.basis(a.src)),
+                           "morphism does not commute with arrows")
 
     def support(self):
         return self.ambient.support()
@@ -831,15 +824,9 @@ def _ray_transition(q, end, rid, t):
     return None
 
 
-def _band_snapshot(m: Rep, end, t):
-    dims = tuple(m.dim(end.vertex(r.rid, t)) for r in end.rays)
-    dims1 = tuple(m.dim(end.vertex(r.rid, t + 1)) for r in end.rays)
-    mats = tuple(m.mat(a).entries for a in end.band_arrows(t))
-    return (dims, dims1, mats)
-
-
 def _ray_data(m: Rep, end, rid, t):
-    """One ray's part of _band_snapshot(m, end, t): dims and arrow matrices."""
+    """One ray's band data at depth t: its dims at depths t and t + 1 and
+    the matrices of the band arrows that touch them."""
     vs = (end.vertex(rid, t), end.vertex(rid, t + 1))
     return (tuple(m.dim(v) for v in vs),
             tuple(m.mat(a).entries for a in end.band_arrows(t)
@@ -849,14 +836,15 @@ def _ray_data(m: Rep, end, rid, t):
 def end_profile(m: Rep, end) -> EndProfile:
     """The stable data of m along end, read at cutoff c0 = max(structural
     depth, 2) + 1.  Every constructor is periodic past its structural depth,
-    so the band data at c0 and c0 + 1 agree; that one comparison checks the
-    contract, and a mismatch is an engine bug (AssertionError) naming the
-    rays whose data differ."""
+    so the band data at c0 and c0 + 1 agree; that one comparison, ray by
+    ray (every band arrow touches a ray vertex at depth t or t + 1), checks
+    the contract, and a mismatch is an engine bug (AssertionError) naming
+    the rays whose data differ."""
     q = m.quiver
     cutoff = max(m.structural_depth(), 2) + 1
-    if _band_snapshot(m, end, cutoff) != _band_snapshot(m, end, cutoff + 1):
-        moved = [r.rid for r in end.rays if _ray_data(m, end, r.rid, cutoff)
-                 != _ray_data(m, end, r.rid, cutoff + 1)]
+    moved = [r.rid for r in end.rays if _ray_data(m, end, r.rid, cutoff)
+             != _ray_data(m, end, r.rid, cutoff + 1)]
+    if moved:
         raise AssertionError(
             f"end {end.eid}: band data at depths {cutoff} and {cutoff + 1} "
             f"differ past structural depth {m.structural_depth()}; rays "

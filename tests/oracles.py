@@ -10,6 +10,7 @@ Hom layer that the presentation reading in ar.py does not take.  The
 section after it reads Ext off a minimal projective presentation, a route
 that ext.py does not take.  The last
 section keeps constructions that the package replaced, as references:
+the arrow maps of P_a read off an index of whole arrow tuples,
 injectives built over q by stripping the first arrow of a path, the
 isomorphism test that searched pairs of basis maps, the cokernel
 evaluated on its own, before it was read as D of a kernel, Mat and Arrow
@@ -317,6 +318,18 @@ def ext_dim_via_presentation(x, y):
 
 # ---------------------------------------------------------------------------
 # replaced constructions, kept as references
+
+
+def projective_by_tuple_index(q, F, x, a):
+    """The matrix of P_x on the arrow a of q, with the basis paths of
+    P_x(a.dst) indexed by their whole arrow tuple: the basis path p of
+    P_x(a.src) goes to the path p then a."""
+    bu, bw = q.paths_between(x, a.src), q.paths_between(x, a.dst)
+    index = {p.arrows: r for r, p in enumerate(bw)}
+    rows = [[F.zero] * len(bu) for _ in bw]
+    for c, p in enumerate(bu):
+        rows[index[p.arrows + (a,)]][c] = F.one
+    return Mat(F, len(bw), len(bu), tuple(tuple(r) for r in rows))
 
 
 def inj_basis_over_q(q, verts, v):

@@ -370,7 +370,7 @@ def test_ext_count_of_an_fd_quotient_builds_no_basis(kron, monkeypatch):
     families, no cokernel projection; reading the basis then builds both,
     once."""
     calls = []
-    for name in ("_interaction", "coker_projection"):
+    for name in ("_arrows_at_depth", "coker_projection"):
         def spy(*args, name=name, real=getattr(ext_mod, name)):
             calls.append(name)
             return real(*args)
@@ -378,7 +378,7 @@ def test_ext_count_of_an_fd_quotient_builds_no_basis(kron, monkeypatch):
     ecb = ext_space(simple_at(kron, 1), simple_at(kron, 2))
     assert ecb.dimension == 2 and calls == []
     assert len(ecb.basis) == 2 and ecb.arrows and not ecb.window_relative
-    assert calls == ["_interaction", "coker_projection"]
+    assert calls == ["_arrows_at_depth", "coker_projection"]
 
 
 @pytest.mark.parametrize("basis_first", [False, True])

@@ -330,6 +330,44 @@ def test_only_the_duals_transpose_a_component(path):
     assert transposed_components(path.read_text()) == []
 
 
+EVALUATORS = {"Rep", "ProjRep", "ExplicitFdRep", "ThinRep", "DirectSumRep",
+              "DualRep", "RestrictRep", "GlueRep", "KernelOfRep"}
+
+
+def extra_evaluators(source: str) -> list:
+    """Classes outside EVALUATORS that define _dim_at or _mat_at: a leaf
+    evaluated a second way, where paths out of a vertex, explicit data, a
+    thin region or a duality of one of them already say what it is."""
+    def defines(d):
+        names = [d.name] if isinstance(d, ast.FunctionDef) else \
+            [t.id for t in d.targets if isinstance(t, ast.Name)] \
+            if isinstance(d, ast.Assign) else []
+        return any(x in ("_dim_at", "_mat_at") for x in names)
+
+    return sorted(n.name for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.ClassDef) and n.name not in EVALUATORS
+                  and any(defines(d) for d in n.body))
+
+
+def test_detects_an_extra_evaluator():
+    src = ("class ProjRep(Rep):\n"
+           "    def _mat_at(self, a): pass\n"
+           "class SimpleRep(ExplicitFdRep):\n"
+           "    def _dim_at(self, v): return 0\n"
+           "class ZeroRep(ExplicitFdRep):\n"
+           "    def describe(self): return '0'\n"
+           "class InjRep(DualRep):\n"
+           "    _mat_at = DualRep._mat_at\n"
+           "    basis = None\n"
+           "class DualRep(Rep):\n"
+           "    def _dim_at(self, v): pass\n")
+    assert extra_evaluators(src) == ["InjRep", "SimpleRep"]
+
+
+def test_only_the_evaluators_evaluate():
+    assert extra_evaluators((PACKAGE / "rep.py").read_text()) == []
+
+
 def translate_bypasses(source: str) -> list:
     """Lines in knit or _predict_mesh (nested functions included) that name
     tau or tau_inv: a translate built there, not through _translate, which

@@ -248,10 +248,11 @@ RATIONAL_HINT = ', or a rational as a string such as "1/2"'
 @pytest.mark.parametrize("field, hint", [("QQ", RATIONAL_HINT), ("3", "")])
 @pytest.mark.parametrize("x, shown", [
     ("0.1", "0.1"), ("1.5", "1.5"), ("2.0", "2.0"), ("true", "True"),
-    ("null", "None"), ("[1]", "[1]")])
+    ("null", "None"), ("[1]", "[1]"), ('"abc"', "'abc'")])
 def test_cli_rejects_non_integer_json_scalars(field, hint, x, shown):
     # a JSON float or boolean is no exact scalar: 0.1 is not 1/10 and
-    # GF(3) would truncate 1.5 to 1, so only ints and strings are read
+    # GF(3) would truncate 1.5 to 1, so only ints and strings are read,
+    # and a string must name an integer (over QQ, or a rational)
     rep = ('{"explicit_fd":{"dims":{"1":1,"2":1},"mats":{"alpha":[[%s]]}}}'
            % x)
     code, out, err = run_cli(["rep", "--quiver", KRON, "--field", field,
@@ -259,6 +260,17 @@ def test_cli_rejects_non_integer_json_scalars(field, hint, x, shown):
     assert (code, out, err) == (
         1, "", f"arknit: error: /explicit_fd/mats/alpha/0/0: bad scalar "
                f"{shown}: write an integer{hint}\n")
+
+
+@pytest.mark.parametrize("field, x, shown", [
+    ("3", '"1/2"', "'1/2'"), ("7", '"1/0"', "'1/0'")])
+def test_cli_reads_no_fraction_over_a_prime_field(field, x, shown):
+    rep = ('{"explicit_fd":{"dims":{"1":1,"2":1},"mats":{"alpha":[[%s]]}}}'
+           % x)
+    assert run_cli(["rep", "--quiver", KRON, "--field", field, "--rep",
+                    rep]) == (1, "", "arknit: error: /explicit_fd/mats/alpha/"
+                                     f"0/0: bad scalar {shown}: write an "
+                                     "integer\n")
 
 
 @pytest.mark.parametrize("field, x, entry", [
@@ -562,7 +574,7 @@ REFUSALS = {
                       "/field: prime field needs p >= 2"),
     "bad_scalar": (["rep", "--quiver", KRON, "--rep", _fd('[["1/0"]]')],
                    "/explicit_fd/mats/alpha/0/0: bad scalar '1/0': "
-                   "Fraction(1, 0)"),
+                   "zero denominator"),
     "matrix_not_rows": (["rep", "--quiver", KRON, "--rep", _fd("5")],
                         "/explicit_fd/mats/alpha: matrix must be a list of "
                         "rows"),
@@ -587,6 +599,13 @@ REFUSALS = {
                          "/coker_proj/entries/0/0/0: expected [coeff, path]"),
     "path_matrix_side": (["rep", "--quiver", A3, "--rep", _pm_spec(side="x")],
                          "/coker_proj: side must be 'proj' or 'inj'"),
+    "coker_proj_of_injectives": (
+        ["rep", "--quiver", A3, "--rep", _pm_spec(side="inj")],
+        "/coker_proj/side: coker_proj needs a projective-side path matrix"),
+    "ker_inj_of_projectives": (
+        ["rep", "--quiver", A3, "--rep",
+         _pm_spec().replace("coker_proj", "ker_inj")],
+        "/ker_inj/side: ker_inj needs an injective-side path matrix"),
     "several_keys": (["rep", "--quiver", A3, "--rep",
                       '{"proj":"1","inj":"1"}'],
                      "/: rep spec must have exactly one key"),

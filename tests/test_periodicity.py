@@ -33,7 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arknit as ak
-from arknit.rep import _band_snapshot
+from arknit.rep import _ray_data
 
 from conftest import random_fd_rep
 from test_quiver import PRESET_GRIDS
@@ -134,7 +134,8 @@ def test_band_data_repeat_past_the_cutoff(kind, data):
     m = data.draw(objects(q, 2, kind))
     for end in m.quiver.ends():
         c0 = max(m.structural_depth(), 2) + 1
-        snaps = [_band_snapshot(m, end, c0 + k) for k in range(4)]
-        assert snaps == snaps[:1] * 4, (m.describe(), end.eid, c0)
+        for r in end.rays:
+            data = [_ray_data(m, end, r.rid, c0 + k) for k in range(4)]
+            assert data == data[:1] * 4, (m.describe(), end.eid, r.rid, c0)
         # and end_profile reads its stable data at c0 without complaint
         assert ak.end_profile(m, end).cutoff == c0

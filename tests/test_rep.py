@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arknit import (
+    PRESETS,
     QQ,
     GF,
     Mat,
@@ -38,7 +39,7 @@ from arknit.rep import (Rep, incoming_stack, path_matrix, proj_sum_basis,
                         reverse_path)
 
 from oracles import (an_dims, inj_basis_over_q, inj_component_by_stripping,
-                     injective_by_stripping)
+                     injective_by_stripping, projective_by_tuple_index)
 from conftest import random_fd_rep
 from test_quiver import PRESET_GRIDS, acyclic_quivers
 
@@ -55,6 +56,40 @@ def test_a3_proj_inj_dims(a3):
     assert dim_vector(injective_at(a3, 2), (1, 2, 3)) == (1, 1, 0)
     assert dim_vector(injective_at(a3, 3), (1, 2, 3)) == (1, 1, 1)
     assert dim_vector(simple_at(a3, 2), (1, 2, 3)) == (0, 1, 0)
+
+
+def check_projectives_against_tuple_index(q, grid):
+    """ProjRep on every arrow inside grid equals the reference that looks
+    each path then the arrow up by its whole arrow tuple."""
+    for x in grid:
+        proj = projective_at(q, x)
+        for u in grid:
+            for arrow in q.out_arrows(u):
+                if arrow.dst in grid:
+                    assert proj.mat(arrow) == \
+                        projective_by_tuple_index(q, QQ, x, arrow)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(acyclic_quivers())
+def test_projectives_equal_the_tuple_index_on_finite_quivers(spec):
+    n, arrows = spec
+    check_projectives_against_tuple_index(
+        FiniteQuiver.build(range(n), arrows), range(n))
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_GRIDS))
+def test_projectives_equal_the_tuple_index_on_the_presets(name):
+    q = PRESETS[name]()
+    for quiver in (q, q.opposite()):
+        check_projectives_against_tuple_index(quiver, PRESET_GRIDS[name])
+
+
+@pytest.mark.parametrize("make", [projective_at, injective_at, simple_at])
+@pytest.mark.parametrize("vertex", [7, -1, [1], {}])
+def test_a_vertex_object_outside_the_quiver_is_refused(a3, make, vertex):
+    with pytest.raises(ValueError, match=r"^vertex .* outside the quiver$"):
+        make(a3, vertex)
 
 
 # I_a and maps between sums of injectives are read off the projective side
