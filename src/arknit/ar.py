@@ -21,7 +21,6 @@ IV.4), or computes it once, and replays it at its other end.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .ext import ext_class_to_ses, ext_space
@@ -32,6 +31,7 @@ from .morphism import SES, Morphism, verify_exact
 from .presentations import (min_inj_copresentation, min_proj_presentation,
                             nakayama)
 from .quiver import FiniteQuiver, Path, QuiverBase, vkey
+from .record import Record
 from .rep import (PathMatrix, Rep, classify_membership, coker_proj,
                   dim_vector, dualize, injective_at, is_doubly_infinite,
                   joint_window, ker_inj, path_matrix, projective_at)
@@ -177,15 +177,19 @@ def minimal_left_almost_split_from(i: Rep) -> Morphism:
 # verification battery
 
 
-@dataclass
-class ASReport:
-    exact: bool
-    non_split: bool
-    sub_indecomposable: bool
-    quot_indecomposable: bool
-    lift_failures: tuple
-    factor_failures: tuple
-    battery_size: int
+class ASReport(Record):
+    __slots__ = _fields = ("exact", "non_split", "sub_indecomposable",
+                           "quot_indecomposable", "lift_failures",
+                           "factor_failures", "battery_size")
+
+    def __init__(self, exact: bool, non_split: bool, sub_indecomposable: bool,
+                 quot_indecomposable: bool, lift_failures: tuple,
+                 factor_failures: tuple, battery_size: int):
+        self.exact, self.non_split = exact, non_split
+        self.sub_indecomposable = sub_indecomposable
+        self.quot_indecomposable = quot_indecomposable
+        self.lift_failures, self.factor_failures = lift_failures, factor_failures
+        self.battery_size = battery_size
 
     @property
     def passed(self) -> bool:
@@ -251,26 +255,30 @@ def verify_almost_split(ses: SES, battery) -> ASReport:
 # knitting
 
 
-@dataclass
-class ARNode:
-    key: int
-    rep: Rep
-    is_projective: bool = False
-    is_injective: bool = False
-    status: str = "open"       # open | expanded | frontier | blocked
-    hops: int = 0
-    notes: tuple = ()
+class ARNode(Record):
+    __slots__ = _fields = ("key", "rep", "is_projective", "is_injective",
+                           "status", "hops", "notes")
+
+    def __init__(self, key: int, rep: Rep, is_projective: bool = False,
+                 is_injective: bool = False, status: str = "open",
+                 hops: int = 0, notes: tuple = ()):
+        self.key, self.rep = key, rep
+        self.is_projective, self.is_injective = is_projective, is_injective
+        self.status = status  # open | expanded | frontier | blocked
+        self.hops, self.notes = hops, notes
 
 
-@dataclass
-class ARComponent:
-    quiver: QuiverBase
-    nodes: list
-    arrows: dict               # (src_key, dst_key) -> multiplicity
-    tau_links: dict            # key of X -> key of tau X
-    seed_key: int
-    depth: int
-    notes: list = dc_field(default_factory=list)
+class ARComponent(Record):
+    __slots__ = _fields = ("quiver", "nodes", "arrows", "tau_links",
+                           "seed_key", "depth", "notes")
+
+    def __init__(self, quiver: QuiverBase, nodes: list, arrows: dict,
+                 tau_links: dict, seed_key: int, depth: int, notes=None):
+        self.quiver, self.nodes = quiver, nodes
+        self.arrows = arrows        # (src_key, dst_key) -> multiplicity
+        self.tau_links = tau_links  # key of X -> key of tau X
+        self.seed_key, self.depth = seed_key, depth
+        self.notes = [] if notes is None else notes
 
     def node(self, key) -> ARNode:
         return self.nodes[key]
@@ -491,10 +499,11 @@ def _expand_window(q: QuiverBase, verts, radius: int):
 # component classification
 
 
-@dataclass
-class ShapeHypothesis:
-    tag: str
-    certificate: dict
+class ShapeHypothesis(Record):
+    __slots__ = _fields = ("tag", "certificate")
+
+    def __init__(self, tag: str, certificate: dict):
+        self.tag, self.certificate = tag, certificate
 
 
 def classify_component(comp: ARComponent) -> ShapeHypothesis:

@@ -16,11 +16,11 @@ the basis is flagged window_relative.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .linalg import Mat, coker_projection, rank
 from .morphism import SES, glue_ses
+from .record import Record
 from .rep import (GlueRep, Rep, RungFamily, classify_membership, equal_on,
                   joint_window, same_ambient)
 
@@ -262,13 +262,18 @@ def baer_sum(s1: SES, s2: SES) -> SES:
     return ses
 
 
-@dataclass
-class FiniteExtReport:
-    finite: bool
-    vanishing_outside: bool   # arrows where only the middle is nonzero: finite?
-    gluing_support: bool      # gluing arrows with nonzero cocycle: finite?
-    arrows: tuple
-    witness: tuple
+class FiniteExtReport(Record):
+    __slots__ = _fields = ("finite", "vanishing_outside", "gluing_support",
+                           "arrows", "witness")
+
+    def __init__(self, finite: bool, vanishing_outside: bool,
+                 gluing_support: bool, arrows: tuple, witness: tuple):
+        self.finite = finite
+        # arrows where only the middle is nonzero: finite?
+        self.vanishing_outside = vanishing_outside
+        # gluing arrows with nonzero cocycle: finite?
+        self.gluing_support = gluing_support
+        self.arrows, self.witness = arrows, witness
 
 
 def _arrow_rep_zero(m: Rep, a) -> bool:

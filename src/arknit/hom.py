@@ -34,7 +34,6 @@ coordinates are solved there; a summand eM has End(eM) = e·End(M)·e.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -44,6 +43,7 @@ from .morphism import (Morphism, identity_morphism, image,
                        morphism_from_components, zero_morphism)
 from .presentations import min_proj_presentation, relation_matrix, yoneda_at
 from .quiver import vkey
+from .record import Record
 from .rep import (Rep, classify_membership, dim_vector, dualize, joint_window,
                   same_ambient)
 
@@ -187,15 +187,19 @@ def hom_space(m: Rep, n: Rep, route: Optional[str] = None) -> HomBasis:
 # endomorphism algebras
 
 
-@dataclass
-class EndAlgebra:
-    obj: Rep
-    dimension: int
-    basis: tuple
-    table: tuple          # table[i][j] = coords of basis[i] o basis[j]
-    identity: tuple       # coords of the identity
-    radical: tuple        # coord vectors spanning the radical
-    is_local: bool
+class EndAlgebra(Record):
+    # table[i][j] = coords of basis[i] o basis[j], identity the coords of the
+    # identity, radical coord vectors spanning the radical; __dict__ holds
+    # the cached idempotent
+    __slots__ = ("obj", "dimension", "basis", "table", "identity", "radical",
+                 "is_local", "__dict__")
+    _fields = __slots__[:-1]
+
+    def __init__(self, obj: Rep, dimension: int, basis: tuple, table: tuple,
+                 identity: tuple, radical: tuple, is_local: bool):
+        self.obj, self.dimension, self.basis = obj, dimension, basis
+        self.table, self.identity, self.radical = table, identity, radical
+        self.is_local = is_local
 
     @cached_property
     def idempotent(self):
@@ -359,20 +363,23 @@ def _iso_indec(m: Rep, n: Rep, probe=None):
     return None
 
 
-@dataclass
-class Summand:
-    rep: Rep
-    incl: Morphism
-    proj: Morphism
-    flagged: bool
+class Summand(Record):
+    __slots__ = _fields = ("rep", "incl", "proj", "flagged")
+
+    def __init__(self, rep: Rep, incl: Morphism, proj: Morphism,
+                 flagged: bool):
+        self.rep, self.incl, self.proj, self.flagged = rep, incl, proj, flagged
 
 
-@dataclass
-class DecomposeReport:
-    obj: Rep
-    summands: tuple       # one Summand per indecomposable occurrence
-    items: tuple          # (representative rep, multiplicity)
-    flagged: bool
+class DecomposeReport(Record):
+    __slots__ = _fields = ("obj", "summands", "items", "flagged")
+
+    def __init__(self, obj: Rep, summands: tuple, items: tuple,
+                 flagged: bool):
+        self.obj = obj
+        self.summands = summands  # one Summand per indecomposable occurrence
+        self.items = items        # (representative rep, multiplicity)
+        self.flagged = flagged
 
 
 def _endo_from_coords(E: EndAlgebra, coords, label="e") -> Morphism:

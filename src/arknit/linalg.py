@@ -14,24 +14,25 @@ does not show in equality, hashing or output.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
+from .record import Frozen, Record
 
-@dataclass(frozen=True)
-class Field:
+
+class Field(Frozen):
     """Scalar field: characteristic 0 means Q, a prime p means GF(p)."""
 
-    char: int = 0
+    __slots__ = _fields = ("char",)
     zero, one = 0, 1  # class constants, not fields: canonical in every field
 
-    def __post_init__(self):
-        if self.char:
-            p = self.char
-            if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-                raise ValueError(f"field characteristic must be 0 or a prime, got {p}")
+    def __init__(self, char: int = 0):
+        if char and (char < 2 or any(char % d == 0
+                                     for d in range(2, int(char ** 0.5) + 1))):
+            raise ValueError(
+                f"field characteristic must be 0 or a prime, got {char}")
+        object.__setattr__(self, "char", char)
 
     def of(self, x):
         """The canonical element for an int, a Fraction or, over Q, a string
@@ -85,30 +86,19 @@ def GF(p: int) -> Field:
     return Field(p)
 
 
-class Mat:
+class Mat(Record):
     """Dense matrix over a Field; a value, equal to another Mat, hashed and
-    printed by (field, rows, cols, entries), the rows a tuple of tuples."""
+    printed by (field, rows, cols, entries), the rows a tuple of tuples.
+    Not Frozen: a plain __init__ keeps the most built object cheap."""
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    __slots__ = _fields = ("field", "rows", "cols", "entries")
+    __hash__ = Frozen.__hash__
 
     def __init__(self, field: Field, rows: int, cols: int, entries: tuple):
         self.field = field
         self.rows = rows
         self.cols = cols
         self.entries = entries
-
-    def __eq__(self, other):
-        if other.__class__ is not Mat:
-            return NotImplemented
-        return (self.field, self.rows, self.cols, self.entries) == \
-            (other.field, other.rows, other.cols, other.entries)
-
-    def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self.entries))
-
-    def __repr__(self):
-        return (f"Mat(field={self.field!r}, rows={self.rows!r}, "
-                f"cols={self.cols!r}, entries={self.entries!r})")
 
     @staticmethod
     def from_rows(field: Field, rows: Sequence[Sequence]) -> "Mat":

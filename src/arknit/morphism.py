@@ -10,11 +10,11 @@ invertible (the stable situation for rrep objects).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .linalg import Mat, inverse, is_invertible, rank, solve_matrix
 from .quiver import Arrow, VertexSet
+from .record import Record
 from .rep import (CokerOfRep, EvalRangeError, GlueRep, ImageRep, KernelOfRep,
                   Rep, _loc_depth, _ray_transition, dualize, restrict,
                   same_ambient, standard_ext_region)
@@ -189,13 +189,13 @@ def image(f: Morphism):
 # short exact sequences
 
 
-@dataclass
-class SES:
-    sub: Rep
-    middle: Rep
-    quot: Rep
-    incl: Morphism
-    proj: Morphism
+class SES(Record):
+    __slots__ = _fields = ("sub", "middle", "quot", "incl", "proj")
+
+    def __init__(self, sub: Rep, middle: Rep, quot: Rep, incl: Morphism,
+                 proj: Morphism):
+        self.sub, self.middle, self.quot = sub, middle, quot
+        self.incl, self.proj = incl, proj
 
     def cocycle_at(self, a: Arrow) -> Optional[Mat]:
         if isinstance(self.middle, GlueRep):

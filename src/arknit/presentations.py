@@ -26,18 +26,17 @@ on a ray its end, ray and depth.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .linalg import Mat, block_matrix, coker_projection, rank, solve_matrix
 from .morphism import Morphism
 from .quiver import vkey
+from .record import Frozen
 from .rep import (KernelOfRep, PathMatrix, Rep, classify_membership,
                   dualize, incoming_stack, joint_window, path_matrix,
                   proj_sum_basis, sum_of)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Frozen):
     """pm.side 'proj': 0 -> (sum over pm.domain) -> (sum over pm.codomain) -> obj -> 0.
     pm.side 'inj':  0 -> obj -> (sum over pm.domain) -> (sum over pm.codomain).
     cover: the surjection onto obj (proj side) / the embedding of obj (inj
@@ -45,9 +44,12 @@ class Presentation:
     quiver) evaluates as the sum over pm.domain.
     """
 
-    obj: Rep
-    pm: PathMatrix
-    cover: Morphism
+    __slots__ = _fields = ("obj", "pm", "cover")
+
+    def __init__(self, obj: Rep, pm: PathMatrix, cover: Morphism):
+        object.__setattr__(self, "obj", obj)
+        object.__setattr__(self, "pm", pm)
+        object.__setattr__(self, "cover", cover)
 
     def section(self, v) -> Mat:
         """A right inverse of cover(v), onto on the proj side; solved once

@@ -22,8 +22,9 @@ opposite quiver, memoized there.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
+
+from .record import Frozen, Record
 
 
 def vkey(v):
@@ -39,11 +40,12 @@ def vkey(v):
     raise TypeError(f"unsupported vertex identifier: {v!r}")
 
 
-class Arrow:
+class Arrow(Record):
     """An arrow src -> dst named label; a value like Mat, hashed once (arrows
     key every arrow-matrix cache) and sorted by vkey of its ends, then label."""
 
     __slots__ = ("src", "dst", "label", "_hash")
+    _fields = __slots__[:-1]
 
     def __init__(self, src, dst, label: str):
         self.src = src
@@ -51,17 +53,8 @@ class Arrow:
         self.label = label
         self._hash = hash((src, dst, label))
 
-    def __eq__(self, other):
-        if other.__class__ is not Arrow:
-            return NotImplemented
-        return (self.src, self.dst, self.label) == \
-            (other.src, other.dst, other.label)
-
     def __hash__(self):
         return self._hash
-
-    def __repr__(self):
-        return f"Arrow(src={self.src!r}, dst={self.dst!r}, label={self.label!r})"
 
     def key(self):
         return (vkey(self.src), vkey(self.dst), self.label)
@@ -70,13 +63,15 @@ class Arrow:
         return self.key() < other.key()
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Frozen):
     """Directed path; arrows listed in traversal order.  Empty = trivial path."""
 
-    src: object
-    dst: object
-    arrows: tuple = ()
+    __slots__ = _fields = ("src", "dst", "arrows")
+
+    def __init__(self, src, dst, arrows: tuple = ()):
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "arrows", arrows)
 
     @property
     def length(self):
@@ -90,12 +85,14 @@ _HOP_BUDGET = ("path search exceeded hop budget; "
                "interval-finiteness violated or cap too small")
 
 
-class QuiverBase:
-    """Shared behaviour; concrete quivers implement the local arrow structure."""
+class QuiverBase(Frozen):
+    """Shared behaviour; concrete quivers implement the local arrow structure.
+    A quiver is a value of its fields; == and hash ignore the derived data."""
 
+    __slots__ = ("_outs", "_ins", "_memo", "_end_data", "__weakref__")
     is_finite = False
 
-    def __post_init__(self):
+    def __init__(self):
         # derived data, kept for the lifetime of this instance: the arrows
         # out of and into each vertex asked about, and everything else.  Only
         # a memoized opposite refers back to the quiver, so a dropped quiver
@@ -269,10 +266,12 @@ class QuiverBase:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class Ray:
-    rid: str
-    kind: str  # 'P' | 'I' | 'bad'
+class Ray(Frozen):
+    __slots__ = _fields = ("rid", "kind")  # kind: 'P' | 'I' | 'bad'
+
+    def __init__(self, rid: str, kind: str):
+        object.__setattr__(self, "rid", rid)
+        object.__setattr__(self, "kind", kind)
 
 
 class End:
@@ -302,20 +301,19 @@ class End:
 # finite quivers
 
 
-@dataclass(frozen=True)
 class FiniteQuiver(QuiverBase):
-    vertices: tuple
-    arrows: tuple
-
+    __slots__ = _fields = ("vertices", "arrows")
     is_finite = True
     name = "finite"
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, vertices: tuple, arrows: tuple):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "arrows", arrows)
+        super().__init__()
         seen = set()
-        outs = {v: [] for v in self.vertices}
-        ins = {v: [] for v in self.vertices}
-        for a in self.arrows:
+        outs = {v: [] for v in vertices}
+        ins = {v: [] for v in vertices}
+        for a in arrows:
             if a.label in seen:
                 raise ValueError(f"duplicate arrow label {a.label}")
             seen.add(a.label)
@@ -329,7 +327,7 @@ class FiniteQuiver(QuiverBase):
         # interval-finiteness requires acyclicity: iterative depth-first
         # search, color 1 while a vertex is on the stack, 2 once finished
         color = {}
-        for root in self.vertices:
+        for root in vertices:
             if root in color:
                 continue
             color[root] = 1
@@ -456,15 +454,16 @@ _PRESETS = {
 }
 
 
-@dataclass(frozen=True)
 class PresetQuiver(QuiverBase):
     """The infinite preset named by its _PRESETS entry."""
 
-    name: str
+    __slots__ = ("name", "_spec", "_rays", "_places", "_tagged")
+    _fields = ("name",)
 
-    def __post_init__(self):
-        super().__post_init__()
-        spec = _PRESETS[self.name]
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
+        super().__init__()
+        spec = _PRESETS[name]
         rays = {(eid, rid): (place, tail)
                 for eid, rs in spec["ends"].items()
                 for rid, _, place, tail in rs}
@@ -542,12 +541,12 @@ class PresetQuiver(QuiverBase):
         return {"preset": self.name}
 
 
-@dataclass(frozen=True)
 class OppositeQuiver(QuiverBase):
-    base: QuiverBase
+    __slots__ = _fields = ("base",)
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, base: QuiverBase):
+        object.__setattr__(self, "base", base)
+        super().__init__()
         flip = {"P": "I", "I": "P", "bad": "bad"}
         object.__setattr__(self, "_end_data", tuple(
             (e.eid, [Ray(r.rid, flip[r.kind]) for r in e.rays],
@@ -614,13 +613,15 @@ PRESETS = {name: partial(PresetQuiver, name) for name in _PRESETS}
 # vertex sets with symbolic tails
 
 
-@dataclass(frozen=True)
-class VertexSet:
+class VertexSet(Frozen):
     """Finite explicit part plus ray tails (eid, rid, from_depth)."""
 
-    quiver: QuiverBase
-    explicit: frozenset
-    tails: tuple
+    __slots__ = _fields = ("quiver", "explicit", "tails")
+
+    def __init__(self, quiver: QuiverBase, explicit: frozenset, tails: tuple):
+        object.__setattr__(self, "quiver", quiver)
+        object.__setattr__(self, "explicit", explicit)
+        object.__setattr__(self, "tails", tails)
 
     @staticmethod
     def make(quiver, explicit=(), tails=()) -> "VertexSet":
@@ -726,12 +727,16 @@ class VertexSet:
         return "{" + ", ".join(parts) + "}"
 
 
-@dataclass(frozen=True)
-class SubquiverClass:
-    is_finite: bool
-    top_finite: bool
-    socle_finite: bool
-    witnesses: tuple
+class SubquiverClass(Frozen):
+    __slots__ = _fields = ("is_finite", "top_finite", "socle_finite",
+                           "witnesses")
+
+    def __init__(self, is_finite: bool, top_finite: bool, socle_finite: bool,
+                 witnesses: tuple):
+        object.__setattr__(self, "is_finite", is_finite)
+        object.__setattr__(self, "top_finite", top_finite)
+        object.__setattr__(self, "socle_finite", socle_finite)
+        object.__setattr__(self, "witnesses", witnesses)
 
 
 def _top_analysis(vset: VertexSet, many: str, one: str):

@@ -1,0 +1,45 @@
+"""Records: slotted classes whose ==, hash and repr read their fields.
+
+A record names its fields once, ``__slots__ = _fields = (...)``, and has a
+straight-line ``__init__``; nothing is compiled when its class is defined.
+Record gives == (same class, equal fields), repr and no hash; Frozen adds
+the hash of the tuple of fields and refuses every store after ``__init__``,
+which writes through ``object.__setattr__``.
+"""
+from operator import attrgetter
+
+
+class Record:
+    __slots__ = ()
+    __hash__ = None
+    _fields, _values = (), staticmethod(lambda r: ())
+
+    def __init_subclass__(cls):
+        fields = cls.__dict__.get("_fields")
+        if fields:  # the field values, always as a tuple
+            get = attrgetter(*fields)
+            cls._values = staticmethod(
+                get if len(fields) > 1 else lambda r: (get(r),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in
+                           zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Frozen(Record):
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -29,7 +29,6 @@ membership certificates, minimal presentations) are cached on the instance.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Optional, Sequence
 
@@ -37,6 +36,7 @@ from .linalg import (Field, Mat, QQ, block_matrix, column_span,
                      is_invertible, kernel_span)
 from .quiver import (Arrow, Path, QuiverBase, VertexSet, classify_subquiver,
                      vkey)
+from .record import Frozen, Record
 
 class EvalRangeError(ValueError):
     """Raised when evaluation is requested outside any computable region."""
@@ -51,8 +51,7 @@ def _loc_depth(q: QuiverBase, v) -> int:
 # path matrices (maps between finite sums of projectives or of injectives)
 
 
-@dataclass(frozen=True)
-class PathMatrix:
+class PathMatrix(Frozen):
     """Map between sums of projectives ('proj') or injectives ('inj').
 
     entries[j][i] is a combination of paths codomain[j] ~> domain[i]; this is
@@ -62,26 +61,32 @@ class PathMatrix:
     the map between their evaluations at v and .dual its D.
     """
 
-    quiver: QuiverBase
-    field: Field
-    side: str
-    domain: tuple
-    codomain: tuple
-    entries: tuple  # entries[j][i] = tuple of (coeff, Path)
+    # entries[j][i] = tuple of (coeff, Path); __dict__ holds the cached
+    # src, dst and dual
+    __slots__ = ("quiver", "field", "side", "domain", "codomain", "entries",
+                 "__dict__")
+    _fields = __slots__[:-1]
 
-    def __post_init__(self):
-        if self.side not in ("proj", "inj"):
+    def __init__(self, quiver: QuiverBase, field: Field, side: str,
+                 domain: tuple, codomain: tuple, entries: tuple):
+        if side not in ("proj", "inj"):
             raise ValueError("side must be 'proj' or 'inj'")
-        if len(self.entries) != len(self.codomain):
+        if len(entries) != len(codomain):
             raise ValueError("entry row count mismatch")
-        for j, row in enumerate(self.entries):
-            if len(row) != len(self.domain):
+        for j, row in enumerate(entries):
+            if len(row) != len(domain):
                 raise ValueError("entry column count mismatch")
             for i, combo in enumerate(row):
                 for (_, p) in combo:
-                    if p.src != self.codomain[j] or p.dst != self.domain[i]:
+                    if p.src != codomain[j] or p.dst != domain[i]:
                         raise ValueError(
                             f"entry path must run codomain[{j}] ~> domain[{i}]")
+        object.__setattr__(self, "quiver", quiver)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
+        object.__setattr__(self, "entries", entries)
 
     def depth_bound(self) -> int:
         return max((_loc_depth(self.quiver, v)
@@ -505,15 +510,17 @@ class RestrictRep(Rep):
                              "region": _region_dict(self.region)}}
 
 
-@dataclass(frozen=True)
-class RungFamily:
+class RungFamily(Frozen):
     """Symbolic cocycle on a crossing-arrow family: coeff on every arrow
     crossing_arrow(cid, t) for t >= start.  Requires thin (1-dim) slots."""
 
-    eid: str
-    cid: str
-    start: int
-    coeff: object
+    __slots__ = _fields = ("eid", "cid", "start", "coeff")
+
+    def __init__(self, eid: str, cid: str, start: int, coeff):
+        object.__setattr__(self, "eid", eid)
+        object.__setattr__(self, "cid", cid)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "coeff", coeff)
 
 
 class GlueRep(Rep):
@@ -784,32 +791,31 @@ def incoming_stack(m: Rep, v):
 # stable data along ends and class membership
 
 
-@dataclass
-class RayProfile:
-    eid: str
-    rid: str
-    kind: str
-    cutoff: int
-    dim: int
-    transition: Optional[Mat]
-    status: str  # 'zero' | 'iso' | 'other'
+class RayProfile(Record):
+    __slots__ = _fields = ("eid", "rid", "kind", "cutoff", "dim", "transition",
+                           "status")  # status: 'zero' | 'iso' | 'other'
+
+    def __init__(self, eid: str, rid: str, kind: str, cutoff: int, dim: int,
+                 transition: Optional[Mat], status: str):
+        self.eid, self.rid, self.kind, self.cutoff = eid, rid, kind, cutoff
+        self.dim, self.transition, self.status = dim, transition, status
 
 
-@dataclass
-class CrossingProfile:
-    eid: str
-    cid: str
-    cutoff: int
-    mat: Mat
-    nonzero: bool
+class CrossingProfile(Record):
+    __slots__ = _fields = ("eid", "cid", "cutoff", "mat", "nonzero")
+
+    def __init__(self, eid: str, cid: str, cutoff: int, mat: Mat,
+                 nonzero: bool):
+        self.eid, self.cid, self.cutoff = eid, cid, cutoff
+        self.mat, self.nonzero = mat, nonzero
 
 
-@dataclass
-class EndProfile:
-    eid: str
-    cutoff: int
-    rays: tuple
-    crossings: tuple
+class EndProfile(Record):
+    __slots__ = _fields = ("eid", "cutoff", "rays", "crossings")
+
+    def __init__(self, eid: str, cutoff: int, rays: tuple, crossings: tuple):
+        self.eid, self.cutoff, self.rays, self.crossings = \
+            eid, cutoff, rays, crossings
 
 
 def _ray_transition(q, end, rid, t):
@@ -868,12 +874,16 @@ def end_profile(m: Rep, end) -> EndProfile:
     return EndProfile(end.eid, cutoff, tuple(rays), tuple(crossings))
 
 
-@dataclass(frozen=True)
-class RepClassCertificate:
-    verdict: str
-    witnesses: tuple
-    profiles: tuple
-    support: VertexSet  # exact support, as support_exact(m, profiles)
+class RepClassCertificate(Frozen):
+    # support: the exact support, as support_exact(m, profiles)
+    __slots__ = _fields = ("verdict", "witnesses", "profiles", "support")
+
+    def __init__(self, verdict: str, witnesses: tuple, profiles: tuple,
+                 support: VertexSet):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "profiles", profiles)
+        object.__setattr__(self, "support", support)
 
     def is_in_rrep(self) -> bool:
         return self.verdict in ("fd", "fp", "fc", "rrep")
@@ -1007,14 +1017,15 @@ def _supporting_arrows_between(m: Rep, src_set: VertexSet, dst_set: VertexSet,
     return out
 
 
-@dataclass
-class PFIDecomposition:
-    sigmaP: VertexSet
-    sigmaI: VertexSet
-    projPart: Rep
-    corePart: Rep
-    injPart: Rep
-    certificate: dict
+class PFIDecomposition(Record):
+    __slots__ = _fields = ("sigmaP", "sigmaI", "projPart", "corePart",
+                           "injPart", "certificate")
+
+    def __init__(self, sigmaP: VertexSet, sigmaI: VertexSet, projPart: Rep,
+                 corePart: Rep, injPart: Rep, certificate: dict):
+        self.sigmaP, self.sigmaI, self.projPart = sigmaP, sigmaI, projPart
+        self.corePart, self.injPart, self.certificate = \
+            corePart, injPart, certificate
 
 
 def pfi_decompose(m: Rep) -> PFIDecomposition:

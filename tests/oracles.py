@@ -13,13 +13,13 @@ section keeps constructions that the package replaced, as references:
 the arrow maps of P_a read off an index of whole arrow tuples,
 injectives built over q by stripping the first arrow of a path, the
 isomorphism test that searched pairs of basis maps, the cokernel
-evaluated on its own, before it was read as D of a kernel, Mat and Arrow
-as the frozen dataclasses they were before they were slotted, and knit's
-steps at P_a and I_a as they were computed before knit read them off the
-arrows at a, and its P_a and I_a flags as they were read before knit's
+evaluated on its own, before it was read as D of a kernel, Mat, Arrow and
+the 25 records as the dataclasses they were before they were slotted, and
+knit's steps at P_a and I_a as they were computed before knit read them off
+the arrows at a, and its P_a and I_a flags as they were read before knit's
 translate table ruled them out.
 """
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field, make_dataclass
 from fractions import Fraction
 
 from arknit import (Mat, decompose, dim_vector, hom_space,
@@ -432,6 +432,66 @@ class FrozenArrow:
 
     def __lt__(self, other):
         return self.key() < other.key()
+
+
+# The 25 records as the dataclasses they were: "module.Class" -> (frozen,
+# field names in order, defaults; list marks a default_factory of list).
+# Only Field wrote its own repr, which its twin keeps.
+RECORD_TWINS = {
+    "ar.ASReport": (False, "exact non_split sub_indecomposable "
+                    "quot_indecomposable lift_failures factor_failures "
+                    "battery_size", {}),
+    "ar.ARNode": (False, "key rep is_projective is_injective status hops "
+                  "notes", {"is_projective": False, "is_injective": False,
+                            "status": "open", "hops": 0, "notes": ()}),
+    "ar.ARComponent": (False, "quiver nodes arrows tau_links seed_key depth "
+                       "notes", {"notes": list}),
+    "ar.ShapeHypothesis": (False, "tag certificate", {}),
+    "ext.FiniteExtReport": (False, "finite vanishing_outside gluing_support "
+                            "arrows witness", {}),
+    "hom.EndAlgebra": (False, "obj dimension basis table identity radical "
+                       "is_local", {}),
+    "hom.Summand": (False, "rep incl proj flagged", {}),
+    "hom.DecomposeReport": (False, "obj summands items flagged", {}),
+    "linalg.Field": (True, "char", {"char": 0}),
+    "morphism.SES": (False, "sub middle quot incl proj", {}),
+    "presentations.Presentation": (True, "obj pm cover", {}),
+    "quiver.Path": (True, "src dst arrows", {"arrows": ()}),
+    "quiver.Ray": (True, "rid kind", {}),
+    "quiver.FiniteQuiver": (True, "vertices arrows", {}),
+    "quiver.PresetQuiver": (True, "name", {}),
+    "quiver.OppositeQuiver": (True, "base", {}),
+    "quiver.VertexSet": (True, "quiver explicit tails", {}),
+    "quiver.SubquiverClass": (True, "is_finite top_finite socle_finite "
+                              "witnesses", {}),
+    "rep.PathMatrix": (True, "quiver field side domain codomain entries", {}),
+    "rep.RungFamily": (True, "eid cid start coeff", {}),
+    "rep.RayProfile": (False, "eid rid kind cutoff dim transition status",
+                       {}),
+    "rep.CrossingProfile": (False, "eid cid cutoff mat nonzero", {}),
+    "rep.EndProfile": (False, "eid cutoff rays crossings", {}),
+    "rep.RepClassCertificate": (True, "verdict witnesses profiles support",
+                                {}),
+    "rep.PFIDecomposition": (False, "sigmaP sigmaI projPart corePart injPart "
+                             "certificate", {}),
+}
+
+
+def dataclass_twin(name: str, record):
+    """The dataclass that record (the class named name) was: same name,
+    fields, defaults, frozenness and, for Field, repr."""
+    frozen, names, defaults = RECORD_TWINS[name]
+    fields = []
+    for f in names.split():
+        if f not in defaults:
+            fields.append((f, object))
+        elif defaults[f] is list:
+            fields.append((f, object, dc_field(default_factory=list)))
+        else:
+            fields.append((f, object, dc_field(default=defaults[f])))
+    own = {"__repr__": record.__repr__} if name == "linalg.Field" else {}
+    return make_dataclass(record.__name__, fields, frozen=frozen,
+                          namespace=own)
 
 
 def computed_step(comp, tr, key, forward):

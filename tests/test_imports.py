@@ -1,8 +1,9 @@
 """Every name a library module imports is used in that module, every
 function, method and class it defines is used somewhere in the project, so
-is every field of its dataclasses and every name in a __slots__, no module
+is every name in a __slots__ (every field of a record), no module
 stores to a field of the value types Mat and Arrow after __init__, no module
-imports sympy, which is a test oracle only, only linalg names Fraction, only
+imports sympy, which is a test oracle only, nor dataclasses, whose classes
+cost start-up, only linalg names Fraction, only
 the duals in rep.py and morphism.py transpose a component, knit builds
 each translate through its translate table, every boundary that the
 benchmark traces by name exists, every exception a module raises is one
@@ -12,8 +13,8 @@ pinned and load only when read, and a CLI verb imports only what it reads.
 No linter ships with the project, so this parses each module with ``ast``:
 an imported name that no other part of the module reads is dead weight, and
 so is a definition whose name nothing in src/, tests/, demos/ or bench/
-reads, and a dataclass field that nothing there reads as an attribute or
-passes as a keyword.
+reads, and a slot that nothing there reads as an attribute or passes as a
+keyword.
 """
 import ast
 import importlib.util
@@ -109,13 +110,9 @@ def test_no_dead_definitions(path, project_references):
 
 
 def dataclass_fields(source: str) -> list:
-    """(line, name) of every field that a @dataclass in the module declares,
-    and of every name in a class body's __slots__, the fields of a slotted
-    class such as Mat or Arrow."""
-    def is_dataclass(d):
-        f = d.func if isinstance(d, ast.Call) else d
-        return getattr(f, "id", getattr(f, "attr", None)) == "dataclass"
-
+    """(line, name) of every name in a class body's __slots__, the fields of
+    a slotted class such as Mat, Arrow or a record; __dict__ and __weakref__
+    are left out, since the language reads them."""
     def is_slots(s):
         return isinstance(s, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__slots__" for t in s.targets)
@@ -124,15 +121,11 @@ def dataclass_fields(source: str) -> list:
     for n in ast.walk(ast.parse(source)):
         if not isinstance(n, ast.ClassDef):
             continue
-        dataclass = any(is_dataclass(d) for d in n.decorator_list)
-        for s in n.body:
-            if dataclass and isinstance(s, ast.AnnAssign) \
-                    and isinstance(s.target, ast.Name):
-                fields.append((s.lineno, s.target.id))
-            elif is_slots(s):
-                names = getattr(s.value, "elts", [s.value])
-                fields += [(e.lineno, e.value) for e in names
-                           if isinstance(e, ast.Constant)]
+        for s in filter(is_slots, n.body):
+            names = getattr(s.value, "elts", [s.value])
+            fields += [(e.lineno, e.value) for e in names
+                       if isinstance(e, ast.Constant)
+                       and e.value not in ("__dict__", "__weakref__")]
     return fields
 
 
@@ -155,29 +148,25 @@ def project_field_reads():
 
 
 def test_detects_an_unread_dataclass_field():
-    lib = ("@dataclass(frozen=True)\n"
-           "class A:\n"
-           "    read: int\n"
-           "    keyword: int\n"
-           "    written: int\n"
-           "    unread: int = 0\n"
-           "@dataclasses.dataclass\n"
-           "class B:\n"
-           "    dead: tuple\n"
+    lib = ("class A(Frozen):\n"
+           "    __slots__ = _fields = ('read', 'keyword', 'written',\n"
+           "                           'unread')\n"
            "class C:\n"
            "    plain: int\n"
            "class D:\n"
-           "    __slots__ = ('slot_read', 'slot_unread')\n"
+           "    __slots__ = ('slot_read', 'slot_unread', '__dict__',\n"
+           "                 '__weakref__')\n"
+           "    _fields = __slots__[:-2]\n"
            "class E:\n"
            "    __slots__ = 'lone'\n")
     user = ("a = A(1, keyword=2)\n"
             "a.written = a.read\n"
-            "unread = dead = B(())\n"
+            "unread = plain = C()\n"
             "d = D().slot_read\n")
     reads = field_reads(lib) | field_reads(user)
     assert [(line, name) for line, name in dataclass_fields(lib)
-            if name not in reads] == [(5, "written"), (6, "unread"), (9, "dead"),
-                                      (13, "slot_unread"), (15, "lone")]
+            if name not in reads] == [(2, "written"), (3, "unread"),
+                                      (7, "slot_unread"), (11, "lone")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -192,13 +181,18 @@ VALUE_FIELDS = ("entries", "rows", "cols", "field", "src", "dst", "label")
 def value_field_stores(source: str) -> list:
     """Lines that store to, or delete, an attribute named like a field of Mat
     or Arrow (VALUE_FIELDS), other than self.<name> = ... in an __init__, or
-    that set one by setattr: Mat and Arrow are slotted, not frozen, so this
-    lint is what keeps them immutable, at no cost when the code runs."""
+    that set one by setattr other than on self in an __init__ (as a frozen
+    record writes its fields): Mat and Arrow are slotted, not frozen, so
+    this lint is what keeps them immutable, at no cost when the code runs."""
     tree = ast.parse(source)
     allowed = set()
     for f in ast.walk(tree):
         if isinstance(f, ast.FunctionDef) and f.name == "__init__":
             for s in ast.walk(f):
+                if isinstance(s, ast.Call) and s.args \
+                        and isinstance(s.args[0], ast.Name) \
+                        and s.args[0].id == "self":
+                    allowed.add(id(s))
                 if isinstance(s, (ast.Assign, ast.AnnAssign)):
                     targets = s.targets if isinstance(s, ast.Assign) \
                         else [s.target]
@@ -212,7 +206,7 @@ def value_field_stores(source: str) -> list:
              if isinstance(n, ast.Attribute) and n.attr in VALUE_FIELDS
              and not isinstance(n.ctx, ast.Load) and id(n) not in allowed}
     lines |= {n.lineno for n in ast.walk(tree)
-              if isinstance(n, ast.Call)
+              if isinstance(n, ast.Call) and id(n) not in allowed
               and getattr(n.func, "id", getattr(n.func, "attr", None))
               in ("setattr", "__setattr__")
               and len(n.args) > 1 and isinstance(n.args[1], ast.Constant)
@@ -226,6 +220,7 @@ def test_detects_a_value_field_store():
            "        self.rows = rows\n"
            "        self.field: object = field\n"
            "        self.src, self.dst = a, b\n"
+           "        object.__setattr__(self, 'label', b)\n"
            "        other.cols = 0\n"
            "    def grow(self):\n"
            "        self.rows += 1\n"
@@ -235,8 +230,10 @@ def test_detects_a_value_field_store():
            "object.__setattr__(m, 'dst', 1)\n"
            "setattr(m, 'name', 1)\n"
            "n = m.entries\n"
+           "def __init__(self, m):\n"
+           "    object.__setattr__(m, 'src', 1)\n"
            '"""m.entries = () in a docstring"""\n')
-    assert value_field_stores(src) == [6, 8, 9, 10, 11, 12]
+    assert value_field_stores(src) == [7, 9, 10, 11, 12, 13, 17]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
@@ -434,10 +431,11 @@ def test_only_linalg_names_fraction(path):
 
 # the classes src/ may raise: cli.main maps ValueError (ParseError and
 # EvalRangeError among them) and KeyError to exit 1 and AssertionError to
-# exit 3; the other three mark a programming error of the caller
+# exit 3; the other four mark a programming error of the caller, such as
+# a store to a field of a frozen record (AttributeError)
 RAISABLE = {"ValueError", "ParseError", "EvalRangeError", "KeyError",
             "AssertionError", "NotImplementedError", "TypeError",
-            "ZeroDivisionError"}
+            "ZeroDivisionError", "AttributeError"}
 
 
 def foreign_raises(source: str) -> list:
@@ -473,24 +471,39 @@ def test_src_raises_only_the_mapped_classes(path):
     assert foreign_raises(path.read_text()) == []
 
 
-def names_sympy(source: str) -> bool:
-    """Does the module import, or refer to, anything called sympy?"""
+def names_module(source: str, module: str) -> bool:
+    """Does the module import, or refer to, anything called module?"""
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            if any(a.name.partition(".")[0] == "sympy" for a in node.names):
+            if any(a.name.partition(".")[0] == module for a in node.names):
                 return True
         elif isinstance(node, ast.ImportFrom):
-            if (node.module or "").partition(".")[0] == "sympy":
+            if (node.module or "").partition(".")[0] == module:
                 return True
-        elif isinstance(node, ast.Name) and node.id == "sympy":
+        elif isinstance(node, ast.Name) and node.id == module:
             return True
     return False
 
 
 def test_detects_a_sympy_import():
-    assert names_sympy("def f():\n    import sympy.polys\n")
-    assert names_sympy("from sympy import Poly\n")
-    assert not names_sympy('"""sympy in a docstring"""\n')
+    assert names_module("def f():\n    import sympy.polys\n", "sympy")
+    assert names_module("from sympy import Poly\n", "sympy")
+    assert not names_module('"""sympy in a docstring"""\n', "sympy")
+
+
+def test_detects_a_dataclasses_import():
+    assert names_module("from dataclasses import dataclass\n", "dataclasses")
+    assert names_module("import dataclasses as dc\n", "dataclasses")
+    assert not names_module("from .record import Frozen\n"
+                            '"""once a dataclass"""\n', "dataclasses")
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    # a dataclass compiles its methods by exec when its module loads, and
+    # the module pulls in inspect: both cost every CLI process start-up
+    assert not names_module(path.read_text(), "dataclasses")
 
 
 def run_python(code: str) -> str:
@@ -509,7 +522,7 @@ def test_sympy_is_not_loaded_by_import_or_a_plain_verb():
     # no module names it, and with every import of it blocked the verbs
     # that split endomorphism algebras still run and print the same bytes
     for path in MODULES + [Path(arknit.__file__)]:
-        assert not names_sympy(path.read_text()), path.name
+        assert not names_module(path.read_text(), "sympy"), path.name
     golden = Path(__file__).parent / "golden" / "kronecker_knit5.dot"
     code = f"""
 import contextlib, io, sys
@@ -623,7 +636,16 @@ VERB_RUNS = [
       '{"simple":"1"}', "--sub", '{"simple":"2"}'], ("ar",)),
     (["decompose", "--quiver", A3, "--rep",
       '{"sum":[{"proj":"1"},{"simple":"2"},{"simple":"2"}]}'], ("ar",)),
+    (["tau", "--quiver", A3, "--rep", '{"simple":"2"}'], ("poly",)),
+    (["ass", "--quiver", A3, "--rep", '{"simple":"2"}'], ("poly",)),
+    (["classify", "--quiver", '{"preset":"kronecker"}', "--seed",
+      '{"proj":"2"}', "--depth", "5"], ()),
+    (["knit", "--quiver", '{"preset":"kronecker"}', "--seed",
+      '{"proj":"2"}', "--depth", "5", "--format", "dot"], ()),
 ]
+# stdlib modules no verb loads: dataclasses compiles its classes by exec,
+# and it loads inspect
+HEAVY_STDLIB = ("dataclasses", "inspect")
 
 
 @pytest.mark.parametrize("argv, unloaded", VERB_RUNS,
@@ -634,8 +656,10 @@ import contextlib, io, sys
 import arknit.cli
 with contextlib.redirect_stdout(io.StringIO()):
     assert arknit.cli.main({argv!r}) == 0
-print(" ".join(m for m in sys.modules if m.startswith("arknit.")))
+print(" ".join(m for m in sys.modules
+               if m.startswith("arknit.") or m in {HEAVY_STDLIB!r}))
 """
     loaded = set(run_python(code).split())
     assert "arknit.rep" in loaded
     assert loaded.isdisjoint(f"arknit.{m}" for m in unloaded)
+    assert loaded.isdisjoint(HEAVY_STDLIB)

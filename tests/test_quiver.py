@@ -1,5 +1,4 @@
 import random
-from dataclasses import dataclass
 from unittest.mock import patch
 
 import pytest
@@ -341,7 +340,6 @@ def test_preset_paths_equal_naive_enumeration(name, fixed):
                       PRESET_GRIDS[name], fixed)
 
 
-@dataclass(frozen=True)
 class TwoCycle(QuiverBase):
     """0 <-> 1: not interval-finite, every path search must stop."""
 
