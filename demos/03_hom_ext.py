@@ -2,13 +2,14 @@
 Hom spaces, extensions and Baer sums
 ====================================
 
-Hom is computed by one of three routes: through a projective presentation
-of the domain, through an injective co-presentation of the codomain, or by
-solving naturality equations on a certified window.  All routes agree; the
-window route carries a stability certificate instead of a presentation.
+Hom is built on one of three routes, which the two objects fix: through a
+projective presentation of an fd or finitely presented domain, else through
+an injective co-presentation of an fd or finitely copresented codomain, else
+by solving naturality equations on a certified window.
 """
 
 from arknit import (
+    VertexSet,
     baer_sum,
     ext_class_to_ses,
     ext_space,
@@ -18,6 +19,7 @@ from arknit import (
     parse_quiver,
     projective_at,
     simple_at,
+    thin_rep,
     verify_exact,
 )
 
@@ -27,10 +29,19 @@ kron = parse_quiver({"preset": "kronecker"})
 # Hom(P_a, N) is N at a; Hom(N, I_a) is the dual statement.
 h = hom_space(projective_at(a3, 2), injective_at(a3, 2))
 print("Hom(P_2, I_2): dim", h.dimension, "via", h.route)
-for route in ("presentation", "copresentation", "window"):
-    print(f"  {route:14s} ->",
-          hom_space(simple_at(a3, 2), injective_at(a3, 2),
-                    route=route).dimension)
+
+# The objects fix the route.  On the line (arrows n+1 -> n), I_0 is
+# finitely copresented but not finitely presented, and the thin object that
+# is k at every vertex is neither, so these three pairs take three routes.
+line = parse_quiver({"preset": "line"})
+i0 = injective_at(line, 0)
+k = thin_rep(line, VertexSet.make(line, (), [("neg", "v", 0),
+                                             ("pos", "v", 0)]))
+for name, m, n in (("S_2 -> I_2 on A3", simple_at(a3, 2), injective_at(a3, 2)),
+                   ("I_0 -> I_0 on line", i0, i0),
+                   ("k -> k on line", k, k)):
+    h = hom_space(m, n)
+    print(f"  {name:18s} dim {h.dimension} via {h.route}")
 
 # Ext classes parameterize short exact sequences 0 -> sub -> E -> quot -> 0.
 # On the Kronecker quiver Ext(S_1, S_2) is two dimensional.

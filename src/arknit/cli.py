@@ -4,10 +4,11 @@ Only io, quiver and rep (and linalg under them) load with this module; a
 verb imports what else it calls in its branch, so hom, ext and decompose
 load no ar, and quiver, rep, member and export load nothing more.
 
-Exit codes: 0 success, 1 domain, parse or file errors, 2 an argparse usage
-error only, 3 internal errors (a broken invariant of the engine, such as a
-constructor's periodicity contract, the window Hom route's check one band
-deeper, or the deep checks of a presentation).
+Exit codes: 0 success, 1 domain, parse or file errors (a ValueError), 2 an
+argparse usage error only, 3 internal errors: a broken invariant of the
+engine (an AssertionError, such as a constructor's periodicity contract,
+the window Hom route's check one band deeper, or the deep checks of a
+presentation) or any other exception, KeyError and IndexError among them.
 Output is deterministic: identical invocations produce identical bytes.
 """
 from __future__ import annotations
@@ -272,11 +273,15 @@ def main(argv=None) -> int:
             except OSError as e:
                 raise ParseError("/out", f"cannot write {args.out}: "
                                          f"{e.strerror}")
-    except (ParseError, ValueError, KeyError) as e:
+    except ValueError as e:  # ParseError and EvalRangeError among them
         print(f"arknit: error: {e}", file=sys.stderr)
         return 1
     except AssertionError as e:
         print(f"arknit: internal error: {e}", file=sys.stderr)
+        return 3
+    except Exception as e:  # a fault of the engine, not of the input
+        print(f"arknit: internal error: {type(e).__name__}: {e}",
+              file=sys.stderr)
         return 3
     return 0
 

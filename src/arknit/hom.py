@@ -4,16 +4,16 @@ One count and three finite routes to a basis of Hom(M, N).  The dimension
 is d.cols - rank(d) for the arrow complex d of ext.py, with no basis built,
 on the joint window at pad 2, exact for the reason below, and checked at
 pad 3 unless M is fd: a natural map out of fd M vanishes off supp M, which
-the window holds with the arrows out of it into supp N.  A route builds its
-basis when the basis is first read, and an object whose count and basis are
-both read checks that they agree (a mismatch is an engine bug,
-AssertionError):
-  presentation    M finitely presented: generator images that the relations
-                  of M kill, each read as the Yoneda map of the images
-                  through a section of the cover.
-  copresentation  N finitely copresented: the presentation route on the
-                  duals, Hom(M, N) = Hom(DN, DM) over the opposite quiver,
-                  transposed back.
+the window holds with the arrows out of it into supp N.  The two objects
+fix the route, the first of these that applies.  It builds its basis when
+the basis is first read, and an object whose count and basis are both read
+checks that they agree (a mismatch is an engine bug, AssertionError):
+  presentation    M fd or finitely presented: generator images that the
+                  relations of M kill, each read as the Yoneda map of the
+                  images through a section of the cover.
+  copresentation  N fd or finitely copresented: the presentation route on
+                  the duals, Hom(M, N) = Hom(DN, DM) over the opposite
+                  quiver, transposed back.
   window          both objects certified: the kernel of the arrow complex on
                   the joint window at pad 2 (solve_natural, the one window
                   kernel, which the almost split battery of ar.py also
@@ -27,6 +27,12 @@ pad p + 1 to pad p is bijective for every p >= 0, and one rank at pad 3
 checks that contract (a mismatch is an engine bug, AssertionError).  This
 is also why morphism_from_components carries window components along rays.
 
+So the window alone would serve every pair, but its dense elimination is
+far slower on long chains, and each builder stays: in process on one Xeon
+core, the basis of Hom(I(1000), P(1)) on linear n = 1000 took 1.4 s by
+presentation and 33 s on the window, that of Hom(I(-400), I(-400)) on line
+1.1 s by copresentation and 16 s on the window.
+
 All routes return morphisms defined everywhere, each one rule, so bases
 from different routes can be compared and composed freely.  Each
 route's anchor (generators, socle, window) fixes its basis, so End
@@ -35,7 +41,6 @@ coordinates are solved there; a summand eM has End(eM) = e·End(M)·e.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Optional
 
 from .ext import CountedBasis, arrow_complex
 from .linalg import Mat, inverse, kernel_basis, min_poly, rank, solve_matrix
@@ -78,16 +83,15 @@ class HomBasis(CountedBasis):
     """Hom(src, dst) on one route, whose name hom_space fixes.
 
     dimension is one rank of the arrow complex on the window, with no basis
-    built; the route's basis, anchor (the vertices where the basis is fixed,
-    and independent) and certificate are built when read.  The window (the
-    joint window at pad 2) and the count at pad 3 are each computed once,
-    for the count and the window route alike."""
+    built; the route's basis and anchor (the vertices where the basis is
+    fixed, and independent) are built when read.  The window (the joint
+    window at pad 2) and the count at pad 3 are each computed once, for the
+    count and the window route alike."""
 
     _space = "Hom"
 
-    def __init__(self, src: Rep, dst: Rep, route: str, available: list):
+    def __init__(self, src: Rep, dst: Rep, route: str):
         self.src, self.dst, self.route = src, dst, route
-        self._available = available
         self._built_on = f"morphisms on the {route} route"
 
     _window = cached_property(lambda self: joint_window((self.src, self.dst)))
@@ -112,23 +116,18 @@ class HomBasis(CountedBasis):
         return count
 
     def _build(self) -> tuple:
+        """(basis, anchor) on the route."""
         m, n = self.src, self.dst
         if self.route == "presentation":
-            basis, anchor, cert = _presentation_route(m, n)
-        elif self.route == "copresentation":
-            basis, anchor, cert = _copresentation_route(m, n)
-        else:
-            hom = solve_natural(m, n, self.window)
-            self._check_pad3(len(hom))
-            basis = [morphism_from_components(m, n, comps, f"h{i}")
-                     for i, comps in enumerate(hom)]
-            anchor, cert = self.window, {"window_depth": self._window[1],
-                                         "pad": 2}
-        cert["routes_available"] = self._available
-        return tuple(basis), anchor, cert
+            return _presentation_route(m, n)
+        if self.route == "copresentation":
+            return _copresentation_route(m, n)
+        hom = solve_natural(m, n, self.window)
+        self._check_pad3(len(hom))
+        return tuple(morphism_from_components(m, n, comps, f"h{i}")
+                     for i, comps in enumerate(hom)), self.window
 
     anchor = property(lambda self: self._built[1])
-    certificate = property(lambda self: self._built[2])
 
 
 def _kernel_dim(m: Rep, n: Rep, verts) -> int:
@@ -152,19 +151,18 @@ def _presentation_route(m: Rep, n: Rep):
             off += d
         basis.append(Morphism(m, n, label=f"h{k}", rule=lambda v, im=images:
                               yoneda_at(n, ys, im, v).mul(pres.section(v))))
-    return basis, tuple(dict.fromkeys(ys)), {
-        "generators": list(ys), "relations": list(pres.pm.domain)}
+    return tuple(basis), tuple(dict.fromkeys(ys))
 
 
 def _copresentation_route(m: Rep, n: Rep):
     """Hom(M, N) = Hom(DN, DM) over the opposite quiver, where DN is finitely
     presented; each basis morphism is D of its dual."""
-    dual, socle, cert = _presentation_route(dualize(n), dualize(m))
-    return [g.dual for g in dual], socle, {"socle": cert["generators"],
-                                           "cosocle": cert["relations"]}
+    dual, socle = _presentation_route(dualize(n), dualize(m))
+    return tuple(g.dual for g in dual), socle
 
 
-def hom_space(m: Rep, n: Rep, route: Optional[str] = None) -> HomBasis:
+def hom_space(m: Rep, n: Rep) -> HomBasis:
+    """Hom(m, n) on the first route of the module docstring that applies."""
     same_ambient(m, n, "hom_space objects")
     certm = classify_membership(m)
     certn = classify_membership(n)
@@ -172,15 +170,9 @@ def hom_space(m: Rep, n: Rep, route: Optional[str] = None) -> HomBasis:
         if not c.is_in_rrep():
             raise ValueError(
                 f"hom_space needs finite-data objects; {which} is {c.verdict}")
-    available = [r for r, ok in (
-        ("presentation", certm.verdict in ("fd", "fp")),
-        ("copresentation", certn.verdict in ("fd", "fc")),
-        ("window", True)) if ok]
-    route = available[0] if route is None else route
-    if route not in available:
-        raise ValueError(f"route {route!r} is not available here; "
-                         f"available: {', '.join(available)}")
-    return HomBasis(m, n, route, available)
+    return HomBasis(m, n, "presentation" if certm.verdict in ("fd", "fp")
+                    else "copresentation" if certn.verdict in ("fd", "fc")
+                    else "window")
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +340,12 @@ def _pointwise_inverse(h: Morphism) -> Morphism:
     return Morphism(h.src, h.dst, rule=rule, label="inv")
 
 
-def _iso_indec(m: Rep, n: Rep, probe=None):
+def _iso_indec(m: Rep, n: Rep):
     """(f, f_inverse) for the first basis element f of Hom(m, n) that is
-    invertible on the probe window, or None.  Complete when both objects are
-    indecomposable: the maps that are not isomorphisms then form a proper
-    subspace, so some basis element is invertible."""
-    if probe is None:
-        probe = joint_window((m, n))[0]
+    invertible on the pair's window, or None.  Complete when both objects
+    are indecomposable: the maps that are not isomorphisms then form a
+    proper subspace, so some basis element is invertible."""
+    probe = joint_window((m, n))[0]
     if dim_vector(m, probe) != dim_vector(n, probe):
         return None
     for f in hom_space(m, n).basis:
@@ -439,9 +430,7 @@ def decompose_report(m: Rep) -> DecomposeReport:
     groups: list = []
     for s in leaves:
         for g in groups:
-            r0 = g[0].rep
-            if dim_vector(r0, probe) == dim_vector(s.rep, probe) and \
-                    _iso_indec(r0, s.rep) is not None:
+            if _iso_indec(g[0].rep, s.rep) is not None:
                 g.append(s)
                 break
         else:
@@ -468,7 +457,7 @@ def iso_test(m: Rep, n: Rep):
     probe = joint_window((m, n))[0]
     if dim_vector(m, probe) != dim_vector(n, probe):
         return None
-    direct = _iso_indec(m, n, probe=probe)
+    direct = _iso_indec(m, n)
     if direct is not None:
         return direct
     rm = decompose_report(m)
@@ -478,17 +467,13 @@ def iso_test(m: Rep, n: Rep):
     used = [False] * len(rn.summands)
     pairing = []
     for sm in rm.summands:
-        found = False
         for j, sn in enumerate(rn.summands):
-            if used[j]:
-                continue
-            pair = _iso_indec(sm.rep, sn.rep)
+            pair = None if used[j] else _iso_indec(sm.rep, sn.rep)
             if pair is not None:
                 used[j] = True
                 pairing.append((sm, sn, pair))
-                found = True
                 break
-        if not found:
+        else:
             return None
     f = zero_morphism(m, n)
     finv = zero_morphism(n, m)

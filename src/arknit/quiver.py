@@ -157,18 +157,11 @@ class QuiverBase(Frozen):
         s = self._closure(v, True)
         return s.contains if s.tails else s.explicit.__contains__
 
-    def succ_closure(self, vs) -> "VertexSet":
-        return self._closure_of_all(vs, True)
+    def succ_closure(self, v) -> "VertexSet":
+        return self._closure(v, True)
 
-    def pred_closure(self, vs) -> "VertexSet":
-        return self._closure_of_all(vs, False)
-
-    def _closure_of_all(self, vs, forward):
-        parts = [self._closure(v, forward) for v in vs]
-        if len(parts) == 1:
-            return parts[0]
-        return VertexSet.make(self, [v for s in parts for v in s.explicit],
-                              [t for s in parts for t in s.tails])
+    def pred_closure(self, v) -> "VertexSet":
+        return self._closure(v, False)
 
     def _closure(self, v, forward) -> "VertexSet":
         """v and every vertex reached from it along (forward) or against

@@ -440,7 +440,7 @@ class ProjRep(_VertexRep, Rep):
         return Mat(F, len(rows), len(ends), tuple(tuple(r) for r in rows))
 
     def support(self):
-        return self.quiver.succ_closure([self.vertex])
+        return self.quiver.succ_closure(self.vertex)
 
 
 class InjRep(_VertexRep, DualRep):

@@ -1,6 +1,6 @@
 """Independent brute-force oracles used to freeze expected values.
 
-Everything here but the last three sections is computed from first
+Everything here but the last four sections is computed from first
 principles with its own Fraction arithmetic so that no production code path
 is trusted twice: Hom/Ext via naive commuting-square systems, A_n structure
 via the interval model, the translation-quiver shape via an explicit
@@ -8,7 +8,8 @@ combinatorial construction.  The section on standard objects decides them
 by a search over isomorphism tests, a second route through the package's
 Hom layer that the presentation reading in ar.py does not take.  The
 section after it reads Ext off a minimal projective presentation, a route
-that ext.py does not take.  The last
+that ext.py does not take.  The next builds a Hom basis on a route named by
+the caller, where hom_space reads the route off the two objects.  The last
 section keeps constructions that the package replaced, as references:
 the arrow maps of P_a read off an index of whole arrow tuples,
 injectives built over q by stripping the first arrow of a path, the
@@ -22,12 +23,13 @@ translate table ruled them out.
 from dataclasses import dataclass, field as dc_field, make_dataclass
 from fractions import Fraction
 
-from arknit import (Mat, decompose, dim_vector, hom_space,
-                    injective_at, min_proj_presentation,
+from arknit import (Mat, classify_membership, decompose, dim_vector,
+                    hom_space, injective_at, min_proj_presentation,
                     minimal_left_almost_split_from,
                     minimal_right_almost_split_into, projective_at)
 from arknit.ar import standard_vertex
-from arknit.hom import _iso_indec, _pointwise_inverse, joint_window
+from arknit.hom import (HomBasis, _iso_indec, _pointwise_inverse,
+                        joint_window)
 from arknit.linalg import coker_projection, rank
 from arknit.presentations import relation_matrix
 from arknit.quiver import vkey
@@ -314,6 +316,27 @@ def ext_dim_via_presentation(x, y):
     if rows == 0:
         return 0
     return rows - rank(relation_matrix(pres.pm, y))
+
+
+# ---------------------------------------------------------------------------
+# Hom bases on a named route
+
+
+def hom_routes(m, n) -> list:
+    """The routes that can build Hom(m, n), in the order hom_space tries
+    them: presentation for an fd or fp source, copresentation for an fd or
+    fc target, and the window always."""
+    vm, vn = classify_membership(m).verdict, classify_membership(n).verdict
+    return [r for r, ok in (("presentation", vm in ("fd", "fp")),
+                            ("copresentation", vn in ("fd", "fc")),
+                            ("window", True)) if ok]
+
+
+def route_basis(m, n, route):
+    """(basis, anchor) of Hom(m, n) built on the named route, whichever route
+    hom_space takes; no count is read, so a test can hold three bases built
+    independently against the arrow-complex count."""
+    return HomBasis(m, n, route)._build()
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import random
 import pytest
 
 from arknit import (
+    PRESETS,
     QQ,
     Mat,
     RungFamily,
@@ -58,7 +59,9 @@ from oracles import (
     an_is_projective,
     an_tau,
     coxeter_images,
+    hom_routes,
     nqop_truncation,
+    route_basis,
     standard_by_search,
 )
 
@@ -394,7 +397,9 @@ def test_criterion_08_zigzag_counterexamples(zig):
 # 9. Hom route consistency
 
 
-def test_criterion_09_hom_route_consistency(a3, a5, kron, zig, line):
+def _criterion_09_pairs(a3, a5, kron, zig, line):
+    """Four pairs of thin and standard objects on the line, then random fd
+    pairs on A3, A5, Kronecker and the zigzag, 100 in all."""
     rng = random.Random(9)
     pools = [(a3, (1, 2, 3)), (a5, V5), (kron, (1, 2)), (zig, (0, 1, 2, 3))]
     p0t = thin_rep(line, VertexSet.make(line, (), [("neg", "v", 0)]))
@@ -406,7 +411,11 @@ def test_criterion_09_hom_route_consistency(a3, a5, kron, zig, line):
         q, verts = pools[len(pairs) % len(pools)]
         pairs.append((random_fd_rep(q, rng, verts),
                       random_fd_rep(q, rng, verts)))
-    for m, n in pairs:
+    return pairs
+
+
+def test_criterion_09_hom_route_consistency(a3, a5, kron, zig, line):
+    for m, n in _criterion_09_pairs(a3, a5, kron, zig, line):
         # .dimension is one arrow-complex count on every route, so each
         # route is read by the basis it builds
         d = hom_space(m, n).dimension
@@ -414,13 +423,39 @@ def test_criterion_09_hom_route_consistency(a3, a5, kron, zig, line):
         if classify_membership(n).verdict in ("fd", "fc"):
             routes.append("copresentation")
         for r in routes:
-            assert len(hom_space(m, n, route=r).basis) == d, r
-        pad = hom_space(m, n, route="window").certificate["pad"]
-        bigger, _ = joint_window((m, n), pad + 1)
+            assert len(route_basis(m, n, r)[0]) == d, r
+        bigger, _ = joint_window((m, n), 3)  # one band past the window route
         assert len(solve_natural(m, n, bigger)) == d
     ok(9, "presentation and window bases have the count's size on 100 "
           "pairs, stable under window enlargement, and so does the "
           "copresentation basis wherever the codomain is fd or fc")
+
+
+PIN_VERTICES = {"line": (-1, 0, 1), "ray_out": (0, 1), "ray_in": (0, 1),
+                "zigzag": (0, 1), "ladder": (("a", 0), ("b", 0))}
+
+
+def test_hom_route_is_read_off_the_two_objects(a3, a5, kron, zig, line):
+    """hom_space(m, n).route is presentation iff m is fd or fp; otherwise
+    copresentation iff n is fd or fc; otherwise window.  Over the pairs of
+    criterion 9, and over the P_a, I_a and thin objects of every preset
+    (one per ray tail, and one on all of them) that are in rrep."""
+    pairs = _criterion_09_pairs(a3, a5, kron, zig, line)
+    for name, verts in PIN_VERTICES.items():
+        q = PRESETS[name]()
+        tails = [(e.eid, r.rid, 0) for e in q.ends() for r in e.rays]
+        objs = [make(q, v) for v in verts
+                for make in (projective_at, injective_at)]
+        objs += [thin_rep(q, VertexSet.make(q, (), ts))
+                 for ts in [[t] for t in tails] + [tails]]
+        objs = [m for m in objs if classify_membership(m).is_in_rrep()]
+        pairs += [(m, n) for m in objs for n in objs]
+    seen = set()
+    for m, n in pairs:
+        route = hom_routes(m, n)[0]
+        assert hom_space(m, n).route == route, (m.describe(), n.describe())
+        seen.add(route)
+    assert seen == {"presentation", "copresentation", "window"}
 
 
 # ---------------------------------------------------------------------------

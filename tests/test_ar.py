@@ -26,7 +26,6 @@ from arknit import (
     direct_sum,
     end_algebra,
     explicit_fd,
-    hom_space,
     injective_at,
     is_doubly_infinite,
     is_pseudo_projective,
@@ -473,9 +472,9 @@ def test_knit_tests_isomorphism_only_to_find_nodes(monkeypatch):
     callers = []
     iso = ar._iso_indec
 
-    def spy(m, n, probe=None):
+    def spy(m, n):
         callers.append(sys._getframe(1).f_code.co_name)
-        return iso(m, n, probe)
+        return iso(m, n)
 
     monkeypatch.setattr(ar, "_iso_indec", spy)
     knit(projective_at(linear_quiver(3), 3), 6)
@@ -695,11 +694,6 @@ def _api_refusals():
     p1, p2 = projective_at(a3, 1), projective_at(a3, 2)
     i1, i2 = injective_at(a3, 1), injective_at(a3, 2)
     return {
-        "route": (lambda: hom_space(projective_at(line, 0),
-                                       projective_at(line, 0),
-                                       route="copresentation"),
-                  "route 'copresentation' is not available here; "
-                  "available: presentation, window"),
         "copresentation": (lambda: min_inj_copresentation(
             projective_at(line, 0)), "minimal injective copresentation "
             "needs an fc object, got fp"),
@@ -726,11 +720,11 @@ def _api_refusals():
     }
 
 
-@pytest.mark.parametrize("case", ["route", "copresentation", "pfi",
-                                  "tail_split", "doubly_infinite",
-                                  "coefficients", "end_not_local",
-                                  "right_not_projective", "right_a_sum",
-                                  "left_not_injective", "left_a_sum"])
+@pytest.mark.parametrize("case", ["copresentation", "pfi", "tail_split",
+                                  "doubly_infinite", "coefficients",
+                                  "end_not_local", "right_not_projective",
+                                  "right_a_sum", "left_not_injective",
+                                  "left_a_sum"])
 def test_api_refusal_names_its_cause(case):
     call, message = _api_refusals()[case]
     with pytest.raises(ValueError) as e:

@@ -39,7 +39,8 @@ from arknit.presentations import yoneda
 from arknit.quiver import Path
 from arknit.rep import joint_window, proj_sum_basis
 from conftest import random_fd_rep
-from oracles import hom_dim_brute, iso_by_pair_search
+from oracles import (hom_dim_brute, hom_routes, iso_by_pair_search,
+                     route_basis)
 from test_periodicity import QUIVERS, objects
 
 
@@ -89,7 +90,7 @@ def test_hom_dims_match_oracle(a3, kron):
 def test_routes_agree(a3, line, ray_in, ladder):
     m = simple_at(a3, 2)
     n = injective_at(a3, 2)
-    dims = {r: len(hom_space(m, n, route=r).basis)
+    dims = {r: len(route_basis(m, n, r)[0])
             for r in ("presentation", "copresentation", "window")}
     assert len(set(dims.values())) == 1
     # fc codomains on infinite quivers: the copresentation route (the
@@ -103,14 +104,13 @@ def test_routes_agree(a3, line, ray_in, ladder):
                 for make in (projective_at, injective_at, simple_at):
                     for mv in verts:
                         m = make(q, mv, field)
-                        cop = hom_space(m, n, route="copresentation")
-                        routes = cop.certificate["routes_available"]
-                        assert "copresentation" in routes
-                        assert {len(hom_space(m, n, route=r).basis)
-                                for r in routes} == {cop.dimension}
-                        assert len(cop.basis) == cop.dimension
-                        for f in cop.basis:
-                            assert naturality_defect(f, cop.window)
+                        bases = {r: route_basis(m, n, r)[0]
+                                 for r in hom_routes(m, n)}
+                        hb = hom_space(m, n)
+                        assert set(map(len, bases.values())) == \
+                            {hb.dimension}
+                        for f in bases["copresentation"]:
+                            assert naturality_defect(f, hb.window)
 
 
 def test_hom_window_is_built_only_when_read(a3, monkeypatch):
@@ -259,7 +259,7 @@ def test_window_route_budget_failure_names_dims_and_depth(line, monkeypatch):
     message = (f"window Hom dimension {dims[0]} at pad 2 and {dims[1]} at "
                f"pad 3, window depth {depth}: ")
     with pytest.raises(AssertionError, match=message):
-        hom_space(m, m, route="window").basis
+        route_basis(m, m, "window")
     with pytest.raises(AssertionError, match=message):
         hom_space(m, m).dimension
 
@@ -380,20 +380,21 @@ def test_presentation_route_is_yoneda_through_the_cover(line, ray_out,
                 for nk in (projective_at, injective_at, simple_at):
                     for nv in verts:
                         n = nk(q, nv, F)
-                        hb = hom_space(m, n, route="presentation")
-                        for v in hb.window:
+                        basis, _ = route_basis(m, n, "presentation")
+                        window = joint_window((m, n))[0]
+                        for v in window:
                             cover = pres.cover.component(v)
                             assert cover.mul(pres.section(v)).entries == \
                                 Mat.identity(F, m.dim(v)).entries
-                        for f in hb.basis:
+                        for f in basis:
                             images = [f.component(y).mul(_generator(pres, j))
                                       for j, y in enumerate(ys)]
                             fhat = yoneda(n, ys, images)
-                            for v in hb.window:
+                            for v in window:
                                 assert f.component(v).mul(
                                     pres.cover.component(v)).entries == \
                                     fhat.component(v).entries
-                            assert naturality_defect(f, hb.window)
+                            assert naturality_defect(f, window)
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +437,24 @@ def test_iso_test_pairs_summands(a3, monkeypatch):
     assert dim_vector(other, (1, 2, 3)) == dim_vector(m, (1, 2, 3)) == (1, 2, 1)
     assert iso_test(m, other) is None
     assert reports[2:] == [m, other]
+
+
+def test_iso_test_fails_to_pair_summands_of_the_same_dims(kron):
+    """R_0 + R_1 and R_0 + R_0 on Kronecker, R_t = (alpha = 1, beta = t):
+    both have dims (2, 2) and two summands, but R_1 meets no unused R_0;
+    R_0 + R_1 and R_1 + R_0 pair up, into an isomorphism and its inverse."""
+    def r(t):
+        return explicit_fd(kron, {1: 1, 2: 1}, {
+            "alpha": Mat.from_rows(QQ, [[1]]),
+            "beta": Mat.from_rows(QQ, [[t]])})
+
+    r0, r1 = r(0), r(1)
+    assert iso_test(direct_sum(r0, r1), direct_sum(r0, r0)) is None
+    m, n = direct_sum(r0, r1), direct_sum(r1, r0)
+    f, g = iso_test(m, n)
+    for v in joint_window((m, n))[0]:
+        assert f.then(g).component(v) == identity_morphism(m).component(v)
+        assert g.then(f).component(v) == identity_morphism(n).component(v)
 
 
 def test_decompose_sum(a3):

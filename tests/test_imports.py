@@ -430,9 +430,10 @@ def test_only_linalg_names_fraction(path):
 
 
 # the classes src/ may raise: cli.main maps ValueError (ParseError and
-# EvalRangeError among them) and KeyError to exit 1 and AssertionError to
-# exit 3; the other four mark a programming error of the caller, such as
-# a store to a field of a frozen record (AttributeError)
+# EvalRangeError among them) to exit 1 and every other exception, KeyError
+# and AssertionError among them, to exit 3; the other four mark a
+# programming error of the caller, such as a store to a field of a frozen
+# record (AttributeError)
 RAISABLE = {"ValueError", "ParseError", "EvalRangeError", "KeyError",
             "AssertionError", "NotImplementedError", "TypeError",
             "ZeroDivisionError", "AttributeError"}

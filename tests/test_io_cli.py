@@ -696,6 +696,23 @@ def test_cli_hom_exits_3_when_the_count_and_the_basis_disagree(monkeypatch):
                    "complex, but 1 basis morphisms on the presentation route\n")
 
 
+@pytest.mark.parametrize("fault, shown", [
+    (KeyError("x"), "KeyError: 'x'"), (IndexError("x"), "IndexError: x")],
+    ids=["KeyError", "IndexError"])
+def test_cli_exits_3_on_an_engine_fault_other_than_a_value_error(
+        monkeypatch, fault, shown):
+    # a stray lookup error in engine code is the engine's fault, not the
+    # input's: exit 3 and one line naming the exception, no traceback
+    def broken(m):
+        raise fault
+
+    monkeypatch.setattr(hom_mod, "rank", broken)
+    code, out, err = run_cli(["hom", "--quiver", A3,
+                              "--src", '{"proj":"2"}', "--dst", '{"inj":"2"}'])
+    assert (code, out) == (3, "")
+    assert err == f"arknit: internal error: {shown}\n"
+
+
 def test_cli_hom_on_the_window_route_reads_each_window_once(monkeypatch):
     # the count, the printed window and the window route's basis share one
     # pad-2 window and one pad-3 count

@@ -17,6 +17,7 @@ import arknit as ak
 import arknit.presentations as presentations
 import arknit.rep as rep
 from arknit.quiver import FiniteQuiver
+from oracles import route_basis
 
 
 def test_presentations_are_memoized_per_object(a3):
@@ -126,9 +127,9 @@ def test_dual_is_one_instance_per_object(a3, monkeypatch):
 
     monkeypatch.setattr(presentations, "_min_proj_presentation", counting)
     cop = ak.min_inj_copresentation(m)
-    hb = ak.hom_space(ak.simple_at(a3, 2), m, route="copresentation")
-    assert hb.dimension == 1
-    assert hb.certificate["socle"] == list(cop.pm.domain)
+    basis, socle = route_basis(ak.simple_at(a3, 2), m, "copresentation")
+    assert len(basis) == 1
+    assert socle == tuple(cop.pm.domain)
     assert presented == [ak.dualize(m)]
 
 
@@ -153,7 +154,7 @@ def test_a_dropped_quiver_is_freed_with_its_memo_at_once(build, x, y):
     last reference going frees the quiver and its bases at once."""
     q = build()
     assert q.reaches(x, y) and q.paths_between(x, y)
-    q.succ_closure([x]), q.pred_closure([y]), q.ends(), q.out_arrows(x)
+    q.succ_closure(x), q.pred_closure(y), q.ends(), q.out_arrows(x)
     gone = weakref.ref(q)
     was_enabled = gc.isenabled()
     gc.disable()

@@ -74,8 +74,8 @@ def describe_preset(q, depth=DEPTH) -> list:
                    f"parse={_parse(q, s)}")
         out.append(f"  out {_arrows(q, q.out_arrows(v))} "
                    f"in {_arrows(q, q.in_arrows(v))}")
-        out.append(f"  succ {q.succ_closure([v]).describe()} "
-                   f"pred {q.pred_closure([v]).describe()}")
+        out.append(f"  succ {q.succ_closure(v).describe()} "
+                   f"pred {q.pred_closure(v).describe()}")
         out.append("  reaches " + "".join(
             "1" if q.reaches(v, w) else "0" for w in verts))
     for s in BAD_VERTEX_STRINGS:
@@ -121,7 +121,7 @@ def check_closures(q, v, window):
     window = set(window)
     down = bfs(q, v, window)
     up = {w for w in window if v in bfs(q, w, window)}
-    succ, pred = q.succ_closure([v]), q.pred_closure([v])
+    succ, pred = q.succ_closure(v), q.pred_closure(v)
     for w in window:
         assert q.reaches(v, w) == succ.contains(w) == (w in down), (v, w)
         assert q.reaches(w, v) == pred.contains(w) == (w in up), (w, v)

@@ -58,9 +58,9 @@ def test_finite_quiver_rejects_cycles():
 
 
 def test_closures_on_a3(a3):
-    pred = a3.pred_closure([2])
+    pred = a3.pred_closure(2)
     assert sorted(pred.members()) == [1, 2]
-    succ = a3.succ_closure([2])
+    succ = a3.succ_closure(2)
     assert sorted(succ.members()) == [2, 3]
 
 
