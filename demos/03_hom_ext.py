@@ -2,10 +2,9 @@
 Hom spaces, extensions and Baer sums
 ====================================
 
-Hom is built on one of three routes, which the two objects fix: through a
-projective presentation of an fd or finitely presented domain, else through
-an injective co-presentation of an fd or finitely copresented codomain, else
-by solving naturality equations on a certified window.
+Hom is built on one of two routes, which the domain fixes: through a
+projective presentation of an fd or finitely presented domain, else by
+solving naturality equations on a certified window.
 """
 
 from arknit import (
@@ -30,9 +29,10 @@ kron = parse_quiver({"preset": "kronecker"})
 h = hom_space(projective_at(a3, 2), injective_at(a3, 2))
 print("Hom(P_2, I_2): dim", h.dimension, "via", h.route)
 
-# The objects fix the route.  On the line (arrows n+1 -> n), I_0 is
+# The domain fixes the route.  On the line (arrows n+1 -> n), I_0 is
 # finitely copresented but not finitely presented, and the thin object that
-# is k at every vertex is neither, so these three pairs take three routes.
+# is k at every vertex is neither, so only the first of these three pairs
+# is built from a presentation.
 line = parse_quiver({"preset": "line"})
 i0 = injective_at(line, 0)
 k = thin_rep(line, VertexSet.make(line, (), [("neg", "v", 0),

@@ -1,23 +1,21 @@
 """Hom spaces, endomorphism algebras, isomorphism testing, decomposition.
 
-One count and three finite routes to a basis of Hom(M, N).  The dimension
+One count and two finite routes to a basis of Hom(M, N).  The dimension
 is d.cols - rank(d) for the arrow complex d of ext.py, with no basis built,
 on the joint window at pad 2, exact for the reason below, and checked at
 pad 3 unless M is fd: a natural map out of fd M vanishes off supp M, which
-the window holds with the arrows out of it into supp N.  The two objects
-fix the route, the first of these that applies.  It builds its basis when
-the basis is first read, and an object whose count and basis are both read
-checks that they agree (a mismatch is an engine bug, AssertionError):
+the window holds with the arrows out of it into supp N.  The source fixes
+the route.  It builds its basis when the basis is first read, and an
+object whose count and basis are both read checks that they agree (a
+mismatch is an engine bug, AssertionError):
   presentation    M fd or finitely presented: generator images that the
                   relations of M kill, each read as the Yoneda map of the
                   images through a section of the cover.
-  copresentation  N fd or finitely copresented: the presentation route on
-                  the duals, Hom(M, N) = Hom(DN, DM) over the opposite
-                  quiver, transposed back.
-  window          both objects certified: the kernel of the arrow complex on
-                  the joint window at pad 2 (solve_natural, the one window
-                  kernel, which the almost split battery of ar.py also
-                  reads), each map carrying the depth of that window.
+  window          any other M, both objects certified: the kernel of the
+                  arrow complex on the joint window at pad 2 (solve_natural,
+                  the one window kernel, which the almost split battery of
+                  ar.py also reads), each map carrying the depth of that
+                  window.
 
 The window is exact.  Past the stable depth every nonzero ray of an object
 in rrep has an invertible transition and every crossing map is zero (else
@@ -27,16 +25,17 @@ pad p + 1 to pad p is bijective for every p >= 0, and one rank at pad 3
 checks that contract (a mismatch is an engine bug, AssertionError).  This
 is also why morphism_from_components carries window components along rays.
 
-So the window alone would serve every pair, but its dense elimination is
-far slower on long chains, and each builder stays: in process on one Xeon
-core, the basis of Hom(I(1000), P(1)) on linear n = 1000 took 1.4 s by
-presentation and 33 s on the window, that of Hom(I(-400), I(-400)) on line
-1.1 s by copresentation and 16 s on the window.
+So the window alone serves every pair, and its kernel back-substitutes
+through the forward elimination: in process on a 2-vCPU Xeon VM, the basis
+of Hom(I(1000), P(1)) on linear n = 1000 took 0.2-0.3 s on the window and
+1.5-2.6 s by presentation, that of Hom(I(-400), I(-400)) on line 0.18 s.
+The presentation route stays because the CLI hom verb prints its route and
+Yoneda basis, which the benchmark pins.
 
-All routes return morphisms defined everywhere, each one rule, so bases
-from different routes can be compared and composed freely.  Each
-route's anchor (generators, socle, window) fixes its basis, so End
-coordinates are solved there; a summand eM has End(eM) = e·End(M)·e.
+Both routes return morphisms defined everywhere, each one rule, so bases
+from either can be compared and composed freely.  Each route's anchor
+(generators, window) fixes its basis, so End coordinates are solved there;
+a summand eM has End(eM) = e·End(M)·e.
 """
 from __future__ import annotations
 
@@ -49,8 +48,7 @@ from .morphism import (Morphism, identity_morphism, image,
 from .presentations import min_proj_presentation, relation_matrix, yoneda_at
 from .quiver import vkey
 from .record import Record
-from .rep import (Rep, classify_membership, dim_vector, dualize, joint_window,
-                  same_ambient)
+from .rep import Rep, classify_membership, dim_vector, joint_window, same_ambient
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +118,6 @@ class HomBasis(CountedBasis):
         m, n = self.src, self.dst
         if self.route == "presentation":
             return _presentation_route(m, n)
-        if self.route == "copresentation":
-            return _copresentation_route(m, n)
         hom = solve_natural(m, n, self.window)
         self._check_pad3(len(hom))
         return tuple(morphism_from_components(m, n, comps, f"h{i}")
@@ -154,13 +150,6 @@ def _presentation_route(m: Rep, n: Rep):
     return tuple(basis), tuple(dict.fromkeys(ys))
 
 
-def _copresentation_route(m: Rep, n: Rep):
-    """Hom(M, N) = Hom(DN, DM) over the opposite quiver, where DN is finitely
-    presented; each basis morphism is D of its dual."""
-    dual, socle = _presentation_route(dualize(n), dualize(m))
-    return tuple(g.dual for g in dual), socle
-
-
 def hom_space(m: Rep, n: Rep) -> HomBasis:
     """Hom(m, n) on the first route of the module docstring that applies."""
     same_ambient(m, n, "hom_space objects")
@@ -171,7 +160,6 @@ def hom_space(m: Rep, n: Rep) -> HomBasis:
             raise ValueError(
                 f"hom_space needs finite-data objects; {which} is {c.verdict}")
     return HomBasis(m, n, "presentation" if certm.verdict in ("fd", "fp")
-                    else "copresentation" if certn.verdict in ("fd", "fc")
                     else "window")
 
 

@@ -2,8 +2,9 @@
 
 A Mat is a value: slotted, compared and hashed by (field, rows, cols, entries)
 and never stored to after __init__ (tests/test_imports.py lints this), so it
-can live in hashable representation nodes.  Everything is deterministic: kernel
-and cokernel bases come from reduced echelon forms, never randomized pivoting.
+can live in hashable representation nodes.  Everything is deterministic, with
+no randomized pivoting: kernel and cokernel bases are those read off the
+reduced echelon form, back-substituted through the forward elimination.
 
 Every scalar has one canonical form.  Over GF(p) it is an int in [0, p).
 Over Q it is an int when it is integral and otherwise a Fraction with
@@ -14,6 +15,7 @@ does not show in equality, hashing or output.
 from __future__ import annotations
 
 import operator
+from bisect import bisect
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -313,19 +315,31 @@ def rank(m: Mat) -> int:
 
 def _null_rows(m: Mat):
     """(rows, free): the canonical null-space basis of m as rows, the row for
-    free column f of rref(m) being 1 at f and -R[i][f] at the i-th pivot."""
-    F = m.field
-    R, pivots = rref(m)
-    pivset = set(pivots)
-    free = tuple(c for c in range(m.cols) if c not in pivset)
-    rows = []
+    free column f being 1 at f, 0 at the other free columns and rref's
+    -R[i][f] at each pivot, back-substituted through the forward elimination
+    from the last pivot left of f up (an rref fills a bidiagonal m in), over
+    Q as integers w over one denominator d, divided out once."""
+    p = m.field.char
+    rows, pivots = _eliminate(m, False)
+    free = tuple(sorted(set(range(m.cols)).difference(pivots)))
+    # each pivot row as (pivot column, pivot, its nonzeros right of the pivot)
+    tails = [(pc, row[pc], [(j, x) for j, x in enumerate(row) if x and j > pc])
+             for pc, row in zip(pivots, rows)]
+    out = []
     for fc in free:
-        v = [F.zero] * m.cols
-        v[fc] = F.one
-        for i, pc in enumerate(pivots):
-            v[pc] = F.neg(R.entries[i][fc])
-        rows.append(tuple(v))
-    return tuple(rows), free
+        w, d = [0] * m.cols, 1
+        w[fc] = 1
+        for pc, a, tail in reversed(tails[:bisect(pivots, fc)]):
+            s = sum([x * w[j] for j, x in tail])
+            if s and p:  # over GF(p) the pivot is 1
+                w[pc] = -s % p
+            elif s:
+                f = abs(a) // gcd(s, a)
+                if f > 1:
+                    w, d, s = [x * f for x in w], d * f, s * f
+                w[pc] = -s // a
+        out.append(tuple(w) if d == 1 else tuple(_frac(x, d) for x in w))
+    return tuple(out), free
 
 
 def kernel_span(m: Mat):

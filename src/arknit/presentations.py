@@ -69,7 +69,7 @@ def top_generators(m: Rep, region):
     row r of the cokernel of m's incoming stack at v, naming the basis
     vector e_r of m(v)."""
     return [(v, r) for v in sorted(region, key=vkey)
-            for r in coker_projection(incoming_stack(m, v)[0])[1]]
+            for r in coker_projection(incoming_stack(m, v))[1]]
 
 
 def _site(q, v) -> str:
@@ -83,7 +83,7 @@ def check_vanishing(m: Rep, verts):
     """AssertionError at the first of verts, named by _site, where the
     kernel of m's incoming stack, the top of its relations, is nonzero."""
     for v in verts:
-        inc, _ = incoming_stack(m, v)
+        inc = incoming_stack(m, v)
         if rank(inc) != inc.cols:
             raise AssertionError(
                 f"nonzero relations at {_site(m.quiver, v)}, past the "
@@ -146,7 +146,7 @@ def _min_proj_presentation(x: Rep) -> Presentation:
     # stack has a kernel: each is a column of K's basis, inside P0(w)
     counts = {}
     for w in set(region).union(a.dst for v in region for a in q.out_arrows(v)):
-        inc, _ = incoming_stack(x, w)
+        inc = incoming_stack(x, w)
         n = inc.cols - rank(inc)
         if n:
             counts[w] = n

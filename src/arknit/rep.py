@@ -778,13 +778,12 @@ def equal_on(m1: Rep, m2: Rep, verts) -> bool:
         for a in m1.quiver.arrows_within(vs))
 
 
-def incoming_stack(m: Rep, v):
-    """(hstack of M(α) over incoming α, ordered arrow list); rows = dim(v)."""
+def incoming_stack(m: Rep, v) -> Mat:
+    """The hstack of M(α) over the sorted incoming arrows α; rows = dim(v)."""
     arrows = sorted(m.quiver.in_arrows(v))
     mats = [m.mat(a).entries for a in arrows]
     rows = tuple(sum(r, ()) for r in zip(*mats)) if mats else ((),) * m.dim(v)
-    return Mat(m.field, m.dim(v), sum(m.dim(a.src) for a in arrows), rows), \
-        arrows
+    return Mat(m.field, m.dim(v), sum(m.dim(a.src) for a in arrows), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -802,12 +801,11 @@ class RayProfile(Record):
 
 
 class CrossingProfile(Record):
-    __slots__ = _fields = ("eid", "cid", "cutoff", "mat", "nonzero")
+    __slots__ = _fields = ("eid", "cid", "cutoff", "nonzero")
 
-    def __init__(self, eid: str, cid: str, cutoff: int, mat: Mat,
-                 nonzero: bool):
-        self.eid, self.cid, self.cutoff = eid, cid, cutoff
-        self.mat, self.nonzero = mat, nonzero
+    def __init__(self, eid: str, cid: str, cutoff: int, nonzero: bool):
+        self.eid, self.cid, self.cutoff, self.nonzero = \
+            eid, cid, cutoff, nonzero
 
 
 class EndProfile(Record):
@@ -867,11 +865,10 @@ def end_profile(m: Rep, end) -> EndProfile:
         else:
             status = "other"
         rays.append(RayProfile(end.eid, r.rid, r.kind, cutoff, d, tm, status))
-    crossings = []
-    for (cid, _, _) in end.crossings:
-        cm = m.mat(end.crossing_arrow(cid, cutoff))
-        crossings.append(CrossingProfile(end.eid, cid, cutoff, cm, not cm.is_zero()))
-    return EndProfile(end.eid, cutoff, tuple(rays), tuple(crossings))
+    crossings = tuple(CrossingProfile(
+        end.eid, cid, cutoff, not m.mat(end.crossing_arrow(cid, cutoff)).is_zero())
+        for (cid, _, _) in end.crossings)
+    return EndProfile(end.eid, cutoff, tuple(rays), crossings)
 
 
 class RepClassCertificate(Frozen):

@@ -9,28 +9,30 @@ by a search over isomorphism tests, a second route through the package's
 Hom layer that the presentation reading in ar.py does not take.  The
 section after it reads Ext off a minimal projective presentation, a route
 that ext.py does not take.  The next builds a Hom basis on a route named by
-the caller, where hom_space reads the route off the two objects.  The last
-section keeps constructions that the package replaced, as references:
-the arrow maps of P_a read off an index of whole arrow tuples,
-injectives built over q by stripping the first arrow of a path, the
-isomorphism test that searched pairs of basis maps, the cokernel
-evaluated on its own, before it was read as D of a kernel, Mat, Arrow and
-the 25 records as the dataclasses they were before they were slotted, and
-knit's steps at P_a and I_a as they were computed before knit read them off
-the arrows at a, and its P_a and I_a flags as they were read before knit's
-translate table ruled them out.
+the caller, where hom_space reads the route off the two objects, and
+builds the copresentation route, the presentation route on the duals,
+which hom_space no longer takes.  The last section keeps constructions
+that the package replaced, as references: the null-space rows read off
+the reduced echelon form, the arrow maps of P_a read off an index of
+whole arrow tuples, injectives built over q by stripping the first arrow
+of a path, the isomorphism test that searched pairs of basis maps, the
+cokernel evaluated on its own, before it was read as D of a kernel, Mat,
+Arrow and the 25 records as the dataclasses they were before they were
+slotted, and knit's steps at P_a and I_a as they were computed before knit
+read them off the arrows at a, and its P_a and I_a flags as they were read
+before knit's translate table ruled them out.
 """
 from dataclasses import dataclass, field as dc_field, make_dataclass
 from fractions import Fraction
 
 from arknit import (Mat, classify_membership, decompose, dim_vector,
-                    hom_space, injective_at, min_proj_presentation,
+                    dualize, hom_space, injective_at, min_proj_presentation,
                     minimal_left_almost_split_from,
                     minimal_right_almost_split_into, projective_at)
 from arknit.ar import standard_vertex
 from arknit.hom import (HomBasis, _iso_indec, _pointwise_inverse,
                         joint_window)
-from arknit.linalg import coker_projection, rank
+from arknit.linalg import coker_projection, rank, rref
 from arknit.presentations import relation_matrix
 from arknit.quiver import vkey
 
@@ -323,24 +325,57 @@ def ext_dim_via_presentation(x, y):
 
 
 def hom_routes(m, n) -> list:
-    """The routes that can build Hom(m, n), in the order hom_space tries
-    them: presentation for an fd or fp source, copresentation for an fd or
-    fc target, and the window always."""
+    """The routes that route_basis builds Hom(m, n) on: presentation for an
+    fd or fp source, copresentation for an fd or fc target, and the window
+    always.  hom_space takes presentation where it applies, else the
+    window."""
     vm, vn = classify_membership(m).verdict, classify_membership(n).verdict
     return [r for r, ok in (("presentation", vm in ("fd", "fp")),
                             ("copresentation", vn in ("fd", "fc")),
                             ("window", True)) if ok]
 
 
+def copresentation_route(m, n):
+    """(basis, socle) of Hom(M, N) = Hom(DN, DM) over the opposite quiver,
+    for N fd or fc, so that DN is finitely presented: each basis morphism
+    is D of one on the presentation route of the duals."""
+    dual, socle = HomBasis(dualize(n), dualize(m), "presentation")._build()
+    return tuple(g.dual for g in dual), socle
+
+
 def route_basis(m, n, route):
     """(basis, anchor) of Hom(m, n) built on the named route, whichever route
     hom_space takes; no count is read, so a test can hold three bases built
-    independently against the arrow-complex count."""
+    independently against the arrow-complex count.  A name that is not one
+    of the three routes is refused, so no test reads a second window basis
+    under another name."""
+    if route == "copresentation":
+        return copresentation_route(m, n)
+    if route not in ("presentation", "window"):
+        raise ValueError(f"no Hom route named {route!r}")
     return HomBasis(m, n, route)._build()
 
 
 # ---------------------------------------------------------------------------
 # replaced constructions, kept as references
+
+
+def null_rows_by_rref(m):
+    """(rows, free): the canonical null-space basis of m as rows, read off
+    rref(m): the row for free column f is 1 at f and -R[i][f] at the i-th
+    pivot."""
+    F = m.field
+    R, pivots = rref(m)
+    pivset = set(pivots)
+    free = tuple(c for c in range(m.cols) if c not in pivset)
+    rows = []
+    for fc in free:
+        v = [F.zero] * m.cols
+        v[fc] = F.one
+        for i, pc in enumerate(pivots):
+            v[pc] = F.neg(R.entries[i][fc])
+        rows.append(tuple(v))
+    return tuple(rows), free
 
 
 def projective_by_tuple_index(q, F, x, a):
@@ -491,7 +526,7 @@ RECORD_TWINS = {
     "rep.RungFamily": (True, "eid cid start coeff", {}),
     "rep.RayProfile": (False, "eid rid kind cutoff dim transition status",
                        {}),
-    "rep.CrossingProfile": (False, "eid cid cutoff mat nonzero", {}),
+    "rep.CrossingProfile": (False, "eid cid cutoff nonzero", {}),
     "rep.EndProfile": (False, "eid cutoff rays crossings", {}),
     "rep.RepClassCertificate": (True, "verdict witnesses profiles support",
                                 {}),

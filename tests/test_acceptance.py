@@ -419,10 +419,7 @@ def test_criterion_09_hom_route_consistency(a3, a5, kron, zig, line):
         # .dimension is one arrow-complex count on every route, so each
         # route is read by the basis it builds
         d = hom_space(m, n).dimension
-        routes = ["presentation", "window"]
-        if classify_membership(n).verdict in ("fd", "fc"):
-            routes.append("copresentation")
-        for r in routes:
+        for r in hom_routes(m, n):
             assert len(route_basis(m, n, r)[0]) == d, r
         bigger, _ = joint_window((m, n), 3)  # one band past the window route
         assert len(solve_natural(m, n, bigger)) == d
@@ -436,10 +433,10 @@ PIN_VERTICES = {"line": (-1, 0, 1), "ray_out": (0, 1), "ray_in": (0, 1),
 
 
 def test_hom_route_is_read_off_the_two_objects(a3, a5, kron, zig, line):
-    """hom_space(m, n).route is presentation iff m is fd or fp; otherwise
-    copresentation iff n is fd or fc; otherwise window.  Over the pairs of
-    criterion 9, and over the P_a, I_a and thin objects of every preset
-    (one per ray tail, and one on all of them) that are in rrep."""
+    """hom_space(m, n).route is presentation iff m is fd or fp, otherwise
+    window, whatever n is.  Over the pairs of criterion 9, and over the P_a,
+    I_a and thin objects of every preset (one per ray tail, and one on all
+    of them) that are in rrep."""
     pairs = _criterion_09_pairs(a3, a5, kron, zig, line)
     for name, verts in PIN_VERTICES.items():
         q = PRESETS[name]()
@@ -452,10 +449,13 @@ def test_hom_route_is_read_off_the_two_objects(a3, a5, kron, zig, line):
         pairs += [(m, n) for m in objs for n in objs]
     seen = set()
     for m, n in pairs:
-        route = hom_routes(m, n)[0]
+        route = "presentation" if classify_membership(m).verdict in (
+            "fd", "fp") else "window"
         assert hom_space(m, n).route == route, (m.describe(), n.describe())
-        seen.add(route)
-    assert seen == {"presentation", "copresentation", "window"}
+        seen.add((route, classify_membership(n).verdict in ("fd", "fc")))
+    # the window serves fd and fc targets too
+    assert seen == {(r, fc) for r in ("presentation", "window")
+                    for fc in (False, True)}
 
 
 # ---------------------------------------------------------------------------

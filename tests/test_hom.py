@@ -113,6 +113,15 @@ def test_routes_agree(a3, line, ray_in, ladder):
                             assert naturality_defect(f, hb.window)
 
 
+def test_route_basis_refuses_a_route_it_does_not_build(a3):
+    # HomBasis builds the window under any name but presentation, so a
+    # name that is no route must not quietly build a second window basis
+    m, n = simple_at(a3, 2), injective_at(a3, 2)
+    for route in ("Window", "socle", ""):
+        with pytest.raises(ValueError, match="no Hom route named"):
+            route_basis(m, n, route)
+
+
 def test_hom_window_is_built_only_when_read(a3, monkeypatch):
     calls = []
     window = hom.joint_window
@@ -216,7 +225,7 @@ def _end_objects(kron, line, F):
     return [(jordan, "presentation", 2), (s2s2, "presentation", 4),
             (direct_sum(projective_at(line, 0, F), projective_at(line, 1, F)),
              "presentation", 3),
-            (direct_sum(i0, i0), "copresentation", 4),
+            (direct_sum(i0, i0), "window", 4),
             (direct_sum(full, full), "window", 4)]
 
 
@@ -333,9 +342,9 @@ def test_end_radical_is_the_kernel_of_the_trace_form_mod_p(a3, kron, F):
 @pytest.mark.parametrize("F", [QQ, GF(3)], ids=repr)
 def test_end_coordinates_at_the_anchor_are_those_on_the_window(kron, line,
                                                                a3, zig, F):
-    """end_algebra solves at the route's anchor (generators, socle, or the
-    window); its identity, table and radical are those solved on the whole
-    window, on every route."""
+    """end_algebra solves at the route's anchor (generators or the window);
+    its identity, table and radical are those solved on the whole window,
+    on both routes."""
     rng = random.Random(71)
     objects = [m for m, _, _ in _end_objects(kron, line, F)]
     objects += [random_fd_rep(q, rng, verts, field=F)
@@ -350,7 +359,7 @@ def test_end_coordinates_at_the_anchor_are_those_on_the_window(kron, line,
             continue
         assert set(hb.anchor) <= set(hb.window)
         assert (E.identity, E.table, E.radical) == _end_on_window(hb)
-    assert routes == {"presentation", "copresentation", "window"}
+    assert routes == {"presentation", "window"}
 
 
 def _generator(pres, j):

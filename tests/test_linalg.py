@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arknit import linalg
 from arknit.linalg import (GF, QQ, Mat, coker_projection, column_span,
                            inverse, is_invertible, kernel_basis, kernel_span,
                            min_poly, outside_span, rank, rref, solve_matrix)
 
 from arknit.quiver import Arrow
-from oracles import FrozenArrow, FrozenMat, rref_rank
+from oracles import FrozenArrow, FrozenMat, null_rows_by_rref, rref_rank
 
 
 def rmat(rng, rows, cols, field=QQ):
@@ -454,3 +455,62 @@ def test_arrow_value_semantics_match_the_frozen_dataclass(triples):
     _twins_agree(news, olds, lambda a: (a.src, a.dst, a.label))
     as_triples = [(a.src, a.dst, a.label) for a in sorted(news)]
     assert as_triples == [(a.src, a.dst, a.label) for a in sorted(olds)]
+
+
+# ---------------------------------------------------------------------------
+# the kernels back-substitute through the forward elimination: the same
+# canonical bases as the rows read off rref, with no rref called
+
+KERNEL_FIELDS = (QQ, GF(2), GF(3), GF(7))
+
+
+@st.composite
+def kernel_matrices(draw):
+    """Dense or mostly-zero matrices of up to 7 rows and 7 columns, 0 of
+    either included, over Q (ints and fractions) and GF(2), GF(3), GF(7)."""
+    F = draw(st.sampled_from(KERNEL_FIELDS))
+    r, c = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    value = st.integers(1, F.char - 1) if F.char else st.one_of(
+        st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
+    zeros = 4 if draw(st.booleans()) else 1  # mostly zero, or dense
+    entry = st.one_of(*[st.just(0)] * zeros, value)
+    rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                         min_size=r, max_size=r))
+    return Mat(F, r, c, tuple(tuple(F.of(x) for x in row) for row in rows))
+
+
+def _typed(entries):
+    """Entries with their types: an int and an equal Fraction compare equal,
+    and the canonical form is part of what the kernels return."""
+    return [[(type(x), x) for x in row] for row in entries]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kernel_matrices())
+def test_kernels_are_the_rows_read_off_rref(m):
+    F = m.field
+    rows, free = null_rows_by_rref(m)
+    K, kfree = kernel_span(m)
+    assert kfree == free
+    assert _typed(K.entries) == \
+        _typed(Mat.from_columns(F, m.cols, rows).entries)
+    assert _typed(kernel_basis(m).entries) == _typed(K.entries)
+    assert all(x == 0 for row in naive_mul(m, K) for x in row)
+    trows, tfree = null_rows_by_rref(m.transpose())
+    P, pfree = coker_projection(m)
+    assert pfree == tfree and _typed(P.entries) == _typed(trows)
+    assert all(x == 0 for row in naive_mul(P, m) for x in row)
+
+
+def test_kernels_do_not_call_rref(monkeypatch):
+    calls = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real(m))
+    rng = random.Random(5)
+    for F in KERNEL_FIELDS:
+        for rows, cols in ((0, 3), (3, 0), (4, 6), (6, 4)):
+            m = rmat(rng, rows, cols, F)
+            kernel_basis(m), kernel_span(m), coker_projection(m)
+    assert calls == []
+    column_span(m)  # the spy sees a reader of rref
+    assert calls == [m.transpose()]

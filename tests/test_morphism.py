@@ -8,6 +8,7 @@ from arknit import (
     GF,
     QQ,
     EvalRangeError,
+    SES,
     Mat,
     VertexSet,
     classify_membership,
@@ -139,6 +140,19 @@ def test_split_ses_middle_is_sum(a3):
     assert rep["exact"]
     (a12,) = [a for a in a3.out_arrows(1) if a.dst == 2]
     assert ses.middle.mat(a12).is_zero()
+
+
+def test_verify_exact_names_each_failed_condition(a3):
+    # over S(1): identity maps are mono and epi, but their composite is not
+    # zero and 1 + 1 is not dim S(1); zero maps are neither mono nor epi
+    s = simple_at(a3, 1)
+    ident, zero = identity_morphism(s), zero_morphism(s, s)
+    assert verify_exact(SES(s, s, s, ident, ident), (1, 2, 3)) == {
+        "exact": False, "mono": True, "epi": True,
+        "composite_zero": False, "middle_dims": False}
+    assert verify_exact(SES(s, s, s, zero, zero), (1, 2, 3)) == {
+        "exact": False, "mono": False, "epi": False,
+        "composite_zero": True, "middle_dims": False}
 
 
 def test_restriction_ses(a3):

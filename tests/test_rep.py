@@ -301,6 +301,28 @@ def test_ladder_all_rungs_fail_membership(ladder):
     assert any("rung" in w for w in cert.witnesses)
 
 
+class _SingularRayOut(Rep):
+    """dim 2 on all of ray_out, every arrow [[1, 0], [0, 0]]: periodic from
+    depth 0, with a stable transition that is not invertible."""
+
+    def _dim_at(self, v):
+        return 2
+
+    def _mat_at(self, a):
+        return Mat.from_rows(self.field, [[1, 0], [0, 0]])
+
+    def support(self):
+        return VertexSet.make(self.quiver, (), [("inf", "v", 0)])
+
+
+def test_singular_stable_transition_fails_membership(ray_out):
+    cert = classify_membership(_SingularRayOut(ray_out, QQ))
+    assert cert.verdict == "notInRrep"
+    assert cert.witnesses == (
+        "stable transition along ray inf/v is not invertible; the tail "
+        "splits into infinitely many summands",)
+
+
 def test_ladder_single_rung_is_fine(ladder, single_rung_mid):
     assert classify_membership(single_rung_mid).verdict == "rrep"
 
@@ -343,11 +365,10 @@ def test_incoming_stack_is_the_hstack_of_the_incoming_maps(kron, zig, ladder):
               for v in lad]
     for m, verts in cases:
         for v in verts:
-            arrows = sorted(m.quiver.in_arrows(v))
             mat = Mat.zeros(m.field, m.dim(v), 0)
-            for a in arrows:
+            for a in sorted(m.quiver.in_arrows(v)):
                 mat = mat.hstack(m.mat(a))
-            assert incoming_stack(m, v) == (mat, arrows)
+            assert incoming_stack(m, v) == mat
 
 
 class _WideningA(Rep):
