@@ -8,8 +8,8 @@ For objects X (quotient side) and Y (sub side) the complex
 
 has kernel Hom(X, Y) and cokernel Ext(X, Y) (Ringel, LNM 1099).  hom.py
 takes the kernel; here only the cells where both evaluations are nonzero
-contribute to the cokernel.  Its dimension is rows - rank of the transposed
-complex on the joint window, with no basis built.  The class basis and the
+contribute to the cokernel.  Its dimension is rows - rank of the complex
+on the joint window, with no basis built.  The class basis and the
 families are built on first read, on the same window, which each space
 reads once; when the contributing arrow set continues past it (families)
 the basis is flagged window_relative.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .linalg import Mat, coker_projection, rank
+from .linalg import Mat, SparseMat, coker_projection, rank
 from .morphism import SES, glue_ses
 from .record import Record
 from .rep import (GlueRep, Rep, RungFamily, classify_membership, equal_on,
@@ -26,37 +26,45 @@ from .rep import (GlueRep, Rep, RungFamily, classify_membership, equal_on,
 
 
 def arrow_complex(x: Rep, y: Rep, verts, arrows):
-    """(d, offsets): the differential C0 -> C1 on verts and arrows.
+    """(d, offsets): the differential C0 -> C1 on verts and arrows, a
+    SparseMat of its nonzero entries, reduced mod p over GF(p).
 
     Column offsets[v] + r * x.dim(v) + c is entry (r, c) of f_v, for v in
-    verts; row (a, r, c), in the order of arrows, is entry (r, c) of d(f)_a.
-    A vertex outside verts contributes nothing.
+    verts; row (a, r, c), in the order of arrows, is entry (r, c) of d(f)_a,
+    with at most dim Y(src a) + dim X(dst a) nonzeros.  A vertex outside
+    verts contributes nothing; src a != dst a, so the two parts of a row
+    never share a column.
     """
     F = x.field
+    p = F.char
     offsets, total = {}, 0
     for v in verts:
         offsets[v] = total
         total += y.dim(v) * x.dim(v)
     rows = []
     for a in arrows:
-        Ya, Xa = y.mat(a), x.mat(a)
-        sx, dx = x.dim(a.src), x.dim(a.dst)
-        for r in range(Ya.rows):
-            for c in range(sx):
-                row = [F.zero] * total
-                if a.src in offsets:
-                    base = offsets[a.src] + c
-                    for k, val in enumerate(Ya.entries[r]):
-                        if not F.is_zero(val):
-                            row[base + k * sx] = F.add(row[base + k * sx], val)
-                if a.dst in offsets:
-                    base = offsets[a.dst] + r * dx
-                    for k in range(dx):
-                        val = Xa.entries[k][c]
-                        if not F.is_zero(val):
-                            row[base + k] = F.sub(row[base + k], val)
-                rows.append(tuple(row))
-    return Mat(F, len(rows), total, tuple(rows)), offsets
+        sx, ry = x.dim(a.src), y.dim(a.dst)
+        if not (sx and ry):
+            continue  # no rows
+        s, t = offsets.get(a.src), offsets.get(a.dst)
+        dx = x.dim(a.dst)
+        # a part whose vertex is outside verts or 0 there reads no matrix
+        Xa = x.mat(a).entries if t is not None and dx else ()
+        Ya = y.mat(a).entries if s is not None and y.dim(a.src) else ((),) * ry
+        # the nonzeros of -X(a) by column c: (k, entry) meeting f_dst's (r, k)
+        xcols = [[(k, w) for k, xrow in enumerate(Xa) if (w := F.neg(xrow[c]))]
+                 for c in range(sx)]
+        for r, yrow in enumerate(Ya):
+            # the nonzeros of Y(a)'s row r: (k, entry) meeting f_src's (k, c)
+            ys = [(s + k * sx, w) for k, v in enumerate(yrow)
+                  if (w := v % p if p else v)]
+            base = 0 if t is None else t + r * dx
+            for c, xs in enumerate(xcols):
+                row = {j + c: v for j, v in ys}
+                for k, v in xs:
+                    row[base + k] = v
+                rows.append(row)
+    return SparseMat(F, len(rows), total, tuple(rows)), offsets
 
 
 def _arrows_at_depth(q, t) -> list:
@@ -120,7 +128,7 @@ class ExtClassBasis(CountedBasis):
     def _count(self) -> int:
         x, y = self.quot, self.sub
         d, _ = arrow_complex(x, y, *_cells(x, y, self._window[0]))
-        return d.rows - rank(d.transpose())
+        return d.rows - rank(d)
 
     def _build(self) -> tuple:
         """The classes on the cells of the window; families are symbolic

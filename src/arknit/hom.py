@@ -26,9 +26,11 @@ checks that contract (a mismatch is an engine bug, AssertionError).  This
 is also why morphism_from_components carries window components along rays.
 
 So the window alone serves every pair, and its kernel back-substitutes
-through the forward elimination: in process on a 2-vCPU Xeon VM, the basis
-of Hom(I(1000), P(1)) on linear n = 1000 took 0.2-0.3 s on the window and
-1.5-2.6 s by presentation, that of Hom(I(-400), I(-400)) on line 0.18 s.
+through the one sparse forward elimination, which pays for the nonzeros of
+the sparse arrow complex: in process on a 2-vCPU Xeon VM, the basis of
+Hom(I(1000), P(1)) on linear n = 1000 took 0.03-0.05 s on the window
+(1.5-2.6 s by presentation), that of Hom(I(-400), I(-400)) on line
+0.02-0.03 s.
 The presentation route stays because the CLI hom verb prints its route and
 Yoneda basis, which the benchmark pins.
 

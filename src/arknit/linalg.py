@@ -1,10 +1,13 @@
-"""Exact dense linear algebra over Q and over prime fields.
+"""Exact linear algebra over Q and over prime fields.
 
-A Mat is a value: slotted, compared and hashed by (field, rows, cols, entries)
-and never stored to after __init__ (tests/test_imports.py lints this), so it
-can live in hashable representation nodes.  Everything is deterministic, with
-no randomized pivoting: kernel and cokernel bases are those read off the
-reduced echelon form, back-substituted through the forward elimination.
+A Mat is a dense value: slotted, compared and hashed by (field, rows, cols,
+entries) and never stored to after __init__ (tests/test_imports.py lints
+this), so it can live in hashable representation nodes.  A SparseMat, such
+as ext.py's arrow complex, keeps only its nonzeros.  rank, rref, the kernels
+and outside_span read the one elimination, on the sparse integer rows that
+both give (sparse_rows), so a step costs the nonzeros it combines.  Kernel
+and cokernel bases are those read off the reduced echelon form,
+back-substituted through the forward elimination; no pivoting is random.
 
 Every scalar has one canonical form.  Over GF(p) it is an int in [0, p).
 Over Q it is an int when it is integral and otherwise a Fraction with
@@ -192,6 +195,47 @@ class Mat(Record):
             raise ValueError("col mismatch in vstack")
         return Mat(self.field, self.rows + other.rows, self.cols, self.entries + other.entries)
 
+    def sparse_rows(self) -> list:
+        """Fresh dicts column -> int of the nonzeros of each row: over GF(p)
+        reduced mod p (a Mat checks nothing), over Q scaled to integers."""
+        p = self.field.char
+        if p:
+            return [{j: x % p for j, x in enumerate(r) if x % p}
+                    for r in self.entries]
+        return [{j: x for j, x in enumerate(_int_row(r)[0]) if x}
+                for r in self.entries]
+
+
+class SparseMat:
+    """A matrix over a Field kept as its nonzeros, one dict column -> entry
+    per row, each entry canonical and nonzero.  Not a value: it is built
+    to be eliminated (rank, kernels, cokernels) without being made dense."""
+
+    __slots__ = ("field", "rows", "cols", "nonzeros")
+
+    def __init__(self, field: Field, rows: int, cols: int, nonzeros: tuple):
+        self.field = field
+        self.rows = rows
+        self.cols = cols
+        self.nonzeros = nonzeros
+
+    def sparse_rows(self) -> list:
+        """Fresh dicts column -> int, as Mat.sparse_rows, but over Q each
+        row scaled by the one common denominator of all the entries."""
+        d = 1 if self.field.char else lcm(
+            *[x.denominator for r in self.nonzeros for x in r.values()])
+        if d == 1:
+            return [dict(r) for r in self.nonzeros]
+        return [{j: x.numerator * (d // x.denominator) for j, x in r.items()}
+                for r in self.nonzeros]
+
+    def transpose(self) -> "SparseMat":
+        cols = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self.nonzeros):
+            for j, x in r.items():
+                cols[j][i] = x
+        return SparseMat(self.field, self.cols, self.rows, tuple(cols))
+
 
 def _int_row(row):
     """(ints, d) with row == ints / d: a row of rationals over one
@@ -236,84 +280,92 @@ def block_matrix(field: Field, blocks: Sequence[Sequence[Optional[Mat]]],
     return Mat(field, sum(row_dims), sum(col_dims), tuple(rows))
 
 
-def _eliminate(m: Mat, full: bool):
-    """(rows, pivots): Gaussian elimination of m on plain int rows, each
-    pivot column cleared below its pivot and, when full, above it too.
+def _eliminate(m, full: bool):
+    """(rows, pivots): one forward elimination of m.sparse_rows(), each
+    pivot row as (pivot, its other nonzeros as a dict column -> int), in
+    the order of the pivot columns, and, when full, each pivot column
+    cleared above its pivot too.
 
-    Over GF(p) the input is reduced mod p first (a Mat checks nothing, so an
-    entry may be any int) and so is each step, and each pivot is scaled to 1.
-    Over Q each row is scaled to integers, rows are combined by integer
-    cross-multiplication and each combined row is divided by the gcd of its
-    entries.
+    Each row is reduced at its leading column until it starts a new pivot
+    or vanishes, so a step costs the nonzeros of the two rows it combines.
+    Over GF(p) every step is reduced mod p and each pivot is scaled to 1.
     """
     p = m.field.char
-    if p:
-        rows = [[x % p for x in r] for r in m.entries]
-    else:
-        rows = [_int_row(r)[0] for r in m.entries]
-    nrows = m.rows
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r]
-        a = piv[c]
-        if p and a != 1:
-            inv = pow(a, p - 2, p)
-            piv = rows[r] = [x * inv % p for x in piv]
-        for i in range(0 if full else r + 1, nrows):
-            row = rows[i]
-            f = row[c]
-            if not f or i == r:
+    at = {}  # pivot column -> (pivot, tail)
+    for row in m.sparse_rows():
+        while row:
+            c = min(row)
+            f = row.pop(c)
+            if c in at:
+                row = _combine(row, f, at[c], p)
                 continue
-            if p:
-                rows[i] = [(x - f * y) % p for x, y in zip(row, piv)]
-            else:
-                g = gcd(a, f)
-                ag, fg = a // g, f // g
-                row = [ag * x - fg * y for x, y in zip(row, piv)]
-                g = gcd(*row)
-                rows[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+            if p and f != 1:
+                inv = pow(f, p - 2, p)
+                f, row = 1, {j: x * inv % p for j, x in row.items()}
+            at[c] = f, row
             break
-    return rows, tuple(pivots)
+    pivots = sorted(at)
+    for k in range(len(pivots) - 1, 0, -1) if full else ():
+        c = pivots[k]
+        for b in pivots[:k]:
+            a, row = at[b]
+            if c in row:
+                f = row.pop(c)
+                row[b] = a
+                row = _combine(row, f, at[c], p)
+                at[b] = row.pop(b), row
+    return [at[c] for c in pivots], tuple(pivots)
 
 
-def rref(m: Mat):
-    """Reduced row echelon form.  Returns (R, pivot_cols).
+def _combine(row: dict, f: int, piv: tuple, p: int) -> dict:
+    """row minus f / a times the pivot row piv = (a, tail), where row's
+    entry f at the pivot column is already taken out; over Q by integer
+    cross-multiplication, the result divided by the gcd of its entries."""
+    a, tail = piv
+    if a != 1:  # over GF(p) the pivot is 1
+        g = gcd(a, f)
+        if a != g:
+            row = {j: a // g * x for j, x in row.items()}
+        f //= g
+    for j, y in tail.items():
+        x = row.get(j, 0) - f * y
+        if p:
+            x %= p
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+    g = 0 if p else gcd(*row.values())
+    return {j: x // g for j, x in row.items()} if g > 1 else row
+
+
+def rref(m):
+    """Reduced row echelon form of a Mat or SparseMat, a dense Mat.
+    Returns (R, pivot_cols).
 
     A pivot row over Q is divided by its pivot only when R is built, and
     each entry of R is in canonical form (an int when integral).
     """
     rows, pivots = _eliminate(m, True)
-    if m.field.char:
-        out = tuple(tuple(row) for row in rows)
-    else:
-        out = []
-        for i, row in enumerate(rows):
-            if i >= len(pivots):
-                out.append((0,) * m.cols)
-                continue
-            d = row[pivots[i]]
-            out.append(tuple(row) if d == 1 else
-                       tuple(_frac(x, d) for x in row))
-        out = tuple(out)
-    return Mat(m.field, m.rows, m.cols, out), pivots
+    out = []
+    for (a, tail), c in zip(rows, pivots):
+        dense = [0] * m.cols
+        dense[c] = 1
+        for j, x in tail.items():
+            dense[j] = x if a == 1 else _frac(x, a)
+        out.append(tuple(dense))
+    out += [(0,) * m.cols] * (m.rows - len(pivots))
+    return Mat(m.field, m.rows, m.cols, tuple(out)), pivots
 
 
-def rank(m: Mat) -> int:
-    """The number of pivots, by forward elimination only: clearing above
-    each pivot as rref does costs up to a factor of the row count more (a
-    bidiagonal matrix fills in above its pivots) and changes no pivot."""
+def rank(m) -> int:
+    """The number of pivots of a Mat or SparseMat, by forward elimination
+    only: clearing above each pivot as rref does fills a bidiagonal matrix
+    in above its pivots and changes no pivot."""
     return len(_eliminate(m, False)[1])
 
 
-def _null_rows(m: Mat):
+def _null_rows(m):
     """(rows, free): the canonical null-space basis of m as rows, the row for
     free column f being 1 at f, 0 at the other free columns and rref's
     -R[i][f] at each pivot, back-substituted through the forward elimination
@@ -323,8 +375,7 @@ def _null_rows(m: Mat):
     rows, pivots = _eliminate(m, False)
     free = tuple(sorted(set(range(m.cols)).difference(pivots)))
     # each pivot row as (pivot column, pivot, its nonzeros right of the pivot)
-    tails = [(pc, row[pc], [(j, x) for j, x in enumerate(row) if x and j > pc])
-             for pc, row in zip(pivots, rows)]
+    tails = [(pc, a, tail.items()) for pc, (a, tail) in zip(pivots, rows)]
     out = []
     for fc in free:
         w, d = [0] * m.cols, 1
@@ -342,13 +393,13 @@ def _null_rows(m: Mat):
     return tuple(out), free
 
 
-def kernel_span(m: Mat):
+def kernel_span(m):
     """(K, free): the canonical kernel basis, the identity at the free rows."""
     rows, free = _null_rows(m)
     return Mat.from_columns(m.field, m.cols, rows), free
 
 
-def kernel_basis(m: Mat) -> Mat:
+def kernel_basis(m) -> Mat:
     """Columns form the canonical kernel basis (one per free column of rref)."""
     return kernel_span(m)[0]
 
@@ -359,7 +410,7 @@ def column_span(m: Mat):
     return Mat.from_columns(m.field, m.rows, R.entries[:len(pivots)]), pivots
 
 
-def coker_projection(m: Mat):
+def coker_projection(m):
     """Projection onto a canonical complement of the column space.
 
     Returns (P, free_rows) with P*m == 0, P of shape (rows-rank) x rows, and
@@ -383,15 +434,15 @@ def solve_matrix(m: Mat, b: Mat) -> Optional[Mat]:
     return Mat(F, m.cols, b.cols, tuple(x))
 
 
-def outside_span(m: Mat, k: int) -> tuple:
+def outside_span(m, k: int) -> tuple:
     """The indices i of the columns k + i of m outside the span of its first
-    k columns, by one forward elimination: below the pivots that fall in
-    those k columns they are zero, so a later column is in their span
-    exactly when it is zero there too."""
+    k columns, by one forward elimination: the pivot rows right of those k
+    columns are zero in them, so a later column is in their span exactly
+    when it is zero in those rows too."""
     rows, pivots = _eliminate(m, False)
-    r = sum(c < k for c in pivots)
-    return tuple(j - k for j in range(k, m.cols)
-                 if any(row[j] for row in rows[r:]))
+    r = bisect(pivots, k - 1)
+    return tuple(sorted({j - k for c, (_, tail) in zip(pivots[r:], rows[r:])
+                         for j in (c, *tail)}))
 
 
 def inverse(m: Mat) -> Optional[Mat]:

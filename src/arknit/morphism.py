@@ -16,7 +16,7 @@ from .linalg import Mat, inverse, is_invertible, rank, solve_matrix
 from .quiver import Arrow, VertexSet
 from .record import Record
 from .rep import (CokerOfRep, EvalRangeError, GlueRep, ImageRep, KernelOfRep,
-                  Rep, _loc_depth, _ray_transition, dualize, restrict,
+                  Rep, _loc_depth, dualize, restrict,
                   same_ambient, standard_ext_region)
 
 
@@ -138,7 +138,7 @@ def morphism_from_components(src: Rep, dst: Rep, comps: dict,
             if vb in known:
                 f = known[vb]
                 continue
-            a = _ray_transition(q, end, rid, d)
+            a = end.transition(rid, d)
             if a is None:
                 raise EvalRangeError(f"no transition arrow on ray {eid}/{rid}")
             if src.dim(vb) == 0 or dst.dim(vb) == 0:

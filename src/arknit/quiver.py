@@ -42,22 +42,26 @@ def vkey(v):
 
 class Arrow(Record):
     """An arrow src -> dst named label; a value like Mat, hashed once (arrows
-    key every arrow-matrix cache) and sorted by vkey of its ends, then label."""
+    key every arrow-matrix cache) and sorted by vkey of its ends, then label,
+    that sort key computed when first read and then kept with the arrow."""
 
-    __slots__ = ("src", "dst", "label", "_hash")
-    _fields = __slots__[:-1]
+    __slots__ = ("src", "dst", "label", "_hash", "_key")
+    _fields = __slots__[:-2]
 
     def __init__(self, src, dst, label: str):
         self.src = src
         self.dst = dst
         self.label = label
         self._hash = hash((src, dst, label))
+        self._key = None
 
     def __hash__(self):
         return self._hash
 
     def key(self):
-        return (vkey(self.src), vkey(self.dst), self.label)
+        if self._key is None:
+            self._key = (vkey(self.src), vkey(self.dst), self.label)
+        return self._key
 
     def __lt__(self, other):
         return self.key() < other.key()
@@ -126,7 +130,8 @@ class QuiverBase(Frozen):
     def arrows_within(self, verts):
         """The arrows with both ends in verts, sorted."""
         vs = set(verts)
-        return sorted(a for v in vs for a in self.out_arrows(v) if a.dst in vs)
+        return sorted((a for v in vs for a in self.out_arrows(v) if a.dst in vs),
+                      key=Arrow.key)
 
     def opposite(self) -> "QuiverBase":
         if "opposite" not in self._memo:
@@ -268,7 +273,9 @@ class Ray(Frozen):
 
 
 class End:
-    """One periodic infinite direction of a preset quiver."""
+    """One periodic infinite direction of a preset quiver.  What it derives
+    from the arrows at a depth is memoized on the quiver, as arrows and
+    tuples only, so the memo never refers back to the quiver."""
 
     def __init__(self, quiver, eid, rays, crossings=()):
         self.quiver = quiver
@@ -282,9 +289,29 @@ class End:
     def band(self, t):
         return tuple(self.vertex(r.rid, t) for r in self.rays)
 
-    def band_arrows(self, t):
+    def band_arrows(self, t) -> tuple:
         """Arrows with both endpoints inside bands t and t+1."""
-        return self.quiver.arrows_within(self.band(t) + self.band(t + 1))
+        key, memo = ("band", self.eid, t), self.quiver._memo
+        if key not in memo:
+            memo[key] = tuple(self.quiver.arrows_within(
+                self.band(t) + self.band(t + 1)))
+        return memo[key]
+
+    def ray_arrows(self, rid, t) -> tuple:
+        """(vs, arrows, transition): ray rid's vertices at depths t and
+        t + 1, the band arrows at depth t that touch them, and the unique
+        arrow between the two, or None."""
+        key, memo = ("ray", self.eid, rid, t), self.quiver._memo
+        if key not in memo:
+            vs = (self.vertex(rid, t), self.vertex(rid, t + 1))
+            arrows = tuple(a for a in self.band_arrows(t)
+                           if a.src in vs or a.dst in vs)
+            memo[key] = vs, arrows, next(
+                (a for a in arrows if {a.src, a.dst} == set(vs)), None)
+        return memo[key]
+
+    def transition(self, rid, t):
+        return self.ray_arrows(rid, t)[2]
 
     def crossing_arrow(self, cid, t) -> Arrow:
         return self.quiver._crossing_arrow(self.eid, cid, t)
@@ -478,18 +505,27 @@ class PresetQuiver(QuiverBase):
         return self.locate(v) is not None
 
     def locate(self, v):
-        # exact types: a bool is no vertex
+        # exact types first: a bool or a float equals and hashes like an int
+        # vertex, so only a vertex of the exact type may read the memo
+        if not (type(v) is tuple and len(v) == 2 and type(v[0]) is str
+                and type(v[1]) is int if self._tagged else type(v) is int):
+            return None
+        key = ("locate", v)
+        if key not in self._memo:
+            self._memo[key] = self._place(v)
+        return self._memo[key]
+
+    def _place(self, v):
         if self._tagged:
-            if (type(v) is tuple and len(v) == 2 and type(v[1]) is int
-                    and v[1] >= 0):
+            if v[1] >= 0:
                 for eid, rid in self._rays:
                     if rid == v[0]:
                         return (eid, rid, v[1])
-        elif type(v) is int:
-            for eid, rid, slope, offset in self._places:
-                t, r = divmod(v - offset, slope)
-                if not r and t >= 0:
-                    return (eid, rid, t)
+            return None
+        for eid, rid, slope, offset in self._places:
+            t, r = divmod(v - offset, slope)
+            if not r and t >= 0:
+                return (eid, rid, t)
         return None
 
     def _arrow(self, src, dst):

@@ -189,13 +189,14 @@ class Rep:
 
     # -- evaluation --
     def dim(self, v) -> int:
-        try:
-            return self._dims[v]  # a cached vertex was checked on first use
-        except (KeyError, TypeError):
+        try:  # a cached vertex was checked on first use
+            d = self._dims.get(v)
+        except TypeError:  # an unhashable id is no vertex
+            d = None
+        if d is None:
             if not self.quiver.contains(v):
-                raise EvalRangeError(f"vertex {v!r} outside the quiver") \
-                    from None
-        d = self._dims[v] = self._dim_at(v)
+                raise EvalRangeError(f"vertex {v!r} outside the quiver")
+            d = self._dims[v] = self._dim_at(v)
         return d
 
     def mat(self, a: Arrow) -> Mat:
@@ -816,25 +817,12 @@ class EndProfile(Record):
             eid, cutoff, rays, crossings
 
 
-def _ray_transition(q, end, rid, t):
-    """The unique arrow between ray depths t and t+1, or None."""
-    vt, vn = end.vertex(rid, t), end.vertex(rid, t + 1)
-    for a in q.out_arrows(vt):
-        if a.dst == vn:
-            return a
-    for a in q.out_arrows(vn):
-        if a.dst == vt:
-            return a
-    return None
-
-
 def _ray_data(m: Rep, end, rid, t):
     """One ray's band data at depth t: its dims at depths t and t + 1 and
     the matrices of the band arrows that touch them."""
-    vs = (end.vertex(rid, t), end.vertex(rid, t + 1))
+    vs, arrows, _ = end.ray_arrows(rid, t)
     return (tuple(m.dim(v) for v in vs),
-            tuple(m.mat(a).entries for a in end.band_arrows(t)
-                  if a.src in vs or a.dst in vs))
+            tuple(m.mat(a).entries for a in arrows))
 
 
 def end_profile(m: Rep, end) -> EndProfile:
@@ -844,7 +832,6 @@ def end_profile(m: Rep, end) -> EndProfile:
     ray (every band arrow touches a ray vertex at depth t or t + 1), checks
     the contract, and a mismatch is an engine bug (AssertionError) naming
     the rays whose data differ."""
-    q = m.quiver
     cutoff = max(m.structural_depth(), 2) + 1
     moved = [r.rid for r in end.rays if _ray_data(m, end, r.rid, cutoff)
              != _ray_data(m, end, r.rid, cutoff + 1)]
@@ -856,7 +843,7 @@ def end_profile(m: Rep, end) -> EndProfile:
     rays = []
     for r in end.rays:
         d = m.dim(end.vertex(r.rid, cutoff))
-        a = _ray_transition(q, end, r.rid, cutoff)
+        a = end.transition(r.rid, cutoff)
         tm = m.mat(a) if a is not None else None
         if d == 0 and m.dim(end.vertex(r.rid, cutoff + 1)) == 0:
             status = "zero"
@@ -980,7 +967,7 @@ def _shrunk_tail_start(m: Rep, prof: RayProfile, floor: int) -> int:
         s = t - 1
         if m.dim(end.vertex(prof.rid, s)) != stable_dim:
             break
-        a = _ray_transition(q, end, prof.rid, s)
+        a = end.transition(prof.rid, s)
         tr = m.mat(a).entries if a is not None else None
         if tr != stable_tr:
             break

@@ -12,8 +12,10 @@ that ext.py does not take.  The next builds a Hom basis on a route named by
 the caller, where hom_space reads the route off the two objects, and
 builds the copresentation route, the presentation route on the duals,
 which hom_space no longer takes.  The last section keeps constructions
-that the package replaced, as references: the null-space rows read off
-the reduced echelon form, the arrow maps of P_a read off an index of
+that the package replaced, as references: the dense elimination, reduced
+echelon form and arrow complex that the one sparse elimination and the
+sparse arrow complex replaced, the null-space rows read off the dense
+reduced echelon form, the arrow maps of P_a read off an index of
 whole arrow tuples, injectives built over q by stripping the first arrow
 of a path, the isomorphism test that searched pairs of basis maps, the
 cokernel evaluated on its own, before it was read as D of a kernel, Mat,
@@ -24,6 +26,7 @@ before knit's translate table ruled them out.
 """
 from dataclasses import dataclass, field as dc_field, make_dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from arknit import (Mat, classify_membership, decompose, dim_vector,
                     dualize, hom_space, injective_at, min_proj_presentation,
@@ -32,7 +35,7 @@ from arknit import (Mat, classify_membership, decompose, dim_vector,
 from arknit.ar import standard_vertex
 from arknit.hom import (HomBasis, _iso_indec, _pointwise_inverse,
                         joint_window)
-from arknit.linalg import coker_projection, rank, rref
+from arknit.linalg import coker_projection, rank
 from arknit.presentations import relation_matrix
 from arknit.quiver import vkey
 
@@ -360,12 +363,113 @@ def route_basis(m, n, route):
 # replaced constructions, kept as references
 
 
+def dense_eliminate(m, full):
+    """(rows, pivots): Gaussian elimination of a Mat on dense int rows, each
+    pivot column cleared below its pivot and, when full, above it too, as
+    linalg did before its one sparse elimination.  Over GF(p) entries and
+    steps are reduced mod p and each pivot is scaled to 1; over Q rows are
+    scaled to integers, combined by cross-multiplication and divided by the
+    gcd of their entries."""
+    p = m.field.char
+    if p:
+        rows = [[x % p for x in r] for r in m.entries]
+    else:
+        rows = []
+        for r in m.entries:
+            d = lcm(*[Fraction(x).denominator for x in r])
+            rows.append([int(x * d) for x in r])
+    nrows, pivots, r = m.rows, [], 0
+    for c in range(m.cols):
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        piv = rows[r]
+        a = piv[c]
+        if p and a != 1:
+            inv = pow(a, p - 2, p)
+            piv = rows[r] = [x * inv % p for x in piv]
+        for i in range(0 if full else r + 1, nrows):
+            row = rows[i]
+            f = row[c]
+            if not f or i == r:
+                continue
+            if p:
+                rows[i] = [(x - f * y) % p for x, y in zip(row, piv)]
+            else:
+                g = gcd(a, f)
+                row = [a // g * x - f // g * y for x, y in zip(row, piv)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, tuple(pivots)
+
+
+def dense_rref(m):
+    """(R, pivots): the reduced echelon form of a Mat by dense_eliminate,
+    each pivot row over Q divided by its pivot into canonical entries (an
+    int when integral)."""
+    rows, pivots = dense_eliminate(m, True)
+    out = []
+    for i, row in enumerate(rows):
+        d = row[pivots[i]] if i < len(pivots) else 1
+        out.append(tuple(x if d == 1 else _canonical(Fraction(x, d))
+                         for x in row))
+    return Mat(m.field, m.rows, m.cols, tuple(out)), pivots
+
+
+def _canonical(x):
+    return x.numerator if x.denominator == 1 else x
+
+
+def dense_outside_span(m, k):
+    """outside_span on dense_eliminate: the columns k + i that are nonzero
+    in some row below the pivots in the first k columns."""
+    rows, pivots = dense_eliminate(m, False)
+    r = sum(c < k for c in pivots)
+    return tuple(j - k for j in range(k, m.cols)
+                 if any(row[j] for row in rows[r:]))
+
+
+def dense_arrow_complex(x, y, verts, arrows):
+    """(d, offsets): the arrow complex of ext.py as the dense Mat it was,
+    every zero written, each entry accumulated by field arithmetic."""
+    F = x.field
+    offsets, total = {}, 0
+    for v in verts:
+        offsets[v] = total
+        total += y.dim(v) * x.dim(v)
+    rows = []
+    for a in arrows:
+        Ya, Xa = y.mat(a), x.mat(a)
+        sx, dx = x.dim(a.src), x.dim(a.dst)
+        for r in range(Ya.rows):
+            for c in range(sx):
+                row = [F.zero] * total
+                if a.src in offsets:
+                    base = offsets[a.src] + c
+                    for k, val in enumerate(Ya.entries[r]):
+                        if not F.is_zero(val):
+                            row[base + k * sx] = F.add(row[base + k * sx], val)
+                if a.dst in offsets:
+                    base = offsets[a.dst] + r * dx
+                    for k in range(dx):
+                        val = Xa.entries[k][c]
+                        if not F.is_zero(val):
+                            row[base + k] = F.sub(row[base + k], val)
+                rows.append(tuple(row))
+    return Mat(F, len(rows), total, tuple(rows)), offsets
+
+
 def null_rows_by_rref(m):
     """(rows, free): the canonical null-space basis of m as rows, read off
-    rref(m): the row for free column f is 1 at f and -R[i][f] at the i-th
-    pivot."""
+    dense_rref(m): the row for free column f is 1 at f and -R[i][f] at the
+    i-th pivot."""
     F = m.field
-    R, pivots = rref(m)
+    R, pivots = dense_rref(m)
     pivset = set(pivots)
     free = tuple(c for c in range(m.cols) if c not in pivset)
     rows = []

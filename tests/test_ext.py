@@ -2,6 +2,7 @@
 
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -36,8 +37,8 @@ from arknit.morphism import Morphism
 from arknit.quiver import linear_quiver
 
 from conftest import random_fd_rep
-from oracles import (ext_dim_brute, ext_dim_via_presentation, hom_routes,
-                     route_basis)
+from oracles import (dense_arrow_complex, ext_dim_brute,
+                     ext_dim_via_presentation, hom_routes, route_basis)
 
 
 def _ambient_cases():
@@ -497,3 +498,42 @@ def test_qq_and_a_large_prime_field_agree_on_integer_data(case):
         m, n = _fd(q, field, dm), _fd(q, field, dn)
         dims.add((ak.hom_space(m, n).dimension, ext_space(m, n).dimension))
     assert len(dims) == 1, dims
+
+
+# ---------------------------------------------------------------------------
+# the sparse arrow complex against the dense construction it replaced
+
+
+def fraction_fd_rep(q, rng, verts, field):
+    """A random fd object inside verts, dims up to 3, mostly nonzero
+    entries such as -4/3, over GF(p) their images in the field."""
+    dims = {v: rng.randrange(4) for v in verts}
+    mats = {a.label: ak.Mat(field, dims[a.dst], dims[a.src], tuple(
+        tuple(field.of(Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+                       if rng.random() < 0.6 else 0)
+              for _ in range(dims[a.src])) for _ in range(dims[a.dst])))
+        for a in q.arrows_within(verts) if dims[a.src] and dims[a.dst]}
+    return ak.explicit_fd(q, dims, mats, field=field)
+
+
+@pytest.mark.parametrize("name", ["kronecker", "A3", "zigzag"])
+@pytest.mark.parametrize("field", [QQ, ak.GF(7)], ids=["QQ", "GF7"])
+def test_the_sparse_arrow_complex_is_the_dense_one(name, field):
+    build, verts = {"kronecker": (ak.kronecker_quiver, [1, 2]),
+                    "A3": (lambda: linear_quiver(3), [1, 2, 3]),
+                    "zigzag": (ak.PRESETS["zigzag"], [0, 1, 2, 3, 4])}[name]
+    q, rng = build(), random.Random(35)
+    for _ in range(12):
+        x, y = (fraction_fd_rep(q, rng, verts, field) for _ in range(2))
+        # the window's vertices and arrows, and a part of them, so that an
+        # arrow end outside verts contributes nothing
+        for vs in (verts, verts[1:]):
+            arrows = q.arrows_within(verts)
+            d, offs = ext_mod.arrow_complex(x, y, vs, arrows)
+            dense, doffs = dense_arrow_complex(x, y, vs, arrows)
+            assert offs == doffs and (d.rows, d.cols) == (dense.rows,
+                                                         dense.cols)
+            got = [[(type(e), e) for e in (r.get(j, 0) for j in range(d.cols))]
+                   for r in d.nonzeros]
+            assert got == [[(type(e), e) for e in row] for row in dense.entries]
+            assert all(e != 0 for r in d.nonzeros for e in r.values())

@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arknit import linalg
-from arknit.linalg import (GF, QQ, Mat, coker_projection, column_span,
-                           inverse, is_invertible, kernel_basis, kernel_span,
-                           min_poly, outside_span, rank, rref, solve_matrix)
+from arknit.linalg import (GF, QQ, Mat, SparseMat, coker_projection,
+                           column_span, inverse, is_invertible, kernel_basis,
+                           kernel_span, min_poly, outside_span, rank, rref,
+                           solve_matrix)
 
 from arknit.quiver import Arrow
-from oracles import FrozenArrow, FrozenMat, null_rows_by_rref, rref_rank
+from oracles import (FrozenArrow, FrozenMat, dense_eliminate,
+                     dense_outside_span, dense_rref, null_rows_by_rref,
+                     rref_rank)
 
 
 def rmat(rng, rows, cols, field=QQ):
@@ -464,12 +467,19 @@ def test_arrow_value_semantics_match_the_frozen_dataclass(triples):
 KERNEL_FIELDS = (QQ, GF(2), GF(3), GF(7))
 
 
+SQUARISH = st.tuples(st.integers(0, 7), st.integers(0, 7))
+# square-ish, tall and wide shapes, 0 rows or 0 columns included
+SHAPES = st.one_of(SQUARISH, st.tuples(st.integers(8, 14), st.integers(0, 4)),
+                   st.tuples(st.integers(0, 4), st.integers(8, 14)))
+
+
 @st.composite
-def kernel_matrices(draw):
-    """Dense or mostly-zero matrices of up to 7 rows and 7 columns, 0 of
-    either included, over Q (ints and fractions) and GF(2), GF(3), GF(7)."""
+def kernel_matrices(draw, shapes=SQUARISH):
+    """Dense or mostly-zero matrices of up to 7 rows and 7 columns (or of
+    the given shapes), 0 of either included, over Q (ints and fractions)
+    and GF(2), GF(3), GF(7)."""
     F = draw(st.sampled_from(KERNEL_FIELDS))
-    r, c = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    r, c = draw(shapes)
     value = st.integers(1, F.char - 1) if F.char else st.one_of(
         st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
     zeros = 4 if draw(st.booleans()) else 1  # mostly zero, or dense
@@ -514,3 +524,35 @@ def test_kernels_do_not_call_rref(monkeypatch):
     assert calls == []
     column_span(m)  # the spy sees a reader of rref
     assert calls == [m.transpose()]
+
+
+# ---------------------------------------------------------------------------
+# the one sparse elimination against the dense one it replaced
+
+
+def as_sparse(m: Mat) -> SparseMat:
+    return SparseMat(m.field, m.rows, m.cols, tuple(
+        {j: x for j, x in enumerate(row) if x} for row in m.entries))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kernel_matrices(SHAPES), st.integers(0, 14))
+def test_the_sparse_elimination_matches_the_dense_reference(m, k):
+    """rank, rref, the kernels and outside_span of a Mat and of the equal
+    SparseMat give the dense reference's results, entry for entry and type
+    for type."""
+    k = min(k, m.cols)
+    F = m.field
+    R, pivots = dense_rref(m)
+    rows, free = null_rows_by_rref(m)
+    trows, tfree = null_rows_by_rref(m.transpose())
+    for a in (m, as_sparse(m)):
+        assert rank(a) == len(dense_eliminate(m, False)[1]) == len(pivots)
+        got, gpivots = rref(a)
+        assert gpivots == pivots and _typed(got.entries) == _typed(R.entries)
+        K, kfree = kernel_span(a)
+        assert kfree == free and _typed(K.entries) == \
+            _typed(Mat.from_columns(F, m.cols, rows).entries)
+        P, pfree = coker_projection(a)
+        assert pfree == tfree and _typed(P.entries) == _typed(trows)
+        assert outside_span(a, k) == dense_outside_span(m, k)

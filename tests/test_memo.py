@@ -151,10 +151,16 @@ def test_separately_built_quivers_share_no_memo():
 ])
 def test_a_dropped_quiver_is_freed_with_its_memo_at_once(build, x, y):
     """The memo refers to nothing that refers back to the quiver, so the
-    last reference going frees the quiver and its bases at once."""
+    last reference going frees the quiver and its bases at once: neither
+    its paths and closures nor the end data that a certificate memoizes
+    (band arrows, each ray's arrows and transition, located vertices)."""
     q = build()
     assert q.reaches(x, y) and q.paths_between(x, y)
     q.succ_closure(x), q.pred_closure(y), q.ends(), q.out_arrows(x)
+    certify_an_object_on(q, x)
+    kinds = {k[0] for k in q._memo if isinstance(k, tuple)}
+    if q.ends():
+        assert {"band", "ray", "locate"} <= kinds
     gone = weakref.ref(q)
     was_enabled = gc.isenabled()
     gc.disable()
@@ -164,6 +170,11 @@ def test_a_dropped_quiver_is_freed_with_its_memo_at_once(build, x, y):
     finally:
         if was_enabled:
             gc.enable()
+
+
+def certify_an_object_on(q, x):
+    """Classify P(x) and drop it: only the quiver's memo outlives the call."""
+    assert ak.classify_membership(ak.projective_at(q, x)).is_in_rrep()
 
 
 def held_arrows(q) -> int:

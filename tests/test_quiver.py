@@ -401,3 +401,24 @@ def test_arrows_within_matches_the_local_arrows(name):
         local = {a for v in vs for a in q.out_arrows(v) + q.in_arrows(v)
                  if a.src in vs and a.dst in vs}
         assert q.arrows_within(vs) == sorted(local), i
+
+
+@pytest.mark.parametrize("name", ["line", "ray_in", "ray_out", "zigzag"])
+def test_a_bool_or_a_float_stays_no_vertex_once_locate_is_memoized(name):
+    # True == 1 == 1.0 and all three hash alike, so a memo of locate keyed
+    # by the vertex alone would answer for the bool and the float too
+    q = ak.PRESETS[name]()
+    assert q.locate(1) is not None
+    ak.classify_membership(ak.simple_at(q, 1))
+    assert q.locate(True) is None and q.locate(1.0) is None
+    assert not q.contains(True) and not q.contains(1.0)
+    assert q.locate(1) is not None
+
+
+def test_a_ladder_vertex_with_a_bool_depth_is_refused():
+    q = ak.PRESETS["ladder"]()
+    assert q.locate(("a", 1)) == ("inf", "a", 1)
+    ak.classify_membership(ak.simple_at(q, ("a", 1)))
+    assert q.locate(("a", True)) is None and q.locate(("a", 1.0)) is None
+    assert not q.contains(("a", True))
+    assert not q.contains((["a"], 1))  # an unhashable id is no vertex
