@@ -2,9 +2,10 @@
 
 A record names its fields once, ``__slots__ = _fields = (...)``, and has a
 straight-line ``__init__``; nothing is compiled when its class is defined.
-Record gives == (same class, equal fields), repr and no hash; Frozen adds
-the hash of the tuple of fields and refuses every store after ``__init__``,
-which writes through ``object.__setattr__``.
+Record gives == (the object itself, with no field read, or the same class
+and equal fields), repr and no hash; Frozen adds the hash of the tuple of
+fields and refuses every store after ``__init__``, which writes through
+``object.__setattr__``.
 """
 from operator import attrgetter
 
@@ -22,6 +23,8 @@ class Record:
                 get if len(fields) > 1 else lambda r: (get(r),))
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values(self) == other._values(other)

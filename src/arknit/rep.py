@@ -224,7 +224,8 @@ class Rep:
         raise NotImplementedError
 
     def support(self) -> VertexSet:
-        """A vertex set guaranteed to contain the support."""
+        """A vertex set outside which the object is 0: a contract, since
+        end_profile skips the rays it rules out."""
         raise NotImplementedError
 
     def _extra_depth(self) -> int:
@@ -792,6 +793,7 @@ def incoming_stack(m: Rep, v) -> Mat:
 
 
 class RayProfile(Record):
+    """A ray's data at the cutoff; transition is None on a zero ray."""
     __slots__ = _fields = ("eid", "rid", "kind", "cutoff", "dim", "transition",
                            "status")  # status: 'zero' | 'iso' | 'other'
 
@@ -825,15 +827,20 @@ def _ray_data(m: Rep, end, rid, t):
             tuple(m.mat(a).entries for a in arrows))
 
 
-def end_profile(m: Rep, end) -> EndProfile:
+def end_profile(m: Rep, end, hint: VertexSet) -> EndProfile:
     """The stable data of m along end, read at cutoff c0 = max(structural
     depth, 2) + 1.  Every constructor is periodic past its structural depth,
     so the band data at c0 and c0 + 1 agree; that one comparison, ray by
     ray (every band arrow touches a ray vertex at depth t or t + 1), checks
     the contract, and a mismatch is an engine bug (AssertionError) naming
-    the rays whose data differ."""
+    the rays whose data differ.  Past that depth the hint m.support() is
+    whole tails, so a ray outside it at c0 and c0 + 1 is zero, with no read,
+    and so is a crossing arrow with an end outside it."""
     cutoff = max(m.structural_depth(), 2) + 1
-    moved = [r.rid for r in end.rays if _ray_data(m, end, r.rid, cutoff)
+    live = {r.rid for r in end.rays
+            if any(map(hint.contains, end.ray_arrows(r.rid, cutoff)[0]))}
+    moved = [r.rid for r in end.rays if r.rid in live and
+             _ray_data(m, end, r.rid, cutoff)
              != _ray_data(m, end, r.rid, cutoff + 1)]
     if moved:
         raise AssertionError(
@@ -842,20 +849,22 @@ def end_profile(m: Rep, end) -> EndProfile:
             f"changing: {', '.join(moved)}")
     rays = []
     for r in end.rays:
-        d = m.dim(end.vertex(r.rid, cutoff))
-        a = end.transition(r.rid, cutoff)
-        tm = m.mat(a) if a is not None else None
-        if d == 0 and m.dim(end.vertex(r.rid, cutoff + 1)) == 0:
-            status = "zero"
-        elif tm is not None and tm.rows == tm.cols == d and is_invertible(tm):
-            status = "iso"
-        else:
-            status = "other"
+        d, tm, status = 0, None, "zero"
+        if r.rid in live:
+            d = m.dim(end.vertex(r.rid, cutoff))
+            if d or m.dim(end.vertex(r.rid, cutoff + 1)):
+                a = end.transition(r.rid, cutoff)
+                tm = m.mat(a) if a is not None else None
+                status = ("iso" if tm is not None and tm.rows == tm.cols == d
+                          and is_invertible(tm) else "other")
         rays.append(RayProfile(end.eid, r.rid, r.kind, cutoff, d, tm, status))
-    crossings = tuple(CrossingProfile(
-        end.eid, cid, cutoff, not m.mat(end.crossing_arrow(cid, cutoff)).is_zero())
-        for (cid, _, _) in end.crossings)
-    return EndProfile(end.eid, cutoff, tuple(rays), crossings)
+    crossings = []
+    for (cid, _, _) in end.crossings:
+        a = end.crossing_arrow(cid, cutoff)
+        crossings.append(CrossingProfile(
+            end.eid, cid, cutoff, hint.contains(a.src)
+            and hint.contains(a.dst) and not m.mat(a).is_zero()))
+    return EndProfile(end.eid, cutoff, tuple(rays), tuple(crossings))
 
 
 class RepClassCertificate(Frozen):
@@ -880,7 +889,18 @@ class RepClassCertificate(Frozen):
 
 def joint_window(objs, pad: int = 2):
     """(window, depth): the union of the certified exact supports of objs
-    down to depth = (deepest stable depth + pad), sorted."""
+    down to depth = (deepest stable depth + pad), sorted.  A pair's window
+    is kept once, in the first object's memo, keyed by (and holding) the
+    partner's certificate, not the partner."""
+    if len(objs) == 2:
+        m, n = objs
+        cert = classify_membership(n)
+        return m.cached(("window", id(cert), pad),
+                        lambda: (cert, _build_window(objs, pad)))[1]
+    return _build_window(objs, pad)
+
+
+def _build_window(objs, pad):
     certs = [classify_membership(m) for m in objs]
     depth = max([c.depth for c in certs], default=0) + pad
     verts = set()
@@ -889,10 +909,9 @@ def joint_window(objs, pad: int = 2):
     return tuple(sorted(verts, key=vkey)), depth
 
 
-def support_exact(m: Rep, profiles) -> VertexSet:
+def support_exact(m: Rep, profiles, hint: VertexSet) -> VertexSet:
     """Exact support: evaluated explicit part plus certified nonzero tails."""
     q = m.quiver
-    hint = m.support()
     depth = max([p.cutoff for p in profiles], default=0)
     expl = {v for v in hint.members(depth) if m.dim(v) > 0}
     tails = []
@@ -908,9 +927,12 @@ def classify_membership(m: Rep) -> RepClassCertificate:
 
 
 def _classify(m: Rep) -> RepClassCertificate:
-    q = m.quiver
-    profiles = tuple(end_profile(m, e) for e in q.ends())
-    supp = support_exact(m, profiles)
+    q, hint = m.quiver, m.support()
+    profiles = tuple(end_profile(m, e, hint) for e in q.ends())
+    return _certify(q, profiles, support_exact(m, profiles, hint))
+
+
+def _certify(q, profiles, supp) -> RepClassCertificate:
     witnesses = []
 
     bad = [r for p in profiles for r in p.rays if r.kind == "bad" and r.dim > 0]

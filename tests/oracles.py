@@ -18,11 +18,13 @@ sparse arrow complex replaced, the null-space rows read off the dense
 reduced echelon form, the arrow maps of P_a read off an index of
 whole arrow tuples, injectives built over q by stripping the first arrow
 of a path, the isomorphism test that searched pairs of basis maps, the
-cokernel evaluated on its own, before it was read as D of a kernel, Mat,
-Arrow and the 25 records as the dataclasses they were before they were
-slotted, and knit's steps at P_a and I_a as they were computed before knit
-read them off the arrows at a, and its P_a and I_a flags as they were read
-before knit's translate table ruled them out.
+cokernel evaluated on its own, before it was read as D of a kernel, the
+certificate read with every ray evaluated, before end_profile skipped the
+rays that the support hint rules out, Mat, Arrow and the 25 records as
+the dataclasses they were before they were slotted, and knit's steps at P_a
+and I_a as they were computed before knit read them off the arrows at a,
+and its P_a and I_a flags as they were read before knit's translate table
+ruled them out.
 """
 from dataclasses import dataclass, field as dc_field, make_dataclass
 from fractions import Fraction
@@ -35,9 +37,11 @@ from arknit import (Mat, classify_membership, decompose, dim_vector,
 from arknit.ar import standard_vertex
 from arknit.hom import (HomBasis, _iso_indec, _pointwise_inverse,
                         joint_window)
-from arknit.linalg import coker_projection, rank
+from arknit.linalg import coker_projection, is_invertible, rank
 from arknit.presentations import relation_matrix
 from arknit.quiver import vkey
+from arknit.rep import (CrossingProfile, EndProfile, RayProfile, _certify,
+                        _ray_data, support_exact)
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +569,41 @@ def cokernel_by_lift(f, verts):
                                               for fr in fu) for r in range(n)))
         mats[a] = at[a.dst][0].mul(f.dst.mat(a)).mul(lift).entries
     return {v: len(at[v][1]) for v in verts}, mats
+
+
+def end_profile_every_ray(m, end):
+    """end_profile as it was before it read the support hint: the band data
+    of every ray compared at the cutoff c0 and at c0 + 1, and every ray and
+    crossing arrow evaluated at c0.  A zero ray's transition is None, as
+    end_profile gives it whether it reads the ray or not."""
+    cutoff = max(m.structural_depth(), 2) + 1
+    moved = [r.rid for r in end.rays if _ray_data(m, end, r.rid, cutoff)
+             != _ray_data(m, end, r.rid, cutoff + 1)]
+    assert not moved, f"end {end.eid}: rays changing: {moved}"
+    rays = []
+    for r in end.rays:
+        d = m.dim(end.vertex(r.rid, cutoff))
+        a = end.transition(r.rid, cutoff)
+        tm = m.mat(a) if a is not None else None
+        if d == 0 and m.dim(end.vertex(r.rid, cutoff + 1)) == 0:
+            status, tm = "zero", None
+        elif tm is not None and tm.rows == tm.cols == d and is_invertible(tm):
+            status = "iso"
+        else:
+            status = "other"
+        rays.append(RayProfile(end.eid, r.rid, r.kind, cutoff, d, tm, status))
+    crossings = tuple(CrossingProfile(
+        end.eid, cid, cutoff,
+        not m.mat(end.crossing_arrow(cid, cutoff)).is_zero())
+        for (cid, _, _) in end.crossings)
+    return EndProfile(end.eid, cutoff, tuple(rays), crossings)
+
+
+def certificate_every_ray(m):
+    """The membership certificate of m from end_profile_every_ray."""
+    profiles = tuple(end_profile_every_ray(m, e) for e in m.quiver.ends())
+    return _certify(m.quiver, profiles,
+                    support_exact(m, profiles, m.support()))
 
 
 @dataclass(frozen=True)

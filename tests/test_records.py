@@ -85,6 +85,21 @@ def test_a_record_matches_its_dataclass_twin(name):
     assert repr(cls(*a[:len(required)])) == repr(twin(*a[:len(required)]))
 
 
+@pytest.mark.parametrize("name", sorted(RECORD_TWINS))
+def test_a_record_equals_itself_without_reading_its_fields(name, monkeypatch):
+    cls = record(name)
+    a, _ = values(name)
+    rec = cls(*a)
+    other = type(cls.__name__, (cls,), {"__slots__": ()})(*a)
+    assert rec != other and other != rec  # equal fields, another class
+
+    def unread(r):
+        raise AssertionError("== read the fields of an object against itself")
+
+    monkeypatch.setattr(cls, "_values", staticmethod(unread))
+    assert rec == rec and not rec != rec
+
+
 def test_a_default_list_is_fresh_per_record():
     cls = record("ar.ARComponent")
     one, two = cls(*range(6)), cls(*range(6))

@@ -333,12 +333,15 @@ def test_ladder_single_rung_is_fine(ladder, single_rung_mid):
 
 def test_end_profile_thin_tail(line):
     ends = {e.eid: e for e in line.ends()}
-    prof = end_profile(injective_at(line, 1), ends["pos"])
+    m = injective_at(line, 1)
+    prof = end_profile(m, ends["pos"], m.support())
     (ray,) = prof.rays
     assert (ray.kind, ray.dim, ray.status) == ("I", 1, "iso")
-    prof_neg = end_profile(injective_at(line, 1), ends["neg"])
+    prof_neg = end_profile(m, ends["neg"], m.support())
     (ray_neg,) = prof_neg.rays
-    assert ray_neg.dim == 0
+    # outside the hint: profiled unread, with no transition
+    assert (ray_neg.dim, ray_neg.status, ray_neg.transition) == (0, "zero",
+                                                                 None)
 
 
 def test_end_profile_checks_two_depths(ray_out):
@@ -346,7 +349,7 @@ def test_end_profile_checks_two_depths(ray_out):
     # deeper agree: each ray has its dimension at both depths
     (end,) = ray_out.ends()
     m = projective_at(ray_out, 0)
-    prof = end_profile(m, end)
+    prof = end_profile(m, end, m.support())
     assert prof.rays
     for r in prof.rays:
         assert m.dim(end.vertex(r.rid, prof.cutoff)) == r.dim == \
@@ -372,8 +375,10 @@ def test_incoming_stack_is_the_hstack_of_the_incoming_maps(kron, zig, ladder):
 
 
 class _WideningA(Rep):
-    """dim t at ("a", t) and 0 on ray b of the ladder, zero maps: the band
-    data on ray a changes at every depth, that on ray b (0 x t rungs) never."""
+    """dim t at ("a", t) and b_dim on ray b of the ladder, zero maps: the
+    band data on ray a changes at every depth, that on ray b (b_dim x t
+    rungs) only when b_dim is not 0.  Its support hint holds ray b exactly
+    when b_dim does, as the hint contract asks."""
 
     b_dim = 0
 
@@ -384,20 +389,22 @@ class _WideningA(Rep):
         return self._zero_mat(a)
 
     def support(self):
-        return VertexSet.make(self.quiver, (), [("inf", "a", 0)])
+        rays = ("a", "b") if self.b_dim else ("a",)
+        return VertexSet.make(self.quiver, (), [("inf", r, 0) for r in rays])
 
 
 def test_end_profile_names_the_rays_that_break_periodicity(ladder):
     (end,) = ladder.ends()
+    m = _WideningA(ladder, QQ)
     # structural depth 0, so the band data are compared at depths 3 and 4
     with pytest.raises(AssertionError, match=(
             r"^end inf: band data at depths 3 and 4 differ past structural "
             r"depth 0; rays changing: a$")):
-        end_profile(_WideningA(ladder, QQ), end)
+        end_profile(m, end, m.support())
     # with dim 1 on ray b its rungs widen with ray a, so both rays move
     both = type("_WideningAB", (_WideningA,), {"b_dim": 1})(ladder, QQ)
     with pytest.raises(AssertionError, match="rays changing: a, b$"):
-        end_profile(both, end)
+        end_profile(both, end, both.support())
 
 
 # ---------------------------------------------------------------------------
