@@ -224,8 +224,8 @@ class Rep:
         raise NotImplementedError
 
     def support(self) -> VertexSet:
-        """A vertex set outside which the object is 0: a contract, since
-        end_profile skips the rays it rules out."""
+        """A vertex set guaranteed to contain the support (end_profile
+        relies on it)."""
         raise NotImplementedError
 
     def _extra_depth(self) -> int:
@@ -245,7 +245,7 @@ class Rep:
         """The depth past which the dims and maps on bands t and t + 1 of
         every end repeat for all t: the node's _extra_depth, and the probe
         depth of its support hint, past which the support is whole tails."""
-        return max(self._extra_depth(), self.support().probe_depth())
+        return max(self._extra_depth(), _hint(self).probe_depth())
 
     def describe(self) -> str:
         return type(self).__name__
@@ -793,7 +793,7 @@ def incoming_stack(m: Rep, v) -> Mat:
 
 
 class RayProfile(Record):
-    """A ray's data at the cutoff; transition is None on a zero ray."""
+    """A ray's stable data; transition is None on a zero ray."""
     __slots__ = _fields = ("eid", "rid", "kind", "cutoff", "dim", "transition",
                            "status")  # status: 'zero' | 'iso' | 'other'
 
@@ -819,6 +819,10 @@ class EndProfile(Record):
             eid, cutoff, rays, crossings
 
 
+def _hint(m: Rep) -> VertexSet:
+    return m.cached("support", m.support)
+
+
 def _ray_data(m: Rep, end, rid, t):
     """One ray's band data at depth t: its dims at depths t and t + 1 and
     the matrices of the band arrows that touch them."""
@@ -827,16 +831,15 @@ def _ray_data(m: Rep, end, rid, t):
             tuple(m.mat(a).entries for a in arrows))
 
 
-def end_profile(m: Rep, end, hint: VertexSet) -> EndProfile:
+def end_profile(m: Rep, end) -> EndProfile:
     """The stable data of m along end, read at cutoff c0 = max(structural
     depth, 2) + 1.  Every constructor is periodic past its structural depth,
     so the band data at c0 and c0 + 1 agree; that one comparison, ray by
     ray (every band arrow touches a ray vertex at depth t or t + 1), checks
     the contract, and a mismatch is an engine bug (AssertionError) naming
-    the rays whose data differ.  Past that depth the hint m.support() is
-    whole tails, so a ray outside it at c0 and c0 + 1 is zero, with no read,
-    and so is a crossing arrow with an end outside it."""
-    cutoff = max(m.structural_depth(), 2) + 1
+    the rays whose data differ.  A ray outside the hint m.support() at c0
+    and c0 + 1 is zero unread, as is a crossing arrow with an end outside."""
+    cutoff, hint = max(m.structural_depth(), 2) + 1, _hint(m)
     live = {r.rid for r in end.rays
             if any(map(hint.contains, end.ray_arrows(r.rid, cutoff)[0]))}
     moved = [r.rid for r in end.rays if r.rid in live and
@@ -889,18 +892,7 @@ class RepClassCertificate(Frozen):
 
 def joint_window(objs, pad: int = 2):
     """(window, depth): the union of the certified exact supports of objs
-    down to depth = (deepest stable depth + pad), sorted.  A pair's window
-    is kept once, in the first object's memo, keyed by (and holding) the
-    partner's certificate, not the partner."""
-    if len(objs) == 2:
-        m, n = objs
-        cert = classify_membership(n)
-        return m.cached(("window", id(cert), pad),
-                        lambda: (cert, _build_window(objs, pad)))[1]
-    return _build_window(objs, pad)
-
-
-def _build_window(objs, pad):
+    down to depth = (deepest stable depth + pad), sorted."""
     certs = [classify_membership(m) for m in objs]
     depth = max([c.depth for c in certs], default=0) + pad
     verts = set()
@@ -909,9 +901,9 @@ def _build_window(objs, pad):
     return tuple(sorted(verts, key=vkey)), depth
 
 
-def support_exact(m: Rep, profiles, hint: VertexSet) -> VertexSet:
+def support_exact(m: Rep, profiles) -> VertexSet:
     """Exact support: evaluated explicit part plus certified nonzero tails."""
-    q = m.quiver
+    q, hint = m.quiver, _hint(m)
     depth = max([p.cutoff for p in profiles], default=0)
     expl = {v for v in hint.members(depth) if m.dim(v) > 0}
     tails = []
@@ -927,9 +919,9 @@ def classify_membership(m: Rep) -> RepClassCertificate:
 
 
 def _classify(m: Rep) -> RepClassCertificate:
-    q, hint = m.quiver, m.support()
-    profiles = tuple(end_profile(m, e, hint) for e in q.ends())
-    return _certify(q, profiles, support_exact(m, profiles, hint))
+    q = m.quiver
+    profiles = tuple(end_profile(m, e) for e in q.ends())
+    return _certify(q, profiles, support_exact(m, profiles))
 
 
 def _certify(q, profiles, supp) -> RepClassCertificate:

@@ -602,8 +602,7 @@ def end_profile_every_ray(m, end):
 def certificate_every_ray(m):
     """The membership certificate of m from end_profile_every_ray."""
     profiles = tuple(end_profile_every_ray(m, e) for e in m.quiver.ends())
-    return _certify(m.quiver, profiles,
-                    support_exact(m, profiles, m.support()))
+    return _certify(m.quiver, profiles, support_exact(m, profiles))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ import pytest
 import arknit as ak
 import arknit.presentations as presentations
 import arknit.rep as rep
-from arknit.hom import _iso_indec
 from arknit.quiver import FiniteQuiver
 from oracles import route_basis
 
@@ -71,7 +70,7 @@ def test_knit_computes_each_profile_and_presentation_once(
         return wrapper
 
     monkeypatch.setattr(rep, "end_profile", counting(
-        rep.end_profile, lambda m, end, hint: (id(m), end.eid)))
+        rep.end_profile, lambda m, end: (id(m), end.eid)))
     monkeypatch.setattr(presentations, "_min_proj_presentation", counting(
         presentations._min_proj_presentation, lambda x: (id(x), "proj")))
     monkeypatch.setattr(presentations, "_min_inj_copresentation", counting(
@@ -215,7 +214,7 @@ def test_long_chain_sweep_holds_each_path_once(monkeypatch, side, opposite):
 
 
 # ---------------------------------------------------------------------------
-# a certificate reads what the support hint allows; one window per pair
+# a certificate reads what the support hint allows
 
 
 def test_certifying_an_fd_zigzag_object_builds_no_zero_matrix(zig,
@@ -234,61 +233,6 @@ def test_certifying_an_fd_zigzag_object_builds_no_zero_matrix(zig,
                        {"1>0": ak.Mat.from_rows(ak.QQ, [[1, 0]])})
     assert ak.classify_membership(m).verdict == "fd"
     assert built == []
-
-
-def windows_built(monkeypatch, pad=2) -> list:
-    """The object tuples for which a window at pad is built from here on."""
-    built = []
-    real = rep._build_window
-
-    def counting(objs, p):
-        if p == pad:
-            built.append(tuple(objs))
-        return real(objs, p)
-
-    monkeypatch.setattr(rep, "_build_window", counting)
-    return built
-
-
-def test_hom_then_ext_of_a_pair_builds_one_window(zig, monkeypatch):
-    built = windows_built(monkeypatch)
-    m = ak.explicit_fd(zig, {0: 1, 1: 1, 2: 1},
-                       {"1>0": ak.Mat.from_rows(ak.QQ, [[1]])})
-    n = ak.explicit_fd(zig, {1: 1, 2: 2, 3: 1})
-    assert ak.hom_space(m, n).dimension == 3
-    assert ak.ext_space(m, n).dimension == 2
-    assert built == [(m, n)]
-
-
-def test_iso_test_then_hom_basis_of_a_pair_builds_one_window(line,
-                                                             monkeypatch):
-    """I_0 on the line is finitely copresented, so Hom out of it is read on
-    the window route, whose basis reads the pair's window."""
-    built = windows_built(monkeypatch)
-    m, n = ak.injective_at(line, 0), ak.injective_at(line, 0)
-    assert _iso_indec(m, n) is not None
-    assert len(ak.hom_space(m, n).basis) == 1
-    assert built == [(m, n)]
-
-
-def test_a_pair_window_keeps_no_reference_to_the_partner(zig):
-    """The window sits in the first object's memo, keyed by the partner's
-    certificate, so dropping the partner frees it at once."""
-    m = ak.explicit_fd(zig, {0: 1, 1: 1})
-    n = ak.explicit_fd(zig, {1: 1, 2: 1})
-    cert = ak.classify_membership(n)
-    assert ak.hom_space(m, n).dimension == 1
-    (key,) = [k for k in m._memo if isinstance(k, tuple) and k[0] == "window"]
-    assert m._memo[key][0] is cert
-    gone = weakref.ref(n)
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        del n
-        assert gone() is None
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 # ---------------------------------------------------------------------------

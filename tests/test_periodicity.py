@@ -138,4 +138,4 @@ def test_band_data_repeat_past_the_cutoff(kind, data):
             data = [_ray_data(m, end, r.rid, c0 + k) for k in range(4)]
             assert data == data[:1] * 4, (m.describe(), end.eid, r.rid, c0)
         # and end_profile reads its stable data at c0 without complaint
-        assert ak.end_profile(m, end, m.support()).cutoff == c0
+        assert ak.end_profile(m, end).cutoff == c0

@@ -333,11 +333,10 @@ def test_ladder_single_rung_is_fine(ladder, single_rung_mid):
 
 def test_end_profile_thin_tail(line):
     ends = {e.eid: e for e in line.ends()}
-    m = injective_at(line, 1)
-    prof = end_profile(m, ends["pos"], m.support())
+    prof = end_profile(injective_at(line, 1), ends["pos"])
     (ray,) = prof.rays
     assert (ray.kind, ray.dim, ray.status) == ("I", 1, "iso")
-    prof_neg = end_profile(m, ends["neg"], m.support())
+    prof_neg = end_profile(injective_at(line, 1), ends["neg"])
     (ray_neg,) = prof_neg.rays
     # outside the hint: profiled unread, with no transition
     assert (ray_neg.dim, ray_neg.status, ray_neg.transition) == (0, "zero",
@@ -349,7 +348,7 @@ def test_end_profile_checks_two_depths(ray_out):
     # deeper agree: each ray has its dimension at both depths
     (end,) = ray_out.ends()
     m = projective_at(ray_out, 0)
-    prof = end_profile(m, end, m.support())
+    prof = end_profile(m, end)
     assert prof.rays
     for r in prof.rays:
         assert m.dim(end.vertex(r.rid, prof.cutoff)) == r.dim == \
@@ -395,16 +394,15 @@ class _WideningA(Rep):
 
 def test_end_profile_names_the_rays_that_break_periodicity(ladder):
     (end,) = ladder.ends()
-    m = _WideningA(ladder, QQ)
     # structural depth 0, so the band data are compared at depths 3 and 4
     with pytest.raises(AssertionError, match=(
             r"^end inf: band data at depths 3 and 4 differ past structural "
             r"depth 0; rays changing: a$")):
-        end_profile(m, end, m.support())
+        end_profile(_WideningA(ladder, QQ), end)
     # with dim 1 on ray b its rungs widen with ray a, so both rays move
     both = type("_WideningAB", (_WideningA,), {"b_dim": 1})(ladder, QQ)
     with pytest.raises(AssertionError, match="rays changing: a, b$"):
-        end_profile(both, end, both.support())
+        end_profile(both, end)
 
 
 # ---------------------------------------------------------------------------
