@@ -142,7 +142,7 @@ def almost_split_sequence(x: Rep, tx: Optional[Rep] = None) -> SES:
 def _radical_inclusion(q: QuiverBase, F, a) -> PathMatrix:
     """rad P_a -> P_a: the sum of P_b over the arrows al: a -> b, in order,
     each summand mapped by its arrow."""
-    arrows = sorted(q.out_arrows(a))
+    arrows = q.out_arrows(a)
     return path_matrix(q, F, "proj", [al.dst for al in arrows], [a],
                        [[[(1, Path(a, al.dst, (al,)))] for al in arrows]])
 

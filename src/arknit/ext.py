@@ -20,6 +20,7 @@ from functools import cached_property
 
 from .linalg import Mat, SparseMat, coker_projection, rank
 from .morphism import SES, glue_ses
+from .quiver import Arrow
 from .record import Record
 from .rep import (GlueRep, Rep, RungFamily, classify_membership, equal_on,
                   joint_window, same_ambient)
@@ -74,7 +75,7 @@ def _arrows_at_depth(q, t) -> list:
     for end in q.ends():
         cands = set(end.band_arrows(t))
         cands.update(end.crossing_arrow(cid, t) for (cid, _, _) in end.crossings)
-        out.extend(sorted(cands))
+        out.extend(sorted(cands, key=Arrow.key))
     return out
 
 
@@ -82,7 +83,8 @@ def _cells(x: Rep, y: Rep, verts):
     """(V, A): where x and y are both nonzero, at a vertex or across an arrow."""
     vs = [v for v in verts if x.dim(v) > 0 and y.dim(v) > 0]
     arrows = sorted({a for v in verts if x.dim(v) > 0
-                     for a in x.quiver.out_arrows(v) if y.dim(a.dst) > 0})
+                     for a in x.quiver.out_arrows(v) if y.dim(a.dst) > 0},
+                    key=Arrow.key)
     return vs, arrows
 
 
@@ -317,7 +319,7 @@ def is_finite_extension(ses: SES):
                 for test in (only_middle, glued))
 
     rep = FiniteExtReport((not e_w) and (not g_w), not e_w, not g_w,
-                          tuple(sorted(arrows)),
+                          tuple(sorted(arrows, key=Arrow.key)),
                           tuple(sorted(set(e_w + g_w))))
     finite = rep.finite
     witness = rep.witness if not finite else rep.arrows

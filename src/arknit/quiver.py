@@ -333,7 +333,7 @@ class FiniteQuiver(QuiverBase):
         seen = set()
         outs = {v: [] for v in vertices}
         ins = {v: [] for v in vertices}
-        for a in arrows:
+        for a in sorted(arrows, key=Arrow.key):
             if a.label in seen:
                 raise ValueError(f"duplicate arrow label {a.label}")
             seen.add(a.label)
@@ -341,7 +341,7 @@ class FiniteQuiver(QuiverBase):
                 raise ValueError(f"arrow {a.label} endpoint outside vertex set")
             outs[a.src].append(a)
             ins[a.dst].append(a)
-        # arrows by source and by target, in the order of self.arrows
+        # arrows by source and by target, sorted
         object.__setattr__(self, "_outs", outs)
         object.__setattr__(self, "_ins", ins)
         # interval-finiteness requires acyclicity: iterative depth-first
@@ -594,8 +594,9 @@ class OppositeQuiver(QuiverBase):
         return self.base.contains(v)
 
     def _arrows(self, v, out):
+        # flipped, the base's lists keep their order: by far end, then label
         base = self.base.in_arrows(v) if out else self.base.out_arrows(v)
-        return sorted(Arrow(a.dst, a.src, a.label) for a in base)
+        return [Arrow(a.dst, a.src, a.label) for a in base]
 
     def opposite(self):
         return self.base

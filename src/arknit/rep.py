@@ -782,7 +782,7 @@ def equal_on(m1: Rep, m2: Rep, verts) -> bool:
 
 def incoming_stack(m: Rep, v) -> Mat:
     """The hstack of M(α) over the sorted incoming arrows α; rows = dim(v)."""
-    arrows = sorted(m.quiver.in_arrows(v))
+    arrows = m.quiver.in_arrows(v)
     mats = [m.mat(a).entries for a in arrows]
     rows = tuple(sum(r, ()) for r in zip(*mats)) if mats else ((),) * m.dim(v)
     return Mat(m.field, m.dim(v), sum(m.dim(a.src) for a in arrows), rows)
@@ -840,8 +840,8 @@ def end_profile(m: Rep, end) -> EndProfile:
     the rays whose data differ.  A ray outside the hint m.support() at c0
     and c0 + 1 is zero unread, as is a crossing arrow with an end outside."""
     cutoff, hint = max(m.structural_depth(), 2) + 1, _hint(m)
-    live = {r.rid for r in end.rays
-            if any(map(hint.contains, end.ray_arrows(r.rid, cutoff)[0]))}
+    live = {r.rid for r in end.rays if hint.contains(end.vertex(r.rid, cutoff))
+            or hint.contains(end.vertex(r.rid, cutoff + 1))}
     moved = [r.rid for r in end.rays if r.rid in live and
              _ray_data(m, end, r.rid, cutoff)
              != _ray_data(m, end, r.rid, cutoff + 1)]
@@ -862,11 +862,11 @@ def end_profile(m: Rep, end) -> EndProfile:
                           and is_invertible(tm) else "other")
         rays.append(RayProfile(end.eid, r.rid, r.kind, cutoff, d, tm, status))
     crossings = []
-    for (cid, _, _) in end.crossings:
-        a = end.crossing_arrow(cid, cutoff)
+    for (cid, src, dst) in end.crossings:
         crossings.append(CrossingProfile(
-            end.eid, cid, cutoff, hint.contains(a.src)
-            and hint.contains(a.dst) and not m.mat(a).is_zero()))
+            end.eid, cid, cutoff, hint.contains(end.vertex(src, cutoff))
+            and hint.contains(end.vertex(dst, cutoff))
+            and not m.mat(end.crossing_arrow(cid, cutoff)).is_zero()))
     return EndProfile(end.eid, cutoff, tuple(rays), tuple(crossings))
 
 
@@ -902,8 +902,11 @@ def joint_window(objs, pad: int = 2):
 
 
 def support_exact(m: Rep, profiles) -> VertexSet:
-    """Exact support: evaluated explicit part plus certified nonzero tails."""
+    """Exact support: evaluated explicit part plus certified nonzero tails;
+    the hint itself if it is finite and nonzero at every vertex."""
     q, hint = m.quiver, _hint(m)
+    if not hint.tails and all(map(m.dim, hint.explicit)):
+        return hint
     depth = max([p.cutoff for p in profiles], default=0)
     expl = {v for v in hint.members(depth) if m.dim(v) > 0}
     tails = []

@@ -39,9 +39,9 @@ from arknit.hom import (HomBasis, _iso_indec, _pointwise_inverse,
                         joint_window)
 from arknit.linalg import coker_projection, is_invertible, rank
 from arknit.presentations import relation_matrix
-from arknit.quiver import vkey
+from arknit.quiver import VertexSet, vkey
 from arknit.rep import (CrossingProfile, EndProfile, RayProfile, _certify,
-                        _ray_data, support_exact)
+                        _ray_data)
 
 
 # ---------------------------------------------------------------------------
@@ -600,9 +600,17 @@ def end_profile_every_ray(m, end):
 
 
 def certificate_every_ray(m):
-    """The membership certificate of m from end_profile_every_ray."""
-    profiles = tuple(end_profile_every_ray(m, e) for e in m.quiver.ends())
-    return _certify(m.quiver, profiles, support_exact(m, profiles))
+    """The membership certificate of m from end_profile_every_ray, its exact
+    support read off every vertex of the hint m.support() down to the
+    deepest cutoff, plus the nonzero tails, as support_exact read it before
+    it returned a finite hint that is nonzero everywhere unread."""
+    q = m.quiver
+    profiles = tuple(end_profile_every_ray(m, e) for e in q.ends())
+    depth = max([p.cutoff for p in profiles], default=0)
+    explicit = [v for v in m.support().members(depth) if m.dim(v)]
+    tails = [(r.eid, r.rid, r.cutoff + 1) for p in profiles for r in p.rays
+             if r.dim]
+    return _certify(q, profiles, VertexSet.make(q, explicit, tails))
 
 
 @dataclass(frozen=True)

@@ -235,6 +235,44 @@ def test_certifying_an_fd_zigzag_object_builds_no_zero_matrix(zig,
     assert built == []
 
 
+SIMPLES = {"line": 0, "ray_in": 0, "ray_out": 0, "zigzag": 0,
+           "ladder": ("b", 1)}
+
+
+def end_structure(q):
+    """The band and ray entries of q's memo, and the vertices whose local
+    arrows q has listed."""
+    return ([k for k in q._memo if isinstance(k, tuple)
+             and k[0] in ("band", "ray")], set(q._outs) | set(q._ins))
+
+
+@pytest.mark.parametrize("name", sorted(SIMPLES))
+def test_certifying_a_simple_builds_no_end_structure(name):
+    """A ray is judged dead by its two vertices at the cutoff, and a
+    crossing by its two ends, so certifying S_a on a fresh quiver lists no
+    band, ray or crossing arrows and no arrows at a vertex past its
+    support."""
+    q = ak.PRESETS[name]()
+    cert = ak.classify_membership(ak.simple_at(q, SIMPLES[name]))
+    assert cert.verdict == "fd"
+    keys, listed = end_structure(q)
+    assert keys == [] and listed <= set(cert.support.members())
+
+
+@pytest.mark.parametrize("name, a", [("line", 0), ("ray_out", 0),
+                                     ("ladder", ("b", 1))])
+def test_certifying_a_projective_reads_only_its_live_rays(name, a):
+    """P_a has a tail on one ray: its band and ray arrows are built, and
+    no other ray's."""
+    q = ak.PRESETS[name]()
+    cert = ak.classify_membership(ak.projective_at(q, a))
+    live = {(eid, rid) for eid, rid, _ in cert.support.tails}
+    assert len(live) == 1
+    keys, _ = end_structure(q)
+    assert {k[1] for k in keys if k[0] == "band"} == {e for e, _ in live}
+    assert {k[1:3] for k in keys if k[0] == "ray"} == live
+
+
 # ---------------------------------------------------------------------------
 # no cache outlives its object
 

@@ -403,6 +403,28 @@ def test_arrows_within_matches_the_local_arrows(name):
         assert q.arrows_within(vs) == sorted(local), i
 
 
+SORTED_QUIVERS = {**ak.PRESETS, "A3": lambda: ak.linear_quiver(3),
+                  "A5": lambda: ak.linear_quiver(5),
+                  "kronecker": ak.kronecker_quiver,
+                  "unsorted": lambda: FiniteQuiver((1, 2, 3), (
+                      Arrow(2, 3, "b"), Arrow(1, 3, "c"), Arrow(1, 2, "a"),
+                      Arrow(1, 2, "a2")))}
+
+
+@pytest.mark.parametrize("name", sorted(SORTED_QUIVERS))
+def test_local_arrows_come_sorted(name):
+    """out_arrows and in_arrows list by Arrow.key, on the quiver and on its
+    opposite, down to depth 11 of every ray, so no caller sorts them."""
+    base = SORTED_QUIVERS[name]()
+    for q in (base, base.opposite()):
+        verts = q.vertices if q.is_finite else {
+            e.vertex(r.rid, t) for e in q.ends() for r in e.rays
+            for t in range(12)}
+        for v in verts:
+            for arrows in (q.out_arrows(v), q.in_arrows(v)):
+                assert arrows == sorted(arrows, key=Arrow.key), (v, arrows)
+
+
 @pytest.mark.parametrize("name", ["line", "ray_in", "ray_out", "zigzag"])
 def test_a_bool_or_a_float_stays_no_vertex_once_locate_is_memoized(name):
     # True == 1 == 1.0 and all three hash alike, so a memo of locate keyed

@@ -8,7 +8,9 @@ kernels, cokernels, glues, duals, restrictions and translates of them) over
 every infinite preset, and on every node of the eleven knits of acceptance
 criterion 10: the object vanishes outside its hint at every vertex down to
 depth c0 + 2, and its certificate equals, field by field, the one read with
-every ray evaluated (oracles.certificate_every_ray).
+every ray evaluated (oracles.certificate_every_ray).  A finite hint that
+is nonzero at every vertex is the exact support, and the certificate holds
+it as it is.
 """
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 import arknit as ak
 from arknit.quiver import VertexSet
+from arknit.rep import _hint
 
 from conftest import single_rung
 from oracles import certificate_every_ray
@@ -77,3 +80,26 @@ def test_every_knit_node_vanishes_outside_its_hint(name):
     seed, depth = KNITS[name]
     for node in ak.knit(seed(), depth).nodes:
         check_hint(node.rep)
+
+
+def holds_its_hint(m) -> bool:
+    """Whether m's certificate holds its support hint as the exact support;
+    either way that support is the one every vertex of the hint gives."""
+    cert = ak.classify_membership(m)
+    assert cert.support == certificate_every_ray(m).support, m.describe()
+    return cert.support is _hint(m)
+
+
+def test_a_finite_hint_nonzero_everywhere_is_the_exact_support():
+    a3, zig, line = ak.linear_quiver(3), PRESETS["zigzag"], PRESETS["line"]
+    fd = ak.explicit_fd(zig, {0: 1, 1: 2, 2: 1},
+                        {"1>0": ak.Mat.from_rows(ak.QQ, [[1, 0]])})
+    held = [ak.simple_at(zig, 1), ak.simple_at(line, -2), fd,
+            ak.projective_at(a3, 1), ak.injective_at(a3, 2)]
+    assert [holds_its_hint(m) for m in held] == [True] * len(held)
+    # P_1 / P_3 is 0 at 3, inside its hint; P_0 on the line has a tail
+    quot = ak.coker_proj(ak.path_matrix(
+        a3, ak.QQ, "proj", [3], [1], [[[(1, a3.paths_between(1, 3)[0])]]]))
+    assert not holds_its_hint(quot) and not holds_its_hint(
+        ak.projective_at(line, 0))
+    assert ak.classify_membership(quot).support.explicit == {1, 2}
