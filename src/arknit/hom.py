@@ -47,7 +47,7 @@ from .ext import CountedBasis, arrow_complex
 from .linalg import Mat, inverse, kernel_basis, min_poly, rank, solve_matrix
 from .morphism import (Morphism, identity_morphism, image,
                        morphism_from_components, zero_morphism)
-from .presentations import min_proj_presentation, relation_matrix, yoneda_at
+from .presentations import min_proj_presentation, relation_matrix, yoneda
 from .quiver import vkey
 from .record import Record
 from .rep import Rep, classify_membership, dim_vector, joint_window, same_ambient
@@ -147,8 +147,9 @@ def _presentation_route(m: Rep, n: Rep):
             d = n.dim(y)
             images.append(Mat(F, d, 1, tuple((x,) for x in col[off:off + d])))
             off += d
-        basis.append(Morphism(m, n, label=f"h{k}", rule=lambda v, im=images:
-                              yoneda_at(n, ys, im, v).mul(pres.section(v))))
+        y = yoneda(n, ys, images)
+        basis.append(Morphism(m, n, label=f"h{k}", rule=lambda v, y=y:
+                              y.component(v).mul(pres.section(v))))
     return tuple(basis), tuple(dict.fromkeys(ys))
 
 

@@ -17,7 +17,7 @@ Morphism.dual.
 yoneda_at builds every map from a sum of projectives out of generator images
 (Hom(P_a, N) = N(a)): the cover, and each presentation-route Hom basis
 morphism before it factors through Presentation.section, a right inverse of
-the cover kept per vertex.
+the cover kept per vertex; it works by prefix, one product per arrow.
 The top and the relations of an fp object lie in its certified window, so
 the checks two bands deeper (the cover onto, no relations) are contract
 checks: a failure is an engine bug (AssertionError) naming the vertex, and
@@ -90,19 +90,34 @@ def check_vanishing(m: Rep, verts):
                 f"certified window of a finitely presented object")
 
 
-def yoneda_at(n: Rep, verts, vecs, w) -> Mat:
+def yoneda_at(n: Rep, verts, vecs, w, images: dict) -> Mat:
     """At w, the map ⊕ P_{verts[j]} -> n sending the trivial path at verts[j]
-    to the column vecs[j]: the column of the basis path (j, p) is
-    n(p)·vecs[j]."""
-    cols = [n.mat_path(p).mul(vecs[j]).col(0)
-            for (j, p) in proj_sum_basis(n.quiver, verts, w)]
-    return Mat.from_columns(n.field, n.dim(w), cols)
+    to the column vecs[j], by prefix: the paths at w ending in an arrow a are
+    those at a.src then a, in order, so their columns are n(a) times the map
+    at a.src (a work stack fills it first), kept in the Yoneda map's images."""
+    todo = [w]
+    while todo:
+        u = todo[-1]
+        if u in images:
+            todo.pop()
+            continue
+        basis = proj_sum_basis(n.quiver, verts, u)
+        ins = dict.fromkeys(p.arrows[-1] for (_, p) in basis if p.arrows)
+        todo += [a.src for a in ins if a.src not in images]
+        if todo[-1] == u:
+            cols = {a: iter(n.mat(a).mul(images[a.src]).transpose().entries)
+                    for a in ins}
+            images[todo.pop()] = Mat.from_columns(n.field, n.dim(u), [
+                next(cols[p.arrows[-1]]) if p.arrows else vecs[j].col(0)
+                for (j, p) in basis])
+    return images[w]
 
 
 def yoneda(n: Rep, verts, vecs) -> Morphism:
     """The map ⊕ P_{verts[j]} -> n of yoneda_at, as a morphism."""
+    images: dict = {}
     return Morphism(sum_of(n.quiver, n.field, "proj", verts), n,
-                    rule=lambda w: yoneda_at(n, verts, vecs, w),
+                    rule=lambda w: yoneda_at(n, verts, vecs, w, images),
                     label="yoneda")
 
 
@@ -143,11 +158,12 @@ def _min_proj_presentation(x: Rep) -> Presentation:
     check_vanishing(x, [e.vertex(r.rid, t) for e in q.ends() for r in e.rays
                         for t in (depth + 1, depth + 2)])
     # the relations are the top of K = ker(cover), taken where x's incoming
-    # stack has a kernel: each is a column of K's basis, inside P0(w)
-    counts = {}
-    for w in set(region).union(a.dst for v in region for a in q.out_arrows(v)):
-        inc = incoming_stack(x, w)
-        n = inc.cols - rank(inc)
+    # stack has a kernel: each is a column of K's basis, inside P0(w); in
+    # the window the stack's rank is rows - (generators there)
+    window, tops, counts = set(region), Counter(p0_verts), {}
+    for w in window.union(a.dst for v in region for a in q.out_arrows(v)):
+        r = x.dim(w) - tops[w] if w in window else rank(incoming_stack(x, w))
+        n = sum(x.dim(a.src) for a in q.in_arrows(w)) - r
         if n:
             counts[w] = n
     K = KernelOfRep(cover)

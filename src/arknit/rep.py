@@ -202,11 +202,18 @@ class Rep:
     def mat(self, a: Arrow) -> Mat:
         m = self._mats.get(a)
         if m is None:
-            m = self._mat_at(a)
-            if m.rows != self.dim(a.dst) or m.cols != self.dim(a.src):
-                raise AssertionError(f"bad matrix shape for {a}")
+            if self._zero_domain(a):  # every check in _mat_at is vacuous
+                m = self._zero_mat(a)
+            else:
+                m = self._mat_at(a)
+                if m.rows != self.dim(a.dst) or m.cols != self.dim(a.src):
+                    raise AssertionError(f"bad matrix shape for {a}")
             self._mats[a] = m
         return m
+
+    def _zero_domain(self, a: Arrow) -> bool:
+        """Whether _mat_at's domain at a is 0 (a zero codomain is read)."""
+        return not self.dim(a.src)
 
     def mat_path(self, p: Path) -> Mat:
         if not p.arrows:
@@ -315,6 +322,9 @@ class ExplicitFdRep(Rep):
             raise ValueError(f"matrix for arrow {a.label} has wrong shape")
         return m
 
+    def _zero_domain(self, a):  # a given matrix is checked on every arrow
+        return False
+
     def support(self):
         return VertexSet.make(self.quiver,
                               {v for v, d in self.dims.items() if d > 0})
@@ -386,6 +396,9 @@ class DualRep(Rep):
     def _mat_at(self, a):
         orig = Arrow(a.dst, a.src, a.label)
         return self.base.mat(orig).transpose()
+
+    def _zero_domain(self, a):  # the base reads the reversed arrow
+        return not self.dim(a.dst)
 
     def support(self):
         s = self.base.support()
@@ -558,6 +571,9 @@ class GlueRep(Rep):
 
     def _dim_at(self, v):
         return self.sub.dim(v) + self.quot.dim(v)
+
+    def _zero_domain(self, a):  # a family checks its thin slots
+        return not self.families and super()._zero_domain(a)
 
     def _mat_at(self, a):
         c = self.cocycle_at(a)
@@ -781,9 +797,9 @@ def equal_on(m1: Rep, m2: Rep, verts) -> bool:
 
 
 def incoming_stack(m: Rep, v) -> Mat:
-    """The hstack of M(α) over the sorted incoming arrows α; rows = dim(v)."""
+    """The hstack of M(α) over the sorted incoming arrows α, none read at 0."""
     arrows = m.quiver.in_arrows(v)
-    mats = [m.mat(a).entries for a in arrows]
+    mats = [m.mat(a).entries for a in arrows] if m.dim(v) else []
     rows = tuple(sum(r, ()) for r in zip(*mats)) if mats else ((),) * m.dim(v)
     return Mat(m.field, m.dim(v), sum(m.dim(a.src) for a in arrows), rows)
 

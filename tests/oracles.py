@@ -20,7 +20,8 @@ whole arrow tuples, injectives built over q by stripping the first arrow
 of a path, the isomorphism test that searched pairs of basis maps, the
 cokernel evaluated on its own, before it was read as D of a kernel, the
 certificate read with every ray evaluated, before end_profile skipped the
-rays that the support hint rules out, Mat, Arrow and the 25 records as
+rays that the support hint rules out, the Yoneda map read path by path,
+before it was read by prefix, Mat, Arrow and the 25 records as
 the dataclasses they were before they were slotted, and knit's steps at P_a
 and I_a as they were computed before knit read them off the arrows at a,
 and its P_a and I_a flags as they were read before knit's translate table
@@ -41,7 +42,7 @@ from arknit.linalg import coker_projection, is_invertible, rank
 from arknit.presentations import relation_matrix
 from arknit.quiver import VertexSet, vkey
 from arknit.rep import (CrossingProfile, EndProfile, RayProfile, _certify,
-                        _ray_data)
+                        _ray_data, proj_sum_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +612,15 @@ def certificate_every_ray(m):
     tails = [(r.eid, r.rid, r.cutoff + 1) for p in profiles for r in p.rays
              if r.dim]
     return _certify(q, profiles, VertexSet.make(q, explicit, tails))
+
+
+def yoneda_by_paths(n, verts, vecs, w):
+    """presentations.yoneda_at as it was before it worked by prefix: the
+    column of the basis path (j, p) at w is n(p)·vecs[j], with n(p) the
+    product of n's maps along the whole path p."""
+    cols = [n.mat_path(p).mul(vecs[j]).col(0)
+            for (j, p) in proj_sum_basis(n.quiver, verts, w)]
+    return Mat.from_columns(n.field, n.dim(w), cols)
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,7 @@ from arknit import (
     verify_almost_split,
     verify_exact,
 )
+import arknit.presentations as presentations_mod
 from arknit.ar import standard_vertex
 from arknit.hom import joint_window, solve_natural
 
@@ -63,6 +64,7 @@ from oracles import (
     nqop_truncation,
     route_basis,
     standard_by_search,
+    yoneda_by_paths,
 )
 
 V5 = (1, 2, 3, 4, 5)
@@ -426,6 +428,28 @@ def test_criterion_09_hom_route_consistency(a3, a5, kron, zig, line):
     ok(9, "presentation and window bases have the count's size on 100 "
           "pairs, stable under window enlargement, and so does the "
           "copresentation basis wherever the codomain is fd or fc")
+
+
+def test_criterion_09_presentation_bases_are_yoneda_by_paths(
+        a3, a5, kron, zig, line, monkeypatch):
+    """Every Yoneda map of a presentation-route basis of criterion 9, and of
+    its cover, read by prefix at each vertex of the window, is the map read
+    path by path."""
+    seen, by_prefix = [], presentations_mod.yoneda_at
+
+    def spy(n, verts, vecs, w, images):
+        got = by_prefix(n, verts, vecs, w, images)
+        assert got == yoneda_by_paths(n, verts, vecs, w)
+        seen.append(w)
+        return got
+    monkeypatch.setattr(presentations_mod, "yoneda_at", spy)
+    for m, n in _criterion_09_pairs(a3, a5, kron, zig, line):
+        space = hom_space(m, n)
+        if space.route == "presentation":
+            for f in space.basis:
+                for v in space.window:
+                    f.component(v)
+    assert len(seen) > 100
 
 
 PIN_VERTICES = {"line": (-1, 0, 1), "ray_out": (0, 1), "ray_in": (0, 1),

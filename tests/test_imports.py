@@ -4,7 +4,8 @@ is every name in a __slots__ (every field of a record), no module
 stores to a field of the value types Mat and Arrow after __init__, no module
 imports sympy, which is a test oracle only, nor dataclasses, whose classes
 cost start-up, only linalg names Fraction, only
-the duals in rep.py and morphism.py transpose a component, knit builds
+the duals in rep.py and morphism.py transpose a component, only
+relation_matrix multiplies a map out along a whole path, knit builds
 each translate through its translate table, every boundary that the
 benchmark traces by name exists, every exception a module raises is one
 of the classes the CLI maps to an exit code, the package's public names are
@@ -325,6 +326,33 @@ def test_detects_a_transposed_component():
                          ids=lambda p: p.name)
 def test_only_the_duals_transpose_a_component(path):
     assert transposed_components(path.read_text()) == []
+
+
+def path_products(source: str) -> list:
+    """Lines that call .mat_path(...) outside relation_matrix: a map
+    multiplied out along a whole path, where the Yoneda map reads the image
+    of each path off that of its prefix."""
+    tree = ast.parse(source)
+    inside = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+              and f.name == "relation_matrix" for n in ast.walk(f)}
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if _calls(n, "mat_path") and id(n) not in inside)
+
+
+def test_detects_a_path_product():
+    src = ("def yoneda_at(n, p):\n"
+           "    return n.mat_path(p).mul(v)\n"
+           "def relation_matrix(pm, n):\n"
+           "    return [n.mat_path(p) for p in pm.paths]\n"
+           "m = rep.mat_path(q)\n"
+           "def mat_path(self, p):\n"
+           '    """self.mat_path(p) in a docstring"""\n')
+    assert path_products(src) == [2, 5]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_relation_matrix_multiplies_out_a_path(path):
+    assert path_products(path.read_text()) == []
 
 
 EVALUATORS = {"Rep", "ProjRep", "ExplicitFdRep", "ThinRep", "DirectSumRep",

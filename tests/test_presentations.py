@@ -11,6 +11,7 @@ intended change of the relation basis:
 
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -44,7 +45,8 @@ from arknit.linalg import rank
 from arknit.presentations import check_vanishing
 from arknit.rep import joint_window, proj_sum_basis
 from conftest import random_fd_rep, single_rung
-from oracles import computed_step, standard_by_presentation
+from oracles import computed_step, standard_by_presentation, yoneda_by_paths
+from test_hom import _generator
 
 GOLDEN = Path(__file__).parent / "golden" / "presentations.txt"
 
@@ -350,3 +352,43 @@ def write_golden():
 
 def test_presentations_match_golden():
     assert golden_text() == GOLDEN.read_text()
+
+
+# ---------------------------------------------------------------------------
+# each map evaluated once: the cover by prefix, one stack per window vertex
+
+
+def test_every_criterion_10_cover_is_the_yoneda_map_by_paths():
+    """The cover read by prefix, with the images its vertices share, is the
+    Yoneda map read path by path on the joint window at pad 2 of every
+    presentation the criterion-10 knits make, and on the arrows out of it,
+    where the relations lie."""
+    made = presentations_made(lambda: [knit(seed, depth) for seed, depth
+                                       in criterion_10_knits()])
+    for pres in made:
+        x, ys = pres.obj, pres.pm.codomain
+        vecs = [_generator(pres, j) for j in range(len(ys))]
+        window = joint_window([x])[0]
+        for w in set(window).union(a.dst for v in window
+                                   for a in x.quiver.out_arrows(v)):
+            assert pres.cover.component(w) == yoneda_by_paths(x, ys, vecs, w)
+    assert len(made) > 100
+
+
+def test_one_incoming_stack_per_window_vertex(monkeypatch):
+    """The elimination behind top_generators also counts the relations in
+    the window, so each presentation of the criterion-10 knits builds the
+    incoming stack of its object once at each vertex of its window."""
+    calls, stack = Counter(), presentations.incoming_stack
+
+    def spy(m, v):
+        calls[m, v] += 1
+        return stack(m, v)
+    monkeypatch.setattr(presentations, "incoming_stack", spy)
+    made = presentations_made(lambda: [knit(seed, depth) for seed, depth
+                                       in criterion_10_knits()])
+    for pres in made:
+        region = joint_window([pres.obj], 1)[0]
+        assert [calls[pres.obj, v] for v in region] == [1] * len(region)
+    assert len(made) > 100
+

@@ -34,9 +34,10 @@ from arknit import (
     is_doubly_infinite,
     vkey,
 )
+from arknit.morphism import Morphism
 from arknit.quiver import FiniteQuiver
-from arknit.rep import (Rep, incoming_stack, path_matrix, proj_sum_basis,
-                        reverse_path)
+from arknit.rep import (CokerOfRep, KernelOfRep, Rep, incoming_stack,
+                        path_matrix, proj_sum_basis, reverse_path)
 
 from oracles import (an_dims, inj_basis_over_q, inj_component_by_stripping,
                      injective_by_stripping, projective_by_tuple_index)
@@ -221,6 +222,53 @@ def test_explicit_fd_rejects_bad_shape(a3):
                     {a12.label: Mat.from_rows(QQ, [[1]])})
     with pytest.raises(ValueError):
         m.mat(a12)
+
+
+def test_explicit_fd_rejects_bad_shape_on_a_zero_domain(a3):
+    # Rep.mat reads the map on a zero domain off the dimensions, except for
+    # explicit data, whose given matrix is still checked there
+    (a12,) = [a for a in a3.out_arrows(1) if a.dst == 2]
+    m = explicit_fd(a3, {2: 1}, {a12.label: Mat.from_rows(QQ, [[1]])})
+    with pytest.raises(ValueError, match=f"arrow {a12.label} has wrong shape"):
+        m.mat(a12)
+
+
+def test_glue_family_rejects_a_slot_on_a_zero_domain(ladder):
+    # the rung at depth 1 leaves a_1, where the glue is 0; its family's
+    # slots are still checked there
+    sub = thin_rep(ladder, VertexSet.make(ladder, (), [("inf", "b", 0)]))
+    quot = thin_rep(ladder, VertexSet.make(ladder, (), [("inf", "a", 3)]))
+    m = glue_rep(sub, quot, families=[RungFamily("inf", "rung", 0, QQ.one)])
+    (end,) = ladder.ends()
+    rung = end.crossing_arrow("rung", 1)
+    assert m.dim(rung.src) == 0
+    with pytest.raises(ValueError, match="families need thin slots"):
+        m.mat(rung)
+
+
+def test_a_zero_codomain_still_checks_commutation(a3, monkeypatch):
+    # only a zero domain fixes a map: the kernel of a rule that does not
+    # commute is k at 1 and 0 at 2, and its map 1 -> 2 is still solved by
+    # coords, whose check catches the rule
+    thin = thin_rep(a3, VertexSet.make(a3, (1, 2), ()))
+    f = Morphism(thin, thin, lambda v: Mat.from_rows(
+        QQ, [[int(v == 2)]] * thin.dim(v)))
+    k, seen, coords = KernelOfRep(f), [], KernelOfRep.coords
+    monkeypatch.setattr(KernelOfRep, "coords", lambda self, v, vecs, why:
+                        seen.append(v) or coords(self, v, vecs, why))
+    (a12,) = [a for a in a3.out_arrows(1) if a.dst == 2]
+    assert (k.dim(1), k.dim(2)) == (1, 0)
+    with pytest.raises(AssertionError, match="does not commute with arrows"):
+        k.mat(a12)
+    # a cokernel, D of the kernel of the dual map, is 0 at 1 and k at 2; its
+    # map 1 -> 2 reads the kernel's map 2 -> 1, whose codomain is 0
+    g = Morphism(thin, thin, lambda v: Mat.from_rows(
+        QQ, [[int(v == 1)]] * thin.dim(v)))
+    c = CokerOfRep(g)
+    assert (c.dim(1), c.dim(2)) == (0, 1)
+    with pytest.raises(AssertionError, match="does not commute with arrows"):
+        c.mat(a12)
+    assert seen == [2, 1]
 
 
 def test_gf_coefficients(a3):

@@ -10,7 +10,8 @@ criterion 10: the object vanishes outside its hint at every vertex down to
 depth c0 + 2, and its certificate equals, field by field, the one read with
 every ray evaluated (oracles.certificate_every_ray).  A finite hint that
 is nonzero at every vertex is the exact support, and the certificate holds
-it as it is.
+it as it is.  On the same objects, a map that Rep.mat reads off a zero
+domain is the one the evaluator builds.
 """
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import arknit as ak
 from arknit.quiver import VertexSet
-from arknit.rep import _hint
+from arknit.rep import DualRep, _hint
 
 from conftest import single_rung
 from oracles import certificate_every_ray
@@ -33,6 +34,17 @@ def vertices_to_depth(q, depth):
         return q.vertices
     rays = [(e.eid, r.rid, 0) for e in q.ends() for r in e.rays]
     return VertexSet.make(q, (), rays).members(depth)
+
+
+def check_zero_domains(m):
+    """Where the domain of m's evaluator is 0 (a.dst for a DualRep, whose
+    base reads the reversed arrow, else a.src), the map that Rep.mat reads
+    off the dimensions is the one _mat_at builds, on every arrow down to
+    depth c0 + 2, the depth of m's joint window."""
+    depth = max(m.structural_depth(), 2) + 3
+    for a in m.quiver.arrows_within(vertices_to_depth(m.quiver, depth)):
+        if not m.dim(a.dst if isinstance(m, DualRep) else a.src):
+            assert m.mat(a) == m._mat_at(a), (m.describe(), a)
 
 
 def check_hint(m):
@@ -52,6 +64,14 @@ def check_hint(m):
 def test_random_objects_vanish_outside_their_hint(kind, data):
     q = PRESETS[data.draw(st.sampled_from(sorted(PRESETS)))]
     check_hint(data.draw(objects(q, 2, kind)))
+
+
+@pytest.mark.parametrize("kind", LEAVES + COMPOSITES)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_random_objects_read_zero_domains_off_the_dimensions(kind, data):
+    q = PRESETS[data.draw(st.sampled_from(sorted(PRESETS)))]
+    check_zero_domains(data.draw(objects(q, 2, kind)))
 
 
 def _line_full(q):
@@ -80,6 +100,13 @@ def test_every_knit_node_vanishes_outside_its_hint(name):
     seed, depth = KNITS[name]
     for node in ak.knit(seed(), depth).nodes:
         check_hint(node.rep)
+
+
+@pytest.mark.parametrize("name", KNITS)
+def test_every_knit_node_reads_zero_domains_off_the_dimensions(name):
+    seed, depth = KNITS[name]
+    for node in ak.knit(seed(), depth).nodes:
+        check_zero_domains(node.rep)
 
 
 def holds_its_hint(m) -> bool:
