@@ -10,6 +10,7 @@ on infinitely many vertices is still exact to work with.
 
 from arknit import (
     QQ,
+    Mat,
     VertexSet,
     classify_membership,
     dim_vector,
@@ -31,7 +32,8 @@ print("S_2 dims:", dim_vector(simple_at(a3, 2), (1, 2, 3)))
 
 # Explicit finite-dimensional data: dims per vertex, matrices per arrow
 # label (column index = domain coordinate at the arrow's source).
-m = explicit_fd(a3, {1: 1, 2: 2}, {"1>2": [[1], [0]]}, QQ)
+m = explicit_fd(a3, {1: 1, 2: 2},
+                {"1>2": Mat.from_rows(QQ, [[1], [0]])}, QQ)
 print("explicit dims:", dim_vector(m, (1, 2, 3)))
 
 # Thin regions: dimension one on a vertex set, identity on internal arrows.

@@ -182,15 +182,6 @@ class ASReport(Record):
                            "quot_indecomposable", "lift_failures",
                            "factor_failures", "battery_size")
 
-    def __init__(self, exact: bool, non_split: bool, sub_indecomposable: bool,
-                 quot_indecomposable: bool, lift_failures: tuple,
-                 factor_failures: tuple, battery_size: int):
-        self.exact, self.non_split = exact, non_split
-        self.sub_indecomposable = sub_indecomposable
-        self.quot_indecomposable = quot_indecomposable
-        self.lift_failures, self.factor_failures = lift_failures, factor_failures
-        self.battery_size = battery_size
-
     @property
     def passed(self) -> bool:
         return (self.exact and self.non_split and self.sub_indecomposable
@@ -501,9 +492,6 @@ def _expand_window(q: QuiverBase, verts, radius: int):
 
 class ShapeHypothesis(Record):
     __slots__ = _fields = ("tag", "certificate")
-
-    def __init__(self, tag: str, certificate: dict):
-        self.tag, self.certificate = tag, certificate
 
 
 def classify_component(comp: ARComponent) -> ShapeHypothesis:

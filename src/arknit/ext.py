@@ -273,17 +273,11 @@ def baer_sum(s1: SES, s2: SES) -> SES:
 
 
 class FiniteExtReport(Record):
+    # vanishing_outside: are the arrows where only the middle is nonzero
+    # finitely many?  gluing_support: are the gluing arrows with nonzero
+    # cocycle finitely many?
     __slots__ = _fields = ("finite", "vanishing_outside", "gluing_support",
                            "arrows", "witness")
-
-    def __init__(self, finite: bool, vanishing_outside: bool,
-                 gluing_support: bool, arrows: tuple, witness: tuple):
-        self.finite = finite
-        # arrows where only the middle is nonzero: finite?
-        self.vanishing_outside = vanishing_outside
-        # gluing arrows with nonzero cocycle: finite?
-        self.gluing_support = gluing_support
-        self.arrows, self.witness = arrows, witness
 
 
 def _arrow_rep_zero(m: Rep, a) -> bool:

@@ -178,12 +178,6 @@ class EndAlgebra(Record):
                  "is_local", "__dict__")
     _fields = __slots__[:-1]
 
-    def __init__(self, obj: Rep, dimension: int, basis: tuple, table: tuple,
-                 identity: tuple, radical: tuple, is_local: bool):
-        self.obj, self.dimension, self.basis = obj, dimension, basis
-        self.table, self.identity, self.radical = table, identity, radical
-        self.is_local = is_local
-
     @cached_property
     def idempotent(self):
         """A nontrivial idempotent (coords), or None; searched once."""
@@ -348,20 +342,11 @@ def _iso_indec(m: Rep, n: Rep):
 class Summand(Record):
     __slots__ = _fields = ("rep", "incl", "proj", "flagged")
 
-    def __init__(self, rep: Rep, incl: Morphism, proj: Morphism,
-                 flagged: bool):
-        self.rep, self.incl, self.proj, self.flagged = rep, incl, proj, flagged
-
 
 class DecomposeReport(Record):
+    # summands: one Summand per indecomposable occurrence; items: the pairs
+    # (representative rep, multiplicity)
     __slots__ = _fields = ("obj", "summands", "items", "flagged")
-
-    def __init__(self, obj: Rep, summands: tuple, items: tuple,
-                 flagged: bool):
-        self.obj = obj
-        self.summands = summands  # one Summand per indecomposable occurrence
-        self.items = items        # (representative rep, multiplicity)
-        self.flagged = flagged
 
 
 def _endo_from_coords(E: EndAlgebra, coords, label="e") -> Morphism:

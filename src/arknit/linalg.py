@@ -37,7 +37,7 @@ class Field(Frozen):
                                      for d in range(2, int(char ** 0.5) + 1))):
             raise ValueError(
                 f"field characteristic must be 0 or a prime, got {char}")
-        object.__setattr__(self, "char", char)
+        Record.__init__(self, char)
 
     def of(self, x):
         """The canonical element for an int, a Fraction or, over Q, a string

@@ -192,11 +192,6 @@ def image(f: Morphism):
 class SES(Record):
     __slots__ = _fields = ("sub", "middle", "quot", "incl", "proj")
 
-    def __init__(self, sub: Rep, middle: Rep, quot: Rep, incl: Morphism,
-                 proj: Morphism):
-        self.sub, self.middle, self.quot = sub, middle, quot
-        self.incl, self.proj = incl, proj
-
     def cocycle_at(self, a: Arrow) -> Optional[Mat]:
         if isinstance(self.middle, GlueRep):
             return self.middle.cocycle_at(a)

@@ -46,11 +46,6 @@ class Presentation(Frozen):
 
     __slots__ = _fields = ("obj", "pm", "cover")
 
-    def __init__(self, obj: Rep, pm: PathMatrix, cover: Morphism):
-        object.__setattr__(self, "obj", obj)
-        object.__setattr__(self, "pm", pm)
-        object.__setattr__(self, "cover", cover)
-
     def section(self, v) -> Mat:
         """A right inverse of cover(v), onto on the proj side; solved once
         per vertex and kept on obj."""

@@ -96,7 +96,8 @@ class QuiverBase(Frozen):
     __slots__ = ("_outs", "_ins", "_memo", "_end_data", "__weakref__")
     is_finite = False
 
-    def __init__(self):
+    def __init__(self, *values):
+        Record.__init__(self, *values)
         # derived data, kept for the lifetime of this instance: the arrows
         # out of and into each vertex asked about, and everything else.  Only
         # a memoized opposite refers back to the quiver, so a dropped quiver
@@ -267,10 +268,6 @@ class QuiverBase(Frozen):
 class Ray(Frozen):
     __slots__ = _fields = ("rid", "kind")  # kind: 'P' | 'I' | 'bad'
 
-    def __init__(self, rid: str, kind: str):
-        object.__setattr__(self, "rid", rid)
-        object.__setattr__(self, "kind", kind)
-
 
 class End:
     """One periodic infinite direction of a preset quiver.  What it derives
@@ -327,9 +324,7 @@ class FiniteQuiver(QuiverBase):
     name = "finite"
 
     def __init__(self, vertices: tuple, arrows: tuple):
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "arrows", arrows)
-        super().__init__()
+        super().__init__(vertices, arrows)
         seen = set()
         outs = {v: [] for v in vertices}
         ins = {v: [] for v in vertices}
@@ -481,8 +476,7 @@ class PresetQuiver(QuiverBase):
     _fields = ("name",)
 
     def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-        super().__init__()
+        super().__init__(name)
         spec = _PRESETS[name]
         rays = {(eid, rid): (place, tail)
                 for eid, rs in spec["ends"].items()
@@ -574,8 +568,7 @@ class OppositeQuiver(QuiverBase):
     __slots__ = _fields = ("base",)
 
     def __init__(self, base: QuiverBase):
-        object.__setattr__(self, "base", base)
-        super().__init__()
+        super().__init__(base)
         flip = {"P": "I", "I": "P", "bad": "bad"}
         object.__setattr__(self, "_end_data", tuple(
             (e.eid, [Ray(r.rid, flip[r.kind]) for r in e.rays],
@@ -647,11 +640,6 @@ class VertexSet(Frozen):
     """Finite explicit part plus ray tails (eid, rid, from_depth)."""
 
     __slots__ = _fields = ("quiver", "explicit", "tails")
-
-    def __init__(self, quiver: QuiverBase, explicit: frozenset, tails: tuple):
-        object.__setattr__(self, "quiver", quiver)
-        object.__setattr__(self, "explicit", explicit)
-        object.__setattr__(self, "tails", tails)
 
     @staticmethod
     def make(quiver, explicit=(), tails=()) -> "VertexSet":
@@ -760,13 +748,6 @@ class VertexSet(Frozen):
 class SubquiverClass(Frozen):
     __slots__ = _fields = ("is_finite", "top_finite", "socle_finite",
                            "witnesses")
-
-    def __init__(self, is_finite: bool, top_finite: bool, socle_finite: bool,
-                 witnesses: tuple):
-        object.__setattr__(self, "is_finite", is_finite)
-        object.__setattr__(self, "top_finite", top_finite)
-        object.__setattr__(self, "socle_finite", socle_finite)
-        object.__setattr__(self, "witnesses", witnesses)
 
 
 def _top_analysis(vset: VertexSet, many: str, one: str):

@@ -1,11 +1,16 @@
-"""Records: slotted classes whose ==, hash and repr read their fields.
+"""Records: slotted classes whose construction, ==, hash and repr read their
+fields.
 
-A record names its fields once, ``__slots__ = _fields = (...)``, and has a
-straight-line ``__init__``; nothing is compiled when its class is defined.
-Record gives == (the object itself, with no field read, or the same class
-and equal fields), repr and no hash; Frozen adds the hash of the tuple of
-fields and refuses every store after ``__init__``, which writes through
-``object.__setattr__``.
+A record names its fields once, ``__slots__ = _fields = (...)``, and is
+built from one value per field, in that order: ``Record.__init__`` stores
+them through the slots' own setters, found once per class, and refuses a
+wrong number of values.  A record that checks its input or sets up derived
+data calls it after the checks; Mat (the most built object), Arrow (which
+caches its hash) and the records with defaults keep a straight-line
+``__init__``.  Nothing is compiled when a class is defined.  Record gives ==
+(the object itself, with no field read, or the same class and equal
+fields), repr and no hash; Frozen adds the hash of the tuple of fields and
+refuses every store after ``__init__``, which a slot setter bypasses.
 """
 from operator import attrgetter
 
@@ -13,7 +18,7 @@ from operator import attrgetter
 class Record:
     __slots__ = ()
     __hash__ = None
-    _fields, _values = (), staticmethod(lambda r: ())
+    _fields, _setters, _values = (), (), staticmethod(lambda r: ())
 
     def __init_subclass__(cls):
         fields = cls.__dict__.get("_fields")
@@ -21,6 +26,14 @@ class Record:
             get = attrgetter(*fields)
             cls._values = staticmethod(
                 get if len(fields) > 1 else lambda r: (get(r),))
+            cls._setters = tuple(cls.__dict__[f].__set__ for f in fields)
+
+    def __init__(self, *values):
+        if len(values) != len(self._setters):
+            raise TypeError(f"{type(self).__qualname__} takes "
+                            f"{len(self._setters)} values, got {len(values)}")
+        for store, v in zip(self._setters, values):
+            store(self, v)
 
     def __eq__(self, other):
         if other is self:

@@ -81,12 +81,7 @@ class PathMatrix(Frozen):
                     if p.src != codomain[j] or p.dst != domain[i]:
                         raise ValueError(
                             f"entry path must run codomain[{j}] ~> domain[{i}]")
-        object.__setattr__(self, "quiver", quiver)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "entries", entries)
+        Record.__init__(self, quiver, field, side, domain, codomain, entries)
 
     def depth_bound(self) -> int:
         return max((_loc_depth(self.quiver, v)
@@ -304,26 +299,30 @@ class ThinRep(Rep):
 
 class ExplicitFdRep(Rep):
     def __init__(self, quiver, field, dims: dict, mats: dict):
-        """dims: vertex -> int; mats: arrow label -> Mat (only nonzero ones)."""
+        """dims: vertex -> int; mats: arrow label -> Mat (only nonzero ones),
+        each over field and dims(dst) x dims(src) for its arrow."""
         super().__init__(quiver, field)
         self.dims = dict(dims)
         self.mats = dict(mats)
+        for lbl, m in self.mats.items():
+            if not isinstance(m, Mat) or m.field != field:
+                raise ValueError(f"matrix for arrow {lbl} is not a Mat "
+                                 f"over {field!r}")
         for v in self.dims:
             _inside(quiver, v)
+            for a in quiver.out_arrows(v) + quiver.in_arrows(v):
+                m = self.mats.get(a.label)
+                if m is not None and (m.rows, m.cols) != (
+                        self._dim_at(a.dst), self._dim_at(a.src)):
+                    raise ValueError(
+                        f"matrix for arrow {a.label} has wrong shape")
 
     def _dim_at(self, v):
         return self.dims.get(v, 0)
 
     def _mat_at(self, a):
         m = self.mats.get(a.label)
-        if m is None:
-            return self._zero_mat(a)
-        if m.rows != self._dim_at(a.dst) or m.cols != self._dim_at(a.src):
-            raise ValueError(f"matrix for arrow {a.label} has wrong shape")
-        return m
-
-    def _zero_domain(self, a):  # a given matrix is checked on every arrow
-        return False
+        return self._zero_mat(a) if m is None else m
 
     def support(self):
         return VertexSet.make(self.quiver,
@@ -531,12 +530,6 @@ class RungFamily(Frozen):
 
     __slots__ = _fields = ("eid", "cid", "start", "coeff")
 
-    def __init__(self, eid: str, cid: str, start: int, coeff):
-        object.__setattr__(self, "eid", eid)
-        object.__setattr__(self, "cid", cid)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "coeff", coeff)
-
 
 class GlueRep(Rep):
     """Extension middle: block triangular [[sub, cocycle], [0, quot]]."""
@@ -553,6 +546,15 @@ class GlueRep(Rep):
                 raise ValueError(
                     f"dimension-mismatched cocycle entry at arrow {a.label}: "
                     f"expected {sub.dim(a.dst)}x{quot.dim(a.src)}, got {m.rows}x{m.cols}")
+        # a family's slots repeat past the deepest of its start and the
+        # structural depths of sub and quot, so one band past it is enough
+        for fam in self.families:
+            depth = max(fam.start, sub.structural_depth(),
+                        quot.structural_depth())
+            for t in range(fam.start, depth + 2):
+                a = self.quiver._crossing_arrow(fam.eid, fam.cid, t)
+                if sub.dim(a.dst) != 1 or quot.dim(a.src) != 1:
+                    raise ValueError("symbolic cocycle families need thin slots")
 
     def cocycle_at(self, a: Arrow) -> Optional[Mat]:
         for (arr, m) in self.cocycle:
@@ -564,16 +566,11 @@ class GlueRep(Rep):
                 continue
             t = loc[2]
             if t >= fam.start and self.quiver._crossing_arrow(fam.eid, fam.cid, t) == a:
-                if self.sub.dim(a.dst) != 1 or self.quot.dim(a.src) != 1:
-                    raise ValueError("symbolic cocycle families need thin slots")
                 return Mat(self.field, 1, 1, ((self.field.of(fam.coeff),),))
         return None
 
     def _dim_at(self, v):
         return self.sub.dim(v) + self.quot.dim(v)
-
-    def _zero_domain(self, a):  # a family checks its thin slots
-        return not self.families and super()._zero_domain(a)
 
     def _mat_at(self, a):
         c = self.cocycle_at(a)
@@ -813,26 +810,13 @@ class RayProfile(Record):
     __slots__ = _fields = ("eid", "rid", "kind", "cutoff", "dim", "transition",
                            "status")  # status: 'zero' | 'iso' | 'other'
 
-    def __init__(self, eid: str, rid: str, kind: str, cutoff: int, dim: int,
-                 transition: Optional[Mat], status: str):
-        self.eid, self.rid, self.kind, self.cutoff = eid, rid, kind, cutoff
-        self.dim, self.transition, self.status = dim, transition, status
-
 
 class CrossingProfile(Record):
     __slots__ = _fields = ("eid", "cid", "cutoff", "nonzero")
 
-    def __init__(self, eid: str, cid: str, cutoff: int, nonzero: bool):
-        self.eid, self.cid, self.cutoff, self.nonzero = \
-            eid, cid, cutoff, nonzero
-
 
 class EndProfile(Record):
     __slots__ = _fields = ("eid", "cutoff", "rays", "crossings")
-
-    def __init__(self, eid: str, cutoff: int, rays: tuple, crossings: tuple):
-        self.eid, self.cutoff, self.rays, self.crossings = \
-            eid, cutoff, rays, crossings
 
 
 def _hint(m: Rep) -> VertexSet:
@@ -889,13 +873,6 @@ def end_profile(m: Rep, end) -> EndProfile:
 class RepClassCertificate(Frozen):
     # support: the exact support, as support_exact(m, profiles)
     __slots__ = _fields = ("verdict", "witnesses", "profiles", "support")
-
-    def __init__(self, verdict: str, witnesses: tuple, profiles: tuple,
-                 support: VertexSet):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "witnesses", witnesses)
-        object.__setattr__(self, "profiles", profiles)
-        object.__setattr__(self, "support", support)
 
     def is_in_rrep(self) -> bool:
         return self.verdict in ("fd", "fp", "fc", "rrep")
@@ -1037,12 +1014,6 @@ def _supporting_arrows_between(m: Rep, src_set: VertexSet, dst_set: VertexSet,
 class PFIDecomposition(Record):
     __slots__ = _fields = ("sigmaP", "sigmaI", "projPart", "corePart",
                            "injPart", "certificate")
-
-    def __init__(self, sigmaP: VertexSet, sigmaI: VertexSet, projPart: Rep,
-                 corePart: Rep, injPart: Rep, certificate: dict):
-        self.sigmaP, self.sigmaI, self.projPart = sigmaP, sigmaI, projPart
-        self.corePart, self.injPart, self.certificate = \
-            corePart, injPart, certificate
 
 
 def pfi_decompose(m: Rep) -> PFIDecomposition:

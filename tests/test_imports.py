@@ -1,11 +1,13 @@
 """Every name a library module imports is used in that module, every
 function, method and class it defines is used somewhere in the project, so
 is every name in a __slots__ (every field of a record), no module
-stores to a field of the value types Mat and Arrow after __init__, no module
-imports sympy, which is a test oracle only, nor dataclasses, whose classes
-cost start-up, only linalg names Fraction, only
-the duals in rep.py and morphism.py transpose a component, only
-relation_matrix multiplies a map out along a whole path, knit builds
+stores to a field of the value types Mat and Arrow after __init__, no
+record but Mat has an __init__ without defaults that only stores its
+parameters in its fields (Record.__init__ does that), no module imports
+sympy, which is a test oracle only, nor dataclasses, whose classes cost
+start-up, only linalg names Fraction, only the duals in rep.py and
+morphism.py transpose a component, only relation_matrix multiplies a map
+out along a whole path, knit builds
 each translate through its translate table, every boundary that the
 benchmark traces by name exists, every exception a module raises is one
 of the classes the CLI maps to an exit code, the package's public names are
@@ -241,6 +243,131 @@ def test_detects_a_value_field_store():
                          ids=lambda p: p.name)
 def test_no_value_field_stored_after_init(path):
     assert value_field_stores(path.read_text()) == []
+
+
+# Mat keeps its straight-line __init__: it is the most built object, and a
+# plain store costs a quarter of a store through the slot setters
+STRAIGHT_LINE_RECORDS = {"Mat"}
+
+
+def record_classes(sources) -> set:
+    """The names of the classes in sources that derive, by the names of
+    their bases, from Record or Frozen."""
+    bases = {n.name: {getattr(b, "id", getattr(b, "attr", None))
+                      for b in n.bases}
+             for s in sources for n in ast.walk(ast.parse(s))
+             if isinstance(n, ast.ClassDef)}
+    found, grown = set(), {"Record", "Frozen"}
+    while grown:
+        found |= grown
+        grown = {c for c, bs in bases.items() if bs & found} - found
+    return found - {"Record", "Frozen"}
+
+
+def storing_inits(source: str, records: set) -> list:
+    """(line, name) of each record class (one of records, less
+    STRAIGHT_LINE_RECORDS) whose __init__ takes no default and only stores
+    its own parameters, in order or one by one, in the fields of the same
+    name: by self.<p> = <p>, object.__setattr__(self, "<p>", <p>), or a
+    call of a base's __init__ with them, which is what Record.__init__
+    already does."""
+    def name(e):
+        return e.id if isinstance(e, ast.Name) else None
+
+    def stored(s, self):
+        """The parameters s stores in their own fields, or None."""
+        if isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant):
+            return []  # a docstring
+        if isinstance(s, ast.Assign) and len(s.targets) == 1:
+            ts = getattr(s.targets[0], "elts", [s.targets[0]])
+            vs = getattr(s.value, "elts", [s.value])
+            if len(ts) == len(vs) and all(
+                    isinstance(t, ast.Attribute) and name(t.value) == self
+                    and t.attr == name(v) for t, v in zip(ts, vs)):
+                return [t.attr for t in ts]
+        if isinstance(s, ast.Expr) and isinstance(s.value, ast.Call) \
+                and isinstance(s.value.func, ast.Attribute) \
+                and not s.value.keywords:
+            f, args = s.value.func, s.value.args
+            if f.attr == "__setattr__" and len(args) == 3 \
+                    and name(args[0]) == self \
+                    and isinstance(args[1], ast.Constant) \
+                    and args[1].value == name(args[2]):
+                return [args[1].value]
+            if f.attr == "__init__" and isinstance(f.value, ast.Call) \
+                    and name(f.value.func) == "super":
+                args = [ast.Name(self)] + args
+            if f.attr == "__init__" and args and name(args[0]) == self \
+                    and all(name(a) for a in args[1:]):
+                return [name(a) for a in args[1:]]
+        return None
+
+    out = []
+    for c in ast.walk(ast.parse(source)):
+        if not (isinstance(c, ast.ClassDef) and c.name in records) \
+                or c.name in STRAIGHT_LINE_RECORDS:
+            continue
+        for f in c.body:
+            if not (isinstance(f, ast.FunctionDef) and f.name == "__init__"):
+                continue
+            params = [a.arg for a in f.args.args]
+            if f.args.defaults or f.args.kwonlyargs or f.args.vararg:
+                continue
+            stores = [stored(s, params[0]) for s in f.body]
+            if None not in stores and \
+                    {p for ps in stores for p in ps} <= set(params[1:]):
+                out.append((c.lineno, c.name))
+    return sorted(out)
+
+
+def test_detects_a_record_init_that_only_stores():
+    src = ("class A(Record):\n"
+           "    def __init__(self, x, y):\n"
+           "        self.x, self.y = x, y\n"
+           "class B(Frozen):\n"
+           "    def __init__(self, x, y):\n"
+           '        """Two fields."""\n'
+           "        object.__setattr__(self, 'x', x)\n"
+           "        object.__setattr__(self, 'y', y)\n"
+           "class C(mod.B):\n"
+           "    def __init__(self, z):\n"
+           "        super().__init__(z)\n"
+           "class D(Record):\n"
+           "    def __init__(self, x, y=0):\n"
+           "        self.x, self.y = x, y\n"
+           "class E(Record):\n"
+           "    def __init__(self, x):\n"
+           "        if x < 0:\n"
+           "            raise ValueError(x)\n"
+           "        Record.__init__(self, x)\n"
+           "class F(Record):\n"
+           "    def __init__(self, x, y):\n"
+           "        self.x, self.y = y, x\n"
+           "class G:\n"
+           "    def __init__(self, x):\n"
+           "        self.x = x\n"
+           "class H(Record):\n"
+           "    def __init__(self, x):\n"
+           "        self.x = x\n"
+           "        self._hash = hash(x)\n"
+           "class I(C):\n"
+           "    def __init__(self, z):\n"
+           "        C.__init__(self, z)\n"
+           "class Mat(Record):\n"
+           "    def __init__(self, field, rows):\n"
+           "        self.field = field\n"
+           "        self.rows = rows\n")
+    records = record_classes([src])
+    assert records == {"A", "B", "C", "D", "E", "F", "H", "I", "Mat"}
+    assert storing_inits(src, records) == [(1, "A"), (4, "B"), (9, "C"),
+                                           (30, "I")]
+
+
+def test_no_record_init_only_stores_its_fields():
+    sources = [p.read_text() for p in MODULES]
+    records = record_classes(sources)
+    assert {"Mat", "Arrow", "Path", "FiniteQuiver", "RayProfile"} <= records
+    assert [x for s in sources for x in storing_inits(s, records)] == []
 
 
 def cutoff_maxima(source: str) -> list:

@@ -4,8 +4,9 @@ Each record is built from the same field values as its dataclass twin
 (tests/oracles.py) and must give the same ==, hash (TypeError where the
 dataclass was unhashable), repr and defaults.  The formerly frozen ones
 still refuse every store after __init__, the checks of the old
-__post_init__ still refuse malformed input, and a quiver's memo stays out
-of its == and hash.
+__post_init__ still refuse malformed input, a quiver's memo stays out of
+its == and hash, and a record that Record.__init__ builds refuses a wrong
+number of values, as the dataclass did.
 """
 import importlib
 
@@ -14,7 +15,7 @@ import pytest
 from arknit import PRESETS, linear_quiver
 from arknit.linalg import GF, QQ
 from arknit.quiver import Arrow, FiniteQuiver, Path, PresetQuiver
-from arknit.record import Frozen
+from arknit.record import Frozen, Record
 from arknit.rep import PathMatrix
 
 from oracles import RECORD_TWINS, dataclass_twin
@@ -172,6 +173,27 @@ def test_a_frozen_record_refuses_every_store_after_init(name):
         with pytest.raises(AttributeError, match=f"delete field '{f}'"):
             delattr(x, f)
     assert repr(x) == before
+
+
+BUILT = sorted(n for n in RECORD_TWINS if record(n).__init__ is Record.__init__)
+
+
+def test_record_builds_these_seventeen():
+    assert [n.split(".")[1] for n in BUILT] == [
+        "ASReport", "ShapeHypothesis", "FiniteExtReport", "DecomposeReport",
+        "EndAlgebra", "Summand", "SES", "Presentation", "Ray",
+        "SubquiverClass", "VertexSet", "CrossingProfile", "EndProfile",
+        "PFIDecomposition", "RayProfile", "RepClassCertificate", "RungFamily"]
+
+
+@pytest.mark.parametrize("name", BUILT)
+def test_a_record_refuses_one_value_too_few_or_too_many(name):
+    cls = record(name)
+    a, _ = values(name)
+    for given in (a[:-1], a + (("c", 0),)):
+        with pytest.raises(TypeError, match=rf"^{cls.__qualname__} takes "
+                           rf"{len(a)} values, got {len(given)}$"):
+            cls(*given)
 
 
 def test_a_mutable_record_takes_a_store_to_a_field():

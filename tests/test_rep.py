@@ -218,32 +218,53 @@ def test_explicit_fd_roundtrip(a3):
 
 def test_explicit_fd_rejects_bad_shape(a3):
     (a12,) = [a for a in a3.out_arrows(1) if a.dst == 2]
-    m = explicit_fd(a3, {1: 2, 2: 1, 3: 0},
+    with pytest.raises(ValueError, match=f"arrow {a12.label} has wrong shape"):
+        explicit_fd(a3, {1: 2, 2: 1, 3: 0},
                     {a12.label: Mat.from_rows(QQ, [[1]])})
-    with pytest.raises(ValueError):
-        m.mat(a12)
 
 
 def test_explicit_fd_rejects_bad_shape_on_a_zero_domain(a3):
-    # Rep.mat reads the map on a zero domain off the dimensions, except for
-    # explicit data, whose given matrix is still checked there
+    # Rep.mat reads the map on a zero domain off the dimensions, so a given
+    # matrix is checked when the object is built: here 1 x 1 for a 1 x 0 map
     (a12,) = [a for a in a3.out_arrows(1) if a.dst == 2]
-    m = explicit_fd(a3, {2: 1}, {a12.label: Mat.from_rows(QQ, [[1]])})
     with pytest.raises(ValueError, match=f"arrow {a12.label} has wrong shape"):
-        m.mat(a12)
+        explicit_fd(a3, {2: 1}, {a12.label: Mat.from_rows(QQ, [[1]])})
+
+
+def test_a_bad_explicit_summand_is_refused_before_the_sum_reads_it(a3):
+    # the sum is 0 at 1, so it would read neither part's map 1 -> 2
+    with pytest.raises(ValueError, match="arrow 1>2 has wrong shape"):
+        direct_sum(explicit_fd(a3, {2: 1}, {"1>2": Mat.from_rows(QQ, [[1]])}),
+                   simple_at(a3, 3))
+
+
+@pytest.mark.parametrize("given", [Mat.from_rows(GF(7), [[1], [0]]),
+                                   [[1], [0]]], ids=["GF(7)", "list"])
+def test_explicit_fd_refuses_a_matrix_that_is_no_mat_over_its_field(a3, given):
+    with pytest.raises(ValueError, match="arrow 1>2 is not a Mat over QQ"):
+        explicit_fd(a3, {1: 1, 2: 2}, {"1>2": given}, QQ)
 
 
 def test_glue_family_rejects_a_slot_on_a_zero_domain(ladder):
     # the rung at depth 1 leaves a_1, where the glue is 0; its family's
-    # slots are still checked there
+    # slots are checked when the glue is built
     sub = thin_rep(ladder, VertexSet.make(ladder, (), [("inf", "b", 0)]))
     quot = thin_rep(ladder, VertexSet.make(ladder, (), [("inf", "a", 3)]))
-    m = glue_rep(sub, quot, families=[RungFamily("inf", "rung", 0, QQ.one)])
     (end,) = ladder.ends()
-    rung = end.crossing_arrow("rung", 1)
-    assert m.dim(rung.src) == 0
+    assert quot.dim(end.crossing_arrow("rung", 1).src) == 0
     with pytest.raises(ValueError, match="families need thin slots"):
-        m.mat(rung)
+        glue_rep(sub, quot, families=[RungFamily("inf", "rung", 0, QQ.one)])
+
+
+def test_a_glue_with_a_bad_family_is_refused_inside_a_sum(ladder):
+    # the slots fail only from depth 4 on, past both parts' explicit data;
+    # the sum is refused before anything reads the glue
+    sub = thin_rep(ladder, VertexSet.make(ladder, [("b", t) for t in range(4)]))
+    quot = thin_rep(ladder, VertexSet.make(ladder, (), [("inf", "a", 0)]))
+    with pytest.raises(ValueError, match="families need thin slots"):
+        direct_sum(glue_rep(sub, quot,
+                            families=[RungFamily("inf", "rung", 0, QQ.one)]),
+                   quot)
 
 
 def test_a_zero_codomain_still_checks_commutation(a3, monkeypatch):
