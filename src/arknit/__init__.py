@@ -19,20 +19,18 @@ _HOME = {name: mod for mod, names in {
            "glue_rep injective_at is_doubly_infinite ker_inj path_matrix "
            "pfi_decompose projective_at restrict simple_at "
            "standard_ext_region support_exact tail_split thin_rep zero_rep",
-    "morphism": "Morphism SES glue_ses identity_morphism kernel cokernel "
-                "image morphism_from_components naturality_defect "
-                "restriction_ses split_ses standard_ext verify_exact "
-                "zero_morphism",
+    "morphism": "Morphism SES glue_ses identity_morphism image "
+                "morphism_from_components restriction_ses standard_ext "
+                "verify_exact zero_morphism",
     "presentations": "Presentation min_inj_copresentation "
                      "min_proj_presentation nakayama",
     "hom": "DecomposeReport EndAlgebra HomBasis decompose decompose_report "
-           "end_algebra hom_space is_radical iso_test",
+           "end_algebra hom_space iso_test",
     "ext": "ExtClassBasis FiniteExtReport baer_sum equiv_ext ext_class_to_ses "
            "ext_space is_finite_extension is_split ses_class_coords",
     "ar": "ARComponent ARNode ASReport ShapeHypothesis almost_split_sequence "
-          "classify_component coxeter_matrix coxeter_transform "
-          "is_pseudo_projective knit minimal_left_almost_split_from "
-          "minimal_right_almost_split_into tau tau_inv verify_almost_split",
+          "classify_component is_pseudo_projective knit tau tau_inv "
+          "verify_almost_split",
     "io": "ParseError SCHEMA component_dot component_json emit_quiver "
           "emit_rep parse_field parse_quiver parse_rep",
 }.items() for name in [mod] + names.split()}

@@ -26,15 +26,15 @@ from typing import Optional
 from .ext import ext_class_to_ses, ext_space
 from .hom import (_columns, _endo_from_coords, _iso_indec, decompose,
                   end_algebra, hom_space, solve_natural, summand_key)
-from .linalg import QQ, Mat, inverse, kernel_basis, outside_span
-from .morphism import SES, Morphism, verify_exact
+from .linalg import Mat, kernel_basis, outside_span
+from .morphism import SES, verify_exact
 from .presentations import (min_inj_copresentation, min_proj_presentation,
                             nakayama)
-from .quiver import FiniteQuiver, Path, QuiverBase, vkey
+from .quiver import QuiverBase, vkey
 from .record import Record
-from .rep import (PathMatrix, Rep, classify_membership, coker_proj,
-                  dim_vector, dualize, injective_at, is_doubly_infinite,
-                  joint_window, ker_inj, path_matrix, projective_at)
+from .rep import (Rep, classify_membership, coker_proj, dim_vector, dualize,
+                  injective_at, is_doubly_infinite, joint_window, ker_inj,
+                  projective_at)
 
 MAX_NODES = 160  # knit expands no node once the component has more
 
@@ -137,40 +137,6 @@ def almost_split_sequence(x: Rep, tx: Optional[Rep] = None) -> SES:
             raise AssertionError("Ext socle vanished; class selection failed")
         coeffs = list(soc.col(0))
     return ext_class_to_ses(ecb, coeffs)
-
-
-def _radical_inclusion(q: QuiverBase, F, a) -> PathMatrix:
-    """rad P_a -> P_a: the sum of P_b over the arrows al: a -> b, in order,
-    each summand mapped by its arrow."""
-    arrows = q.out_arrows(a)
-    return path_matrix(q, F, "proj", [al.dst for al in arrows], [a],
-                       [[[(1, Path(a, al.dst, (al,)))] for al in arrows]])
-
-
-def minimal_right_almost_split_into(p: Rep) -> Morphism:
-    """The radical inclusion into P_a followed by the cover P_a -> p of the
-    minimal presentation, an isomorphism as p has no relations."""
-    pres = min_proj_presentation(p)
-    if pres.pm.domain:
-        raise ValueError("input is not projective")
-    if len(pres.pm.codomain) != 1:
-        raise ValueError("input is not an indecomposable projective")
-    rad = _radical_inclusion(p.quiver, p.field, pres.pm.codomain[0])
-    return Morphism(rad.src, rad.dst, rule=rad.component).then(pres.cover)
-
-
-def minimal_left_almost_split_from(i: Rep) -> Morphism:
-    """The embedding i -> I_a of the minimal copresentation, an isomorphism
-    as i has no corelations, followed by the quotient by the socle, D of the
-    radical inclusion into P_a over the opposite quiver."""
-    cop = min_inj_copresentation(i)
-    if cop.pm.codomain:
-        raise ValueError("input is not injective")
-    if len(cop.pm.domain) != 1:
-        raise ValueError("input is not an indecomposable injective")
-    cosoc = _radical_inclusion(i.quiver.opposite(), i.field,
-                               cop.pm.domain[0]).dual
-    return cop.cover.then(Morphism(cosoc.src, cosoc.dst, rule=cosoc.component))
 
 
 # ---------------------------------------------------------------------------
@@ -517,30 +483,3 @@ def classify_component(comp: ARComponent) -> ShapeHypothesis:
     if has_i:
         return ShapeHypothesis("NAinfinity", cert_info)
     return ShapeHypothesis("ZAinfinity", cert_info)
-
-
-# ---------------------------------------------------------------------------
-# Coxeter oracle for finite quivers
-
-
-def coxeter_matrix(q: FiniteQuiver) -> Mat:
-    """C[i][j] = number of paths from vertex j to vertex i (Cartan matrix)."""
-    vs = sorted(q.vertices, key=vkey)
-    return Mat(QQ, len(vs), len(vs), tuple(
-        tuple(QQ.of(len(q.paths_between(b, a))) for b in vs) for a in vs))
-
-
-def coxeter_transform(q: FiniteQuiver, dims, inverse_transform=False):
-    """Dim-vector action of the Coxeter matrix Phi = -C^T C^{-1}.
-
-    dims is a sequence in sorted vertex order, or a vertex -> dim mapping."""
-    C = coxeter_matrix(q)
-    F = C.field
-    if isinstance(dims, dict):
-        dims = [dims.get(v, 0) for v in sorted(q.vertices, key=vkey)]
-    Ci = inverse(C)
-    phi = C.transpose().mul(Ci).scale(F.neg(F.one))
-    if inverse_transform:
-        phi = inverse(phi)
-    vec = phi.apply([F.of(d) for d in dims])
-    return tuple(vec)

@@ -25,7 +25,13 @@ from .io import (SCHEMA, ParseError, component_dot, component_json, emit_rep,
                  parse_field, parse_quiver, parse_rep, snapshot_rep)
 from .quiver import ar_category_kind
 
-MAX_DEPTH = 32     # knit/classify hop depth
+# knit/classify hop depth.  E8 (1 -> ... -> 7, 3 -> 8) needs 35 hops from
+# P_7 to close its 120-node component, and 34 is the most over A8, D8, E6,
+# E7 and E8 from their simple projectives in four orientations each.  A
+# knit that never closes grows with the depth: classify of Kronecker P(2)
+# takes 0.47 s at depth 32, 0.75 s at 40 and 49 s in 375 MB at 160 (one
+# process each on a 2-vCPU Xeon), so the cap is not ar.MAX_NODES.
+MAX_DEPTH = 40
 MAX_RADIUS = 1000  # display window radius past the stable cutoffs
 
 

@@ -457,21 +457,3 @@ def iso_test(m: Rep, n: Rep):
         f = f.add(sm.proj.then(u).then(sn.incl))
         finv = finv.add(sn.proj.then(uinv).then(sm.incl))
     return f, finv
-
-
-def is_radical(f: Morphism) -> bool:
-    """No component of f between matched indecomposable summands is an
-    isomorphism: one invertible on the probe is its own witness."""
-    m, n = f.src, f.dst
-    probe = joint_window((m, n))[0]
-    rm = decompose_report(m)
-    rn = decompose_report(n)
-    for sm in rm.summands:
-        for sn in rn.summands:
-            if dim_vector(sm.rep, probe) != dim_vector(sn.rep, probe):
-                continue
-            comp = sm.incl.then(f).then(sn.proj)
-            if comp.is_invertible_on(
-                    [v for v in probe if sm.rep.dim(v) > 0] or list(probe)):
-                return False
-    return True

@@ -1,7 +1,10 @@
 """JSON parsing/emission (schema arknit/1) and DOT output.
 
 Vertices are serialized as strings (the quiver's vertex_str form), matrices
-as string entries so rationals survive the round trip.  Parse errors carry a
+as string entries so rationals survive the round trip.  Parsing reads JSON
+shapes and names and applies the size caps below; every other fact about a
+spec is checked once, by the constructor it is passed to, which refuses it
+with a ParseError pointing into its own spec.  Each error carries a
 JSON-pointer style path to the offending element.
 """
 from __future__ import annotations
@@ -9,6 +12,7 @@ from __future__ import annotations
 from .linalg import GF, QQ, Mat
 from .quiver import (FiniteQuiver, Path, PRESETS, QuiverBase, VertexSet,
                      kronecker_quiver, linear_quiver, vkey)
+from .record import ParseError
 from .rep import (PathMatrix, Rep, RungFamily, _mat_json,
                   classify_membership, coker_proj, direct_sum, dualize,
                   explicit_fd, glue_rep, injective_at, joint_window, ker_inj,
@@ -26,10 +30,12 @@ MAX_LINEAR_N = 3000
 MAX_FIELD_CHAR = 2**31 - 1
 
 
-class ParseError(ValueError):
-    def __init__(self, pointer: str, message: str):
-        super().__init__(f"{pointer}: {message}")
-        self.pointer = pointer
+def _built(pointer: str, build, *args):
+    """build(*args), its refusal pointed from the sub-spec at pointer."""
+    try:
+        return build(*args)
+    except ParseError as e:
+        raise ParseError(pointer + e.pointer, e.message) from None
 
 
 def _need(obj, key, pointer, typ=None):
@@ -53,7 +59,10 @@ def parse_quiver(obj, pointer: str = "") -> QuiverBase:
         if name in PRESETS:
             return PRESETS[name]()
         if name == "linear":
-            n = _natural(_need(obj, "n", pointer), f"{pointer}/n", "n")
+            n = _need(obj, "n", pointer)
+            if type(n) is not int or n < 0:  # a bool or "3" is no int
+                raise ParseError(f"{pointer}/n",
+                                 f"n must be an integer >= 0, got {n!r}")
             if not 1 <= n <= MAX_LINEAR_N:
                 raise ParseError(f"{pointer}/n",
                                  f"need 1 <= n <= {MAX_LINEAR_N}, got {n}")
@@ -78,10 +87,7 @@ def parse_quiver(obj, pointer: str = "") -> QuiverBase:
             specs.append(tuple(
                 [_vertex_id(a[k], f"{pointer}/arrows/{i}/{k}") for k in (0, 1)]
                 + list(a[2:])))
-        try:
-            return FiniteQuiver.build(vs, specs)
-        except ValueError as e:
-            raise ParseError(f"{pointer}/arrows", str(e))
+        return _built(pointer, FiniteQuiver.build, vs, specs)
     raise ParseError(pointer or "/",
                      "expected 'preset', 'vertices' or 'opposite'")
 
@@ -92,21 +98,13 @@ def _list(x, pointer: str) -> list:
     return x
 
 
-def _natural(x, pointer: str, what: str) -> int:
-    """x when it is a JSON integer >= 0; a bool or a digit string is not."""
-    if type(x) is not int or x < 0:
-        raise ParseError(pointer, f"{what} must be an integer >= 0, got {x!r}")
+def _start(x, pointer: str, what: str):
+    """A start depth on a ray, refused past the cap that _parse_vert puts on
+    a vertex's depth, since a support is read down to its deepest start;
+    its constructor checks the rest."""
+    if type(x) is int and x > MAX_LINEAR_N:
+        raise ParseError(pointer, f"{what} {x} is past the cap {MAX_LINEAR_N}")
     return x
-
-
-def _start(x, pointer: str, what: str) -> int:
-    """A start depth on a ray: a natural number within the cap that
-    _parse_vert puts on a vertex's depth, since a support is read down to
-    its deepest start."""
-    t = _natural(x, pointer, what)
-    if t > MAX_LINEAR_N:
-        raise ParseError(pointer, f"{what} {t} is past the cap {MAX_LINEAR_N}")
-    return t
 
 
 def _vertex_id(x, pointer: str):
@@ -153,10 +151,7 @@ def parse_field(spec):
         raise ParseError("/field", "prime field needs p >= 2")
     if p > MAX_FIELD_CHAR:
         raise ParseError("/field", f"need p <= {MAX_FIELD_CHAR}, got {p}")
-    try:
-        return GF(p)
-    except ValueError as e:
-        raise ParseError("/field", str(e))
+    return _built("/field", GF, p)
 
 
 # ---------------------------------------------------------------------------
@@ -186,42 +181,18 @@ def _parse_mat(F, rows, pointer) -> Mat:
               for j, x in enumerate(r)) for i, r in enumerate(rows)))
 
 
-def _parse_arrow_mat(q, F, dims, lbl, rows, pointer) -> Mat:
-    """The matrix of the arrow labelled lbl at a vertex of dims, shaped
-    dims(dst) x dims(src) with a missing dim read as 0."""
-    arrow = next((a for v in dims for a in q.out_arrows(v) + q.in_arrows(v)
-                  if a.label == lbl), None)
-    if arrow is None:
-        raise ParseError(pointer, f"no arrow {lbl!r} at a vertex of dims")
-    m = _parse_mat(F, rows, pointer)
-    shape = (dims.get(arrow.dst, 0), dims.get(arrow.src, 0))
-    if m.rows == 0 == shape[0]:  # [] is the one way to write 0 x n
-        return Mat.zeros(F, *shape)
-    if (m.rows, m.cols) != shape:
-        raise ParseError(pointer, f"matrix is {m.rows}x{m.cols}, "
-                                  f"arrow {lbl!r} needs {shape[0]}x{shape[1]}")
-    return m
-
-
 def _parse_region(q, obj, pointer) -> VertexSet:
     if not isinstance(obj, dict):
         raise ParseError(pointer, "region must be an object")
     expl = [_parse_vert(q, v, f"{pointer}/explicit/{i}") for i, v in
             enumerate(_list(obj.get("explicit", []), f"{pointer}/explicit"))]
     tails = []
-    rays = [(e.eid, r.rid) for e in q.ends() for r in e.rays]
     for i, t in enumerate(_list(obj.get("tails", []), f"{pointer}/tails")):
         if not isinstance(t, list) or len(t) != 3:
             raise ParseError(f"{pointer}/tails/{i}", "tail must be [end, ray, start]")
-        if not any(t[0] == eid and t[1] == rid for eid, rid in rays):
-            raise ParseError(f"{pointer}/tails/{i}",
-                             f"no ray {t[1]!r} on end {t[0]!r}")
         tails.append((t[0], t[1],
                       _start(t[2], f"{pointer}/tails/{i}/2", "tail start")))
-    try:
-        return VertexSet.make(q, expl, tails)
-    except (KeyError, ValueError) as e:
-        raise ParseError(f"{pointer}/tails", str(e))
+    return _built(pointer, VertexSet.make, q, expl, tails)
 
 
 def _parse_path(q, obj, pointer) -> Path:
@@ -245,16 +216,10 @@ def _parse_pm(q, F, obj, pointer) -> PathMatrix:
            for i, v in enumerate(_need(obj, "domain", pointer, list))]
     cod = [_parse_vert(q, v, f"{pointer}/codomain/{i}")
            for i, v in enumerate(_need(obj, "codomain", pointer, list))]
-    raw = _need(obj, "entries", pointer, list)
-    if len(raw) != len(cod):
-        raise ParseError(f"{pointer}/entries", "row count != codomain length")
     entries = []
-    for j, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != len(dom):
-            raise ParseError(f"{pointer}/entries/{j}",
-                             "column count != domain length")
+    for j, row in enumerate(_need(obj, "entries", pointer, list)):
         erow = []
-        for i, combo in enumerate(row):
+        for i, combo in enumerate(_list(row, f"{pointer}/entries/{j}")):
             ptr = f"{pointer}/entries/{j}/{i}"
             cell = []
             for k, pair in enumerate(_list(combo, ptr)):
@@ -265,10 +230,7 @@ def _parse_pm(q, F, obj, pointer) -> PathMatrix:
                 cell.append((c, p))
             erow.append(cell)
         entries.append(erow)
-    try:
-        return path_matrix(q, F, side, dom, cod, entries)
-    except ValueError as e:
-        raise ParseError(pointer, str(e))
+    return _built(pointer, path_matrix, q, F, side, dom, cod, entries)
 
 
 def parse_rep(q: QuiverBase, obj, field=QQ, pointer: str = "") -> Rep:
@@ -288,19 +250,14 @@ def parse_rep(q: QuiverBase, obj, field=QQ, pointer: str = "") -> Rep:
     if key == "thin":
         return thin_rep(q, _parse_region(q, val, ptr), F)
     if key == "explicit_fd":
-        dims = {_parse_vert(q, k, f"{ptr}/dims"):
-                _natural(d, f"{ptr}/dims/{k}", "dim")
+        dims = {_parse_vert(q, k, f"{ptr}/dims"): d
                 for k, d in _need(val, "dims", ptr, dict).items()}
         mats = val.get("mats", {})
         if not isinstance(mats, dict):
             raise ParseError(f"{ptr}/mats", "expected dict")
-        mats = {lbl: _parse_arrow_mat(q, F, dims, lbl, rows,
-                                      f"{ptr}/mats/{lbl}")
+        mats = {lbl: _parse_mat(F, rows, f"{ptr}/mats/{lbl}")
                 for lbl, rows in mats.items()}
-        try:
-            return explicit_fd(q, dims, mats, F)
-        except ValueError as e:
-            raise ParseError(ptr, str(e))
+        return _built(ptr, explicit_fd, q, dims, mats, F)
     if key == "sum":
         parts = [parse_rep(q, p, F, f"{ptr}/{i}")
                  for i, p in enumerate(_list(val, ptr))]
@@ -312,11 +269,8 @@ def parse_rep(q: QuiverBase, obj, field=QQ, pointer: str = "") -> Rep:
         region = _parse_region(q, _need(val, "region", ptr), f"{ptr}/region")
         return restrict(base, region)
     if key in ("coker_proj", "ker_inj"):
-        pm = _parse_pm(q, F, val, ptr)
-        try:
-            return coker_proj(pm) if key == "coker_proj" else ker_inj(pm)
-        except ValueError as e:  # a path matrix of the other side
-            raise ParseError(f"{ptr}/side", str(e))
+        return _built(ptr, coker_proj if key == "coker_proj" else ker_inj,
+                      _parse_pm(q, F, val, ptr))
     if key == "glue":
         sub = parse_rep(q, _need(val, "sub", ptr), F, f"{ptr}/sub")
         quot = parse_rep(q, _need(val, "quot", ptr), F, f"{ptr}/quot")
@@ -333,23 +287,16 @@ def parse_rep(q: QuiverBase, obj, field=QQ, pointer: str = "") -> Rep:
             coc.append((arrow, _parse_mat(F, _need(e, "mat", eptr),
                                           f"{eptr}/mat")))
         fams = []
-        crossings = [(e.eid, c[0]) for e in q.ends() for c in e.crossings]
         for i, f in enumerate(_list(val.get("families", []),
                                     f"{ptr}/families")):
             if not isinstance(f, list) or len(f) != 4:
                 raise ParseError(f"{ptr}/families/{i}",
                                  "family must be [end, crossing, start, coeff]")
-            if (f[0], f[1]) not in crossings:
-                raise ParseError(f"{ptr}/families/{i}",
-                                 f"no crossing {f[1]!r} on end {f[0]!r}")
             fams.append(RungFamily(
                 f[0], f[1],
                 _start(f[2], f"{ptr}/families/{i}/2", "family start"),
                 _parse_scalar(F, f[3], f"{ptr}/families/{i}/3")))
-        try:
-            return glue_rep(sub, quot, coc, fams)
-        except ValueError as e:
-            raise ParseError(ptr, str(e))
+        return _built(ptr, glue_rep, sub, quot, coc, fams)
     raise ParseError(pointer or "/", f"unknown rep constructor {key!r}")
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .record import Frozen, Record
+from .record import Frozen, ParseError, Record
 
 
 class Field(Frozen):
@@ -35,8 +35,8 @@ class Field(Frozen):
     def __init__(self, char: int = 0):
         if char and (char < 2 or any(char % d == 0
                                      for d in range(2, int(char ** 0.5) + 1))):
-            raise ValueError(
-                f"field characteristic must be 0 or a prime, got {char}")
+            raise ParseError(
+                "", f"field characteristic must be 0 or a prime, got {char}")
         Record.__init__(self, char)
 
     def of(self, x):
@@ -391,6 +391,14 @@ def _null_rows(m):
                 w[pc] = -s // a
         out.append(tuple(w) if d == 1 else tuple(_frac(x, d) for x in w))
     return tuple(out), free
+
+
+def free_columns(m) -> tuple:
+    """The columns of m with no pivot in its forward elimination, in order:
+    the free columns of rref(m), so for m = Aᵀ the rows of A at which its
+    cokernel projection is the identity."""
+    pivots = set(_eliminate(m, False)[1])
+    return tuple(c for c in range(m.cols) if c not in pivots)
 
 
 def kernel_span(m):

@@ -1,8 +1,8 @@
 """Morphisms between representations, and short exact sequences.
 
 A morphism is one rule, its component at each vertex, computed once per
-vertex.  Structural morphisms (inclusions, projections, kernel/cokernel
-maps) carry a rule valid at every vertex.  A map solved on a certified
+vertex.  Structural morphisms (inclusions and projections) carry a rule
+valid at every vertex.  A map solved on a certified
 window (morphism_from_components) carries its depth: past the window its
 components are propagated along ray tails through the commuting squares,
 which is well defined exactly when the arrow matrices along the ray are
@@ -15,9 +15,8 @@ from typing import Callable, Optional
 from .linalg import Mat, inverse, is_invertible, rank, solve_matrix
 from .quiver import Arrow, VertexSet
 from .record import Record
-from .rep import (CokerOfRep, EvalRangeError, GlueRep, ImageRep, KernelOfRep,
-                  Rep, _loc_depth, dualize, restrict,
-                  same_ambient, standard_ext_region)
+from .rep import (EvalRangeError, GlueRep, ImageRep, Rep, _loc_depth, dualize,
+                  restrict, same_ambient, standard_ext_region)
 
 
 class Morphism:
@@ -78,9 +77,6 @@ class Morphism:
                         lambda v: other.component(v).mul(self.component(v)),
                         depth=other.depth if self.depth is None
                         else self.depth)
-
-    def is_zero_on(self, verts) -> bool:
-        return all(self.component(v).is_zero() for v in verts)
 
     def equal_on(self, other: "Morphism", verts) -> bool:
         return all(self.component(v).entries == other.component(v).entries
@@ -159,30 +155,14 @@ def morphism_from_components(src: Rep, dst: Rep, comps: dict,
 
 
 # ---------------------------------------------------------------------------
-# kernels and cokernels (abelian structure)
-
-
-def _inclusion(S):
-    """(S, inclusion S -> S.ambient): S's basis at v is its component."""
-    return S, Morphism(S, S.ambient, rule=S.basis, label="incl")
-
-
-def kernel(f: Morphism):
-    """(K, inclusion K -> src)."""
-    return _inclusion(KernelOfRep(f))
-
-
-def cokernel(f: Morphism):
-    """(C, projection dst -> C): C = D ker(D f), so the projection at v is
-    the transposed basis of that kernel."""
-    C = CokerOfRep(f)
-    return C, Morphism(f.dst, C, rule=lambda v: C.base.basis(v).transpose(),
-                       label="coker-proj")
+# images
 
 
 def image(f: Morphism):
-    """(Im, inclusion Im -> dst) using canonical column space bases."""
-    return _inclusion(ImageRep(f))
+    """(Im, inclusion Im -> dst) using canonical column space bases: Im's
+    basis at v is the inclusion's component."""
+    im = ImageRep(f)
+    return im, Morphism(im, f.dst, rule=im.basis, label="incl")
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +239,6 @@ def standard_ext(m: Rep):
     return omega, restriction_ses(m, omega, comp)
 
 
-def split_ses(sub: Rep, quot: Rep) -> SES:
-    return glue_ses(sub, quot, ())[1]
-
-
 def verify_exact(ses: SES, verts) -> dict:
     """Rank-based exactness report over the given vertices."""
     okmono, okepi, okcomp, okmid = True, True, True, True
@@ -281,10 +257,3 @@ def verify_exact(ses: SES, verts) -> dict:
     ok = okmono and okepi and okcomp and okmid
     return {"exact": ok, "mono": okmono, "epi": okepi,
             "composite_zero": okcomp, "middle_dims": okmid}
-
-
-def naturality_defect(f: Morphism, verts) -> bool:
-    """True when f commutes with all arrow matrices inside the region."""
-    return all(f.dst.mat(a).mul(f.component(a.src)).entries
-               == f.component(a.dst).mul(f.src.mat(a)).entries
-               for a in f.src.quiver.arrows_within(verts))

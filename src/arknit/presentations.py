@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .linalg import Mat, block_matrix, coker_projection, rank, solve_matrix
+from .linalg import Mat, block_matrix, free_columns, rank, solve_matrix
 from .morphism import Morphism
 from .quiver import vkey
 from .record import Frozen
@@ -62,9 +62,9 @@ class Presentation(Frozen):
 def top_generators(m: Rep, region):
     """Lifted top basis over region: (vertex v, row r) pairs, one per free
     row r of the cokernel of m's incoming stack at v, naming the basis
-    vector e_r of m(v)."""
+    vector e_r of m(v): the free columns of the stack's transpose."""
     return [(v, r) for v in sorted(region, key=vkey)
-            for r in coker_projection(incoming_stack(m, v))[1]]
+            for r in free_columns(incoming_stack(m, v).transpose())]
 
 
 def _site(q, v) -> str:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .record import Frozen, Record
+from .record import Frozen, ParseError, Record
 
 
 def vkey(v):
@@ -154,33 +154,22 @@ class QuiverBase(Frozen):
         return None
 
     # ---- closures ----
-    def reaches(self, x, y) -> bool:
-        """True iff there is a (possibly trivial) path x ~> y."""
-        return self._reach_test(x)(y)
-
     def _reach_test(self, v):
         """Predicate w -> (v reaches w)."""
-        s = self._closure(v, True)
+        s = self.succ_closure(v)
         return s.contains if s.tails else s.explicit.__contains__
 
     def succ_closure(self, v) -> "VertexSet":
-        return self._closure(v, True)
-
-    def pred_closure(self, v) -> "VertexSet":
-        return self._closure(v, False)
-
-    def _closure(self, v, forward) -> "VertexSet":
-        """v and every vertex reached from it along (forward) or against
-        the arrows.  A step onto a ray that runs away in the walk's
-        direction (P forward, I backward) records the tail of that ray from
-        there and walks no further: on every preset, the arrows leaving such
-        a vertex in that direction go one step deeper along its ray."""
-        key = ("closure", v, forward)
+        """v and every vertex reached from it along the arrows (against
+        them, over the opposite quiver).  A step onto a P ray, which runs
+        away in the walk's direction, records the tail of that ray from
+        there and walks no further: on every preset, the arrows out of such
+        a vertex go one step deeper along its ray."""
+        key = ("closure", v)
         if key in self._memo:
             return VertexSet(self, *self._memo[key])
-        away = "P" if forward else "I"
         runs_away = {(e.eid, r.rid) for e in self.ends() for r in e.rays
-                     if r.kind == away}
+                     if r.kind == "P"}
         seen, tails, stack = {v}, [], [v]
         while stack:
             u = stack.pop()
@@ -188,8 +177,8 @@ class QuiverBase(Frozen):
             if loc is not None and loc[:2] in runs_away:
                 tails.append(loc)
                 continue
-            for a in self.out_arrows(u) if forward else self.in_arrows(u):
-                w = a.dst if forward else a.src
+            for a in self.out_arrows(u):
+                w = a.dst
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -330,10 +319,11 @@ class FiniteQuiver(QuiverBase):
         ins = {v: [] for v in vertices}
         for a in sorted(arrows, key=Arrow.key):
             if a.label in seen:
-                raise ValueError(f"duplicate arrow label {a.label}")
+                raise ParseError("/arrows", f"duplicate arrow label {a.label}")
             seen.add(a.label)
             if a.src not in outs or a.dst not in outs:
-                raise ValueError(f"arrow {a.label} endpoint outside vertex set")
+                raise ParseError("/arrows",
+                                 f"arrow {a.label} endpoint outside vertex set")
             outs[a.src].append(a)
             ins[a.dst].append(a)
         # arrows by source and by target, sorted
@@ -353,8 +343,9 @@ class FiniteQuiver(QuiverBase):
                     w = a.dst
                     c = color.get(w)
                     if c == 1:
-                        raise ValueError("quiver has an oriented cycle; only "
-                                         "interval-finite quivers are supported")
+                        raise ParseError("/arrows", "quiver has an oriented "
+                                         "cycle; only interval-finite "
+                                         "quivers are supported")
                     if c is None:
                         color[w] = 1
                         stack.append((w, iter(outs[w])))
@@ -643,17 +634,27 @@ class VertexSet(Frozen):
 
     @staticmethod
     def make(quiver, explicit=(), tails=()) -> "VertexSet":
-        expl = set(explicit)
-        best = {}
-        for (eid, rid, t0) in tails:
-            key = (eid, rid)
+        """The set of the explicit vertices and the tails (eid, rid, t0),
+        normalized; a tail must name a ray of an end and start at a depth
+        t0 >= 0, or make refuses it at /tails/i."""
+        expl, tails = set(explicit), tuple(tails)
+        best, ends = {}, {e.eid: e for e in quiver.ends()} if tails else {}
+        for i, (eid, rid, t0) in enumerate(tails):
+            key, end = (eid, rid), ends.get(eid)
+            if key not in best and (end is None or
+                                    all(r.rid != rid for r in end.rays)):
+                raise ParseError(f"/tails/{i}",
+                                 f"no ray {rid!r} on end {eid!r}")
+            if type(t0) is not int or t0 < 0:
+                raise ParseError(f"/tails/{i}/2", f"tail start must be an "
+                                                  f"integer >= 0, got {t0!r}")
             best[key] = min(best.get(key, t0), t0)
         # absorb explicit vertices that extend a tail downward
         changed = bool(best)  # with no tail, nothing to absorb or drop
         while changed:
             changed = False
             for (eid, rid), t0 in list(best.items()):
-                end = quiver.end(eid)
+                end = ends[eid]
                 while t0 > 0 and end.vertex(rid, t0 - 1) in expl:
                     t0 -= 1
                     changed = True

@@ -11,8 +11,19 @@ caches its hash) and the records with defaults keep a straight-line
 (the object itself, with no field read, or the same class and equal
 fields), repr and no hash; Frozen adds the hash of the tuple of fields and
 refuses every store after ``__init__``, which a slot setter bypasses.
+ParseError lives here, below every constructor that refuses its data with
+it.
 """
 from operator import attrgetter
+
+
+class ParseError(ValueError):
+    """Refused input: a JSON pointer into the spec ("" for the whole of
+    it) and what is wrong there."""
+
+    def __init__(self, pointer: str, message: str):
+        super().__init__(f"{pointer}: {message}" if pointer else message)
+        self.pointer, self.message = pointer, message
 
 
 class Record:

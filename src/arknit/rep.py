@@ -36,7 +36,7 @@ from .linalg import (Field, Mat, QQ, block_matrix, column_span,
                      is_invertible, kernel_span)
 from .quiver import (Arrow, Path, QuiverBase, VertexSet, classify_subquiver,
                      vkey)
-from .record import Frozen, Record
+from .record import Frozen, ParseError, Record
 
 class EvalRangeError(ValueError):
     """Raised when evaluation is requested outside any computable region."""
@@ -70,17 +70,18 @@ class PathMatrix(Frozen):
     def __init__(self, quiver: QuiverBase, field: Field, side: str,
                  domain: tuple, codomain: tuple, entries: tuple):
         if side not in ("proj", "inj"):
-            raise ValueError("side must be 'proj' or 'inj'")
+            raise ParseError("", "side must be 'proj' or 'inj'")
         if len(entries) != len(codomain):
-            raise ValueError("entry row count mismatch")
+            raise ParseError("/entries", "row count != codomain length")
         for j, row in enumerate(entries):
             if len(row) != len(domain):
-                raise ValueError("entry column count mismatch")
+                raise ParseError(f"/entries/{j}",
+                                 "column count != domain length")
             for i, combo in enumerate(row):
                 for (_, p) in combo:
                     if p.src != codomain[j] or p.dst != domain[i]:
-                        raise ValueError(
-                            f"entry path must run codomain[{j}] ~> domain[{i}]")
+                        raise ParseError(f"/entries/{j}/{i}", f"entry path "
+                                         f"must run codomain[{j}] ~> domain[{i}]")
         Record.__init__(self, quiver, field, side, domain, codomain, entries)
 
     def depth_bound(self) -> int:
@@ -265,10 +266,19 @@ def same_ambient(a: Rep, b: Rep, what: str):
         raise ValueError(f"{what} live over different quivers/fields")
 
 
-def _inside(quiver, a):
-    """a, refused unless it is a vertex of the quiver."""
+def _fitted(m: Mat, rows: int, cols: int) -> Optional[Mat]:
+    """m as a rows x cols map, or None for another shape; a matrix with no
+    rows is the zero map into 0 whatever its column count, as the JSON []
+    that writes it names none."""
+    if (m.rows, m.cols) == (rows, cols):
+        return m
+    return Mat.zeros(m.field, 0, cols) if m.rows == 0 == rows else None
+
+
+def _inside(quiver, a, pointer=""):
+    """a, refused at pointer unless it is a vertex of the quiver."""
     if not quiver.contains(a):
-        raise ValueError(f"vertex {a!r} outside the quiver")
+        raise ParseError(pointer, f"vertex {a!r} outside the quiver")
     return a
 
 
@@ -299,23 +309,38 @@ class ThinRep(Rep):
 
 class ExplicitFdRep(Rep):
     def __init__(self, quiver, field, dims: dict, mats: dict):
-        """dims: vertex -> int; mats: arrow label -> Mat (only nonzero ones),
-        each over field and dims(dst) x dims(src) for its arrow."""
+        """dims: vertex -> int >= 0; mats: arrow label -> Mat (only nonzero
+        ones), each over field, labelling an arrow at a vertex of dims and
+        shaped dims(dst) x dims(src) for it (see _fitted)."""
         super().__init__(quiver, field)
         self.dims = dict(dims)
         self.mats = dict(mats)
         for lbl, m in self.mats.items():
             if not isinstance(m, Mat) or m.field != field:
-                raise ValueError(f"matrix for arrow {lbl} is not a Mat "
-                                 f"over {field!r}")
+                raise ParseError(f"/mats/{lbl}", f"matrix for arrow {lbl} "
+                                                 f"is not a Mat over {field!r}")
+        for v, d in self.dims.items():
+            _inside(quiver, v, "/dims")
+            if type(d) is not int or d < 0:
+                raise ParseError(f"/dims/{quiver.vertex_str(v)}",
+                                 f"dim must be an integer >= 0, got {d!r}")
+        at = set()  # the labels of the arrows at a vertex of dims
         for v in self.dims:
-            _inside(quiver, v)
             for a in quiver.out_arrows(v) + quiver.in_arrows(v):
+                at.add(a.label)
                 m = self.mats.get(a.label)
-                if m is not None and (m.rows, m.cols) != (
-                        self._dim_at(a.dst), self._dim_at(a.src)):
-                    raise ValueError(
-                        f"matrix for arrow {a.label} has wrong shape")
+                if m is None:
+                    continue
+                shape = (self._dim_at(a.dst), self._dim_at(a.src))
+                self.mats[a.label] = _fitted(m, *shape)
+                if self.mats[a.label] is None:
+                    raise ParseError(f"/mats/{a.label}",
+                                     f"matrix is {m.rows}x{m.cols}, arrow "
+                                     f"{a.label!r} needs {shape[0]}x{shape[1]}")
+        lbl = next((lbl for lbl in self.mats if lbl not in at), None)
+        if lbl is not None:
+            raise ParseError(f"/mats/{lbl}",
+                             f"no arrow {lbl!r} at a vertex of dims")
 
     def _dim_at(self, v):
         return self.dims.get(v, 0)
@@ -539,22 +564,35 @@ class GlueRep(Rep):
         super().__init__(sub.quiver, sub.field)
         self.sub = sub
         self.quot = quot
-        self.cocycle = tuple(cocycle)  # (Arrow, Mat)
         self.families = tuple(families)
-        for (a, m) in self.cocycle:
-            if m.rows != sub.dim(a.dst) or m.cols != quot.dim(a.src):
-                raise ValueError(
-                    f"dimension-mismatched cocycle entry at arrow {a.label}: "
+        q, fitted = self.quiver, []
+        for i, (a, m) in enumerate(cocycle):
+            if a not in q.out_arrows(a.src):
+                raise ParseError(f"/cocycle/{i}/label", f"no arrow {a.label!r}")
+            fitted.append((a, _fitted(m, sub.dim(a.dst), quot.dim(a.src))))
+            if fitted[-1][1] is None:
+                raise ParseError(
+                    "", f"dimension-mismatched cocycle entry at arrow {a.label}: "
                     f"expected {sub.dim(a.dst)}x{quot.dim(a.src)}, got {m.rows}x{m.cols}")
+        self.cocycle = tuple(fitted)  # (Arrow, Mat)
+        crossings = {(e.eid, c[0]) for e in q.ends() for c in e.crossings} \
+            if self.families else ()
         # a family's slots repeat past the deepest of its start and the
         # structural depths of sub and quot, so one band past it is enough
-        for fam in self.families:
+        for i, fam in enumerate(self.families):
+            if (fam.eid, fam.cid) not in crossings:
+                raise ParseError(f"/families/{i}", f"no crossing {fam.cid!r} "
+                                                   f"on end {fam.eid!r}")
+            if type(fam.start) is not int or fam.start < 0:
+                raise ParseError(f"/families/{i}/2", f"family start must be "
+                                 f"an integer >= 0, got {fam.start!r}")
             depth = max(fam.start, sub.structural_depth(),
                         quot.structural_depth())
             for t in range(fam.start, depth + 2):
-                a = self.quiver._crossing_arrow(fam.eid, fam.cid, t)
+                a = q._crossing_arrow(fam.eid, fam.cid, t)
                 if sub.dim(a.dst) != 1 or quot.dim(a.src) != 1:
-                    raise ValueError("symbolic cocycle families need thin slots")
+                    raise ParseError(f"/families/{i}", "symbolic cocycle "
+                                                       "families need thin slots")
 
     def cocycle_at(self, a: Arrow) -> Optional[Mat]:
         for (arr, m) in self.cocycle:
@@ -767,13 +805,14 @@ def glue_rep(sub: Rep, quot: Rep, cocycle=(), families=()) -> Rep:
 
 def coker_proj(pm: PathMatrix) -> Rep:
     if pm.side != "proj":
-        raise ValueError("coker_proj needs a projective-side path matrix")
+        raise ParseError("/side",
+                         "coker_proj needs a projective-side path matrix")
     return CokerOfRep(pm)
 
 
 def ker_inj(pm: PathMatrix) -> Rep:
     if pm.side != "inj":
-        raise ValueError("ker_inj needs an injective-side path matrix")
+        raise ParseError("/side", "ker_inj needs an injective-side path matrix")
     return KernelOfRep(pm)
 
 

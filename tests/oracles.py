@@ -1,6 +1,6 @@
 """Independent brute-force oracles used to freeze expected values.
 
-Everything here but the last four sections is computed from first
+Everything here but the last five sections is computed from first
 principles with its own Fraction arithmetic so that no production code path
 is trusted twice: Hom/Ext via naive commuting-square systems, A_n structure
 via the interval model, the translation-quiver shape via an explicit
@@ -25,24 +25,28 @@ before it was read by prefix, Mat, Arrow and the 25 records as
 the dataclasses they were before they were slotted, and knit's steps at P_a
 and I_a as they were computed before knit read them off the arrows at a,
 and its P_a and I_a flags as they were read before knit's translate table
-ruled them out.
+ruled them out.  A last section keeps what only tests read: kernels and
+cokernels of morphisms with their maps, the split sequence, the
+naturality check, reachability and predecessor closures, and the minimal
+one-sided almost split maps at P_a and I_a, which knit reads off the
+arrows at a.
 """
 from dataclasses import dataclass, field as dc_field, make_dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from arknit import (Mat, classify_membership, decompose, dim_vector,
-                    dualize, hom_space, injective_at, min_proj_presentation,
-                    minimal_left_almost_split_from,
-                    minimal_right_almost_split_into, projective_at)
+from arknit import (Mat, Morphism, Path, classify_membership, decompose,
+                    dim_vector, dualize, glue_ses, hom_space, injective_at,
+                    min_inj_copresentation, min_proj_presentation,
+                    path_matrix, projective_at)
 from arknit.ar import standard_vertex
 from arknit.hom import (HomBasis, _iso_indec, _pointwise_inverse,
                         joint_window)
 from arknit.linalg import coker_projection, is_invertible, rank
 from arknit.presentations import relation_matrix
 from arknit.quiver import VertexSet, vkey
-from arknit.rep import (CrossingProfile, EndProfile, RayProfile, _certify,
-                        _ray_data, proj_sum_basis)
+from arknit.rep import (CokerOfRep, CrossingProfile, EndProfile, KernelOfRep,
+                        RayProfile, _certify, _ray_data, proj_sum_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -732,3 +736,82 @@ def standard_by_presentation(comp, tr, key, forward):
     knit read it before the table."""
     return standard_vertex(comp.nodes[key].rep,
                            "inj" if forward else "proj") is not None
+
+
+# ---------------------------------------------------------------------------
+# constructions only tests read
+
+
+def kernel(f):
+    """(K, inclusion K -> f.src): K's basis at v is its component."""
+    K = KernelOfRep(f)
+    return K, Morphism(K, f.src, rule=K.basis, label="incl")
+
+
+def cokernel(f):
+    """(C, projection f.dst -> C): C = D ker(D f), so the projection at v is
+    the transposed basis of that kernel."""
+    C = CokerOfRep(f)
+    return C, Morphism(f.dst, C, rule=lambda v: C.base.basis(v).transpose(),
+                       label="coker-proj")
+
+
+def split_ses(sub, quot):
+    return glue_ses(sub, quot, ())[1]
+
+
+def naturality_defect(f, verts) -> bool:
+    """True when f commutes with all arrow matrices inside the region."""
+    return all(f.dst.mat(a).mul(f.component(a.src)).entries
+               == f.component(a.dst).mul(f.src.mat(a)).entries
+               for a in f.src.quiver.arrows_within(verts))
+
+
+def is_zero_on(f, verts) -> bool:
+    return all(f.component(v).is_zero() for v in verts)
+
+
+def reaches(q, x, y) -> bool:
+    """True iff there is a (possibly trivial) path x ~> y."""
+    return q.succ_closure(x).contains(y)
+
+
+def pred_closure(q, v) -> VertexSet:
+    """v and every vertex that reaches it: its successor closure over the
+    opposite quiver, read over q."""
+    s = q.opposite().succ_closure(v)
+    return VertexSet(q, s.explicit, s.tails)
+
+
+def _radical_inclusion(q, F, a):
+    """rad P_a -> P_a: the sum of P_b over the arrows al: a -> b, in order,
+    each summand mapped by its arrow."""
+    arrows = q.out_arrows(a)
+    return path_matrix(q, F, "proj", [al.dst for al in arrows], [a],
+                       [[[(1, Path(a, al.dst, (al,)))] for al in arrows]])
+
+
+def minimal_right_almost_split_into(p):
+    """The radical inclusion into P_a followed by the cover P_a -> p of the
+    minimal presentation, an isomorphism as p has no relations."""
+    pres = min_proj_presentation(p)
+    if pres.pm.domain:
+        raise ValueError("input is not projective")
+    if len(pres.pm.codomain) != 1:
+        raise ValueError("input is not an indecomposable projective")
+    rad = _radical_inclusion(p.quiver, p.field, pres.pm.codomain[0])
+    return Morphism(rad.src, rad.dst, rule=rad.component).then(pres.cover)
+
+
+def minimal_left_almost_split_from(i):
+    """The embedding i -> I_a of the minimal copresentation, an isomorphism
+    as i has no corelations, followed by the quotient by the socle, D of the
+    radical inclusion into P_a over the opposite quiver."""
+    cop = min_inj_copresentation(i)
+    if cop.pm.codomain:
+        raise ValueError("input is not injective")
+    if len(cop.pm.domain) != 1:
+        raise ValueError("input is not an indecomposable injective")
+    cosoc = _radical_inclusion(i.quiver.opposite(), i.field,
+                               cop.pm.domain[0]).dual
+    return cop.cover.then(Morphism(cosoc.src, cosoc.dst, rule=cosoc.component))

@@ -21,7 +21,6 @@ from arknit import (
     baer_sum,
     classify_component,
     classify_membership,
-    cokernel,
     decompose_report,
     dim_vector,
     direct_sum,
@@ -34,11 +33,9 @@ from arknit import (
     is_doubly_infinite,
     is_finite_extension,
     iso_test,
-    kernel,
     knit,
     projective_at,
     simple_at,
-    split_ses,
     standard_ext,
     tau,
     tau_inv,
@@ -59,10 +56,13 @@ from oracles import (
     an_is_injective,
     an_is_projective,
     an_tau,
+    cokernel,
     coxeter_images,
     hom_routes,
+    kernel,
     nqop_truncation,
     route_basis,
+    split_ses,
     standard_by_search,
     yoneda_by_paths,
 )

@@ -26,7 +26,6 @@ from arknit import (
     projective_at,
     ses_class_coords,
     simple_at,
-    split_ses,
     standard_ext,
     thin_rep,
     verify_exact,
@@ -37,8 +36,14 @@ from arknit.morphism import Morphism
 from arknit.quiver import linear_quiver
 
 from conftest import random_fd_rep
-from oracles import (dense_arrow_complex, ext_dim_brute,
-                     ext_dim_via_presentation, hom_routes, route_basis)
+from oracles import (
+    dense_arrow_complex,
+    ext_dim_brute,
+    ext_dim_via_presentation,
+    hom_routes,
+    route_basis,
+    split_ses,
+)
 
 
 def _ambient_cases():

@@ -21,11 +21,9 @@ from arknit import (
     hom_space,
     identity_morphism,
     injective_at,
-    is_radical,
     iso_test,
     min_proj_presentation,
     morphism_from_components,
-    naturality_defect,
     projective_at,
     simple_at,
     thin_rep,
@@ -39,8 +37,13 @@ from arknit.presentations import yoneda
 from arknit.quiver import Path
 from arknit.rep import joint_window, proj_sum_basis
 from conftest import random_fd_rep
-from oracles import (hom_dim_brute, hom_routes, iso_by_pair_search,
-                     route_basis)
+from oracles import (
+    hom_dim_brute,
+    hom_routes,
+    iso_by_pair_search,
+    naturality_defect,
+    route_basis,
+)
 from test_periodicity import QUIVERS, objects
 
 
@@ -536,13 +539,3 @@ def test_iso_indec_returns_what_the_pair_search_returned(kron, zig):
                 for g, w in zip(got, want):
                     assert all(g.component(v) == w.component(v) for v in probe)
     assert matched and compared > matched
-
-
-def test_is_radical(a3):
-    p2, p1 = projective_at(a3, 2), projective_at(a3, 1)
-    incl = morphism_from_components(
-        p2, p1, {1: Mat.zeros(QQ, 1, 0),
-                 2: Mat.from_rows(QQ, [[1]]),
-                 3: Mat.from_rows(QQ, [[1]])})
-    assert is_radical(incl)
-    assert not is_radical(identity_morphism(p1))

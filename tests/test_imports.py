@@ -10,18 +10,21 @@ morphism.py transpose a component, only relation_matrix multiplies a map
 out along a whole path, knit builds
 each translate through its translate table, every boundary that the
 benchmark traces by name exists, every exception a module raises is one
-of the classes the CLI maps to an exit code, the package's public names are
-pinned and load only when read, and a CLI verb imports only what it reads.
+of the classes the CLI maps to an exit code, io.py turns no error of a spec
+constructor into an input error, the package's public names are pinned and
+load only when read, and a CLI verb imports only what it reads.
 
 No linter ships with the project, so this parses each module with ``ast``:
 an imported name that no other part of the module reads is dead weight, and
 so is a definition whose name nothing in src/, tests/, demos/ or bench/
 reads, and a slot that nothing there reads as an attribute or passes as a
-keyword.
+keyword.  A definition that only tests/ reads belongs with the tests, in
+tests/oracles.py, but for a short list kept on purpose.
 """
 import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -110,6 +113,60 @@ def test_detects_a_dead_definition():
                          ids=lambda p: p.name)
 def test_no_dead_definitions(path, project_references):
     assert dead_definitions(path.read_text(), project_references) == []
+
+
+# the stricter twin: a definition whose only readers are tests belongs in
+# tests/oracles.py or nowhere; these stay in src/ on purpose
+TEST_ONLY_KEPT = {
+    "equiv_ext",  # to decide Ext equivalence on every fp quotient
+    # the entry points of the P/F/I section of rep.py (pfi_decompose,
+    # standard_ext_region, morphism.restriction_ses and their helpers),
+    # which no verb, demo or bench reads yet; moving that section to the
+    # tests takes the record PFIDecomposition and its twin tests along
+    "standard_ext", "tail_split",
+}
+
+
+def engine_references(sources) -> set:
+    """Names that the given sources read: as a variable or an attribute,
+    or by a dotted string such as "io.emit_quiver", which is how the
+    bench's tracer names the functions it wraps."""
+    refs = set()
+    for source in sources:
+        refs |= referenced_names(source)
+        refs |= {n.value.rpartition(".")[2] for n in ast.walk(ast.parse(source))
+                 if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                 and re.fullmatch(r"\w+(\.\w+)+", n.value)}
+    return refs
+
+
+def test_detects_a_definition_only_tests_read():
+    lib = ("def engine(): ...\n"
+           "def traced(): ...\n"
+           "def oracle(): ...\n"
+           "def kept(): ...\n")
+    bench = 'engine()\nWRAP = ("lib.traced",)\n'
+    test = "oracle()\nkept()\nengine()\n"
+    refs = engine_references([lib, bench])
+    assert dead_definitions(lib, refs) == [(3, "oracle"), (4, "kept")]
+    # the looser lint counts the test as a reader and sees nothing
+    assert dead_definitions(lib, refs | referenced_names(test)) == []
+
+
+@pytest.fixture(scope="module")
+def non_test_references():
+    root = PACKAGE.parent.parent
+    return engine_references(path.read_text()
+                             for d in PROJECT_DIRS if d != "tests"
+                             for path in (root / d).rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_definition_only_tests_read(path, non_test_references):
+    assert [(line, name) for line, name in
+            dead_definitions(path.read_text(), non_test_references)
+            if name not in TEST_ONLY_KEPT] == []
 
 
 def dataclass_fields(source: str) -> list:
@@ -627,6 +684,68 @@ def test_src_raises_only_the_mapped_classes(path):
     assert foreign_raises(path.read_text()) == []
 
 
+# the constructors that check a spec's data; io.py prefixes the pointer of a
+# ParseError of theirs (io._built), and any other error they raise is the
+# engine's, which a handler of ValueError or KeyError would pass off as an
+# input error with a pointer
+SPEC_CONSTRUCTORS = {"explicit_fd", "thin_rep", "glue_rep", "path_matrix",
+                     "coker_proj", "ker_inj", "VertexSet.make",
+                     "FiniteQuiver.build"}
+BROAD = {None, "ValueError", "KeyError", "LookupError", "Exception",
+         "BaseException"}
+
+
+def _called(call) -> str:
+    f = call.func
+    if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+        return f"{f.value.id}.{f.attr}"
+    return getattr(f, "id", None)
+
+
+def relabelled_refusals(source: str) -> list:
+    """(line, name) of each call to a spec constructor inside a try whose
+    handler catches ValueError or KeyError (or anything broader)."""
+    out = []
+    for t in ast.walk(ast.parse(source)):
+        if not isinstance(t, ast.Try):
+            continue
+        caught = set()
+        for h in t.handlers:
+            types = h.type.elts if isinstance(h.type, ast.Tuple) else [h.type]
+            caught |= {getattr(x, "id", getattr(x, "attr", None))
+                       for x in types}
+        if caught & BROAD:
+            out += [(n.lineno, _called(n)) for stmt in t.body
+                    for n in ast.walk(stmt) if isinstance(n, ast.Call)
+                    and _called(n) in SPEC_CONSTRUCTORS]
+    return sorted(out)
+
+
+def test_detects_a_relabelled_refusal():
+    src = ("try:\n"
+           "    m = explicit_fd(q, dims, mats)\n"
+           "except ValueError as e:\n"
+           "    raise ParseError(ptr, str(e))\n"
+           "try:\n"
+           "    r = VertexSet.make(q, expl, tails)\n"
+           "except (KeyError, TypeError):\n"
+           "    pass\n"
+           "try:\n"
+           "    g = glue_rep(sub, quot)\n"
+           "except ParseError as e:\n"
+           "    raise ParseError(ptr + e.pointer, e.message)\n"
+           "try:\n"
+           "    v = int(x)\n"
+           "except ValueError:\n"
+           "    pass\n")
+    assert relabelled_refusals(src) == [(2, "explicit_fd"),
+                                        (6, "VertexSet.make")]
+
+
+def test_io_relabels_no_engine_error_as_a_refusal():
+    assert relabelled_refusals((PACKAGE / "io.py").read_text()) == []
+
+
 def names_module(source: str, module: str) -> bool:
     """Does the module import, or refer to, anything called module?"""
     for node in ast.walk(ast.parse(source)):
@@ -722,27 +841,26 @@ PUBLIC_NAMES = [
     "FiniteExtReport", "FiniteQuiver", "GF", "HomBasis", "Mat", "Morphism",
     "OppositeQuiver", "PFIDecomposition", "PRESETS", "ParseError", "Path",
     "PathMatrix", "Presentation", "QQ", "QuiverBase", "Rep",
-    "RepClassCertificate", "RungFamily", "SCHEMA", "SES", "ShapeHypothesis",
-    "SubquiverClass", "VertexSet", "almost_split_sequence", "ar",
-    "ar_category_kind", "baer_sum", "classify_component",
-    "classify_membership", "classify_subquiver", "coker_proj", "cokernel",
-    "component_dot", "component_json", "coxeter_matrix", "coxeter_transform",
-    "decompose", "decompose_report", "dim_vector", "direct_sum", "dualize",
+    "RepClassCertificate", "RungFamily", "SCHEMA", "SES",
+    "ShapeHypothesis", "SubquiverClass", "VertexSet",
+    "almost_split_sequence", "ar", "ar_category_kind", "baer_sum",
+    "classify_component", "classify_membership", "classify_subquiver",
+    "coker_proj", "component_dot", "component_json", "decompose",
+    "decompose_report", "dim_vector", "direct_sum", "dualize",
     "emit_quiver", "emit_rep", "end_algebra", "end_profile", "equal_on",
     "equiv_ext", "explicit_fd", "ext", "ext_class_to_ses", "ext_space",
-    "glue_rep", "glue_ses", "hom", "hom_space", "identity_morphism", "image",
-    "injective_at", "io", "is_doubly_infinite", "is_finite_extension",
-    "is_pseudo_projective", "is_radical", "is_split", "iso_test", "ker_inj",
-    "kernel", "knit", "kronecker_quiver", "linalg", "linear_quiver",
-    "min_inj_copresentation", "min_proj_presentation",
-    "minimal_left_almost_split_from", "minimal_right_almost_split_into",
-    "morphism", "morphism_from_components", "nakayama", "naturality_defect",
-    "parse_field", "parse_quiver", "parse_rep", "path_matrix", "pfi_decompose",
-    "presentations", "projective_at", "quiver", "rep", "restrict",
-    "restriction_ses", "ses_class_coords", "simple_at", "split_ses",
-    "standard_ext", "standard_ext_region", "support_exact", "tail_split",
-    "tau", "tau_inv", "thin_rep", "verify_almost_split", "verify_exact",
-    "vkey", "zero_morphism", "zero_rep"
+    "glue_rep", "glue_ses", "hom", "hom_space", "identity_morphism",
+    "image", "injective_at", "io", "is_doubly_infinite",
+    "is_finite_extension", "is_pseudo_projective", "is_split", "iso_test",
+    "ker_inj", "knit", "kronecker_quiver", "linalg", "linear_quiver",
+    "min_inj_copresentation", "min_proj_presentation", "morphism",
+    "morphism_from_components", "nakayama", "parse_field", "parse_quiver",
+    "parse_rep", "path_matrix", "pfi_decompose", "presentations",
+    "projective_at", "quiver", "rep", "restrict", "restriction_ses",
+    "ses_class_coords", "simple_at", "standard_ext", "standard_ext_region",
+    "support_exact", "tail_split", "tau", "tau_inv", "thin_rep",
+    "verify_almost_split", "verify_exact", "vkey", "zero_morphism",
+    "zero_rep"
 ]
 
 

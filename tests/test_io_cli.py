@@ -376,6 +376,19 @@ def test_cli_knit_json_and_classify():
     assert json.loads(out)["tag"] == "Preprojective-NQop"
 
 
+def test_cli_classify_closes_the_e8_component_within_the_depth_cap():
+    # from P_7 the E8 component needs 35 hops to close: 120 nodes, nothing
+    # left on the frontier
+    e8 = ('{"vertices":[1,2,3,4,5,6,7,8],"arrows":[[1,2],[2,3],[3,4],[4,5],'
+          '[5,6],[6,7],[3,8]]}')
+    code, out, err = run_cli(["classify", "--quiver", e8, "--seed",
+                              '{"proj":"7"}', "--depth", "35"])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["nodes"] == payload["certificate"]["nodes"] == 120
+    assert payload["certificate"]["frontier"] == []
+
+
 def test_cli_knit_dot_matches_golden():
     code, out, _ = run_cli(["knit", "--quiver", KRON,
                             "--seed", '{"proj":"2"}', "--depth", "5",

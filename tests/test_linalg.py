@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from arknit import linalg
 from arknit.linalg import (GF, QQ, Mat, SparseMat, coker_projection,
-                           column_span, inverse, is_invertible, kernel_basis,
-                           kernel_span, min_poly, outside_span, rank, rref,
-                           solve_matrix)
+                           column_span, free_columns, inverse, is_invertible,
+                           kernel_basis, kernel_span, min_poly, outside_span,
+                           rank, rref, solve_matrix)
 
 from arknit.quiver import Arrow
 from oracles import (FrozenArrow, FrozenMat, dense_eliminate,
@@ -251,6 +251,8 @@ def test_coker_projection_kills_column_space(m):
     assert all(x == 0 for row in naive_mul(P, m) for x in row)
     assert [list(P.col(r)) for r in free] == \
         [[int(i == j) for i in range(P.rows)] for j in range(P.rows)]
+    # top_generators reads the same rows off one elimination, building no P
+    assert free_columns(m.transpose()) == free
 
 
 @PROPERTY

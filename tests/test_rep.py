@@ -12,6 +12,7 @@ from arknit import (
     QQ,
     GF,
     Mat,
+    ParseError,
     VertexSet,
     RungFamily,
     projective_at,
@@ -218,24 +219,60 @@ def test_explicit_fd_roundtrip(a3):
 
 def test_explicit_fd_rejects_bad_shape(a3):
     (a12,) = [a for a in a3.out_arrows(1) if a.dst == 2]
-    with pytest.raises(ValueError, match=f"arrow {a12.label} has wrong shape"):
+    with pytest.raises(ParseError) as e:
         explicit_fd(a3, {1: 2, 2: 1, 3: 0},
                     {a12.label: Mat.from_rows(QQ, [[1]])})
+    assert str(e.value) == "/mats/1>2: matrix is 1x1, arrow '1>2' needs 1x2"
 
 
 def test_explicit_fd_rejects_bad_shape_on_a_zero_domain(a3):
     # Rep.mat reads the map on a zero domain off the dimensions, so a given
     # matrix is checked when the object is built: here 1 x 1 for a 1 x 0 map
     (a12,) = [a for a in a3.out_arrows(1) if a.dst == 2]
-    with pytest.raises(ValueError, match=f"arrow {a12.label} has wrong shape"):
+    with pytest.raises(ParseError) as e:
         explicit_fd(a3, {2: 1}, {a12.label: Mat.from_rows(QQ, [[1]])})
+    assert str(e.value) == "/mats/1>2: matrix is 1x1, arrow '1>2' needs 1x0"
 
 
 def test_a_bad_explicit_summand_is_refused_before_the_sum_reads_it(a3):
     # the sum is 0 at 1, so it would read neither part's map 1 -> 2
-    with pytest.raises(ValueError, match="arrow 1>2 has wrong shape"):
+    with pytest.raises(ParseError, match="arrow '1>2' needs 1x0"):
         direct_sum(explicit_fd(a3, {2: 1}, {"1>2": Mat.from_rows(QQ, [[1]])}),
                    simple_at(a3, 3))
+
+
+@pytest.mark.parametrize("build, message", [
+    # a label of no arrow at a vertex of dims: its spec would not parse back
+    (lambda a3, ladder: explicit_fd(a3, {1: 1}, {
+        "2>3": Mat.from_rows(QQ, [[1, 2]])}),
+     "/mats/2>3: no arrow '2>3' at a vertex of dims"),
+    (lambda a3, ladder: VertexSet.make(a3, (), [("nope", "a", 0)]),
+     "/tails/0: no ray 'a' on end 'nope'"),
+    (lambda a3, ladder: VertexSet.make(
+        ladder, (), [("inf", "a", 0), ("inf", "zz", 0)]),
+     "/tails/1: no ray 'zz' on end 'inf'"),
+    (lambda a3, ladder: VertexSet.make(ladder, (), [("inf", "a", -1)]),
+     "/tails/0/2: tail start must be an integer >= 0, got -1"),
+    (lambda a3, ladder: glue_rep(
+        thin_rep(ladder, VertexSet.make(ladder, (), [("inf", "b", 0)])),
+        thin_rep(ladder, VertexSet.make(ladder, (), [("inf", "a", 0)])),
+        (), [RungFamily("inf", "nope", 0, 1)]),
+     "/families/0: no crossing 'nope' on end 'inf'"),
+    (lambda a3, ladder: explicit_fd(a3, {2: -1}),
+     "/dims/2: dim must be an integer >= 0, got -1"),
+], ids=["explicit_label", "unknown_end", "unknown_ray", "negative_start",
+        "family_on_no_crossing", "negative_dim"])
+def test_a_constructor_refuses_its_data_with_a_pointer(a3, ladder, build,
+                                                       message):
+    with pytest.raises(ParseError) as e:
+        build(a3, ladder)
+    assert str(e.value) == message
+
+
+def test_explicit_fd_reads_a_matrix_with_no_rows_into_0_as_zero(a3):
+    m = explicit_fd(a3, {1: 2}, {"1>2": Mat(QQ, 0, 0, ())})
+    assert (m.mat(a3.out_arrows(1)[0]).rows,
+            m.mat(a3.out_arrows(1)[0]).cols) == (0, 2)
 
 
 @pytest.mark.parametrize("given", [Mat.from_rows(GF(7), [[1], [0]]),
