@@ -7,6 +7,11 @@ everywhere fails membership because infinitely many sources carry nonzero
 data.  On the ladder, gluing two rays along one rung stays inside the
 class, while gluing along every rung at once does not, and the failure
 comes with a checkable witness family.
+
+Every object of the class is such an extension, and `standard_ext` shows
+which: the stable tails of its injective rays carry a finitely copresented
+quotient, the rest of its support a finitely presented sub.  On the line
+with dimension one everywhere the two halves meet in a single arrow.
 """
 
 from arknit import (
@@ -19,6 +24,7 @@ from arknit import (
     is_finite_extension,
     knit,
     parse_quiver,
+    standard_ext,
     thin_rep,
 )
 
@@ -55,3 +61,20 @@ print("witness:", list(witness))
 comp = knit(mid, 3)
 print("component of the glued object:", classify_component(comp).tag,
       f"({len(comp.nodes)} node, status {comp.nodes[0].status})")
+
+# The standard split of the all-ones line: the sub on Omega is finitely
+# presented, the quotient on the injective tail finitely copresented, and
+# the sequence glues them along finitely many arrows.
+line = parse_quiver({"preset": "line"})
+allk = thin_rep(line, VertexSet.make(line, (), [("neg", "v", 0),
+                                               ("pos", "v", 0)]))
+omega, split = standard_ext(allk)
+print("all-ones line:", classify_membership(allk).verdict,
+      "Omega:", omega.describe())
+print("sub:", split.sub.support().describe(),
+      classify_membership(split.sub).verdict,
+      "quotient:", split.quot.support().describe(),
+      classify_membership(split.quot).verdict)
+finite, witness, report = is_finite_extension(split)
+print("standard split finite:", finite, "interaction:",
+      [a.label for a in report.arrows])

@@ -13,12 +13,11 @@ _HOME = {name: mod for mod, names in {
     "quiver": "Arrow End FiniteQuiver OppositeQuiver PRESETS Path QuiverBase "
               "SubquiverClass VertexSet ar_category_kind classify_subquiver "
               "kronecker_quiver linear_quiver vkey",
-    "rep": "EvalRangeError PathMatrix PFIDecomposition Rep "
-           "RepClassCertificate RungFamily classify_membership coker_proj "
-           "dim_vector direct_sum dualize end_profile equal_on explicit_fd "
-           "glue_rep injective_at is_doubly_infinite ker_inj path_matrix "
-           "pfi_decompose projective_at restrict simple_at "
-           "standard_ext_region support_exact tail_split thin_rep zero_rep",
+    "rep": "EvalRangeError PathMatrix Rep RepClassCertificate RungFamily "
+           "classify_membership coker_proj dim_vector direct_sum dualize "
+           "end_profile equal_on explicit_fd glue_rep injective_at "
+           "is_doubly_infinite ker_inj path_matrix projective_at restrict "
+           "simple_at support_exact thin_rep zero_rep",
     "morphism": "Morphism SES glue_ses identity_morphism image "
                 "morphism_from_components restriction_ses standard_ext "
                 "verify_exact zero_morphism",

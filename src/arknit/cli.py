@@ -21,8 +21,9 @@ import sys
 # lowers every verb's peak memory
 from .rep import (_mat_json, classify_membership, injective_at,
                   joint_window, projective_at, simple_at)
-from .io import (SCHEMA, ParseError, component_dot, component_json, emit_rep,
-                 parse_field, parse_quiver, parse_rep, snapshot_rep)
+from .io import (SCHEMA, ParseError, component_dot, component_json,
+                 emit_quiver, emit_rep, parse_field, parse_quiver, parse_rep,
+                 snapshot_rep)
 from .quiver import ar_category_kind
 
 # knit/classify hop depth.  E8 (1 -> ... -> 7, 3 -> 8) needs 35 hops from
@@ -152,10 +153,8 @@ def run(args) -> dict | str:
         return parse_rep(q, _load_spec(text, what), field)
 
     if args.verb == "quiver":
-        ends = q.ends()
-        return {"schema": SCHEMA, "quiver": q.spec_dict(),
-                "kind": ar_category_kind(q),
-                "ends": [e.eid for e in ends]}
+        return {**emit_quiver(q), "kind": ar_category_kind(q),
+                "ends": [e.eid for e in q.ends()]}
 
     if args.verb == "rep":
         return _object_payload(q, rep_of(args.rep, "rep"), args.radius)
@@ -259,7 +258,7 @@ def run(args) -> dict | str:
     if args.verb == "export":
         if args.rep is not None:
             return emit_rep(rep_of(args.rep, "rep"))
-        return {"schema": SCHEMA, "quiver": q.spec_dict()}
+        return emit_quiver(q)
 
     raise ParseError("/verb", f"unknown verb {args.verb!r}")
 

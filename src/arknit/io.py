@@ -158,18 +158,6 @@ def parse_field(spec):
 # representations
 
 
-def _parse_scalar(F, x, pointer):
-    if type(x) in (int, str):
-        try:
-            return F.of(x)
-        except ZeroDivisionError:
-            raise ParseError(pointer, f"bad scalar {x!r}: zero denominator")
-        except ValueError:
-            pass
-    hint = "" if F.char else ', or a rational as a string such as "1/2"'
-    raise ParseError(pointer, f"bad scalar {x!r}: write an integer{hint}")
-
-
 def _parse_mat(F, rows, pointer) -> Mat:
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise ParseError(pointer, "matrix must be a list of rows")
@@ -177,7 +165,7 @@ def _parse_mat(F, rows, pointer) -> Mat:
     if any(len(r) != ncols for r in rows):
         raise ParseError(pointer, "ragged matrix")
     return Mat(F, len(rows), ncols, tuple(
-        tuple(_parse_scalar(F, x, f"{pointer}/{i}/{j}")
+        tuple(F.scalar(x, f"{pointer}/{i}/{j}")
               for j, x in enumerate(r)) for i, r in enumerate(rows)))
 
 
@@ -225,9 +213,7 @@ def _parse_pm(q, F, obj, pointer) -> PathMatrix:
             for k, pair in enumerate(_list(combo, ptr)):
                 if not isinstance(pair, list) or len(pair) != 2:
                     raise ParseError(f"{ptr}/{k}", "expected [coeff, path]")
-                c = _parse_scalar(F, pair[0], f"{ptr}/{k}/0")
-                p = _parse_path(q, pair[1], f"{ptr}/{k}/1")
-                cell.append((c, p))
+                cell.append((pair[0], _parse_path(q, pair[1], f"{ptr}/{k}/1")))
             erow.append(cell)
         entries.append(erow)
     return _built(pointer, path_matrix, q, F, side, dom, cod, entries)
@@ -294,8 +280,7 @@ def parse_rep(q: QuiverBase, obj, field=QQ, pointer: str = "") -> Rep:
                                  "family must be [end, crossing, start, coeff]")
             fams.append(RungFamily(
                 f[0], f[1],
-                _start(f[2], f"{ptr}/families/{i}/2", "family start"),
-                _parse_scalar(F, f[3], f"{ptr}/families/{i}/3")))
+                _start(f[2], f"{ptr}/families/{i}/2", "family start"), f[3]))
         return _built(ptr, glue_rep, sub, quot, coc, fams)
     raise ParseError(pointer or "/", f"unknown rep constructor {key!r}")
 
@@ -355,10 +340,14 @@ def component_json(comp) -> dict:
     }
 
 
-def _display_window(comp, cap: int = 14):
-    """The joint window of the node certificates at pad 0, its first cap
-    vertices."""
-    return joint_window([n.rep for n in comp.nodes], 0)[0][:cap]
+# the vertices a DOT node label lists: the first of the display window
+DISPLAY_VERTICES = 14
+
+
+def _display_window(comp):
+    """The joint window of the node certificates at pad 0, its first
+    DISPLAY_VERTICES vertices."""
+    return joint_window([n.rep for n in comp.nodes], 0)[0][:DISPLAY_VERTICES]
 
 
 def component_dot(comp) -> str:

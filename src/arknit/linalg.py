@@ -55,6 +55,19 @@ class Field(Frozen):
             return x
         return _canon(x if isinstance(x, Fraction) else Fraction(x))
 
+    def scalar(self, x, pointer: str = ""):
+        """of(x) for an int, a Fraction or a string naming one (over GF(p)
+        an integer); anything else is refused at pointer."""
+        if type(x) in (int, str, Fraction):
+            try:
+                return self.of(x)
+            except ZeroDivisionError:
+                raise ParseError(pointer, f"bad scalar {x!r}: zero denominator")
+            except ValueError:
+                pass
+        hint = "" if self.char else ', or a rational as a string such as "1/2"'
+        raise ParseError(pointer, f"bad scalar {x!r}: write an integer{hint}")
+
     def add(self, a, b):
         return (a + b) % self.char if self.char else _canon(a + b)
 

@@ -15,8 +15,9 @@ from typing import Callable, Optional
 from .linalg import Mat, inverse, is_invertible, rank, solve_matrix
 from .quiver import Arrow, VertexSet
 from .record import Record
-from .rep import (EvalRangeError, GlueRep, ImageRep, Rep, _loc_depth, dualize,
-                  restrict, same_ambient, standard_ext_region)
+from .rep import (EvalRangeError, GlueRep, ImageRep, Rep, _loc_depth,
+                  _shrunk_tail_start, classify_membership, dualize, restrict,
+                  same_ambient)
 
 
 class Morphism:
@@ -232,11 +233,19 @@ def restriction_ses(m: Rep, omega: VertexSet, complement: VertexSet) -> SES:
 
 
 def standard_ext(m: Rep):
-    """(omega, SES 0 -> M_omega -> M -> M/M_omega -> 0); sub fp, quot fc."""
-    omega, sub, quot = standard_ext_region(m)
-    supp = m.support()
-    comp = supp.difference(omega)
-    return omega, restriction_ses(m, omega, comp)
+    """(omega, SES 0 -> M_omega -> M -> M_sigma -> 0) for an rrep object:
+    sigma is the stable tail of each nonzero injective ray, walked down to
+    the floor of the exact support on that ray, and omega the rest of the
+    support, so the sub is fp and the quotient fc."""
+    cert = classify_membership(m)
+    if not cert.is_in_rrep():
+        raise ValueError(f"standard_ext needs an rrep object, got {cert.verdict}")
+    floors = {(eid, rid): t0 for eid, rid, t0 in cert.support.tails}
+    sigma = VertexSet.make(m.quiver, (), [
+        (r.eid, r.rid, _shrunk_tail_start(m, r, floors.get((r.eid, r.rid), 0)))
+        for p in cert.profiles for r in p.rays if r.dim > 0 and r.kind == "I"])
+    omega = cert.support.difference(sigma)
+    return omega, restriction_ses(m, omega, sigma)
 
 
 def verify_exact(ses: SES, verts) -> dict:

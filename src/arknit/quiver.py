@@ -188,7 +188,8 @@ class QuiverBase(Frozen):
 
     # ---- paths ----
     def _pathlen_cap(self, x, y) -> int:
-        return 10 * 16
+        """A bound on the length of every path x ~> y."""
+        raise NotImplementedError
 
     def paths_between(self, x, y) -> tuple:
         """All paths x ~> y, canonically ordered (trivial path first).
@@ -627,6 +628,13 @@ PRESETS = {name: partial(PresetQuiver, name) for name in _PRESETS}
 # vertex sets with symbolic tails
 
 
+def _inside(quiver, v, pointer=""):
+    """v, refused at pointer unless it is a vertex of the quiver."""
+    if not quiver.contains(v):
+        raise ParseError(pointer, f"vertex {v!r} outside the quiver")
+    return v
+
+
 class VertexSet(Frozen):
     """Finite explicit part plus ray tails (eid, rid, from_depth)."""
 
@@ -635,9 +643,13 @@ class VertexSet(Frozen):
     @staticmethod
     def make(quiver, explicit=(), tails=()) -> "VertexSet":
         """The set of the explicit vertices and the tails (eid, rid, t0),
-        normalized; a tail must name a ray of an end and start at a depth
-        t0 >= 0, or make refuses it at /tails/i."""
+        normalized; an explicit vertex must lie in the quiver, or make
+        refuses it at /explicit, and a tail must name a ray of an end and
+        start at a depth t0 >= 0, or make refuses it at /tails/i."""
         expl, tails = set(explicit), tuple(tails)
+        if not all(map(quiver.contains, expl)):
+            for v in expl:
+                _inside(quiver, v, "/explicit")
         best, ends = {}, {e.eid: e for e in quiver.ends()} if tails else {}
         for i, (eid, rid, t0) in enumerate(tails):
             key, end = (eid, rid), ends.get(eid)
@@ -696,39 +708,21 @@ class VertexSet(Frozen):
                               self.tails + other.tails)
 
     def intersect(self, other: "VertexSet") -> "VertexSet":
-        expl = {v for v in self.explicit if other.contains(v)}
-        expl |= {v for v in other.explicit if self.contains(v)}
-        tails = []
-        for (e1, r1, t1) in self.tails:
-            for (e2, r2, t2) in other.tails:
-                if (e1, r1) == (e2, r2):
-                    tails.append((e1, r1, max(t1, t2)))
-        return VertexSet.make(self.quiver, expl, tails)
+        return self._where(other, lambda a, b: a and b)
 
     def difference(self, other: "VertexSet") -> "VertexSet":
-        expl = {v for v in self.explicit if not other.contains(v)}
-        tails = []
-        for (eid, rid, t0) in self.tails:
-            end = self.quiver.end(eid)
-            cut = None
-            for (e2, r2, t2) in other.tails:
-                if (e2, r2) == (eid, rid):
-                    cut = t2 if cut is None else min(cut, t2)
-            # explicit members of `other` sitting on this tail punch holes
-            holes = set()
-            for v in other.explicit:
-                loc = self.quiver.locate(v)
-                if loc is not None and loc[0] == eid and loc[1] == rid and loc[2] >= t0:
-                    if cut is None or loc[2] < cut:
-                        holes.add(loc[2])
-            if cut is not None:
-                expl.update(end.vertex(rid, t) for t in range(t0, cut) if t not in holes)
-            elif holes:
-                top = max(holes)
-                expl.update(end.vertex(rid, t) for t in range(t0, top + 1) if t not in holes)
-                tails.append((eid, rid, top + 1))
-            else:
-                tails.append((eid, rid, t0))
+        return self._where(other, lambda a, b: a and not b)
+
+    def _where(self, other: "VertexSet", keep) -> "VertexSet":
+        """The vertices where keep(in self, in other) holds, for a keep that
+        fails on two non-members: each member of either set up to d, one
+        band past both probe depths, and past d each ray by its two tails."""
+        d = max(self.probe_depth(), other.probe_depth()) + 1
+        expl = [v for v in {*self.members(d), *other.members(d)}
+                if keep(self.contains(v), other.contains(v))]
+        mine, theirs = ({t[:2] for t in s.tails} for s in (self, other))
+        tails = [ray + (d + 1,) for ray in mine | theirs
+                 if keep(ray in mine, ray in theirs)]
         return VertexSet.make(self.quiver, expl, tails)
 
     def probe_depth(self) -> int:

@@ -34,8 +34,8 @@ from typing import Optional, Sequence
 
 from .linalg import (Field, Mat, QQ, block_matrix, column_span,
                      is_invertible, kernel_span)
-from .quiver import (Arrow, Path, QuiverBase, VertexSet, classify_subquiver,
-                     vkey)
+from .quiver import (Arrow, Path, QuiverBase, VertexSet, _inside,
+                     classify_subquiver, vkey)
 from .record import Frozen, ParseError, Record
 
 class EvalRangeError(ValueError):
@@ -61,8 +61,8 @@ class PathMatrix(Frozen):
     the map between their evaluations at v and .dual its D.
     """
 
-    # entries[j][i] = tuple of (coeff, Path); __dict__ holds the cached
-    # src, dst and dual
+    # entries[j][i] = tuple of (coeff, Path), coeff stored as a field
+    # element; __dict__ holds the cached src, dst and dual
     __slots__ = ("quiver", "field", "side", "domain", "codomain", "entries",
                  "__dict__")
     _fields = __slots__[:-1]
@@ -71,18 +71,34 @@ class PathMatrix(Frozen):
                  domain: tuple, codomain: tuple, entries: tuple):
         if side not in ("proj", "inj"):
             raise ParseError("", "side must be 'proj' or 'inj'")
+        if not all(map(quiver.contains, domain + codomain)):
+            for name, verts in (("domain", domain), ("codomain", codomain)):
+                for i, v in enumerate(verts):
+                    _inside(quiver, v, f"/{name}/{i}")
         if len(entries) != len(codomain):
             raise ParseError("/entries", "row count != codomain length")
+        rows = []
         for j, row in enumerate(entries):
             if len(row) != len(domain):
                 raise ParseError(f"/entries/{j}",
                                  "column count != domain length")
+            cells = []
             for i, combo in enumerate(row):
-                for (_, p) in combo:
+                cell = []
+                for k, (c, p) in enumerate(combo):
                     if p.src != codomain[j] or p.dst != domain[i]:
                         raise ParseError(f"/entries/{j}/{i}", f"entry path "
                                          f"must run codomain[{j}] ~> domain[{i}]")
-        Record.__init__(self, quiver, field, side, domain, codomain, entries)
+                    try:  # the pointer is formatted on a refusal only
+                        c = field.scalar(c)
+                    except ParseError as e:
+                        raise ParseError(f"/entries/{j}/{i}/{k}/0",
+                                         e.message) from None
+                    cell.append((c, p))
+                cells.append(tuple(cell))
+            rows.append(tuple(cells))
+        Record.__init__(self, quiver, field, side, domain, codomain,
+                        tuple(rows))
 
     def depth_bound(self) -> int:
         return max((_loc_depth(self.quiver, v)
@@ -123,7 +139,7 @@ class PathMatrix(Frozen):
                 for (coeff, e) in self.entries[j][i]:
                     # codomain[j] ~> domain[i] ~> v
                     r = index[(j, e.arrows + p.arrows)]
-                    rows[r][c] = F.add(rows[r][c], F.of(coeff))
+                    rows[r][c] = F.add(rows[r][c], coeff)
         return Mat(F, len(cod_b), len(dom_b), tuple(tuple(r) for r in rows))
 
     def describe(self) -> str:
@@ -136,9 +152,8 @@ class PathMatrix(Frozen):
 
 
 def path_matrix(quiver, field, side, domain, codomain, entries) -> PathMatrix:
-    norm = tuple(tuple(tuple((c, p) for (c, p) in combo) for combo in row)
-                 for row in entries)
-    return PathMatrix(quiver, field, side, tuple(domain), tuple(codomain), norm)
+    return PathMatrix(quiver, field, side, tuple(domain), tuple(codomain),
+                      entries)
 
 
 def proj_sum_basis(q: QuiverBase, verts: Sequence, v) -> list:
@@ -273,13 +288,6 @@ def _fitted(m: Mat, rows: int, cols: int) -> Optional[Mat]:
     if (m.rows, m.cols) == (rows, cols):
         return m
     return Mat.zeros(m.field, 0, cols) if m.rows == 0 == rows else None
-
-
-def _inside(quiver, a, pointer=""):
-    """a, refused at pointer unless it is a vertex of the quiver."""
-    if not quiver.contains(a):
-        raise ParseError(pointer, f"vertex {a!r} outside the quiver")
-    return a
 
 
 class ThinRep(Rep):
@@ -564,7 +572,6 @@ class GlueRep(Rep):
         super().__init__(sub.quiver, sub.field)
         self.sub = sub
         self.quot = quot
-        self.families = tuple(families)
         q, fitted = self.quiver, []
         for i, (a, m) in enumerate(cocycle):
             if a not in q.out_arrows(a.src):
@@ -575,6 +582,10 @@ class GlueRep(Rep):
                     "", f"dimension-mismatched cocycle entry at arrow {a.label}: "
                     f"expected {sub.dim(a.dst)}x{quot.dim(a.src)}, got {m.rows}x{m.cols}")
         self.cocycle = tuple(fitted)  # (Arrow, Mat)
+        self.families = tuple(
+            RungFamily(f.eid, f.cid, f.start,
+                       self.field.scalar(f.coeff, f"/families/{i}/3"))
+            for i, f in enumerate(families))
         crossings = {(e.eid, c[0]) for e in q.ends() for c in e.crossings} \
             if self.families else ()
         # a family's slots repeat past the deepest of its start and the
@@ -604,7 +615,7 @@ class GlueRep(Rep):
                 continue
             t = loc[2]
             if t >= fam.start and self.quiver._crossing_arrow(fam.eid, fam.cid, t) == a:
-                return Mat(self.field, 1, 1, ((self.field.of(fam.coeff),),))
+                return Mat(self.field, 1, 1, ((fam.coeff,),))
         return None
 
     def _dim_at(self, v):
@@ -1002,7 +1013,7 @@ def _certify(q, profiles, supp) -> RepClassCertificate:
 
 
 # ---------------------------------------------------------------------------
-# structural decompositions of rrep objects
+# the floor of a stable tail
 
 
 def _shrunk_tail_start(m: Rep, prof: RayProfile, floor: int) -> int:
@@ -1022,101 +1033,6 @@ def _shrunk_tail_start(m: Rep, prof: RayProfile, floor: int) -> int:
             break
         t = s
     return t
-
-
-def _stable_tail_starts(m: Rep, cert: RepClassCertificate, kinds=("P", "I")):
-    """(ray profile, start) for each nonzero ray of the given kinds: the
-    stable tail walked down to the floor that the exact support gives it."""
-    floors = {(eid, rid): t0 for (eid, rid, t0) in cert.support.tails}
-    return [(r, _shrunk_tail_start(m, r, floors.get((r.eid, r.rid), 0)))
-            for p in cert.profiles for r in p.rays
-            if r.dim > 0 and r.kind in kinds]
-
-
-def _tails_set(q, starts) -> VertexSet:
-    return VertexSet.make(q, (), [(eid, rid, t) for (eid, rid, t) in starts])
-
-
-def _supporting_arrows_between(m: Rep, src_set: VertexSet, dst_set: VertexSet,
-                               probe_depth: int):
-    """Arrows x→y with x in src_set, y in dst_set and M(arrow) nonzero,
-    scanned over the probe region; assumes periodicity beyond it."""
-    q = m.quiver
-    out = []
-    for v in src_set.members(probe_depth):
-        for a in q.out_arrows(v):
-            if dst_set.contains(a.dst) and not m.mat(a).is_zero():
-                out.append(a)
-    return out
-
-
-class PFIDecomposition(Record):
-    __slots__ = _fields = ("sigmaP", "sigmaI", "projPart", "corePart",
-                           "injPart", "certificate")
-
-
-def pfi_decompose(m: Rep) -> PFIDecomposition:
-    cert = classify_membership(m)
-    if not cert.is_in_rrep():
-        raise ValueError(f"pfi_decompose needs an rrep object, got {cert.verdict}")
-    q = m.quiver
-    supp = cert.support
-    pstarts = {}
-    istarts = {}
-    for r, t in _stable_tail_starts(m, cert):
-        (pstarts if r.kind == "P" else istarts)[(r.eid, r.rid)] = t
-
-    def build():
-        sp = _tails_set(q, [(e, rr, t) for (e, rr), t in sorted(pstarts.items())])
-        si = _tails_set(q, [(e, rr, t) for (e, rr), t in sorted(istarts.items())])
-        return sp, si
-
-    base_probe = cert.depth + 2
-    sigmaP, sigmaI = build()
-    # gluing arrows must not run from the injective part into the projective part
-    for _ in range(base_probe + 2):
-        probe = max([base_probe] + list(pstarts.values()) + list(istarts.values())) + 2
-        viol = _supporting_arrows_between(m, sigmaI, sigmaP, probe)
-        if not viol:
-            break
-        a = viol[0]
-        li, lp = q.locate(a.src), q.locate(a.dst)
-        istarts[(li[0], li[1])] = max(istarts[(li[0], li[1])], li[2] + 1)
-        pstarts[(lp[0], lp[1])] = max(pstarts[(lp[0], lp[1])], lp[2] + 1)
-        sigmaP, sigmaI = build()
-    core = supp.difference(sigmaP.union(sigmaI))
-    while core.is_finite and not core.explicit and (pstarts or istarts):
-        # keep the core non-empty by retracting every tail one band
-        for k in pstarts:
-            pstarts[k] += 1
-        for k in istarts:
-            istarts[k] += 1
-        sigmaP, sigmaI = build()
-        core = supp.difference(sigmaP.union(sigmaI))
-    return PFIDecomposition(
-        sigmaP, sigmaI, restrict(m, sigmaP), restrict(m, core),
-        restrict(m, sigmaI), {"probeDepth": probe, "support": supp.describe()})
-
-
-def standard_ext_region(m: Rep):
-    """(Omega, sub, quot) with sub = M_Omega fp and quot = M/M_Omega fc."""
-    cert = classify_membership(m)
-    if not cert.is_in_rrep():
-        raise ValueError(f"standard_ext needs an rrep object, got {cert.verdict}")
-    sigmaI = _tails_set(m.quiver, [(r.eid, r.rid, t) for r, t in
-                                   _stable_tail_starts(m, cert, kinds=("I",))])
-    omega = cert.support.difference(sigmaI)
-    return omega, restrict(m, omega), restrict(m, sigmaI)
-
-
-def tail_split(m: Rep):
-    """(Omega, projective tail, fd head) for a finitely presented object:
-    the projective and core parts of its pfi_decompose."""
-    cert = classify_membership(m)
-    if cert.verdict not in ("fp", "fd"):
-        raise ValueError(f"tail_split needs an fp object, got {cert.verdict}")
-    d = pfi_decompose(m)
-    return d.sigmaP, d.projPart, d.corePart
 
 
 def is_doubly_infinite(m: Rep) -> bool:

@@ -3,7 +3,8 @@
 Everything here but the last five sections is computed from first
 principles with its own Fraction arithmetic so that no production code path
 is trusted twice: Hom/Ext via naive commuting-square systems, A_n structure
-via the interval model, the translation-quiver shape via an explicit
+via the interval model, the positive roots of a Dynkin graph via the
+reflections of its Tits form, the translation-quiver shape via an explicit
 combinatorial construction.  The section on standard objects decides them
 by a search over isomorphism tests, a second route through the package's
 Hom layer that the presentation reading in ar.py does not take.  The
@@ -21,7 +22,7 @@ of a path, the isomorphism test that searched pairs of basis maps, the
 cokernel evaluated on its own, before it was read as D of a kernel, the
 certificate read with every ray evaluated, before end_profile skipped the
 rays that the support hint rules out, the Yoneda map read path by path,
-before it was read by prefix, Mat, Arrow and the 25 records as
+before it was read by prefix, Mat, Arrow and the 24 records as
 the dataclasses they were before they were slotted, and knit's steps at P_a
 and I_a as they were computed before knit read them off the arrows at a,
 and its P_a and I_a flags as they were read before knit's translate table
@@ -211,6 +212,35 @@ def an_ar_arrows(n):
                 out.add((mid, iv))      # middle -> quot
                 out.add(((a + 1, b + 1), mid))  # sub -> middle
     return out
+
+
+# ---------------------------------------------------------------------------
+# positive roots of a Dynkin graph (Gabriel, Manuscripta Math. 6, 1972)
+
+
+def positive_roots(n, edges):
+    """The positive roots of the graph on 1..n with the given edges: the
+    closure of the simple roots under the reflections s_i(x) = x - (x, e_i)
+    e_i of the symmetric Tits form (x, y) = 2 sum x_i y_i - sum over the
+    edges ij of (x_i y_j + x_j y_i), kept where nonnegative.  Finite
+    exactly on a Dynkin graph, where they are the dimension vectors of the
+    indecomposables of any orientation, one each."""
+    nbrs = {i: [] for i in range(1, n + 1)}
+    for a, b in edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    simple = [tuple(int(j == i) for j in range(1, n + 1))
+              for i in range(1, n + 1)]
+    roots, todo = set(simple), list(simple)
+    while todo:
+        x = todo.pop()
+        for i in range(1, n + 1):
+            c = 2 * x[i - 1] - sum(x[j - 1] for j in nbrs[i])
+            y = x[:i - 1] + (x[i - 1] - c,) + x[i:]
+            if y[i - 1] >= 0 and y not in roots:
+                roots.add(y)
+                todo.append(y)
+    return sorted(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -694,8 +724,6 @@ RECORD_TWINS = {
     "rep.EndProfile": (False, "eid cutoff rays crossings", {}),
     "rep.RepClassCertificate": (True, "verdict witnesses profiles support",
                                 {}),
-    "rep.PFIDecomposition": (False, "sigmaP sigmaI projPart corePart injPart "
-                             "certificate", {}),
 }
 
 

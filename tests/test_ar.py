@@ -34,11 +34,9 @@ from arknit import (
     min_inj_copresentation,
     min_proj_presentation,
     nakayama,
-    pfi_decompose,
     PRESETS,
     projective_at,
     simple_at,
-    tail_split,
     tau,
     tau_inv,
     thin_rep,
@@ -687,10 +685,6 @@ def _api_refusals():
         "copresentation": (lambda: min_inj_copresentation(
             projective_at(line, 0)), "minimal injective copresentation "
             "needs an fc object, got fp"),
-        "pfi": (lambda: pfi_decompose(m0),
-                "pfi_decompose needs an rrep object, got notInRrep"),
-        "tail_split": (lambda: tail_split(injective_at(line, 0)),
-                       "tail_split needs an fp object, got fc"),
         "doubly_infinite": (lambda: is_doubly_infinite(m0),
                             "not an rrep object"),
         "coefficients": (lambda: ext_class_to_ses(ext_space(
@@ -710,11 +704,10 @@ def _api_refusals():
     }
 
 
-@pytest.mark.parametrize("case", ["copresentation", "pfi", "tail_split",
-                                  "doubly_infinite", "coefficients",
-                                  "end_not_local", "right_not_projective",
-                                  "right_a_sum", "left_not_injective",
-                                  "left_a_sum"])
+@pytest.mark.parametrize("case", ["copresentation", "doubly_infinite",
+                                  "coefficients", "end_not_local",
+                                  "right_not_projective", "right_a_sum",
+                                  "left_not_injective", "left_a_sum"])
 def test_api_refusal_names_its_cause(case):
     call, message = _api_refusals()[case]
     with pytest.raises(ValueError) as e:

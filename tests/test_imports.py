@@ -119,11 +119,6 @@ def test_no_dead_definitions(path, project_references):
 # tests/oracles.py or nowhere; these stay in src/ on purpose
 TEST_ONLY_KEPT = {
     "equiv_ext",  # to decide Ext equivalence on every fp quotient
-    # the entry points of the P/F/I section of rep.py (pfi_decompose,
-    # standard_ext_region, morphism.restriction_ses and their helpers),
-    # which no verb, demo or bench reads yet; moving that section to the
-    # tests takes the record PFIDecomposition and its twin tests along
-    "standard_ext", "tail_split",
 }
 
 
@@ -144,11 +139,17 @@ def test_detects_a_definition_only_tests_read():
     lib = ("def engine(): ...\n"
            "def traced(): ...\n"
            "def oracle(): ...\n"
-           "def kept(): ...\n")
+           "def kept(): ...\n"
+           "def shown(): ...\n")
     bench = 'engine()\nWRAP = ("lib.traced",)\n'
-    test = "oracle()\nkept()\nengine()\n"
-    refs = engine_references([lib, bench])
+    demo = "from lib import shown\nprint(shown())\n"
+    test = "oracle()\nkept()\nengine()\nshown()\n"
+    refs = engine_references([lib, bench, demo])
     assert dead_definitions(lib, refs) == [(3, "oracle"), (4, "kept")]
+    # without the demo, a definition that only it and the tests call is
+    # read by the tests alone
+    assert dead_definitions(lib, engine_references([lib, bench])) == [
+        (3, "oracle"), (4, "kept"), (5, "shown")]
     # the looser lint counts the test as a reader and sees nothing
     assert dead_definitions(lib, refs | referenced_names(test)) == []
 
@@ -839,7 +840,7 @@ PUBLIC_NAMES = [
     "ARComponent", "ARNode", "ASReport", "Arrow", "DecomposeReport", "End",
     "EndAlgebra", "EvalRangeError", "ExtClassBasis", "Field",
     "FiniteExtReport", "FiniteQuiver", "GF", "HomBasis", "Mat", "Morphism",
-    "OppositeQuiver", "PFIDecomposition", "PRESETS", "ParseError", "Path",
+    "OppositeQuiver", "PRESETS", "ParseError", "Path",
     "PathMatrix", "Presentation", "QQ", "QuiverBase", "Rep",
     "RepClassCertificate", "RungFamily", "SCHEMA", "SES",
     "ShapeHypothesis", "SubquiverClass", "VertexSet",
@@ -855,10 +856,10 @@ PUBLIC_NAMES = [
     "ker_inj", "knit", "kronecker_quiver", "linalg", "linear_quiver",
     "min_inj_copresentation", "min_proj_presentation", "morphism",
     "morphism_from_components", "nakayama", "parse_field", "parse_quiver",
-    "parse_rep", "path_matrix", "pfi_decompose", "presentations",
+    "parse_rep", "path_matrix", "presentations",
     "projective_at", "quiver", "rep", "restrict", "restriction_ses",
-    "ses_class_coords", "simple_at", "standard_ext", "standard_ext_region",
-    "support_exact", "tail_split", "tau", "tau_inv", "thin_rep",
+    "ses_class_coords", "simple_at", "standard_ext", "support_exact",
+    "tau", "tau_inv", "thin_rep",
     "verify_almost_split", "verify_exact", "vkey", "zero_morphism",
     "zero_rep"
 ]

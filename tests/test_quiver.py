@@ -150,36 +150,42 @@ def test_vertex_set_difference_punches_holes_in_a_tail(line):
                                            (("pos", "v", 4),))
 
 
-SET_GRIDS = {
-    # (explicit pool, rays, vertices probed: past every tail start drawn)
-    "line": (range(-6, 7), [("neg", "v"), ("pos", "v")], range(-12, 13)),
-    "ladder": ([(t, k) for t in "ab" for k in range(6)],
-               [("inf", "a"), ("inf", "b")],
-               [(t, k) for t in "ab" for k in range(12)]),
-}
+# every infinite preset and one finite quiver, each built once
+SET_QUIVERS = {**{name: make() for name, make in ak.PRESETS.items()},
+               "A5": ak.linear_quiver(5)}
+
+
+def ray_vertices(q, depth):
+    """Each vertex of q's rays down to depth; every vertex of a finite q."""
+    if q.is_finite:
+        return list(q.vertices)
+    return [e.vertex(r.rid, t) for e in q.ends() for r in e.rays
+            for t in range(depth + 1)]
 
 
 @st.composite
-def vertex_sets(draw, q, name):
-    pool, rays, _ = SET_GRIDS[name]
-    explicit = draw(st.sets(st.sampled_from(list(pool))))
-    tails = [(eid, rid, draw(st.integers(0, 5))) for eid, rid in rays
-             if draw(st.booleans())]
+def vertex_sets(draw, q):
+    explicit = draw(st.sets(st.sampled_from(ray_vertices(q, 6))))
+    tails = [(e.eid, r.rid, draw(st.integers(0, 5)))
+             for e in q.ends() for r in e.rays if draw(st.booleans())]
     return VertexSet.make(q, explicit, tails)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(st.data(), st.sampled_from(sorted(SET_GRIDS)))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.sampled_from(sorted(SET_QUIVERS)))
 def test_vertex_set_operations_match_membership(data, name):
     # union, intersect and difference agree with or, and, and-not on every
-    # vertex, holes punched in tails included
-    q = ak.PRESETS[name]()
-    a, b = (data.draw(vertex_sets(q, name)) for _ in range(2))
-    for v in SET_GRIDS[name][2]:
-        x, y = a.contains(v), b.contains(v)
-        assert a.union(b).contains(v) == (x or y)
-        assert a.intersect(b).contains(v) == (x and y)
-        assert a.difference(b).contains(v) == (x and not y)
+    # vertex down to three bands past both probe depths, holes punched in
+    # tails included, and each result is in the normal form of make
+    q = SET_QUIVERS[name]
+    a, b = (data.draw(vertex_sets(q)) for _ in range(2))
+    depth = max(a.probe_depth(), b.probe_depth()) + 3
+    for r, keep in ((a.union(b), lambda x, y: x or y),
+                    (a.intersect(b), lambda x, y: x and y),
+                    (a.difference(b), lambda x, y: x and not y)):
+        assert r == VertexSet.make(q, r.explicit, r.tails)
+        for v in ray_vertices(q, depth):
+            assert r.contains(v) == keep(a.contains(v), b.contains(v))
 
 
 def test_opposite_quiver(a3):
@@ -352,6 +358,9 @@ class TwoCycle(QuiverBase):
 
     def in_arrows(self, v):
         return [Arrow(1 - v, v, f"{1 - v}>{v}")]
+
+    def _pathlen_cap(self, x, y):
+        return 10 * 16
 
 
 def stored_bases(q) -> int:

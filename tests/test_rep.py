@@ -29,13 +29,10 @@ from arknit import (
     equal_on,
     classify_membership,
     end_profile,
-    pfi_decompose,
-    standard_ext_region,
-    tail_split,
     is_doubly_infinite,
     vkey,
 )
-from arknit.morphism import Morphism
+from arknit.morphism import Morphism, standard_ext
 from arknit.quiver import FiniteQuiver
 from arknit.rep import (CokerOfRep, KernelOfRep, Rep, incoming_stack,
                         path_matrix, proj_sum_basis, reverse_path)
@@ -517,8 +514,9 @@ def test_end_profile_names_the_rays_that_break_periodicity(ladder):
 
 def test_standard_ext_region_on_all_ones(line, line_full):
     m = thin_rep(line, line_full)
-    omega, sub, quot = standard_ext_region(m)
-    assert omega.tails == (("neg", "v", 0),)
+    omega, ses = standard_ext(m)
+    sub, quot = ses.sub, ses.quot
+    assert omega.tails == (("neg", "v", 0),) and not omega.explicit
     assert classify_membership(sub).verdict == "fp"
     assert classify_membership(quot).verdict == "fc"
     for v in range(-3, 4):
@@ -529,22 +527,6 @@ def test_standard_ext_region_on_all_ones(line, line_full):
 
 def test_standard_ext_region_rejects_outsiders(zig):
     region = VertexSet.make(zig, (), [("inf", "even", 1), ("inf", "odd", 0)])
-    with pytest.raises(ValueError):
-        standard_ext_region(thin_rep(zig, region))
-
-
-def test_tail_split_of_projective(line):
-    omega, tail, head = tail_split(projective_at(line, 0))
-    assert classify_membership(tail).verdict == "fp"
-    assert classify_membership(head).verdict == "fd"
-    assert head.dim(0) == 1 and head.dim(-1) == 0
-    assert tail.dim(-1) == 1 and tail.dim(0) == 0
-
-
-def test_pfi_decompose_additive(line, line_full):
-    m = thin_rep(line, line_full)
-    d = pfi_decompose(m)
-    for v in range(-4, 5):
-        total = d.projPart.dim(v) + d.corePart.dim(v) + d.injPart.dim(v)
-        assert total == m.dim(v)
-    assert d.sigmaP.tails and d.sigmaI.tails
+    with pytest.raises(ValueError, match="^standard_ext needs an rrep "
+                                         "object, got notInRrep$"):
+        standard_ext(thin_rep(zig, region))

@@ -16,10 +16,11 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from arknit import (GF, QQ, Mat, RungFamily, VertexSet, coker_proj,
-                    direct_sum, dualize, explicit_fd, glue_rep, injective_at,
-                    ker_inj, parse_quiver, parse_rep, path_matrix,
-                    projective_at, restrict, simple_at, thin_rep, zero_rep)
+from arknit import (GF, QQ, Mat, ParseError, Path, RungFamily, VertexSet,
+                    coker_proj, direct_sum, dualize, explicit_fd, glue_rep,
+                    injective_at, ker_inj, linear_quiver, parse_quiver,
+                    parse_rep, path_matrix, projective_at, restrict,
+                    simple_at, thin_rep, zero_rep)
 
 QUIVERS = {"line": {"preset": "line"}, "ray_out": {"preset": "ray_out"},
            "ray_in": {"preset": "ray_in"}, "zigzag": {"preset": "zigzag"},
@@ -38,8 +39,14 @@ def window(q) -> list:
             for t in range(4)]
 
 
+def coefficients():
+    """Scalars as the API takes them: a constructor stores each as F.of(c),
+    so 9 over GF(7) is 2."""
+    return st.sampled_from([0, 1, -1, 2, 3, 9, Fraction(1, 2)])
+
+
 def scalars(F):
-    return st.sampled_from([0, 1, -1, 2, 3, Fraction(1, 2)]).map(F.of)
+    return coefficients().map(F.of)
 
 
 @st.composite
@@ -85,7 +92,7 @@ def path_matrix_objects(draw, q, F):
         row = []
         for x in dom:
             paths = q.paths_between(y, x)
-            row.append([(draw(scalars(F)), p) for p in draw(st.lists(
+            row.append([(draw(coefficients()), p) for p in draw(st.lists(
                 st.sampled_from(paths), max_size=2))] if paths else [])
         entries.append(row)
     pm = path_matrix(q, F, side, dom, cod, entries)
@@ -102,7 +109,7 @@ def rung_glues(draw, q, F):
     sub, quot = (thin_rep(q, VertexSet.make(q, (), [(
         "inf", rid, draw(st.integers(0, start)))]), F) for rid in "ba")
     fam = RungFamily("inf", draw(st.sampled_from(["rung", "nope"])), start,
-                     draw(scalars(F)))
+                     draw(coefficients()))
     return glue_rep(sub, quot, (), [fam])
 
 
@@ -170,3 +177,54 @@ def test_every_emitted_spec_parses_back(preset, field):
             == spec
 
     roundtrip()
+
+
+# ---------------------------------------------------------------------------
+# what the API builds outside the grammar: refused, or stored in the form
+# that the spec writes
+
+
+def test_a_region_vertex_outside_the_quiver_is_refused():
+    q = linear_quiver(3)
+    with pytest.raises(ParseError, match=r"^/explicit: vertex 99 outside "
+                                         r"the quiver$"):
+        thin_rep(q, VertexSet.make(q, [1, 99]))
+
+
+@pytest.mark.parametrize("side", ["domain", "codomain"])
+def test_a_path_matrix_vertex_outside_the_quiver_is_refused(side):
+    dom, cod = ([1, 99], []) if side == "domain" else ([], [1, 99])
+    with pytest.raises(ParseError, match=rf"^/{side}/1: vertex 99 outside "
+                                         r"the quiver$"):
+        coker_proj(path_matrix(linear_quiver(3), QQ, "proj", dom, cod,
+                               [[]] * len(cod)))
+
+
+def ladder_tails(F):
+    """The thin b-tail and a-tail of the ladder from depth 0."""
+    q = parse_quiver({"preset": "ladder"})
+    return tuple(thin_rep(q, VertexSet.make(q, (), [("inf", r, 0)]), F)
+                 for r in "ba")
+
+
+def test_a_coefficient_is_stored_as_a_field_element():
+    q, F = linear_quiver(3), GF(7)
+    m = coker_proj(path_matrix(q, F, "proj", [1], [1],
+                               [[[(9, Path(1, 1, ()))]]]))
+    glue = glue_rep(*ladder_tails(F), (), [RungFamily("inf", "rung", 0, 9)])
+    assert m.spec_dict()["coker_proj"]["entries"] == [
+        [[["2", {"src": "1", "arrows": []}]]]]
+    assert glue.spec_dict()["glue"]["families"] == [["inf", "rung", 0, "2"]]
+    for x in (m, glue):
+        spec = x.spec_dict()
+        assert parse_rep(x.quiver, json.loads(json.dumps(spec)),
+                         F).spec_dict() == spec
+
+
+def test_a_coefficient_that_is_no_scalar_is_refused_at_its_pointer():
+    with pytest.raises(ParseError, match=r"^/entries/0/0/0/0: bad scalar "
+                                         r"0\.5: write an integer"):
+        path_matrix(linear_quiver(3), QQ, "proj", [1], [1],
+                    [[[(0.5, Path(1, 1, ()))]]])
+    with pytest.raises(ParseError, match=r"^/families/0/3: bad scalar \[1\]"):
+        glue_rep(*ladder_tails(QQ), (), [RungFamily("inf", "rung", 0, [1])])
