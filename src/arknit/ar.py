@@ -45,7 +45,7 @@ MAX_NODES = 160  # knit expands no node once the component has more
 
 def tau(x: Rep) -> Rep:
     cert = classify_membership(x)
-    if cert.verdict not in ("fp", "fd"):
+    if not cert.has_presentation():
         raise ValueError(f"tau undefined: input is {cert.verdict}, not fp")
     pres = min_proj_presentation(x)
     if not pres.pm.domain:
@@ -55,7 +55,7 @@ def tau(x: Rep) -> Rep:
 
 def tau_inv(w: Rep) -> Rep:
     cert = classify_membership(w)
-    if cert.verdict not in ("fc", "fd"):
+    if not cert.has_copresentation():
         raise ValueError(f"tau_inv undefined: input is {cert.verdict}, not fc")
     cop = min_inj_copresentation(w)
     if not cop.pm.codomain:
@@ -79,16 +79,15 @@ def standard_vertex(x: Rep, kind: str):
     return gens[0] if len(gens) == 1 and not rels else None
 
 
-def _check_seed(seed: Rep, verdict: str):
+def _check_seed(seed: Rep, cert):
     """Refuse a zero or decomposable seed at any depth: P_a (I_a) has one
     (co)generator and no (co)relations, a zero object or a sum of several
     none or several; any other seed, doubly infinite ones too, needs a
     local End, as a brick has.  dim End is counted first, so a brick stops
     there at 1."""
-    for kind, has, word in (("proj", "fp", "projective"),
-                            ("inj", "fc", "injective")):
-        gens, rels = _generators(seed, kind) if verdict in ("fd", has) \
-            else ((), True)
+    for kind, has, word in (("proj", cert.has_presentation(), "projective"),
+                            ("inj", cert.has_copresentation(), "injective")):
+        gens, rels = _generators(seed, kind) if has else ((), True)
         if not rels:
             if len(gens) == 1:
                 return
@@ -213,32 +212,16 @@ def verify_almost_split(ses: SES, battery) -> ASReport:
 
 
 class ARNode(Record):
+    # status: open | expanded | frontier | blocked
     __slots__ = _fields = ("key", "rep", "is_projective", "is_injective",
                            "status", "hops", "notes")
 
-    def __init__(self, key: int, rep: Rep, is_projective: bool = False,
-                 is_injective: bool = False, status: str = "open",
-                 hops: int = 0, notes: tuple = ()):
-        self.key, self.rep = key, rep
-        self.is_projective, self.is_injective = is_projective, is_injective
-        self.status = status  # open | expanded | frontier | blocked
-        self.hops, self.notes = hops, notes
-
 
 class ARComponent(Record):
+    # arrows: (src_key, dst_key) -> multiplicity; tau_links: key of X -> key
+    # of tau X
     __slots__ = _fields = ("quiver", "nodes", "arrows", "tau_links",
                            "seed_key", "depth", "notes")
-
-    def __init__(self, quiver: QuiverBase, nodes: list, arrows: dict,
-                 tau_links: dict, seed_key: int, depth: int, notes=None):
-        self.quiver, self.nodes = quiver, nodes
-        self.arrows = arrows        # (src_key, dst_key) -> multiplicity
-        self.tau_links = tau_links  # key of X -> key of tau X
-        self.seed_key, self.depth = seed_key, depth
-        self.notes = [] if notes is None else notes
-
-    def node(self, key) -> ARNode:
-        return self.nodes[key]
 
     def frontier(self):
         return [n.key for n in self.nodes if n.status == "frontier"]
@@ -280,20 +263,20 @@ def _predict_mesh(comp: ARComponent, tr: dict, key: int, forward: bool):
     backward step or once the mesh from it is recorded.  A summand is
     (rep, multiplicity, the node it translates, or None)."""
     node, q, F = comp.nodes[key], comp.quiver, comp.nodes[key].rep.field
-    kind, has = ("inj", "fc") if forward else ("proj", "fp")
     if node.is_injective if forward else node.is_projective:
-        a = standard_vertex(node.rep, kind)
+        a = standard_vertex(node.rep, "inj" if forward else "proj")
         far, how = None, f"read off the arrows at {q.vertex_str(a)}"
         parts = _standard(q, F, injective_at if forward else projective_at,
                           a, forward)
-    elif (classify_membership(node.rep).verdict in ("fp", "fd") if forward
+    elif (classify_membership(node.rep).has_presentation() if forward
           else tr.get((key, True)) in comp.tau_links):
         parts, sources = [], []
         for (src, dst), mult in comp.arrows.items():
             near, other = (dst, src) if forward else (src, dst)
             if near == key:
-                rep = comp.nodes[other].rep
-                if classify_membership(rep).verdict not in ("fd", has):
+                cert = classify_membership(comp.nodes[other].rep)
+                if not (cert.has_copresentation() if forward
+                        else cert.has_presentation()):
                     return None
                 sources.append(other)
                 if not _standard_at(comp, tr, other, forward):
@@ -326,12 +309,12 @@ def knit(seed: Rep, depth: int) -> ARComponent:
     cert0 = classify_membership(seed)
     if not cert0.is_in_rrep():
         raise ValueError(f"seed is {cert0.verdict}; knitting needs rrep payloads")
-    _check_seed(seed, cert0.verdict)
+    _check_seed(seed, cert0)
     base_window, _ = joint_window([seed])
     fwindow = tuple(sorted(_expand_window(q, base_window, depth + 2),
                            key=vkey))
 
-    comp = ARComponent(q, [], {}, {}, 0, depth)
+    comp = ARComponent(q, [], {}, {}, 0, depth, [])
     by_fingerprint: dict = {}  # fingerprint -> node keys, in insertion order
     tr: dict = {}  # (key, forward) -> key of tau_inv (forward) or tau of it
 
@@ -351,7 +334,8 @@ def knit(seed: Rep, depth: int) -> ARComponent:
             key = find_node(rep, fp)
             if key is None and create:
                 key = len(comp.nodes)
-                comp.nodes.append(ARNode(key, rep, hops=hops))
+                comp.nodes.append(ARNode(key, rep, False, False, "open",
+                                         hops, ()))
                 by_fingerprint.setdefault(fp, []).append(key)
             if of is not None and key is not None:
                 tr[(of, forward)], tr[(key, not forward)] = key, of
@@ -433,7 +417,7 @@ def knit(seed: Rep, depth: int) -> ARComponent:
 
         # an fp node needs its presentation for tau anyway, an fc node its
         # copresentation for tau_inv, unless the table holds that translate
-        fp, fc = cert.verdict in ("fp", "fd"), cert.verdict in ("fc", "fd")
+        fp, fc = cert.has_presentation(), cert.has_copresentation()
         node.is_projective = fp and _standard_at(comp, tr, key, False)
         node.is_injective = fc and _standard_at(comp, tr, key, True)
         node.notes = tuple(

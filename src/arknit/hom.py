@@ -162,7 +162,7 @@ def hom_space(m: Rep, n: Rep) -> HomBasis:
         if not c.is_in_rrep():
             raise ValueError(
                 f"hom_space needs finite-data objects; {which} is {c.verdict}")
-    return HomBasis(m, n, "presentation" if certm.verdict in ("fd", "fp")
+    return HomBasis(m, n, "presentation" if certm.has_presentation()
                     else "window")
 
 

@@ -80,16 +80,6 @@ class Field(Frozen):
     def neg(self, a):
         return (-a) % self.char if self.char else -a
 
-    def inv(self, a):
-        if self.is_zero(a):
-            raise ZeroDivisionError("inverting zero field element")
-        if self.char:
-            return pow(a, self.char - 2, self.char)
-        return _frac(a.denominator, a.numerator)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a):
         return a == 0
 

@@ -44,12 +44,6 @@ class Morphism:
     def depth_bound(self) -> int:
         return self.depth or 0
 
-    def describe(self) -> str:
-        return f"{self.src.describe()} -> {self.dst.describe()}"
-
-    def spec_dict(self) -> dict:
-        raise NotImplementedError("a morphism has no JSON form")
-
     @property
     def dual(self) -> "Morphism":
         """D f : D(dst) -> D(src) over the opposite quiver, with the
@@ -63,25 +57,12 @@ class Morphism:
         return Morphism(self.src, self.dst, lambda v: self.component(v).add(
             other.component(v)), depth=self.depth)
 
-    def sub(self, other: "Morphism") -> "Morphism":
-        return Morphism(self.src, self.dst, lambda v: self.component(v).sub(
-            other.component(v)), depth=self.depth)
-
-    def scale(self, c) -> "Morphism":
-        c = self.src.field.of(c)
-        return Morphism(self.src, self.dst,
-                        lambda v: self.component(v).scale(c), depth=self.depth)
-
     def then(self, other: "Morphism") -> "Morphism":
         """self followed by other (other ∘ self)."""
         return Morphism(self.src, other.dst,
                         lambda v: other.component(v).mul(self.component(v)),
                         depth=other.depth if self.depth is None
                         else self.depth)
-
-    def equal_on(self, other: "Morphism", verts) -> bool:
-        return all(self.component(v).entries == other.component(v).entries
-                   for v in verts)
 
     def is_invertible_on(self, verts) -> bool:
         for v in verts:

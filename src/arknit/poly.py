@@ -338,11 +338,6 @@ def div(F: Field, f, g) -> tuple:
     return _out(F, q), _out(F, r)
 
 
-def gcd(F: Field, f, g) -> tuple:
-    """Monic gcd of f and g (() when both are zero)."""
-    return _out(F, _gcd(_red(f, F.char), _red(g, F.char), F.char))
-
-
 def gcdex(F: Field, f, g) -> tuple:
     """(s, t, h) with s*f + t*g = h, the monic gcd of f and g."""
     return tuple(_out(F, a)

@@ -129,7 +129,7 @@ def _min_proj_presentation(x: Rep) -> Presentation:
     dimension of that kernel."""
     q, F = x.quiver, x.field
     cert = classify_membership(x)
-    if cert.verdict not in ("fp", "fd"):
+    if not cert.has_presentation():
         raise ValueError(
             f"minimal projective presentation needs an fp object, got {cert.verdict}")
     region, depth = joint_window([x], 1)
@@ -189,7 +189,7 @@ def min_inj_copresentation(w: Rep) -> Presentation:
 
 def _min_inj_copresentation(w: Rep) -> Presentation:
     cert = classify_membership(w)
-    if cert.verdict not in ("fc", "fd"):
+    if not cert.has_copresentation():
         raise ValueError(
             f"minimal injective copresentation needs an fc object, got {cert.verdict}")
     # D of the dual presentation: its path matrix read back over q, and the

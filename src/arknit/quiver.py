@@ -661,15 +661,13 @@ class VertexSet(Frozen):
                 raise ParseError(f"/tails/{i}/2", f"tail start must be an "
                                                   f"integer >= 0, got {t0!r}")
             best[key] = min(best.get(key, t0), t0)
-        # absorb explicit vertices that extend a tail downward
-        changed = bool(best)  # with no tail, nothing to absorb or drop
-        while changed:
-            changed = False
-            for (eid, rid), t0 in list(best.items()):
+        if best:  # with no tail, nothing to absorb or drop
+            # absorb explicit vertices that extend a tail downward (one pass:
+            # a tail reads only its start and expl, which dropping shrinks)
+            for (eid, rid), t0 in best.items():
                 end = ends[eid]
                 while t0 > 0 and end.vertex(rid, t0 - 1) in expl:
                     t0 -= 1
-                    changed = True
                 best[(eid, rid)] = t0
             # drop explicit vertices already covered by a tail
             for v in list(expl):

@@ -6,11 +6,12 @@ built from one value per field, in that order: ``Record.__init__`` stores
 them through the slots' own setters, found once per class, and refuses a
 wrong number of values.  A record that checks its input or sets up derived
 data calls it after the checks; Mat (the most built object), Arrow (which
-caches its hash) and the records with defaults keep a straight-line
-``__init__``.  Nothing is compiled when a class is defined.  Record gives ==
-(the object itself, with no field read, or the same class and equal
-fields), repr and no hash; Frozen adds the hash of the tuple of fields and
-refuses every store after ``__init__``, which a slot setter bypasses.
+caches its hash) and Path (whose arrows default to none) keep a
+straight-line ``__init__``.  Nothing is compiled when a class is defined.
+Record gives == (the object itself, with no field read, or the same class
+and equal fields), repr and no hash; Frozen adds the hash of the tuple of
+fields and refuses every store after ``__init__``, which a slot setter
+bypasses.
 ParseError lives here, below every constructor that refuses its data with
 it.
 """

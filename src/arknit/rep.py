@@ -501,9 +501,6 @@ class InjRep(_VertexRep, DualRep):
         super().__init__(ProjRep(quiver.opposite(), field, a))
         self.vertex = a
 
-    def basis(self, v) -> tuple:
-        return self.base.basis(v)
-
 
 class SimpleRep(_VertexRep, ExplicitFdRep):
     """S_a: k at a, zero elsewhere."""
@@ -661,11 +658,12 @@ class GlueRep(Rep):
 
 class KernelOfRep(Rep):
     """Kernel of a map f: a Morphism or a PathMatrix, read through .src,
-    .dst, .component(v), .depth_bound(), .describe()/.spec_dict() for
-    naming, and .dual for CokerOfRep: the subobject of its ambient f.src
-    with basis kernel_span(f(v)) at v, on which an arrow acts by the ambient
-    map, read at the identity rows of those bases.  It is the one subobject
-    evaluator: kernels and images here, and cokernels through D."""
+    .dst, .component(v), .depth_bound(), and .dual for CokerOfRep: the
+    subobject of its ambient f.src with basis kernel_span(f(v)) at v, on
+    which an arrow acts by the ambient map, read at the identity rows of
+    those bases, and named by a PathMatrix f's describe()/spec_dict().  It
+    is the one subobject evaluator: kernels and images here, and cokernels
+    through D."""
 
     _span = staticmethod(kernel_span)
 
@@ -926,6 +924,12 @@ class RepClassCertificate(Frozen):
 
     def is_in_rrep(self) -> bool:
         return self.verdict in ("fd", "fp", "fc", "rrep")
+
+    def has_presentation(self) -> bool:
+        return self.verdict in ("fd", "fp")
+
+    def has_copresentation(self) -> bool:
+        return self.verdict in ("fd", "fc")
 
     @property
     def depth(self) -> int:

@@ -6,6 +6,8 @@ import pytest
 import arknit as ak
 from arknit.quiver import VertexSet
 
+from oracles import scaled
+
 
 @pytest.fixture(scope="session")
 def a3():
@@ -98,6 +100,6 @@ def random_morphism(h, rng):
         return None
     f = None
     for b in h.basis:
-        g = b.scale(ak.QQ.of(Fraction(rng.randrange(-2, 3))))
+        g = scaled(b, rng.randrange(-2, 3))
         f = g if f is None else f.add(g)
     return f

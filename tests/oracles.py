@@ -28,7 +28,8 @@ and I_a as they were computed before knit read them off the arrows at a,
 and its P_a and I_a flags as they were read before knit's translate table
 ruled them out.  A last section keeps what only tests read: kernels and
 cokernels of morphisms with their maps, the split sequence, the
-naturality check, reachability and predecessor closures, and the minimal
+naturality check, equality on a set of vertices and scalar multiples of
+morphisms, reachability and predecessor closures, and the minimal
 one-sided almost split maps at P_a and I_a, which knit reads off the
 arrows at a.
 """
@@ -686,18 +687,17 @@ class FrozenArrow:
         return self.key() < other.key()
 
 
-# The 25 records as the dataclasses they were: "module.Class" -> (frozen,
-# field names in order, defaults; list marks a default_factory of list).
+# The 24 records as the dataclasses they were: "module.Class" -> (frozen,
+# field names in order, defaults).
 # Only Field wrote its own repr, which its twin keeps.
 RECORD_TWINS = {
     "ar.ASReport": (False, "exact non_split sub_indecomposable "
                     "quot_indecomposable lift_failures factor_failures "
                     "battery_size", {}),
     "ar.ARNode": (False, "key rep is_projective is_injective status hops "
-                  "notes", {"is_projective": False, "is_injective": False,
-                            "status": "open", "hops": 0, "notes": ()}),
+                  "notes", {}),
     "ar.ARComponent": (False, "quiver nodes arrows tau_links seed_key depth "
-                       "notes", {"notes": list}),
+                       "notes", {}),
     "ar.ShapeHypothesis": (False, "tag certificate", {}),
     "ext.FiniteExtReport": (False, "finite vanishing_outside gluing_support "
                             "arrows witness", {}),
@@ -735,8 +735,6 @@ def dataclass_twin(name: str, record):
     for f in names.split():
         if f not in defaults:
             fields.append((f, object))
-        elif defaults[f] is list:
-            fields.append((f, object, dc_field(default_factory=list)))
         else:
             fields.append((f, object, dc_field(default=defaults[f])))
     own = {"__repr__": record.__repr__} if name == "linalg.Field" else {}
@@ -797,6 +795,18 @@ def naturality_defect(f, verts) -> bool:
 
 def is_zero_on(f, verts) -> bool:
     return all(f.component(v).is_zero() for v in verts)
+
+
+def same_on(f, g, verts) -> bool:
+    """True when f and g have the same components on verts."""
+    return all(f.component(v).entries == g.component(v).entries
+               for v in verts)
+
+
+def scaled(f, c):
+    """The morphism c f, c read as a scalar of f's field."""
+    c = f.src.field.of(c)
+    return Morphism(f.src, f.dst, lambda v: f.component(v).scale(c))
 
 
 def reaches(q, x, y) -> bool:

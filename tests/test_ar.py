@@ -308,10 +308,10 @@ def _seed_side(seed, forward):
     """The nodes next to the seed of its depth-1 knit on one side, as
     (rep, multiplicity), and the seed's notes."""
     comp = knit(seed, 1)
-    return [(comp.node(d if forward else s).rep, m)
+    return [(comp.nodes[d if forward else s].rep, m)
             for (s, d), m in comp.arrows.items()
             if (s if forward else d) == comp.seed_key], \
-        comp.node(comp.seed_key).notes
+        comp.nodes[comp.seed_key].notes
 
 
 def test_knit_reads_the_radical_of_a_projective_off_its_arrows(a3, kron,
@@ -425,13 +425,13 @@ def test_knit_meshes_are_additive(a5, line, zig, kron):
             into_z = {e: m for (e, d), m in comp.arrows.items() if d == z}
             out_of_tz = {e: m for (s, e), m in comp.arrows.items() if s == tz}
             assert into_z and into_z == out_of_tz
-            reps = [comp.node(k).rep for k in (z, tz, *into_z)]
+            reps = [comp.nodes[k].rep for k in (z, tz, *into_z)]
             window, _ = joint_window(reps)
             ends = [a + b for a, b in zip(dim_vector(reps[0], window),
                                           dim_vector(reps[1], window))]
             middle = [0] * len(window)
             for e, m in into_z.items():
-                for i, d in enumerate(dim_vector(comp.node(e).rep, window)):
+                for i, d in enumerate(dim_vector(comp.nodes[e].rep, window)):
                     middle[i] += m * d
             assert ends == middle
 
@@ -588,8 +588,8 @@ def test_translate_table_holds_translates_and_flags(monkeypatch):
         comp, tr = _knit_and_table(monkeypatch, seed, depth)
         entries += len(tr)
         for (z, forward), x in tr.items():
-            there = (tau_inv if forward else tau)(comp.node(z).rep)
-            assert iso_test(there, comp.node(x).rep) is not None
+            there = (tau_inv if forward else tau)(comp.nodes[z].rep)
+            assert iso_test(there, comp.nodes[x].rep) is not None
         for n in comp.nodes:
             if n.status == "expanded":
                 verdict = classify_membership(n.rep).verdict

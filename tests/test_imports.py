@@ -19,7 +19,11 @@ an imported name that no other part of the module reads is dead weight, and
 so is a definition whose name nothing in src/, tests/, demos/ or bench/
 reads, and a slot that nothing there reads as an attribute or passes as a
 keyword.  A definition that only tests/ reads belongs with the tests, in
-tests/oracles.py, but for a short list kept on purpose.
+tests/oracles.py, but for a short list kept on purpose; that count reads a
+method only as an attribute, any other definition also by a bare name in
+its own module or where it is imported by name from arknit, and nothing in
+an attribute of a module from outside arknit (math.gcd), so a look-alike
+name keeps no definition alive.
 """
 import ast
 import importlib.util
@@ -65,13 +69,22 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def defined_names(source: str) -> list:
-    """(line, name) of every function, method and class a module defines;
-    dunder methods are left out, since the language calls them."""
-    return [(n.lineno, n.name) for n in ast.walk(ast.parse(source))
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
-                              ast.ClassDef))
-            and not (n.name.startswith("__") and n.name.endswith("__"))]
+def definitions(source: str) -> list:
+    """(line, name, member) of every function, method and class a module
+    defines, member when it sits in a class body; dunders are left out,
+    since the language calls them."""
+    out = []
+
+    def visit(node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)) and not (
+                    child.name.startswith("__") and child.name.endswith("__")):
+                out.append((child.lineno, child.name, in_class))
+            visit(child, isinstance(child, ast.ClassDef))
+
+    visit(ast.parse(source), False)
+    return out
 
 
 def referenced_names(source: str) -> set:
@@ -83,7 +96,7 @@ def referenced_names(source: str) -> set:
 
 
 def dead_definitions(source: str, references: set) -> list:
-    return sorted((line, name) for line, name in defined_names(source)
+    return sorted((line, name) for line, name, _ in definitions(source)
                   if name not in references)
 
 
@@ -122,17 +135,48 @@ TEST_ONLY_KEPT = {
 }
 
 
-def engine_references(sources) -> set:
-    """Names that the given sources read: as a variable or an attribute,
+def engine_references(sources) -> tuple:
+    """(attributes, imported) that the given sources read: names read as an
+    attribute, but not of a module imported from outside arknit (math.gcd),
     or by a dotted string such as "io.emit_quiver", which is how the
-    bench's tracer names the functions it wraps."""
-    refs = set()
+    bench's tracer names the functions it wraps; and names read bare after
+    an import by name from arknit."""
+    attrs, imported = set(), set()
     for source in sources:
-        refs |= referenced_names(source)
-        refs |= {n.value.rpartition(".")[2] for n in ast.walk(ast.parse(source))
-                 if isinstance(n, ast.Constant) and isinstance(n.value, str)
-                 and re.fullmatch(r"\w+(\.\w+)+", n.value)}
-    return refs
+        tree = ast.parse(source)
+        outside, ours = set(), {}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Import):
+                outside |= {a.asname or a.name.partition(".")[0]
+                            for a in n.names
+                            if a.name.partition(".")[0] != "arknit"}
+            elif isinstance(n, ast.ImportFrom) and (
+                    n.level or n.module.partition(".")[0] == "arknit"):
+                ours.update((a.asname or a.name, a.name) for a in n.names)
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and not (
+                    isinstance(n.value, ast.Name) and n.value.id in outside):
+                attrs.add(n.attr)
+            elif isinstance(n, ast.Name) and n.id in ours \
+                    and isinstance(n.ctx, ast.Load):
+                imported.add(ours[n.id])
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str) \
+                    and re.fullmatch(r"\w+(\.\w+)+", n.value):
+                attrs.add(n.value.rpartition(".")[2])
+    return attrs, imported
+
+
+def unreached_definitions(source: str, references) -> list:
+    """(line, name) of each definition in source that references, a pair
+    from engine_references, do not read: a member of a class is read only
+    as an attribute, any other definition also by a bare name in its own
+    module or where it is imported by name from arknit."""
+    attrs, imported = references
+    own = {n.id for n in ast.walk(ast.parse(source))
+           if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted((line, name) for line, name, member in definitions(source)
+                  if name not in attrs
+                  and (member or name not in imported | own))
 
 
 def test_detects_a_definition_only_tests_read():
@@ -140,18 +184,40 @@ def test_detects_a_definition_only_tests_read():
            "def traced(): ...\n"
            "def oracle(): ...\n"
            "def kept(): ...\n"
-           "def shown(): ...\n")
-    bench = 'engine()\nWRAP = ("lib.traced",)\n'
-    demo = "from lib import shown\nprint(shown())\n"
-    test = "oracle()\nkept()\nengine()\nshown()\n"
-    refs = engine_references([lib, bench, demo])
-    assert dead_definitions(lib, refs) == [(3, "oracle"), (4, "kept")]
+           "def shown(): ...\n"
+           "class Component:\n"
+           "    def node(self): ...\n"
+           "    def frontier(self): ...\n"
+           "def gcd(): ...\n"
+           "def lcm(): ...\n"
+           "def helper(): ...\n"
+           "def knit():\n"
+           "    return helper(), Component().frontier()\n")
+    bench = ('from arknit.lib import engine, knit\nengine(), knit()\n'
+             'WRAP = ("lib.traced",)\n')
+    demo = "import arknit\nprint(arknit.shown())\n"
+    # look-alikes: a local named like a method, and math's own gcd and lcm
+    other = ("import math\n"
+             "from math import gcd\n"
+             "def walk(nodes):\n"
+             "    return [gcd(node, 2) + math.lcm(node, 3) for node in nodes]\n")
+    test = "oracle()\nkept()\nengine()\nshown()\nc.node()\ngcd()\nlcm()\n"
+    refs = engine_references([lib, bench, demo, other])
+    assert unreached_definitions(lib, refs) == [
+        (3, "oracle"), (4, "kept"), (7, "node"), (9, "gcd"), (10, "lcm")]
     # without the demo, a definition that only it and the tests call is
     # read by the tests alone
-    assert dead_definitions(lib, engine_references([lib, bench])) == [
-        (3, "oracle"), (4, "kept"), (5, "shown")]
-    # the looser lint counts the test as a reader and sees nothing
-    assert dead_definitions(lib, refs | referenced_names(test)) == []
+    assert unreached_definitions(lib, engine_references([lib, bench])) == [
+        (3, "oracle"), (4, "kept"), (5, "shown"), (7, "node"), (9, "gcd"),
+        (10, "lcm")]
+    # the looser lint matches names (and reads no dotted string): it takes
+    # the look-alikes for readers of node, gcd and lcm, and the test for
+    # the reader of the rest
+    named = set().union(*map(referenced_names, (lib, bench, demo, other)))
+    assert dead_definitions(lib, named) == [
+        (2, "traced"), (3, "oracle"), (4, "kept")]
+    assert dead_definitions(lib, named | referenced_names(test)) == [
+        (2, "traced")]
 
 
 @pytest.fixture(scope="module")
@@ -166,7 +232,7 @@ def non_test_references():
                          ids=lambda p: p.name)
 def test_no_definition_only_tests_read(path, non_test_references):
     assert [(line, name) for line, name in
-            dead_definitions(path.read_text(), non_test_references)
+            unreached_definitions(path.read_text(), non_test_references)
             if name not in TEST_ONLY_KEPT] == []
 
 

@@ -359,21 +359,15 @@ def test_every_result_is_in_canonical_form(data):
     xs = [x for row in m.entries for x in row][:6] + [F.zero, F.one]
     for x in xs:
         assert _entry_ok(F, x) and _entry_ok(F, F.neg(x))
-        if not F.is_zero(x):
-            assert _entry_ok(F, F.inv(x)) and F.mul(x, F.inv(x)) == 1
         for y in xs:
             for op in (F.add, F.sub, F.mul):
                 assert _entry_ok(F, op(x, y))
-            if not F.is_zero(y):
-                assert _entry_ok(F, F.div(x, y))
 
 
 def test_of_gives_the_canonical_form():
     assert [type(QQ.of(x)) for x in (Fraction(4, 2), 3, "6/3", "-0")] == \
         [int] * 4
     assert QQ.of("3/6") == Fraction(1, 2) and type(QQ.zero) is type(QQ.one) is int
-    assert QQ.inv(-1) == -1 and QQ.inv(Fraction(1, 3)) == 3
-    assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(2)) is Fraction
     assert GF(7).of("10") == 3
 
 

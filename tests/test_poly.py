@@ -44,10 +44,14 @@ def naive_mul(F, f, g):
     return _norm(F, out)
 
 
+def naive_div(F, a, b):
+    return F.of(Fraction(a) / b)
+
+
 def naive_rem(F, f, g):
     r = list(f)
     while len(r) >= len(g):
-        c = F.div(r[-1], g[-1])
+        c = naive_div(F, r[-1], g[-1])
         shift = len(r) - len(g)
         for j, b in enumerate(g):
             r[shift + j] = F.sub(r[shift + j], F.mul(c, b))
@@ -55,14 +59,19 @@ def naive_rem(F, f, g):
     return tuple(r)
 
 
-def naive_coprime(F, f, g):
+def naive_gcd(F, f, g):
+    """Monic gcd of f and g, not both zero, by Euclid's algorithm."""
     while g:
         f, g = g, naive_rem(F, f, g)
-    return len(f) == 1
+    return monic(F, f)
+
+
+def naive_coprime(F, f, g):
+    return len(naive_gcd(F, f, g)) == 1
 
 
 def monic(F, f):
-    return _norm(F, [F.div(c, f[-1]) for c in f])
+    return _norm(F, [naive_div(F, c, f[-1]) for c in f])
 
 
 def has_rational_root(f):
@@ -173,7 +182,7 @@ def test_gcdex_and_div():
             assert _norm(F, [a + b for a, b in itertools.zip_longest(
                 naive_mul(F, q, g), r, fillvalue=0)]) == f
             s, t, h = poly.gcdex(F, f, g)
-            assert h == poly.gcd(F, f, g) and h[-1] == 1
+            assert h == naive_gcd(F, f, g)
             assert not naive_rem(F, f, h) and not naive_rem(F, g, h)
             assert _norm(F, [a + b for a, b in itertools.zip_longest(
                 naive_mul(F, s, f), naive_mul(F, t, g), fillvalue=0)]) == h

@@ -101,12 +101,6 @@ def test_a_record_equals_itself_without_reading_its_fields(name, monkeypatch):
     assert rec == rec and not rec != rec
 
 
-def test_a_default_list_is_fresh_per_record():
-    cls = record("ar.ARComponent")
-    one, two = cls(*range(6)), cls(*range(6))
-    assert one.notes == [] and one.notes is not two.notes
-
-
 @pytest.mark.parametrize("build, probe", [
     (lambda: linear_quiver(4), lambda q: q.paths_between(1, 4)),
     (PRESETS["line"], lambda q: q.succ_closure(0).describe()),
@@ -178,9 +172,9 @@ def test_a_frozen_record_refuses_every_store_after_init(name):
 BUILT = sorted(n for n in RECORD_TWINS if record(n).__init__ is Record.__init__)
 
 
-def test_record_builds_these_sixteen():
+def test_record_builds_these_eighteen():
     assert [n.split(".")[1] for n in BUILT] == [
-        "ASReport", "ShapeHypothesis", "FiniteExtReport", "DecomposeReport",
+        "ARComponent", "ARNode", "ASReport", "ShapeHypothesis", "FiniteExtReport", "DecomposeReport",
         "EndAlgebra", "Summand", "SES", "Presentation", "Ray",
         "SubquiverClass", "VertexSet", "CrossingProfile", "EndProfile",
         "RayProfile", "RepClassCertificate", "RungFamily"]
@@ -197,7 +191,7 @@ def test_a_record_refuses_one_value_too_few_or_too_many(name):
 
 
 def test_a_mutable_record_takes_a_store_to_a_field():
-    node = record("ar.ARNode")(0, None)
+    node = record("ar.ARNode")(0, None, False, False, "open", 0, ())
     node.status = "expanded"
     assert node.status == "expanded"
     with pytest.raises(AttributeError):
