@@ -6,19 +6,24 @@ For objects X (quotient side) and Y (sub side) the complex
     C1 = sum over arrows a of Hom(X(src a), Y(dst a))
     d(f)_a = Y(a) f_src - f_dst X(a)
 
-has kernel Hom(X, Y) and cokernel Ext(X, Y) (Ringel, LNM 1099).  hom.py
-takes the kernel; here only the cells where both evaluations are nonzero
-contribute to the cokernel.  Its dimension is rows - rank of the complex
-on the joint window, with no basis built.  The class basis and the
-families are built on first read, on the same window, which each space
-reads once; when the contributing arrow set continues past it (families)
-the basis is flagged window_relative.
+has kernel Hom(X, Y) and cokernel Ext(X, Y) (Ringel, LNM 1099).  Both
+counts of a pair come from one ArrowPair, kept per pair in X's memo: one
+complex on the cells of the joint window where both evaluations are
+nonzero, its rows of the arrows with both ends in the window first and
+those of the arrows leaving it after them, and one elimination of those
+rows in order.  The rank of that prefix gives dim Hom = cols - rank, and
+the rank of all rows dim Ext = rows - rank, with no basis built.  The
+class basis and the families are built on first read, on the same
+window, by a complex of their own in arrow order, which fixes the free
+rows of the class basis; when the contributing arrow set continues past
+the window (families) the basis is flagged window_relative.
 """
 from __future__ import annotations
 
+import weakref
 from functools import cached_property
 
-from .linalg import Mat, SparseMat, coker_projection, rank
+from .linalg import Mat, SparseMat, coker_projection, ranks
 from .morphism import SES, glue_ses
 from .quiver import Arrow
 from .record import Record
@@ -88,6 +93,48 @@ def _cells(x: Rep, y: Rep, verts):
     return vs, arrows
 
 
+class ArrowPair:
+    """The arrow complex of x and y on their joint window at pad 2 and its
+    two counts, each computed on first read.  It holds x and y weakly: it
+    lives in x's memo, keyed weakly by y (arrow_pair)."""
+
+    def __init__(self, x: Rep, y: Rep):
+        self._x, self._y = weakref.ref(x), weakref.ref(y)
+
+    @cached_property
+    def window(self) -> tuple:
+        """(verts, depth) of joint_window((x, y))."""
+        return joint_window((self._x(), self._y()))
+
+    @cached_property
+    def _counts(self) -> tuple:
+        """(dim Hom(x, y), dim Ext(x, y)) from one elimination of the
+        complex on the window's cells, the rows of the arrows within the
+        window first: the natural maps on the window are the kernel of
+        those rows alone."""
+        x, y = self._x(), self._y()
+        verts = self.window[0]
+        vs, arrows = _cells(x, y, verts)
+        inside = set(verts)
+        within = [a for a in arrows if a.dst in inside]
+        arrows = within + [a for a in arrows if a.dst not in inside]
+        d, _ = arrow_complex(x, y, vs, arrows)
+        head, rank = ranks(d, sum(y.dim(a.dst) * x.dim(a.src) for a in within))
+        return d.cols - head, d.rows - rank
+
+    hom_dim = property(lambda self: self._counts[0])
+    ext_dim = property(lambda self: self._counts[1])
+
+
+def arrow_pair(x: Rep, y: Rep) -> ArrowPair:
+    """The ArrowPair of x and y, kept in x's memo for as long as y lives."""
+    pairs = x.cached("arrow_pairs", weakref.WeakKeyDictionary)
+    pair = pairs.get(y)
+    if pair is None:
+        pair = pairs[y] = ArrowPair(x, y)
+    return pair
+
+
 class CountedBasis:
     """dimension is one count (_count), basis built on first read (_build,
     basis first); reading both checks that they agree (AssertionError)."""
@@ -124,13 +171,10 @@ class ExtClassBasis(CountedBasis):
     def __init__(self, quot: Rep, sub: Rep):
         self.quot, self.sub = quot, sub
 
-    _window = cached_property(
-        lambda self: joint_window((self.quot, self.sub)))
+    _window = property(lambda self: arrow_pair(self.quot, self.sub).window)
 
     def _count(self) -> int:
-        x, y = self.quot, self.sub
-        d, _ = arrow_complex(x, y, *_cells(x, y, self._window[0]))
-        return d.rows - rank(d)
+        return arrow_pair(self.quot, self.sub).ext_dim
 
     def _build(self) -> tuple:
         """The classes on the cells of the window; families are symbolic

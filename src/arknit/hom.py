@@ -1,13 +1,14 @@
 """Hom spaces, endomorphism algebras, isomorphism testing, decomposition.
 
 One count and two finite routes to a basis of Hom(M, N).  The dimension
-is d.cols - rank(d) for the arrow complex d of ext.py, with no basis built,
-on the joint window at pad 2, exact for the reason below, and checked at
-pad 3 unless M is fd: a natural map out of fd M vanishes off supp M, which
-the window holds with the arrows out of it into supp N.  The source fixes
-the route.  It builds its basis when the basis is first read, and an
-object whose count and basis are both read checks that they agree (a
-mismatch is an engine bug, AssertionError):
+is d.cols - rank(d) for the arrow complex d of ext.py on the joint window
+at pad 2, read off the pair's one elimination (ext.arrow_pair) with no
+basis built, exact for the reason below, and checked at pad 3 unless M is
+fd: a natural map out of fd M vanishes off supp M, which the window holds
+with the arrows out of it into supp N.  The source fixes the route.  It
+builds its basis when the basis is first read, and an object whose count
+and basis are both read checks that they agree (a mismatch is an engine
+bug, AssertionError):
   presentation    M fd or finitely presented: generator images that the
                   relations of M kill, each read as the Yoneda map of the
                   images through a section of the cover.
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .ext import CountedBasis, arrow_complex
+from .ext import CountedBasis, arrow_complex, arrow_pair
 from .linalg import Mat, inverse, kernel_basis, min_poly, rank, solve_matrix
 from .morphism import (Morphism, identity_morphism, image,
                        morphism_from_components, zero_morphism)
@@ -82,11 +83,12 @@ def solve_natural(src: Rep, dst: Rep, verts) -> list:
 class HomBasis(CountedBasis):
     """Hom(src, dst) on one route, whose name hom_space fixes.
 
-    dimension is one rank of the arrow complex on the window, with no basis
-    built; the route's basis and anchor (the vertices where the basis is
-    fixed, and independent) are built when read.  The window (the joint
-    window at pad 2) and the count at pad 3 are each computed once, for the
-    count and the window route alike."""
+    dimension is the pair's count (ext.arrow_pair), with no basis built;
+    the route's basis and anchor (the vertices where the basis is fixed,
+    and independent) are built when read.  The window (the joint window at
+    pad 2) is the pair's, which Ext of the same pair reads too, and the
+    count at pad 3 is computed once, for the count and the window route
+    alike."""
 
     _space = "Hom"
 
@@ -94,8 +96,8 @@ class HomBasis(CountedBasis):
         self.src, self.dst, self.route = src, dst, route
         self._built_on = f"morphisms on the {route} route"
 
-    _window = cached_property(lambda self: joint_window((self.src, self.dst)))
-    window = property(lambda self: self._window[0])
+    _pair = cached_property(lambda self: arrow_pair(self.src, self.dst))
+    window = property(lambda self: self._pair.window[0])
     _deeper = cached_property(lambda self: _kernel_dim(  # the count at pad 3
         self.src, self.dst, joint_window((self.src, self.dst), 3)[0]))
 
@@ -104,13 +106,13 @@ class HomBasis(CountedBasis):
         if self._deeper != count:
             raise AssertionError(
                 f"window Hom dimension {count} at pad 2 and {self._deeper} at "
-                f"pad 3, window depth {self._window[1]}: restriction past the "
-                f"stable depth is not bijective")
+                f"pad 3, window depth {self._pair.window[1]}: restriction "
+                f"past the stable depth is not bijective")
 
     def _count(self) -> int:
         """Checked at pad 3 unless src is fd: a map out of fd src vanishes
         off supp src, which the window holds with its arrows into supp dst."""
-        count = _kernel_dim(self.src, self.dst, self.window)
+        count = self._pair.hom_dim
         if classify_membership(self.src).verdict != "fd":
             self._check_pad3(count)
         return count

@@ -1,15 +1,20 @@
 """Extension spaces, Baer sums, and the finite-extension criterion."""
 
+import gc
+import itertools
 import random
 import re
+import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import arknit as ak
 import arknit.ext as ext_mod
+import arknit.hom as hom_mod
+import arknit.linalg as linalg
 from arknit import (
     QQ,
     RungFamily,
@@ -35,6 +40,7 @@ from arknit.hom import solve_natural
 from arknit.morphism import Morphism
 from arknit.quiver import linear_quiver
 
+from arknit.rep import classify_membership
 from conftest import random_fd_rep
 from oracles import (
     dense_arrow_complex,
@@ -43,7 +49,10 @@ from oracles import (
     hom_routes,
     route_basis,
     split_ses,
+    window_counts_apart,
 )
+from test_periodicity import QUIVERS, objects
+from test_presentations import criterion_10_knits
 
 
 def _ambient_cases():
@@ -542,3 +551,90 @@ def test_the_sparse_arrow_complex_is_the_dense_one(name, field):
                    for r in d.nonzeros]
             assert got == [[(type(e), e) for e in row] for row in dense.entries]
             assert all(e != 0 for r in d.nonzeros for e in r.values())
+
+
+# ---------------------------------------------------------------------------
+# one arrow complex per object pair
+
+
+@pytest.mark.parametrize("order", [("hom", "ext"), ("ext", "hom")])
+def test_hom_and_ext_of_an_fd_pair_share_one_window_complex_and_elimination(
+        kron, order, monkeypatch):
+    m = ak.direct_sum(simple_at(kron, 1), simple_at(kron, 2))
+    n = simple_at(kron, 2)
+    for x in (m, n):
+        classify_membership(x)
+    calls = []
+    for module, name in ((ext_mod, "joint_window"), (hom_mod, "joint_window"),
+                         (ext_mod, "arrow_complex"),
+                         (hom_mod, "arrow_complex"), (linalg, "_eliminate")):
+        def spy(*args, real=getattr(module, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(module, name, spy)
+    read = {"hom": lambda: ak.hom_space(m, n).dimension,
+            "ext": lambda: ext_space(m, n).dimension}
+    dims = {space: read[space]() for space in order}
+    assert dims == {"hom": 1, "ext": 2}
+    assert sorted(calls) == ["_eliminate", "arrow_complex", "joint_window"]
+
+
+def test_pair_counts_are_those_of_two_complexes_where_rows_leave_the_window():
+    # the arrows of a pair's cells that leave its window count for Ext but
+    # not for Hom; over the knits of acceptance criterion 10 such pairs are
+    # found on ray_out, line and ladder
+    leaving = set()
+    for seed, depth in criterion_10_knits():
+        reps = [node.rep for node in ak.knit(seed, depth).nodes
+                if classify_membership(node.rep).is_in_rrep()]
+        for x, y in itertools.product(reps, repeat=2):
+            pair = ext_mod.arrow_pair(x, y)
+            assert (pair.hom_dim, pair.ext_dim) == window_counts_apart(x, y)
+            verts = pair.window[0]
+            if any(a.dst not in verts for v in verts if x.dim(v)
+                   for a in x.quiver.out_arrows(v) if y.dim(a.dst)):
+                leaving.add(seed.quiver.name)
+    assert leaving == {"ray_out", "line", "ladder"}
+
+
+def test_pair_counts_take_the_rows_within_the_window_wherever_they_sort(line):
+    # the arrow out of the window at -10 sorts before those within it, and
+    # Hom would read 0 off the first rows in arrow order
+    x = thin_rep(line, VertexSet.make(line, (-1, 0), [("neg", "v", 7)]))
+    y = ak.direct_sum(projective_at(line, -1), projective_at(line, -1))
+    pair = ext_mod.arrow_pair(x, y)
+    assert ext_mod._cells(x, y, pair.window[0])[1][0].dst == -11
+    assert (pair.hom_dim, pair.ext_dim) == window_counts_apart(x, y) == (2, 2)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_pair_counts_are_those_of_two_complexes_on_drawn_objects(data):
+    q = QUIVERS[data.draw(st.sampled_from(sorted(QUIVERS)))]
+    x, y = data.draw(objects(q, 1)), data.draw(objects(q, 1))
+    assume(all(classify_membership(m).is_in_rrep() for m in (x, y)))
+    pair = ext_mod.arrow_pair(x, y)
+    assert (pair.hom_dim, pair.ext_dim) == window_counts_apart(x, y)
+
+
+@pytest.mark.parametrize("case", ["fd", "window", "fp"])
+def test_a_pair_keeps_neither_object_alive(kron, line, case):
+    # the pair lives in the source's memo, keyed weakly by the target and
+    # holding both weakly: no reference cycle, so each object is freed
+    # as soon as its last reference goes, with the cyclic GC off
+    m = {"fd": lambda: ak.direct_sum(simple_at(kron, 1), simple_at(kron, 2)),
+         "window": lambda: injective_at(line, 0),
+         "fp": lambda: projective_at(line, 0)}[case]()
+    n = simple_at(m.quiver, 2 if case == "fd" else 0)
+    gc.disable()
+    try:
+        ak.hom_space(m, n).dimension, ext_space(m, n).dimension
+        gone = weakref.ref(n)
+        del n
+        assert gone() is None
+        ak.hom_space(m, m).dimension, ext_space(m, m).dimension
+        gone = weakref.ref(m)
+        del m
+        assert gone() is None
+    finally:
+        gc.enable()

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import arknit as ak
+import arknit.ext as ext_mod
 import arknit.hom as hom
 import arknit.presentations as presentations
 from arknit import (
@@ -128,12 +129,14 @@ def test_route_basis_refuses_a_route_it_does_not_build(a3):
 
 def test_hom_window_is_built_only_when_read(a3, monkeypatch):
     calls = []
-    window = hom.joint_window
+    window = ext_mod.joint_window
 
     def spy(objs, *pad):
         calls.append(len(objs))
         return window(objs, *pad)
 
+    # the pad-2 window is the pair's (ext.arrow_pair), pad 3 is hom's own
+    monkeypatch.setattr(ext_mod, "joint_window", spy)
     monkeypatch.setattr(hom, "joint_window", spy)
     m, n = simple_at(a3, 2), injective_at(a3, 2)
     hb = hom_space(m, n)
@@ -266,6 +269,8 @@ def test_window_route_budget_failure_names_dims_and_depth(line, monkeypatch):
     monkeypatch.setattr(hom, "solve_natural",
                         lambda src, dst, verts: [{}] * len(verts))
     monkeypatch.setattr(hom, "_kernel_dim", lambda src, dst, verts: len(verts))
+    monkeypatch.setattr(ext_mod.ArrowPair, "hom_dim",
+                        property(lambda pair: len(pair.window[0])))
     _, depth = joint_window((m, m), 2)
     dims = [len(joint_window((m, m), pad)[0]) for pad in (2, 3)]
     assert dims[0] != dims[1]

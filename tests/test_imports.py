@@ -16,14 +16,14 @@ load only when read, and a CLI verb imports only what it reads.
 
 No linter ships with the project, so this parses each module with ``ast``:
 an imported name that no other part of the module reads is dead weight, and
-so is a definition whose name nothing in src/, tests/, demos/ or bench/
-reads, and a slot that nothing there reads as an attribute or passes as a
-keyword.  A definition that only tests/ reads belongs with the tests, in
-tests/oracles.py, but for a short list kept on purpose; that count reads a
-method only as an attribute, any other definition also by a bare name in
-its own module or where it is imported by name from arknit, and nothing in
-an attribute of a module from outside arknit (math.gcd), so a look-alike
-name keeps no definition alive.
+so is a slot that nothing in src/, tests/, demos/ or bench/ reads as an
+attribute or passes as a keyword.  A definition that nothing in src/,
+demos/ or bench/ reads is dead, or belongs with the tests, in
+tests/oracles.py, but for a short list kept on purpose, each of which some
+test must read; that count reads a method only as an attribute, any other
+definition also by a bare name in its own module or where it is imported
+by name from arknit, and nothing in an attribute of a module from outside
+arknit (math.gcd), so a look-alike name keeps no definition alive.
 """
 import ast
 import importlib.util
@@ -95,41 +95,8 @@ def referenced_names(source: str) -> set:
             | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
 
 
-def dead_definitions(source: str, references: set) -> list:
-    return sorted((line, name) for line, name, _ in definitions(source)
-                  if name not in references)
-
-
-@pytest.fixture(scope="module")
-def project_references():
-    root = PACKAGE.parent.parent
-    refs = set()
-    for d in PROJECT_DIRS:
-        for path in (root / d).rglob("*.py"):
-            refs |= referenced_names(path.read_text())
-    return refs
-
-
-def test_detects_a_dead_definition():
-    lib = ("class A:\n"
-           "    def used(self): ...\n"
-           "    def dead(self): ...\n"
-           "    def __len__(self): ...\n"
-           "def helper(): ...\n"
-           "class B: ...\n")
-    user = "from lib import helper\nx = A().used() + len(B.__name__)\n"
-    refs = referenced_names(lib) | referenced_names(user)
-    assert dead_definitions(lib, refs) == [(3, "dead"), (5, "helper")]
-
-
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
-                         ids=lambda p: p.name)
-def test_no_dead_definitions(path, project_references):
-    assert dead_definitions(path.read_text(), project_references) == []
-
-
-# the stricter twin: a definition whose only readers are tests belongs in
-# tests/oracles.py or nowhere; these stay in src/ on purpose
+# a definition whose only readers are tests belongs in tests/oracles.py or
+# nowhere; these stay in src/ on purpose, each while some test reads it
 TEST_ONLY_KEPT = {
     "equiv_ext",  # to decide Ext equivalence on every fp quotient
 }
@@ -179,6 +146,15 @@ def unreached_definitions(source: str, references) -> list:
                   and (member or name not in imported | own))
 
 
+def unkept_definitions(source: str, engine, tests_read, kept) -> list:
+    """(line, name) of each definition in source that engine, a pair from
+    engine_references, does not read, unless kept names it and tests_read,
+    the names that the tests read, holds it."""
+    return [(line, name)
+            for line, name in unreached_definitions(source, engine)
+            if name not in kept or name not in tests_read]
+
+
 def test_detects_a_definition_only_tests_read():
     lib = ("def engine(): ...\n"
            "def traced(): ...\n"
@@ -210,30 +186,41 @@ def test_detects_a_definition_only_tests_read():
     assert unreached_definitions(lib, engine_references([lib, bench])) == [
         (3, "oracle"), (4, "kept"), (5, "shown"), (7, "node"), (9, "gcd"),
         (10, "lcm")]
-    # the looser lint matches names (and reads no dotted string): it takes
-    # the look-alikes for readers of node, gcd and lcm, and the test for
-    # the reader of the rest
-    named = set().union(*map(referenced_names, (lib, bench, demo, other)))
-    assert dead_definitions(lib, named) == [
-        (2, "traced"), (3, "oracle"), (4, "kept")]
-    assert dead_definitions(lib, named | referenced_names(test)) == [
-        (2, "traced")]
+    # a kept definition that the tests read passes, and only it
+    assert unkept_definitions(lib, refs, referenced_names(test), {"kept"}) == [
+        (3, "oracle"), (7, "node"), (9, "gcd"), (10, "lcm")]
+
+
+def test_detects_a_dead_definition():
+    # a kept definition passes only while some test reads it
+    lib = "def used(): ...\ndef kept(): ...\ndef dead(): ...\n"
+    engine = engine_references(["from arknit.lib import used\nused()\n"])
+    tests_read = referenced_names("kept()\ndead()\n")
+    assert unkept_definitions(lib, engine, tests_read, {"kept"}) == [
+        (3, "dead")]
+    assert unkept_definitions(lib, engine, set(), {"kept"}) == [
+        (2, "kept"), (3, "dead")]
 
 
 @pytest.fixture(scope="module")
-def non_test_references():
+def references():
+    """(engine, tests_read): engine_references of src/, demos/ and bench/,
+    and the names that tests/ reads, each file parsed once."""
     root = PACKAGE.parent.parent
-    return engine_references(path.read_text()
-                             for d in PROJECT_DIRS if d != "tests"
-                             for path in (root / d).rglob("*.py"))
+
+    def sources(dirs):
+        return (path.read_text()
+                for d in dirs for path in (root / d).rglob("*.py"))
+
+    engine = engine_references(sources(set(PROJECT_DIRS) - {"tests"}))
+    return engine, set().union(*map(referenced_names, sources(["tests"])))
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
                          ids=lambda p: p.name)
-def test_no_definition_only_tests_read(path, non_test_references):
-    assert [(line, name) for line, name in
-            unreached_definitions(path.read_text(), non_test_references)
-            if name not in TEST_ONLY_KEPT] == []
+def test_no_definition_only_tests_read(path, references):
+    assert unkept_definitions(path.read_text(), *references,
+                              TEST_ONLY_KEPT) == []
 
 
 def dataclass_fields(source: str) -> list:

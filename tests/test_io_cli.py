@@ -716,10 +716,10 @@ def test_cli_exits_3_on_an_engine_fault_other_than_a_value_error(
         monkeypatch, fault, shown):
     # a stray lookup error in engine code is the engine's fault, not the
     # input's: exit 3 and one line naming the exception, no traceback
-    def broken(m):
+    def broken(m, head):
         raise fault
 
-    monkeypatch.setattr(hom_mod, "rank", broken)
+    monkeypatch.setattr(ext_mod, "ranks", broken)
     code, out, err = run_cli(["hom", "--quiver", A3,
                               "--src", '{"proj":"2"}', "--dst", '{"inj":"2"}'])
     assert (code, out) == (3, "")
@@ -728,20 +728,23 @@ def test_cli_exits_3_on_an_engine_fault_other_than_a_value_error(
 
 def test_cli_hom_on_the_window_route_reads_each_window_once(monkeypatch):
     # the count, the printed window and the window route's basis share one
-    # pad-2 window and one pad-3 count
+    # pad-2 window and one pad-3 count: the pair's window and elimination
+    # (ext.arrow_pair) at pad 2, hom's own at pad 3
     pads, ranks = [], []
-    window, rank = hom_mod.joint_window, hom_mod.rank
 
-    def spy_window(objs, pad=2):
-        pads.append(pad)
-        return window(objs, pad)
+    def spy(module, name, calls, read):
+        real = getattr(module, name)
 
-    def spy_rank(m):
-        ranks.append(m)
-        return rank(m)
+        def wrapped(*args):
+            calls.append(read(*args))
+            return real(*args)
 
-    monkeypatch.setattr(hom_mod, "joint_window", spy_window)
-    monkeypatch.setattr(hom_mod, "rank", spy_rank)
+        monkeypatch.setattr(module, name, wrapped)
+
+    for module in (hom_mod, ext_mod):
+        spy(module, "joint_window", pads, lambda objs, pad=2: pad)
+    spy(ext_mod, "ranks", ranks, lambda m, head: m)
+    spy(hom_mod, "rank", ranks, lambda m: m)
     code, out, err = run_cli(["hom", "--quiver", LINE, "--src", ALLK,
                               "--dst", ALLK])
     assert (code, err) == (0, "") and json.loads(out)["route"] == "window"

@@ -9,7 +9,7 @@ from arknit import linalg
 from arknit.linalg import (GF, QQ, Mat, SparseMat, coker_projection,
                            column_span, free_columns, inverse, is_invertible,
                            kernel_basis, kernel_span, min_poly, outside_span,
-                           rank, rref, solve_matrix)
+                           rank, ranks, rref, solve_matrix)
 
 from arknit.quiver import Arrow
 from oracles import (FrozenArrow, FrozenMat, dense_eliminate,
@@ -205,6 +205,16 @@ def test_mul_matches_naive_product(data):
     assert (c.rows, c.cols) == (a.rows, b.cols)
     assert all(_entry_ok(a.field, x) for row in c.entries for x in row)
     assert [list(r) for r in c.entries] == naive_mul(a, b)
+
+
+@PROPERTY
+@given(st.data())
+def test_ranks_are_those_of_the_head_rows_and_of_all_rows(data):
+    m = data.draw(matrices())
+    head = data.draw(st.integers(0, m.rows + 1))
+    top = Mat(m.field, min(head, m.rows), m.cols, m.entries[:head])
+    want = naive_rank(top), naive_rank(m)
+    assert ranks(m, head) == ranks(as_sparse(m), head) == want
 
 
 @PROPERTY
