@@ -146,13 +146,13 @@ def unreached_definitions(source: str, references) -> list:
                   and (member or name not in imported | own))
 
 
-def unkept_definitions(source: str, engine, tests_read, kept) -> list:
-    """(line, name) of each definition in source that engine, a pair from
-    engine_references, does not read, unless kept names it and tests_read,
-    the names that the tests read, holds it."""
+def dead_definitions(source: str, engine, tests_read) -> list:
+    """(line, name) of each definition in source that nothing reads: not
+    engine, a pair from engine_references, nor the tests, whose names
+    tests_read holds."""
     return [(line, name)
             for line, name in unreached_definitions(source, engine)
-            if name not in kept or name not in tests_read]
+            if name not in tests_read]
 
 
 def test_detects_a_definition_only_tests_read():
@@ -186,20 +186,17 @@ def test_detects_a_definition_only_tests_read():
     assert unreached_definitions(lib, engine_references([lib, bench])) == [
         (3, "oracle"), (4, "kept"), (5, "shown"), (7, "node"), (9, "gcd"),
         (10, "lcm")]
-    # a kept definition that the tests read passes, and only it
-    assert unkept_definitions(lib, refs, referenced_names(test), {"kept"}) == [
-        (3, "oracle"), (7, "node"), (9, "gcd"), (10, "lcm")]
+    # what only the tests read is not dead, and the tests read all of it
+    assert dead_definitions(lib, refs, referenced_names(test)) == []
 
 
 def test_detects_a_dead_definition():
-    # a kept definition passes only while some test reads it
+    # a kept definition stays only while some test reads it
     lib = "def used(): ...\ndef kept(): ...\ndef dead(): ...\n"
     engine = engine_references(["from arknit.lib import used\nused()\n"])
-    tests_read = referenced_names("kept()\ndead()\n")
-    assert unkept_definitions(lib, engine, tests_read, {"kept"}) == [
+    assert dead_definitions(lib, engine, referenced_names("kept()\n")) == [
         (3, "dead")]
-    assert unkept_definitions(lib, engine, set(), {"kept"}) == [
-        (2, "kept"), (3, "dead")]
+    assert dead_definitions(lib, engine, set()) == [(2, "kept"), (3, "dead")]
 
 
 @pytest.fixture(scope="module")
@@ -219,8 +216,16 @@ def references():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_definition_only_tests_read(path, references):
-    assert unkept_definitions(path.read_text(), *references,
-                              TEST_ONLY_KEPT) == []
+    engine, _ = references
+    assert [(line, name) for line, name in
+            unreached_definitions(path.read_text(), engine)
+            if name not in TEST_ONLY_KEPT] == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_dead_definitions(path, references):
+    assert dead_definitions(path.read_text(), *references) == []
 
 
 def dataclass_fields(source: str) -> list:
