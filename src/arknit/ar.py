@@ -16,7 +16,9 @@ fingerprints plus certified isomorphism tests and a table of the
 translates it built.  rrep(Q) has the almost split sequences of rep(Q)
 (BLP 2013), so its AR quiver is a valued translation quiver: knit reads a
 mesh off its arrows on a known side (ARS VII.1; Assem-Simson-Skowronski
-IV.4), or computes it once, and replays it at its other end.
+IV.4), or computes it once, and replays it at its other end.  A computed
+mesh splits off the bricks Z^m that its known arrows name (ARS VII.1,
+Krull-Schmidt; m is the rank of the brick pairing) and decomposes the rest.
 """
 from __future__ import annotations
 
@@ -24,8 +26,9 @@ from collections import Counter, deque
 from typing import Optional
 
 from .ext import ext_class_to_ses, ext_space
-from .hom import (_columns, _endo_from_coords, _iso_indec, decompose,
-                  end_algebra, hom_space, solve_natural, summand_key)
+from .hom import (_columns, _endo_from_coords, _iso_indec, brick_complement,
+                  decompose, end_algebra, hom_space, solve_natural,
+                  summand_key)
 from .linalg import Mat, kernel_basis, outside_span
 from .morphism import SES, verify_exact
 from .presentations import (min_inj_copresentation, min_proj_presentation,
@@ -83,8 +86,7 @@ def _check_seed(seed: Rep, cert):
     """Refuse a zero or decomposable seed at any depth: P_a (I_a) has one
     (co)generator and no (co)relations, a zero object or a sum of several
     none or several; any other seed, doubly infinite ones too, needs a
-    local End, as a brick has.  dim End is counted first, so a brick stops
-    there at 1."""
+    local End, which a brick reads off its count."""
     for kind, has, word in (("proj", cert.has_presentation(), "projective"),
                             ("inj", cert.has_copresentation(), "injective")):
         gens, rels = _generators(seed, kind) if has else ((), True)
@@ -94,7 +96,7 @@ def _check_seed(seed: Rep, cert):
             raise ValueError(f"seed is a sum of {len(gens)} {word} objects, "
                              "not indecomposable" if gens else "seed is zero; "
                              "knitting needs an indecomposable seed")
-    if hom_space(seed, seed).dimension > 1 and not end_algebra(seed).is_local:
+    if not end_algebra(seed).is_local:
         raise ValueError("seed is decomposable; knitting needs an "
                          "indecomposable seed")
 
@@ -295,6 +297,22 @@ def _predict_mesh(comp: ARComponent, tr: dict, key: int, forward: bool):
     return far, sorted(parts, key=lambda p: summand_key(p[0], probe)), how
 
 
+def _split_mesh(comp: ARComponent, mid: Rep, end, start) -> list:
+    """(summand, multiplicity, node key or None) of a computed middle term,
+    sorted as decompose sorts: each arrow Z -> end or start -> Z held names
+    Z^m in mid (ARS VII.1), which brick_complement splits off a brick Z, and
+    a nonzero last complement is decomposed."""
+    named = {z if d == end else d: m for (z, d), m in comp.arrows.items()
+             if d == end or z == start}
+    parts, rest, probe = [], mid, joint_window([mid])[0]
+    for key, m in named.items():
+        if hom_space(z := comp.nodes[key].rep, z).dimension == 1:
+            rest, parts = brick_complement(z, m, rest), parts + [(z, m, key)]
+    if any(dim_vector(rest, probe)):  # 0 on the probe is 0 everywhere
+        parts += [(s, m, None) for s, m in decompose(rest)]
+    return sorted(parts, key=lambda p: summand_key(p[0], probe))
+
+
 def knit(seed: Rep, depth: int) -> ARComponent:
     """Breadth-first closure of the seed's component, to the hop depth.
     rrep(Q) has the almost split sequences of rep(Q) (BLP 2013), so a mesh
@@ -302,9 +320,12 @@ def knit(seed: Rep, depth: int) -> ARComponent:
     ends at tau_inv X and has tau_inv Z per arrow Z -> X, Z not injective,
     and P_b per arrow b -> c if X is P_c; into X, tau W per arrow X -> W, W
     not projective.  It is predicted when that side is known and has a
-    node, else computed.  The translate table tr holds tau_inv Z = X as
-    (Z, True) -> X and (X, False) -> Z (a bijection: ARS IV.1, BLP 2013), so
-    a node with a known tau is no P_a, one with a known tau_inv no I_a."""
+    node, else computed, and then each arrow Z -> end or start -> Z already
+    held, of valuation m, names Z^m in the middle term: a brick Z is split
+    off by the rank m of the brick pairing, and only the rest decomposed.
+    The translate table tr holds tau_inv Z = X as (Z, True) -> X and
+    (X, False) -> Z (a bijection: ARS IV.1, BLP 2013), so a node with a
+    known tau is no P_a, one with a known tau_inv no I_a."""
     q, F = seed.quiver, seed.field
     cert0 = classify_membership(seed)
     if not cert0.is_in_rrep():
@@ -375,10 +396,13 @@ def knit(seed: Rep, depth: int) -> ARComponent:
             far = None if far_rep is None else add_node(
                 far_rep, hops + 2, key, forward, create=hops + 2 <= depth)
             end, tkey = (far, key) if forward else (key, far)
-            if parts is None:  # computed: decomposed after the far end
-                parts = [(s, m, None) for s, m in decompose(ses.middle)]
-            summands = [(add_node(rep, hops + 1, of, forward), mult)
-                        for rep, mult, of in parts]
+            if parts is None:  # computed: split after the far end
+                summands = [(add_node(rep, hops + 1) if k is None else k, m)
+                            for rep, m, k in _split_mesh(comp, ses.middle,
+                                                         end, tkey)]
+            else:
+                summands = [(add_node(rep, hops + 1, of, forward), mult)
+                            for rep, mult, of in parts]
             for skey, mult in summands:
                 if end is not None:
                     add_arrow(skey, end, mult)

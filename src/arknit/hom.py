@@ -42,10 +42,11 @@ a summand eM has End(eM) = e·End(M)·e.
 """
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .ext import CountedBasis, arrow_complex, arrow_pair
-from .linalg import Mat, inverse, kernel_basis, min_poly, rank, solve_matrix
+from .linalg import (Mat, inverse, kernel_basis, min_poly, rank, rref,
+                     solve_matrix)
 from .morphism import (Morphism, identity_morphism, image,
                        morphism_from_components, zero_morphism)
 from .presentations import min_proj_presentation, relation_matrix, yoneda
@@ -194,18 +195,19 @@ def _columns(F, comps) -> Mat:
 
 
 def end_algebra(m: Rep) -> EndAlgebra:
-    """End(M) on the basis of Hom(M, M), the coordinates of the identity and
-    of each product of two basis morphisms solved at the route's anchor;
-    computed once per object."""
+    """End(M): 0 or k·id read off the count, else on the basis of Hom(M, M),
+    the identity and each product of two basis morphisms solved at the
+    route's anchor; computed once per object."""
     return m.cached("end_algebra", lambda: _end_algebra(m))
 
 
 def _end_algebra(m: Rep) -> EndAlgebra:
     F = m.field
     hb = hom_space(m, m)
-    n = len(hb.basis)
-    if n == 0:
-        return EndAlgebra(m, 0, (), (), (), (), False)
+    n = hb.dimension
+    if n < 2:  # 0, or k·id for a brick: read off the count
+        return EndAlgebra(m, n, (identity_morphism(m),)[:n],
+                          (((F.one,),),)[:n], (F.one,)[:n], (), n == 1)
     verts = hb.anchor
     comps = [[f.component(v) for v in verts] for f in hb.basis]
     B = _columns(F, comps)
@@ -370,6 +372,28 @@ def _split_summand(m: Rep, emor: Morphism):
     proj = Morphism(m, piece, label="proj", rule=lambda v: piece.coords(
         v, emor.component(v), "idempotent image projection failed"))
     return piece, incl, proj
+
+
+def brick_complement(z: Rep, mult: int, m: Rep) -> Rep:
+    """The complement of z^mult in m for a brick z (End z = k): with window
+    bases f_j of Hom(z, m) and g_i of Hom(m, z), g_i o f_j = P[i][j] id_z,
+    mult is the rank of P (else AssertionError), and an invertible minor Q
+    of P gives the idempotent e = sum f_j (Q^-1)_ji g_i onto z^mult."""
+    fs, gs = HomBasis(z, m, "window").basis, HomBasis(m, z, "window").basis
+    F, v = m.field, next(v for v in joint_window([z])[0] if z.dim(v))
+    P = Mat(F, len(gs), len(fs), tuple(tuple(g.component(v).mul(
+        f.component(v)).entries[0][0] for f in fs) for g in gs))
+    cols, rows = rref(P)[1], rref(P.transpose())[1]
+    if len(cols) != mult:
+        raise AssertionError(f"{z.describe()} is named {mult} times, but its "
+                             f"brick pairing has rank {len(cols)}")
+    Q = Mat(F, mult, mult, tuple(tuple(P.entries[i][j] for j in cols)
+                                 for i in rows))
+    e = [(fs[j], c, gs[i]) for j, qrow in zip(cols, inverse(Q).entries)
+         for i, c in zip(rows, qrow) if not F.is_zero(c)]
+    return _split_summand(m, Morphism(m, m, lambda u: reduce(
+        Mat.sub, (f.component(u).mul(g.component(u)).scale(c)
+                  for f, c, g in e), Mat.identity(F, m.dim(u))), "1-e"))[0]
 
 
 def _decompose_rec(m: Rep, incl: Morphism, proj: Morphism, out):

@@ -488,19 +488,22 @@ def is_invertible(m: Mat) -> bool:
 def min_poly(m: Mat) -> tuple:
     """Monic minimal polynomial of a square matrix, low degree first.
 
-    Returned as a coefficient tuple (c0, c1, ..., 1).  One elimination of
-    the vectorized powers I, m, ..., m^n as columns: the first free column d
-    is the first power that depends on the earlier ones, which are pivots,
-    so m^d = sum of R[i][d] m^i over i < d.
+    Returned as a coefficient tuple (c0, c1, ..., 1).  One incremental
+    elimination: each power m^k, vectorized with a tag 1 at column n*n + k,
+    is reduced against the rows of the earlier ones as it is made.  The
+    first that vanishes left of the tags is m^d, its tags a_k give
+    sum a_k m^k = 0 with a_d != 0, and no later power is built.
     """
     if m.rows != m.cols:
         raise ValueError("min_poly needs a square matrix")
-    F = m.field
-    n = m.rows
-    powers = [Mat.identity(F, n)]
-    for _ in range(n):
-        powers.append(powers[-1].mul(m))
-    flat = [tuple(x for r in p.entries for x in r) for p in powers]
-    R, pivots = rref(Mat(F, n * n, n + 1, tuple(zip(*flat))))
-    d = len(pivots)  # Cayley-Hamilton: m^n depends on the lower powers
-    return tuple(F.neg(R.entries[i][d]) for i in range(d)) + (F.one,)
+    F, n = m.field, m.rows
+    p, nn, at, power = F.char, n * n, {}, Mat.identity(F, n)
+    for d in range(n + 1):  # Cayley-Hamilton: m^n depends on the lower powers
+        row = tuple(x for r in power.entries for x in r) + (0,) * d + (1,)
+        _forward(at, Mat(F, 1, nn + d + 1, (row,)).sparse_rows(), p)
+        if (lead := max(at)) >= nn:  # m^d depends on the earlier powers
+            tags = {**at[lead][1], lead: at[lead][0]}
+            return tuple(x * pow(tags[nn + d], -1, p) % p if p else
+                         _frac(x, tags[nn + d]) for x in
+                         [tags.get(nn + k, 0) for k in range(d)]) + (F.one,)
+        power = power.mul(m)

@@ -201,8 +201,8 @@ def _min_inj_copresentation(w: Rep) -> Presentation:
 def nakayama(pm: PathMatrix) -> PathMatrix:
     """Swap the interpretation side; vertex lists and entries are unchanged."""
     other = "inj" if pm.side == "proj" else "proj"
-    return PathMatrix(pm.quiver, pm.field, other, pm.domain, pm.codomain,
-                      pm.entries)
+    return PathMatrix._derived(pm.quiver, pm.field, other, pm.domain,
+                               pm.codomain, pm.entries)
 
 
 def relation_matrix(pm: PathMatrix, n: Rep) -> Mat:

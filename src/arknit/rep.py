@@ -100,6 +100,12 @@ class PathMatrix(Frozen):
         Record.__init__(self, quiver, field, side, domain, codomain,
                         tuple(rows))
 
+    @classmethod
+    def _derived(cls, *values) -> "PathMatrix":
+        """Transformed from a checked one (dual, Nakayama): not checked."""
+        Record.__init__(pm := object.__new__(cls), *values)
+        return pm
+
     def depth_bound(self) -> int:
         return max((_loc_depth(self.quiver, v)
                     for v in self.domain + self.codomain), default=0)
@@ -120,9 +126,9 @@ class PathMatrix(Frozen):
         entries = tuple(tuple(tuple((c, reverse_path(p)) for (c, p) in row[i])
                               for row in self.entries)
                         for i in range(len(self.domain)))
-        return PathMatrix(self.quiver.opposite(), self.field,
-                          "inj" if self.side == "proj" else "proj",
-                          self.codomain, self.domain, entries)
+        return PathMatrix._derived(self.quiver.opposite(), self.field,
+                                   "inj" if self.side == "proj" else "proj",
+                                   self.codomain, self.domain, entries)
 
     def component(self, v) -> Mat:
         """The map (⊕ over domain)(v) -> (⊕ over codomain)(v); on the inj
@@ -673,9 +679,11 @@ class KernelOfRep(Rep):
         self.ambient = f.src
 
     def span(self, v):
-        """(basis at v, as columns in ambient(v); its identity rows)."""
-        return self.cached(("span", v),
-                           lambda: self._span(self.f.component(v)))
+        """(basis at v, as columns in ambient(v); its identity rows), empty
+        with no component read where ambient(v) is 0."""
+        return self.cached(("span", v), lambda: self._span(
+            self.f.component(v)) if self.ambient.dim(v) else
+            (Mat(self.field, 0, 0, ()), ()))
 
     def basis(self, v) -> Mat:
         return self.span(v)[0]

@@ -42,9 +42,10 @@ from arknit import (Mat, Morphism, Path, classify_membership, decompose,
                     min_inj_copresentation, min_proj_presentation,
                     path_matrix, projective_at)
 from arknit.ar import standard_vertex
-from arknit.hom import (HomBasis, _iso_indec, _pointwise_inverse,
-                        joint_window)
-from arknit.linalg import coker_projection, is_invertible, rank
+from arknit.hom import (EndAlgebra, HomBasis, _columns, _iso_indec,
+                        _pointwise_inverse, joint_window)
+from arknit.linalg import (coker_projection, is_invertible, kernel_basis,
+                           rank, solve_matrix)
 from arknit.presentations import relation_matrix
 from arknit.quiver import VertexSet, vkey
 from arknit.rep import (CokerOfRep, CrossingProfile, EndProfile, KernelOfRep,
@@ -754,6 +755,29 @@ def dataclass_twin(name: str, record):
     own = {"__repr__": record.__repr__} if name == "linalg.Field" else {}
     return make_dataclass(record.__name__, fields, frozen=frozen,
                           namespace=own)
+
+
+def end_algebra_by_basis(m):
+    """End(m) over QQ solved on the basis of Hom(m, m) at its anchor, as
+    hom._end_algebra solves an End of dimension 2 or more: the coordinates
+    of the identity and of each product of two basis maps, and the radical
+    of the trace form, for an End of any dimension, a brick's too."""
+    F, hb = m.field, hom_space(m, m)
+    verts, n = hb.anchor, len(hb.basis)
+    comps = [[f.component(v) for v in verts] for f in hb.basis]
+    rhs = [[Mat.identity(F, m.dim(v)) for v in verts]]
+    rhs += [[a.mul(b) for a, b in zip(ci, cj)] for ci in comps for cj in comps]
+    coords = solve_matrix(_columns(F, comps), _columns(F, rhs)).transpose()
+    ident, table = coords.entries[0], tuple(
+        coords.entries[1 + i * n:1 + (i + 1) * n] for i in range(n))
+    traces = [sum(t[j][j] for j in range(n)) for t in table]
+    T = Mat(F, n, n, tuple(tuple(sum(table[i][j][k] * traces[k]
+                                     for k in range(n)) for j in range(n))
+                           for i in range(n)))
+    K = kernel_basis(T)
+    radical = tuple(K.col(j) for j in range(K.cols))
+    return EndAlgebra(m, n, hb.basis, table, ident, radical,
+                      n - len(radical) == 1)
 
 
 def computed_step(comp, tr, key, forward):

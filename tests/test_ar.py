@@ -48,7 +48,7 @@ from arknit import (
 )
 
 from arknit.ar import standard_vertex
-from arknit.hom import _columns, joint_window, solve_natural
+from arknit.hom import _columns, hom_space, joint_window, solve_natural
 from arknit.linalg import outside_span
 from arknit.quiver import kronecker_quiver, linear_quiver
 from conftest import random_fd_rep
@@ -62,6 +62,7 @@ from oracles import (
     an_tau,
     computed_step,
     coxeter_images,
+    end_algebra_by_basis,
     minimal_left_almost_split_from,
     minimal_right_almost_split_into,
     nqop_truncation,
@@ -618,6 +619,122 @@ def test_knit_builds_each_translate_at_most_once(monkeypatch):
                             if iso_test(n.rep, x) is not None), None)
             runs[name, key] += key is not None
         assert max(runs.values(), default=0) <= 1, (seed.describe(), runs)
+
+
+# ---------------------------------------------------------------------------
+# a computed mesh splits off the summands its known arrows name
+
+
+def _split_meshes(monkeypatch, cases):
+    """(middle term, parts) of every mesh that the knits of cases compute,
+    and the number of parts that entered by a named node's key."""
+    made, split = [], ar._split_mesh
+
+    def spy(comp, mid, end, start):
+        made.append((mid, split(comp, mid, end, start)))
+        return made[-1][1]
+    with monkeypatch.context() as m:
+        m.setattr(ar, "_split_mesh", spy)
+        for seed, depth in cases:
+            knit(seed, depth)
+    return made, sum(k is not None for _, parts in made for _, _, k in parts)
+
+
+@pytest.mark.parametrize("route", ("predicted", "computed"))
+def test_split_parts_are_the_decomposition(monkeypatch, route):
+    """Every computed mesh of the 11 criterion-10 knits and of the Kronecker
+    knit at depth 8, under the predicted and the computed route: the named
+    bricks split off and the decomposed complement give decompose's summands
+    of the middle term, isomorphic one by one, with the same multiplicities,
+    in the same order."""
+    if route == "computed":
+        monkeypatch.setattr(ar, "_predict_mesh", computed_step)
+    made, named = _split_meshes(monkeypatch, criterion_10_knits() + [
+        (projective_at(kronecker_quiver(), 2), 8)])
+    for mid, parts in made:
+        items = decompose(mid)
+        assert [m for _, m, _ in parts] == [m for _, m in items]
+        for (rep, _, _), (summand, _) in zip(parts, items):
+            assert iso_test(rep, summand) is not None
+    assert named >= (7 if route == "predicted" else 40)
+
+
+@pytest.mark.parametrize("off", (1, -1))
+def test_a_wrong_named_multiplicity_is_an_engine_bug(line, monkeypatch, off):
+    """A named multiplicity that disagrees with the middle term, here the
+    valuation of the arrows that name one node patched by one before the
+    first split, raises AssertionError from the brick pairing's rank, not
+    a wrong node."""
+    split = ar._split_mesh
+
+    def patched(comp, mid, end, start):
+        naming = {a: z for a in comp.arrows for z in a
+                  if a == (z, end) or a == (start, z)}
+        for a, z in naming.items():
+            if z == next(iter(naming.values())):
+                comp.arrows[a] += off
+        return split(comp, mid, end, start)
+    monkeypatch.setattr(ar, "_split_mesh", patched)
+    with pytest.raises(AssertionError, match=rf"is named {1 + off} times, "
+                       r"but its brick pairing has rank 1"):
+        knit(simple_at(line, 0), 4)
+
+
+def test_decompose_sees_no_named_brick(line, monkeypatch):
+    """On line from S_0 at depth 4, decompose_report never receives a middle
+    term with a summand that one of its mesh's known arrows names."""
+    import arknit.hom as hom
+    named, received = [], []
+    split, report = ar._split_mesh, hom.decompose_report
+
+    def spy_split(comp, mid, end, start):
+        named[:] = [comp.nodes[z if d == end else d].rep
+                    for z, d in comp.arrows if d == end or z == start]
+        return split(comp, mid, end, start)
+
+    def spy_report(m):
+        received.append(m)
+        out = report(m)
+        for s, _ in out.items:
+            assert all(ar._iso_indec(s, z) is None for z in named)
+        return out
+    monkeypatch.setattr(ar, "_split_mesh", spy_split)
+    monkeypatch.setattr(hom, "decompose_report", spy_report)
+    _, n = _split_meshes(monkeypatch, [(simple_at(line, 0), 4)])
+    # four computed meshes: the first names nothing, and each of the other
+    # three splits off one brick and decomposes a nonzero complement
+    assert (n, len(received)) == (3, 4)
+
+
+def test_a_bricks_end_is_read_off_its_count(monkeypatch):
+    """On every brick of the criterion-10 knits, End is k·id read off the
+    count: local, of dimension 1, with no radical, as the End solved on the
+    Hom basis says; and where the brick is fp and not projective, its almost
+    split sequence has the same middle term and cocycle with either End."""
+    real, sequences = ar.end_algebra, 0
+    for seed, depth in criterion_10_knits():
+        for node in knit(seed, depth).nodes:
+            x = node.rep
+            if hom_space(x, x).dimension != 1:
+                continue
+            E, by_basis = end_algebra(x), end_algebra_by_basis(x)
+            assert (E.dimension, E.is_local, E.radical) == (1, True, ()) == \
+                (by_basis.dimension, by_basis.is_local, by_basis.radical)
+            if not classify_membership(x).has_presentation() or \
+                    standard_vertex(x, "proj") is not None:
+                continue
+            ses = almost_split_sequence(x)
+            with monkeypatch.context() as m:
+                m.setattr(ar, "end_algebra",
+                          lambda y: by_basis if y is x else real(y))
+                other = almost_split_sequence(x)
+            window = joint_window([ses.middle, other.middle])[0]
+            assert dim_vector(ses.middle, window) == \
+                dim_vector(other.middle, window)
+            assert all(ses.cocycle_at(a) == other.cocycle_at(a)
+                       for a in x.quiver.arrows_within(window))
+            sequences += 1
+    assert sequences > 20
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,73 @@ def test_min_poly_annihilates_and_is_monic():
         assert coeffs[-1] == QQ.one
 
 
+def _sympy_min_poly(sympy, m):
+    """The minimal polynomial of m by sympy, low degree first: the
+    characteristic polynomial factored over QQ or GF(p), each factor's
+    exponent lowered while the product still annihilates m."""
+    F, n, x = m.field, m.rows, sympy.Symbol("x")
+    M = sympy.Matrix(n, n, [sympy.Rational(Fraction(c).numerator,
+                                           Fraction(c).denominator)
+                            for row in m.entries for c in row])
+    dom = {"modulus": F.char} if F.char else {"domain": sympy.QQ}
+    factors = sympy.Poly(M.charpoly(x).as_expr(), x, **dom).factor_list()[1]
+
+    def product(exps):
+        out = sympy.Poly(1, x, **dom)
+        for (f, _), e in zip(factors, exps):
+            out *= f ** e
+        return out
+
+    def kills(poly):
+        acc = sympy.zeros(n, n)
+        for c in poly.all_coeffs():  # Horner, high degree first
+            acc = acc * M + sympy.Rational(c) * sympy.eye(n)
+        return all((e % F.char == 0) if F.char else e == 0 for e in acc)
+
+    exps = [e for _, e in factors]
+    for i in range(len(exps)):
+        while exps[i] and kills(product(exps[:i] + [exps[i] - 1] + exps[i + 1:])):
+            exps[i] -= 1
+    return tuple(F.of(int(c)) if F.char else F.of(Fraction(int(c.p), int(c.q)))
+                 for c in reversed(product(exps).monic().all_coeffs()))
+
+
+def _min_poly_cases(F, rng):
+    """Random matrices, repeated blocks diag(A, A) (degree < n) conjugated
+    by a random unitriangular matrix, and scalar matrices."""
+    entry = (lambda: F.of(rng.choice((0, 0, 1, -1, 2, Fraction(1, 2))))) \
+        if not F.char else (lambda: F.of(rng.randrange(F.char)))
+    for _ in range(16):
+        n = rng.randrange(1, 6)
+        yield Mat(F, n, n, tuple(tuple(entry() for _ in range(n))
+                                 for _ in range(n)))
+    for _ in range(10):
+        k = rng.randrange(1, 3)
+        a = [[entry() for _ in range(k)] for _ in range(k)]
+        n = 2 * k
+        block = Mat.from_rows(F, [[a[i % k][j % k] if i // k == j // k else 0
+                                   for j in range(n)] for i in range(n)])
+        u = Mat.from_rows(F, [[1 if i == j else entry() if j > i else 0
+                               for j in range(n)] for i in range(n)])
+        yield u.mul(block).mul(inverse(u))
+    for c in (0, 1, -1, 3):
+        yield Mat.identity(F, rng.randrange(2, 5)).scale(c)
+
+
+@pytest.mark.parametrize("F", (QQ, GF(2), GF(7)), ids=repr)
+def test_min_poly_is_sympys(F):
+    """min_poly stops at the first dependent power and gives sympy's
+    minimal polynomial, on random matrices, repeated blocks whose degree is
+    below n and scalar matrices."""
+    sympy = pytest.importorskip("sympy")
+    low = 0
+    for m in _min_poly_cases(F, random.Random(4600 + F.char)):
+        coeffs = min_poly(m)
+        assert coeffs == _sympy_min_poly(sympy, m), m
+        low += len(coeffs) - 1 < m.rows
+    assert low >= 14
+
+
 def test_prime_field_arithmetic():
     F = GF(5)
     m = Mat(F, 2, 2, ((F.of(2), F.of(3)), (F.of(1), F.of(1))))

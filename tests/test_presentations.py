@@ -42,7 +42,7 @@ from arknit import (
 )
 from arknit.linalg import rank
 from arknit.presentations import check_vanishing
-from arknit.rep import joint_window, proj_sum_basis
+from arknit.rep import PathMatrix, joint_window, proj_sum_basis
 from conftest import random_fd_rep, single_rung
 from oracles import (
     computed_step,
@@ -356,6 +356,21 @@ def write_golden():
 
 def test_presentations_match_golden():
     assert golden_text() == GOLDEN.read_text()
+
+
+def test_derived_path_matrices_are_the_checked_ones():
+    """PathMatrix.dual and nakayama store a matrix transformed from a
+    checked one and run no check again: rebuilt through the checking
+    constructor, each is the same matrix, for every presentation the
+    criterion-10 knits make and for its dual, the copresentation side."""
+    made = presentations_made(lambda: [knit(seed, depth) for seed, depth
+                                       in criterion_10_knits()])
+    for pres in made:
+        for pm in (pres.pm, pres.pm.dual):
+            for d in (pm.dual, nakayama(pm)):
+                assert PathMatrix(d.quiver, d.field, d.side, d.domain,
+                                  d.codomain, d.entries) == d
+    assert len(made) > 100
 
 
 # ---------------------------------------------------------------------------
