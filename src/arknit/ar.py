@@ -301,9 +301,15 @@ def _split_mesh(comp: ARComponent, mid: Rep, end, start) -> list:
     """(summand, multiplicity, node key or None) of a computed middle term,
     sorted as decompose sorts: each arrow Z -> end or start -> Z held names
     Z^m in mid (ARS VII.1), which brick_complement splits off a brick Z, and
-    a nonzero last complement is decomposed."""
-    named = {z if d == end else d: m for (z, d), m in comp.arrows.items()
-             if d == end or z == start}
+    a nonzero last complement is decomposed.  Two arrows that name one Z
+    with different valuations are an engine bug (AssertionError)."""
+    named: dict = {}
+    for (z, d), m in comp.arrows.items():
+        key = z if d == end else d if z == start else None
+        if key is not None and named.setdefault(key, m) != m:
+            raise AssertionError(f"{comp.nodes[key].rep.describe()} is named "
+                                 f"with valuations {named[key]} and {m} by "
+                                 f"its two arrows in one mesh")
     parts, rest, probe = [], mid, joint_window([mid])[0]
     for key, m in named.items():
         if hom_space(z := comp.nodes[key].rep, z).dimension == 1:

@@ -6,24 +6,29 @@ For objects X (quotient side) and Y (sub side) the complex
     C1 = sum over arrows a of Hom(X(src a), Y(dst a))
     d(f)_a = Y(a) f_src - f_dst X(a)
 
-has kernel Hom(X, Y) and cokernel Ext(X, Y) (Ringel, LNM 1099).  Both
-counts of a pair come from one ArrowPair, kept per pair in X's memo: one
-complex on the cells of the joint window where both evaluations are
-nonzero, its rows of the arrows with both ends in the window first and
-those of the arrows leaving it after them, and one elimination of those
-rows in order.  The rank of that prefix gives dim Hom = cols - rank, and
-the rank of all rows dim Ext = rows - rank, with no basis built.  The
-class basis and the families are built on first read, on the same
-window, by a complex of their own in arrow order, which fixes the free
-rows of the class basis; when the contributing arrow set continues past
-the window (families) the basis is flagged window_relative.
+has kernel Hom(X, Y) and cokernel Ext(X, Y) (Ringel, LNM 1099).  On a
+vertex set it is built over the arrows within the set (arrow_complex).  A
+pair's one ArrowPair, kept in X's memo, builds it on the joint window and
+reads both counts off one rank: dim Hom = cols - rank (hom.py says why the
+window is exact for Hom) and dim Ext = rows - rank, by a tail argument.
+
+Past the stable depth every nonzero ray of an object in rrep has an
+invertible transition and every crossing map is zero (else its verdict is
+notInRrep).  So the row of an arrow leaving the window along a ray never
+obstructs: f at its outer vertex solves it, and so on down the ray.  Only a
+crossing arrow with X(src)·Y(dst) != 0 has a row that is zero at every
+depth, a class of its own at each: an infinite family, which flags the pair
+window_relative.  Any other pair's Ext count is the same at every pad, which
+one rank at pad 3 checks unless X is fd (a mismatch is an engine bug,
+AssertionError); fd X has no arrow out of the window into supp Y.  The class
+basis is built on first read, on the same complex.
 """
 from __future__ import annotations
 
 import weakref
 from functools import cached_property
 
-from .linalg import Mat, SparseMat, coker_projection, ranks
+from .linalg import Mat, SparseMat, coker_projection, rank
 from .morphism import SES, glue_ses
 from .quiver import Arrow
 from .record import Record
@@ -31,15 +36,15 @@ from .rep import (GlueRep, Rep, RungFamily, classify_membership, equal_on,
                   joint_window, same_ambient)
 
 
-def arrow_complex(x: Rep, y: Rep, verts, arrows):
-    """(d, offsets): the differential C0 -> C1 on verts and arrows, a
-    SparseMat of its nonzero entries, reduced mod p over GF(p).
+def arrow_complex(x: Rep, y: Rep, verts):
+    """(d, offsets, arrows): the differential C0 -> C1 on verts and the
+    arrows within them, a SparseMat of its nonzeros, reduced mod p over
+    GF(p), and the arrows that give it rows, in row order.
 
     Column offsets[v] + r * x.dim(v) + c is entry (r, c) of f_v, for v in
-    verts; row (a, r, c), in the order of arrows, is entry (r, c) of d(f)_a,
-    with at most dim Y(src a) + dim X(dst a) nonzeros.  A vertex outside
-    verts contributes nothing; src a != dst a, so the two parts of a row
-    never share a column.
+    verts; row (a, r, c), in arrow order, is entry (r, c) of d(f)_a, with
+    at most dim Y(src a) + dim X(dst a) nonzeros.  src a != dst a, so the
+    two parts of a row never share a column.
     """
     F = x.field
     p = F.char
@@ -47,16 +52,16 @@ def arrow_complex(x: Rep, y: Rep, verts, arrows):
     for v in verts:
         offsets[v] = total
         total += y.dim(v) * x.dim(v)
-    rows = []
-    for a in arrows:
+    rows, arrows = [], []
+    for a in x.quiver.arrows_within(verts):
         sx, ry = x.dim(a.src), y.dim(a.dst)
         if not (sx and ry):
             continue  # no rows
-        s, t = offsets.get(a.src), offsets.get(a.dst)
-        dx = x.dim(a.dst)
-        # a part whose vertex is outside verts or 0 there reads no matrix
-        Xa = x.mat(a).entries if t is not None and dx else ()
-        Ya = y.mat(a).entries if s is not None and y.dim(a.src) else ((),) * ry
+        arrows.append(a)
+        s, t, dx = offsets[a.src], offsets[a.dst], x.dim(a.dst)
+        # a part whose vertex is 0 reads no matrix
+        Xa = x.mat(a).entries if dx else ()
+        Ya = y.mat(a).entries if y.dim(a.src) else ((),) * ry
         # the nonzeros of -X(a) by column c: (k, entry) meeting f_dst's (r, k)
         xcols = [[(k, w) for k, xrow in enumerate(Xa) if (w := F.neg(xrow[c]))]
                  for c in range(sx)]
@@ -64,66 +69,51 @@ def arrow_complex(x: Rep, y: Rep, verts, arrows):
             # the nonzeros of Y(a)'s row r: (k, entry) meeting f_src's (k, c)
             ys = [(s + k * sx, w) for k, v in enumerate(yrow)
                   if (w := v % p if p else v)]
-            base = 0 if t is None else t + r * dx
+            base = t + r * dx
             for c, xs in enumerate(xcols):
                 row = {j + c: v for j, v in ys}
                 for k, v in xs:
                     row[base + k] = v
                 rows.append(row)
-    return SparseMat(F, len(rows), total, tuple(rows)), offsets
+    return SparseMat(F, len(rows), total, tuple(rows)), offsets, tuple(arrows)
 
 
 def _arrows_at_depth(q, t) -> list:
-    """Each end's band arrows and crossing arrows at depth t, sorted per end:
-    the arrows whose behaviour repeats at every depth >= t."""
-    out = []
-    for end in q.ends():
-        cands = set(end.band_arrows(t))
-        cands.update(end.crossing_arrow(cid, t) for (cid, _, _) in end.crossings)
-        out.extend(sorted(cands, key=Arrow.key))
-    return out
+    """Each end's band arrows at depth t, its crossing arrows among them,
+    sorted per end: the arrows whose behaviour repeats at every depth >= t."""
+    return [a for end in q.ends() for a in end.band_arrows(t)]
 
 
-def _cells(x: Rep, y: Rep, verts):
-    """(V, A): where x and y are both nonzero, at a vertex or across an arrow."""
-    vs = [v for v in verts if x.dim(v) > 0 and y.dim(v) > 0]
-    arrows = sorted({a for v in verts if x.dim(v) > 0
-                     for a in x.quiver.out_arrows(v) if y.dim(a.dst) > 0},
-                    key=Arrow.key)
-    return vs, arrows
+def _crossing_arrows(q, t) -> list:
+    """The crossing arrows at depth t, one per end and crossing."""
+    return [end.crossing_arrow(cid, t) for end in q.ends()
+            for (cid, _, _) in end.crossings]
 
 
 class ArrowPair:
-    """The arrow complex of x and y on their joint window at pad 2 and its
-    two counts, each computed on first read.  It holds x and y weakly: it
-    lives in x's memo, keyed weakly by y (arrow_pair)."""
+    """The joint window of x and y at pad 2 and the two counts of their
+    arrow complex per pad, each computed on first read.  It holds x and y
+    weakly: it lives in x's memo, keyed weakly by y (arrow_pair)."""
 
     def __init__(self, x: Rep, y: Rep):
         self._x, self._y = weakref.ref(x), weakref.ref(y)
+        self._counts = {}
 
     @cached_property
     def window(self) -> tuple:
         """(verts, depth) of joint_window((x, y))."""
         return joint_window((self._x(), self._y()))
 
-    @cached_property
-    def _counts(self) -> tuple:
-        """(dim Hom(x, y), dim Ext(x, y)) from one elimination of the
-        complex on the window's cells, the rows of the arrows within the
-        window first: the natural maps on the window are the kernel of
-        those rows alone."""
-        x, y = self._x(), self._y()
-        verts = self.window[0]
-        vs, arrows = _cells(x, y, verts)
-        inside = set(verts)
-        within = [a for a in arrows if a.dst in inside]
-        arrows = within + [a for a in arrows if a.dst not in inside]
-        d, _ = arrow_complex(x, y, vs, arrows)
-        head, rank = ranks(d, sum(y.dim(a.dst) * x.dim(a.src) for a in within))
-        return d.cols - head, d.rows - rank
-
-    hom_dim = property(lambda self: self._counts[0])
-    ext_dim = property(lambda self: self._counts[1])
+    def counts(self, pad: int = 2) -> dict:
+        """{"Hom": cols - rank, "Ext": rows - rank} of the complex on the
+        joint window at pad, from one elimination."""
+        if pad not in self._counts:
+            x, y = self._x(), self._y()
+            verts = self.window[0] if pad == 2 else joint_window((x, y), pad)[0]
+            d, _, _ = arrow_complex(x, y, verts)
+            r = rank(d)
+            self._counts[pad] = {"Hom": d.cols - r, "Ext": d.rows - r}
+        return self._counts[pad]
 
 
 def arrow_pair(x: Rep, y: Rep) -> ArrowPair:
@@ -137,7 +127,8 @@ def arrow_pair(x: Rep, y: Rep) -> ArrowPair:
 
 class CountedBasis:
     """dimension is one count (_count), basis built on first read (_build,
-    basis first); reading both checks that they agree (AssertionError)."""
+    basis first); reading both checks that they agree (AssertionError).
+    _pair is the ArrowPair of the two objects."""
 
     @cached_property
     def dimension(self) -> int:
@@ -159,35 +150,43 @@ class CountedBasis:
                 f"{self._space} dimension {count} by the arrow complex, but "
                 f"{built} basis {self._built_on}")
 
+    def _check_pad3(self, count: int):
+        """The window contract: the count at pad 3 is the one at pad 2."""
+        deeper = self._pair.counts(3)[self._space]
+        if deeper != count:
+            raise AssertionError(
+                f"window {self._space} dimension {count} at pad 2 and "
+                f"{deeper} at pad 3, window depth {self._pair.window[1]}: "
+                f"the count moves past the stable depth")
+
     basis = property(lambda self: self._built[0])
 
 
 class ExtClassBasis(CountedBasis):
     """Ext(quot, sub): basis (cocycle dicts arrow -> Mat), arrows (those of
-    the window that contribute), families and coords, built on first read."""
+    the window that give rows), families and coords, each computed on first
+    read."""
 
     _space, _built_on = "Ext", "classes on the interaction window"
 
     def __init__(self, quot: Rep, sub: Rep):
         self.quot, self.sub = quot, sub
 
-    _window = property(lambda self: arrow_pair(self.quot, self.sub).window)
+    _pair = cached_property(lambda self: arrow_pair(self.quot, self.sub))
 
     def _count(self) -> int:
-        return arrow_pair(self.quot, self.sub).ext_dim
+        """Checked at pad 3 unless quot is fd or the pair has a family."""
+        count = self._pair.counts()["Ext"]
+        if classify_membership(self.quot).verdict != "fd" \
+                and not self.window_relative:
+            self._check_pad3(count)
+        return count
 
     def _build(self) -> tuple:
-        """The classes on the cells of the window; families are symbolic
-        witnesses that the arrow set continues periodically past it."""
+        """The classes on the window, one per free row of the complex."""
         x, y = self.quot, self.sub
-        F, q = x.field, x.quiver
-        verts, depth = self._window
-        vs, arrows = _cells(x, y, verts)
-        families = tuple(f"{q.vertex_str(a.src)}->{q.vertex_str(a.dst)} "
-                         f"repeating for depth >= {depth + 1}"
-                         for a in _arrows_at_depth(q, depth + 1)
-                         if x.dim(a.src) > 0 and y.dim(a.dst) > 0)
-        d, _ = arrow_complex(x, y, vs, arrows)
+        F = x.field
+        d, _, arrows = arrow_complex(x, y, self._pair.window[0])
         layout = tuple((a, r, c) for a in arrows
                        for r in range(y.dim(a.dst)) for c in range(x.dim(a.src)))
         P, free = coker_projection(d)
@@ -197,15 +196,27 @@ class ExtClassBasis(CountedBasis):
             unit = [[F.zero] * x.dim(a.src) for _ in range(y.dim(a.dst))]
             unit[r][c] = F.one
             basis.append({a: Mat.from_rows(F, unit)})
-        return tuple(basis), tuple(arrows), families, P, layout
+        return tuple(basis), arrows, P, layout
 
     arrows = property(lambda self: self._built[1])
-    families = property(lambda self: self._built[2])
+
+    @cached_property
+    def families(self) -> tuple:
+        """The crossing arrows one band past the window with X(src)·Y(dst)
+        != 0, as symbolic witnesses of a family that repeats at every depth
+        (module docstring)."""
+        x, y, q = self.quot, self.sub, self.quot.quiver
+        t = self._pair.window[1] + 1
+        return tuple(f"{q.vertex_str(a.src)}->{q.vertex_str(a.dst)} "
+                     f"repeating for depth >= {t}"
+                     for a in _crossing_arrows(q, t)
+                     if x.dim(a.src) and y.dim(a.dst))
+
     window_relative = property(lambda self: bool(self.families))
 
     def coords(self, cocycle_at) -> tuple:
         """Class coordinates of a cocycle given as a lookup arrow -> Mat."""
-        zero, (_, _, _, proj, layout) = self.sub.field.zero, self._built
+        zero, (_, _, proj, layout) = self.sub.field.zero, self._built
         return proj.apply([zero if (m := cocycle_at(a)) is None
                            else m.entries[r][c] for (a, r, c) in layout])
 
@@ -297,7 +308,11 @@ def baer_sum(s1: SES, s2: SES) -> SES:
     _same_ends(s1, s2)
     sub, quot = s1.sub, s1.quot
     F = sub.field
-    arrows = _cells(quot, sub, joint_window((quot, sub))[0])[1]
+    # every arrow out of the window that can carry a cocycle, leaving it too
+    verts = joint_window((quot, sub))[0]
+    arrows = sorted({a for v in verts if quot.dim(v)
+                     for a in quot.quiver.out_arrows(v) if sub.dim(a.dst)},
+                    key=Arrow.key)
     acc = {}
     for a in arrows:
         m1 = s1.cocycle_at(a)

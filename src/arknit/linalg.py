@@ -3,12 +3,11 @@
 A Mat is a dense value: slotted, compared and hashed by (field, rows, cols,
 entries) and never stored to after __init__ (tests/test_imports.py lints
 this), so it can live in hashable representation nodes.  A SparseMat, such
-as ext.py's arrow complex, keeps only its nonzeros.  rank, ranks, rref, the
-kernels and outside_span read the one elimination, on the sparse integer
-rows that both give (sparse_rows), so a step costs the nonzeros it
-combines.  Kernel and cokernel bases are those read off the reduced
-echelon form, back-substituted through the forward elimination; no
-pivoting is random.
+as ext.py's arrow complex, keeps only its nonzeros.  rank, rref, the kernels
+and outside_span read the one elimination, on the sparse integer rows that
+both give (sparse_rows), so a step costs the nonzeros it combines.  Kernel
+and cokernel bases are those read off the reduced echelon form,
+back-substituted through the forward elimination; no pivoting is random.
 
 Every scalar has one canonical form.  Over GF(p) it is an int in [0, p).
 Over Q it is an int when it is integral and otherwise a Fraction with
@@ -284,22 +283,19 @@ def block_matrix(field: Field, blocks: Sequence[Sequence[Optional[Mat]]],
     return Mat(field, sum(row_dims), sum(col_dims), tuple(rows))
 
 
-def _eliminate(m, full: bool, head: int = 0):
-    """(rows, pivots, head_rank): one forward elimination of
-    m.sparse_rows(), each pivot row as (pivot, its other nonzeros as a dict
-    column -> int), in the order of the pivot columns, and, when full, each
-    pivot column cleared above its pivot too; head_rank is the rank of the
-    first head rows.
+def _eliminate(m, full: bool):
+    """(rows, pivots): one forward elimination of m.sparse_rows(), each
+    pivot row as (pivot, its other nonzeros as a dict column -> int), in the
+    order of the pivot columns, and, when full, each pivot column cleared
+    above its pivot too.
 
     Each row in turn is reduced at its leading column until it starts a new
     pivot or vanishes, so a step costs the nonzeros of the two rows it
-    combines, and the pivots that the first head rows start are their rank.
-    Over GF(p) every step is reduced mod p and each pivot is scaled to 1.
+    combines.  Over GF(p) every step is reduced mod p and each pivot is
+    scaled to 1.
     """
-    p, at, rows = m.field.char, {}, m.sparse_rows()
-    _forward(at, rows[:head], p)
-    head_rank = len(at)
-    _forward(at, rows[head:], p)
+    p, at = m.field.char, {}
+    _forward(at, m.sparse_rows(), p)
     pivots = sorted(at)
     for k in range(len(pivots) - 1, 0, -1) if full else ():
         c = pivots[k]
@@ -310,7 +306,7 @@ def _eliminate(m, full: bool, head: int = 0):
                 row[b] = a
                 row = _combine(row, f, at[c], p)
                 at[b] = row.pop(b), row
-    return [at[c] for c in pivots], tuple(pivots), head_rank
+    return [at[c] for c in pivots], tuple(pivots)
 
 
 def _forward(at: dict, rows, p: int):
@@ -359,7 +355,7 @@ def rref(m):
     A pivot row over Q is divided by its pivot only when R is built, and
     each entry of R is in canonical form (an int when integral).
     """
-    rows, pivots, _ = _eliminate(m, True)
+    rows, pivots = _eliminate(m, True)
     out = []
     for (a, tail), c in zip(rows, pivots):
         dense = [0] * m.cols
@@ -378,13 +374,6 @@ def rank(m) -> int:
     return len(_eliminate(m, False)[1])
 
 
-def ranks(m, head: int) -> tuple:
-    """(rank of the first head rows of m, rank of m), by one forward
-    elimination of the rows in order."""
-    _, pivots, head_rank = _eliminate(m, False, head)
-    return head_rank, len(pivots)
-
-
 def _null_rows(m):
     """(rows, free): the canonical null-space basis of m as rows, the row for
     free column f being 1 at f, 0 at the other free columns and rref's
@@ -392,7 +381,7 @@ def _null_rows(m):
     from the last pivot left of f up (an rref fills a bidiagonal m in), over
     Q as integers w over one denominator d, divided out once."""
     p = m.field.char
-    rows, pivots, _ = _eliminate(m, False)
+    rows, pivots = _eliminate(m, False)
     free = tuple(sorted(set(range(m.cols)).difference(pivots)))
     # each pivot row as (pivot column, pivot, its nonzeros right of the pivot)
     tails = [(pc, a, tail.items()) for pc, (a, tail) in zip(pivots, rows)]
@@ -467,7 +456,7 @@ def outside_span(m, k: int) -> tuple:
     k columns, by one forward elimination: the pivot rows right of those k
     columns are zero in them, so a later column is in their span exactly
     when it is zero in those rows too."""
-    rows, pivots, _ = _eliminate(m, False)
+    rows, pivots = _eliminate(m, False)
     r = bisect(pivots, k - 1)
     return tuple(sorted({j - k for c, (_, tail) in zip(pivots[r:], rows[r:])
                          for j in (c, *tail)}))

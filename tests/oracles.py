@@ -505,18 +505,18 @@ def dense_arrow_complex(x, y, verts, arrows):
     return Mat(F, len(rows), total, tuple(rows)), offsets
 
 
-def window_counts_apart(x, y):
-    """(dim Hom(x, y), dim Ext(x, y)) by two dense arrow complexes on the
-    joint window, as the two spaces counted them before they shared one: the
-    kernel over the arrows within the window, and the cokernel over every
-    arrow out of it where x and y are nonzero at its ends, those leaving the
-    window included."""
+def dense_window_counts(x, y):
+    """(dim Hom(x, y), dim Ext(x, y)) by one dense arrow complex over the
+    arrows within the joint window and its dense rank; for fp (or fd) x the
+    Ext count is checked against ext_dim_via_presentation, which shares no
+    code with the window."""
     q, verts = x.quiver, joint_window((x, y))[0]
     d, _ = dense_arrow_complex(x, y, verts, q.arrows_within(verts))
-    e, _ = dense_arrow_complex(x, y, verts, [
-        a for v in verts if x.dim(v) for a in q.out_arrows(v) if y.dim(a.dst)])
-    hom_rank, ext_rank = (len(dense_eliminate(m, False)[1]) for m in (d, e))
-    return d.cols - hom_rank, e.rows - ext_rank
+    r = len(dense_eliminate(d, False)[1])
+    if classify_membership(x).has_presentation():
+        assert d.rows - r == ext_dim_via_presentation(x, y), (
+            x.describe(), y.describe())
+    return d.cols - r, d.rows - r
 
 
 def null_rows_by_rref(m):

@@ -664,7 +664,8 @@ def test_a_wrong_named_multiplicity_is_an_engine_bug(line, monkeypatch, off):
     """A named multiplicity that disagrees with the middle term, here the
     valuation of the arrows that name one node patched by one before the
     first split, raises AssertionError from the brick pairing's rank, not
-    a wrong node."""
+    a wrong node; one of the two arrows patched raises it before any split,
+    naming both valuations."""
     split = ar._split_mesh
 
     def patched(comp, mid, end, start):
@@ -677,6 +678,17 @@ def test_a_wrong_named_multiplicity_is_an_engine_bug(line, monkeypatch, off):
     monkeypatch.setattr(ar, "_split_mesh", patched)
     with pytest.raises(AssertionError, match=rf"is named {1 + off} times, "
                        r"but its brick pairing has rank 1"):
+        knit(simple_at(line, 0), 4)
+
+    # the arrow start -> Z alone patched, where Z -> end names Z too
+    def one_arrow(comp, mid, end, start):
+        into = {z for z, d in comp.arrows if d == end}
+        for a in [a for a in comp.arrows if a[0] == start and a[1] in into]:
+            comp.arrows[a] += off
+        return split(comp, mid, end, start)
+    monkeypatch.setattr(ar, "_split_mesh", one_arrow)
+    with pytest.raises(AssertionError, match=rf"is named with valuations "
+                       rf"1 and {1 + off} by its two arrows in one mesh"):
         knit(simple_at(line, 0), 4)
 
 

@@ -40,16 +40,16 @@ from arknit.hom import solve_natural
 from arknit.morphism import Morphism
 from arknit.quiver import linear_quiver
 
-from arknit.rep import classify_membership
+from arknit.rep import classify_membership, joint_window
 from conftest import random_fd_rep
 from oracles import (
     dense_arrow_complex,
+    dense_window_counts,
     ext_dim_brute,
     ext_dim_via_presentation,
     hom_routes,
     route_basis,
     split_ses,
-    window_counts_apart,
 )
 from test_periodicity import QUIVERS, objects
 from test_presentations import criterion_10_knits
@@ -267,6 +267,19 @@ def test_infinite_interaction_window_is_flagged(ladder):
         equiv_ext(ses, ses)
 
 
+def test_is_split_decides_a_projective_quotient_on_line(line):
+    # Ext(P(1), P(0)) = 0 and no ray arrow is a family: each sequence with
+    # these ends splits, glued at the top or down the ray, and any two are
+    # equivalent
+    quot, sub = projective_at(line, 1), projective_at(line, 0)
+    ecb = ext_space(quot, sub)
+    assert (ecb.dimension, ecb.families) == (0, ())
+    sequences = [glue_ses(sub, quot, [(a, ak.Mat.from_rows(QQ, [[1]]))])[1]
+                 for a in line.out_arrows(1) + line.out_arrows(-3)]
+    assert all(map(is_split, sequences))
+    assert equiv_ext(*sequences)
+
+
 def test_window_relative_basis_classes_are_finite(ladder):
     quot = thin_rep(ladder, VertexSet.make(ladder, (), [("inf", "a", 0)]))
     sub = thin_rep(ladder, VertexSet.make(ladder, (), [("inf", "b", 0)]))
@@ -383,10 +396,10 @@ def test_hom_count_is_the_basis_size_of_every_route_on_random_fd_pairs(case):
 
 def test_ext_count_of_an_fd_quotient_builds_no_basis(kron, monkeypatch):
     """Reading only dim Ext(X, Y) is one rank on the window: no interaction
-    families, no cokernel projection; reading the basis then builds both,
-    once."""
+    families, no cokernel projection; reading the basis and then the flag
+    finds each, once."""
     calls = []
-    for name in ("_arrows_at_depth", "coker_projection"):
+    for name in ("_crossing_arrows", "coker_projection"):
         def spy(*args, name=name, real=getattr(ext_mod, name)):
             calls.append(name)
             return real(*args)
@@ -394,7 +407,7 @@ def test_ext_count_of_an_fd_quotient_builds_no_basis(kron, monkeypatch):
     ecb = ext_space(simple_at(kron, 1), simple_at(kron, 2))
     assert ecb.dimension == 2 and calls == []
     assert len(ecb.basis) == 2 and ecb.arrows and not ecb.window_relative
-    assert calls == ["_arrows_at_depth", "coker_projection"]
+    assert calls == ["coker_projection", "_crossing_arrows"]
 
 
 @pytest.mark.parametrize("basis_first", [False, True])
@@ -433,26 +446,27 @@ def test_ar_formula_on_random_fd_pairs(case):
 
 
 # simples, projectives and injectives near vertex 0 of each infinite preset,
-# and how many (X, Y) pairs of them have a certified Ext basis
+# and how many (X, Y) pairs of them have X fp and how many Y fc, an fd object
+# counting as both
 AR_FORMULA_VERTICES = {
-    "line": ((-1, 0, 1), 45), "zigzag": ((0, 1, 2), 81),
-    "ray_in": ((0, 1, 2), 54), "ray_out": ((0, 1, 2), 72),
-    "ladder": ((("a", 0), ("b", 0), ("a", 1), ("b", 1)), 80)}
+    "line": ((-1, 0, 1), 54, 54), "zigzag": ((0, 1, 2), 81, 81),
+    "ray_in": ((0, 1, 2), 54, 81), "ray_out": ((0, 1, 2), 81, 54),
+    "ladder": ((("a", 0), ("b", 0), ("a", 1), ("b", 1)), 96, 96)}
+
+
+def _ar_formula_objects(name):
+    q, verts = ak.PRESETS[name](), AR_FORMULA_VERTICES[name][0]
+    return q, [make(q, v) for v in verts
+               for make in (ak.simple_at, ak.projective_at, ak.injective_at)]
 
 
 @pytest.mark.parametrize("name", sorted(AR_FORMULA_VERTICES))
 def test_ar_formula_for_fp_objects_on_the_presets(name):
     """dim Ext(X, Y) = dim Hom(Y, tau X) for fp X, with tau X = 0 for a
     projective X (BLP 2013 for rep+(Q)), over the simples, projectives and
-    injectives near vertex 0, X fp and Y any of them.  A pair whose Ext
-    basis is window_relative is left out: its classes have a family that
-    repeats past the certified window (ExtClassBasis.families), which the
-    window does not decide, so its dimension need not be that of Ext.  On
-    line, Ext(P(1), P(0)) is flagged and reads 1, though P(1) is
-    projective."""
-    q, (verts, certified) = ak.PRESETS[name](), AR_FORMULA_VERTICES[name]
-    objs = [make(q, v) for v in verts
-            for make in (ak.simple_at, ak.projective_at, ak.injective_at)]
+    injectives near vertex 0, X fp and Y any of them, every pair
+    compared."""
+    q, objs = _ar_formula_objects(name)
     compared = 0
     for x in objs:
         if ak.classify_membership(x).verdict not in ("fp", "fd"):
@@ -460,12 +474,29 @@ def test_ar_formula_for_fp_objects_on_the_presets(name):
         tx = ak.zero_rep(q, x.field) if standard_vertex(x, "proj") \
             is not None else ak.tau(x)
         for y in objs:
-            ecb = ext_space(x, y)
-            if not ecb.window_relative:
-                assert ecb.dimension == ak.hom_space(y, tx).dimension, (
-                    x.describe(), y.describe())
-                compared += 1
-    assert compared == certified
+            assert ext_space(x, y).dimension == \
+                ak.hom_space(y, tx).dimension, (x.describe(), y.describe())
+            compared += 1
+    assert compared == AR_FORMULA_VERTICES[name][1]
+
+
+@pytest.mark.parametrize("name", sorted(AR_FORMULA_VERTICES))
+def test_ar_formula_for_fc_objects_on_the_presets(name):
+    """The dual formula dim Ext(X, Y) = dim Hom(tau_inv Y, X) for fc Y,
+    with tau_inv Y = 0 for an injective Y, over the objects of the fp test,
+    Y fc and X any of them, every pair compared."""
+    q, objs = _ar_formula_objects(name)
+    compared = 0
+    for y in objs:
+        if ak.classify_membership(y).verdict not in ("fc", "fd"):
+            continue
+        ty = ak.zero_rep(q, y.field) if standard_vertex(y, "inj") \
+            is not None else ak.tau_inv(y)
+        for x in objs:
+            assert ext_space(x, y).dimension == \
+                ak.hom_space(ty, x).dimension, (x.describe(), y.describe())
+            compared += 1
+    assert compared == AR_FORMULA_VERTICES[name][2]
 
 
 @pytest.mark.parametrize("name", sorted(AR_FORMULA_VERTICES))
@@ -475,9 +506,7 @@ def test_hom_count_is_the_basis_size_of_every_route_on_the_presets(name):
     it, any other on the window, and each route's basis has that size.  The
     Ext count and class basis, both on the window, agree on every pair,
     window_relative or not."""
-    q, (verts, _) = ak.PRESETS[name](), AR_FORMULA_VERTICES[name]
-    objs = [make(q, v) for v in verts
-            for make in (ak.simple_at, ak.projective_at, ak.injective_at)]
+    objs = _ar_formula_objects(name)[1]
     for m in objs:
         for n in objs:
             for r in hom_routes(m, n):
@@ -539,14 +568,16 @@ def test_the_sparse_arrow_complex_is_the_dense_one(name, field):
     q, rng = build(), random.Random(35)
     for _ in range(12):
         x, y = (fraction_fd_rep(q, rng, verts, field) for _ in range(2))
-        # the window's vertices and arrows, and a part of them, so that an
-        # arrow end outside verts contributes nothing
+        # the window's vertices and a part of them, each with the arrows
+        # within it
         for vs in (verts, verts[1:]):
-            arrows = q.arrows_within(verts)
-            d, offs = ext_mod.arrow_complex(x, y, vs, arrows)
+            arrows = q.arrows_within(vs)
+            d, offs, rowed = ext_mod.arrow_complex(x, y, vs)
             dense, doffs = dense_arrow_complex(x, y, vs, arrows)
             assert offs == doffs and (d.rows, d.cols) == (dense.rows,
                                                          dense.cols)
+            assert rowed == tuple(a for a in arrows
+                                  if x.dim(a.src) and y.dim(a.dst))
             got = [[(type(e), e) for e in (r.get(j, 0) for j in range(d.cols))]
                    for r in d.nonzeros]
             assert got == [[(type(e), e) for e in row] for row in dense.entries]
@@ -579,42 +610,91 @@ def test_hom_and_ext_of_an_fd_pair_share_one_window_complex_and_elimination(
     assert sorted(calls) == ["_eliminate", "arrow_complex", "joint_window"]
 
 
-def test_pair_counts_are_those_of_two_complexes_where_rows_leave_the_window():
-    # the arrows of a pair's cells that leave its window count for Ext but
-    # not for Hom; over the knits of acceptance criterion 10 such pairs are
-    # found on ray_out, line and ladder
+def test_hom_and_ext_of_a_line_pair_share_the_counts_at_both_pads(
+        line, monkeypatch):
+    # a source that is not fd: each count is checked at pad 3, and Ext reads
+    # the pair's counts at both pads that Hom's read made
+    m, n = injective_at(line, 0), projective_at(line, 0)
+    for x in (m, n):
+        assert classify_membership(x).verdict != "fd"
+    calls, pads = [], []
+    for module, name in ((ext_mod, "joint_window"), (hom_mod, "joint_window"),
+                         (ext_mod, "arrow_complex"),
+                         (hom_mod, "arrow_complex"), (linalg, "_eliminate")):
+        def spy(*args, real=getattr(module, name), name=name):
+            calls.append(name)
+            if name == "joint_window":
+                pads.append(args[1] if len(args) > 1 else 2)
+            return real(*args)
+        monkeypatch.setattr(module, name, spy)
+    assert (ak.hom_space(m, n).dimension, ext_space(m, n).dimension) == (0, 1)
+    assert sorted(calls) == ["_eliminate"] * 2 + ["arrow_complex"] * 2 + \
+        ["joint_window"] * 2
+    assert pads == [2, 3]
+
+
+def test_an_ext_count_that_moves_with_the_pad_is_an_engine_bug(
+        line, ladder, monkeypatch):
+    # past the stable depth no leaving row obstructs, so an Ext count that
+    # grows with the pad breaks the contract; a rung family's count grows
+    # by design, and its flagged pair is not checked
+    quot = thin_rep(ladder, VertexSet.make(ladder, (), [("inf", "a", 0)]))
+    sub = thin_rep(ladder, VertexSet.make(ladder, (), [("inf", "b", 0)]))
+    pair = ext_mod.arrow_pair(quot, sub)
+    assert pair.counts(2)["Ext"] < pair.counts(3)["Ext"]
+    assert ext_space(quot, sub).dimension == pair.counts(2)["Ext"]
+    real = ext_mod.ArrowPair.counts
+    monkeypatch.setattr(ext_mod.ArrowPair, "counts", lambda pair, pad=2: {
+        **real(pair, pad), "Ext": real(pair, pad)["Ext"] + pad})
+    x, y = injective_at(line, 0), projective_at(line, 0)
+    depth = joint_window((x, y))[1]
+    with pytest.raises(AssertionError, match=f"window Ext dimension 3 at pad "
+                       f"2 and 4 at pad 3, window depth {depth}: "):
+        ext_space(x, y).dimension
+
+
+def test_pair_counts_are_the_dense_ones_where_arrows_leave_the_window():
+    # an arrow out of a pair's window where x and y are nonzero at its ends
+    # gives the complex no row; over the knits of acceptance criterion 10
+    # such pairs are found on ray_out, line and ladder
     leaving = set()
     for seed, depth in criterion_10_knits():
         reps = [node.rep for node in ak.knit(seed, depth).nodes
                 if classify_membership(node.rep).is_in_rrep()]
         for x, y in itertools.product(reps, repeat=2):
             pair = ext_mod.arrow_pair(x, y)
-            assert (pair.hom_dim, pair.ext_dim) == window_counts_apart(x, y)
-            verts = pair.window[0]
+            counts, verts = pair.counts(), pair.window[0]
+            assert (counts["Hom"], counts["Ext"]) == dense_window_counts(x, y)
             if any(a.dst not in verts for v in verts if x.dim(v)
                    for a in x.quiver.out_arrows(v) if y.dim(a.dst)):
                 leaving.add(seed.quiver.name)
     assert leaving == {"ray_out", "line", "ladder"}
 
 
-def test_pair_counts_take_the_rows_within_the_window_wherever_they_sort(line):
-    # the arrow out of the window at -10 sorts before those within it, and
-    # Hom would read 0 off the first rows in arrow order
+def test_pair_counts_take_no_row_of_an_arrow_leaving_the_window(line):
+    # the arrow -10 -> -11 leaves the window where x and y are both nonzero
+    # at its ends and gives no row; x is fp, so the oracle checks the Ext
+    # count against the presentation too
     x = thin_rep(line, VertexSet.make(line, (-1, 0), [("neg", "v", 7)]))
     y = ak.direct_sum(projective_at(line, -1), projective_at(line, -1))
     pair = ext_mod.arrow_pair(x, y)
-    assert ext_mod._cells(x, y, pair.window[0])[1][0].dst == -11
-    assert (pair.hom_dim, pair.ext_dim) == window_counts_apart(x, y) == (2, 2)
+    verts = pair.window[0]
+    assert -10 in verts and -11 not in verts and x.dim(-10) and y.dim(-11)
+    assert all(a.dst in verts
+               for a in ext_mod.arrow_complex(x, y, verts)[2])
+    counts = pair.counts()
+    assert (counts["Hom"], counts["Ext"]) == dense_window_counts(x, y) \
+        == (2, 2)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
-def test_pair_counts_are_those_of_two_complexes_on_drawn_objects(data):
+def test_pair_counts_are_the_dense_ones_on_drawn_objects(data):
     q = QUIVERS[data.draw(st.sampled_from(sorted(QUIVERS)))]
     x, y = data.draw(objects(q, 1)), data.draw(objects(q, 1))
     assume(all(classify_membership(m).is_in_rrep() for m in (x, y)))
-    pair = ext_mod.arrow_pair(x, y)
-    assert (pair.hom_dim, pair.ext_dim) == window_counts_apart(x, y)
+    counts = ext_mod.arrow_pair(x, y).counts()
+    assert (counts["Hom"], counts["Ext"]) == dense_window_counts(x, y)
 
 
 @pytest.mark.parametrize("case", ["fd", "window", "fp"])

@@ -268,9 +268,8 @@ def test_window_route_budget_failure_names_dims_and_depth(line, monkeypatch):
     m = projective_at(line, 0)
     monkeypatch.setattr(hom, "solve_natural",
                         lambda src, dst, verts: [{}] * len(verts))
-    monkeypatch.setattr(hom, "_kernel_dim", lambda src, dst, verts: len(verts))
-    monkeypatch.setattr(ext_mod.ArrowPair, "hom_dim",
-                        property(lambda pair: len(pair.window[0])))
+    monkeypatch.setattr(ext_mod.ArrowPair, "counts", lambda pair, pad=2: {
+        "Hom": len(joint_window((m, m), pad)[0])})
     _, depth = joint_window((m, m), 2)
     dims = [len(joint_window((m, m), pad)[0]) for pad in (2, 3)]
     assert dims[0] != dims[1]

@@ -716,10 +716,10 @@ def test_cli_exits_3_on_an_engine_fault_other_than_a_value_error(
         monkeypatch, fault, shown):
     # a stray lookup error in engine code is the engine's fault, not the
     # input's: exit 3 and one line naming the exception, no traceback
-    def broken(m, head):
+    def broken(m):
         raise fault
 
-    monkeypatch.setattr(ext_mod, "ranks", broken)
+    monkeypatch.setattr(ext_mod, "rank", broken)
     code, out, err = run_cli(["hom", "--quiver", A3,
                               "--src", '{"proj":"2"}', "--dst", '{"inj":"2"}'])
     assert (code, out) == (3, "")
@@ -729,7 +729,7 @@ def test_cli_exits_3_on_an_engine_fault_other_than_a_value_error(
 def test_cli_hom_on_the_window_route_reads_each_window_once(monkeypatch):
     # the count, the printed window and the window route's basis share one
     # pad-2 window and one pad-3 count: the pair's window and elimination
-    # (ext.arrow_pair) at pad 2, hom's own at pad 3
+    # (ext.arrow_pair) at each pad
     pads, ranks = [], []
 
     def spy(module, name, calls, read):
@@ -743,8 +743,7 @@ def test_cli_hom_on_the_window_route_reads_each_window_once(monkeypatch):
 
     for module in (hom_mod, ext_mod):
         spy(module, "joint_window", pads, lambda objs, pad=2: pad)
-    spy(ext_mod, "ranks", ranks, lambda m, head: m)
-    spy(hom_mod, "rank", ranks, lambda m: m)
+    spy(ext_mod, "rank", ranks, lambda m: m)
     code, out, err = run_cli(["hom", "--quiver", LINE, "--src", ALLK,
                               "--dst", ALLK])
     assert (code, err) == (0, "") and json.loads(out)["route"] == "window"
@@ -762,7 +761,9 @@ def test_cli_ext_reads_one_window(monkeypatch):
     monkeypatch.setattr(ext_mod, "joint_window", spy)
     code, out, err = run_cli(["ext", "--quiver", LINE, "--quot", ALLK,
                               "--sub", ALLK])
-    assert (code, err) == (0, "") and pads == [2]
+    # the count, the classes and the flag read the one pad-2 window; the
+    # count's check, the quotient not being fd, reads the one at pad 3
+    assert (code, err) == (0, "") and pads == [2, 3]
 
 
 def test_cli_ass_computes_each_end_algebra_once(monkeypatch):
@@ -824,12 +825,20 @@ EXT_STDOUT = (
      '{\n  "dimension": 2,\n  "interaction_arrows": [\n    "alpha",\n'
      '    "beta"\n  ],\n  "schema": "arknit/1",\n'
      '  "symbolic_families": [],\n  "window_relative": false\n}\n'),
-    # an fp quotient, counted and built on the window, flagged
+    # a projective quotient, counted and built on the arrows within the
+    # window: Ext vanishes, and no ray arrow is a family
     (LINE, '{"proj":"1"}', '{"proj":"0"}',
-     '{\n  "dimension": 1,\n  "interaction_arrows": [\n    "-5>-6",\n'
-     '    "-4>-5",\n    "-3>-4",\n    "-2>-3",\n    "-1>-2",\n'
-     '    "0>-1",\n    "1>0"\n  ],\n  "schema": "arknit/1",\n'
-     '  "symbolic_families": [\n    "-6->-7 repeating for depth >= 6"\n'
+     '{\n  "dimension": 0,\n  "interaction_arrows": [\n    "-4>-5",\n'
+     '    "-3>-4",\n    "-2>-3",\n    "-1>-2",\n    "0>-1",\n'
+     '    "1>0"\n  ],\n  "schema": "arknit/1",\n'
+     '  "symbolic_families": [],\n  "window_relative": false\n}\n'),
+    # a rung family: each rung ai -> bi, with I(a0) nonzero at ai and P(b0)
+    # at bi, gives a class of its own at every depth, so the pair is flagged
+    ('{"preset":"ladder"}', '{"inj":"a0"}', '{"proj":"b0"}',
+     '{\n  "dimension": 6,\n  "interaction_arrows": [\n    "a0>b0",\n'
+     '    "a1>b1",\n    "a2>b2",\n    "a3>b3",\n    "a4>b4",\n'
+     '    "a5>b5"\n  ],\n  "schema": "arknit/1",\n'
+     '  "symbolic_families": [\n    "a6->b6 repeating for depth >= 6"\n'
      '  ],\n  "window_relative": true\n}\n'),
     # an fd pair on an infinite quiver, counted on supp I(2)
     (ZIG, '{"inj":"2"}', '{"proj":"1"}',
@@ -840,7 +849,8 @@ EXT_STDOUT = (
 
 
 @pytest.mark.parametrize("quiver,quot,sub,stdout", EXT_STDOUT,
-                         ids=("readme", "line_window", "zigzag_fd"))
+                         ids=("readme", "line_window", "ladder_rungs",
+                              "zigzag_fd"))
 def test_cli_ext_stdout_is_pinned(quiver, quot, sub, stdout):
     # the ext verb reads the count and the class basis, so they are checked
     # to agree, and prints the same bytes as when both came from one basis
