@@ -9,7 +9,7 @@ rep-(Q)).  The standard objects are read from the same minimal
 (co)presentations: X is P_a (I_a) when it has one (co)generator a and no
 (co)relations.  Almost split sequences are built from the socle class of
 Ext(X, tau X) under the endomorphism action and checked by a battery of
-span tests: one window kernel of Hom per test object and side, in whose
+span tests: the natural maps on each pair's certified window, in whose
 span each radical map must lie.  Knitting walks the component graph
 breadth first in both directions, with payload identity decided by
 fingerprints plus certified isomorphism tests and a table of the
@@ -25,12 +25,11 @@ from __future__ import annotations
 from collections import Counter, deque
 from typing import Optional
 
-from .ext import ext_class_to_ses, ext_space
+from .ext import ArrowPair, ext_class_to_ses, ext_space
 from .hom import (_columns, _endo_from_coords, _iso_indec, brick_complement,
-                  decompose, end_algebra, hom_space, solve_natural,
-                  summand_key)
+                  decompose, end_algebra, hom_space, summand_key)
 from .linalg import Mat, kernel_basis, outside_span
-from .morphism import SES, verify_exact
+from .morphism import SES, identity_morphism, verify_exact
 from .presentations import (min_inj_copresentation, min_proj_presentation,
                             nakayama)
 from .quiver import QuiverBase, vkey
@@ -167,24 +166,28 @@ def _radical_morphisms(src: Rep, dst: Rep):
 
 
 def verify_almost_split(ses: SES, battery) -> ASReport:
-    """The defining properties (ARS V.1) on windows, each question one span
-    test: a radical g: M -> quot lifts iff it lies in the span of proj o h
-    over the window kernel h of Hom(M, middle), a radical g: sub -> M
-    factors iff it lies in that of h o incl over Hom(middle, M), and the
-    sequence splits iff id_quot lifts.  One kernel per object and side."""
+    """The defining properties (ARS V.1), each question one span test over
+    the natural maps h on one pair's certified window: a radical g: M ->
+    quot lifts iff it lies in the span of proj o h, h: M -> middle; a
+    radical g: sub -> M factors iff it lies in that of h o incl, h: middle
+    -> M; the sequence splits iff id_quot lifts, h: quot -> middle.  supp
+    sub and supp quot lie in supp middle, and restriction past the stable
+    depths is bijective (hom.py), so each pair's window decides its test."""
     sub, mid, quot = ses.sub, ses.middle, ses.quot
     F, battery = quot.field, list(battery)
-    window, _ = joint_window((sub, mid, quot))
     proj, incl = ses.proj.component, ses.incl.component
 
-    def misses(src, dst, verts, maps, through):
-        """The indices of maps, component lists on verts, outside the span
-        of through(h, v) over the natural maps h: src -> dst on verts."""
+    def misses(src, dst, maps, through):
+        """The indices of the morphisms maps outside the span of
+        through(h, v) over the natural maps h: src -> dst, on their pair's
+        window; the pair is read once, so it is not kept in a memo."""
         if not maps:
             return ()
-        span = [[through(h, v) for v in verts]
-                for h in solve_natural(src, dst, verts)]
-        return outside_span(_columns(F, span + maps), len(span))
+        pair = ArrowPair(src, dst)
+        verts = pair.window[0]
+        span = [[through(h, v) for v in verts] for h in pair.natural_maps()]
+        comps = [[g.component(v) for v in verts] for g in maps]
+        return outside_span(_columns(F, span + comps), len(span))
 
     def lifted(h, v):
         return proj(v).mul(h[v])
@@ -194,17 +197,15 @@ def verify_almost_split(ses: SES, battery) -> ASReport:
 
     lift_failures, factor_failures = [], []
     for m in battery:
-        w2 = sorted(set(window) | set(joint_window([m])[0]), key=vkey)
         for out, src, dst, gs, through in (
                 (lift_failures, m, mid, _radical_morphisms(m, quot), lifted),
                 (factor_failures, mid, m, _radical_morphisms(sub, m),
                  restricted)):
-            maps = [[g.component(v) for v in w2] for g in gs]
             out += [(m.describe(), gs[i].label)
-                    for i in misses(src, dst, w2, maps, through)]
-    ident = [[Mat.identity(F, quot.dim(v)) for v in window]]
+                    for i in misses(src, dst, gs, through)]
+    window, _ = joint_window((sub, mid, quot))
     return ASReport(verify_exact(ses, window)["exact"],
-                    bool(misses(quot, mid, window, ident, lifted)),
+                    bool(misses(quot, mid, [identity_morphism(quot)], lifted)),
                     end_algebra(sub).is_local, end_algebra(quot).is_local,
                     tuple(lift_failures), tuple(factor_failures), len(battery))
 
@@ -312,7 +313,7 @@ def _split_mesh(comp: ARComponent, mid: Rep, end, start) -> list:
                                  f"its two arrows in one mesh")
     parts, rest, probe = [], mid, joint_window([mid])[0]
     for key, m in named.items():
-        if hom_space(z := comp.nodes[key].rep, z).dimension == 1:
+        if end_algebra(z := comp.nodes[key].rep).dimension == 1:
             rest, parts = brick_complement(z, m, rest), parts + [(z, m, key)]
     if any(dim_vector(rest, probe)):  # 0 on the probe is 0 everywhere
         parts += [(s, m, None) for s, m in decompose(rest)]

@@ -11,6 +11,8 @@ vertex set it is built over the arrows within the set (arrow_complex).  A
 pair's one ArrowPair, kept in X's memo, builds it on the joint window and
 reads both counts off one rank: dim Hom = cols - rank (hom.py says why the
 window is exact for Hom) and dim Ext = rows - rank, by a tail argument.
+Its kernel basis is the natural maps X -> Y on the window (natural_maps),
+which the window route of Hom and the almost split battery read.
 
 Past the stable depth every nonzero ray of an object in rrep has an
 invertible transition and every crossing map is zero (else its verdict is
@@ -28,7 +30,7 @@ from __future__ import annotations
 import weakref
 from functools import cached_property
 
-from .linalg import Mat, SparseMat, coker_projection, rank
+from .linalg import Mat, SparseMat, coker_projection, kernel_basis, rank
 from .morphism import SES, glue_ses
 from .quiver import Arrow
 from .record import Record
@@ -92,8 +94,10 @@ def _crossing_arrows(q, t) -> list:
 
 class ArrowPair:
     """The joint window of x and y at pad 2 and the two counts of their
-    arrow complex per pad, each computed on first read.  It holds x and y
-    weakly: it lives in x's memo, keyed weakly by y (arrow_pair)."""
+    arrow complex per pad, each computed on first read, and the natural maps
+    x -> y on the window, built on each call.  It holds x and y weakly:
+    arrow_pair keeps it in x's memo, keyed weakly by y, and a caller that
+    reads a pair once (the almost split battery) drops its own."""
 
     def __init__(self, x: Rep, y: Rep):
         self._x, self._y = weakref.ref(x), weakref.ref(y)
@@ -114,6 +118,23 @@ class ArrowPair:
             r = rank(d)
             self._counts[pad] = {"Hom": d.cols - r, "Ext": d.rows - r}
         return self._counts[pad]
+
+    def natural_maps(self) -> list:
+        """The kernel basis of the complex on the window, each a dict
+        v -> Mat over the window's vertices: the natural maps x -> y there."""
+        x, y = self._x(), self._y()
+        verts = self.window[0]
+        d, offsets, _ = arrow_complex(x, y, verts)
+
+        def component(col, v):
+            sd, base = x.dim(v), offsets[v]
+            return Mat(x.field, y.dim(v), sd, tuple(
+                tuple(col[base + r * sd + c] for c in range(sd))
+                for r in range(y.dim(v))))
+
+        K = kernel_basis(d)
+        return [{v: component(col, v) for v in verts}
+                for col in map(K.col, range(K.cols))]
 
 
 def arrow_pair(x: Rep, y: Rep) -> ArrowPair:

@@ -13,10 +13,10 @@ bug, AssertionError):
                   relations of M kill, each read as the Yoneda map of the
                   images through a section of the cover.
   window          any other M, both objects certified: the kernel of the
-                  arrow complex on the joint window at pad 2 (solve_natural,
-                  the one window kernel, which the almost split battery of
-                  ar.py also reads), each map carrying the depth of that
-                  window.
+                  arrow complex on the joint window at pad 2, the pair's
+                  natural maps (ArrowPair.natural_maps, which the almost
+                  split battery of ar.py also reads), each map carrying the
+                  depth of that window.
 
 The window is exact.  Past the stable depth every nonzero ray of an object
 in rrep has an invertible transition and every crossing map is zero (else
@@ -37,44 +37,22 @@ Yoneda basis, which the benchmark pins.
 
 Both routes return morphisms defined everywhere, each one rule, so bases
 from either can be compared and composed freely.  Each route's anchor
-(generators, window) fixes its basis, so End coordinates are solved there;
-a summand eM has End(eM) = e·End(M)·e.
+(generators, window) fixes its basis, so End coordinates are solved there.
+A summand's End is its own: decompose reads end_algebra of each piece, which
+a brick reads off its count.
 """
 from __future__ import annotations
 
 from functools import cached_property, reduce
 
-from .ext import CountedBasis, arrow_complex, arrow_pair
+from .ext import CountedBasis, arrow_pair
 from .linalg import (Mat, inverse, kernel_basis, min_poly, rank, rref,
                      solve_matrix)
 from .morphism import (Morphism, identity_morphism, image,
                        morphism_from_components, zero_morphism)
 from .presentations import min_proj_presentation, relation_matrix, yoneda
-from .quiver import vkey
 from .record import Record
 from .rep import Rep, classify_membership, dim_vector, joint_window, same_ambient
-
-
-# ---------------------------------------------------------------------------
-# the window kernel
-
-
-def solve_natural(src: Rep, dst: Rep, verts) -> list:
-    """The natural maps src -> dst on a vertex set: the kernel basis of the
-    arrow complex over the arrows within verts, each a dict v -> Mat."""
-    F = src.field
-    vs = sorted(set(verts), key=vkey)
-    d, offs, _ = arrow_complex(src, dst, vs)
-
-    def component(col, v):
-        sd, base = src.dim(v), offs[v]
-        return Mat(F, dst.dim(v), sd, tuple(
-            tuple(col[base + r * sd + c] for c in range(sd))
-            for r in range(dst.dim(v))))
-
-    K = kernel_basis(d)
-    return [{v: component(col, v) for v in vs}
-            for col in map(K.col, range(K.cols))]
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +90,7 @@ class HomBasis(CountedBasis):
         m, n = self.src, self.dst
         if self.route == "presentation":
             return _presentation_route(m, n)
-        hom = solve_natural(m, n, self.window)
+        hom = self._pair.natural_maps()
         self._check_pad3(len(hom))
         return tuple(morphism_from_components(m, n, comps, f"h{i}")
                      for i, comps in enumerate(hom)), self.window
@@ -222,23 +200,16 @@ def _end_algebra(m: Rep) -> EndAlgebra:
     return alg
 
 
-def _left_mult(E: EndAlgebra, x, right=False) -> Mat:
+def _left_mult(E: EndAlgebra, x) -> Mat:
     """L_x, the matrix of left multiplication by x in the regular
-    representation: column j holds the coordinates of x o basis[j]; with
-    right=True its mirror R_x, whose column j holds those of basis[j] o x."""
+    representation: column j holds the coordinates of x o basis[j]."""
     F = E.obj.field
     n = E.dimension
     acc = Mat.zeros(F, n, n)
     for i, c in enumerate(x):
         if not F.is_zero(c):
-            cols = [row[i] for row in E.table] if right else E.table[i]
-            acc = acc.add(Mat(F, n, n, tuple(zip(*cols))).scale(c))
+            acc = acc.add(Mat(F, n, n, tuple(zip(*E.table[i]))).scale(c))
     return acc
-
-
-def _corner_dim(E: EndAlgebra, e) -> int:
-    """dim e·End·e = dim End(eM), the rank of x -> e·x·e, that is L_e·R_e."""
-    return rank(_left_mult(E, e).mul(_left_mult(E, e, right=True)))
 
 
 def _candidate_elements(E: EndAlgebra):
@@ -379,11 +350,12 @@ def brick_complement(z: Rep, mult: int, m: Rep) -> Rep:
 
 
 def _decompose_rec(m: Rep, incl: Morphism, proj: Morphism, out):
-    """Split m by an idempotent e of End(m) and 1 - e; a piece whose corner
-    e·End·e = End(eM) is k is a leaf, any other recurses on its own End.
-    Each split is by a verified e != 0, 1, so both pieces are nonzero, and m
-    has at most dim End(m) indecomposable summands (Krull-Schmidt): the
-    recursion ends."""
+    """Split m by an idempotent e of End(m) and 1 - e and recurse on both
+    pieces.  The one rule: a piece is a leaf when its own End is k, which
+    end_algebra reads off its count (or when its End has no idempotent,
+    flagged unless local).  Each split is by a verified e != 0, 1, so both
+    pieces are nonzero, and m has at most dim End(m) indecomposable
+    summands (Krull-Schmidt): the recursion ends."""
     E = end_algebra(m)
     if E.dimension == 0:
         return
@@ -397,11 +369,7 @@ def _decompose_rec(m: Rep, incl: Morphism, proj: Morphism, out):
     comp = tuple(m.field.sub(a, b) for a, b in zip(E.identity, ec))
     for coords in (ec, comp):
         piece, pincl, pproj = _split_summand(m, _endo_from_coords(E, coords))
-        pincl, pproj = pincl.then(incl), proj.then(pproj)
-        if _corner_dim(E, coords) == 1:
-            out.append(Summand(piece, pincl, pproj, False))
-        else:
-            _decompose_rec(piece, pincl, pproj, out)
+        _decompose_rec(piece, pincl.then(incl), proj.then(pproj), out)
 
 
 def decompose_report(m: Rep) -> DecomposeReport:

@@ -16,32 +16,35 @@ which hom_space no longer takes.  The last section keeps constructions
 that the package replaced, as references: the dense elimination, reduced
 echelon form and arrow complex that the one sparse elimination and the
 sparse arrow complex replaced, the null-space rows read off the dense
-reduced echelon form, the arrow maps of P_a read off an index of
-whole arrow tuples, injectives built over q by stripping the first arrow
-of a path, the isomorphism test that searched pairs of basis maps, the
-cokernel evaluated on its own, before it was read as D of a kernel, the
-certificate read with every ray evaluated, before end_profile skipped the
-rays that the support hint rules out, the Yoneda map read path by path,
-before it was read by prefix, Mat, Arrow and the 24 records as
-the dataclasses they were before they were slotted, and knit's steps at P_a
-and I_a as they were computed before knit read them off the arrows at a,
-and its P_a and I_a flags as they were read before knit's translate table
-ruled them out.  A last section keeps what only tests read: kernels and
-cokernels of morphisms with their maps, the split sequence, the
-naturality check, equality on a set of vertices and scalar multiples of
-morphisms, reachability and predecessor closures, and the minimal
-one-sided almost split maps at P_a and I_a, which knit reads off the
-arrows at a.
+reduced echelon form, the natural maps on a vertex set read off them and
+the almost split battery that took them on a union of windows, before
+each of its tests read its own pair's window, the arrow maps of P_a read
+off an index of whole arrow tuples, injectives built over q by stripping
+the first arrow of a path, the isomorphism test that searched pairs of
+basis maps, the cokernel evaluated on its own, before it was read as D
+of a kernel, the certificate read with every ray evaluated, before
+end_profile skipped the rays that the support hint rules out, the Yoneda
+map read path by path, before it was read by prefix, Mat, Arrow and the
+24 records as the dataclasses they were before they were slotted, and
+knit's steps at P_a and I_a as they were computed before knit read them
+off the arrows at a, and its P_a and I_a flags as they were read before
+knit's translate table ruled them out.  A last section keeps what only
+tests read: kernels and cokernels of morphisms with their maps, the split
+sequence, the naturality check, equality on a set of vertices and scalar
+multiples of morphisms, reachability and predecessor closures, and the
+minimal one-sided almost split maps at P_a and I_a, which knit reads off
+the arrows at a.
 """
 from dataclasses import dataclass, field as dc_field, make_dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from arknit import (Mat, Morphism, Path, classify_membership, decompose,
-                    dim_vector, dualize, glue_ses, hom_space, injective_at,
-                    min_inj_copresentation, min_proj_presentation,
-                    path_matrix, projective_at)
-from arknit.ar import standard_vertex
+from arknit import (ASReport, Mat, Morphism, Path, classify_membership,
+                    decompose, dim_vector, dualize, end_algebra, glue_ses,
+                    hom_space, injective_at, min_inj_copresentation,
+                    min_proj_presentation, path_matrix, projective_at,
+                    verify_exact)
+from arknit.ar import _radical_morphisms, standard_vertex
 from arknit.hom import (EndAlgebra, HomBasis, _columns, _iso_indec,
                         _pointwise_inverse, joint_window)
 from arknit.linalg import (coker_projection, is_invertible, kernel_basis,
@@ -535,6 +538,63 @@ def null_rows_by_rref(m):
             v[pc] = F.neg(R.entries[i][fc])
         rows.append(tuple(v))
     return tuple(rows), free
+
+
+def natural_maps_on(x, y, verts):
+    """The natural maps x -> y on a vertex set, each a dict v -> Mat: the
+    null rows of dense_arrow_complex over the arrows within verts, read off
+    its dense reduced echelon form (null_rows_by_rref)."""
+    vs = sorted(set(verts), key=vkey)
+    d, offsets = dense_arrow_complex(x, y, vs, x.quiver.arrows_within(vs))
+
+    def component(row, v):
+        sd, base = x.dim(v), offsets[v]
+        return Mat(x.field, y.dim(v), sd, tuple(
+            tuple(row[base + r * sd + c] for c in range(sd))
+            for r in range(y.dim(v))))
+    return [{v: component(row, v) for v in vs}
+            for row in null_rows_by_rref(d)[0]]
+
+
+def almost_split_by_union_windows(ses, battery):
+    """verify_almost_split's report as the battery read it before each test
+    took its own pair's window: the lift and factor tests of a battery
+    object M on the union of M's window and that of (sub, middle, quot),
+    the split test on the latter, each a span over natural_maps_on tested by
+    dense_outside_span."""
+    sub, mid, quot = ses.sub, ses.middle, ses.quot
+    F, battery = quot.field, list(battery)
+    window, _ = joint_window((sub, mid, quot))
+    proj, incl = ses.proj.component, ses.incl.component
+
+    def misses(src, dst, verts, maps, through):
+        if not maps:
+            return ()
+        span = [[through(h, v) for v in verts]
+                for h in natural_maps_on(src, dst, verts)]
+        return dense_outside_span(_columns(F, span + maps), len(span))
+
+    def lifted(h, v):
+        return proj(v).mul(h[v])
+
+    def restricted(h, v):
+        return h[v].mul(incl(v))
+
+    lift_failures, factor_failures = [], []
+    for m in battery:
+        w2 = sorted(set(window) | set(joint_window([m])[0]), key=vkey)
+        for out, src, dst, gs, through in (
+                (lift_failures, m, mid, _radical_morphisms(m, quot), lifted),
+                (factor_failures, mid, m, _radical_morphisms(sub, m),
+                 restricted)):
+            maps = [[g.component(v) for v in w2] for g in gs]
+            out += [(m.describe(), gs[i].label)
+                    for i in misses(src, dst, w2, maps, through)]
+    ident = [[Mat.identity(F, quot.dim(v)) for v in window]]
+    return ASReport(verify_exact(ses, window)["exact"],
+                    bool(misses(quot, mid, window, ident, lifted)),
+                    end_algebra(sub).is_local, end_algebra(quot).is_local,
+                    tuple(lift_failures), tuple(factor_failures), len(battery))
 
 
 def projective_by_tuple_index(q, F, x, a):

@@ -45,7 +45,7 @@ from arknit import (
 )
 import arknit.presentations as presentations_mod
 from arknit.ar import standard_vertex
-from arknit.hom import joint_window, solve_natural
+from arknit.hom import joint_window
 
 from conftest import random_fd_rep, random_morphism
 from oracles import (
@@ -60,6 +60,7 @@ from oracles import (
     coxeter_images,
     hom_routes,
     kernel,
+    natural_maps_on,
     nqop_truncation,
     route_basis,
     split_ses,
@@ -424,7 +425,7 @@ def test_criterion_09_hom_route_consistency(a3, a5, kron, zig, line):
         for r in hom_routes(m, n):
             assert len(route_basis(m, n, r)[0]) == d, r
         bigger, _ = joint_window((m, n), 3)  # one band past the window route
-        assert len(solve_natural(m, n, bigger)) == d
+        assert len(natural_maps_on(m, n, bigger)) == d
     ok(9, "presentation and window bases have the count's size on 100 "
           "pairs, stable under window enlargement, and so does the "
           "copresentation basis wherever the codomain is fd or fc")

@@ -48,11 +48,12 @@ from arknit import (
 )
 
 from arknit.ar import standard_vertex
-from arknit.hom import _columns, hom_space, joint_window, solve_natural
+from arknit.hom import _columns, hom_space, joint_window
 from arknit.linalg import outside_span
 from arknit.quiver import kronecker_quiver, linear_quiver
 from conftest import random_fd_rep
 from oracles import (
+    almost_split_by_union_windows,
     an_almost_split,
     an_ar_arrows,
     an_dims,
@@ -65,6 +66,7 @@ from oracles import (
     end_algebra_by_basis,
     minimal_left_almost_split_from,
     minimal_right_almost_split_into,
+    natural_maps_on,
     nqop_truncation,
     split_ses,
 )
@@ -238,7 +240,7 @@ def test_ass_takes_the_socle_class_of_a_non_simple_end(kron, F):
     # rad End kills the class: N lifts through the middle term, the
     # identity does not (the sequence is non-split)
     lifts = [[ses.proj.component(v).mul(h[v]) for v in verts]
-             for h in solve_natural(x, ses.middle, verts)]
+             for h in natural_maps_on(x, ses.middle, verts)]
     ident = Mat.identity(F, 2)
     assert outside_span(_columns(F, lifts + [[nil, nil], [ident, ident]]),
                         len(lifts)) == (1,)
@@ -280,6 +282,35 @@ def test_verify_almost_split_reads_a_generator_battery_once(a3):
     report = verify_almost_split(
         ses, (projective_at(a3, a) for a in (1, 2, 3)))
     assert report.passed and report.battery_size == 3
+
+
+@pytest.mark.parametrize("route", ("predicted", "computed"))
+def test_the_battery_reads_each_pair_window_as_the_union_window(
+        monkeypatch, route):
+    """Every mesh of the 11 criterion-10 knits and of the Kronecker knit at
+    depth 8, under the predicted and the computed route, with the battery of
+    the CLI ass verb (S, P and I at each vertex of the middle term's
+    window): verify_almost_split, whose tests each read their own pair's
+    window, gives the report of the reference on union windows, over a
+    test-side kernel, field by field, and every report passes."""
+    if route == "computed":
+        monkeypatch.setattr(ar, "_predict_mesh", computed_step)
+    meshes = 0
+    for seed, depth in criterion_10_knits() + [
+            (projective_at(kronecker_quiver(), 2), 8)]:
+        comp = knit(seed, depth)
+        for end, start in comp.tau_links.items():
+            ses = almost_split_sequence(comp.nodes[end].rep,
+                                        comp.nodes[start].rep)
+            q, F = ses.middle.quiver, ses.middle.field
+            battery = [make(q, v, F) for v in joint_window([ses.middle])[0]
+                       for make in (simple_at, projective_at, injective_at)]
+            report = verify_almost_split(ses, battery)
+            assert report == almost_split_by_union_windows(ses, battery), \
+                (seed.describe(), end)
+            assert report.passed
+            meshes += 1
+    assert meshes == 58
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from oracles import (
     hom_dim_brute,
     hom_routes,
     iso_by_pair_search,
+    natural_maps_on,
     naturality_defect,
     route_basis,
     same_on,
@@ -266,8 +267,8 @@ def test_window_route_budget_failure_names_dims_and_depth(line, monkeypatch):
     # a Hom dimension that grows with the pad breaks the contract, whether
     # the window route builds its basis or an fp domain's Hom is counted
     m = projective_at(line, 0)
-    monkeypatch.setattr(hom, "solve_natural",
-                        lambda src, dst, verts: [{}] * len(verts))
+    monkeypatch.setattr(ext_mod.ArrowPair, "natural_maps",
+                        lambda pair: [{}] * len(pair.window[0]))
     monkeypatch.setattr(ext_mod.ArrowPair, "counts", lambda pair, pad=2: {
         "Hom": len(joint_window((m, m), pad)[0])})
     _, depth = joint_window((m, m), 2)
@@ -290,7 +291,7 @@ def test_window_hom_dimension_is_the_same_at_every_pad(data):
     m, n = data.draw(objects(q, 1)), data.draw(objects(q, 1))
     certs = [ak.classify_membership(m), ak.classify_membership(n)]
     assume(all(c.is_in_rrep() for c in certs))
-    dims = {len(hom.solve_natural(m, n, joint_window((m, n), pad)[0]))
+    dims = {len(natural_maps_on(m, n, joint_window((m, n), pad)[0]))
             for pad in range(5)}
     assert len(dims) == 1, (m.describe(), n.describe(), dims)
     hb = hom_space(m, n)

@@ -6,8 +6,8 @@ record but Mat has an __init__ without defaults that only stores its
 parameters in its fields (Record.__init__ does that), no module imports
 sympy, which is a test oracle only, nor dataclasses, whose classes cost
 start-up, only linalg names Fraction, only the duals in rep.py and
-morphism.py transpose a component, only relation_matrix multiplies a map
-out along a whole path, knit builds
+morphism.py transpose a component, only ext.py builds the arrow complex,
+only relation_matrix multiplies a map out along a whole path, knit builds
 each translate through its translate table, every boundary that the
 benchmark traces by name exists, every exception a module raises is one
 of the classes the CLI maps to an exit code, io.py turns no error of a spec
@@ -569,6 +569,27 @@ def test_detects_a_transposed_component():
                          ids=lambda p: p.name)
 def test_only_the_duals_transpose_a_component(path):
     assert transposed_components(path.read_text()) == []
+
+
+def complex_builds(source: str) -> list:
+    """Lines that call arrow_complex: a window kernel on a vertex set of the
+    caller's, where the pair's own complex (ext.ArrowPair) is the one."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if _calls(n, "arrow_complex"))
+
+
+def test_detects_an_arrow_complex_call():
+    src = ("d, offs, _ = arrow_complex(x, y, verts)\n"
+           "d = ext.arrow_complex(x, y, w)[0]\n"
+           "pair = arrow_pair(x, y)\n"
+           '"""arrow_complex(x, y, verts) in a docstring"""\n')
+    assert complex_builds(src) == [1, 2]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "ext.py"],
+                         ids=lambda p: p.name)
+def test_only_ext_builds_the_arrow_complex(path):
+    assert complex_builds(path.read_text()) == []
 
 
 def path_products(source: str) -> list:

@@ -894,8 +894,8 @@ def test_cli_exit_3_on_a_broken_periodicity_contract(monkeypatch):
 
 def test_cli_exit_3_on_a_window_hom_dimension_that_moves(monkeypatch):
     # a Hom dimension that grows with the pad of the window route
-    monkeypatch.setattr(hom_mod, "solve_natural",
-                        lambda src, dst, verts: [{}] * len(verts))
+    monkeypatch.setattr(ext_mod.ArrowPair, "natural_maps",
+                        lambda pair: [{}] * len(pair.window[0]))
     code, out, err = run_cli(["hom", "--quiver", LINE,
                               "--src", ALLK, "--dst", ALLK])
     assert (code, out) == (3, "")
